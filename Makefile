@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt lint test race cover soak soak-recover bench bench-allocs bench-json bench-check netcal
+.PHONY: all build vet fmt lint test race cover soak soak-recover bench bench-allocs bench-json bench-check benchmark-smoke netcal
 
-all: build vet fmt test
+all: build vet fmt test benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -146,6 +146,14 @@ netcal:
 # One iteration of every benchmark as a smoke test (no unit tests: -run '^$').
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
+
+# benchmark-smoke vets and tests the frozen benchmark, a nested module the
+# root ./... never builds: it compiles against public layer functions
+# (core.NewLayoutExchange, grid.NewPackExchanger, harness.Config, ...), so a
+# signature change that breaks it must fail here, not in the driver.
+# Offline and read-only: GOWORK=off, nothing under benchmark/ is written.
+benchmark-smoke:
+	cd benchmark && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # bench-allocs fails if the persistent per-step hot path regresses above
 # zero heap allocations (Layout + MemMap Start/Complete — partitioned and

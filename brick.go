@@ -88,8 +88,6 @@ var (
 	NewExchangeView = core.NewExchangeView
 	// NewShiftView builds the three-phase Shift exchange views.
 	NewShiftView = core.NewShiftView
-	// WithPersistentPlan toggles persistent pre-matched requests (default on).
-	WithPersistentPlan = core.WithPersistentPlan
 	// WithPageAlignment pads communication regions to page multiples.
 	WithPageAlignment = core.WithPageAlignment
 	// WithPerRegionMessages selects the paper's Basic message plan.

@@ -38,8 +38,7 @@ func writeExchangeTrace(cfg harness.Config, path string) error {
 			return
 		}
 		bs := dec.Allocate()
-		lx := core.NewLayoutExchange(core.NewExchanger(dec, cart), bs,
-			core.WithPersistentPlan(!cfg.DisablePersistent))
+		lx := core.NewLayoutExchange(core.NewExchanger(dec, cart), bs)
 		defer lx.Close()
 		lx.Exchange()
 	})
@@ -128,9 +127,6 @@ func main() {
 	}
 	if res.Plan != nil {
 		fmt.Printf(" plan=%s/%s", res.Plan.Variant, res.Plan.Digest[:8])
-		if !res.Plan.Persistent {
-			fmt.Print(" [no-persist]")
-		}
 	}
 	fmt.Println()
 	fmt.Printf("calc %s\n", res.Calc.String())

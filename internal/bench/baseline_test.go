@@ -66,7 +66,7 @@ func TestFromResult(t *testing.T) {
 	if b.Plan == nil {
 		t.Fatal("compiled plan missing from baseline")
 	}
-	if b.Plan.Variant != "spans" || !b.Plan.Persistent || b.Plan.Digest == "" {
+	if b.Plan.Variant != "spans" || b.Plan.Digest == "" {
 		t.Errorf("plan section wrong: %+v", *b.Plan)
 	}
 	if b.Plan.Sends == 0 || b.Plan.SendBytes == 0 {

@@ -16,8 +16,8 @@ import (
 )
 
 // Common holds the flags every experiment command shares (cmd/strong,
-// cmd/weak). They are registered in one place so a new cross-cutting flag —
-// like the -persistent escape hatch — is defined once and appears in every
+// cmd/weak, cmd/soak). They are registered in one place so a cross-cutting
+// flag — like -transport or -watchdog — is defined once and appears in every
 // binary with the same name, default, and help text.
 type Common struct {
 	Stencil     string
@@ -27,7 +27,6 @@ type Common struct {
 	Brick       int
 	Iters       int
 	Workers     int
-	Persistent  bool
 	Partitioned bool
 	MetricsOut  string
 	PprofAddr   string
@@ -60,8 +59,7 @@ func RegisterCommon(ghostDefault, brickDefault, itersDefault int) *Common {
 	flag.IntVar(&c.Brick, "brick", brickDefault, "brick dimension")
 	flag.IntVar(&c.Iters, "I", itersDefault, "timed iterations (timesteps)")
 	flag.IntVar(&c.Workers, "workers", 0, "compute workers per rank (0 = BRICK_WORKERS or GOMAXPROCS)")
-	flag.BoolVar(&c.Persistent, "persistent", true, "use persistent pre-matched exchange plans; false falls back to per-step tag matching")
-	flag.BoolVar(&c.Partitioned, "partitioned", false, "split persistent sends into tile-aligned partitions (MPI 4.x Pready pipelining); bit-identical results, requires -persistent")
+	flag.BoolVar(&c.Partitioned, "partitioned", false, "split persistent sends into tile-aligned partitions (MPI 4.x Pready pipelining); bit-identical results")
 	flag.StringVar(&c.MetricsOut, "metrics-out", "", "write a metrics snapshot JSON (brick-metrics/v1) to this file")
 	flag.StringVar(&c.PprofAddr, "pprof-addr", "", "serve /metrics, /metrics.json, /debug/pprof on this address (e.g. localhost:6060)")
 	flag.StringVar(&c.Fault, "fault", "", "fault-injection spec, e.g. delay:rank=*:mean=200us or panic:rank=1:step=3 (see docs/robustness.md)")
@@ -126,7 +124,6 @@ func (c *Common) Apply(cfg *harness.Config, r Resolved) {
 	cfg.Machine = r.Machine
 	cfg.Workers = c.Workers
 	cfg.Metrics = r.Registry
-	cfg.DisablePersistent = !c.Persistent
 	cfg.Partitioned = c.Partitioned
 	cfg.Fault = c.Fault
 	cfg.FaultSeed = c.FaultSeed

@@ -18,8 +18,10 @@ import (
 // BrickExchanger is the topology/plan half shared by every brick exchange
 // variant; bind it to storage with NewLayoutExchange, NewExchangeView, or
 // NewShiftView to get an Exchanger driving the Plan/Start/Complete
-// lifecycle. The per-call PostReceives/PostSends/Wait methods remain as
-// the one-shot fallback (and for single-exchange tools).
+// lifecycle. Exchange and its PostReceives/PostSends/Wait parts are the
+// unbound-storage exchange: they move any storage of this decomposition
+// through the matching engine, which is the only path for storage no
+// Exchanger was compiled against.
 type BrickExchanger struct {
 	d    *BrickDecomp
 	comm *mpi.Comm
@@ -103,19 +105,18 @@ func (e *BrickExchanger) Wait() {
 // to gather-before-send copies and Degraded() reports true.
 //
 // The plan — at most 26 messages, fixed views, fixed ghost windows — is
-// compiled once at construction; with persistent plans (the default) each
-// Start/Complete cycle reuses pre-matched requests and allocates nothing.
+// compiled once at construction; each Start/Complete cycle reuses
+// pre-matched requests and allocates nothing.
 type ExchangeView struct {
 	PlanBase
-	e          *BrickExchanger
-	bs         *BrickStorage
-	sends      []sendView
-	degraded   bool
-	persistent bool
-	precvs     []*mpi.Request
-	psends     []*mpi.Request
-	pall       []*mpi.Request
-	ps         *partState // non-nil when compiled with WithPartitions
+	e        *BrickExchanger
+	bs       *BrickStorage
+	sends    []sendView
+	degraded bool
+	precvs   []*mpi.Request
+	psends   []*mpi.Request
+	pall     []*mpi.Request
+	ps       *partState // non-nil when compiled with WithPartitions
 }
 
 var (
@@ -148,7 +149,7 @@ type sendView struct {
 	runs  []MsgSpec    // the surface runs behind the window (len > 1 windows)
 	spans []Span       // every run's span in window order (partition compile)
 	flat  []float64    // the contiguous window to send
-	req   *mpi.Request // persistent send endpoint, nil in one-shot mode
+	req   *mpi.Request // persistent send endpoint (nil at an open boundary)
 }
 
 // aliased reports whether the window aliases storage (a single-run slice
@@ -166,11 +167,7 @@ func (sv *sendView) aliased() bool {
 // exchange plan. Storage should come from MmapAllocate for zero-copy
 // views; heap storage yields a functional but degraded (copying) view.
 func NewExchangeView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*ExchangeView, error) {
-	o := defaultPlanOpts()
-	for _, f := range opts {
-		f(&o)
-	}
-	ev := &ExchangeView{e: e, bs: bs, persistent: o.persistent}
+	ev := &ExchangeView{e: e, bs: bs}
 	chunk := bs.Chunk()
 	// Group this rank's send runs by destination, in tag order (tag order
 	// is grouping order per destination).
@@ -230,14 +227,11 @@ func NewExchangeView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*
 	// Compile the plan: receives in ghost-group order, sends in view order —
 	// the same program order on every rank, so persistent endpoints pair
 	// deterministically.
-	plan := ExchangePlan{Variant: "memmap", Persistent: o.persistent}
+	plan := ExchangePlan{Variant: "memmap"}
 	var tileOf []int
-	if len(o.tiles) > 0 {
-		if !o.persistent {
-			panic("core: WithPartitions requires a persistent plan")
-		}
-		tileOf = tileOwnerTable(o.tiles, e.d.NumBricks())
-		ev.ps = newPartState(len(o.tiles), bs.Data)
+	if tiles := resolveTiles(opts); len(tiles) > 0 {
+		tileOf = tileOwnerTable(tiles, e.d.NumBricks())
+		ev.ps = newPartState(len(tiles), bs.Data)
 	}
 	for _, u := range e.d.order {
 		src := e.rank[u]
@@ -251,9 +245,7 @@ func NewExchangeView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*
 		buf := bs.Data[grp.Start*chunk : grp.PaddedEnd()*chunk]
 		tag := makeTag(u.Opposite(), 0)
 		plan.Recvs = append(plan.Recvs, PlanMsg{Peer: src, Tag: tag, Bytes: int64(8 * len(buf))})
-		if o.persistent {
-			ev.precvs = append(ev.precvs, e.comm.RecvInit(src, tag, buf))
-		}
+		ev.precvs = append(ev.precvs, e.comm.RecvInit(src, tag, buf))
 	}
 	for i := range ev.sends {
 		sv := &ev.sends[i]
@@ -262,17 +254,15 @@ func NewExchangeView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*
 			continue
 		}
 		plan.Sends = append(plan.Sends, PlanMsg{Peer: dst, Tag: sv.tag, Bytes: int64(8 * len(sv.flat))})
-		switch {
-		case ev.ps != nil:
+		if ev.ps != nil {
 			mp := compileWindowParts(sv.spans, chunk, tileOf)
 			sv.req = e.comm.PsendInit(dst, sv.tag, sv.flat, mp.bounds)
-			ev.psends = append(ev.psends, sv.req)
 			ev.ps.addMsg(sv.req, sv, mp)
 			plan.Partitions = append(plan.Partitions, len(mp.owners))
-		case o.persistent:
+		} else {
 			sv.req = e.comm.SendInit(dst, sv.tag, sv.flat)
-			ev.psends = append(ev.psends, sv.req)
 		}
+		ev.psends = append(ev.psends, sv.req)
 	}
 	ev.pall = make([]*mpi.Request, 0, len(ev.precvs)+len(ev.psends))
 	ev.pall = append(append(ev.pall, ev.precvs...), ev.psends...)
@@ -395,21 +385,15 @@ func (ev *ExchangeView) Start() int {
 		ev.AddPack(time.Since(t0))
 	}
 	t0 := time.Now()
-	var n int
-	if ev.persistent {
-		mpi.Startall(ev.precvs)
-		mpi.Startall(ev.psends)
-		if ev.ps != nil {
-			ev.ps.arm()
-			ev.ps.readyAll()
-		}
-		n = len(ev.psends)
-	} else {
-		n = ev.postOneShot()
+	mpi.Startall(ev.precvs)
+	mpi.Startall(ev.psends)
+	if ev.ps != nil {
+		ev.ps.arm()
+		ev.ps.readyAll()
 	}
 	ev.AddCall(time.Since(t0))
 	ev.RecordStart()
-	return n
+	return len(ev.psends)
 }
 
 // StartRecvs arms this step's receives; ghost groups may be written by
@@ -464,44 +448,10 @@ func (ev *ExchangeView) Partitions() int {
 // unpartitioned plan or nil registry).
 func (ev *ExchangeView) SetPartitionMetrics(reg *metrics.Registry) { ev.ps.setMetrics(reg) }
 
-// postOneShot is the legacy matching-engine path (-persistent=false).
-func (ev *ExchangeView) postOneShot() int {
-	e := ev.e
-	chunk := ev.bs.Chunk()
-	// Post receives: ghost group per neighbor is contiguous, so the single
-	// incoming message lands directly in storage.
-	for _, u := range e.d.order {
-		src := e.rank[u]
-		if src < 0 {
-			continue
-		}
-		grp := e.d.ghostGroup[u]
-		if grp.NBricks == 0 {
-			continue
-		}
-		buf := ev.bs.Data[grp.Start*chunk : grp.PaddedEnd()*chunk]
-		e.reqs = append(e.reqs, e.comm.Irecv(src, makeTag(u.Opposite(), 0), buf))
-	}
-	n := 0
-	for _, sv := range ev.sends {
-		dst := e.rank[sv.dir]
-		if dst < 0 {
-			continue
-		}
-		e.reqs = append(e.reqs, e.comm.Isend(dst, sv.tag, sv.flat))
-		n++
-	}
-	return n
-}
-
 // Complete blocks until the exchange posted by Start has finished.
 func (ev *ExchangeView) Complete() {
 	t0 := time.Now()
-	if ev.persistent {
-		mpi.Waitall(ev.pall)
-	} else {
-		ev.e.Wait()
-	}
+	mpi.Waitall(ev.pall)
 	ev.AddWait(time.Since(t0))
 	if ev.ps != nil {
 		if d := ev.ps.drainPack(); d > 0 {
@@ -509,13 +459,6 @@ func (ev *ExchangeView) Complete() {
 		}
 	}
 }
-
-// Begin posts one exchange; kept as an alias of Start for callers of the
-// pre-plan API.
-func (ev *ExchangeView) Begin() int { return ev.Start() }
-
-// End completes the exchange begun by Begin (alias of Complete).
-func (ev *ExchangeView) End() { ev.Complete() }
 
 // Close releases the views and persistent endpoints.
 func (ev *ExchangeView) Close() error {

@@ -19,7 +19,8 @@ func globalValue(f, x, y, z int) float64 {
 type exchangeKind int
 
 const (
-	kindLayout exchangeKind = iota
+	kindLayout     exchangeKind = iota // unbound-storage BrickExchanger.Exchange
+	kindLayoutPlan                     // compiled LayoutExchange Start/Complete, two cycles
 	kindMemMap
 	kindMemMapHeap
 	kindMemMapUnmapped // arena storage with mapping forced off (degraded)
@@ -65,22 +66,41 @@ func verifyExchange(t *testing.T, procs [3]int, dom [3]int, ghost, fields int,
 			defer bs.Close()
 		}
 
-		// Fill the domain proper (not ghosts) with global values.
-		for f := 0; f < fields; f++ {
-			for z := 0; z < dom[2]; z++ {
-				for y := 0; y < dom[1]; y++ {
-					for x := 0; x < dom[0]; x++ {
-						v := globalValue(f, origin[0]+x, origin[1]+y, origin[2]+z)
-						d.SetElem(bs, f, x+ghost, y+ghost, z+ghost, v)
+		// fill writes sign × the global value over the domain proper (not
+		// ghosts).
+		fill := func(sign float64) {
+			for f := 0; f < fields; f++ {
+				for z := 0; z < dom[2]; z++ {
+					for y := 0; y < dom[1]; y++ {
+						for x := 0; x < dom[0]; x++ {
+							v := sign * globalValue(f, origin[0]+x, origin[1]+y, origin[2]+z)
+							d.SetElem(bs, f, x+ghost, y+ghost, z+ghost, v)
+						}
 					}
 				}
 			}
 		}
+		fill(1)
 
 		ex := NewExchanger(d, cart)
 		switch kind {
 		case kindLayout:
 			ex.Exchange(bs)
+		case kindLayoutPlan:
+			// The first cycle moves a negated field, the second the real one
+			// over the same endpoints: stale ghosts from cycle one would fail
+			// the check below, so endpoint reuse is verified element by element.
+			lx := NewLayoutExchange(ex, bs)
+			defer lx.Close()
+			fill(-1)
+			lx.Start()
+			lx.Complete()
+			fill(1)
+			lx.Start()
+			lx.Complete()
+			if st := lx.Stats(); st.Starts != 2 {
+				t.Errorf("plan starts = %d, want 2", st.Starts)
+			}
 		case kindMemMap, kindMemMapHeap, kindMemMapUnmapped:
 			ev, err := NewExchangeView(ex, bs)
 			if err != nil {
@@ -120,38 +140,47 @@ func verifyExchange(t *testing.T, procs [3]int, dom [3]int, ghost, fields int,
 
 func mod(a, n int) int { return ((a % n) + n) % n }
 
+// verifyLayoutExchange checks the span exchange both ways it can run: the
+// unbound-storage BrickExchanger.Exchange and the compiled LayoutExchange
+// plan production runs use.
+func verifyLayoutExchange(t *testing.T, procs [3]int, dom [3]int, ghost, fields int, order []layout.Set) {
+	t.Helper()
+	verifyExchange(t, procs, dom, ghost, fields, order, kindLayout)
+	verifyExchange(t, procs, dom, ghost, fields, order, kindLayoutPlan)
+}
+
 func TestExchangeLayout8Ranks(t *testing.T) {
-	verifyExchange(t, [3]int{2, 2, 2}, [3]int{16, 16, 16}, 4, 1, layout.Surface3D(), kindLayout)
+	verifyLayoutExchange(t, [3]int{2, 2, 2}, [3]int{16, 16, 16}, 4, 1, layout.Surface3D())
 }
 
 func TestExchangeBasicLayout8Ranks(t *testing.T) {
-	verifyExchange(t, [3]int{2, 2, 2}, [3]int{16, 16, 16}, 4, 1, layout.Lexicographic(3), kindLayout)
+	verifyLayoutExchange(t, [3]int{2, 2, 2}, [3]int{16, 16, 16}, 4, 1, layout.Lexicographic(3))
 }
 
 func TestExchangeLayoutSmallestDomain(t *testing.T) {
 	// dom = 2·ghost: only corner regions carry data.
-	verifyExchange(t, [3]int{2, 2, 2}, [3]int{8, 8, 8}, 4, 1, layout.Surface3D(), kindLayout)
+	verifyLayoutExchange(t, [3]int{2, 2, 2}, [3]int{8, 8, 8}, 4, 1, layout.Surface3D())
 }
 
 func TestExchangeLayoutAnisotropic(t *testing.T) {
-	verifyExchange(t, [3]int{2, 2, 2}, [3]int{24, 16, 12}, 4, 1, layout.Surface3D(), kindLayout)
+	verifyLayoutExchange(t, [3]int{2, 2, 2}, [3]int{24, 16, 12}, 4, 1, layout.Surface3D())
 }
 
 func TestExchangeLayoutMultiField(t *testing.T) {
-	verifyExchange(t, [3]int{2, 2, 2}, [3]int{16, 16, 16}, 4, 3, layout.Surface3D(), kindLayout)
+	verifyLayoutExchange(t, [3]int{2, 2, 2}, [3]int{16, 16, 16}, 4, 3, layout.Surface3D())
 }
 
 func TestExchangeLayoutSingleRankPeriodic(t *testing.T) {
 	// One rank, fully periodic: every ghost wraps onto the rank itself.
-	verifyExchange(t, [3]int{1, 1, 1}, [3]int{16, 16, 16}, 4, 1, layout.Surface3D(), kindLayout)
+	verifyLayoutExchange(t, [3]int{1, 1, 1}, [3]int{16, 16, 16}, 4, 1, layout.Surface3D())
 }
 
 func TestExchangeLayout27Ranks(t *testing.T) {
-	verifyExchange(t, [3]int{3, 3, 3}, [3]int{12, 12, 12}, 4, 1, layout.Surface3D(), kindLayout)
+	verifyLayoutExchange(t, [3]int{3, 3, 3}, [3]int{12, 12, 12}, 4, 1, layout.Surface3D())
 }
 
 func TestExchangeLayoutAnisotropicRankGrid(t *testing.T) {
-	verifyExchange(t, [3]int{4, 2, 1}, [3]int{12, 12, 12}, 4, 1, layout.Surface3D(), kindLayout)
+	verifyLayoutExchange(t, [3]int{4, 2, 1}, [3]int{12, 12, 12}, 4, 1, layout.Surface3D())
 }
 
 func TestExchangeMemMap8Ranks(t *testing.T) {

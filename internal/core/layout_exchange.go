@@ -8,22 +8,19 @@ import (
 )
 
 // LayoutExchange binds a BrickExchanger's span plan to one storage and
-// compiles it into a persistent Exchanger: every contiguous brick run that
-// crosses a rank boundary becomes one pre-matched persistent request over
-// a fixed storage window, built once here and reused by every
-// Start/Complete cycle with zero per-step allocation. This is the
-// Plan/Start/Complete form of the Basic and Layout exchanges (98 and 42
-// messages per rank in 3D respectively — the plan size depends only on the
-// decomposition's brick order).
+// compiles it into an Exchanger: every contiguous brick run that crosses a
+// rank boundary becomes one pre-matched persistent request over a fixed
+// storage window, built once here and reused by every Start/Complete cycle
+// with zero per-step allocation. This is the Plan/Start/Complete form of
+// the Basic and Layout exchanges (98 and 42 messages per rank in 3D
+// respectively — the plan size depends only on the decomposition's brick
+// order).
 type LayoutExchange struct {
 	PlanBase
-	e          *BrickExchanger
-	bs         *BrickStorage
-	persistent bool
-	precvs     []*mpi.Request
-	psends     []*mpi.Request
-	pall       []*mpi.Request // precvs ++ psends, for one Waitall
-	ps         *partState     // non-nil when compiled with WithPartitions
+	precvs []*mpi.Request
+	psends []*mpi.Request
+	pall   []*mpi.Request // precvs ++ psends, for one Waitall
+	ps     *partState     // non-nil when compiled with WithPartitions
 }
 
 var (
@@ -31,25 +28,15 @@ var (
 	_ PartitionedExchanger = (*LayoutExchange)(nil)
 )
 
-// NewLayoutExchange compiles the exchanger's message plan against bs. With
-// WithPersistentPlan(false) the compiled plan is kept (for reporting) but
-// each Start falls back to one-shot Isend/Irecv through the matching
-// engine.
+// NewLayoutExchange compiles the exchanger's message plan against bs.
 func NewLayoutExchange(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) *LayoutExchange {
-	o := defaultPlanOpts()
-	for _, f := range opts {
-		f(&o)
-	}
-	lx := &LayoutExchange{e: e, bs: bs, persistent: o.persistent}
+	lx := &LayoutExchange{}
 	chunk := bs.Chunk()
-	plan := ExchangePlan{Variant: "spans", Persistent: o.persistent}
+	plan := ExchangePlan{Variant: "spans"}
 	var tileOf []int
-	if len(o.tiles) > 0 {
-		if !o.persistent {
-			panic("core: WithPartitions requires a persistent plan")
-		}
-		tileOf = tileOwnerTable(o.tiles, e.d.NumBricks())
-		lx.ps = newPartState(len(o.tiles), bs.Data)
+	if tiles := resolveTiles(opts); len(tiles) > 0 {
+		tileOf = tileOwnerTable(tiles, e.d.NumBricks())
+		lx.ps = newPartState(len(tiles), bs.Data)
 	}
 	for _, m := range e.d.recvMsgs {
 		src := e.rank[m.Dir]
@@ -58,9 +45,7 @@ func NewLayoutExchange(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) 
 		}
 		buf := bs.Data[m.Span.Start*chunk : m.Span.PaddedEnd()*chunk]
 		plan.Recvs = append(plan.Recvs, PlanMsg{Peer: src, Tag: m.Tag, Bytes: int64(8 * len(buf))})
-		if o.persistent {
-			lx.precvs = append(lx.precvs, e.comm.RecvInit(src, m.Tag, buf))
-		}
+		lx.precvs = append(lx.precvs, e.comm.RecvInit(src, m.Tag, buf))
 	}
 	for _, m := range e.d.sendMsgs {
 		dst := e.rank[m.Dir]
@@ -69,14 +54,13 @@ func NewLayoutExchange(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) 
 		}
 		buf := bs.Data[m.Span.Start*chunk : m.Span.PaddedEnd()*chunk]
 		plan.Sends = append(plan.Sends, PlanMsg{Peer: dst, Tag: m.Tag, Bytes: int64(8 * len(buf))})
-		switch {
-		case lx.ps != nil:
+		if lx.ps != nil {
 			mp := compileWindowParts([]Span{m.Span}, chunk, tileOf)
 			req := e.comm.PsendInit(dst, m.Tag, buf, mp.bounds)
 			lx.psends = append(lx.psends, req)
 			lx.ps.addMsg(req, nil, mp)
 			plan.Partitions = append(plan.Partitions, len(mp.owners))
-		case o.persistent:
+		} else {
 			lx.psends = append(lx.psends, e.comm.SendInit(dst, m.Tag, buf))
 		}
 	}
@@ -92,25 +76,18 @@ func NewLayoutExchange(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) 
 // until Complete returns.
 func (lx *LayoutExchange) Start() int {
 	t0 := time.Now()
-	var n int
-	if lx.persistent {
-		mpi.Startall(lx.precvs)
-		mpi.Startall(lx.psends)
-		if lx.ps != nil {
-			// Combined Start has no tile callbacks: every partition is
-			// ready the moment the sends are armed, which reproduces the
-			// unpartitioned wire behavior bit-for-bit.
-			lx.ps.arm()
-			lx.ps.readyAll()
-		}
-		n = len(lx.psends)
-	} else {
-		lx.e.PostReceives(lx.bs)
-		n = lx.e.PostSends(lx.bs)
+	mpi.Startall(lx.precvs)
+	mpi.Startall(lx.psends)
+	if lx.ps != nil {
+		// Combined Start has no tile callbacks: every partition is ready
+		// the moment the sends are armed, which reproduces the
+		// unpartitioned wire behavior bit-for-bit.
+		lx.ps.arm()
+		lx.ps.readyAll()
 	}
 	lx.AddCall(time.Since(t0))
 	lx.RecordStart()
-	return n
+	return len(lx.psends)
 }
 
 // StartRecvs arms this step's receives: ghost bricks may be written by
@@ -167,11 +144,7 @@ func (lx *LayoutExchange) SetPartitionMetrics(reg *metrics.Registry) { lx.ps.set
 // Complete blocks until every transfer of the current Start has finished.
 func (lx *LayoutExchange) Complete() {
 	t0 := time.Now()
-	if lx.persistent {
-		mpi.Waitall(lx.pall)
-	} else {
-		lx.e.Wait()
-	}
+	mpi.Waitall(lx.pall)
 	lx.AddWait(time.Since(t0))
 	if lx.ps != nil {
 		if d := lx.ps.drainPack(); d > 0 {

@@ -17,12 +17,11 @@ import (
 //	Stats()    — cumulative plan-reuse counters (starts, bytes started)
 //	Close()    — release plan resources (views, persistent endpoints)
 //
-// With persistent plans (the default), Start/Complete reuse pre-matched
-// rank-to-rank channels and preallocated buffers, so the per-step hot path
-// performs no heap allocation and no tag matching. An Exchanger is driven
-// by one goroutine at a time (Start and Complete may be called from
-// different goroutines of the same rank, as in comm/compute overlap, but
-// never concurrently).
+// Start/Complete reuse pre-matched rank-to-rank channels and preallocated
+// buffers, so the per-step hot path performs no heap allocation and no tag
+// matching. An Exchanger is driven by one goroutine at a time (Start and
+// Complete may be called from different goroutines of the same rank, as in
+// comm/compute overlap, but never concurrently).
 //
 // Variants that cannot split posting from completion (the shift exchange's
 // serialized phases) perform the whole exchange in Start; their Complete
@@ -78,23 +77,19 @@ type ExchangePlan struct {
 	// "spans" (Basic/Layout contiguous brick runs), "memmap" (per-neighbor
 	// mapped views), "shift" (dimension-serialized slabs), "pack"
 	// (pack/unpack staging), "types" (derived-datatype staging).
-	Variant string `json:"variant"`
-	// Persistent reports whether the plan is backed by persistent
-	// pre-matched requests (false only with the -persistent=false escape
-	// hatch).
-	Persistent bool      `json:"persistent"`
-	Sends      []PlanMsg `json:"sends"`
-	Recvs      []PlanMsg `json:"recvs"`
+	Variant string    `json:"variant"`
+	Sends   []PlanMsg `json:"sends"`
+	Recvs   []PlanMsg `json:"recvs"`
 	// Degraded is the reason the exchanger runs copy-based windows instead
 	// of zero-copy mapped views (heap-storage, unmapped-arena, map-failed,
-	// forced), or empty at full service. Like Persistent it is excluded
-	// from the Digest: a degraded plan moves the same bytes between the
-	// same peers, it just pays extra on-node copies.
+	// forced), or empty at full service. It is excluded from the Digest: a
+	// degraded plan moves the same bytes between the same peers, it just
+	// pays extra on-node copies.
 	Degraded string `json:"degraded,omitempty"`
 	// Partitions, when the plan was compiled with WithPartitions, holds the
 	// per-send partition count aligned with Sends (Partitions[i] partitions
-	// for Sends[i]). Nil for unpartitioned plans. Unlike Persistent and
-	// Degraded it IS part of the Digest — partition boundaries change when
+	// for Sends[i]). Nil for unpartitioned plans. Unlike Degraded it IS
+	// part of the Digest — partition boundaries change when
 	// messages fire, which is exactly what the digest section records — but
 	// only as an appended section, so a partitioned plan's digest differs
 	// from its unpartitioned twin solely in that section.
@@ -120,9 +115,8 @@ func (p *ExchangePlan) RecvBytes() int64 {
 }
 
 // Digest is a stable FNV-1a hash of the ordered message list (variant,
-// sends, recvs — not the Persistent flag, so toggling the escape hatch
-// does not read as a plan change). Two plans with the same digest move
-// the same bytes between the same peers with the same tags.
+// sends, recvs, partition counts). Two plans with the same digest move the
+// same bytes between the same peers with the same tags.
 func (p *ExchangePlan) Digest() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s\n", p.Variant)
@@ -141,13 +135,12 @@ func (p *ExchangePlan) Digest() string {
 // PlanSummary is the compact, serializable description of a compiled plan
 // recorded into results and bench baselines.
 type PlanSummary struct {
-	Variant    string `json:"variant"`
-	Persistent bool   `json:"persistent"`
-	Degraded   string `json:"degraded,omitempty"`
-	Sends      int    `json:"sends"`
-	Recvs      int    `json:"recvs"`
-	SendBytes  int64  `json:"send_bytes"`
-	RecvBytes  int64  `json:"recv_bytes"`
+	Variant   string `json:"variant"`
+	Degraded  string `json:"degraded,omitempty"`
+	Sends     int    `json:"sends"`
+	Recvs     int    `json:"recvs"`
+	SendBytes int64  `json:"send_bytes"`
+	RecvBytes int64  `json:"recv_bytes"`
 	// Partitions is the total partition count across all sends (zero for
 	// unpartitioned plans).
 	Partitions int    `json:"partitions,omitempty"`
@@ -162,7 +155,6 @@ func (p *ExchangePlan) Summary() PlanSummary {
 	}
 	return PlanSummary{
 		Variant:    p.Variant,
-		Persistent: p.Persistent,
 		Degraded:   p.Degraded,
 		Sends:      len(p.Sends),
 		Recvs:      len(p.Recvs),
@@ -176,7 +168,7 @@ func (p *ExchangePlan) Summary() PlanSummary {
 // PhaseTimings is the exchange-internal time split of one or more steps:
 // Pack is on-node staging copies (gather/scatter, pack/unpack, datatype
 // walks), Call is posting/starting transfers, Wait is blocking on
-// completion. Pack-free persistent paths report Pack == 0 exactly — the
+// completion. Pack-free paths report Pack == 0 exactly — the
 // pack timer only runs when staging work exists.
 type PhaseTimings struct {
 	Pack time.Duration
@@ -196,45 +188,23 @@ type PlanStats struct {
 type PlanOption func(*planOpts)
 
 type planOpts struct {
-	persistent bool
-	tiles      [][2]int
-}
-
-func defaultPlanOpts() planOpts { return planOpts{persistent: true} }
-
-// WithPersistentPlan selects persistent pre-matched requests (the default,
-// true) or the legacy per-step Isend/Irecv path (false, the
-// -persistent=false escape hatch).
-func WithPersistentPlan(on bool) PlanOption {
-	return func(o *planOpts) { o.persistent = on }
+	tiles [][2]int
 }
 
 // WithPartitions compiles the plan's persistent sends as partitioned
 // requests aligned with the given surface tiles (each tile a [lo, hi)
 // storage-brick range, as produced by stencil.TileSpans over the surface
 // spans). The resulting exchanger implements PartitionedExchanger; tile
-// index t in ReadyTile(t) refers to tiles[t]. Requires a persistent plan —
-// constructors panic on WithPartitions + WithPersistentPlan(false). An
-// empty tile list is a no-op (plan stays unpartitioned).
+// index t in ReadyTile(t) refers to tiles[t]. An empty tile list is a no-op
+// (plan stays unpartitioned).
 func WithPartitions(tiles [][2]int) PlanOption {
 	return func(o *planOpts) { o.tiles = tiles }
 }
 
-// ResolvePlanOptions applies opts over the defaults and reports whether
-// the plan should be persistent. Exchanger implementations outside this
-// package use it to interpret their variadic options.
-func ResolvePlanOptions(opts []PlanOption) bool {
-	o := defaultPlanOpts()
-	for _, f := range opts {
-		f(&o)
-	}
-	return o.persistent
-}
-
-// ResolvePartitionTiles applies opts over the defaults and returns the
-// partition tile list (nil when unpartitioned).
-func ResolvePartitionTiles(opts []PlanOption) [][2]int {
-	o := defaultPlanOpts()
+// resolveTiles applies opts and returns the partition tile list (nil when
+// unpartitioned).
+func resolveTiles(opts []PlanOption) [][2]int {
+	var o planOpts
 	for _, f := range opts {
 		f(&o)
 	}

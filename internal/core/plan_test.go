@@ -89,11 +89,6 @@ func TestPlanDigest(t *testing.T) {
 		t.Error("digest not deterministic")
 	}
 	q := *p
-	q.Persistent = true
-	if q.Digest() != d1 {
-		t.Error("digest must ignore the Persistent flag")
-	}
-	q = *p
 	q.Sends = []PlanMsg{{Peer: 1, Tag: 3, Bytes: 8192}}
 	if q.Digest() == d1 {
 		t.Error("digest insensitive to payload size")

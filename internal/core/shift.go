@@ -24,17 +24,15 @@ import (
 //
 // As an Exchanger, the whole three-phase exchange runs inside Start (the
 // phases cannot overlap computation: each forwards ghost data the previous
-// one received) and Complete is a no-op. With persistent plans (the
-// default) the six transfers are pre-matched once and every phase reuses
-// its fixed slab windows.
+// one received) and Complete is a no-op. The six transfers are pre-matched
+// once and every phase reuses its fixed slab windows.
 type ShiftView struct {
 	PlanBase
-	e          *BrickExchanger
-	bs         *BrickStorage
-	phases     [3][2]shiftMsg // [axis][0: negative dir, 1: positive dir]
-	degraded   bool
-	persistent bool
-	preqs      [3]phaseReqs // persistent per-axis request sets
+	e        *BrickExchanger
+	bs       *BrickStorage
+	phases   [3][2]shiftMsg // [axis][0: negative dir, 1: positive dir]
+	degraded bool
+	preqs    [3]phaseReqs // persistent per-axis request sets
 }
 
 var _ Exchanger = (*ShiftView)(nil)
@@ -62,12 +60,8 @@ type slabView struct {
 
 // NewShiftView precomputes the six per-phase slab views and compiles the
 // exchange plan.
-func NewShiftView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*ShiftView, error) {
-	o := defaultPlanOpts()
-	for _, f := range opts {
-		f(&o)
-	}
-	sv := &ShiftView{e: e, bs: bs, persistent: o.persistent}
+func NewShiftView(e *BrickExchanger, bs *BrickStorage) (*ShiftView, error) {
+	sv := &ShiftView{e: e, bs: bs}
 	d := e.d
 	for axis := 0; axis < 3; axis++ {
 		for side := 0; side < 2; side++ {
@@ -86,7 +80,7 @@ func NewShiftView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*Shi
 	// Compile the plan in phase order — receives then sends within each
 	// axis, the same program order on every rank so persistent endpoints
 	// pair deterministically.
-	plan := ExchangePlan{Variant: "shift", Persistent: o.persistent}
+	plan := ExchangePlan{Variant: "shift"}
 	for axis := 0; axis < 3; axis++ {
 		for side := 0; side < 2; side++ {
 			m := sv.phases[axis][side]
@@ -94,11 +88,11 @@ func NewShiftView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*Shi
 			if src < 0 {
 				continue
 			}
+			// The incoming data comes from the neighbor at dir; it sent its
+			// own slab for the opposite side.
 			tag := dirIndex(m.dir.Opposite())*tagStride + 50 + axis
 			plan.Recvs = append(plan.Recvs, PlanMsg{Peer: src, Tag: tag, Bytes: int64(8 * len(m.recv.flat))})
-			if o.persistent {
-				sv.preqs[axis].recvs = append(sv.preqs[axis].recvs, e.comm.RecvInit(src, tag, m.recv.flat))
-			}
+			sv.preqs[axis].recvs = append(sv.preqs[axis].recvs, e.comm.RecvInit(src, tag, m.recv.flat))
 		}
 		for side := 0; side < 2; side++ {
 			m := sv.phases[axis][side]
@@ -108,9 +102,7 @@ func NewShiftView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*Shi
 			}
 			tag := dirIndex(m.dir)*tagStride + 50 + axis
 			plan.Sends = append(plan.Sends, PlanMsg{Peer: dst, Tag: tag, Bytes: int64(8 * len(m.send.flat))})
-			if o.persistent {
-				sv.preqs[axis].sends = append(sv.preqs[axis].sends, e.comm.SendInit(dst, tag, m.send.flat))
-			}
+			sv.preqs[axis].sends = append(sv.preqs[axis].sends, e.comm.SendInit(dst, tag, m.send.flat))
 		}
 		pr := &sv.preqs[axis]
 		pr.all = make([]*mpi.Request, 0, len(pr.recvs)+len(pr.sends))
@@ -318,21 +310,7 @@ func (sv *ShiftView) Start() int {
 	for axis := 0; axis < 3; axis++ {
 		pr := &sv.preqs[axis]
 		t0 := time.Now()
-		if sv.persistent {
-			mpi.Startall(pr.recvs)
-		} else {
-			for side := 0; side < 2; side++ {
-				m := sv.phases[axis][side]
-				src := e.rank[m.dir]
-				if src < 0 {
-					continue
-				}
-				// The incoming data comes from the neighbor at dir; it sent
-				// its own slab for the opposite side.
-				tag := dirIndex(m.dir.Opposite())*tagStride + 50 + axis
-				e.reqs = append(e.reqs, e.comm.Irecv(src, tag, m.recv.flat))
-			}
-		}
+		mpi.Startall(pr.recvs)
 		call := time.Since(t0)
 		if sv.degraded {
 			// Aliasing views need no gather; only copy-based windows do.
@@ -346,28 +324,11 @@ func (sv *ShiftView) Start() int {
 			sv.AddPack(time.Since(t0))
 		}
 		t0 = time.Now()
-		if sv.persistent {
-			mpi.Startall(pr.sends)
-			n += len(pr.sends)
-		} else {
-			for side := 0; side < 2; side++ {
-				m := sv.phases[axis][side]
-				dst := e.rank[m.dir]
-				if dst < 0 {
-					continue
-				}
-				tag := dirIndex(m.dir)*tagStride + 50 + axis
-				e.reqs = append(e.reqs, e.comm.Isend(dst, tag, m.send.flat))
-				n++
-			}
-		}
+		mpi.Startall(pr.sends)
+		n += len(pr.sends)
 		sv.AddCall(call + time.Since(t0))
 		t0 = time.Now()
-		if sv.persistent {
-			mpi.Waitall(pr.all)
-		} else {
-			e.Wait()
-		}
+		mpi.Waitall(pr.all)
 		sv.AddWait(time.Since(t0))
 		if sv.degraded {
 			t0 = time.Now()

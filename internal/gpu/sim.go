@@ -150,10 +150,18 @@ func NewSim(cart *mpi.Cart, cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// Close releases views and arena storage.
+// Close releases exchange endpoints, views, and arena storage.
 func (s *Sim) Close() error {
 	if s.ev != nil {
 		s.ev.Close()
+	}
+	for i := range s.g {
+		if s.px[i] != nil {
+			s.px[i].Close()
+		}
+		if s.gx[i] != nil {
+			s.gx[i].Close()
+		}
 	}
 	if s.bs != nil {
 		return s.bs.Close()
@@ -207,9 +215,10 @@ func (s *Sim) Exchange() CommCost {
 		// per exchange regardless of ghost volume.
 		whole := 8 * len(s.g[s.cur].Data)
 		c.Fault += s.Cfg.Machine.Cost(netmodel.HostDevice, whole) // D2H
-		var tm grid.PackTimings
-		s.px[s.cur].Exchange(&tm)
-		c.Engine += tm.Pack // real measured packing on the host
+		px := s.px[s.cur]
+		px.Start()
+		px.Complete()
+		c.Engine += px.Timings().Pack // real measured packing on the host
 		for _, dir := range layout.Regions(3) {
 			lo, hi := s.g[s.cur].SendRegion(dir)
 			n := 8 * grid.RegionCount(lo, hi)
@@ -235,7 +244,8 @@ func (s *Sim) Exchange() CommCost {
 			c.Engine += time.Duration(2*grid.RegionCount(slo, shi)) * s.Cfg.Machine.TypeElemCost
 		}
 		// Run the real exchange on the current buffer.
-		s.gx[s.cur].Exchange(nil)
+		s.gx[s.cur].Start()
+		s.gx[s.cur].Complete()
 	case LayoutCA:
 		chunkBytes := 8 * s.bs.Chunk()
 		for _, m := range s.dec.SendMessages() {

@@ -19,40 +19,26 @@ func gridTag(senderDir layout.Set) int {
 	panic("grid: not a 3D direction")
 }
 
-// PackTimings records where an exchange spent its time, mirroring the
-// artifact's pack/call/wait decomposition. It is the same Pack/Call/Wait
-// split the unified Exchanger lifecycle reports through Timings().
-type PackTimings = core.PhaseTimings
-
 // PackExchanger performs the conventional packed ghost-zone exchange: pack
 // each neighbor's surface region into a buffer, send, receive, unpack — one
 // message per neighbor, and every byte copied twice on-node (the red
 // "Packing" bars of Figure 1).
 //
-// The staging buffers are fixed at construction, so with persistent plans
-// (the default) the wire half of every step reuses pre-matched requests;
-// the pack/unpack copies remain — they are what this baseline measures.
+// The staging buffers are fixed at construction, so the wire half of every
+// step reuses pre-matched requests; the pack/unpack copies remain — they
+// are what this baseline measures.
 type PackExchanger struct {
 	core.PlanBase
-	g          *Grid
-	comm       *mpi.Comm
-	rank       map[layout.Set]int
-	sbuf       map[layout.Set][]float64
-	rbuf       map[layout.Set][]float64
-	reqs       []*mpi.Request
-	rreqs      []recvPending
-	persistent bool
-	precvs     []*mpi.Request
-	psends     []*mpi.Request
-	pall       []*mpi.Request
+	g      *Grid
+	rank   map[layout.Set]int
+	sbuf   map[layout.Set][]float64
+	rbuf   map[layout.Set][]float64
+	precvs []*mpi.Request
+	psends []*mpi.Request
+	pall   []*mpi.Request
 }
 
 var _ core.Exchanger = (*PackExchanger)(nil)
-
-type recvPending struct {
-	dir layout.Set
-	req *mpi.Request
-}
 
 func neighborRanks(cart *mpi.Cart) map[layout.Set]int {
 	m := make(map[layout.Set]int, 26)
@@ -64,10 +50,9 @@ func neighborRanks(cart *mpi.Cart) map[layout.Set]int {
 
 // NewPackExchanger allocates fixed pack buffers for every neighbor and
 // compiles the exchange plan.
-func NewPackExchanger(g *Grid, cart *mpi.Cart, opts ...core.PlanOption) *PackExchanger {
+func NewPackExchanger(g *Grid, cart *mpi.Cart) *PackExchanger {
 	e := &PackExchanger{
 		g:    g,
-		comm: cart.Comm(),
 		rank: neighborRanks(cart),
 		sbuf: map[layout.Set][]float64{},
 		rbuf: map[layout.Set][]float64{},
@@ -78,8 +63,8 @@ func NewPackExchanger(g *Grid, cart *mpi.Cart, opts ...core.PlanOption) *PackExc
 		lo, hi = g.RecvRegion(s)
 		e.rbuf[s] = make([]float64, RegionCount(lo, hi))
 	}
-	e.persistent = compilePlan(&e.PlanBase, "pack", e.comm, e.rank, e.sbuf, e.rbuf,
-		&e.precvs, &e.psends, &e.pall, opts)
+	compilePlan(&e.PlanBase, "pack", cart.Comm(), e.rank, e.sbuf, e.rbuf,
+		&e.precvs, &e.psends, &e.pall)
 	return e
 }
 
@@ -87,12 +72,10 @@ func NewPackExchanger(g *Grid, cart *mpi.Cart, opts ...core.PlanOption) *PackExc
 // pack and derived-datatype exchangers: one receive and one send per
 // neighbor over fixed staging buffers, in the deterministic Regions order
 // (receives first, then sends — the same program order on every rank, so
-// persistent endpoints pair deterministically). Returns whether the plan
-// is persistent.
+// persistent endpoints pair deterministically).
 func compilePlan(base *core.PlanBase, variant string, comm *mpi.Comm, rank map[layout.Set]int,
-	sbuf, rbuf map[layout.Set][]float64, precvs, psends, pall *[]*mpi.Request, opts []core.PlanOption) bool {
-	persistent := core.ResolvePlanOptions(opts)
-	plan := core.ExchangePlan{Variant: variant, Persistent: persistent}
+	sbuf, rbuf map[layout.Set][]float64, precvs, psends, pall *[]*mpi.Request) {
+	plan := core.ExchangePlan{Variant: variant}
 	for _, s := range layout.Regions(3) {
 		src := rank[s]
 		if src < 0 {
@@ -100,9 +83,7 @@ func compilePlan(base *core.PlanBase, variant string, comm *mpi.Comm, rank map[l
 		}
 		tag := gridTag(s.Opposite())
 		plan.Recvs = append(plan.Recvs, core.PlanMsg{Peer: src, Tag: tag, Bytes: int64(8 * len(rbuf[s]))})
-		if persistent {
-			*precvs = append(*precvs, comm.RecvInit(src, tag, rbuf[s]))
-		}
+		*precvs = append(*precvs, comm.RecvInit(src, tag, rbuf[s]))
 	}
 	for _, s := range layout.Regions(3) {
 		dst := rank[s]
@@ -111,81 +92,11 @@ func compilePlan(base *core.PlanBase, variant string, comm *mpi.Comm, rank map[l
 		}
 		tag := gridTag(s)
 		plan.Sends = append(plan.Sends, core.PlanMsg{Peer: dst, Tag: tag, Bytes: int64(8 * len(sbuf[s]))})
-		if persistent {
-			*psends = append(*psends, comm.SendInit(dst, tag, sbuf[s]))
-		}
+		*psends = append(*psends, comm.SendInit(dst, tag, sbuf[s]))
 	}
 	*pall = make([]*mpi.Request, 0, len(*precvs)+len(*psends))
 	*pall = append(append(*pall, *precvs...), *psends...)
 	base.SetPlan(plan)
-	return persistent
-}
-
-// Begin posts receives, packs all surface regions, and posts sends. The
-// overlapped (YASK-OL) pattern computes the interior between Begin and End.
-func (e *PackExchanger) Begin(t *PackTimings) {
-	start := time.Now()
-	for _, s := range layout.Regions(3) {
-		src := e.rank[s]
-		if src < 0 {
-			continue
-		}
-		e.rreqs = append(e.rreqs, recvPending{dir: s, req: e.comm.Irecv(src, gridTag(s.Opposite()), e.rbuf[s])})
-	}
-	call := time.Since(start)
-
-	start = time.Now()
-	for _, s := range layout.Regions(3) {
-		if e.rank[s] < 0 {
-			continue
-		}
-		lo, hi := e.g.SendRegion(s)
-		e.g.Pack(lo, hi, e.sbuf[s])
-	}
-	pack := time.Since(start)
-
-	start = time.Now()
-	for _, s := range layout.Regions(3) {
-		dst := e.rank[s]
-		if dst < 0 {
-			continue
-		}
-		e.reqs = append(e.reqs, e.comm.Isend(dst, gridTag(s), e.sbuf[s]))
-	}
-	call += time.Since(start)
-	if t != nil {
-		t.Pack += pack
-		t.Call += call
-	}
-}
-
-// End waits for completion and unpacks ghost regions.
-func (e *PackExchanger) End(t *PackTimings) {
-	start := time.Now()
-	for _, r := range e.rreqs {
-		r.req.Wait()
-	}
-	mpi.Waitall(e.reqs)
-	wait := time.Since(start)
-
-	start = time.Now()
-	for _, r := range e.rreqs {
-		lo, hi := e.g.RecvRegion(r.dir)
-		e.g.Unpack(lo, hi, e.rbuf[r.dir])
-	}
-	pack := time.Since(start)
-	e.reqs = e.reqs[:0]
-	e.rreqs = e.rreqs[:0]
-	if t != nil {
-		t.Wait += wait
-		t.Pack += pack
-	}
-}
-
-// Exchange runs a full non-overlapped exchange.
-func (e *PackExchanger) Exchange(t *PackTimings) {
-	e.Begin(t)
-	e.End(t)
 }
 
 // Start posts the compiled plan's receives, packs every surface region
@@ -193,14 +104,6 @@ func (e *PackExchanger) Exchange(t *PackTimings) {
 // of sends posted. Overlapping interior compute between Start and
 // Complete is safe: in-flight messages touch only the staging buffers.
 func (e *PackExchanger) Start() int {
-	if !e.persistent {
-		var t PackTimings
-		e.Begin(&t)
-		e.AddPack(t.Pack)
-		e.AddCall(t.Call)
-		e.RecordStart()
-		return len(e.reqs)
-	}
 	t0 := time.Now()
 	mpi.Startall(e.precvs)
 	call := time.Since(t0)
@@ -224,13 +127,6 @@ func (e *PackExchanger) Start() int {
 
 // Complete waits for the in-flight exchange and unpacks ghost regions.
 func (e *PackExchanger) Complete() {
-	if !e.persistent {
-		var t PackTimings
-		e.End(&t)
-		e.AddPack(t.Pack)
-		e.AddWait(t.Wait)
-		return
-	}
 	t0 := time.Now()
 	mpi.Waitall(e.pall)
 	e.AddWait(time.Since(t0))
@@ -262,20 +158,16 @@ func (e *PackExchanger) Close() error {
 type TypesExchanger struct {
 	core.PlanBase
 	g     *Grid
-	comm  *mpi.Comm
 	rank  map[layout.Set]int
 	types map[layout.Set]sendRecvTypes
 	sbuf  map[layout.Set][]float64
 	rbuf  map[layout.Set][]float64
-	reqs  []*mpi.Request
-	rreqs []recvPending
 	// Elems counts elements processed by the datatype engine, for modeled
 	// per-element cost accounting.
-	Elems      int64
-	persistent bool
-	precvs     []*mpi.Request
-	psends     []*mpi.Request
-	pall       []*mpi.Request
+	Elems  int64
+	precvs []*mpi.Request
+	psends []*mpi.Request
+	pall   []*mpi.Request
 }
 
 var _ core.Exchanger = (*TypesExchanger)(nil)
@@ -286,10 +178,9 @@ type sendRecvTypes struct {
 
 // NewTypesExchanger precomputes subarray datatypes for every neighbor and
 // compiles the exchange plan over the fixed staging buffers.
-func NewTypesExchanger(g *Grid, cart *mpi.Cart, opts ...core.PlanOption) *TypesExchanger {
+func NewTypesExchanger(g *Grid, cart *mpi.Cart) *TypesExchanger {
 	e := &TypesExchanger{
 		g:     g,
-		comm:  cart.Comm(),
 		rank:  neighborRanks(cart),
 		types: map[layout.Set]sendRecvTypes{},
 		sbuf:  map[layout.Set][]float64{},
@@ -302,99 +193,17 @@ func NewTypesExchanger(g *Grid, cart *mpi.Cart, opts ...core.PlanOption) *TypesE
 		e.sbuf[s] = make([]float64, RegionCount(slo, shi))
 		e.rbuf[s] = make([]float64, RegionCount(rlo, rhi))
 	}
-	e.persistent = compilePlan(&e.PlanBase, "types", e.comm, e.rank, e.sbuf, e.rbuf,
-		&e.precvs, &e.psends, &e.pall, opts)
+	compilePlan(&e.PlanBase, "types", cart.Comm(), e.rank, e.sbuf, e.rbuf,
+		&e.precvs, &e.psends, &e.pall)
 	return e
-}
-
-// Exchange runs one derived-datatype exchange. Pack time here is the
-// datatype engine's element walk, charged as Pack to mirror the artifact's
-// accounting (the application itself performs no packing).
-func (e *TypesExchanger) Exchange(t *PackTimings) {
-	e.Begin(t)
-	e.End(t)
-}
-
-// Begin posts receives, runs the send-side datatype walk into staging
-// buffers, and posts sends. The overlapped pattern computes the interior
-// between Begin and End: in-flight messages touch only the staging buffers,
-// so concurrent interior computation over the grid is safe.
-func (e *TypesExchanger) Begin(t *PackTimings) {
-	start := time.Now()
-	for _, s := range layout.Regions(3) {
-		src := e.rank[s]
-		if src < 0 {
-			continue
-		}
-		e.rreqs = append(e.rreqs, recvPending{dir: s, req: e.comm.Irecv(src, gridTag(s.Opposite()), e.rbuf[s])})
-	}
-	call := time.Since(start)
-
-	// Datatype engine packs with the interpretive walker.
-	start = time.Now()
-	for _, s := range layout.Regions(3) {
-		if e.rank[s] < 0 {
-			continue
-		}
-		dt := e.types[s].send
-		dt.Pack(e.g.Data, e.sbuf[s])
-		e.Elems += int64(dt.Count())
-	}
-	pack := time.Since(start)
-
-	start = time.Now()
-	for _, s := range layout.Regions(3) {
-		dst := e.rank[s]
-		if dst < 0 {
-			continue
-		}
-		e.reqs = append(e.reqs, e.comm.Isend(dst, gridTag(s), e.sbuf[s]))
-	}
-	call += time.Since(start)
-	if t != nil {
-		t.Pack += pack
-		t.Call += call
-	}
-}
-
-// End waits for completion and runs the receive-side datatype walk into the
-// ghost regions.
-func (e *TypesExchanger) End(t *PackTimings) {
-	start := time.Now()
-	for _, r := range e.rreqs {
-		r.req.Wait()
-	}
-	mpi.Waitall(e.reqs)
-	wait := time.Since(start)
-
-	start = time.Now()
-	for _, r := range e.rreqs {
-		dt := e.types[r.dir].recv
-		dt.Unpack(e.rbuf[r.dir], e.g.Data)
-		e.Elems += int64(dt.Count())
-	}
-	pack := time.Since(start)
-	e.reqs = e.reqs[:0]
-	e.rreqs = e.rreqs[:0]
-	if t != nil {
-		t.Pack += pack
-		t.Wait += wait
-	}
 }
 
 // Start posts the compiled plan's receives, runs the send-side datatype
 // walk into the fixed staging buffers (charged as Pack — the interpretive
 // element walk is this baseline's cost), and posts the sends. Returns the
-// number of sends posted.
+// number of sends posted. Overlapping interior compute between Start and
+// Complete is safe: in-flight messages touch only the staging buffers.
 func (e *TypesExchanger) Start() int {
-	if !e.persistent {
-		var t PackTimings
-		e.Begin(&t)
-		e.AddPack(t.Pack)
-		e.AddCall(t.Call)
-		e.RecordStart()
-		return len(e.reqs)
-	}
 	t0 := time.Now()
 	mpi.Startall(e.precvs)
 	call := time.Since(t0)
@@ -420,13 +229,6 @@ func (e *TypesExchanger) Start() int {
 // Complete waits for the in-flight exchange and runs the receive-side
 // datatype walk into the ghost regions.
 func (e *TypesExchanger) Complete() {
-	if !e.persistent {
-		var t PackTimings
-		e.End(&t)
-		e.AddPack(t.Pack)
-		e.AddWait(t.Wait)
-		return
-	}
 	t0 := time.Now()
 	mpi.Waitall(e.pall)
 	e.AddWait(time.Since(t0))

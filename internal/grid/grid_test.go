@@ -3,6 +3,7 @@ package grid
 import (
 	"testing"
 
+	"github.com/bricklab/brick/internal/core"
 	"github.com/bricklab/brick/internal/layout"
 	"github.com/bricklab/brick/internal/mpi"
 )
@@ -133,8 +134,18 @@ func TestPackMatchesSubarray(t *testing.T) {
 
 func gval(x, y, z int) float64 { return float64(z)*1e6 + float64(y)*1e3 + float64(x) }
 
+// cycle runs one full Start/Complete exchange.
+func cycle(e core.Exchanger) {
+	e.Start()
+	e.Complete()
+}
+
 // verifyGridExchange checks full periodic ghost correctness for either
-// exchanger kind ("pack", "overlap", or "types").
+// exchanger kind ("pack", "overlap", or "types") through the compiled
+// Start/Complete path, over two consecutive cycles: the first moves a
+// negated field, the second the real one over the same endpoints, so stale
+// ghosts from cycle one would fail the element-by-element check. The
+// "overlap" kind writes the interior cells while cycle two is in flight.
 func verifyGridExchange(t *testing.T, kind string) {
 	t.Helper()
 	dom := [3]int{8, 8, 8}
@@ -147,30 +158,50 @@ func verifyGridExchange(t *testing.T, kind string) {
 		co := cart.MyCoords()
 		origin := [3]int{co[2] * dom[0], co[1] * dom[1], co[0] * dom[2]}
 		g := New(dom, ghost)
-		for z := 0; z < dom[2]; z++ {
-			for y := 0; y < dom[1]; y++ {
-				for x := 0; x < dom[0]; x++ {
-					g.Set(x+ghost, y+ghost, z+ghost, gval(origin[0]+x, origin[1]+y, origin[2]+z))
+		// fill writes sign × the global value over the domain cells whose
+		// distance from the domain boundary is in [lo, hi): [0, ghost) is the
+		// surface shell every send region lies in, [ghost, ∞) the interior.
+		fill := func(sign float64, lo, hi int) {
+			for z := 0; z < dom[2]; z++ {
+				for y := 0; y < dom[1]; y++ {
+					for x := 0; x < dom[0]; x++ {
+						depth := min(x, y, z, dom[0]-1-x, dom[1]-1-y, dom[2]-1-z)
+						if depth < lo || depth >= hi {
+							continue
+						}
+						g.Set(x+ghost, y+ghost, z+ghost, sign*gval(origin[0]+x, origin[1]+y, origin[2]+z))
+					}
 				}
 			}
 		}
-		var tm PackTimings
-		switch kind {
-		case "pack":
-			NewPackExchanger(g, cart).Exchange(&tm)
-		case "overlap":
-			e := NewPackExchanger(g, cart)
-			e.Begin(&tm)
-			e.End(&tm)
-		case "types":
-			e := NewTypesExchanger(g, cart)
-			e.Exchange(&tm)
-			if e.Elems <= 0 {
-				t.Error("datatype engine processed no elements")
-			}
+		var e core.Exchanger
+		var types *TypesExchanger
+		if kind == "types" {
+			types = NewTypesExchanger(g, cart)
+			e = types
+		} else {
+			e = NewPackExchanger(g, cart)
 		}
-		if tm.Pack < 0 || tm.Call < 0 || tm.Wait < 0 {
-			t.Error("negative timings")
+		defer e.Close()
+		fill(-1, 0, dom[0])
+		cycle(e)
+		if kind == "overlap" {
+			fill(1, 0, ghost)
+			e.Start()
+			fill(1, ghost, dom[0])
+			e.Complete()
+		} else {
+			fill(1, 0, dom[0])
+			cycle(e)
+		}
+		if types != nil && types.Elems <= 0 {
+			t.Error("datatype engine processed no elements")
+		}
+		if tm := e.Timings(); tm.Pack <= 0 || tm.Call <= 0 || tm.Wait < 0 {
+			t.Errorf("timings not recorded: %+v", tm)
+		}
+		if st := e.Stats(); st.Starts != 2 {
+			t.Errorf("plan starts = %d, want 2", st.Starts)
 		}
 		for z := 0; z < g.Ext[2]; z++ {
 			for y := 0; y < g.Ext[1]; y++ {
@@ -202,8 +233,9 @@ func TestPackExchangeMessageCount(t *testing.T) {
 		cart := mpi.NewCart(c, []int{2, 2, 2}, []bool{true, true, true})
 		g := New([3]int{8, 8, 8}, 2)
 		e := NewPackExchanger(g, cart)
+		defer e.Close()
 		c.TrafficSnapshot() // drain setup traffic
-		e.Exchange(nil)
+		cycle(e)
 		if tr := c.TrafficSnapshot(); tr.SentMsgs != 26 {
 			t.Errorf("sent %d messages, want 26", tr.SentMsgs)
 		}
@@ -222,7 +254,9 @@ func TestSingleRankPeriodicGridExchange(t *testing.T) {
 				}
 			}
 		}
-		NewPackExchanger(g, cart).Exchange(nil)
+		e := NewPackExchanger(g, cart)
+		defer e.Close()
+		cycle(e)
 		// Ghost at (-1) wraps to domain element 7.
 		if got, want := g.At(1, 2, 2), gval(7, 0, 0); got != want {
 			t.Errorf("wrap ghost = %v, want %v", got, want)
@@ -236,8 +270,9 @@ func TestPackTimingsAccounting(t *testing.T) {
 		cart := mpi.NewCart(c, []int{2, 2, 2}, []bool{true, true, true})
 		g := New([3]int{8, 8, 8}, 2)
 		e := NewPackExchanger(g, cart)
-		var tm PackTimings
-		e.Exchange(&tm)
+		defer e.Close()
+		cycle(e)
+		tm := e.Timings()
 		if tm.Pack <= 0 {
 			t.Error("pack time not recorded")
 		}
@@ -251,7 +286,7 @@ func TestPackTimingsAccounting(t *testing.T) {
 }
 
 func TestPackExchangerReusable(t *testing.T) {
-	// Begin/End cycles must be repeatable with stable results.
+	// Start/Complete cycles must be repeatable with stable results.
 	w := mpi.NewWorld(8)
 	w.Run(func(c *mpi.Comm) {
 		cart := mpi.NewCart(c, []int{2, 2, 2}, []bool{true, true, true})
@@ -265,12 +300,11 @@ func TestPackExchangerReusable(t *testing.T) {
 			}
 		}
 		e := NewPackExchanger(g, cart)
-		e.Begin(nil)
-		e.End(nil)
+		defer e.Close()
+		cycle(e)
 		snap := append([]float64(nil), g.Data...)
 		for i := 0; i < 3; i++ {
-			e.Begin(nil)
-			e.End(nil)
+			cycle(e)
 		}
 		for i := range snap {
 			if g.Data[i] != snap[i] {
@@ -286,9 +320,10 @@ func TestTypesExchangerElemsAccumulate(t *testing.T) {
 		cart := mpi.NewCart(c, []int{2, 2, 2}, []bool{true, true, true})
 		g := New([3]int{8, 8, 8}, 2)
 		e := NewTypesExchanger(g, cart)
-		e.Exchange(nil)
+		defer e.Close()
+		cycle(e)
 		first := e.Elems
-		e.Exchange(nil)
+		cycle(e)
 		if e.Elems != 2*first || first <= 0 {
 			t.Errorf("engine elems: first %d, after second %d", first, e.Elems)
 		}

@@ -145,11 +145,6 @@ type Config struct {
 	// from the BRICK_WORKERS environment variable, then GOMAXPROCS; 1
 	// disables intra-rank parallelism.
 	Workers int
-	// DisablePersistent falls back to the legacy per-step Isend/Irecv path
-	// through the matching engine instead of persistent pre-matched plans
-	// (the -persistent=false escape hatch). The zero value — persistent
-	// plans on — is the default for every CPU implementation.
-	DisablePersistent bool
 	// Partitioned compiles each persistent send as an MPI 4.x-style
 	// partitioned request whose partitions align with the worker pool's
 	// surface tiles: the pipelined step arms the next exchange's sends
@@ -158,8 +153,7 @@ type Config struct {
 	// compute. Results are Float64bits-identical to the unpartitioned
 	// exchange. Applies to the overlapped brick implementations (Basic,
 	// Layout, MemMap with a per-step exchange); other implementations
-	// ignore it. Requires persistent plans (rejected when
-	// DisablePersistent is also set). Default off.
+	// ignore it. Default off.
 	Partitioned bool
 	// Fault is a fault-injection spec (see fault.Parse: delay, stall, panic,
 	// mapfail, allocfail clauses), seeded by FaultSeed. Empty (the default)
@@ -342,9 +336,6 @@ func (c Config) Validate() error {
 	}
 	if c.Ghost%c.Stencil.Radius != 0 && c.ExpandGhost {
 		return fmt.Errorf("harness: ghost %d not a multiple of radius %d", c.Ghost, c.Stencil.Radius)
-	}
-	if c.Partitioned && c.DisablePersistent {
-		return fmt.Errorf("harness: -partitioned requires persistent plans (drop -persistent=false)")
 	}
 	if c.supervised() {
 		// Worker ranks are separate processes: hooks that hand the caller a

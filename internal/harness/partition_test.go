@@ -65,21 +65,6 @@ func TestPartitionedMatchesUnpartitioned(t *testing.T) {
 	}
 }
 
-// TestPartitionedRequiresPersistent checks the config gate: partitioned
-// sends ride on persistent pre-matched channels, so combining the flag
-// with the -persistent=false escape hatch is a validation error.
-func TestPartitionedRequiresPersistent(t *testing.T) {
-	cfg := baseConfig(Layout)
-	cfg.Partitioned = true
-	cfg.DisablePersistent = true
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Partitioned + DisablePersistent validated; want error")
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("Run accepted Partitioned + DisablePersistent")
-	}
-}
-
 // TestPartitionedMetrics checks the partition instrument series: every arm
 // of a partitioned plan eventually fires all its partitions — the prologue
 // plus one re-arm per step except the last, so ready_total counts

@@ -87,10 +87,9 @@ func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
 	// Shift, whose slab phases are serialized). The tile list fixed here is
 	// both the partition alignment of the compiled plan and the surface
 	// pass's execution tiling.
-	usePart := cfg.Partitioned && !cfg.DisablePersistent &&
-		cfg.exchangePeriod() == 1 && cfg.Impl != Shift
+	usePart := cfg.Partitioned && cfg.exchangePeriod() == 1 && cfg.Impl != Shift
 	var tiles [][2]int
-	popts := []core.PlanOption{core.WithPersistentPlan(!cfg.DisablePersistent)}
+	var popts []core.PlanOption
 	if usePart {
 		tiles = stencil.TileSpans(surfSpans, wk)
 		if len(tiles) > 0 {
@@ -112,7 +111,7 @@ func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
 		ex = ev
 		degradable = ev
 	case Shift:
-		sv, err := core.NewShiftView(bx, bs, popts...)
+		sv, err := core.NewShiftView(bx, bs)
 		if err != nil {
 			return res, err
 		}
@@ -405,21 +404,20 @@ func runGridRank(cfg Config, cart *mpi.Cart) (Result, error) {
 		engineElems += 2 * regionCount(lo, hi)
 	}
 	// One exchanger per buffer of the double-buffered grid. Construction
-	// order matters with persistent plans: every rank builds exs[0] fully
-	// before exs[1], so the duplicate-key endpoints pair exchanger-to-
-	// exchanger across ranks (FIFO in registration order).
+	// order matters: every rank builds exs[0] fully before exs[1], so the
+	// duplicate-key endpoints pair exchanger-to-exchanger across ranks (FIFO
+	// in registration order).
 	if rank := cart.Comm().Rank(); cfg.inj.AllocFail(rank) {
 		return res, fmt.Errorf("fault: injected allocation failure on rank %d", rank)
 	}
-	popt := core.WithPersistentPlan(!cfg.DisablePersistent)
 	var exs [2]core.Exchanger
 	switch cfg.Impl {
 	case MPITypes:
-		exs[0] = grid.NewTypesExchanger(gs[0], cart, popt)
-		exs[1] = grid.NewTypesExchanger(gs[1], cart, popt)
+		exs[0] = grid.NewTypesExchanger(gs[0], cart)
+		exs[1] = grid.NewTypesExchanger(gs[1], cart)
 	default:
-		exs[0] = grid.NewPackExchanger(gs[0], cart, popt)
-		exs[1] = grid.NewPackExchanger(gs[1], cart, popt)
+		exs[0] = grid.NewPackExchanger(gs[0], cart)
+		exs[1] = grid.NewPackExchanger(gs[1], cart)
 	}
 	defer exs[0].Close()
 	defer exs[1].Close()

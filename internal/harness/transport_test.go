@@ -73,6 +73,42 @@ func TestSupervisedParityAllImpls(t *testing.T) {
 	}
 }
 
+// TestSupervisedPartitionedNoStall runs the shape that used to wedge at
+// cycle one on shmem — 2×1×1 ranks, 16³, partitioned sends, a few hundred
+// steps, watchdog armed — several times. A receiver that reached its first
+// Wait before the matched sender had published its partitioning read a zero
+// partition count and waited for an unpartitioned publication that never
+// comes, in roughly every other run. Each run must finish (a stall surfaces
+// as the watchdog's abort) with the in-process checksum.
+func TestSupervisedPartitionedNoStall(t *testing.T) {
+	skipWithoutShmem(t)
+	for _, im := range []Impl{Layout, MemMap} {
+		cfg := baseConfig(im)
+		cfg.Procs = [3]int{2, 1, 1}
+		cfg.Workers = 2
+		cfg.Partitioned = true
+		cfg.Steps = 200
+		cfg.Watchdog = 10 * time.Second
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%v chan run: %v", im, err)
+		}
+		cfg.Transport = "shmem"
+		for i := 0; i < 4; i++ {
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%v shmem run %d: %v", im, i, err)
+			}
+			if got.Plan == nil || got.Plan.Partitions == 0 {
+				t.Fatalf("%v shmem run %d compiled no partitions", im, i)
+			}
+			if math.Float64bits(got.Checksum) != math.Float64bits(want.Checksum) {
+				t.Fatalf("%v shmem run %d: checksum %v, chan %v", im, i, got.Checksum, want.Checksum)
+			}
+		}
+	}
+}
+
 // TestSupervisedMapfailDegrades: a mapfail fault inside one worker process
 // must degrade that rank's MemMap windows to copies without wedging its
 // peers' persistent receives in other processes — the cross-process form

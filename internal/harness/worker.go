@@ -25,31 +25,30 @@ import (
 // from nil (an empty `{}` registry is non-nil), and the supervised gates
 // in Validate guarantee they are nil anyway.
 type wireConfig struct {
-	Impl              Impl             `json:"impl"`
-	Transport         string           `json:"transport"`
-	Procs             [3]int           `json:"procs"`
-	Dom               [3]int           `json:"dom"`
-	Ghost             int              `json:"ghost"`
-	Shape             core.Shape       `json:"shape"`
-	Stencil           stencil.Stencil  `json:"stencil"`
-	Steps             int              `json:"steps"`
-	Warmup            int              `json:"warmup"`
-	Machine           netmodel.Machine `json:"machine"`
-	PageBytes         int              `json:"page_bytes"`
-	ExpandGhost       bool             `json:"expand_ghost"`
-	Workers           int              `json:"workers"`
-	DisablePersistent bool             `json:"disable_persistent"`
-	Partitioned       bool             `json:"partitioned"`
-	Fault             string           `json:"fault"`
-	FaultSeed         int64            `json:"fault_seed"`
-	Watchdog          time.Duration    `json:"watchdog"`
-	VerifyCRC         bool             `json:"verify_crc"`
-	Checkpoint        bool             `json:"checkpoint"`
-	CheckpointEvery   int              `json:"ckpt_every"`
-	CheckpointDir     string           `json:"ckpt_dir"`
-	Flight            bool             `json:"flight"`
-	FlightDepth       int              `json:"flight_depth"`
-	FlightOut         string           `json:"flight_out"`
+	Impl            Impl             `json:"impl"`
+	Transport       string           `json:"transport"`
+	Procs           [3]int           `json:"procs"`
+	Dom             [3]int           `json:"dom"`
+	Ghost           int              `json:"ghost"`
+	Shape           core.Shape       `json:"shape"`
+	Stencil         stencil.Stencil  `json:"stencil"`
+	Steps           int              `json:"steps"`
+	Warmup          int              `json:"warmup"`
+	Machine         netmodel.Machine `json:"machine"`
+	PageBytes       int              `json:"page_bytes"`
+	ExpandGhost     bool             `json:"expand_ghost"`
+	Workers         int              `json:"workers"`
+	Partitioned     bool             `json:"partitioned"`
+	Fault           string           `json:"fault"`
+	FaultSeed       int64            `json:"fault_seed"`
+	Watchdog        time.Duration    `json:"watchdog"`
+	VerifyCRC       bool             `json:"verify_crc"`
+	Checkpoint      bool             `json:"checkpoint"`
+	CheckpointEvery int              `json:"ckpt_every"`
+	CheckpointDir   string           `json:"ckpt_dir"`
+	Flight          bool             `json:"flight"`
+	FlightDepth     int              `json:"flight_depth"`
+	FlightOut       string           `json:"flight_out"`
 }
 
 func wireFrom(c Config) wireConfig {
@@ -57,8 +56,7 @@ func wireFrom(c Config) wireConfig {
 		Impl: c.Impl, Transport: c.transportName(), Procs: c.Procs, Dom: c.Dom,
 		Ghost: c.Ghost, Shape: c.Shape, Stencil: c.Stencil, Steps: c.Steps,
 		Warmup: c.Warmup, Machine: c.Machine, PageBytes: c.PageBytes,
-		ExpandGhost: c.ExpandGhost, Workers: c.Workers,
-		DisablePersistent: c.DisablePersistent, Partitioned: c.Partitioned,
+		ExpandGhost: c.ExpandGhost, Workers: c.Workers, Partitioned: c.Partitioned,
 		Fault: c.Fault, FaultSeed: c.FaultSeed, Watchdog: c.Watchdog,
 		VerifyCRC: c.VerifyCRC, Checkpoint: c.Checkpoint,
 		CheckpointEvery: c.CheckpointEvery, CheckpointDir: c.CheckpointDir,
@@ -71,8 +69,7 @@ func (w wireConfig) config() Config {
 		Impl: w.Impl, Transport: w.Transport, Procs: w.Procs, Dom: w.Dom,
 		Ghost: w.Ghost, Shape: w.Shape, Stencil: w.Stencil, Steps: w.Steps,
 		Warmup: w.Warmup, Machine: w.Machine, PageBytes: w.PageBytes,
-		ExpandGhost: w.ExpandGhost, Workers: w.Workers,
-		DisablePersistent: w.DisablePersistent, Partitioned: w.Partitioned,
+		ExpandGhost: w.ExpandGhost, Workers: w.Workers, Partitioned: w.Partitioned,
 		Fault: w.Fault, FaultSeed: w.FaultSeed, Watchdog: w.Watchdog,
 		VerifyCRC: w.VerifyCRC, Checkpoint: w.Checkpoint,
 		CheckpointEvery: w.CheckpointEvery, CheckpointDir: w.CheckpointDir,

@@ -226,6 +226,56 @@ func TestConformancePartitioned(t *testing.T) {
 	})
 }
 
+// TestConformancePartitionedLateSender: plan skew across ranks lets a
+// receiver Start and Wait before the matched partitioned sender has
+// registered; the cycle must still complete once the sender arrives. Unlike
+// TestConformancePartitioned, no barrier orders the two registrations. The
+// watchdog turns a wedged receiver into a loud abort.
+func TestConformancePartitionedLateSender(t *testing.T) {
+	forEachTransport(t, 2, func(t *testing.T, w *World) {
+		w.SetWatchdog(5*time.Second, nil)
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("world aborted: %v", p)
+			}
+		}()
+		started := make(chan struct{})
+		w.Run(func(c *Comm) {
+			buf := make([]float64, 16)
+			if c.Rank() == 0 {
+				<-started
+				// Give the receiver time to get inside Wait; the outcome must
+				// be the same whichever side wins.
+				time.Sleep(2 * time.Millisecond)
+				for i := range buf {
+					buf[i] = float64(i + 1)
+				}
+				s := c.PsendInit(1, 9, buf, []int{0, 4, 16})
+				s.Start()
+				s.PreadyAll()
+				s.Wait()
+				c.Barrier()
+				s.Free()
+			} else {
+				r := c.PrecvInit(0, 9, buf)
+				r.Start()
+				close(started)
+				if got := r.Wait(); got != 16 {
+					t.Errorf("recv Wait = %d, want 16", got)
+				}
+				for i := range buf {
+					if buf[i] != float64(i+1) {
+						t.Errorf("elem %d: got %v", i, buf[i])
+						break
+					}
+				}
+				c.Barrier()
+				r.Free()
+			}
+		})
+	})
+}
+
 // TestConformanceAbortUnblocksWaits: an abort raised on one rank must
 // unblock a peer parked in a receive Wait that would otherwise never
 // complete, and surface the originating value on every rank.

@@ -1590,7 +1590,24 @@ func (p *shmPers) waitRecv(r *Request, deadline time.Time) (*CorruptionError, er
 	}
 	slot := int(k % 2)
 	var sp spinner
-	if np, bounds, ready := p.recvParts(); np > 0 {
+	// The matched sender may still be registering (plan skew across worker
+	// processes), so its partition count cannot be read just once: a
+	// partitioned sender publishes it with PsendInit and from then on only
+	// stamps readyCycle words, never peSendSeq, while an unpartitioned one
+	// publishes only peSendSeq. Wait for whichever shows up first.
+	sendSeq := t.w64(e + peSendSeq*8)
+	np, bounds, ready := p.recvParts()
+	for np == 0 && atomic.LoadUint64(sendSeq) < k {
+		if ae := t.checkAbort(); ae != nil {
+			panic(ae)
+		}
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return nil, &TimeoutError{Op: p.opName(r)}
+		}
+		sp.spin()
+		np, bounds, ready = p.recvParts()
+	}
+	if np > 0 {
 		if len(p.arrived) != np {
 			p.arrived = make([]bool, np)
 		}
@@ -1610,16 +1627,6 @@ func (p *shmPers) waitRecv(r *Request, deadline time.Time) (*CorruptionError, er
 			}
 		}
 	} else {
-		sendSeq := t.w64(e + peSendSeq*8)
-		for atomic.LoadUint64(sendSeq) < k {
-			if ae := t.checkAbort(); ae != nil {
-				panic(ae)
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				return nil, &TimeoutError{Op: p.opName(r)}
-			}
-			sp.spin()
-		}
 		n := int(t.pw(e, peElems0+slot))
 		stage := int(t.pw(e, peStage0+slot))
 		copy(p.buf[:n], t.floats(stage, n))
