@@ -157,9 +157,11 @@ benchmark-smoke:
 
 # bench-allocs fails if the persistent per-step hot path regresses above
 # zero heap allocations (Layout + MemMap Start/Complete — partitioned and
-# not — and the raw persistent-request Start/Wait cycle), or if the flight
-# recorder's record path (enabled or disabled) starts allocating.
+# not — and the raw persistent-request Start/Wait cycle), if the flight
+# recorder's record path (enabled or disabled) starts allocating, or if a
+# serial stencil Apply (bricks or arrays, 7pt or 125pt) allocates at all.
 bench-allocs:
+	$(GO) test -count=1 -run 'TestApplyZeroAllocs' ./internal/stencil/
 	$(GO) test -count=1 -run 'TestPersistentHotPathAllocs|TestPartitionedHotPathAllocs' ./internal/core/
 	$(GO) test -count=1 -run 'TestPersistentZeroAllocSteps' ./internal/mpi/
 	$(GO) test -count=1 -run 'TestRecordAllocs' ./internal/flight/

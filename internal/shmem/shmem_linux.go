@@ -143,3 +143,6 @@ func (a *Arena) release() error {
 	}
 	return err
 }
+
+// Yield gives the processor to another runnable process, if there is one.
+func Yield() { syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0) }

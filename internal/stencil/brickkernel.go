@@ -1,38 +1,63 @@
 package stencil
 
 import (
+	"slices"
+	"sync"
+
 	"github.com/bricklab/brick/internal/core"
 )
 
-// brickKernel is the table-driven stencil executor for bricks. For each axis
-// it precomputes, for every in-brick coordinate plus stencil offset, which
-// neighbor step (-1/0/+1) the access takes and the local coordinate inside
-// that brick. The inner loop then reads through a per-brick table of 27
-// neighbor base offsets — no branches, no method calls — which is how the
-// paper's brick code generator realizes cross-brick accesses with vector
-// align operations.
+// brickKernel is a stencil compiled for one brick shape: everything that
+// depends only on (shape, point table) is built once by kernelFor and shared,
+// read-only, by every Apply call, worker and rank. Per axis it tabulates, for
+// every in-brick coordinate plus stencil offset, which neighbor step
+// (-1/0/+1) the access takes and the local coordinate inside that brick —
+// the indirection the paper's brick code generator resolves with vector
+// align operations. Three bodies execute it:
+//
+//   - star7: the point table is exactly centre, -i, +i, -j, +j, -k, +k, so
+//     each output row is one fused expression over five source rows (row7);
+//   - rows: any other table gathers the brick plus its radius-wide halo into
+//     a dense scratch block and runs tapRows over it, as on an array;
+//   - run: the per-element table walk, the fallback when the box can reach a
+//     missing neighbor and the oracle the other two are tested against.
+//
+// All three accumulate every element as ((0 + c₀s₀) + c₁s₁) + … in
+// point-table order, so they are Float64bits-identical.
 type brickKernel struct {
-	sh     core.Shape
-	r      int
-	pts    []Point
-	step   [3][]int8  // coordinate+r -> neighbor step along the axis
-	loc    [3][]int32 // coordinate+r -> local coordinate in target brick
-	rowOff []int32    // scratch: per-point (k,j)-dependent element offset
-	rowAdj []int32    // scratch: per-point (k,j)-dependent adjacency group
-	bases  [core.NumAdj]int64
+	sh   core.Shape
+	r    int
+	pts  []Point    // private copy of the point table
+	step [3][]int8  // coordinate+r -> neighbor step along the axis
+	loc  [3][]int32 // coordinate+r -> local coordinate in target brick
+
+	star7 bool       // row7 applies
+	w7    [7]float64 // its coefficients, point-table order
+
+	ext  [3]int    // brick extents plus the halo: sh + 2r
+	offs []int     // per point, offset within the halo'd block
+	cs   []float64 // per point, coefficient
 }
 
+// path names the body one brick visit took.
+type path int
+
+const (
+	pathFused path = iota
+	pathRows
+	pathFallback
+)
+
 func newBrickKernel(sh core.Shape, st Stencil) *brickKernel {
-	k := &brickKernel{sh: sh, r: st.Radius, pts: st.Points,
-		rowOff: make([]int32, len(st.Points)),
-		rowAdj: make([]int32, len(st.Points)),
-	}
+	r := st.Radius
+	k := &brickKernel{sh: sh, r: r, pts: append([]Point(nil), st.Points...)}
 	for a := 0; a < 3; a++ {
-		n := sh[a] + 2*st.Radius
+		n := sh[a] + 2*r
+		k.ext[a] = n
 		k.step[a] = make([]int8, n)
 		k.loc[a] = make([]int32, n)
 		for x := 0; x < n; x++ {
-			c := x - st.Radius
+			c := x - r
 			switch {
 			case c < 0:
 				k.step[a][x] = -1
@@ -46,175 +71,259 @@ func newBrickKernel(sh core.Shape, st Stencil) *brickKernel {
 			}
 		}
 	}
+	// row7 peels the first and last element of a row, so it needs two.
+	if w, ok := star7Weights(st); ok && sh[0] >= 2 {
+		k.star7, k.w7 = true, w
+		return k
+	}
+	k.offs, k.cs = tapTable(nil, nil, k.pts, k.ext[0], k.ext[0]*k.ext[1])
 	return k
 }
 
-// loadBases fills the 27 neighbor base offsets (element index of the field's
-// first element in each adjacent brick) for brick b. Missing neighbors get a
-// poisoned base that traps via slice bounds if ever read.
-func (kr *brickKernel) loadBases(src core.Brick, b int) {
-	chunk := int64(src.Storage.Chunk())
-	fb := int64(src.FieldBase())
-	for a := 0; a < core.NumAdj; a++ {
-		nb := int64(core.NoBrick)
-		switch a {
-		case core.AdjSelf:
-			nb = int64(b)
-		default:
-			dk := a/9 - 1
-			dj := (a/3)%3 - 1
-			di := a%3 - 1
-			nb = int64(src.Info.Adjacent(b, di, dj, dk))
+// kernels memoizes compiled kernels. A run uses one or two (shape, stencil)
+// pairs, so a short list searched by value beats a map; the bound only keeps
+// a process that sweeps many stencils from growing it without limit.
+var kernels struct {
+	sync.Mutex
+	list []*brickKernel
+}
+
+const maxKernels = 16
+
+// kernelFor returns the compiled kernel for (sh, st), building it on first
+// use. The table is compared by value, so a caller that rebuilds or edits
+// its Stencil never gets a stale kernel.
+func kernelFor(sh core.Shape, st Stencil) *brickKernel {
+	kernels.Lock()
+	defer kernels.Unlock()
+	for _, k := range kernels.list {
+		if k.sh == sh && k.r == st.Radius && slices.Equal(k.pts, st.Points) {
+			return k
 		}
-		if nb < 0 {
-			kr.bases[a] = int64(len(src.Storage.Data)) // trap if dereferenced
-		} else {
-			kr.bases[a] = nb*chunk + fb
+	}
+	k := newBrickKernel(sh, st)
+	if len(kernels.list) == maxKernels {
+		kernels.list = append(kernels.list[:0], kernels.list[1:]...)
+	}
+	kernels.list = append(kernels.list, k)
+	return k
+}
+
+// brickBox returns the part [lo, hi) of brick idx, in brick-local
+// coordinates, that lies within margin of the domain; ok is false for
+// padding slots and bricks wholly outside it.
+func brickBox(dec *core.BrickDecomp, idx, margin int) (lo, hi [3]int, ok bool) {
+	c := dec.BrickCoord(idx)
+	if c[0] < 0 {
+		return lo, hi, false
+	}
+	sh, dom, g := dec.Shape(), dec.Dom(), dec.Ghost()
+	for a := 0; a < 3; a++ {
+		org := c[a] * sh[a]
+		lo[a] = max(0, g-margin-org)
+		hi[a] = min(sh[a], g+dom[a]+margin-org)
+		if lo[a] >= hi[a] {
+			return lo, hi, false
+		}
+	}
+	return lo, hi, true
+}
+
+// haloStack is the scratch the rows body keeps on the goroutine stack: an 8³
+// brick with a radius-2 halo. Larger blocks are allocated per applyRange
+// call.
+const haloStack = 12 * 12 * 12
+
+// applyRange applies the kernel to bricks with storage indices in
+// [loIdx, hiIdx). It keeps no state between bricks or calls, so any number
+// of workers and ranks may run it on one kernel at once.
+func (kr *brickKernel) applyRange(dst, src core.Brick, dec *core.BrickDecomp, margin, loIdx, hiIdx int) {
+	if kr.star7 {
+		kr.applyBricks(dst, src, dec, margin, loIdx, hiIdx, nil)
+		return
+	}
+	var stack [haloStack]float64
+	halo := stack[:]
+	if n := kr.ext[0] * kr.ext[1] * kr.ext[2]; n > len(halo) {
+		halo = make([]float64, n)
+	}
+	kr.applyBricks(dst, src, dec, margin, loIdx, hiIdx, halo)
+}
+
+func (kr *brickKernel) applyBricks(dst, src core.Brick, dec *core.BrickDecomp, margin, loIdx, hiIdx int, halo []float64) {
+	for idx := loIdx; idx < hiIdx; idx++ {
+		if lo, hi, ok := brickBox(dec, idx, margin); ok {
+			kr.apply(dst, src, idx, lo, hi, halo)
 		}
 	}
 }
 
-// basesValidFor reports whether every neighbor base reachable from the box
-// [lo, hi) under the stencil radius exists. Bricks at the edge of the
-// allocated grid have missing outward neighbors, but a box deep enough
-// inside never reaches them.
-func (kr *brickKernel) basesValidFor(src core.Brick, lo, hi [3]int) bool {
-	limit := int64(len(src.Storage.Data))
-	var steps [3][2]bool // per axis: -1 reachable, +1 reachable
-	for a := 0; a < 3; a++ {
-		steps[a][0] = lo[a]-kr.r < 0
-		steps[a][1] = hi[a]-1+kr.r >= kr.sh[a]
+// apply computes the box [lo, hi) of brick b and reports the body that did.
+func (kr *brickKernel) apply(dst, src core.Brick, b int, lo, hi [3]int, halo []float64) path {
+	if kr.star7 && kr.fused7(dst, src, b, lo, hi) {
+		return pathFused
 	}
-	reach := func(s, axis int) bool {
-		switch s {
-		case -1:
-			return steps[axis][0]
-		case 1:
-			return steps[axis][1]
-		default:
-			return true
+	bases, ok := kr.loadBases(src, b, lo, hi)
+	if ok && !kr.star7 {
+		kr.gather(halo, src, &bases, lo, hi)
+		kr.rows(dst, b, halo, lo, hi)
+		return pathRows
+	}
+	kr.run(dst, src, b, &bases, lo, hi)
+	return pathFallback
+}
+
+// loadBases returns the 27 neighbor base offsets (element index of the
+// field's first element in each adjacent brick) of brick b, and whether
+// every neighbor the box [lo, hi) can reach under the stencil radius exists.
+// Missing neighbors get a poisoned base that traps via slice bounds if ever
+// read. Bricks at the edge of the allocated grid have missing outward
+// neighbors, but a box deep enough inside never reaches them.
+func (kr *brickKernel) loadBases(src core.Brick, b int, lo, hi [3]int) (bases [core.NumAdj]int64, ok bool) {
+	chunk := int64(src.Storage.Chunk())
+	fb := int64(src.FieldBase())
+	var reach [3][3]bool // per axis: step -1 / 0 / +1 reachable
+	for a := 0; a < 3; a++ {
+		reach[a] = [3]bool{lo[a]-kr.r < 0, true, hi[a]-1+kr.r >= kr.sh[a]}
+	}
+	ok = true
+	for a := 0; a < core.NumAdj; a++ {
+		nb := int64(b)
+		if a != core.AdjSelf {
+			nb = int64(src.Info.Adjacent(b, a%3-1, (a/3)%3-1, a/9-1))
+		}
+		if nb < 0 {
+			bases[a] = int64(len(src.Storage.Data)) // trap if dereferenced
+			ok = ok && !(reach[0][a%3] && reach[1][(a/3)%3] && reach[2][a/9])
+		} else {
+			bases[a] = nb*chunk + fb
 		}
 	}
-	for sk := -1; sk <= 1; sk++ {
-		for sj := -1; sj <= 1; sj++ {
-			for si := -1; si <= 1; si++ {
-				if !reach(si, 0) || !reach(sj, 1) || !reach(sk, 2) {
-					continue
-				}
-				if kr.bases[(sk+1)*9+(sj+1)*3+si+1] >= limit {
-					return false
-				}
+	return bases, ok
+}
+
+// fused7 is the 7-point body. Per (k, j) row it takes the centre, ±j and ±k
+// rows as slices of this brick or of the one face neighbor the row falls in,
+// and the ±i taps of the row's two end elements from the left/right
+// neighbor. Only the face neighbors the box touches are looked up; it
+// returns false, having written nothing, if one of those is missing.
+func (kr *brickKernel) fused7(dst, src core.Brick, b int, lo, hi [3]int) bool {
+	I, J, K := kr.sh[0], kr.sh[1], kr.sh[2]
+	chunk, fb := src.Storage.Chunk(), src.FieldBase()
+	self := b*chunk + fb
+	nb := [6]int{self, self, self, self, self, self} // -i +i -j +j -k +k
+	for f := range nb {
+		a, dir := f/2, star7Taps[f+1]
+		if (dir[a] < 0 && lo[a] > 0) || (dir[a] > 0 && hi[a] < kr.sh[a]) {
+			continue // the box stays clear of this face
+		}
+		n := src.Info.Adjacent(b, dir[0], dir[1], dir[2])
+		if n < 0 {
+			return false
+		}
+		nb[f] = int(n)*chunk + fb
+	}
+	s, d := src.Storage.Data, dst.Storage.Data
+	dself := b*dst.Storage.Chunk() + dst.FieldBase()
+	i0, n := lo[0], hi[0]-lo[0]
+	for k := lo[2]; k < hi[2]; k++ {
+		for j := lo[1]; j < hi[1]; j++ {
+			// at: the row's first computed element, as an offset within a
+			// brick. A row one step over a face is the same offset in the
+			// neighbor, wrapped to its far side.
+			at := (k*J+j)*I + i0
+			c := self + at
+			left, right, jm, jp, km, kp := c-1, c+n, c-I, c+I, c-J*I, c+J*I
+			if i0 == 0 {
+				left = nb[0] + at + I - 1
+			}
+			if i0+n == I {
+				right = nb[1] + at + n - I
+			}
+			if j == 0 {
+				jm = nb[2] + at + (J-1)*I
+			}
+			if j == J-1 {
+				jp = nb[3] + at - (J-1)*I
+			}
+			if k == 0 {
+				km = nb[4] + at + (K-1)*J*I
+			}
+			if k == K-1 {
+				kp = nb[5] + at - (K-1)*J*I
+			}
+			if n == 8 {
+				row7x8((*[8]float64)(d[dself+at:]), (*[8]float64)(s[c:]), (*[8]float64)(s[jm:]), (*[8]float64)(s[jp:]),
+					(*[8]float64)(s[km:]), (*[8]float64)(s[kp:]), s[left], s[right], &kr.w7)
+			} else {
+				row7(d[dself+at:][:n], s[c:], s[jm:], s[jp:], s[km:], s[kp:], s[left], s[right], &kr.w7)
 			}
 		}
 	}
 	return true
 }
 
-// runFast applies the stencil to every element of brick b using the
-// segment-split row formulation: along the unit-stride axis each stencil
-// point contributes at most two constant-base contiguous runs, so the inner
-// loops are pure multiply-accumulate sweeps (the shape of the brick
-// library's vector-align code generation). Requires all 27 neighbors to
-// exist; callers fall back to run() otherwise.
-func (kr *brickKernel) runFast(dst, src core.Brick, b int, row []float64, lo, hi [3]int) {
-	sh := kr.sh
-	r := kr.r
-	sdat := src.Storage.Data
-	ddat := dst.Storage.Data
-	dbase := b*dst.Storage.Chunk() + dst.FieldBase()
-	I, J := sh[0], sh[1]
-	i0, i1 := lo[0], hi[0]
-	for k := lo[2]; k < hi[2]; k++ {
-		for j := lo[1]; j < hi[1]; j++ {
-			for i := i0; i < i1; i++ {
-				row[i] = 0
+// gather copies the part of brick b's neighborhood the box [lo, hi) reads —
+// [lo-r, hi+r) on every axis — into the dense halo'd block, resolving each
+// (k, j) row's brick once and splitting it along i into at most three
+// constant-base runs.
+func (kr *brickKernel) gather(halo []float64, src core.Brick, bases *[core.NumAdj]int64, lo, hi [3]int) {
+	r, I, J := kr.r, kr.sh[0], kr.sh[1]
+	s := src.Storage.Data
+	// the run boundaries along i, as block coordinates: [x0,xa) left
+	// neighbor, [xa,xb) this column of bricks, [xb,x1) right neighbor
+	x0, x1 := lo[0], hi[0]+2*r
+	xa, xb := max(x0, r), min(x1, r+I)
+	for k := lo[2]; k < hi[2]+2*r; k++ {
+		for j := lo[1]; j < hi[1]+2*r; j++ {
+			adj := (int(kr.step[2][k])+1)*9 + (int(kr.step[1][j])+1)*3
+			off := int64((int(kr.loc[2][k])*J + int(kr.loc[1][j])) * I)
+			h := halo[(k*kr.ext[1]+j)*kr.ext[0]:][:kr.ext[0]]
+			if x0 < xa {
+				copy(h[x0:xa], s[bases[adj]+off+int64(I+x0-r):])
 			}
-			for p := range kr.pts {
-				pt := &kr.pts[p]
-				sk := kr.step[2][k+pt.DK+r]
-				lk := kr.loc[2][k+pt.DK+r]
-				sj := kr.step[1][j+pt.DJ+r]
-				lj := kr.loc[1][j+pt.DJ+r]
-				adjRow := int32(sk+1)*9 + int32(sj+1)*3
-				off := int64(lk*int32(J)+lj) * int64(I)
-				c := pt.C
-				emit := func(step int32, lo, hi int) {
-					if lo >= hi {
-						return
-					}
-					shift := pt.DI
-					switch {
-					case step < 0:
-						shift += I
-					case step > 0:
-						shift -= I
-					}
-					base := kr.bases[adjRow+step+1] + off + int64(shift)
-					s := sdat[base+int64(lo) : base+int64(hi)]
-					rr := row[lo:hi]
-					for x := range rr {
-						rr[x] += c * s[x]
-					}
-				}
-				seg := func(step int32, a, b int) {
-					if a < i0 {
-						a = i0
-					}
-					if b > i1 {
-						b = i1
-					}
-					emit(step, a, b)
-				}
-				switch {
-				case pt.DI < 0:
-					seg(-1, 0, -pt.DI)
-					seg(0, -pt.DI, I)
-				case pt.DI > 0:
-					seg(0, 0, I-pt.DI)
-					seg(1, I-pt.DI, I)
-				default:
-					seg(0, 0, I)
-				}
+			copy(h[xa:xb], s[bases[adj+1]+off+int64(xa-r):])
+			if xb < x1 {
+				copy(h[xb:x1], s[bases[adj+2]+off:])
 			}
-			copy(ddat[dbase+(k*J+j)*I+i0:dbase+(k*J+j)*I+i1], row[i0:i1])
 		}
 	}
 }
 
-// run applies the stencil to every element of brick b for which
-// keep(i,j,k) is true (nil keep = all elements).
-func (kr *brickKernel) run(dst, src core.Brick, b int, keep func(i, j, k int) bool) {
-	kr.loadBases(src, b)
-	sh := kr.sh
-	r := kr.r
+// rows runs the point table over the gathered block for every row of the
+// box, writing brick b of dst.
+func (kr *brickKernel) rows(dst core.Brick, b int, halo []float64, lo, hi [3]int) {
+	I, J := kr.sh[0], kr.sh[1]
+	d := dst.Storage.Data
+	dself := b*dst.Storage.Chunk() + dst.FieldBase()
+	for k := lo[2]; k < hi[2]; k++ {
+		for j := lo[1]; j < hi[1]; j++ {
+			out := d[dself+(k*J+j)*I:][lo[0]:hi[0]]
+			at := ((k+kr.r)*kr.ext[1]+j+kr.r)*kr.ext[0] + lo[0] + kr.r
+			tapRow(out, halo, at, kr.offs, kr.cs)
+		}
+	}
+}
+
+// run applies the stencil to the box [lo, hi) of brick b one element at a
+// time, resolving every tap through the step/loc tables.
+func (kr *brickKernel) run(dst, src core.Brick, b int, bases *[core.NumAdj]int64, lo, hi [3]int) {
+	r, I, J := kr.r, kr.sh[0], kr.sh[1]
 	sdat := src.Storage.Data
 	ddat := dst.Storage.Data
 	dbase := b*dst.Storage.Chunk() + dst.FieldBase()
-	I, J := sh[0], sh[1]
-	for k := 0; k < sh[2]; k++ {
-		for j := 0; j < sh[1]; j++ {
-			// Hoist the (k,j)-dependent parts per stencil point.
-			for p, pt := range kr.pts {
-				sk := kr.step[2][k+pt.DK+r]
-				lk := kr.loc[2][k+pt.DK+r]
-				sj := kr.step[1][j+pt.DJ+r]
-				lj := kr.loc[1][j+pt.DJ+r]
-				kr.rowAdj[p] = int32(sk+1)*9 + int32(sj+1)*3
-				kr.rowOff[p] = (lk*int32(J) + lj) * int32(I)
-			}
-			drow := dbase + (k*J+j)*I
-			for i := 0; i < sh[0]; i++ {
-				if keep != nil && !keep(i, j, k) {
-					continue
-				}
+	for k := lo[2]; k < hi[2]; k++ {
+		for j := lo[1]; j < hi[1]; j++ {
+			for i := lo[0]; i < hi[0]; i++ {
 				acc := 0.0
 				for p := range kr.pts {
 					pt := &kr.pts[p]
-					x := i + pt.DI + r
-					base := kr.bases[kr.rowAdj[p]+int32(kr.step[0][x])+1]
-					acc += pt.C * sdat[base+int64(kr.rowOff[p])+int64(kr.loc[0][x])]
+					x, y, z := i+pt.DI+r, j+pt.DJ+r, k+pt.DK+r
+					adj := (int(kr.step[2][z])+1)*9 + (int(kr.step[1][y])+1)*3 + int(kr.step[0][x]) + 1
+					off := (int(kr.loc[2][z])*J+int(kr.loc[1][y]))*I + int(kr.loc[0][x])
+					acc += pt.C * sdat[bases[adj]+int64(off)]
 				}
-				ddat[drow+i] = acc
+				ddat[dbase+(k*J+j)*I+i] = acc
 			}
 		}
 	}

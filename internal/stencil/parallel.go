@@ -12,10 +12,7 @@ import (
 // within one application). workers <= 0 resolves via ResolveWorkers
 // (BRICK_WORKERS, then GOMAXPROCS); 1 runs serially.
 func ApplyBricksParallel(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin, workers int) {
-	checkBrickApply(dec, st, margin)
-	DefaultPool().ForRange(workers, dec.NumBricks(), func(lo, hi int) {
-		applyBrickRange(dst, src, dec, st, margin, lo, hi)
-	})
+	ApplyBricksRangeWorkers(dst, src, dec, st, margin, 0, dec.NumBricks(), workers)
 }
 
 // ApplyBricksRangeWorkers is ApplyBricksRange with an explicit worker
@@ -25,8 +22,19 @@ func ApplyBricksRangeWorkers(dst, src core.Brick, dec *core.BrickDecomp, st Sten
 	if lo < 0 || hi > dec.NumBricks() || lo > hi {
 		panic("stencil: brick range out of bounds")
 	}
-	DefaultPool().ForRange(workers, hi-lo, func(a, b int) {
-		applyBrickRange(dst, src, dec, st, margin, lo+a, lo+b)
+	if lo == hi {
+		return
+	}
+	kr := kernelFor(dec.Shape(), st)
+	p := DefaultPool()
+	if workers = ResolveWorkers(workers); workers == 1 || hi-lo == 1 {
+		t0 := p.tileStart()
+		kr.applyRange(dst, src, dec, margin, lo, hi)
+		p.tileDone(t0)
+		return
+	}
+	p.ForRange(workers, hi-lo, func(a, b int) {
+		kr.applyRange(dst, src, dec, margin, lo+a, lo+b)
 	})
 }
 
@@ -38,24 +46,39 @@ func ApplyBricksRangeWorkers(dst, src core.Brick, dec *core.BrickDecomp, st Sten
 func ApplyBricksSpans(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin int, spans [][2]int, workers int) {
 	checkBrickApply(dec, st, margin)
 	total := 0
-	starts := make([]int, len(spans)) // flattened start of each span
-	for i, sp := range spans {
+	for _, sp := range spans {
 		if sp[0] < 0 || sp[1] > dec.NumBricks() || sp[0] > sp[1] {
 			panic("stencil: brick span out of bounds")
 		}
-		starts[i] = total
 		total += sp[1] - sp[0]
 	}
-	DefaultPool().ForRange(workers, total, func(flo, fhi int) {
-		for i, sp := range spans {
-			lo := max(flo, starts[i])
-			hi := min(fhi, starts[i]+sp[1]-sp[0])
-			if lo < hi {
-				off := sp[0] - starts[i]
-				applyBrickRange(dst, src, dec, st, margin, lo+off, hi+off)
-			}
-		}
+	if total == 0 {
+		return
+	}
+	kr := kernelFor(dec.Shape(), st)
+	p := DefaultPool()
+	if workers = ResolveWorkers(workers); workers == 1 || total == 1 {
+		t0 := p.tileStart()
+		kr.applySpans(dst, src, dec, margin, spans, 0, total)
+		p.tileDone(t0)
+		return
+	}
+	p.ForRange(workers, total, func(flo, fhi int) {
+		kr.applySpans(dst, src, dec, margin, spans, flo, fhi)
 	})
+}
+
+// applySpans applies the kernel to positions [flo, fhi) of the spans laid
+// end to end.
+func (kr *brickKernel) applySpans(dst, src core.Brick, dec *core.BrickDecomp, margin int, spans [][2]int, flo, fhi int) {
+	start := 0 // flattened start of the span
+	for _, sp := range spans {
+		lo, hi := max(flo, start), min(fhi, start+sp[1]-sp[0])
+		if lo < hi {
+			kr.applyRange(dst, src, dec, margin, lo-start+sp[0], hi-start+sp[0])
+		}
+		start += sp[1] - sp[0]
+	}
 }
 
 // ApplyBricksTiles applies the stencil over a precomputed tile list (each
@@ -82,43 +105,8 @@ func ApplyBricksTilesFlight(dst, src core.Brick, dec *core.BrickDecomp, st Stenc
 			panic("stencil: brick tile out of bounds")
 		}
 	}
+	kr := kernelFor(dec.Shape(), st)
 	DefaultPool().ForTilesFlight(workers, tiles, func(lo, hi int) {
-		applyBrickRange(dst, src, dec, st, margin, lo, hi)
+		kr.applyRange(dst, src, dec, margin, lo, hi)
 	}, onTile, fl)
-}
-
-// applyBrickRange applies the stencil to bricks with storage indices in
-// [loIdx, hiIdx), using the same box/fast-path dispatch as ApplyBricks.
-func applyBrickRange(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin, loIdx, hiIdx int) {
-	sh := dec.Shape()
-	dom, g := dec.Dom(), dec.Ghost()
-	kr := newBrickKernel(sh, st)
-	row := make([]float64, sh[0])
-	for idx := loIdx; idx < hiIdx; idx++ {
-		c := dec.BrickCoord(idx)
-		if c[0] < 0 {
-			continue
-		}
-		var lo, hi [3]int
-		empty := false
-		for a := 0; a < 3; a++ {
-			org := c[a] * sh[a]
-			lo[a] = max(0, g-margin-org)
-			hi[a] = min(sh[a], g+dom[a]+margin-org)
-			if lo[a] >= hi[a] {
-				empty = true
-			}
-		}
-		if empty {
-			continue
-		}
-		kr.loadBases(src, idx)
-		if kr.basesValidFor(src, lo, hi) {
-			kr.runFast(dst, src, idx, row, lo, hi)
-		} else {
-			kr.run(dst, src, idx, func(i, j, k int) bool {
-				return i >= lo[0] && i < hi[0] && j >= lo[1] && j < hi[1] && k >= lo[2] && k < hi[2]
-			})
-		}
-	}
 }

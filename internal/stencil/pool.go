@@ -127,6 +127,31 @@ func (p *Pool) submit(f func()) {
 	}
 }
 
+// tileStart returns when a tile began, or the zero time if the pool has no
+// registry attached and the tile goes untimed. With tileDone it is how
+// ForRange accounts a tile, and how the Apply entry points account the one
+// tile of a serial call they run themselves: a closure handed to ForRange
+// escapes to the pool workers, an allocation per step that a call resolving
+// to one worker would pay for nothing.
+func (p *Pool) tileStart() time.Time {
+	if p.pm.Load() == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// tileDone records a tile begun at t0 = tileStart().
+func (p *Pool) tileDone(t0 time.Time) {
+	pm := p.pm.Load()
+	if pm == nil || t0.IsZero() {
+		return
+	}
+	d := time.Since(t0).Seconds()
+	pm.tileSeconds.Observe(d)
+	pm.busySeconds.Add(d)
+	pm.tilesTotal.Inc()
+}
+
 // ForRange executes fn over [0, n) split into contiguous tiles, with up to
 // `workers` concurrent executors including the caller (workers <= 0
 // resolves via ResolveWorkers). Tiles are handed out dynamically through an
@@ -137,21 +162,12 @@ func (p *Pool) ForRange(workers, n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	w := ResolveWorkers(workers)
-	if w > n {
-		w = n
+	run := func(lo, hi int) {
+		t0 := p.tileStart()
+		fn(lo, hi)
+		p.tileDone(t0)
 	}
-	run := fn
-	if pm := p.pm.Load(); pm != nil {
-		run = func(lo, hi int) {
-			t0 := time.Now()
-			fn(lo, hi)
-			d := time.Since(t0).Seconds()
-			pm.tileSeconds.Observe(d)
-			pm.busySeconds.Add(d)
-			pm.tilesTotal.Inc()
-		}
-	}
+	w := min(ResolveWorkers(workers), n)
 	if w <= 1 {
 		run(0, n)
 		return
@@ -218,16 +234,10 @@ func (p *Pool) ForTilesFlight(workers int, tiles [][2]int, fn func(lo, hi int), 
 	if w > len(tiles) {
 		w = len(tiles)
 	}
-	run := fn
-	if pm := p.pm.Load(); pm != nil {
-		run = func(lo, hi int) {
-			t0 := time.Now()
-			fn(lo, hi)
-			d := time.Since(t0).Seconds()
-			pm.tileSeconds.Observe(d)
-			pm.busySeconds.Add(d)
-			pm.tilesTotal.Inc()
-		}
+	run := func(lo, hi int) {
+		t0 := p.tileStart()
+		fn(lo, hi)
+		p.tileDone(t0)
 	}
 	exec := func(t int) {
 		fl.Record(flight.KindTileStart, -1, -1, int32(t), 0, 0)

@@ -167,29 +167,140 @@ func applyGridBox(dst, src *grid.Grid, st Stencil, lo, hi [3]int, workers int) {
 	if hi[0] <= lo[0] || hi[1] <= lo[1] || hi[2] <= lo[2] {
 		return
 	}
-	offs := make([]int, len(st.Points))
-	cs := make([]float64, len(st.Points))
-	for p, pt := range st.Points {
-		offs[p] = (pt.DK*src.Ext[1]+pt.DJ)*src.Ext[0] + pt.DI
-		cs[p] = pt.C
+	rows := (hi[2] - lo[2]) * (hi[1] - lo[1])
+	p := DefaultPool()
+	if workers = ResolveWorkers(workers); workers == 1 || rows == 1 {
+		t0 := p.tileStart()
+		applyGridRows(dst, src, st, lo, hi, 0, rows)
+		p.tileDone(t0)
+		return
 	}
-	nj := hi[1] - lo[1]
-	rows := (hi[2] - lo[2]) * nj
-	width := hi[0] - lo[0]
-	DefaultPool().ForRange(workers, rows, func(rlo, rhi int) {
-		for r := rlo; r < rhi; r++ {
-			k := lo[2] + r/nj
-			j := lo[1] + r%nj
-			base := src.Idx(lo[0], j, k)
-			for i := base; i < base+width; i++ {
-				acc := 0.0
-				for p, off := range offs {
-					acc += cs[p] * src.Data[i+off]
-				}
-				dst.Data[i] = acc
-			}
-		}
+	p.ForRange(workers, rows, func(rlo, rhi int) {
+		applyGridRows(dst, src, st, lo, hi, rlo, rhi)
 	})
+}
+
+// applyGridRows computes rows [rlo, rhi) of the box [lo, hi), rows numbered
+// j-fastest. The canonical 7-point table takes the fused row7 expression;
+// any other table is flattened to offsets (on this frame's stack, so a call
+// allocates nothing) and run through tapRow.
+func applyGridRows(dst, src *grid.Grid, st Stencil, lo, hi [3]int, rlo, rhi int) {
+	sj, sk := src.Ext[0], src.Ext[0]*src.Ext[1]
+	nj, width := hi[1]-lo[1], hi[0]-lo[0]
+	s := src.Data
+	if w, ok := star7Weights(st); ok {
+		for r := rlo; r < rhi; r++ {
+			at := src.Idx(lo[0], lo[1]+r%nj, lo[2]+r/nj)
+			row7(dst.Data[at:at+width], s[at:], s[at-sj:], s[at+sj:], s[at-sk:], s[at+sk:], s[at-1], s[at+width], &w)
+		}
+		return
+	}
+	var offBuf [128]int
+	var cBuf [128]float64
+	offs, cs := tapTable(offBuf[:0], cBuf[:0], st.Points, sj, sk)
+	for r := rlo; r < rhi; r++ {
+		at := src.Idx(lo[0], lo[1]+r%nj, lo[2]+r/nj)
+		tapRow(dst.Data[at:at+width], s, at, offs, cs)
+	}
+}
+
+// star7Taps is the canonical 7-point tap order; taps 1..6 double as the six
+// face directions.
+var star7Taps = [7][3]int{{0, 0, 0}, {-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
+
+// star7Weights reports whether st is the 7-point star in canonical tap
+// order — centre, -i, +i, -j, +j, -k, +k at radius 1, the order row7 sums
+// in — and returns its coefficients in that order.
+func star7Weights(st Stencil) (w [7]float64, ok bool) {
+	if st.Radius != 1 || len(st.Points) != len(star7Taps) {
+		return w, false
+	}
+	for p, pt := range st.Points {
+		if [3]int{pt.DI, pt.DJ, pt.DK} != star7Taps[p] {
+			return w, false
+		}
+		w[p] = pt.C
+	}
+	return w, true
+}
+
+// row7 writes one row of the canonical 7-point star: out[x] from the centre
+// row c and its ±j / ±k rows at the same x, with left and right standing in
+// for c[-1] and c[len(out)]. The sum is written out in point-table order,
+// starting from 0.0, exactly as the table-driven loops accumulate it.
+func row7(out, c, jm, jp, km, kp []float64, left, right float64, w *[7]float64) {
+	n := len(out)
+	if n == 0 {
+		return
+	}
+	c, jm, jp, km, kp = c[:n], jm[:n], jp[:n], km[:n], kp[:n]
+	w0, w1, w2, w3, w4, w5, w6 := w[0], w[1], w[2], w[3], w[4], w[5], w[6]
+	prev := left
+	for x := 0; x < n-1; x++ {
+		cur := c[x]
+		out[x] = 0.0 + w0*cur + w1*prev + w2*c[x+1] + w3*jm[x] + w4*jp[x] + w5*km[x] + w6*kp[x]
+		prev = cur
+	}
+	x := n - 1
+	out[x] = 0.0 + w0*c[x] + w1*prev + w2*right + w3*jm[x] + w4*jp[x] + w5*km[x] + w6*kp[x]
+}
+
+// row7x8 is row7 for a row of exactly eight elements — every full row of
+// the paper's 8³ bricks — spelled out so that array pointers carry the
+// bounds and the call passes in registers; per brick row that is a fifth
+// off the 7-point brick kernel.
+func row7x8(o, c, jm, jp, km, kp *[8]float64, l, r float64, w *[7]float64) {
+	w0, w1, w2, w3, w4, w5, w6 := w[0], w[1], w[2], w[3], w[4], w[5], w[6]
+	o[0] = 0.0 + w0*c[0] + w1*l + w2*c[1] + w3*jm[0] + w4*jp[0] + w5*km[0] + w6*kp[0]
+	o[1] = 0.0 + w0*c[1] + w1*c[0] + w2*c[2] + w3*jm[1] + w4*jp[1] + w5*km[1] + w6*kp[1]
+	o[2] = 0.0 + w0*c[2] + w1*c[1] + w2*c[3] + w3*jm[2] + w4*jp[2] + w5*km[2] + w6*kp[2]
+	o[3] = 0.0 + w0*c[3] + w1*c[2] + w2*c[4] + w3*jm[3] + w4*jp[3] + w5*km[3] + w6*kp[3]
+	o[4] = 0.0 + w0*c[4] + w1*c[3] + w2*c[5] + w3*jm[4] + w4*jp[4] + w5*km[4] + w6*kp[4]
+	o[5] = 0.0 + w0*c[5] + w1*c[4] + w2*c[6] + w3*jm[5] + w4*jp[5] + w5*km[5] + w6*kp[5]
+	o[6] = 0.0 + w0*c[6] + w1*c[5] + w2*c[7] + w3*jm[6] + w4*jp[6] + w5*km[6] + w6*kp[6]
+	o[7] = 0.0 + w0*c[7] + w1*c[6] + w2*r + w3*jm[7] + w4*jp[7] + w5*km[7] + w6*kp[7]
+}
+
+// tapTable flattens a point table for a dense array with row stride sj and
+// plane stride sk, appending each tap's element offset and coefficient.
+func tapTable(offs []int, cs []float64, pts []Point, sj, sk int) ([]int, []float64) {
+	for _, pt := range pts {
+		offs = append(offs, pt.DK*sk+pt.DJ*sj+pt.DI)
+		cs = append(cs, pt.C)
+	}
+	return offs, cs
+}
+
+// tapRow writes out[x] = Σ cs[p]·src[at+x+offs[p]], every element
+// accumulated from 0.0 in table order. Eight neighboring elements advance
+// together so their partial sums stay in registers across the whole table
+// and each tap costs one bounds check per eight loads.
+func tapRow(out, src []float64, at int, offs []int, cs []float64) {
+	cs = cs[:len(offs)]
+	x := 0
+	for ; x+8 <= len(out); x += 8 {
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for p, off := range offs {
+			c := cs[p]
+			s := (*[8]float64)(src[at+x+off:])
+			a0 += c * s[0]
+			a1 += c * s[1]
+			a2 += c * s[2]
+			a3 += c * s[3]
+			a4 += c * s[4]
+			a5 += c * s[5]
+			a6 += c * s[6]
+			a7 += c * s[7]
+		}
+		*(*[8]float64)(out[x:]) = [8]float64{a0, a1, a2, a3, a4, a5, a6, a7}
+	}
+	for ; x < len(out); x++ {
+		acc := 0.0
+		for p, off := range offs {
+			acc += cs[p] * src[at+x+off]
+		}
+		out[x] = acc
+	}
 }
 
 // ApplyGridShell applies the stencil over the margin region minus the inner
@@ -264,20 +375,6 @@ func checkBrickApply(dec *core.BrickDecomp, st Stencil, margin int) {
 			panic("stencil: radius exceeds brick extent")
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // depth1 returns how far an extended coordinate sits outside the domain

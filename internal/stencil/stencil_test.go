@@ -213,6 +213,21 @@ func TestApplyBricksValidation(t *testing.T) {
 		big := Stencil{Name: "r5", Radius: 5, Points: []Point{{5, 0, 0, 1}}}
 		ApplyBricks(b, a, dec, big, 0)
 	}()
+	// the same check keeps a radius-2 table off 1³ bricks: a tap two bricks
+	// away has no entry in the kernel's step/loc tables
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("radius 2 accepted on extent-1 bricks")
+			}
+		}()
+		dec1, err := core.NewBrickDecomp(core.Shape{1, 1, 1}, [3]int{4, 4, 4}, 2, 2, layout.Surface3D())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs1, info1 := dec1.Allocate(), dec1.BrickInfo()
+		ApplyBricks(core.NewBrick(info1, bs1, 1), core.NewBrick(info1, bs1, 0), dec1, Cube125(), 0)
+	}()
 }
 
 func TestDepth1(t *testing.T) {
@@ -227,30 +242,104 @@ func TestDepth1(t *testing.T) {
 	}
 }
 
-func BenchmarkStar7Bricks64(b *testing.B) {
-	dec, err := core.NewBrickDecomp(core.Shape{8, 8, 8}, [3]int{64, 64, 64}, 8, 2, layout.Surface3D())
-	if err != nil {
-		b.Fatal(err)
-	}
-	bs := dec.Allocate()
-	info := dec.BrickInfo()
-	src := core.NewBrick(info, bs, 0)
-	dst := core.NewBrick(info, bs, 1)
-	st := Star7()
-	b.SetBytes(int64(8 * 64 * 64 * 64))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ApplyBricks(dst, src, dec, st, 0)
+// applyGridTable is the table-driven array loop — one accumulator per
+// element, taps in table order — kept as the oracle for applyGridBox.
+func applyGridTable(dst, src *grid.Grid, st Stencil, lo, hi [3]int) {
+	for k := lo[2]; k < hi[2]; k++ {
+		for j := lo[1]; j < hi[1]; j++ {
+			for i := lo[0]; i < hi[0]; i++ {
+				acc := 0.0
+				for _, pt := range st.Points {
+					acc += pt.C * src.At(i+pt.DI, j+pt.DJ, k+pt.DK)
+				}
+				dst.Set(i, j, k, acc)
+			}
+		}
 	}
 }
 
-func BenchmarkStar7Grid64(b *testing.B) {
-	src := grid.New([3]int{64, 64, 64}, 8)
-	dst := grid.New([3]int{64, 64, 64}, 8)
-	st := Star7()
-	b.SetBytes(int64(8 * 64 * 64 * 64))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ApplyGrid(dst, src, st, 0)
+// TestGridKernelMatchesTable is the array-side twin of
+// TestKernelMatchesReference: the fused 7-point rows and the eight-wide
+// tap rows against the table loop, bit for bit, over full margin boxes, an
+// odd-sized region, and the six shell slabs around it.
+func TestGridKernelMatchesTable(t *testing.T) {
+	dom := [3]int{21, 10, 9} // rows of 21..27: eight-wide chunks plus a tail
+	const ghost = 3
+	for _, st := range []Stencil{Star7(), Cube125(), Star5(), swappedStar7()} {
+		src := grid.New(dom, ghost)
+		fillRandomish(src)
+		for k := 0; k < 6; k++ { // a -0.0 block: sums must still start at +0.0
+			for j := 0; j < 6; j++ {
+				for i := 0; i < 12; i++ {
+					src.Set(i, j, k, math.Copysign(0, -1))
+				}
+			}
+		}
+		check := func(what string, got, want *grid.Grid) {
+			t.Helper()
+			for p := range want.Data {
+				if math.Float64bits(got.Data[p]) != math.Float64bits(want.Data[p]) {
+					t.Fatalf("%s %s: element %d is %v, table loop %v", st.Name, what, p, got.Data[p], want.Data[p])
+				}
+			}
+		}
+		var rlo, rhi [3]int // the region and shell cases split margin 0 here
+		for a := 0; a < 3; a++ {
+			rlo[a], rhi[a] = ghost+st.Radius, ghost+dom[a]-st.Radius-1
+		}
+		for _, margin := range []int{0, 1, ghost - st.Radius} {
+			var lo, hi [3]int
+			for a := 0; a < 3; a++ {
+				lo[a], hi[a] = ghost-margin, ghost+dom[a]+margin
+			}
+			got, want := grid.New(dom, ghost), grid.New(dom, ghost)
+			ApplyGridWorkers(got, src, st, margin, 1)
+			applyGridTable(want, src, st, lo, hi)
+			check("full", got, want)
+			for _, workers := range []int{2, 5} {
+				par := grid.New(dom, ghost)
+				ApplyGridWorkers(par, src, st, margin, workers)
+				check("full, parallel", par, want)
+			}
+		}
+		got, want := grid.New(dom, ghost), grid.New(dom, ghost)
+		ApplyGridRegion(got, src, st, rlo, rhi)
+		applyGridTable(want, src, st, rlo, rhi)
+		check("region", got, want)
+		ApplyGridShell(got, src, st, 0, rlo, rhi)
+		applyGridTable(want, src, st, [3]int{ghost, ghost, ghost}, [3]int{ghost + dom[0], ghost + dom[1], ghost + dom[2]})
+		check("region + shell", got, want)
 	}
 }
+
+// benchBricks times one serial application over a dim³ domain of 8³ bricks
+// (ghost 8, the benchmark's decomposition) and reports ns per computed
+// element, so the brick and array kernels read off one scale.
+func benchBricks(b *testing.B, st Stencil, dim, margin int) {
+	dec, _, src, dst, _ := kernelSetupShape(b, core.Shape{8, 8, 8}, [3]int{dim, dim, dim}, 8)
+	e := dim + 2*margin
+	b.SetBytes(int64(8 * e * e * e))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ApplyBricksParallel(dst, src, dec, st, margin, 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(e*e*e), "ns/elem")
+}
+
+func benchGrid(b *testing.B, st Stencil, dim int) {
+	src := grid.New([3]int{dim, dim, dim}, 8)
+	dst := grid.New([3]int{dim, dim, dim}, 8)
+	fillRandomish(src)
+	b.SetBytes(int64(8 * dim * dim * dim))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ApplyGridWorkers(dst, src, st, 0, 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(dim*dim*dim), "ns/elem")
+}
+
+func BenchmarkStar7Bricks64(b *testing.B)        { benchBricks(b, Star7(), 64, 0) }
+func BenchmarkStar7Bricks64Margin7(b *testing.B) { benchBricks(b, Star7(), 64, 7) }
+func BenchmarkStar7Grid64(b *testing.B)          { benchGrid(b, Star7(), 64) }
+func BenchmarkCube125Bricks32(b *testing.B)      { benchBricks(b, Cube125(), 32, 0) }
+func BenchmarkCube125Grid32(b *testing.B)        { benchGrid(b, Cube125(), 32) }
