@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt lint test race cover soak soak-recover bench bench-allocs bench-json bench-check benchmark-smoke netcal
+.PHONY: all build vet fmt lint test race race-recovery cover soak soak-recover bench bench-allocs bench-json bench-check benchmark-smoke netcal
 
 all: build vet fmt test benchmark-smoke
 
@@ -73,6 +73,13 @@ cover:
 
 race:
 	$(GO) test -race ./...
+
+# race-recovery repeats the cross-process recovery tests under -race. Their
+# races are timing-dependent (tcp reader goroutines against a restore,
+# coordinator aborts against a recovery round), so one pass proves little.
+race-recovery:
+	$(GO) test -race -count=20 -run 'TestTCPNetFaultRecovery$$' ./internal/harness
+	$(GO) test -race -count=5 -run 'TestSupervisedRecoveryAllImpls$$' ./internal/harness
 
 # soak runs the fault-injection soak under the race detector: every CPU
 # implementation on 8 ranks, once clean and once under benign faults
@@ -157,13 +164,15 @@ benchmark-smoke:
 
 # bench-allocs fails if the persistent per-step hot path regresses above
 # zero heap allocations (Layout + MemMap Start/Complete — partitioned and
-# not — and the raw persistent-request Start/Wait cycle), if the flight
-# recorder's record path (enabled or disabled) starts allocating, or if a
-# serial stencil Apply (bricks or arrays, 7pt or 125pt) allocates at all.
+# not — the raw persistent-request Start/Wait cycle on chan and tcp, and a
+# whole pipelined brick step of the harness), if the flight recorder's
+# record path (enabled or disabled) starts allocating, or if a serial
+# stencil Apply (bricks or arrays, 7pt or 125pt) allocates at all.
 bench-allocs:
 	$(GO) test -count=1 -run 'TestApplyZeroAllocs' ./internal/stencil/
 	$(GO) test -count=1 -run 'TestPersistentHotPathAllocs|TestPartitionedHotPathAllocs' ./internal/core/
 	$(GO) test -count=1 -run 'TestPersistentZeroAllocSteps' ./internal/mpi/
+	$(GO) test -count=1 -run 'TestPipelinedStepZeroAllocs' ./internal/harness/
 	$(GO) test -count=1 -run 'TestRecordAllocs' ./internal/flight/
 
 # Reference configurations for the machine-readable bench baselines
@@ -171,19 +180,12 @@ bench-allocs:
 BENCH_DIR    ?= bench
 BENCH_FLAGS  ?= -d 16 -I 8 -ranks 2,2,2 -workers 1
 BENCH_IMPLS  ?= layout memmap
-# Implementations additionally baselined with -partitioned (MPI 4.x Pready
-# pipelining); their baselines land as BENCH_<impl>_<dim>_partitioned.json
-# so the partitioned wait-share win is gated alongside the plain runs.
-BENCH_PART_IMPLS ?= layout
 
 # bench-json regenerates the committed baselines in $(BENCH_DIR).
 bench-json:
 	@mkdir -p $(BENCH_DIR)
 	@for impl in $(BENCH_IMPLS); do \
 		$(GO) run ./cmd/weak -impl $$impl $(BENCH_FLAGS) -bench-out $(BENCH_DIR) >/dev/null || exit 1; \
-	done
-	@for impl in $(BENCH_PART_IMPLS); do \
-		$(GO) run ./cmd/weak -impl $$impl $(BENCH_FLAGS) -partitioned -bench-out $(BENCH_DIR) >/dev/null || exit 1; \
 	done
 	@ls $(BENCH_DIR)/BENCH_*.json
 
@@ -201,9 +203,6 @@ bench-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	for impl in $(BENCH_IMPLS); do \
 		$(GO) run ./cmd/weak -impl $$impl $(BENCH_FLAGS) -bench-out $$tmp >/dev/null || exit 1; \
-	done; \
-	for impl in $(BENCH_PART_IMPLS); do \
-		$(GO) run ./cmd/weak -impl $$impl $(BENCH_FLAGS) -partitioned -bench-out $$tmp >/dev/null || exit 1; \
 	done; \
 	status=0; \
 	for new in $$tmp/BENCH_*.json; do \

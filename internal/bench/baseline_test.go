@@ -85,10 +85,6 @@ func TestFilename(t *testing.T) {
 			t.Errorf("Filename(%s) = %s, want %s", impl, got, want)
 		}
 	}
-	part := Baseline{Impl: "Layout", Dim: 16, Partitioned: true}
-	if got, want := part.Filename(), "BENCH_Layout_16_partitioned.json"; got != want {
-		t.Errorf("partitioned Filename = %s, want %s", got, want)
-	}
 }
 
 func TestWriteLoadRoundTrip(t *testing.T) {
@@ -142,11 +138,6 @@ func TestCompare(t *testing.T) {
 	otherImpl.Impl = "MemMap"
 	if err := Compare(base, otherImpl, 0.10); err == nil {
 		t.Error("mismatched impls compared")
-	}
-	part := base
-	part.Partitioned = true
-	if err := Compare(base, part, 0.10); err == nil {
-		t.Error("partitioned run compared against a non-partitioned baseline")
 	}
 	plan := base
 	plan.MsgsPerExchange = 26

@@ -20,19 +20,18 @@ import (
 // flag — like -transport or -watchdog — is defined once and appears in every
 // binary with the same name, default, and help text.
 type Common struct {
-	Stencil     string
-	Machine     string
-	Transport   string
-	Ghost       int
-	Brick       int
-	Iters       int
-	Workers     int
-	Partitioned bool
-	MetricsOut  string
-	PprofAddr   string
-	Fault       string
-	FaultSeed   int64
-	Watchdog    time.Duration
+	Stencil    string
+	Machine    string
+	Transport  string
+	Ghost      int
+	Brick      int
+	Iters      int
+	Workers    int
+	MetricsOut string
+	PprofAddr  string
+	Fault      string
+	FaultSeed  int64
+	Watchdog   time.Duration
 
 	Checkpoint      bool
 	CheckpointEvery int
@@ -59,7 +58,6 @@ func RegisterCommon(ghostDefault, brickDefault, itersDefault int) *Common {
 	flag.IntVar(&c.Brick, "brick", brickDefault, "brick dimension")
 	flag.IntVar(&c.Iters, "I", itersDefault, "timed iterations (timesteps)")
 	flag.IntVar(&c.Workers, "workers", 0, "compute workers per rank (0 = BRICK_WORKERS or GOMAXPROCS)")
-	flag.BoolVar(&c.Partitioned, "partitioned", false, "split persistent sends into tile-aligned partitions (MPI 4.x Pready pipelining); bit-identical results")
 	flag.StringVar(&c.MetricsOut, "metrics-out", "", "write a metrics snapshot JSON (brick-metrics/v1) to this file")
 	flag.StringVar(&c.PprofAddr, "pprof-addr", "", "serve /metrics, /metrics.json, /debug/pprof on this address (e.g. localhost:6060)")
 	flag.StringVar(&c.Fault, "fault", "", "fault-injection spec, e.g. delay:rank=*:mean=200us or panic:rank=1:step=3 (see docs/robustness.md)")
@@ -124,7 +122,6 @@ func (c *Common) Apply(cfg *harness.Config, r Resolved) {
 	cfg.Machine = r.Machine
 	cfg.Workers = c.Workers
 	cfg.Metrics = r.Registry
-	cfg.Partitioned = c.Partitioned
 	cfg.Fault = c.Fault
 	cfg.FaultSeed = c.FaultSeed
 	cfg.Watchdog = c.Watchdog

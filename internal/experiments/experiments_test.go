@@ -25,10 +25,9 @@ func TestAllSpecsUniqueAndResolvable(t *testing.T) {
 		t.Error("unknown id resolved")
 	}
 	// The paper's evaluation: figures 1, 4, 8-18 minus the plots we fold
-	// together, plus tables 1-3 = 16 experiments, plus the partitioned
-	// wait-share extension.
-	if len(All()) != 17 {
-		t.Errorf("expected 17 experiments, have %d", len(All()))
+	// together, plus tables 1-3 = 16 experiments.
+	if len(All()) != 16 {
+		t.Errorf("expected 16 experiments, have %d", len(All()))
 	}
 }
 

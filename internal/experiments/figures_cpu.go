@@ -195,37 +195,6 @@ func Fig18(o Options, w io.Writer) error {
 	return t.emit(o, "fig18", w)
 }
 
-// FigPart is a post-paper extension: the effect of partitioned persistent
-// sends (MPI 4.x Pready pipelining) on the completion-wait share of a
-// timestep. Partitions fire as surface tiles finish, so receivers start
-// draining before the full surface pass completes; results stay
-// bit-identical, only the wait share moves (Layout 16³ aggregate wait
-// share drops ~14% → ~9.5% on 8 ranks). The same configurations back the
-// committed BENCH_*_partitioned.json baselines gated by bench-check.
-func FigPart(o Options, w io.Writer) error {
-	t := &table{header: []string{"dim", "impl", "partitioned", "wait_ms", "wait_share", "gstencil_per_s"}}
-	for _, dim := range o.cpuSweep() {
-		for _, im := range []harness.Impl{harness.Layout, harness.MemMap} {
-			for _, part := range []bool{false, true} {
-				cfg := k1Config(im, dim, stencil.Star7(), o)
-				cfg.Partitioned = part
-				res, err := mustRun(cfg)
-				if err != nil {
-					return err
-				}
-				total := res.Calc.Mean() + res.Comm.Mean()
-				share := 0.0
-				if total > 0 {
-					share = res.Wait.Mean() / total
-				}
-				t.add(fmt.Sprint(dim), im.String(), fmt.Sprint(part),
-					ms(res.Wait.Mean()), fmt.Sprintf("%.4f", share), gst(res.GStencils))
-			}
-		}
-	}
-	return t.emit(o, "figpart", w)
-}
-
 // Table3 reproduces Table 3: the qualitative comparison of cost types.
 func Table3(o Options, w io.Writer) error {
 	t := &table{header: []string{"cost_type", "array", "layout", "memmap"}}

@@ -99,7 +99,7 @@ func (k Kind) String() string {
 const (
 	PhaseExchange int32 = iota // exchange posting/completion span
 	PhaseInterior              // interior compute (overlaps the wire)
-	PhaseSurface               // surface compute (feeds Pready under -partitioned)
+	PhaseSurface               // surface compute (feeds Pready on the pipelined schedule)
 )
 
 func phaseName(code int32) string {

@@ -126,13 +126,13 @@ func TestFlightRecorderPreservesChecksums(t *testing.T) {
 	}
 }
 
-// TestFlightPartitionedRecordsCausalEvents: a partitioned overlapped run
-// records the full per-tile causal vocabulary — tile start/done pairs,
-// Pready, Parrived — in every rank's ring.
+// TestFlightPartitionedRecordsCausalEvents: a pipelined run (an exchange
+// every step, partitioned sends) records the full per-tile causal
+// vocabulary — tile start/done pairs, Pready, Parrived — in every rank's
+// ring.
 func TestFlightPartitionedRecordsCausalEvents(t *testing.T) {
 	rec := flight.New(8, 4096)
 	cfg := baseConfig(Layout)
-	cfg.Partitioned = true
 	cfg.FlightRec = rec
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)

@@ -145,16 +145,6 @@ type Config struct {
 	// from the BRICK_WORKERS environment variable, then GOMAXPROCS; 1
 	// disables intra-rank parallelism.
 	Workers int
-	// Partitioned compiles each persistent send as an MPI 4.x-style
-	// partitioned request whose partitions align with the worker pool's
-	// surface tiles: the pipelined step arms the next exchange's sends
-	// before the surface pass and each completed tile fires Pready for the
-	// spans it produced, so the wire leg starts while sibling tiles still
-	// compute. Results are Float64bits-identical to the unpartitioned
-	// exchange. Applies to the overlapped brick implementations (Basic,
-	// Layout, MemMap with a per-step exchange); other implementations
-	// ignore it. Default off.
-	Partitioned bool
 	// Fault is a fault-injection spec (see fault.Parse: delay, stall, panic,
 	// mapfail, allocfail clauses), seeded by FaultSeed. Empty (the default)
 	// disables injection entirely; the hooks then cost one nil check.

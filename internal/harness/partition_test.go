@@ -5,63 +5,100 @@ import (
 	"testing"
 
 	"github.com/bricklab/brick/internal/metrics"
+	"github.com/bricklab/brick/internal/mpi"
 )
 
-// TestPartitionedMatchesUnpartitioned runs every CPU implementation with
-// -partitioned on and off and requires math.Float64bits-identical
-// checksums: partition-granular Pready pipelining reorders when message
-// spans hit the wire, never what they carry. The plan digest may differ
-// only by the appended partition section — peers, tags, and byte counts
-// must be unchanged.
-func TestPartitionedMatchesUnpartitioned(t *testing.T) {
-	for _, im := range cpuImpls {
+// TestPipelineMatchesSerial runs every brick implementation twice: with an
+// exchange every step, which pipelines the surface pass into partitioned
+// sends, and with ghost expansion, which exchanges then computes. The
+// checksums must be math.Float64bits-identical: the pipeline reorders when
+// spans hit the wire, never what they carry. Peers, tags, and byte counts
+// of the plan must not change; the digest may differ only by the appended
+// partition section.
+func TestPipelineMatchesSerial(t *testing.T) {
+	for _, im := range []Impl{Basic, Layout, MemMap, Shift, LayoutOL} {
 		cfg := baseConfig(im)
-		base, err := Run(cfg)
+		pipe, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%v unpartitioned: %v", im, err)
+			t.Fatalf("%v pipelined: %v", im, err)
 		}
-		cfg.Partitioned = true
-		pres, err := Run(cfg)
+		cfg.ExpandGhost = true
+		serial, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%v partitioned: %v", im, err)
+			t.Fatalf("%v serial: %v", im, err)
 		}
-		if math.Float64bits(pres.Checksum) != math.Float64bits(base.Checksum) {
-			t.Errorf("%v: partitioned checksum %v != unpartitioned %v",
-				im, pres.Checksum, base.Checksum)
+		if math.Float64bits(pipe.Checksum) != math.Float64bits(serial.Checksum) {
+			t.Errorf("%v: pipelined checksum %v != serial %v", im, pipe.Checksum, serial.Checksum)
 		}
-		if pres.Plan == nil || base.Plan == nil {
+		if pipe.Plan == nil || serial.Plan == nil {
 			t.Fatalf("%v: missing plan summary", im)
 		}
-		// Identical message shape either way; only the partition section of
-		// the digest may differ.
-		if pres.Plan.Sends != base.Plan.Sends || pres.Plan.Recvs != base.Plan.Recvs ||
-			pres.Plan.SendBytes != base.Plan.SendBytes || pres.Plan.RecvBytes != base.Plan.RecvBytes ||
-			pres.Plan.Variant != base.Plan.Variant {
-			t.Errorf("%v: partitioning changed the message plan: %+v vs %+v",
-				im, *pres.Plan, *base.Plan)
+		p, s := *pipe.Plan, *serial.Plan
+		if p.Sends != s.Sends || p.Recvs != s.Recvs || p.SendBytes != s.SendBytes ||
+			p.RecvBytes != s.RecvBytes || p.Variant != s.Variant {
+			t.Errorf("%v: the schedule changed the message plan: %+v vs %+v", im, p, s)
 		}
 		switch im {
-		case Basic, Layout, MemMap, LayoutOL:
-			// The overlapped brick impls compile partitioned sends: at least
-			// one partition per send, and a digest that differs from the
-			// unpartitioned twin in (exactly) its partition section.
-			if pres.Plan.Partitions < pres.Plan.Sends {
-				t.Errorf("%v: %d partitions for %d sends, want >= one per send",
-					im, pres.Plan.Partitions, pres.Plan.Sends)
+		case Shift:
+			// Slab phases are serialized by corner forwarding: never pipelined.
+			if p.Partitions != 0 || s.Partitions != 0 {
+				t.Errorf("%v: unexpected partitions %d/%d", im, p.Partitions, s.Partitions)
 			}
-			if pres.Plan.Digest == base.Plan.Digest {
-				t.Errorf("%v: partitioned digest did not record the partition section", im)
+		case LayoutOL:
+			// Overlap needs fresh ghosts every step, so ghost expansion is
+			// ignored and both runs pipeline the same plan.
+			if p.Partitions < p.Sends || p.Digest != s.Digest {
+				t.Errorf("%v: plans differ: %+v vs %+v", im, p, s)
 			}
 		default:
-			// Grid impls and Shift ignore the flag entirely.
-			if pres.Plan.Partitions != 0 {
-				t.Errorf("%v: unexpected partitions %d", im, pres.Plan.Partitions)
+			// At least one partition per send, and a digest that differs
+			// from the serial plan's in (exactly) its partition section.
+			if p.Partitions < p.Sends {
+				t.Errorf("%v: %d partitions for %d sends, want >= one per send", im, p.Partitions, p.Sends)
 			}
-			if pres.Plan.Digest != base.Plan.Digest {
-				t.Errorf("%v: digest changed with -partitioned: %s vs %s",
-					im, pres.Plan.Digest, base.Plan.Digest)
+			if s.Partitions != 0 {
+				t.Errorf("%v: serial schedule compiled %d partitions", im, s.Partitions)
+			}
+			if p.Digest == s.Digest {
+				t.Errorf("%v: pipelined digest did not record the partition section", im)
 			}
 		}
+	}
+}
+
+// TestPipelinedStepZeroAllocs: a steady-state pipelined step — receives
+// started, interior computed, exchange completed, next sends armed, surface
+// tiles firing Pready — makes no heap allocation. A single-rank periodic
+// world exchanges with itself over chan, so one goroutine drives the whole
+// step.
+func TestPipelinedStepZeroAllocs(t *testing.T) {
+	for _, im := range []Impl{Layout, MemMap} {
+		cfg := baseConfig(im)
+		cfg.Procs = [3]int{1, 1, 1}
+		cfg.Workers = 1
+		cfg.Steps = 1 << 20 // never the last step: every step re-arms
+		w := mpi.NewWorld(1)
+		w.Run(func(c *mpi.Comm) {
+			r, err := newBrickRank(cfg, mpi.NewCart(c, []int{1, 1, 1}, []bool{true, true, true}))
+			defer r.close()
+			if err != nil {
+				t.Errorf("%v: %v", im, err)
+				return
+			}
+			if r.part == nil {
+				t.Errorf("%v: exchange every step did not select the pipeline", im)
+				return
+			}
+			abs := 0
+			allocs := testing.AllocsPerRun(50, func() {
+				r.step(abs, abs, true)
+				abs++
+			})
+			if allocs != 0 {
+				t.Errorf("%v: pipelined step allocates %v times, want 0", im, allocs)
+			}
+		})
+		w.Close()
 	}
 }
 
@@ -73,14 +110,13 @@ func TestPartitionedMatchesUnpartitioned(t *testing.T) {
 func TestPartitionedMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := baseConfig(Layout)
-	cfg.Partitioned = true
 	cfg.Metrics = reg
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Plan.Partitions == 0 {
-		t.Fatal("partitioned Layout run recorded no partitions")
+		t.Fatal("pipelined Layout run recorded no partitions")
 	}
 	snap := reg.Snapshot()
 	var ready int64

@@ -115,13 +115,17 @@ func (ck *ckptState) noteDigest(rank int, digest string) error {
 	return nil
 }
 
-// checkpoint runs one world-coordinated snapshot round: a quiesce barrier
-// (no exchange can be in flight across a barrier — delivery into a rank's
-// buffers requires that rank to have posted, and every rank is here), the
-// capture and deposit, and a closing barrier so no rank races ahead and
-// mutates storage another rank is still encoding. Both barriers tick the
-// watchdog progress counter, so a slow checkpoint is progress, not a
-// stall.
+// checkpoint runs one world-coordinated snapshot round: a quiesce barrier,
+// the capture and deposit, and a closing barrier so no rank races ahead and
+// mutates storage another rank is still encoding. Across the barrier
+// nothing is delivered into a rank's storage: delivery needs the rank to
+// start its receives, and every rank is here between steps with its
+// receives completed. The pipelined brick schedule does have the next
+// exchange's sends armed and released across it, but they only read
+// surface bricks, which capture copies unchanged, and a replay re-arms
+// them from the restored storage, so the bytes sent are the same. Both
+// barriers tick the watchdog progress counter, so a slow checkpoint is
+// progress, not a stall.
 func (ck *ckptState) checkpoint(comm *mpi.Comm, rank, step int, capture func() *ckpt.Snapshot) {
 	comm.Barrier()
 	ck.fr.Rank(rank).Record(flight.KindCkpt, -1, -1, -1, 0, 0)

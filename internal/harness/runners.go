@@ -24,9 +24,86 @@ func rankOrigin(cfg Config, cart *mpi.Cart) [3]int {
 
 func tmpGrid(cfg Config) *grid.Grid { return grid.New(cfg.Dom, cfg.Ghost) }
 
-// runBrickRank executes the Basic/Layout/MemMap implementations.
+// brickRank is one rank of a Basic/Layout/MemMap/Shift run: storage, the
+// compiled exchange, and the step schedule. newBrickRank builds it (and
+// rewinds it to a checkpoint epoch under the recovery driver); step
+// advances it one timestep.
+//
+// There are two schedules, chosen by what the config already says. Every
+// per-step exchange except Shift's runs the partitioned pipeline: the
+// surface pass fires Pready tile by tile into the next exchange while the
+// interior of the following step hides its wire time. Ghost expansion
+// (period > 1) computes into the ghost margin the exchange writes, and
+// Shift's three slab phases are serialized by corner forwarding, so both
+// run exchange-then-compute.
+type brickRank struct {
+	cfg  Config
+	comm *mpi.Comm
+	rank int
+	dec  *core.BrickDecomp
+	info *core.BrickInfo
+	bs   *core.BrickStorage
+	ex   core.Exchanger
+	// degradable is set for MemMap, the one implementation whose mapped
+	// views can be rebuilt as copy windows mid-run (mapfail:step=S faults).
+	degradable *core.ExchangeView
+	// part is ex's pipelined view, nil on the serial schedule. ready is its
+	// ReadyTile, hoisted so step never allocates the method value. tiles
+	// are the surface tiles: both the plan's partition alignment and the
+	// surface pass's execution tiling.
+	part  core.PartitionedExchanger
+	ready func(int)
+	tiles [][2]int
+
+	period, cur, startAbs int
+	marg                  []int
+	netPerExchange        float64
+	po                    *phaseObs
+	fr                    *flight.Ring
+	res                   Result
+}
+
+// runBrickRank executes the Basic/Layout/MemMap/Shift implementations.
 func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
-	res := Result{Config: cfg}
+	r, err := newBrickRank(cfg, cart)
+	defer r.close()
+	if err != nil {
+		return r.res, err
+	}
+	// One loop over absolute steps so a recovered rank resumes mid-run at
+	// its snapshot step. Timing summaries of a recovered run cover only the
+	// steps since the restore; determinism (the checksums) is what replay
+	// guarantees, not re-measured timings.
+	for a := r.startAbs; a < cfg.Warmup+cfg.Steps; a++ {
+		if ck := cfg.ck; ck != nil && a%ck.every == 0 {
+			a := a
+			ck.checkpoint(r.comm, r.rank, a, func() *ckpt.Snapshot {
+				return &ckpt.Snapshot{
+					Rank: r.rank, Step: a, Cur: r.cur,
+					Degraded: r.ex.Plan().Degraded, Digest: r.ex.Plan().Digest(),
+					Bufs: [][]float64{append([]float64(nil), r.bs.Data...)},
+				}
+			})
+		}
+		if a < cfg.Warmup {
+			r.step(a, a, false)
+		} else {
+			r.step(a, a-cfg.Warmup, true)
+		}
+	}
+	recordPlan(&r.res, cfg.Metrics, cfg.Impl, r.rank, r.comm.Transport(), r.ex)
+	r.res.Checksum = checksumBricks(r.dec, r.bs, r.cur, cfg)
+	return r.res, nil
+}
+
+// newBrickRank builds one rank's storage and exchange, restores the latest
+// checkpoint epoch when the recovery driver has one, and arms the
+// pipeline's first exchange. It returns r even on error, so the caller's
+// close releases whatever was built.
+func newBrickRank(cfg Config, cart *mpi.Cart) (*brickRank, error) {
+	comm := cart.Comm()
+	r := &brickRank{cfg: cfg, comm: comm, rank: comm.Rank(), res: Result{Config: cfg}}
+	rank := r.rank
 	order := layout.Surface3D()
 	if cfg.Impl == Basic {
 		order = layout.Lexicographic(3)
@@ -40,13 +117,12 @@ func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
 	}
 	dec, err := core.NewBrickDecomp(cfg.Shape, cfg.Dom, cfg.Ghost, 2, order, opts...)
 	if err != nil {
-		return res, err
+		return r, err
 	}
-	rank := cart.Comm().Rank()
+	r.dec = dec
 	if cfg.inj.AllocFail(rank) {
-		return res, fmt.Errorf("fault: injected allocation failure on rank %d", rank)
+		return r, fmt.Errorf("fault: injected allocation failure on rank %d", rank)
 	}
-	var bs *core.BrickStorage
 	if cfg.Impl == MemMap || cfg.Impl == Shift {
 		alloc := dec.MmapAllocate
 		if cfg.inj.MapFailAtAlloc(rank) {
@@ -54,26 +130,18 @@ func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
 			// arena, which the exchanger degrades to copy windows.
 			alloc = dec.MmapAllocateUnmapped
 		}
-		if bs, err = alloc(); err != nil {
-			return res, err
+		bs, err := alloc()
+		if err != nil {
+			return r, err
 		}
-		// On an abort unwind, leak the arena instead of unmapping it: a
-		// surviving peer's parked one-shot envelope (or, without the Free
-		// retraction, a persistent delivery) may still reference its pages,
-		// and copying from an unmapped page is a fatal SIGSEGV no recover
-		// can catch. Respawn discards the stale references and the next
-		// epoch maps a fresh arena; a fail-loud run is exiting anyway.
-		defer func() {
-			if !cart.Comm().Aborting() {
-				bs.Close()
-			}
-		}()
+		r.bs = bs
 	} else {
-		bs = dec.Allocate()
+		r.bs = dec.Allocate()
 	}
-	info := dec.BrickInfo()
+	bs := r.bs
+	r.info = dec.BrickInfo()
 	bx := core.NewExchanger(dec, cart)
-	wk := cfg.Workers
+	r.period = cfg.exchangePeriod()
 	// Surface spans of the decomposition, computed after the exchange
 	// completes; the interior span is computed while it is in flight.
 	var surfSpans [][2]int
@@ -82,62 +150,39 @@ func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
 			surfSpans = append(surfSpans, [2]int{sp.Start, sp.End()})
 		}
 	}
-	// Partitioned sends pipeline the surface pass into the wire: applicable
-	// whenever the step overlaps a per-step exchange (every brick impl but
-	// Shift, whose slab phases are serialized). The tile list fixed here is
-	// both the partition alignment of the compiled plan and the surface
-	// pass's execution tiling.
-	usePart := cfg.Partitioned && cfg.exchangePeriod() == 1 && cfg.Impl != Shift
-	var tiles [][2]int
 	var popts []core.PlanOption
-	if usePart {
-		tiles = stencil.TileSpans(surfSpans, wk)
-		if len(tiles) > 0 {
-			popts = append(popts, core.WithPartitions(tiles))
-		} else {
-			usePart = false // no surface to exchange (single-rank world)
+	if r.period == 1 && cfg.Impl != Shift {
+		r.tiles = stencil.TileSpans(surfSpans, cfg.Workers)
+		if len(r.tiles) > 0 { // empty: no surface to exchange
+			popts = append(popts, core.WithPartitions(r.tiles))
 		}
 	}
-	var ex core.Exchanger
-	// degradable is set for MemMap, the one implementation whose mapped
-	// views can be rebuilt as copy windows mid-run (mapfail:step=S faults).
-	var degradable *core.ExchangeView
 	switch cfg.Impl {
 	case MemMap:
 		ev, err := core.NewExchangeView(bx, bs, popts...)
 		if err != nil {
-			return res, err
+			return r, err
 		}
-		ex = ev
-		degradable = ev
+		r.ex = ev
+		r.degradable = ev
 	case Shift:
 		sv, err := core.NewShiftView(bx, bs)
 		if err != nil {
-			return res, err
+			return r, err
 		}
-		ex = sv
+		r.ex = sv
 	default:
-		ex = core.NewLayoutExchange(bx, bs, popts...)
+		r.ex = core.NewLayoutExchange(bx, bs, popts...)
 	}
-	var part core.PartitionedExchanger
-	if usePart {
-		part, _ = ex.(core.PartitionedExchanger)
-		if part == nil {
-			usePart = false
-		} else if cfg.Metrics != nil {
-			if pm, ok := ex.(interface{ SetPartitionMetrics(*metrics.Registry) }); ok {
+	if len(popts) > 0 {
+		r.part = r.ex.(core.PartitionedExchanger)
+		r.ready = r.part.ReadyTile
+		if cfg.Metrics != nil {
+			if pm, ok := r.ex.(interface{ SetPartitionMetrics(*metrics.Registry) }); ok {
 				pm.SetPartitionMetrics(cfg.Metrics)
 			}
 		}
 	}
-	// Same leak-on-abort rule: closing the exchanger unmaps its aliasing
-	// views and frees its endpoints; during an abort the safe move is to
-	// touch neither and let Respawn wipe the endpoint registry.
-	defer func() {
-		if !cart.Comm().Aborting() {
-			ex.Close()
-		}
-	}()
 
 	org := rankOrigin(cfg, cart)
 	for z := 0; z < cfg.Dom[2]; z++ {
@@ -184,203 +229,163 @@ func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
 			sizes = append(sizes, m.Span.Padded*chunkBytes)
 		}
 	}
-	res.MsgsPerExchange = len(sizes)
+	r.res.MsgsPerExchange = len(sizes)
 	data, wire := dec.ExchangeBytes()
-	res.DataBytes, res.WireBytes = int64(data), int64(wire)
-	res.NetworkFloor = networkFloorBricks(cfg, dec)
-	netPerExchange := modeledNetwork(cfg.Machine, netmodel.Network, sizes).Seconds()
+	r.res.DataBytes, r.res.WireBytes = int64(data), int64(wire)
+	r.res.NetworkFloor = networkFloorBricks(cfg, dec)
+	r.netPerExchange = modeledNetwork(cfg.Machine, netmodel.Network, sizes).Seconds()
+	r.marg = margins(cfg)
 
-	period := cfg.exchangePeriod()
-	marg := margins(cfg)
-	cur := 0
-	comm := cart.Comm()
 	// Under the recovery driver: pin the plan digest (a respawned rank must
 	// re-pair the identical plan) and, when a checkpoint epoch exists,
 	// rewind storage, cursor, and degraded-exchange mode to it.
-	startAbs := 0
 	if ck := cfg.ck; ck != nil {
-		if err := ck.noteDigest(rank, ex.Plan().Digest()); err != nil {
-			return res, err
+		if err := ck.noteDigest(rank, r.ex.Plan().Digest()); err != nil {
+			return r, err
 		}
 		snap, serr := ck.latest(rank)
 		if serr != nil {
-			return res, serr
+			return r, serr
 		}
 		if snap != nil {
 			// The snapshot's own digest pins the plan across processes: a
 			// respawned worker has no in-memory digest map, but the epoch it
 			// restores from remembers what the pre-crash world compiled.
-			if snap.Digest != "" && snap.Digest != ex.Plan().Digest() {
-				return res, fmt.Errorf("harness: rank %d re-paired plan digest %s differs from snapshot digest %s: replay would diverge",
-					rank, ex.Plan().Digest(), snap.Digest)
+			if snap.Digest != "" && snap.Digest != r.ex.Plan().Digest() {
+				return r, fmt.Errorf("harness: rank %d re-paired plan digest %s differs from snapshot digest %s: replay would diverge",
+					rank, r.ex.Plan().Digest(), snap.Digest)
 			}
 			if len(snap.Bufs) != 1 || len(snap.Bufs[0]) != len(bs.Data) {
-				return res, fmt.Errorf("harness: rank %d snapshot shape mismatch (want 1 buffer of %d floats)",
+				return r, fmt.Errorf("harness: rank %d snapshot shape mismatch (want 1 buffer of %d floats)",
 					rank, len(bs.Data))
 			}
 			copy(bs.Data, snap.Bufs[0])
-			cur = snap.Cur
-			startAbs = snap.Step
-			if snap.Degraded != "" && degradable != nil && !degradable.Degraded() {
+			r.cur = snap.Cur
+			r.startAbs = snap.Step
+			if snap.Degraded != "" && r.degradable != nil && !r.degradable.Degraded() {
 				// The snapshot was taken after a mid-run degradation whose
 				// trigger step replay will not pass again; re-enter the same
 				// copy-window fallback before touching the wire.
-				if derr := degradable.Degrade(snap.Degraded); derr != nil {
-					return res, derr
+				if derr := r.degradable.Degrade(snap.Degraded); derr != nil {
+					return r, derr
 				}
 			}
-			if got := ex.Plan().Degraded; got != snap.Degraded {
-				return res, fmt.Errorf("harness: rank %d restored exchange degraded=%q but snapshot recorded %q",
+			if got := r.ex.Plan().Degraded; got != snap.Degraded {
+				return r, fmt.Errorf("harness: rank %d restored exchange degraded=%q but snapshot recorded %q",
 					rank, got, snap.Degraded)
 			}
 		}
 	}
-	po := newPhaseObs(cfg.Metrics, cfg.Impl, comm.Rank())
-	fr := cfg.FlightRec.Rank(rank) // nil when the recorder is off
-	// Overlap communication with interior computation for every brick
-	// implementation except Shift (its three slab phases are serialized by
-	// corner forwarding), whenever ghosts are refreshed every step. Ghost
-	// expansion steps (period > 1) compute into the ghost margin — the very
-	// region the exchange writes — so they keep the exchange-then-compute
-	// order.
-	overlap := period == 1 && cfg.Impl != Shift
-	var readyFn func(int) // hoisted so the step closure never allocates it
-	if usePart {
-		readyFn = part.ReadyTile
+	r.po = newPhaseObs(cfg.Metrics, cfg.Impl, rank)
+	r.fr = cfg.FlightRec.Rank(rank) // nil when the recorder is off
+	if r.part != nil {
 		// Prologue: arm the first exchange's sends with the current field
 		// contents — the initial values, or the restored snapshot — fully
 		// ready. From here every step's surface pass re-arms the next
 		// exchange tile by tile.
-		part.StartSends()
-		part.ReadyAll()
+		r.part.StartSends()
+		r.part.ReadyAll()
 	}
-	// abs is the absolute step index (warmup included): the fault-hook and
-	// checkpoint clock. s is the phase-local index driving the exchange
-	// cadence.
-	step := func(abs, s int, timed bool) {
-		fr.StepMark(abs)
-		cfg.inj.StepPanic(rank, abs)
-		if !usePart {
-			if degradable != nil && cfg.inj.DegradeAtStep(rank, abs) {
-				// Between steps no exchange is in flight, so the mapped views
-				// can be swapped for copy windows here.
-				if derr := degradable.Degrade(core.DegradeForced); derr != nil {
-					comm.Abort(derr)
-				}
-			}
-			comm.Barrier()
-		}
-		var calc time.Duration
-		src := core.NewBrick(info, bs, cur)
-		dst := core.NewBrick(info, bs, 1-cur)
-		exchange := s%period == 0
-		if usePart {
-			// Pipelined partitioned schedule. No per-step barrier: the
-			// persistent channels' cycle tokens bound rank skew to one
-			// exchange, and a barrier would flatten exactly the pipeline
-			// this mode exists to build. The sends for this step's exchange
-			// were armed (and progressively released) by the previous
-			// step's surface pass — only the receives are started here.
-			fr.Phase(flight.PhaseExchange)
-			part.StartRecvs()
-			fr.Phase(flight.PhaseInterior)
-			t0 := time.Now()
-			inter := dec.Interior()
-			stencil.ApplyBricksRangeWorkers(dst, src, dec, cfg.Stencil, 0, inter.Start, inter.End(), wk)
-			calc = time.Since(t0)
-			ex.Complete()
-			// Pipeline-safe point: every transfer of this step is fully
-			// delivered and nothing is armed, so the mapped views can be
-			// degraded to copy windows (Rebind on an armed partitioned
-			// request would panic).
-			if degradable != nil && cfg.inj.DegradeAtStep(rank, abs) {
-				if derr := degradable.Degrade(core.DegradeForced); derr != nil {
-					comm.Abort(derr)
-				}
-			}
-			onTile := readyFn
-			if abs == cfg.Warmup+cfg.Steps-1 {
-				onTile = nil // last step: there is no next exchange to feed
-			} else {
-				part.StartSends()
-			}
-			fr.Phase(flight.PhaseSurface)
-			t0 = time.Now()
-			stencil.ApplyBricksTilesFlight(dst, src, dec, cfg.Stencil, 0, tiles, wk, onTile, fr)
-			calc += time.Since(t0)
-		} else if overlap {
-			// Start the exchange, compute interior bricks while it is in
-			// flight, complete, then compute the surface bricks. In flight
-			// the exchange reads only surface bricks and writes only ghost
-			// bricks, both disjoint from the interior span.
-			fr.Phase(flight.PhaseExchange)
-			ex.Start()
-			fr.Phase(flight.PhaseInterior)
-			t0 := time.Now()
-			inter := dec.Interior()
-			stencil.ApplyBricksRangeWorkers(dst, src, dec, cfg.Stencil, 0, inter.Start, inter.End(), wk)
-			calc = time.Since(t0)
-			ex.Complete()
-			fr.Phase(flight.PhaseSurface)
-			t0 = time.Now()
-			stencil.ApplyBricksSpans(dst, src, dec, cfg.Stencil, 0, surfSpans, wk)
-			calc += time.Since(t0)
+	return r, nil
+}
+
+// close releases the exchanger and a mapped arena, except on an abort
+// unwind: a surviving peer's parked one-shot envelope (or, without the Free
+// retraction, a persistent delivery) may still reference their pages and
+// endpoints, and copying from an unmapped page is a fatal SIGSEGV no
+// recover can catch. Respawn discards the stale references and the next
+// epoch maps a fresh arena; a fail-loud run is exiting anyway.
+func (r *brickRank) close() {
+	if r.comm.Aborting() {
+		return
+	}
+	if r.ex != nil {
+		r.ex.Close()
+	}
+	if r.bs != nil && (r.cfg.Impl == MemMap || r.cfg.Impl == Shift) {
+		r.bs.Close()
+	}
+}
+
+// step runs one timestep. abs is the absolute step index (warmup included):
+// the fault-hook and checkpoint clock. s is the phase-local index driving
+// the exchange cadence.
+func (r *brickRank) step(abs, s int, timed bool) {
+	cfg, dec, wk := &r.cfg, r.dec, r.cfg.Workers
+	r.fr.StepMark(abs)
+	cfg.inj.StepPanic(r.rank, abs)
+	var calc time.Duration
+	src := core.NewBrick(r.info, r.bs, r.cur)
+	dst := core.NewBrick(r.info, r.bs, 1-r.cur)
+	exchange := s%r.period == 0
+	if r.part != nil {
+		// The sends of this step's exchange were armed, and released tile by
+		// tile, by the previous step's surface pass; only the receives start
+		// here. The interior reads no ghost brick, and in flight the
+		// exchange reads only surface bricks and writes only ghost bricks.
+		r.fr.Phase(flight.PhaseExchange)
+		r.part.StartRecvs()
+		r.fr.Phase(flight.PhaseInterior)
+		t0 := time.Now()
+		inter := dec.Interior()
+		stencil.ApplyBricksRangeWorkers(dst, src, dec, cfg.Stencil, 0, inter.Start, inter.End(), wk)
+		calc = time.Since(t0)
+		r.ex.Complete()
+		r.degradeAt(abs)
+		onTile := r.ready
+		if abs == cfg.Warmup+cfg.Steps-1 {
+			onTile = nil // last step: there is no next exchange to feed
 		} else {
-			if exchange {
-				ex.Start()
-				ex.Complete()
-			}
-			comm.Barrier() // isolate the exchange phase from computation
-			t0 := time.Now()
-			stencil.ApplyBricksParallel(dst, src, dec, cfg.Stencil, marg[s%period], wk)
-			calc = time.Since(t0)
+			r.part.StartSends()
 		}
-		cur = 1 - cur
-		// Drain the exchanger's internal phase split even on untimed warmup
-		// steps, so warmup time never leaks into the first timed step.
-		tm := ex.Timings()
-		if timed {
-			res.Calc.AddDuration(calc)
-			res.Pack.AddDuration(tm.Pack)
-			res.Call.AddDuration(tm.Call)
-			res.Wait.AddDuration(tm.Wait)
-			res.Comm.AddDuration(tm.Pack + tm.Call + tm.Wait)
-			net := 0.0
-			if exchange {
-				net = netPerExchange
-			}
-			res.Network.Add(net)
-			// Pack is zero on the pack-free brick paths (the timer only runs
-			// when staging work exists, e.g. the shmem-degraded fallback), so
-			// CommSynth stays measured on-node movement + modeled wire time.
-			res.CommSynth.Add(tm.Pack.Seconds() + net)
-			po.observeStep(calc, tm.Pack, tm.Call, tm.Wait)
+		r.fr.Phase(flight.PhaseSurface)
+		t0 = time.Now()
+		stencil.ApplyBricksTilesFlight(dst, src, dec, cfg.Stencil, 0, r.tiles, wk, onTile, r.fr)
+		calc += time.Since(t0)
+	} else {
+		if exchange {
+			r.ex.Start()
+			r.ex.Complete()
+		}
+		r.degradeAt(abs)
+		t0 := time.Now()
+		stencil.ApplyBricksParallel(dst, src, dec, cfg.Stencil, r.marg[s%r.period], wk)
+		calc = time.Since(t0)
+	}
+	r.cur = 1 - r.cur
+	// Drain the exchanger's internal phase split even on untimed warmup
+	// steps, so warmup time never leaks into the first timed step.
+	tm := r.ex.Timings()
+	if timed {
+		res := &r.res
+		res.Calc.AddDuration(calc)
+		res.Pack.AddDuration(tm.Pack)
+		res.Call.AddDuration(tm.Call)
+		res.Wait.AddDuration(tm.Wait)
+		res.Comm.AddDuration(tm.Pack + tm.Call + tm.Wait)
+		net := 0.0
+		if exchange {
+			net = r.netPerExchange
+		}
+		res.Network.Add(net)
+		// Pack is zero on the pack-free brick paths (the timer only runs
+		// when staging work exists, e.g. the shmem-degraded fallback), so
+		// CommSynth stays measured on-node movement + modeled wire time.
+		res.CommSynth.Add(tm.Pack.Seconds() + net)
+		r.po.observeStep(calc, tm.Pack, tm.Call, tm.Wait)
+	}
+}
+
+// degradeAt fires an injected mid-run mapfail. Both schedules call it after
+// Complete, where every transfer of the step is delivered and nothing is
+// armed, so the mapped views can be swapped for copy windows (Rebind on an
+// armed partitioned request would panic).
+func (r *brickRank) degradeAt(abs int) {
+	if r.degradable != nil && r.cfg.inj.DegradeAtStep(r.rank, abs) {
+		if err := r.degradable.Degrade(core.DegradeForced); err != nil {
+			r.comm.Abort(err)
 		}
 	}
-	// One loop over absolute steps so a recovered rank resumes mid-run at
-	// its snapshot step. Timing summaries of a recovered run cover only the
-	// steps since the restore; determinism (the checksums) is what replay
-	// guarantees, not re-measured timings.
-	for a := startAbs; a < cfg.Warmup+cfg.Steps; a++ {
-		if ck := cfg.ck; ck != nil && a%ck.every == 0 {
-			a := a
-			ck.checkpoint(comm, rank, a, func() *ckpt.Snapshot {
-				return &ckpt.Snapshot{
-					Rank: rank, Step: a, Cur: cur,
-					Degraded: ex.Plan().Degraded, Digest: ex.Plan().Digest(),
-					Bufs: [][]float64{append([]float64(nil), bs.Data...)},
-				}
-			})
-		}
-		if a < cfg.Warmup {
-			step(a, a, false)
-		} else {
-			step(a, a-cfg.Warmup, true)
-		}
-	}
-	recordPlan(&res, cfg.Metrics, cfg.Impl, comm.Rank(), comm.Transport(), ex)
-	res.Checksum = checksumBricks(dec, bs, cur, cfg)
-	return res, nil
 }
 
 // runGridRank executes the YASK/YASK-OL/MPI_Types implementations.
@@ -485,7 +490,6 @@ func runGridRank(cfg Config, cart *mpi.Cart) (Result, error) {
 	step := func(abs, s int, timed bool) {
 		fr.StepMark(abs)
 		cfg.inj.StepPanic(rank, abs)
-		comm.Barrier()
 		var calc time.Duration
 		exchange := s%period == 0
 		ex := exs[cur]
@@ -513,7 +517,6 @@ func runGridRank(cfg Config, cart *mpi.Cart) (Result, error) {
 				ex.Start()
 				ex.Complete()
 			}
-			comm.Barrier() // isolate the exchange phase from computation
 			t0 := time.Now()
 			stencil.ApplyGridWorkers(gs[1-cur], gs[cur], cfg.Stencil, marg[s%period], wk)
 			calc = time.Since(t0)
@@ -625,7 +628,6 @@ func runGPURank(cfg Config, cart *mpi.Cart) (Result, error) {
 	step := func(abs, s int, timed bool) {
 		fr.StepMark(abs)
 		cfg.inj.StepPanic(comm.Rank(), abs)
-		comm.Barrier()
 		var cc gpu.CommCost
 		if s%period == 0 {
 			cc = sim.Exchange()

@@ -73,20 +73,19 @@ func TestSupervisedParityAllImpls(t *testing.T) {
 	}
 }
 
-// TestSupervisedPartitionedNoStall runs the shape that used to wedge at
-// cycle one on shmem — 2×1×1 ranks, 16³, partitioned sends, a few hundred
-// steps, watchdog armed — several times. A receiver that reached its first
-// Wait before the matched sender had published its partitioning read a zero
-// partition count and waited for an unpartitioned publication that never
-// comes, in roughly every other run. Each run must finish (a stall surfaces
+// TestSupervisedNoStall runs the shape that used to wedge at cycle one on
+// shmem — 2×1×1 ranks, 16³, the default pipelined schedule's partitioned
+// sends, a few hundred steps, watchdog armed — several times. A receiver
+// that reached its first Wait before the matched sender had published its
+// partitioning read a zero partition count and waited for an unpartitioned
+// publication that never comes, in roughly every other run. Each run must finish (a stall surfaces
 // as the watchdog's abort) with the in-process checksum.
-func TestSupervisedPartitionedNoStall(t *testing.T) {
+func TestSupervisedNoStall(t *testing.T) {
 	skipWithoutShmem(t)
 	for _, im := range []Impl{Layout, MemMap} {
 		cfg := baseConfig(im)
 		cfg.Procs = [3]int{2, 1, 1}
 		cfg.Workers = 2
-		cfg.Partitioned = true
 		cfg.Steps = 200
 		cfg.Watchdog = 10 * time.Second
 		want, err := Run(cfg)

@@ -57,7 +57,7 @@ func (w *World) abort(rank int, v any) {
 	w.abortOnce.Do(func() {
 		// The originating rank's last flight event is the abort itself, so a
 		// post-mortem ring ends at the kill shot rather than trailing off.
-		w.flight.Rank(rank).Record(flight.KindAbort, -1, -1, -1, 0, 0)
+		w.flight.Load().Rank(rank).Record(flight.KindAbort, -1, -1, -1, 0, 0)
 		w.abortVal.Store(&AbortError{Rank: rank, Value: v})
 		close(w.abortCh)
 		w.tr.abortAll()

@@ -50,9 +50,11 @@ type World struct {
 	// cached at construction so the per-operation tick skips the assertion.
 	sprog sharedProgress
 
-	rec    *trace.Recorder
-	reg    *metrics.Registry
-	flight *flight.Recorder
+	rec *trace.Recorder
+	reg *metrics.Registry
+	// flight is atomic: a worker attaches its recorder after the transport's
+	// reader goroutines are already running.
+	flight atomic.Pointer[flight.Recorder]
 
 	// Fault tolerance (see abort.go, watchdog.go): abortCh is closed by the
 	// first abort and unblocks every pending wait; abortVal carries the
@@ -77,10 +79,10 @@ func (w *World) SetTrace(rec *trace.Recorder) { w.rec = rec }
 // and the watchdog embeds the stalling rank's tail into StallReports.
 // Call before Run. A nil recorder disables recording (the default) at the
 // cost of one nil check per operation.
-func (w *World) SetFlight(rec *flight.Recorder) { w.flight = rec }
+func (w *World) SetFlight(rec *flight.Recorder) { w.flight.Store(rec) }
 
 // Flight returns the attached flight recorder, or nil.
-func (w *World) Flight() *flight.Recorder { return w.flight }
+func (w *World) Flight() *flight.Recorder { return w.flight.Load() }
 
 // SetFault attaches a fault injector; every send (one-shot Isend and
 // persistent Start) consults it for injected delays and one-shot stalls.
@@ -146,7 +148,7 @@ func (w *World) newComm(rank int) *Comm {
 	if ra, ok := w.tr.(rankAttacher); ok {
 		ra.attachOnDemand(rank)
 	}
-	c := &Comm{world: w, rank: rank, fl: w.flight.Rank(rank)}
+	c := &Comm{world: w, rank: rank, fl: w.flight.Load().Rank(rank)}
 	if w.reg != nil {
 		c.m = newCommMetrics(w.reg, rank)
 	}

@@ -101,27 +101,39 @@ func TestPersistentSelfPair(t *testing.T) {
 }
 
 // TestPersistentZeroAllocSteps asserts the steady-state Start/Wait cycle
-// performs zero heap allocations (a self-pair runs the full protocol
-// single-threaded, so AllocsPerRun measures exactly the hot path).
+// performs zero heap allocations, plain and partitioned, on chan and on
+// tcp. A self-pair runs the full protocol from one rank: on chan
+// single-threaded, on tcp through the loopback stream and the node's
+// reader goroutine, whose decode and delivery count too.
 func TestPersistentZeroAllocSteps(t *testing.T) {
-	w := NewWorld(1)
-	w.Run(func(c *Comm) {
-		sbuf := make([]float64, 512)
-		rbuf := make([]float64, 512)
-		send := c.SendInit(0, 9, sbuf)
-		recv := c.RecvInit(0, 9, rbuf)
-		reqs := []*Request{recv, send}
-		// Warm-up cycle outside the measurement.
-		Startall(reqs)
-		Waitall(reqs)
-		allocs := testing.AllocsPerRun(100, func() {
-			Startall(reqs)
-			Waitall(reqs)
-		})
-		if allocs != 0 {
-			t.Errorf("persistent Start/Wait cycle allocates %v objects per step, want 0", allocs)
+	for _, tr := range []string{"chan", "tcp"} {
+		w, err := NewWorldOn(tr, 1)
+		if err != nil {
+			t.Fatalf("NewWorldOn(%s): %v", tr, err)
 		}
-	})
+		w.Run(func(c *Comm) {
+			send := c.SendInit(0, 9, make([]float64, 512))
+			recv := c.RecvInit(0, 9, make([]float64, 512))
+			psend := c.PsendInit(0, 10, make([]float64, 512), []int{0, 200, 512})
+			precv := c.PrecvInit(0, 10, make([]float64, 512))
+			plain := []*Request{recv, send}
+			part := []*Request{precv, psend}
+			cycle := func() {
+				Startall(plain)
+				Waitall(plain)
+				Startall(part)
+				psend.PreadyRange(0, 2)
+				Waitall(part)
+			}
+			cycle() // warm-up: pairing, stream dial, buffer growth
+			// Integer division over the runs: an occasional heartbeat frame
+			// of the tcp node stays below one allocation per cycle.
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+				t.Errorf("%s: persistent Start/Wait cycle allocates %v objects per step, want 0", tr, allocs)
+			}
+		})
+		w.Close()
+	}
 }
 
 // TestPersistentTrafficCounters checks persistent traffic lands in the same

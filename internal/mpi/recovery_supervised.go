@@ -185,11 +185,13 @@ func (t *tcpTransport) resumeRound(dead []int, restoreStep int) {
 	if t.coord == nil {
 		return
 	}
+	t.coord.roundMu.Lock()
 	ep := t.coord.bumpEpoch(dead, restoreStep)
 	for _, n := range t.snapshotNodes() {
 		n.resetForEpoch(ep)
 	}
 	t.w.rearmAbort()
+	t.coord.roundMu.Unlock()
 	t.coord.broadcastVerdict(true, restoreStep, ep)
 }
 

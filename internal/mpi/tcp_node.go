@@ -28,11 +28,8 @@ import (
 // Fixed binary header of tfData/tfPData/tfPPart payloads, little-endian.
 // After the header come elems float64 payload words (Float64bits) and
 // nflips injected byte-flips (u32 offset, u8 mask, 3 pad). wireSeq is
-// patched in at write time under the connection lock.
-const (
-	tcpHdrLen     = 80
-	tcpOffWireSeq = 32
-)
+// stamped at encode time under the stream lock.
+const tcpHdrLen = 80
 
 type tcpHdr struct {
 	src, dst, tag, slot            int
@@ -41,43 +38,44 @@ type tcpHdr struct {
 	elems, nflips                  int
 }
 
-func encodeDataFrame(h *tcpHdr, data []float64, flips []fault.ByteFlip) []byte {
-	b := make([]byte, tcpHdrLen+8*len(data)+8*len(flips))
+// appendDataFrame appends the encoding of one data frame to dst.
+func appendDataFrame(dst []byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) []byte {
 	le := binary.LittleEndian
-	le.PutUint32(b[0:], uint32(h.src))
-	le.PutUint32(b[4:], uint32(h.dst))
-	le.PutUint32(b[8:], uint32(h.tag))
-	le.PutUint32(b[12:], uint32(h.slot))
-	le.PutUint64(b[16:], h.epoch)
-	le.PutUint64(b[24:], h.inc)
-	le.PutUint64(b[32:], h.wireSeq)
-	le.PutUint64(b[40:], h.fseq)
-	le.PutUint64(b[48:], h.cyc)
-	le.PutUint32(b[56:], uint32(h.offE))
-	le.PutUint32(b[60:], uint32(h.partLo))
-	le.PutUint32(b[64:], uint32(h.partHi))
-	le.PutUint32(b[68:], uint32(h.nparts))
-	le.PutUint32(b[72:], uint32(len(data)))
-	le.PutUint32(b[76:], uint32(len(flips)))
-	off := tcpHdrLen
+	dst = le.AppendUint32(dst, uint32(h.src))
+	dst = le.AppendUint32(dst, uint32(h.dst))
+	dst = le.AppendUint32(dst, uint32(h.tag))
+	dst = le.AppendUint32(dst, uint32(h.slot))
+	dst = le.AppendUint64(dst, h.epoch)
+	dst = le.AppendUint64(dst, h.inc)
+	dst = le.AppendUint64(dst, h.wireSeq)
+	dst = le.AppendUint64(dst, h.fseq)
+	dst = le.AppendUint64(dst, h.cyc)
+	dst = le.AppendUint32(dst, uint32(h.offE))
+	dst = le.AppendUint32(dst, uint32(h.partLo))
+	dst = le.AppendUint32(dst, uint32(h.partHi))
+	dst = le.AppendUint32(dst, uint32(h.nparts))
+	dst = le.AppendUint32(dst, uint32(len(data)))
+	dst = le.AppendUint32(dst, uint32(len(flips)))
 	for _, v := range data {
-		le.PutUint64(b[off:], math.Float64bits(v))
-		off += 8
+		dst = le.AppendUint64(dst, math.Float64bits(v))
 	}
 	for _, fl := range flips {
-		le.PutUint32(b[off:], uint32(fl.Off))
-		b[off+4] = fl.Mask
-		off += 8
+		dst = le.AppendUint32(dst, uint32(fl.Off))
+		dst = append(dst, fl.Mask, 0, 0, 0)
 	}
-	return b
+	return dst
 }
 
-func decodeDataFrame(b []byte) (*tcpHdr, []float64, []fault.ByteFlip, error) {
+// decodeDataFrame decodes b into h, appending the payload words to
+// data[:0]: a reader that passes the previous frame's slice back decodes
+// without allocating. Flips, present only under fault injection, are
+// freshly allocated.
+func decodeDataFrame(b []byte, h *tcpHdr, data []float64) ([]float64, []fault.ByteFlip, error) {
 	if len(b) < tcpHdrLen {
-		return nil, nil, nil, fmt.Errorf("tcp: short data frame (%d bytes)", len(b))
+		return data, nil, fmt.Errorf("tcp: short data frame (%d bytes)", len(b))
 	}
 	le := binary.LittleEndian
-	h := &tcpHdr{
+	*h = tcpHdr{
 		src: int(int32(le.Uint32(b[0:]))), dst: int(int32(le.Uint32(b[4:]))),
 		tag: int(int32(le.Uint32(b[8:]))), slot: int(int32(le.Uint32(b[12:]))),
 		epoch: le.Uint64(b[16:]), inc: le.Uint64(b[24:]),
@@ -88,12 +86,12 @@ func decodeDataFrame(b []byte) (*tcpHdr, []float64, []fault.ByteFlip, error) {
 	}
 	want := tcpHdrLen + 8*h.elems + 8*h.nflips
 	if len(b) != want {
-		return nil, nil, nil, fmt.Errorf("tcp: data frame length %d, header claims %d", len(b), want)
+		return data, nil, fmt.Errorf("tcp: data frame length %d, header claims %d", len(b), want)
 	}
 	off := tcpHdrLen
-	data := make([]float64, h.elems)
-	for i := range data {
-		data[i] = math.Float64frombits(le.Uint64(b[off:]))
+	data = data[:0]
+	for i := 0; i < h.elems; i++ {
+		data = append(data, math.Float64frombits(le.Uint64(b[off:])))
 		off += 8
 	}
 	var flips []fault.ByteFlip
@@ -104,17 +102,21 @@ func decodeDataFrame(b []byte) (*tcpHdr, []float64, []fault.ByteFlip, error) {
 			off += 8
 		}
 	}
-	return h, data, flips, nil
+	return data, flips, nil
 }
 
 // tcpOut is the dialed stream to one peer. seq counts every data frame
 // handed to the stream (dropped-by-injection ones included, which is what
 // makes injected drops detectable as sequence gaps on the far side).
+// payload and frame are the encode buffers of the frame being written,
+// reused so a steady stream of frames costs no allocation.
 type tcpOut struct {
 	mu            sync.Mutex
 	conn          net.Conn
 	seq           uint64
 	everConnected bool
+	payload       []byte
+	frame         []byte
 }
 
 // tcpAccepted is one accepted peer stream, monitored for heartbeat
@@ -201,9 +203,12 @@ type tcpNode struct {
 	accepted    map[*tcpAccepted]struct{}
 }
 
+// earlyPersFrame is a persistent frame held until it may land: parked in
+// the node's early queue until its endpoint registers, or on the endpoint
+// until its receive cycle starts.
 type earlyPersFrame struct {
 	kind  byte
-	h     *tcpHdr
+	h     tcpHdr
 	data  []float64
 	flips []fault.ByteFlip
 }
@@ -280,7 +285,7 @@ func newTCPNode(t *tcpTransport, rank int) (*tcpNode, error) {
 func (n *tcpNode) fl() *flight.Ring {
 	// Dynamic: worker attach happens before SetFlight, so the recorder must
 	// be fetched per use, never cached. Rank is nil-safe by contract.
-	return n.w.flight.Rank(n.rank)
+	return n.w.flight.Load().Rank(n.rank)
 }
 
 func (n *tcpNode) countFrame(kind string) {
@@ -359,8 +364,12 @@ func (n *tcpNode) serveAccepted(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	n.fl().Record(flight.KindConnect, int32(join.Rank), -1, -1, 0, 0)
+	// The frame buffer and the decoded words are reused frame to frame:
+	// every delivery copies out of them before the next read.
+	fr := tcpconn.FrameReader{R: conn}
+	var data []float64
 	for {
-		kind, payload, err := tcpconn.ReadFrame(conn)
+		kind, payload, err := fr.Next()
 		if err != nil {
 			n.dropAccepted(a)
 			n.fl().Record(flight.KindDisconnect, int32(join.Rank), -1, -1, 0, 0)
@@ -371,7 +380,7 @@ func (n *tcpNode) serveAccepted(conn net.Conn) {
 		case tfHBData:
 			n.countFrame("hb")
 		case tfData, tfPData, tfPPart:
-			n.handleData(kind, payload)
+			data = n.handleData(kind, payload, data)
 		}
 	}
 }
@@ -388,56 +397,55 @@ func (n *tcpNode) dropAccepted(a *tcpAccepted) {
 // and duplicates are dropped silently but counted; a sequence gap means a
 // frame was lost in flight, which fails loud — the exactly-once story is
 // "deliver once or abort", never "maybe".
-func (n *tcpNode) handleData(kind byte, payload []byte) {
-	h, data, flips, err := decodeDataFrame(payload)
+func (n *tcpNode) handleData(kind byte, payload []byte, scratch []float64) []float64 {
+	var h tcpHdr
+	data, flips, err := decodeDataFrame(payload, &h, scratch)
 	if err != nil {
 		n.w.abort(n.rank, fmt.Errorf("tcp: rank %d: %w", n.rank, err))
-		return
+		return data
 	}
 	n.mu.Lock()
 	if h.epoch != n.epoch.Load() || h.inc < n.peerInc[h.src] {
 		n.mu.Unlock()
 		n.countFrame("stale-drop")
-		return
+		return data
 	}
 	last := n.lastSeq[h.src]
 	if h.wireSeq <= last {
 		n.mu.Unlock()
 		n.countFrame("dup-drop")
-		return
+		return data
 	}
 	if h.wireSeq != last+1 {
 		n.mu.Unlock()
 		n.w.abort(n.rank, fmt.Errorf("tcp: lost %d frame(s) from rank %d on rank %d (wire seq jumped %d -> %d)",
 			h.wireSeq-last-1, h.src, n.rank, last, h.wireSeq))
-		return
+		return data
 	}
 	n.lastSeq[h.src] = h.wireSeq
 	switch kind {
 	case tfData:
 		n.countFrame("data")
-		m := &tcpMsg{src: h.src, tag: h.tag, data: data, flips: flips, fseq: h.fseq}
+		// A one-shot message may wait unmatched, so it owns its words.
+		m := &tcpMsg{src: h.src, tag: h.tag, data: append([]float64(nil), data...), flips: flips, fseq: h.fseq}
 		for i, r := range n.posted {
 			if matches(r.src, r.tag, m.src, m.tag) {
 				n.posted = append(n.posted[:i], n.posted[i+1:]...)
 				n.deliverLocked(m, r)
 				n.mu.Unlock()
-				return
+				return data
 			}
 		}
 		n.unmatched = append(n.unmatched, m)
-		n.mu.Unlock()
 	case tfPData:
 		n.countFrame("pdata")
-		n.deliverPers(kind, h, data, flips)
-		n.mu.Unlock()
+		n.deliverPers(kind, &h, data, flips)
 	case tfPPart:
 		n.countFrame("ppart")
-		n.deliverPers(kind, h, data, flips)
-		n.mu.Unlock()
-	default:
-		n.mu.Unlock()
+		n.deliverPers(kind, &h, data, flips)
 	}
+	n.mu.Unlock()
+	return data
 }
 
 // deliverLocked copies an arrived message into its matched receive (n.mu
@@ -483,10 +491,9 @@ func (*tcpSendOp) opName(r *Request) string {
 }
 
 func (n *tcpNode) isend(c *Comm, dst, tag int, buf []float64, flips []fault.ByteFlip, seq uint64) *Request {
-	h := &tcpHdr{src: c.rank, dst: dst, tag: tag, epoch: n.epoch.Load(), inc: n.inc, fseq: seq}
-	payload := encodeDataFrame(h, buf, flips)
+	h := tcpHdr{src: c.rank, dst: dst, tag: tag, epoch: n.epoch.Load(), inc: n.inc, fseq: seq}
 	start := time.Now()
-	n.sendData(dst, tfData, payload)
+	n.sendData(dst, tfData, &h, buf, flips)
 	if c.m != nil {
 		c.m.sendSeconds.Observe(time.Since(start).Seconds())
 	}
@@ -578,13 +585,14 @@ func (n *tcpNode) out(dst int) *tcpOut {
 	return o
 }
 
-// sendData stamps the next wire sequence into the frame and writes it,
-// applying any injected network faults first. The sequence is bumped even
+// sendData stamps the next wire sequence into h, encodes the frame into
+// the stream's reusable buffers, and writes it, applying any injected
+// network faults first. The sequence is bumped even
 // for frames the injector drops: the receiver sees the gap and fails
 // loud, which is the point of deterministic drop injection. A write that
 // still fails after a reconnect attempt means the redial budget is spent:
 // the world aborts rather than hangs.
-func (n *tcpNode) sendData(dst int, kind byte, payload []byte) {
+func (n *tcpNode) sendData(dst int, kind byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) {
 	o := n.out(dst)
 	o.mu.Lock()
 	// Unlock by defer: connect (inside writeLocked) panics when the world
@@ -592,7 +600,9 @@ func (n *tcpNode) sendData(dst int, kind byte, payload []byte) {
 	// Close on the unwinding path.
 	defer o.mu.Unlock()
 	o.seq++
-	binary.LittleEndian.PutUint64(payload[tcpOffWireSeq:], o.seq)
+	h.wireSeq = o.seq
+	o.payload = appendDataFrame(o.payload[:0], h, data, flips)
+	o.frame = tcpconn.AppendFrame(o.frame[:0], kind, o.payload)
 	var v fault.NetVerdict
 	if f := n.w.fault; f != nil {
 		v = f.NetFrame(n.rank, dst)
@@ -612,10 +622,10 @@ func (n *tcpNode) sendData(dst int, kind byte, payload []byte) {
 		n.countFrame("net-drop")
 		return
 	}
-	err := n.writeLocked(o, dst, kind, payload)
+	err := n.writeLocked(o, dst)
 	if err == nil && v.Dup {
 		n.countFrame("net-dup")
-		err = n.writeLocked(o, dst, kind, payload)
+		err = n.writeLocked(o, dst)
 	}
 	if err != nil {
 		n.w.abort(n.rank, fmt.Errorf("tcp: send to rank %d failed (reconnect budget exhausted): %w", dst, err))
@@ -623,10 +633,13 @@ func (n *tcpNode) sendData(dst int, kind byte, payload []byte) {
 	}
 }
 
-// writeLocked (o.mu held) writes one frame, dialing or redialing the peer
-// as needed. One reconnect is attempted per write; the dial itself
-// carries the backoff budget.
-func (n *tcpNode) writeLocked(o *tcpOut, dst int, kind byte, payload []byte) error {
+// writeLocked (o.mu held) writes the encoded o.frame, dialing or
+// redialing the peer as needed. One reconnect is attempted per write; the
+// dial itself carries the backoff budget.
+func (n *tcpNode) writeLocked(o *tcpOut, dst int) error {
+	if len(o.frame)-tcpconn.HeaderBytes > tcpconn.MaxPayload {
+		return fmt.Errorf("tcp: frame payload of %d bytes exceeds the %d-byte cap", len(o.frame)-tcpconn.HeaderBytes, tcpconn.MaxPayload)
+	}
 	for attempt := 0; ; attempt++ {
 		if o.conn == nil {
 			if o.everConnected {
@@ -645,7 +658,8 @@ func (n *tcpNode) writeLocked(o *tcpOut, dst int, kind byte, payload []byte) err
 			n.fl().Record(flight.KindConnect, int32(dst), -1, -1, 0, 0)
 		}
 		err := tcpconn.WithWriteDeadline(o.conn, n.writeTimeout, func() error {
-			return tcpconn.WriteFrame(o.conn, kind, payload)
+			_, err := o.conn.Write(o.frame)
+			return err
 		})
 		if err == nil {
 			return nil

@@ -28,11 +28,15 @@ import (
 // current one — and frames for endpoints not yet registered park in the
 // node's early queue until RecvInit drains them.
 
+// tcpPersCycle is the receive side's state of its started cycle. It is
+// reset, not reallocated, at every Start.
 type tcpPersCycle struct {
+	// done carries one token when the cycle completes; Start drains a
+	// token a Wait that found the cycle already complete left behind.
 	done     chan struct{}
 	complete bool
 	arrived  []bool
-	nparts   int
+	nparts   int // -1 until the first partition frame of the cycle
 	narrived int
 	elems    int
 	fseq     uint64
@@ -55,18 +59,27 @@ type tcpPers struct {
 	active bool
 	cycle  uint64
 
-	// Send side.
-	bounds    []int
-	ready     []bool
-	nready    int
-	seq       uint64
-	flips     []fault.ByteFlip
-	cycleDone chan struct{}
+	// Send side. sending counts Pready calls still writing their frames;
+	// sendDone carries one token when every partition of the cycle is
+	// ready and written, like tcpPersCycle.done.
+	bounds   []int
+	ready    []bool
+	nready   int
+	sending  int
+	seq      uint64
+	flips    []fault.ByteFlip
+	sendDone chan struct{}
 
 	// Receive side. nparts is tri-state: -1 until pairing reveals the
 	// sender's shape, 0 for an unpartitioned sender, >0 partitioned.
+	// parked holds frames of later cycles in arrival order: a frame may land
+	// in the receive buffer only once its cycle starts, since before that
+	// the buffer still belongs to the rank (a restore writes it, the
+	// previous step's compute reads it). spare recycles their word buffers.
 	nparts int
-	cycles map[uint64]*tcpPersCycle
+	cur    tcpPersCycle
+	parked []earlyPersFrame
+	spare  [][]float64
 }
 
 func (n *tcpNode) sendInit(c *Comm, dst, tag int, buf []float64) *Request {
@@ -75,7 +88,7 @@ func (n *tcpNode) sendInit(c *Comm, dst, tag int, buf []float64) *Request {
 	slot := n.slotNext[sk]
 	n.slotNext[sk]++
 	key := persKey{src: c.rank, dst: dst, tag: tag, slot: slot}
-	p := &tcpPers{n: n, c: c, key: key, psend: true, buf: buf, nparts: -1}
+	p := &tcpPers{n: n, c: c, key: key, psend: true, buf: buf, nparts: -1, sendDone: make(chan struct{}, 1)}
 	n.persSend[key] = p
 	n.mu.Unlock()
 	n.preg(p)
@@ -88,13 +101,14 @@ func (n *tcpNode) recvInit(c *Comm, src, tag int, buf []float64) *Request {
 	slot := n.slotNext[sk]
 	n.slotNext[sk]++
 	key := persKey{src: src, dst: c.rank, tag: tag, slot: slot}
-	p := &tcpPers{n: n, c: c, key: key, psend: false, buf: buf, nparts: -1, cycles: map[uint64]*tcpPersCycle{}}
+	p := &tcpPers{n: n, c: c, key: key, psend: false, buf: buf, nparts: -1,
+		cur: tcpPersCycle{done: make(chan struct{}, 1)}}
 	n.persRecv[key] = p
 	// Frames that beat this registration parked in the early queue.
 	pending := n.early[key]
 	delete(n.early, key)
 	for _, f := range pending {
-		p.deliver(f.kind, f.h, f.data, f.flips)
+		p.deliver(f.kind, &f.h, f.data, f.flips)
 	}
 	n.mu.Unlock()
 	n.preg(p)
@@ -119,12 +133,14 @@ func (n *tcpNode) preg(p *tcpPers) {
 	}
 }
 
-// deliverPers routes an arrived persistent frame (n.mu held).
+// deliverPers routes an arrived persistent frame (n.mu held). data is the
+// reader's scratch: whatever outlives this call is copied.
 func (n *tcpNode) deliverPers(kind byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) {
 	key := persKey{src: h.src, dst: h.dst, tag: h.tag, slot: h.slot}
 	p := n.persRecv[key]
 	if p == nil {
-		n.early[key] = append(n.early[key], &earlyPersFrame{kind: kind, h: h, data: data, flips: flips})
+		n.early[key] = append(n.early[key], &earlyPersFrame{
+			kind: kind, h: *h, data: append([]float64(nil), data...), flips: flips})
 		return
 	}
 	p.deliver(kind, h, data, flips)
@@ -139,33 +155,33 @@ func (p *tcpPers) setPaired(parts int) {
 	p.mu.Unlock()
 }
 
-func (p *tcpPers) cycleState(cyc uint64) *tcpPersCycle {
-	st := p.cycles[cyc]
-	if st == nil {
-		st = &tcpPersCycle{done: make(chan struct{}), nparts: -1}
-		p.cycles[cyc] = st
-	}
-	return st
-}
-
-func (st *tcpPersCycle) finish() {
-	if !st.complete {
-		st.complete = true
-		close(st.done)
-	}
-}
-
-// deliver lands one cycle frame in the receive buffer: copy, injected byte
-// flips, then the receive-side CRC over what actually landed — the same
-// corruption gauntlet the chan backend runs, raised on the waiting rank at
-// Wait.
+// deliver takes one cycle frame: it lands now if its cycle is the started
+// one, parks if its cycle has not started, and is dropped if its cycle
+// already finished.
 func (p *tcpPers) deliver(kind byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.freed {
 		return
 	}
-	st := p.cycleState(h.cyc)
+	switch {
+	case p.active && h.cyc == p.cycle:
+		p.land(kind, h, data, flips)
+	case h.cyc > p.cycle:
+		var words []float64
+		if k := len(p.spare); k > 0 {
+			words, p.spare = p.spare[k-1], p.spare[:k-1]
+		}
+		p.parked = append(p.parked, earlyPersFrame{kind: kind, h: *h, data: append(words[:0], data...), flips: flips})
+	}
+}
+
+// land copies one frame of the started cycle into the receive buffer:
+// copy, injected byte flips, then the receive-side CRC over what actually
+// landed — the same corruption gauntlet the chan backend runs, raised on
+// the waiting rank at Wait. p.mu held.
+func (p *tcpPers) land(kind byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) {
+	st := &p.cur
 	if st.complete {
 		return
 	}
@@ -178,7 +194,7 @@ func (p *tcpPers) deliver(kind byte, h *tcpHdr, data []float64, flips []fault.By
 		if nel > len(p.buf) {
 			st.overflow = fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
 				h.src, h.dst, h.tag, nel, len(p.buf))
-			st.finish()
+			p.finishCycle()
 			return
 		}
 		copy(p.buf[:nel], data)
@@ -189,11 +205,15 @@ func (p *tcpPers) deliver(kind byte, h *tcpHdr, data []float64, flips []fault.By
 		st.elems = nel
 		st.fseq = h.fseq
 		p.c.fl.Deliver(int32(h.src), int32(h.tag), -1, int64(8*nel), h.fseq)
-		st.finish()
+		p.finishCycle()
 	case tfPPart:
-		if st.arrived == nil {
+		if st.nparts < 0 {
 			st.nparts = h.nparts
-			st.arrived = make([]bool, h.nparts)
+			if cap(st.arrived) < h.nparts {
+				st.arrived = make([]bool, h.nparts)
+			}
+			st.arrived = st.arrived[:h.nparts]
+			clear(st.arrived)
 			if p.nparts < 0 {
 				p.nparts = h.nparts
 			}
@@ -206,7 +226,7 @@ func (p *tcpPers) deliver(kind byte, h *tcpHdr, data []float64, flips []fault.By
 		if h.offE < 0 || h.offE+span > len(p.buf) {
 			st.overflow = fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
 				h.src, h.dst, h.tag, h.offE+span, len(p.buf))
-			st.finish()
+			p.finishCycle()
 			return
 		}
 		copy(p.buf[h.offE:h.offE+span], data)
@@ -225,8 +245,27 @@ func (p *tcpPers) deliver(kind byte, h *tcpHdr, data []float64, flips []fault.By
 		}
 		if st.narrived == st.nparts {
 			p.c.fl.Deliver(int32(h.src), int32(h.tag), -1, int64(8*st.elems), h.fseq)
-			st.finish()
+			p.finishCycle()
 		}
+	}
+}
+
+// finishCycle marks the started receive cycle complete and wakes its
+// Wait. p.mu held.
+func (p *tcpPers) finishCycle() {
+	p.cur.complete = true
+	select {
+	case p.cur.done <- struct{}{}:
+	default:
+	}
+}
+
+// signalSent wakes the Wait of a send cycle whose partitions are all
+// ready and written. p.mu held.
+func (p *tcpPers) signalSent() {
+	select {
+	case p.sendDone <- struct{}{}:
+	default:
 	}
 }
 
@@ -252,16 +291,35 @@ func (p *tcpPers) start(r *Request, seq uint64, flips []fault.ByteFlip) {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.active {
-		p.mu.Unlock()
 		panic("mpi: persistent receive started twice without Wait")
 	}
 	p.active = true
 	p.cycle++
-	p.cycleState(p.cycle)
-	p.mu.Unlock()
+	st := &p.cur
+	select {
+	case <-st.done: // left by a Wait that found the last cycle complete
+	default:
+	}
+	st.complete, st.nparts, st.narrived, st.elems, st.fseq = false, -1, 0, 0, 0
+	st.corrupt, st.overflow = nil, ""
+	// Land the frames that arrived ahead of this Start, in arrival order.
+	kept := p.parked[:0]
+	for _, f := range p.parked {
+		if f.h.cyc != p.cycle {
+			kept = append(kept, f)
+			continue
+		}
+		p.land(f.kind, &f.h, f.data, f.flips)
+		p.spare = append(p.spare, f.data)
+	}
+	clear(p.parked[len(kept):])
+	p.parked = kept
 }
 
+// startSend arms a send cycle. An unpartitioned send is eager: the whole
+// payload goes on the wire here.
 func (p *tcpPers) startSend(seq uint64, flips []fault.ByteFlip) {
 	p.mu.Lock()
 	if p.active {
@@ -273,24 +331,30 @@ func (p *tcpPers) startSend(seq uint64, flips []fault.ByteFlip) {
 	p.seq = seq
 	p.flips = flips
 	if p.bounds != nil {
-		for i := range p.ready {
-			p.ready[i] = false
-		}
+		clear(p.ready)
 		p.nready = 0
-		p.cycleDone = make(chan struct{})
+		select {
+		case <-p.sendDone: // left by a Wait that found the last cycle sent
+		default:
+		}
 		p.mu.Unlock()
 		return
 	}
 	n := p.n
-	h := &tcpHdr{
+	h := tcpHdr{
 		src: p.key.src, dst: p.key.dst, tag: p.key.tag, slot: p.key.slot,
 		epoch: n.epoch.Load(), inc: n.inc, fseq: seq, cyc: p.cycle,
 	}
-	payload := encodeDataFrame(h, p.buf, flips)
 	p.mu.Unlock()
-	n.sendData(p.key.dst, tfPData, payload)
+	// Outside the lock: a write can block on a redial, and the watchdog's
+	// pendingOps must still get in. Rebind panics on an active send, so
+	// p.buf is stable until Wait.
+	n.sendData(p.key.dst, tfPData, &h, p.buf, flips)
 }
 
+// preadyRange ships each newly ready partition as one frame, written
+// outside the lock (see startSend). The cycle's Wait completes only once
+// every partition is ready and no Pready is still writing.
 func (p *tcpPers) preadyRange(r *Request, lo, hi int) {
 	p.mu.Lock()
 	if p.bounds == nil {
@@ -306,8 +370,6 @@ func (p *tcpPers) preadyRange(r *Request, lo, hi int) {
 		p.mu.Unlock()
 		panic(fmt.Sprintf("mpi: Pready range [%d,%d) out of bounds for %d partitions", lo, hi, np))
 	}
-	n := p.n
-	frames := make([][]byte, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		if p.ready[i] {
 			p.mu.Unlock()
@@ -315,26 +377,27 @@ func (p *tcpPers) preadyRange(r *Request, lo, hi int) {
 		}
 		p.ready[i] = true
 		p.nready++
-		loE, hiE := p.bounds[i], p.bounds[i+1]
-		h := &tcpHdr{
-			src: p.key.src, dst: p.key.dst, tag: p.key.tag, slot: p.key.slot,
-			epoch: n.epoch.Load(), inc: n.inc, fseq: p.seq, cyc: p.cycle,
-			offE: loE, partLo: i, partHi: i + 1, nparts: np,
-		}
-		frames = append(frames, encodeDataFrame(h, p.buf[loE:hiE], flipsInRange(p.flips, 8*loE, 8*hiE)))
-		p.c.fl.Record(flight.KindPready, int32(p.key.dst), int32(p.key.tag), int32(i), int64(8*(hiE-loE)), p.seq)
 	}
-	var done chan struct{}
-	if p.nready == np {
-		done = p.cycleDone
+	p.sending++
+	n := p.n
+	h := tcpHdr{
+		src: p.key.src, dst: p.key.dst, tag: p.key.tag, slot: p.key.slot,
+		epoch: n.epoch.Load(), inc: n.inc, fseq: p.seq, cyc: p.cycle, nparts: np,
+	}
+	bounds, buf, flips := p.bounds, p.buf, p.flips
+	p.mu.Unlock()
+	for i := lo; i < hi; i++ {
+		loE, hiE := bounds[i], bounds[i+1]
+		h.offE, h.partLo, h.partHi = loE, i, i+1
+		n.sendData(h.dst, tfPPart, &h, buf[loE:hiE], flipsInRange(flips, 8*loE, 8*hiE))
+		p.c.fl.Record(flight.KindPready, int32(h.dst), int32(h.tag), int32(i), int64(8*(hiE-loE)), h.fseq)
+	}
+	p.mu.Lock()
+	p.sending--
+	if p.nready == np && p.sending == 0 {
+		p.signalSent()
 	}
 	p.mu.Unlock()
-	for _, f := range frames {
-		n.sendData(p.key.dst, tfPPart, f)
-	}
-	if done != nil {
-		close(done)
-	}
 	p.c.world.progressTick()
 }
 
@@ -347,8 +410,8 @@ func (p *tcpPers) parrived(r *Request, i int) bool {
 	if p.nparts > 0 && i >= p.nparts {
 		panic(fmt.Sprintf("mpi: Parrived partition %d out of range (%d partitions)", i, p.nparts))
 	}
-	st := p.cycles[p.cycle]
-	if st == nil || st.arrived == nil || i < 0 || i >= len(st.arrived) {
+	st := &p.cur
+	if !p.active || st.nparts < 0 || i < 0 || i >= len(st.arrived) {
 		return false
 	}
 	return st.arrived[i]
@@ -389,76 +452,64 @@ func (p *tcpPers) free(r *Request) {
 	p.mu.Lock()
 	p.freed = true
 	p.buf = nil
-	p.cycles = nil
+	p.parked, p.spare = nil, nil
 	p.mu.Unlock()
 }
 
 // ---- reqOp ----
 
-func (p *tcpPers) block(r *Request) {
+// doneCh returns the channel the current cycle's Wait blocks on, or nil
+// when there is nothing to wait for: an eager unpartitioned send, or a
+// cycle already complete.
+func (p *tcpPers) doneCh() chan struct{} {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.psend {
-		p.mu.Lock()
-		done := p.cycleDone
-		partitioned := p.bounds != nil
-		p.mu.Unlock()
-		if !partitioned {
-			return // eager: the cycle went out at Start
+		if p.bounds == nil || (p.nready == len(p.bounds)-1 && p.sending == 0) {
+			return nil
 		}
+		return p.sendDone
+	}
+	if p.cur.complete {
+		return nil
+	}
+	return p.cur.done
+}
+
+func (p *tcpPers) block(r *Request) {
+	if done := p.doneCh(); done != nil {
 		select {
 		case <-done:
-			return
 		case <-p.c.world.abortCh:
 			panic(p.c.world.Aborted())
 		}
 	}
-	st := p.currentCycle()
-	select {
-	case <-st.done:
-	case <-p.c.world.abortCh:
-		panic(p.c.world.Aborted())
+	if !p.psend {
+		p.raiseDelivered()
 	}
-	p.raiseDelivered(st)
 }
 
 func (p *tcpPers) blockTimeout(r *Request, d time.Duration) error {
-	var done chan struct{}
-	var st *tcpPersCycle
-	if p.psend {
-		p.mu.Lock()
-		done = p.cycleDone
-		partitioned := p.bounds != nil
-		p.mu.Unlock()
-		if !partitioned {
-			return nil
+	if done := p.doneCh(); done != nil {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-done:
+		case <-p.c.world.abortCh:
+			return p.c.world.Aborted()
+		case <-t.C:
+			return &TimeoutError{After: d, Op: p.opName(r)}
 		}
-	} else {
-		st = p.currentCycle()
-		done = st.done
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-done:
-		if st != nil {
-			p.raiseDelivered(st)
-		}
-		return nil
-	case <-p.c.world.abortCh:
-		return p.c.world.Aborted()
-	case <-t.C:
-		return &TimeoutError{After: d, Op: p.opName(r)}
+	if !p.psend {
+		p.raiseDelivered()
 	}
+	return nil
 }
 
-func (p *tcpPers) currentCycle() *tcpPersCycle {
+func (p *tcpPers) raiseDelivered() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cycleState(p.cycle)
-}
-
-func (p *tcpPers) raiseDelivered(st *tcpPersCycle) {
-	p.mu.Lock()
-	overflow, corrupt := st.overflow, st.corrupt
+	overflow, corrupt := p.cur.overflow, p.cur.corrupt
 	p.mu.Unlock()
 	if overflow != "" {
 		panic(overflow)
@@ -472,18 +523,12 @@ func (p *tcpPers) raiseDelivered(st *tcpPersCycle) {
 func (p *tcpPers) finish(r *Request) int {
 	p.c.world.progressTick()
 	p.mu.Lock()
+	p.active = false
 	if p.psend {
-		p.active = false
 		p.mu.Unlock()
 		return 0
 	}
-	st := p.cycles[p.cycle]
-	nel := 0
-	if st != nil {
-		nel = st.elems
-		delete(p.cycles, p.cycle)
-	}
-	p.active = false
+	nel := p.cur.elems
 	p.mu.Unlock()
 	p.c.recvMsgs.Add(1)
 	p.c.recvBytes.Add(int64(8 * nel))
@@ -537,7 +582,7 @@ func (p *tcpPers) pendingOps() []PendingOp {
 		return []PendingOp{{Kind: "precv-unpaired", Src: src, Dst: dst, Tag: tag, Bytes: bytes, Persistent: true}}
 	}
 	if p.active {
-		if st := p.cycles[p.cycle]; st == nil || !st.complete {
+		if !p.cur.complete {
 			return []PendingOp{{Kind: "precv-active", Src: src, Dst: dst, Tag: tag, Bytes: bytes, Persistent: true}}
 		}
 	}

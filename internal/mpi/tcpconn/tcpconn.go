@@ -44,11 +44,18 @@ var ErrCorrupt = errors.New("tcpconn: corrupt frame")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// kindCRC[k] is the CRC of the header bytes the frame CRC covers ahead of
+// the payload (kind k, three zero reserved bytes). Precomputed because a
+// 4-byte slice handed to crc32 escapes: one allocation per frame.
+var kindCRC = func() (t [256]uint32) {
+	for k := range t {
+		t[k] = crc32.Update(0, crcTable, []byte{byte(k), 0, 0, 0})
+	}
+	return t
+}()
+
 func frameCRC(kind byte, payload []byte) uint32 {
-	var k [4]byte
-	k[0] = kind
-	c := crc32.Update(0, crcTable, k[:])
-	return crc32.Update(c, crcTable, payload)
+	return crc32.Update(kindCRC[kind], crcTable, payload)
 }
 
 // AppendFrame appends one encoded frame to dst and returns the extended
@@ -77,8 +84,25 @@ func WriteFrame(w io.Writer, kind byte, payload []byte) error {
 // byte); a bad magic, nonzero reserved byte, oversized length, or CRC
 // mismatch returns an error wrapping ErrCorrupt.
 func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
-	var hdr [HeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	fr := FrameReader{R: r}
+	return fr.Next()
+}
+
+// FrameReader reads the frames of one stream into a buffer it reuses, so
+// once the buffer has grown to the largest frame, reading costs no
+// allocation. The payload Next returns is valid until the next call.
+type FrameReader struct {
+	R   io.Reader
+	buf []byte
+}
+
+// Next reads one frame, with ReadFrame's error contract.
+func (fr *FrameReader) Next() (kind byte, payload []byte, err error) {
+	if cap(fr.buf) < HeaderBytes {
+		fr.buf = make([]byte, HeaderBytes)
+	}
+	hdr := fr.buf[:HeaderBytes]
+	if _, err := io.ReadFull(fr.R, hdr); err != nil {
 		return 0, nil, err
 	}
 	if binary.LittleEndian.Uint32(hdr[0:4]) != frameMagic {
@@ -93,8 +117,11 @@ func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: payload length %d exceeds the %d-byte cap", ErrCorrupt, length, MaxPayload)
 	}
 	want := binary.LittleEndian.Uint32(hdr[12:16])
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if n := HeaderBytes + int(length); cap(fr.buf) < n {
+		fr.buf = make([]byte, n)
+	}
+	payload = fr.buf[HeaderBytes : HeaderBytes+int(length)]
+	if _, err := io.ReadFull(fr.R, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}

@@ -151,7 +151,7 @@ func deliver(w *World, dst int, env *envelope, p *posted) {
 		p.m.recvMatchWait.Observe(time.Since(p.post).Seconds())
 		p.m.recvBytes.Observe(float64(8 * len(env.data)))
 	}
-	w.flight.Rank(dst).Deliver(int32(env.src), int32(env.tag), -1, int64(8*len(env.data)), env.seq)
+	w.flight.Load().Rank(dst).Deliver(int32(env.src), int32(env.tag), -1, int64(8*len(env.data)), env.seq)
 	p.env = env
 	close(p.done)
 	close(env.done)

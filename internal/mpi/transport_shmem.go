@@ -1271,7 +1271,14 @@ func (p *shmPers) partition(r *Request, bounds []int) {
 	for i, b := range bounds {
 		atomic.StoreUint64(t.w64(boff+8*i), uint64(b))
 	}
-	roff := t.alloc(8 * np) // readyCycle words, zero = never ready
+	// readyCycle words, zero = never ready. The heap is not: quarantine
+	// rewinds the bump pointer without clearing it, so a respawned epoch's
+	// words would inherit the dead epoch's stamps and a receiver would take
+	// cycle 1 as already arrived.
+	roff := t.alloc(8 * np)
+	for i := 0; i < np; i++ {
+		atomic.StoreUint64(t.w64(roff+8*i), 0)
+	}
 	t.setPW(p.e, peBounds, uint64(boff))
 	t.setPW(p.e, peReady, uint64(roff))
 	// nparts last: the receive side reads the offsets only once it sees a

@@ -486,6 +486,11 @@ type tcpCoord struct {
 	ln      net.Listener
 	done    chan struct{}
 	wg      sync.WaitGroup
+	// roundMu orders a worker's abort (epoch check, then World.abort)
+	// against a recovery round's epoch bump and abort re-arm, so a late
+	// abort from the old epoch can neither race the re-arm nor kill the
+	// new epoch.
+	roundMu sync.Mutex
 
 	mu        sync.Mutex
 	epoch     uint64
@@ -610,12 +615,14 @@ func (c *tcpCoord) handle(cc *ctlConn, kind byte, m *ctlMsg) {
 	case tfColl:
 		c.handleColl(cc, m)
 	case tfAbort:
+		c.roundMu.Lock()
 		c.mu.Lock()
 		stale := m.Epoch != c.epoch
 		c.mu.Unlock()
 		if !stale {
 			c.w.abort(m.Rank, &RemoteAbort{Msg: m.Msg})
 		}
+		c.roundMu.Unlock()
 	case tfPark:
 		c.mu.Lock()
 		c.parked[m.Rank] = true

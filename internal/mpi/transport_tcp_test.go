@@ -158,13 +158,13 @@ func TestTCPStaleAndDuplicateFramesDropped(t *testing.T) {
 		t.Fatalf("join reply kind %d, want tfJoinOK", kind)
 	}
 
-	stale := encodeDataFrame(&tcpHdr{src: 1, dst: 0, tag: 7, epoch: ep + 1, wireSeq: 1}, []float64{3.5}, nil)
+	stale := appendDataFrame(nil, &tcpHdr{src: 1, dst: 0, tag: 7, epoch: ep + 1, wireSeq: 1}, []float64{3.5}, nil)
 	if err := tcpconn.WriteFrame(conn, tfData, stale); err != nil {
 		t.Fatalf("write stale frame: %v", err)
 	}
 	waitFrameCount(t, reg, "stale-drop", 1)
 
-	live := encodeDataFrame(&tcpHdr{src: 1, dst: 0, tag: 7, epoch: ep, wireSeq: 1}, []float64{3.5}, nil)
+	live := appendDataFrame(nil, &tcpHdr{src: 1, dst: 0, tag: 7, epoch: ep, wireSeq: 1}, []float64{3.5}, nil)
 	if err := tcpconn.WriteFrame(conn, tfData, live); err != nil {
 		t.Fatalf("write live frame: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestTCPLostFrameAborts(t *testing.T) {
 	if kind != tfJoinOK {
 		t.Fatalf("join reply kind %d, want tfJoinOK", kind)
 	}
-	gap := encodeDataFrame(&tcpHdr{src: 1, dst: 0, tag: 7, epoch: ep, wireSeq: 4}, []float64{1}, nil)
+	gap := appendDataFrame(nil, &tcpHdr{src: 1, dst: 0, tag: 7, epoch: ep, wireSeq: 4}, []float64{1}, nil)
 	if err := tcpconn.WriteFrame(conn, tfData, gap); err != nil {
 		t.Fatalf("write gapped frame: %v", err)
 	}
@@ -395,5 +395,52 @@ func TestTCPWaitTimeoutAndRebind(t *testing.T) {
 	})
 	if ae := w.Aborted(); ae != nil {
 		t.Fatalf("world aborted: %v", ae)
+	}
+}
+
+// TestTCPFrameLandsOnlyAfterStart: a persistent frame that beats the
+// receiver's Start parks instead of landing. Until Start the receive
+// buffer is the rank's own — a checkpoint restore writes it, the previous
+// step's compute reads it — so an eager copy into it was a data race that
+// could also let the restore overwrite delivered ghosts.
+func TestTCPFrameLandsOnlyAfterStart(t *testing.T) {
+	w, _ := newTCPTestWorld(t)
+	w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			s := c.SendInit(1, 3, []float64{7, 8})
+			c.Barrier()
+			s.Start()
+			s.Wait()
+			c.Barrier()
+			return
+		}
+		buf := []float64{-1, -1}
+		r := c.RecvInit(0, 3, buf)
+		c.Barrier()
+		p := r.op.(*tcpPers)
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			p.mu.Lock()
+			parked := len(p.parked)
+			p.mu.Unlock()
+			if parked > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Error("the early frame never parked")
+				break
+			}
+		}
+		if buf[0] != -1 || buf[1] != -1 {
+			t.Errorf("frame landed before Start: buffer %v", buf)
+		}
+		c.Barrier()
+		r.Start()
+		r.Wait()
+		if buf[0] != 7 || buf[1] != 8 {
+			t.Errorf("after Start/Wait buffer = %v, want [7 8]", buf)
+		}
+	})
+	if ae := w.Aborted(); ae != nil {
+		t.Fatalf("run aborted: %v", ae)
 	}
 }

@@ -237,7 +237,7 @@ func (w *World) StallReport() *StallReport {
 		}
 		return a.Tag < b.Tag
 	})
-	if fr := w.flight; fr != nil && len(rep.Pending) > 0 {
+	if fr := w.flight.Load(); fr != nil && len(rep.Pending) > 0 {
 		victim := rep.Pending[0].Dst
 		if victim < 0 || victim >= w.size {
 			victim = rep.Pending[0].Src

@@ -106,7 +106,24 @@ func ApplyBricksTilesFlight(dst, src core.Brick, dec *core.BrickDecomp, st Stenc
 		}
 	}
 	kr := kernelFor(dec.Shape(), st)
-	DefaultPool().ForTilesFlight(workers, tiles, func(lo, hi int) {
+	p := DefaultPool()
+	if ResolveWorkers(workers) == 1 || len(tiles) == 1 {
+		// Serial: the same per-tile events and callbacks as ForTilesFlight,
+		// without the closures it hands to pool workers, which escape and
+		// would allocate on every call.
+		for t, tl := range tiles {
+			fl.Record(flight.KindTileStart, -1, -1, int32(t), 0, 0)
+			t0 := p.tileStart()
+			kr.applyRange(dst, src, dec, margin, tl[0], tl[1])
+			p.tileDone(t0)
+			fl.Record(flight.KindTileDone, -1, -1, int32(t), 0, 0)
+			if onTile != nil {
+				onTile(t)
+			}
+		}
+		return
+	}
+	p.ForTilesFlight(workers, tiles, func(lo, hi int) {
 		kr.applyRange(dst, src, dec, margin, lo, hi)
 	}, onTile, fl)
 }
