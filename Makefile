@@ -3,15 +3,23 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt lint test race race-recovery cover soak soak-recover bench bench-allocs bench-json bench-check benchmark-smoke netcal
+.PHONY: all build cross vet fmt lint test race race-recovery cover soak soak-recover bench bench-allocs bench-json bench-check benchmark-smoke netcal
 
 all: build vet fmt test benchmark-smoke
 
 build:
 	$(GO) build ./...
 
-vet:
+vet: cross
 	$(GO) vet ./...
+
+# cross vets the stencil package and builds everything for arm64, offline:
+# it proves the pure-Go fallback (brickkernel_other.go) still builds where
+# the amd64 assembly does not. On amd64, `go vet`'s asmdecl check covers the
+# assembly's frame offsets.
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/stencil/
+	GOARCH=arm64 $(GO) build ./...
 
 # fmt fails (listing the offenders) if any file needs gofmt.
 fmt:

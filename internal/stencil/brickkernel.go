@@ -17,6 +17,7 @@ import (
 //
 //   - star7: the point table is exactly centre, -i, +i, -j, +j, -k, +k, so
 //     each output row is one fused expression over five source rows (row7);
+//     on 8³ bricks and an AVX2 host one brick7Box call computes the box;
 //   - rows: any other table gathers the brick plus its radius-wide halo into
 //     a dense scratch block and runs tapRows over it, as on an array;
 //   - run: the per-element table walk, the fallback when the box can reach a
@@ -46,6 +47,7 @@ const (
 	pathFused path = iota
 	pathRows
 	pathFallback
+	pathVector // fused7 through the AVX2 brick7Box
 )
 
 func newBrickKernel(sh core.Shape, st Stencil) *brickKernel {
@@ -161,6 +163,9 @@ func (kr *brickKernel) applyBricks(dst, src core.Brick, dec *core.BrickDecomp, m
 // apply computes the box [lo, hi) of brick b and reports the body that did.
 func (kr *brickKernel) apply(dst, src core.Brick, b int, lo, hi [3]int, halo []float64) path {
 	if kr.star7 && kr.fused7(dst, src, b, lo, hi) {
+		if kr.vector() {
+			return pathVector
+		}
 		return pathFused
 	}
 	bases, ok := kr.loadBases(src, b, lo, hi)
@@ -202,6 +207,12 @@ func (kr *brickKernel) loadBases(src core.Brick, b int, lo, hi [3]int) (bases [c
 	return bases, ok
 }
 
+// vector reports whether fused7 runs the AVX2 body, brick7Box: it is
+// written for 8³ bricks only.
+func (kr *brickKernel) vector() bool {
+	return useAVX2 && kr.sh == core.Shape{8, 8, 8}
+}
+
 // fused7 is the 7-point body. Per (k, j) row it takes the centre, ±j and ±k
 // rows as slices of this brick or of the one face neighbor the row falls in,
 // and the ±i taps of the row's two end elements from the left/right
@@ -225,6 +236,15 @@ func (kr *brickKernel) fused7(dst, src core.Brick, b int, lo, hi [3]int) bool {
 	}
 	s, d := src.Storage.Data, dst.Storage.Data
 	dself := b*dst.Storage.Chunk() + dst.FieldBase()
+	if kr.vector() {
+		// The conversions bounds-check every brick the assembly reads.
+		var nbp [6]*[512]float64
+		for f, o := range nb {
+			nbp[f] = (*[512]float64)(s[o:])
+		}
+		brick7Box((*[512]float64)(d[dself:]), (*[512]float64)(s[self:]), &nbp, &kr.w7, lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
+		return true
+	}
 	i0, n := lo[0], hi[0]-lo[0]
 	for k := lo[2]; k < hi[2]; k++ {
 		for j := lo[1]; j < hi[1]; j++ {

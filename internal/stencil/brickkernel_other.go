@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package stencil
+
+// useAVX2 is false off amd64: only the pure-Go bodies exist.
+var useAVX2 = false
+
+func brick7Box(d, c *[512]float64, nb *[6]*[512]float64, w *[7]float64, lo0, hi0, lo1, hi1, lo2, hi2 int) {
+	panic("stencil: no vector body on this architecture")
+}
+
+func row7x4(out, c, jm, jp, km, kp []float64, w *[7]float64) {
+	panic("stencil: no vector body on this architecture")
+}

@@ -53,10 +53,47 @@ func swappedStar7() Stencil {
 	return st
 }
 
+// hostAVX2 is the host's useAVX2, before any test flips it.
+var hostAVX2 = useAVX2
+
+// eachBody runs f as subtest (or sub-benchmark) "go" on the pure-Go bodies
+// and, on a host with AVX2, as "avx2" on the vector bodies, then restores
+// useAVX2.
+func eachBody[T interface{ Run(string, func(T)) bool }](t T, f func(T)) {
+	defer func() { useAVX2 = hostAVX2 }()
+	useAVX2 = false
+	t.Run("go", f)
+	if hostAVX2 {
+		useAVX2 = true
+		t.Run("avx2", f)
+	}
+}
+
+// fused7Path is the path a 7-point visit on shape sh must take under the
+// current useAVX2: the vector body is written for 8³ bricks.
+func fused7Path(sh core.Shape) path {
+	if useAVX2 && sh == (core.Shape{8, 8, 8}) {
+		return pathVector
+	}
+	return pathFused
+}
+
+// pathCounts is visits per path, indexed by path.
+type pathCounts [pathVector + 1]int
+
+// only reports whether every visit, and at least one, took path p.
+func (n pathCounts) only(p path) bool {
+	total := 0
+	for _, c := range n {
+		total += c
+	}
+	return n[p] > 0 && n[p] == total
+}
+
 // countPaths applies st the way applyRange does, brick by brick, and counts
 // the body each visit took. Production code never counts: apply's result is
 // dropped there.
-func countPaths(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin int) (n [3]int) {
+func countPaths(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin int) (n pathCounts) {
 	kr := kernelFor(dec.Shape(), st)
 	halo := make([]float64, kr.ext[0]*kr.ext[1]*kr.ext[2])
 	for idx := 0; idx < dec.NumBricks(); idx++ {
@@ -70,7 +107,9 @@ func countPaths(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin i
 // TestKernelMatchesReference checks the compiled kernels bit for bit against
 // the accessor-based oracle: summation order is the contract, so there is no
 // tolerance. Margins 1 and ghost-radius give partial boxes on every face.
-func TestKernelMatchesReference(t *testing.T) {
+func TestKernelMatchesReference(t *testing.T) { eachBody(t, kernelMatchesReference) }
+
+func kernelMatchesReference(t *testing.T) {
 	for _, sh := range []core.Shape{{4, 4, 4}, {8, 8, 8}, {1, 1, 1}} {
 		ghost := max(sh[0], 2)
 		dom := [3]int{4 * ghost, 3 * ghost, 2 * ghost}
@@ -97,10 +136,10 @@ func TestKernelMatchesReference(t *testing.T) {
 				n := countPaths(a, src, dec, st, margin)
 				want := pathRows
 				if st.Name == "7pt" && sh[0] >= 2 { // the fused rows peel two ends
-					want = pathFused
+					want = fused7Path(sh)
 				}
-				if n[want] == 0 || n[want] != n[0]+n[1]+n[2] {
-					t.Errorf("%v %s margin %d: visits fused/rows/fallback = %v, want all on path %d", sh, st.Name, margin, n, want)
+				if !n.only(want) {
+					t.Errorf("%v %s margin %d: visits fused/rows/fallback/vector = %v, want all on path %d", sh, st.Name, margin, n, want)
 				}
 			}
 		}
@@ -146,7 +185,9 @@ func oracleAt(src core.Brick, st Stencil, b, i, j, k int) float64 {
 // and boxes the decomposition cannot produce — non-cubic bricks, an extent
 // of 1, one-element-wide boxes against each face — and checks them bit for
 // bit against the accessor oracle and the table walk.
-func TestKernelBodiesOnTorus(t *testing.T) {
+func TestKernelBodiesOnTorus(t *testing.T) { eachBody(t, kernelBodiesOnTorus) }
+
+func kernelBodiesOnTorus(t *testing.T) {
 	for _, sh := range []core.Shape{{8, 4, 2}, {2, 3, 5}, {1, 4, 4}, {10, 2, 2}, {8, 8, 8}} {
 		for _, st := range []Stencil{Star7(), Cube125(), Star5(), swappedStar7()} {
 			if st.Radius > min(sh[0], sh[1], sh[2]) {
@@ -168,7 +209,9 @@ func TestKernelBodiesOnTorus(t *testing.T) {
 			for _, box := range boxes {
 				lo, hi := box[0], box[1]
 				for b := 0; b < 27; b++ {
-					kr.apply(got, src, b, lo, hi, halo)
+					if p := kr.apply(got, src, b, lo, hi, halo); kr.star7 && p != fused7Path(sh) {
+						t.Fatalf("%v %s box %v brick %d: took path %d, want %d", sh, st.Name, box, b, p, fused7Path(sh))
+					}
 					bases, ok := kr.loadBases(src, b, lo, hi)
 					if !ok {
 						t.Fatalf("%v: torus brick %d reports a missing neighbor", sh, b)
@@ -238,18 +281,78 @@ func TestKernelFallbackOnMissingNeighbor(t *testing.T) {
 	}
 }
 
+// TestStar7BoxConfinement applies Star7 on 8³ bricks at margins 7…0 — down
+// to boxes one element wide against each face — into a field filled with a
+// NaN sentinel, with the source beyond each margin's footprint a second NaN.
+// Afterwards every element of the storage outside the margin keeps its bits
+// and every element inside carries the oracle's: a store outside a box, or
+// a computed lane that reads a row the stencil does not reach, fails here.
+func TestStar7BoxConfinement(t *testing.T) { eachBody(t, star7BoxConfinement) }
+
+func star7BoxConfinement(t *testing.T) {
+	const dim, ghost = 16, 8
+	sentinel := math.Float64frombits(0x7ff8_dead_beef_0001)
+	poison := math.Float64frombits(0x7ff8_0bad_f00d_0002)
+	st := Star7()
+	for margin := ghost - 1; margin >= 0; margin-- {
+		dec, bs, src, dst, _ := kernelSetupShape(t, core.Shape{8, 8, 8}, [3]int{dim, dim, dim}, ghost)
+		depth := func(e [3]int) int {
+			return max(depth1(e[0], ghost, dim), depth1(e[1], ghost, dim), depth1(e[2], ghost, dim))
+		}
+		ext := dec.ExtDim()
+		for k := 0; k < ext[2]; k++ {
+			for j := 0; j < ext[1]; j++ {
+				for i := 0; i < ext[0]; i++ {
+					if depth([3]int{i, j, k}) > margin+st.Radius {
+						dec.SetElem(bs, 0, i, j, k, poison)
+					}
+				}
+			}
+		}
+		for b := 0; b < dec.NumBricks(); b++ {
+			for f := 1; f < bs.Fields; f++ {
+				for e, field := 0, bs.FieldSlice(b, f); e < len(field); e++ {
+					field[e] = sentinel
+				}
+			}
+		}
+		before := append([]float64(nil), bs.Data...)
+
+		if n := countPaths(dst, src, dec, st, margin); !n.only(fused7Path(core.Shape{8, 8, 8})) {
+			t.Fatalf("margin %d: visits fused/rows/fallback/vector = %v", margin, n)
+		}
+
+		for p, v := range bs.Data {
+			b, f, e := p/bs.Chunk(), p%bs.Chunk()/bs.Vol(), p%bs.Vol()
+			i, j, k := e%8, (e/8)%8, e/64
+			want := before[p]
+			if b < dec.NumBricks() && f == dst.Field {
+				if c := dec.BrickCoord(b); c[0] >= 0 && depth([3]int{c[0]*8 + i, c[1]*8 + j, c[2]*8 + k}) <= margin {
+					want = oracleAt(src, st, b, i, j, k)
+				}
+			}
+			if math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("margin %d brick %d field %d (%d,%d,%d): %v (bits %#x), want bits %#x",
+					margin, b, f, i, j, k, v, math.Float64bits(v), math.Float64bits(want))
+			}
+		}
+	}
+}
+
 // TestBenchmarkShapesStayOffFallback pins what the frozen benchmark's
 // workloads execute: on its decompositions (ghost 8, 8³ bricks) and at every
 // margin of one exchange period, no brick takes the table walk and every
-// 7-point visit takes the fused body.
-func TestBenchmarkShapesStayOffFallback(t *testing.T) {
+// 7-point visit takes the fused body — the vector one on an AVX2 host.
+func TestBenchmarkShapesStayOffFallback(t *testing.T) { eachBody(t, benchmarkShapesStayOffFallback) }
+
+func benchmarkShapesStayOffFallback(t *testing.T) {
 	for _, dim := range []int{16, 32, 64} {
 		for _, c := range []struct {
 			st      Stencil
 			margins []int
 			want    path
 		}{
-			{Star7(), []int{7, 6, 5, 4, 3, 2, 1, 0}, pathFused},
+			{Star7(), []int{7, 6, 5, 4, 3, 2, 1, 0}, fused7Path(core.Shape{8, 8, 8})},
 			{Cube125(), []int{6, 4, 2, 0}, pathRows},
 		} {
 			if dim == 64 && c.want == pathRows && testing.Short() {
@@ -258,8 +361,8 @@ func TestBenchmarkShapesStayOffFallback(t *testing.T) {
 			dec, _, src, dst, _ := kernelSetupShape(t, core.Shape{8, 8, 8}, [3]int{dim, dim, dim}, 8)
 			for _, margin := range c.margins {
 				n := countPaths(dst, src, dec, c.st, margin)
-				if n[pathFallback] != 0 || n[c.want] == 0 || n[c.want] != n[0]+n[1]+n[2] {
-					t.Errorf("%d³ %s margin %d: visits fused/rows/fallback = %v", dim, c.st.Name, margin, n)
+				if !n.only(c.want) {
+					t.Errorf("%d³ %s margin %d: visits fused/rows/fallback/vector = %v, want all on path %d", dim, c.st.Name, margin, n, c.want)
 				}
 			}
 		}
@@ -270,7 +373,9 @@ func TestBenchmarkShapesStayOffFallback(t *testing.T) {
 // allocations once the kernel is compiled: no tables, scratch rows or tile
 // closures per call. (The frozen benchmark bounds peak RSS at 10%; a kernel
 // rebuilt per call moved it 16%.)
-func TestApplyZeroAllocs(t *testing.T) {
+func TestApplyZeroAllocs(t *testing.T) { eachBody(t, applyZeroAllocs) }
+
+func applyZeroAllocs(t *testing.T) {
 	for _, st := range []Stencil{Star7(), Cube125()} {
 		dec, _, src, dst, _ := kernelSetupShape(t, core.Shape{8, 8, 8}, [3]int{32, 32, 32}, 8)
 		inter := dec.Interior()

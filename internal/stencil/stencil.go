@@ -181,17 +181,26 @@ func applyGridBox(dst, src *grid.Grid, st Stencil, lo, hi [3]int, workers int) {
 }
 
 // applyGridRows computes rows [rlo, rhi) of the box [lo, hi), rows numbered
-// j-fastest. The canonical 7-point table takes the fused row7 expression;
-// any other table is flattened to offsets (on this frame's stack, so a call
-// allocates nothing) and run through tapRow.
+// j-fastest. The canonical 7-point table takes the fused row7 expression,
+// on an AVX2 host after row7x4 has computed the row's first width &^ 3
+// elements four at a time; any other table is flattened to offsets (on
+// this frame's stack, so a call allocates nothing) and run through tapRow.
 func applyGridRows(dst, src *grid.Grid, st Stencil, lo, hi [3]int, rlo, rhi int) {
 	sj, sk := src.Ext[0], src.Ext[0]*src.Ext[1]
 	nj, width := hi[1]-lo[1], hi[0]-lo[0]
 	s := src.Data
 	if w, ok := star7Weights(st); ok {
+		n4 := 0 // elements per row row7x4 computes
+		if useAVX2 {
+			n4 = width &^ 3
+		}
 		for r := rlo; r < rhi; r++ {
 			at := src.Idx(lo[0], lo[1]+r%nj, lo[2]+r/nj)
-			row7(dst.Data[at:at+width], s[at:], s[at-sj:], s[at+sj:], s[at-sk:], s[at+sk:], s[at-1], s[at+width], &w)
+			if n4 > 0 {
+				row7x4(dst.Data[at:at+n4], s[at-1:at+n4+1], s[at-sj:][:n4], s[at+sj:][:n4], s[at-sk:][:n4], s[at+sk:][:n4], &w)
+			}
+			x := at + n4
+			row7(dst.Data[x:at+width], s[x:], s[x-sj:], s[x+sj:], s[x-sk:], s[x+sk:], s[x-1], s[at+width], &w)
 		}
 		return
 	}

@@ -262,7 +262,9 @@ func applyGridTable(dst, src *grid.Grid, st Stencil, lo, hi [3]int) {
 // TestKernelMatchesReference: the fused 7-point rows and the eight-wide
 // tap rows against the table loop, bit for bit, over full margin boxes, an
 // odd-sized region, and the six shell slabs around it.
-func TestGridKernelMatchesTable(t *testing.T) {
+func TestGridKernelMatchesTable(t *testing.T) { eachBody(t, gridKernelMatchesTable) }
+
+func gridKernelMatchesTable(t *testing.T) {
 	dom := [3]int{21, 10, 9} // rows of 21..27: eight-wide chunks plus a tail
 	const ghost = 3
 	for _, st := range []Stencil{Star7(), Cube125(), Star5(), swappedStar7()} {
@@ -338,8 +340,17 @@ func benchGrid(b *testing.B, st Stencil, dim int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(dim*dim*dim), "ns/elem")
 }
 
-func BenchmarkStar7Bricks64(b *testing.B)        { benchBricks(b, Star7(), 64, 0) }
-func BenchmarkStar7Bricks64Margin7(b *testing.B) { benchBricks(b, Star7(), 64, 7) }
-func BenchmarkStar7Grid64(b *testing.B)          { benchGrid(b, Star7(), 64) }
-func BenchmarkCube125Bricks32(b *testing.B)      { benchBricks(b, Cube125(), 32, 0) }
-func BenchmarkCube125Grid32(b *testing.B)        { benchGrid(b, Cube125(), 32) }
+func BenchmarkStar7Bricks64(b *testing.B) {
+	eachBody(b, func(b *testing.B) { benchBricks(b, Star7(), 64, 0) })
+}
+
+func BenchmarkStar7Bricks64Margin7(b *testing.B) {
+	eachBody(b, func(b *testing.B) { benchBricks(b, Star7(), 64, 7) })
+}
+
+func BenchmarkStar7Grid64(b *testing.B) {
+	eachBody(b, func(b *testing.B) { benchGrid(b, Star7(), 64) })
+}
+
+func BenchmarkCube125Bricks32(b *testing.B) { benchBricks(b, Cube125(), 32, 0) }
+func BenchmarkCube125Grid32(b *testing.B)   { benchGrid(b, Cube125(), 32) }
