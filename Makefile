@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build cross vet fmt lint test race race-recovery cover soak soak-recover bench bench-allocs bench-json bench-check benchmark-smoke netcal
+.PHONY: all build cross vet fmt lint test race race-recovery cover soak soak-recover bench bench-allocs benchmark-smoke netcal
 
 all: build vet fmt test benchmark-smoke
 
@@ -182,49 +182,3 @@ bench-allocs:
 	$(GO) test -count=1 -run 'TestPersistentZeroAllocSteps' ./internal/mpi/
 	$(GO) test -count=1 -run 'TestPipelinedStepZeroAllocs' ./internal/harness/
 	$(GO) test -count=1 -run 'TestRecordAllocs' ./internal/flight/
-
-# Reference configurations for the machine-readable bench baselines
-# (BENCH_<impl>_<dim>.json, schema brick-bench/v1; see docs/observability.md).
-BENCH_DIR    ?= bench
-BENCH_FLAGS  ?= -d 16 -I 8 -ranks 2,2,2 -workers 1
-BENCH_IMPLS  ?= layout memmap
-
-# bench-json regenerates the committed baselines in $(BENCH_DIR).
-bench-json:
-	@mkdir -p $(BENCH_DIR)
-	@for impl in $(BENCH_IMPLS); do \
-		$(GO) run ./cmd/weak -impl $$impl $(BENCH_FLAGS) -bench-out $(BENCH_DIR) >/dev/null || exit 1; \
-	done
-	@ls $(BENCH_DIR)/BENCH_*.json
-
-# bench-check runs the same configurations into a temp dir and gates them
-# against the committed baselines with obsreport: the message plan must be
-# identical and GStencil/s must not drop by more than BENCH_MAX_DROP.
-# A missing committed baseline is an error — a renamed or never-committed
-# baseline would otherwise silently skip the regression gate. Set
-# BENCH_ALLOW_MISSING=1 to downgrade that to a warning (e.g. when adding a
-# new implementation whose baseline lands in the same change).
-BENCH_MAX_DROP ?= 0.10
-BENCH_ALLOW_MISSING ?= 0
-
-bench-check:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	for impl in $(BENCH_IMPLS); do \
-		$(GO) run ./cmd/weak -impl $$impl $(BENCH_FLAGS) -bench-out $$tmp >/dev/null || exit 1; \
-	done; \
-	status=0; \
-	for new in $$tmp/BENCH_*.json; do \
-		base=$(BENCH_DIR)/$$(basename $$new); \
-		if [ ! -f "$$base" ]; then \
-			if [ "$(BENCH_ALLOW_MISSING)" = "1" ]; then \
-				echo "bench-check: skip $$(basename $$new) (no committed baseline; BENCH_ALLOW_MISSING=1)"; \
-				continue; \
-			fi; \
-			echo "bench-check: FAIL: no committed baseline $$base for $$(basename $$new)"; \
-			echo "bench-check: regenerate with 'make bench-json' and commit it, or set BENCH_ALLOW_MISSING=1"; \
-			status=1; \
-			continue; \
-		fi; \
-		$(GO) run ./cmd/obsreport -bench-base $$base -bench-new $$new -max-drop $(BENCH_MAX_DROP) || status=1; \
-	done; \
-	exit $$status

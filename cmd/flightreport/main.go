@@ -20,7 +20,6 @@ import (
 
 	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/obs"
-	"github.com/bricklab/brick/internal/trace"
 )
 
 func main() {
@@ -48,7 +47,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "flightreport: %v\n", err)
 			os.Exit(1)
 		}
-		err = trace.WriteChromeTrace(f, flight.ToTrace(snap))
+		err = flight.WriteChromeTrace(f, flight.ToTrace(snap))
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

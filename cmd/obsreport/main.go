@@ -1,9 +1,8 @@
 // Command obsreport turns observability artifacts into human-readable
-// reports and CI gates.
-//
-// Critical-path report from a metrics snapshot (written by cmd/strong or
-// cmd/weak with -metrics-out), optionally merged with a Chrome trace for
-// the per-rank longest-chain analysis:
+// reports: a per-rank critical-path report from a metrics snapshot (written
+// by cmd/strong or cmd/weak with -metrics-out), optionally merged with a
+// Chrome trace (cmd/weak -trace, the flight export of the same run) for the
+// per-rank longest-chain analysis:
 //
 //	obsreport m.json
 //	obsreport -trace t.json m.json
@@ -13,12 +12,6 @@
 // trace-derived chain get their chain read off the recorded flight events
 // (the step loop's actual phase/wait order) instead of the canonical-order
 // fallback.
-//
-// Benchmark regression gate, comparing a fresh BENCH_*.json against a
-// committed baseline and exiting nonzero when GStencil/s dropped by more
-// than -max-drop (or the message plan changed):
-//
-//	obsreport -bench-base bench/BENCH_Layout_16.json -bench-new /tmp/BENCH_Layout_16.json
 package main
 
 import (
@@ -26,35 +19,20 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/bricklab/brick/internal/bench"
 	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/metrics"
 	"github.com/bricklab/brick/internal/obs"
-	"github.com/bricklab/brick/internal/trace"
 )
 
 func main() {
 	var (
 		tracePath  = flag.String("trace", "", "Chrome trace JSON to merge into the chain analysis")
 		flightPath = flag.String("flight", "", "brick-flight/v1 recorder artifact to merge into the chain analysis")
-		benchBase  = flag.String("bench-base", "", "committed bench baseline (enables gate mode with -bench-new)")
-		benchNew   = flag.String("bench-new", "", "freshly produced bench baseline to gate against -bench-base")
-		maxDrop    = flag.Float64("max-drop", 0.10, "max allowed fractional GStencil/s drop in gate mode")
 	)
 	flag.Parse()
 
-	if (*benchBase == "") != (*benchNew == "") {
-		fmt.Fprintln(os.Stderr, "obsreport: -bench-base and -bench-new must be given together")
-		os.Exit(2)
-	}
-	if *benchBase != "" {
-		gate(*benchBase, *benchNew, *maxDrop)
-		return
-	}
-
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: obsreport [-trace t.json] [-flight f.bin] <metrics.json>")
-		fmt.Fprintln(os.Stderr, "       obsreport -bench-base base.json -bench-new new.json [-max-drop 0.10]")
 		os.Exit(2)
 	}
 	report(flag.Arg(0), *tracePath, *flightPath)
@@ -67,14 +45,14 @@ func report(metricsPath, tracePath, flightPath string) {
 		fmt.Fprintf(os.Stderr, "obsreport: %v\n", err)
 		os.Exit(1)
 	}
-	var events []trace.Event
+	var events []flight.TraceEvent
 	if tracePath != "" {
 		f, err := os.Open(tracePath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "obsreport: %v\n", err)
 			os.Exit(1)
 		}
-		events, err = trace.ReadChromeTrace(f)
+		events, err = flight.ReadChromeTrace(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "obsreport: %v\n", err)
@@ -97,24 +75,4 @@ func report(metricsPath, tracePath, flightPath string) {
 		fmt.Fprintf(os.Stderr, "obsreport: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// gate compares two bench baselines and exits nonzero on regression.
-func gate(basePath, newPath string, maxDrop float64) {
-	base, err := bench.Load(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "obsreport: %v\n", err)
-		os.Exit(1)
-	}
-	cur, err := bench.Load(newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "obsreport: %v\n", err)
-		os.Exit(1)
-	}
-	if err := bench.Compare(base, cur, maxDrop); err != nil {
-		fmt.Fprintf(os.Stderr, "obsreport: FAIL: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("obsreport: PASS: %s dim=%d %.4f → %.4f GStencil/s (gate -%0.f%%)\n",
-		base.Impl, base.Dim, base.GStencils, cur.GStencils, maxDrop*100)
 }

@@ -56,7 +56,7 @@ func main() {
 	if err != nil {
 		fail("-ranks: %v", err)
 	}
-	resolved, err := common.Resolve("soak", false)
+	resolved, err := common.Resolve("soak")
 	if err != nil {
 		fail("%v", err)
 	}

@@ -27,7 +27,7 @@ func main() {
 	common := cli.RegisterCommon(8, 8, 8)
 	flag.Parse()
 
-	res, err := common.Resolve("strong", false)
+	res, err := common.Resolve("strong")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "strong: %v\n", err)
 		os.Exit(2)

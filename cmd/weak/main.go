@@ -13,44 +13,23 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/bricklab/brick/internal/bench"
 	"github.com/bricklab/brick/internal/cli"
-	"github.com/bricklab/brick/internal/core"
+	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/harness"
-	"github.com/bricklab/brick/internal/layout"
 	"github.com/bricklab/brick/internal/mpi"
-	"github.com/bricklab/brick/internal/trace"
 )
 
-// writeExchangeTrace replays one Layout exchange of the given configuration
-// with event tracing enabled and writes a Chrome trace file.
-func writeExchangeTrace(cfg harness.Config, path string) error {
-	rec := trace.NewRecorder()
-	n := cfg.Procs[0] * cfg.Procs[1] * cfg.Procs[2]
-	w := mpi.NewWorld(n)
-	w.SetTrace(rec)
-	var innerErr error
-	w.Run(func(c *mpi.Comm) {
-		cart := mpi.NewCart(c, []int{cfg.Procs[2], cfg.Procs[1], cfg.Procs[0]}, []bool{true, true, true})
-		dec, err := core.NewBrickDecomp(cfg.Shape, cfg.Dom, cfg.Ghost, 2, layout.Surface3D())
-		if err != nil {
-			innerErr = err
-			return
-		}
-		bs := dec.Allocate()
-		lx := core.NewLayoutExchange(core.NewExchanger(dec, cart), bs)
-		defer lx.Close()
-		lx.Exchange()
-	})
-	if innerErr != nil {
-		return innerErr
-	}
+// writeTrace exports the run's flight rings as a Chrome trace file.
+func writeTrace(rec *flight.Recorder, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return rec.WriteChromeTrace(f)
+	err = flight.WriteChromeTrace(f, flight.ToTrace(rec.Snapshot("trace", "", nil)))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func main() {
@@ -63,8 +42,7 @@ func main() {
 		ranks    = flag.String("ranks", "2,2,2", "rank grid i,j,k (periodic)")
 		expand   = flag.Bool("expand", true, "use ghost-cell expansion")
 		page     = flag.Int("page", 0, "override page size for MemMap padding (bytes)")
-		traceOut = flag.String("trace", "", "write a Chrome trace JSON of one exchange to this file")
-		benchOut = flag.String("bench-out", "", "write a BENCH_<impl>_<dim>.json baseline into this directory")
+		traceOut = flag.String("trace", "", "write the run's flight rings (last -flight-depth events per rank) as a Chrome trace JSON to this file; chan transport only")
 	)
 	common := cli.RegisterCommon(8, 8, 16)
 	flag.Parse()
@@ -79,7 +57,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "weak: -ranks: %v\n", err)
 		os.Exit(2)
 	}
-	r, err := common.Resolve("weak", *benchOut != "")
+	if *traceOut != "" && common.Transport != mpi.DefaultTransport {
+		fmt.Fprintf(os.Stderr, "weak: -trace reads in-process flight rings and needs -transport %s; on %s use -flight for per-worker artifacts\n",
+			mpi.DefaultTransport, common.Transport)
+		os.Exit(2)
+	}
+	r, err := common.Resolve("weak")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "weak: %v\n", err)
 		os.Exit(2)
@@ -94,6 +77,9 @@ func main() {
 		PageBytes:   *page,
 	}
 	common.Apply(&cfg, r)
+	if *traceOut != "" {
+		cfg.FlightRec = flight.New(procs[0]*procs[1]*procs[2], common.FlightDepth)
+	}
 	res, err := harness.Run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "weak: %v\n", err)
@@ -103,17 +89,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "weak: %v\n", err)
 		os.Exit(1)
 	}
-	if *benchOut != "" {
-		b := bench.FromResult(res, r.Registry.Snapshot())
-		path, err := b.Write(*benchOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "weak: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "weak: bench baseline written to %s\n", path)
-	}
 	if *traceOut != "" {
-		if err := writeExchangeTrace(cfg, *traceOut); err != nil {
+		if err := writeTrace(cfg.FlightRec, *traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "weak: trace: %v\n", err)
 			os.Exit(1)
 		}

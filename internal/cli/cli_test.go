@@ -73,7 +73,7 @@ func TestParseStencil(t *testing.T) {
 func TestFaultFlagsApply(t *testing.T) {
 	c := &Common{Stencil: "7pt", Machine: "local", Ghost: 4, Brick: 4,
 		Fault: "delay:rank=*:mean=1ms", FaultSeed: 9, Watchdog: 2 * time.Second}
-	r, err := c.Resolve("test", false)
+	r, err := c.Resolve("test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFaultFlagsApply(t *testing.T) {
 
 func TestResolveRejectsBadFaultSpec(t *testing.T) {
 	c := &Common{Stencil: "7pt", Machine: "local", Fault: "explode:rank=1"}
-	if _, err := c.Resolve("test", false); err == nil {
+	if _, err := c.Resolve("test"); err == nil {
 		t.Error("malformed fault spec accepted")
 	}
 }

@@ -83,10 +83,10 @@ type Resolved struct {
 	Registry *metrics.Registry
 }
 
-// Resolve validates the shared flags, creates the metrics registry when any
-// sink needs one (needRegistry forces it, e.g. for -bench-out), and starts
-// the pprof server if requested. prog prefixes error and log messages.
-func (c *Common) Resolve(prog string, needRegistry bool) (Resolved, error) {
+// Resolve validates the shared flags, creates the metrics registry when a
+// sink needs one, and starts the pprof server if requested. prog prefixes
+// error and log messages.
+func (c *Common) Resolve(prog string) (Resolved, error) {
 	var r Resolved
 	var err error
 	if r.Stencil, err = ParseStencil(c.Stencil); err != nil {
@@ -99,7 +99,7 @@ func (c *Common) Resolve(prog string, needRegistry bool) (Resolved, error) {
 	if _, err = fault.Parse(c.Fault, c.FaultSeed); err != nil {
 		return r, err
 	}
-	if c.MetricsOut != "" || c.PprofAddr != "" || needRegistry {
+	if c.MetricsOut != "" || c.PprofAddr != "" {
 		r.Registry = metrics.NewRegistry()
 	}
 	if c.PprofAddr != "" {
@@ -135,7 +135,8 @@ func (c *Common) Apply(cfg *harness.Config, r Resolved) {
 	cfg.FlightOut = c.FlightOut
 }
 
-// Finish writes the metrics snapshot if -metrics-out was given.
+// Finish writes the metrics snapshot if -metrics-out was given: the input
+// cmd/obsreport turns into per-rank critical-path reports.
 func (c *Common) Finish(prog string, reg *metrics.Registry) error {
 	if c.MetricsOut == "" {
 		return nil

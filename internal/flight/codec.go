@@ -193,7 +193,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	s := &Snapshot{Reason: h.Reason, Detail: h.Detail, Transport: h.Transport, Depth: h.Depth,
 		Pending: h.Pending, Ranks: make([]RankLog, len(h.Ranks))}
 	for i, rh := range h.Ranks {
-		if rh.Count < 0 || len(rest) < rh.Count*recSize {
+		if rh.Count < 0 || rh.Count > len(rest)/recSize {
 			return nil, fmt.Errorf("flight: truncated payload for rank %d (%d of %d records)",
 				rh.Rank, len(rest)/recSize, rh.Count)
 		}

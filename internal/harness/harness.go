@@ -22,7 +22,6 @@ import (
 	"github.com/bricklab/brick/internal/netmodel"
 	"github.com/bricklab/brick/internal/stats"
 	"github.com/bricklab/brick/internal/stencil"
-	"github.com/bricklab/brick/internal/trace"
 )
 
 // Impl selects an exchange implementation.
@@ -122,7 +121,7 @@ type Config struct {
 	// one worker process per rank — over a shared-memory segment or framed
 	// loopback TCP streams respectively (see runSupervised and WorkerMain).
 	// Cross-process runs reject the
-	// observability hooks that cannot span processes — Metrics, Trace, a
+	// observability hooks that cannot span processes — Metrics and a
 	// caller-supplied FlightRec — and GPU (modeled) impls. Checkpoint
 	// recovery works, but requires CheckpointDir: workers spill epochs to
 	// disk and the supervisor respawns crashed workers from the latest
@@ -162,10 +161,6 @@ type Config struct {
 	// throughput gauges. Nil (the default) disables all recording; the
 	// instrumented paths then cost only pointer checks.
 	Metrics *metrics.Registry
-	// Trace, when non-nil, records the run's event timeline (mpi
-	// send/recv/wait intervals plus checkpoint and recovery phases) for
-	// Chrome-trace export and cmd/obsreport chain analysis.
-	Trace *trace.Recorder
 
 	// Checkpoint enables the recovery driver: ranks snapshot their state
 	// every CheckpointEvery steps (brick-ckpt/v1 epochs in internal/ckpt)
@@ -340,9 +335,6 @@ func (c Config) Validate() error {
 		}
 		if c.Metrics != nil {
 			return fmt.Errorf("harness: Metrics cannot observe worker processes on transport %q", c.transportName())
-		}
-		if c.Trace != nil {
-			return fmt.Errorf("harness: Trace cannot observe worker processes on transport %q", c.transportName())
 		}
 		if c.FlightRec != nil {
 			return fmt.Errorf("harness: a caller-supplied FlightRec cannot span worker processes on transport %q; set Flight/FlightOut for per-worker artifacts", c.transportName())
@@ -561,14 +553,13 @@ func flightDump(cfg Config, ae *mpi.AbortError, reason string) {
 }
 
 // setupWorld builds the world with the config's fault, watchdog, CRC,
-// trace, flight, and metrics wiring. The returned detach func undoes the
+// flight, and metrics wiring. The returned detach func undoes the
 // process-wide pool instrumentation; call it when the run ends.
 func setupWorld(cfg Config) (*mpi.World, func()) {
 	w := mpi.NewWorld(cfg.ranks())
 	w.SetFault(cfg.inj)
 	w.SetWatchdog(cfg.Watchdog, nil)
 	w.SetVerifyCRC(cfg.VerifyCRC)
-	w.SetTrace(cfg.Trace)
 	w.SetFlight(cfg.FlightRec)
 	detach := func() {}
 	if cfg.Metrics != nil {

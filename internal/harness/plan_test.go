@@ -3,7 +3,10 @@ package harness
 import (
 	"testing"
 
+	"github.com/bricklab/brick/internal/core"
 	"github.com/bricklab/brick/internal/metrics"
+	"github.com/bricklab/brick/internal/netmodel"
+	"github.com/bricklab/brick/internal/stencil"
 )
 
 // cpuImpls are the implementations that exchange real data over the
@@ -57,6 +60,53 @@ func TestPlanSummaryShape(t *testing.T) {
 		}
 		if res.Plan.Variant != variant[im] {
 			t.Errorf("%v: variant %q, want %q", im, res.Plan.Variant, variant[im])
+		}
+	}
+}
+
+// TestPlanGolden pins the compiled message plan of the reference
+// configuration (16³ per rank on 2×2×2 ranks, 7-point, ghost 8, brick 8,
+// ghost expansion on, 8 steps, one worker — the `cmd/weak` defaults):
+// variant, send count, wire bytes per exchange, and the plan digest, which
+// covers every peer, tag, and span. All four are deterministic, so any
+// change is a change of communication behaviour, not noise.
+func TestPlanGolden(t *testing.T) {
+	cases := []struct {
+		impl    Impl
+		variant string
+		sends   int
+		wire    int64
+		digest  string
+	}{
+		{Layout, "spans", 35, 458752, "b8b2dab3bb240eff"},
+		{MemMap, "memmap", 26, 458752, "1f138eb957a39776"},
+	}
+	for _, tc := range cases {
+		res, err := Run(Config{
+			Impl:        tc.impl,
+			Procs:       [3]int{2, 2, 2},
+			Dom:         [3]int{16, 16, 16},
+			Ghost:       8,
+			Shape:       core.Shape{8, 8, 8},
+			Stencil:     stencil.Star7(),
+			Steps:       8,
+			Warmup:      2,
+			Machine:     netmodel.ThetaKNL(),
+			ExpandGhost: true,
+			Workers:     1,
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", tc.impl, err)
+		}
+		p := res.Plan
+		if p == nil {
+			t.Fatalf("%v: no plan", tc.impl)
+		}
+		if p.Variant != tc.variant || p.Sends != tc.sends || res.MsgsPerExchange != tc.sends ||
+			res.WireBytes != tc.wire || p.Digest != tc.digest {
+			t.Errorf("%v: plan %s, %d sends (%d msgs/exchange), %d wire bytes, digest %s; want %s, %d, %d, %s",
+				tc.impl, p.Variant, p.Sends, res.MsgsPerExchange, res.WireBytes, p.Digest,
+				tc.variant, tc.sends, tc.wire, tc.digest)
 		}
 	}
 }

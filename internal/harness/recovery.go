@@ -10,7 +10,6 @@ import (
 	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/metrics"
 	"github.com/bricklab/brick/internal/mpi"
-	"github.com/bricklab/brick/internal/trace"
 )
 
 // ckptState is the checkpoint/restore machinery shared by the runners and
@@ -30,7 +29,6 @@ type ckptState struct {
 	every int // absolute-step checkpoint period
 	impl  Impl
 	reg   *metrics.Registry
-	rec   *trace.Recorder
 	fr    *flight.Recorder
 
 	// Worker (disk) mode: the spill directory, the world size for the
@@ -50,7 +48,6 @@ func newCkptState(cfg Config) *ckptState {
 		every:       ckptEvery(cfg),
 		impl:        cfg.Impl,
 		reg:         cfg.Metrics,
-		rec:         cfg.Trace,
 		fr:          cfg.FlightRec,
 		ranks:       cfg.ranks(),
 		restoreStep: -1,
@@ -129,7 +126,6 @@ func (ck *ckptState) noteDigest(rank int, digest string) error {
 func (ck *ckptState) checkpoint(comm *mpi.Comm, rank, step int, capture func() *ckpt.Snapshot) {
 	comm.Barrier()
 	ck.fr.Rank(rank).Record(flight.KindCkpt, -1, -1, -1, 0, 0)
-	end := ck.rec.Begin(rank, trace.KindCkpt, fmt.Sprintf("ckpt step=%d", step), -1, 0)
 	snap := capture()
 	if ck.store == nil {
 		// Worker (disk) mode: each rank spills its own snapshot; the closing
@@ -137,10 +133,8 @@ func (ck *ckptState) checkpoint(comm *mpi.Comm, rank, step int, capture func() *
 		// commit record. A crash anywhere in between leaves a manifest-less
 		// partial epoch that ScanDir skips.
 		if err := ckpt.Spill(ck.dir, snap); err != nil {
-			end()
 			comm.Abort(err)
 		}
-		end()
 		comm.Barrier()
 		if rank == 0 {
 			if err := ckpt.WriteManifest(ck.dir, step, ck.ranks); err != nil {
@@ -151,7 +145,6 @@ func (ck *ckptState) checkpoint(comm *mpi.Comm, rank, step int, capture func() *
 	}
 	committed, err := ck.store.Put(snap)
 	if err != nil {
-		end()
 		comm.Abort(err)
 	}
 	if ck.reg != nil {
@@ -161,7 +154,6 @@ func (ck *ckptState) checkpoint(comm *mpi.Comm, rank, step int, capture func() *
 			ck.reg.Counter(metrics.CkptEpochsTotal, metrics.Labels{"impl": ck.impl.String()}).Add(1)
 		}
 	}
-	end()
 	comm.Barrier()
 }
 
@@ -202,7 +194,7 @@ func runRecoverable(cfg Config) (res Result, err error) {
 	perRankRecoveries := map[int]int{}
 	total, recovered := 0, 0
 	var exhausted *mpi.AbortError
-	onRecover := func(ae *mpi.AbortError, attempt int) bool {
+	onRecover := func(ae *mpi.AbortError, _ int) bool {
 		retry := total < budget
 		total++
 		outcome := "recovered"
@@ -220,8 +212,6 @@ func runRecoverable(cfg Config) (res Result, err error) {
 		// Mark the recovery epoch on the failed rank's ring (watchdog aborts
 		// carry rank -1, which Rank maps to a nil no-op ring).
 		cfg.FlightRec.Rank(ae.Rank).Record(flight.KindRecovery, -1, -1, -1, 0, 0)
-		end := cfg.Trace.Begin(ae.Rank, trace.KindRecovery,
-			fmt.Sprintf("recovery attempt=%d", attempt), -1, 0)
 		// A failure mid-checkpoint leaves a partial epoch nobody will
 		// finish; replay re-deposits that step from scratch.
 		ck.store.Drop()
@@ -230,7 +220,6 @@ func runRecoverable(cfg Config) (res Result, err error) {
 		if d := recoveryBackoff(cfg.RecoveryBackoff, k); d > 0 {
 			time.Sleep(d)
 		}
-		end()
 		recovered++
 		return true
 	}

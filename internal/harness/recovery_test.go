@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"github.com/bricklab/brick/internal/ckpt"
+	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/metrics"
 	"github.com/bricklab/brick/internal/mpi"
-	"github.com/bricklab/brick/internal/trace"
 )
 
 // recoverConfig is baseConfig with the recovery driver armed: checkpoints
@@ -176,15 +176,16 @@ func TestRecoveryPlanDigestStable(t *testing.T) {
 }
 
 // TestRecoveryObservability: a recovered run's metrics carry the
-// checkpoint/recovery families and its trace carries ckpt and recovery
-// phases for the critical-path report.
+// checkpoint/recovery families and its flight rings carry the ckpt and
+// recovery markers the Chrome export and critical-path report show.
 func TestRecoveryObservability(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rec := trace.NewRecorder()
 	cfg := recoverConfig(Layout)
+	// Deep enough that no ring wraps, so every marker is still retained.
+	rec := flight.New(cfg.ranks(), 1<<16)
 	cfg.Fault = "panic:rank=1:step=3"
 	cfg.Metrics = reg
-	cfg.Trace = rec
+	cfg.FlightRec = rec
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("recovered run: %v", err)
 	}
@@ -202,15 +203,20 @@ func TestRecoveryObservability(t *testing.T) {
 	if counters[metrics.RecoveryTotal] != 1 {
 		t.Errorf("recovery_total = %v, want 1", counters[metrics.RecoveryTotal])
 	}
-	kinds := map[trace.Kind]int{}
-	for _, e := range rec.Events() {
-		kinds[e.Kind]++
+	kinds := map[flight.Kind]int{}
+	for _, rl := range rec.Snapshot("test", "", nil).Ranks {
+		if rl.Dropped != 0 {
+			t.Fatalf("rank %d ring dropped %d events", rl.Rank, rl.Dropped)
+		}
+		for _, e := range rl.Events {
+			kinds[e.Kind]++
+		}
 	}
-	if kinds[trace.KindCkpt] == 0 {
-		t.Error("no ckpt events in trace")
+	if kinds[flight.KindCkpt] == 0 {
+		t.Error("no ckpt events in the flight rings")
 	}
-	if kinds[trace.KindRecovery] != 1 {
-		t.Errorf("%d recovery events in trace, want 1", kinds[trace.KindRecovery])
+	if kinds[flight.KindRecovery] != 1 {
+		t.Errorf("%d recovery events in the flight rings, want 1", kinds[flight.KindRecovery])
 	}
 }
 

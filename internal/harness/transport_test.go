@@ -13,7 +13,6 @@ import (
 	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/metrics"
 	"github.com/bricklab/brick/internal/mpi"
-	"github.com/bricklab/brick/internal/trace"
 )
 
 // skipWithoutShmem skips tests that need a file-backed shared segment
@@ -196,7 +195,6 @@ func TestSupervisedGates(t *testing.T) {
 		{"checkpoint-without-dir", func(c *Config) { c.Checkpoint = true }},
 		{"gpu-impl", func(c *Config) { c.Impl = GPULayoutCA }},
 		{"metrics", func(c *Config) { c.Metrics = metrics.NewRegistry() }},
-		{"trace", func(c *Config) { c.Trace = trace.NewRecorder() }},
 		{"flightrec", func(c *Config) { c.FlightRec = flight.New(8, 0) }},
 	}
 	for _, tc := range cases {
@@ -218,7 +216,7 @@ func TestSupervisedGates(t *testing.T) {
 	cfg = base
 	cfg.Transport = ""
 	cfg.Metrics = metrics.NewRegistry()
-	cfg.Trace = trace.NewRecorder()
+	cfg.FlightRec = flight.New(8, 0)
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("in-process hooks rejected: %v", err)
 	}

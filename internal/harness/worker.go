@@ -21,7 +21,7 @@ import (
 // wireConfig is the worker spec: the subset of Config a worker process
 // needs, with every field JSON-serializable. It is deliberately not
 // json.Marshal(Config) — Config carries live in-process objects (Metrics,
-// Trace, FlightRec) whose decoded zero-ish forms would silently differ
+// FlightRec) whose decoded zero-ish forms would silently differ
 // from nil (an empty `{}` registry is non-nil), and the supervised gates
 // in Validate guarantee they are nil anyway.
 type wireConfig struct {

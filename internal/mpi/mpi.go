@@ -28,7 +28,6 @@ import (
 	"github.com/bricklab/brick/internal/fault"
 	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/metrics"
-	"github.com/bricklab/brick/internal/trace"
 )
 
 // Wildcard values for Irecv matching.
@@ -50,7 +49,6 @@ type World struct {
 	// cached at construction so the per-operation tick skips the assertion.
 	sprog sharedProgress
 
-	rec *trace.Recorder
 	reg *metrics.Registry
 	// flight is atomic: a worker attaches its recorder after the transport's
 	// reader goroutines are already running.
@@ -68,11 +66,6 @@ type World struct {
 	verifyCRC bool           // receive-side payload CRC verify (see crc.go)
 	recov     *recoveryState // non-nil inside RunRecoverable (see recovery.go)
 }
-
-// SetTrace attaches an event recorder; every Isend/Irecv posting and Wait
-// interval is recorded on it. Call before Run. A nil recorder disables
-// tracing (the default).
-func (w *World) SetTrace(rec *trace.Recorder) { w.rec = rec }
 
 // SetFlight attaches a flight recorder sized for this world; every rank
 // records post/deliver/wait/Pready/Parrived/abort events into its ring,
@@ -276,7 +269,7 @@ func (c *Comm) TrafficSnapshot() Traffic {
 // The request is transport-agnostic: the protocol — how completion is
 // signalled, where the payload moves — lives in op (a backend-provided
 // reqOp/persOp), while the request carries the generic identity
-// (owner, endpoints) and stamps trace/flight/metrics events around the
+// (owner, endpoints) and stamps flight/metrics events around the
 // protocol calls.
 type Request struct {
 	comm *Comm // owner, for accounting and abort checks
@@ -285,8 +278,7 @@ type Request struct {
 	persistent bool // built by SendInit/RecvInit (reusable, Startable)
 	psend      bool // persistent direction: true = send endpoint
 
-	peer, tag int    // endpoints for diagnostics (dst for sends, src for recvs)
-	label     string // trace label for persistent Start, "" when tracing is off
+	peer, tag int // endpoints for diagnostics (dst for sends, src for recvs)
 }
 
 // Isend starts a nonblocking send of buf to rank dst with the given tag.
@@ -309,9 +301,6 @@ func (c *Comm) Isend(dst, tag int, buf []float64) *Request {
 	}
 	c.sentMsgs.Add(1)
 	c.sentBytes.Add(int64(8 * len(buf)))
-	if rec := c.world.rec; rec != nil {
-		rec.Begin(c.rank, trace.KindSend, fmt.Sprintf("send->%d tag=%d", dst, tag), dst, int64(8*len(buf)))()
-	}
 	seq := c.fl.Send(int32(dst), int32(tag), -1, int64(8*len(buf)))
 	if c.m != nil {
 		c.m.sendBytes.Observe(float64(8 * len(buf)))
@@ -325,9 +314,6 @@ func (c *Comm) Isend(dst, tag int, buf []float64) *Request {
 func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 	if src != AnySource && (src < 0 || src >= c.world.size) {
 		panic(fmt.Sprintf("mpi: Irecv from invalid rank %d (size %d)", src, c.world.size))
-	}
-	if rec := c.world.rec; rec != nil {
-		rec.Begin(c.rank, trace.KindRecv, fmt.Sprintf("recv<-%d tag=%d", src, tag), src, int64(8*len(buf)))()
 	}
 	c.fl.RecvPost(int32(src), int32(tag), int64(8*len(buf)))
 	return c.world.tr.irecv(c, src, tag, buf)
@@ -344,10 +330,6 @@ func (r *Request) Wait() int {
 	if r.comm != nil {
 		m = r.comm.m
 		fl = r.comm.fl
-		if rec := r.comm.world.rec; rec != nil && !r.persistent {
-			end := rec.Begin(r.comm.rank, trace.KindWait, "wait", -1, 0)
-			defer end()
-		}
 	}
 	var t0 time.Time
 	if m != nil {

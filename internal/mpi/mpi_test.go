@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/bricklab/brick/internal/trace"
+	"github.com/bricklab/brick/internal/flight"
 )
 
 func TestNewWorldPanicsOnBadSize(t *testing.T) {
@@ -284,10 +284,14 @@ func TestManyRanksRing(t *testing.T) {
 	})
 }
 
+// TestTraceIntegration: a blocking Send/Recv pair leaves on the flight
+// rings exactly what a Chrome export of the run shows — one send-post to
+// peer 1 carrying 16 bytes, one recv-post, and a wait-start/done pair on
+// both ranks.
 func TestTraceIntegration(t *testing.T) {
-	rec := trace.NewRecorder()
+	rec := flight.New(2, 64)
 	w := NewWorld(2)
-	w.SetTrace(rec)
+	w.SetFlight(rec)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 3, []float64{1, 2})
@@ -295,22 +299,18 @@ func TestTraceIntegration(t *testing.T) {
 			c.Recv(0, 3, make([]float64, 2))
 		}
 	})
-	evs := rec.Events()
-	var sends, recvs, waits int
-	for _, e := range evs {
-		switch e.Kind {
-		case trace.KindSend:
-			sends++
-			if e.Peer != 1 || e.Bytes != 16 {
-				t.Errorf("send event: %+v", e)
-			}
-		case trace.KindRecv:
-			recvs++
-		case trace.KindWait:
-			waits++
-		}
+	sends := ringEvents(rec.Rank(0), flight.KindSendPost)
+	if len(sends) != 1 || sends[0].Peer != 1 || sends[0].Bytes != 16 {
+		t.Errorf("send-posts = %+v, want one to peer 1 with 16 bytes", sends)
 	}
-	if sends != 1 || recvs != 1 || waits != 2 {
-		t.Errorf("sends=%d recvs=%d waits=%d", sends, recvs, waits)
+	if recvs := ringEvents(rec.Rank(1), flight.KindRecvPost); len(recvs) != 1 {
+		t.Errorf("recv-posts = %+v, want one", recvs)
+	}
+	for rank := 0; rank < 2; rank++ {
+		starts := ringEvents(rec.Rank(rank), flight.KindWaitStart)
+		dones := ringEvents(rec.Rank(rank), flight.KindWaitDone)
+		if len(starts) != 1 || len(dones) != 1 {
+			t.Errorf("rank %d: %d wait-starts / %d wait-dones, want 1/1", rank, len(starts), len(dones))
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/bricklab/brick/internal/fault"
 	"github.com/bricklab/brick/internal/flight"
-	"github.com/bricklab/brick/internal/trace"
 )
 
 // Persistent requests (SendInit/RecvInit + Start/Wait) implement the
@@ -157,11 +156,7 @@ func (c *Comm) SendInit(dst, tag int, buf []float64) *Request {
 	if tag < 0 {
 		panic("mpi: send tag must be non-negative")
 	}
-	r := c.world.tr.sendInit(c, dst, tag, buf)
-	if c.world.rec != nil {
-		r.label = fmt.Sprintf("psend->%d tag=%d", dst, tag)
-	}
-	return r
+	return c.world.tr.sendInit(c, dst, tag, buf)
 }
 
 // RecvInit creates a persistent receive endpoint: every Start/Wait cycle
@@ -174,11 +169,7 @@ func (c *Comm) RecvInit(src, tag int, buf []float64) *Request {
 	if tag < 0 {
 		panic("mpi: RecvInit tag must be a concrete non-negative tag")
 	}
-	r := c.world.tr.recvInit(c, src, tag, buf)
-	if c.world.rec != nil {
-		r.label = fmt.Sprintf("precv<-%d tag=%d", src, tag)
-	}
-	return r
+	return c.world.tr.recvInit(c, src, tag, buf)
 }
 
 func (t *chanTransport) sendInit(c *Comm, dst, tag int, buf []float64) *Request {
@@ -367,9 +358,6 @@ func (r *Request) Start() {
 		if m := c.m; m != nil {
 			m.sendBytes.Observe(float64(8 * n))
 		}
-		if rec := c.world.rec; rec != nil {
-			rec.Begin(c.rank, trace.KindSend, r.label, r.peer, int64(8*n))()
-		}
 		seq := c.fl.Send(int32(r.peer), int32(r.tag), -1, int64(8*n))
 		var flips []fault.ByteFlip
 		if f := c.world.fault; f != nil {
@@ -379,9 +367,6 @@ func (r *Request) Start() {
 		return
 	}
 	n := op.elems(r)
-	if rec := c.world.rec; rec != nil {
-		rec.Begin(c.rank, trace.KindRecv, r.label, r.peer, int64(8*n))()
-	}
 	c.fl.RecvPost(int32(r.peer), int32(r.tag), int64(8*n))
 	op.start(r, 0, nil)
 }

@@ -14,8 +14,8 @@ import (
 	"strings"
 	"time"
 
+	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/metrics"
-	"github.com/bricklab/brick/internal/trace"
 )
 
 // PhaseStat is one phase's share of a rank's measured time.
@@ -55,7 +55,7 @@ var phaseOrder = []string{"call", "pack", "wait", "calc"}
 // Analyze builds per-rank reports from a metrics snapshot, merging trace
 // events (may be nil) for the longest-chain analysis. Reports are sorted
 // by impl, then rank (numeric, with "all" last).
-func Analyze(snap *metrics.Snapshot, events []trace.Event) []RankReport {
+func Analyze(snap *metrics.Snapshot, events []flight.TraceEvent) []RankReport {
 	type key struct{ impl, rank string }
 	byRank := map[key][]PhaseStat{}
 	for _, h := range snap.Histograms {
@@ -146,8 +146,8 @@ type chain struct {
 // each next event starts before the previous one has been over for 10% of
 // its duration (tolerating scheduler jitter between phases). Consecutive
 // events of the same kind collapse to one step.
-func chainByRank(events []trace.Event) map[int]chain {
-	perRank := map[int][]trace.Event{}
+func chainByRank(events []flight.TraceEvent) map[int]chain {
+	perRank := map[int][]flight.TraceEvent{}
 	for _, e := range events {
 		perRank[e.Rank] = append(perRank[e.Rank], e)
 	}

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/metrics"
-	"github.com/bricklab/brick/internal/trace"
 )
 
 // snapFor builds a metrics snapshot with a known phase breakdown: rank 0 is
@@ -72,21 +72,21 @@ func TestAnalyzeShares(t *testing.T) {
 // chain wins over the fallback.
 func TestAnalyzeChainFromTrace(t *testing.T) {
 	ms := time.Millisecond
-	mkEv := func(kind trace.Kind, start, dur time.Duration) trace.Event {
-		return trace.Event{Rank: 0, Kind: kind, Name: string(kind), Start: start, Dur: dur, Peer: -1}
+	mkEv := func(kind flight.TraceKind, start, dur time.Duration) flight.TraceEvent {
+		return flight.TraceEvent{Rank: 0, Kind: kind, Name: string(kind), Start: start, Dur: dur, Peer: -1}
 	}
-	events := []trace.Event{
-		// An isolated early event, then the real chain: send, compute
-		// overlapping the flight, wait, surface compute.
-		mkEv(trace.KindPack, 0, 1*ms),
-		mkEv(trace.KindSend, 10*ms, 2*ms),
-		mkEv(trace.KindCompute, 12*ms, 8*ms),
-		mkEv(trace.KindWait, 20*ms, 5*ms),
-		mkEv(trace.KindCompute, 25*ms, 4*ms),
+	events := []flight.TraceEvent{
+		// An isolated early event, then the real chain: send, a tile
+		// overlapping the flight, wait, surface tile.
+		mkEv(flight.TraceRecv, 0, 1*ms),
+		mkEv(flight.TraceSend, 10*ms, 2*ms),
+		mkEv(flight.TraceTile, 12*ms, 8*ms),
+		mkEv(flight.TraceWait, 20*ms, 5*ms),
+		mkEv(flight.TraceTile, 25*ms, 4*ms),
 	}
 	reports := Analyze(snapFor(t), events)
 	r0 := find(t, reports, "0")
-	if got := strings.Join(r0.Chain, "→"); got != "send→compute→wait→compute" {
+	if got := strings.Join(r0.Chain, "→"); got != "send→tile→wait→tile" {
 		t.Errorf("chain = %s", got)
 	}
 	if r0.ChainDur < 0.018 || r0.ChainDur > 0.020 {

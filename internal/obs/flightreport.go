@@ -6,7 +6,6 @@ import (
 
 	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/metrics"
-	"github.com/bricklab/brick/internal/trace"
 )
 
 // WriteFlightReport renders a brick-flight/v1 snapshot as the flightreport
@@ -95,7 +94,7 @@ func firstLine(s string) string {
 // recorded flight events — the actual order of phases and waits of its last
 // complete step — instead of the canonical-order fallback. fs may be nil
 // (plain Analyze).
-func AnalyzeWithFlight(snap *metrics.Snapshot, events []trace.Event, fs *flight.Snapshot) []RankReport {
+func AnalyzeWithFlight(snap *metrics.Snapshot, events []flight.TraceEvent, fs *flight.Snapshot) []RankReport {
 	reports := Analyze(snap, events)
 	if fs == nil {
 		return reports
