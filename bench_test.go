@@ -106,11 +106,22 @@ func BenchmarkTable1_MessageCounts(b *testing.B) {
 // BenchmarkFig08_K1Scaling: Figure 8 — 7-point throughput for the five
 // implementations.
 func BenchmarkFig08_K1Scaling(b *testing.B) {
-	impls := []harness.Impl{harness.MemMap, harness.Layout, harness.YASK, harness.YASKOL, harness.MPITypes}
+	// YASK-OL is YASK exchanging every step (overlapped); the rest expand.
+	impls := []struct {
+		im     harness.Impl
+		expand bool
+		label  string
+	}{
+		{harness.MemMap, true, "MemMap"}, {harness.Layout, true, "Layout"},
+		{harness.YASK, true, "YASK"}, {harness.YASK, false, "YASK-OL"},
+		{harness.MPITypes, true, "MPI_Types"},
+	}
 	for _, dim := range dims(b) {
-		for _, im := range impls {
-			b.Run(fmt.Sprintf("dim%d/%s", dim, im), func(b *testing.B) {
-				runHarness(b, benchConfig(im, dim, stencil.Star7(), netmodel.ThetaKNL()))
+		for _, k := range impls {
+			b.Run(fmt.Sprintf("dim%d/%s", dim, k.label), func(b *testing.B) {
+				cfg := benchConfig(k.im, dim, stencil.Star7(), netmodel.ThetaKNL())
+				cfg.ExpandGhost = k.expand
+				runHarness(b, cfg)
 			})
 		}
 	}
@@ -288,14 +299,20 @@ func BenchmarkTable3_CostSummary(b *testing.B) {
 
 // BenchmarkAblation_ExchangeMethods compares all pack-free exchange methods
 // plus the baselines at one configuration: message count vs copies vs
-// phases (Shift trades 6 messages for 3 serialized phases).
+// phases (Shift trades 6 messages for 3 serialized phases). Layout-OL is
+// Layout exchanging every step, which pipelines the exchange.
 func BenchmarkAblation_ExchangeMethods(b *testing.B) {
 	for _, im := range []harness.Impl{harness.YASK, harness.MPITypes, harness.Basic,
-		harness.Layout, harness.LayoutOL, harness.MemMap, harness.Shift} {
+		harness.Layout, harness.MemMap, harness.Shift} {
 		b.Run(im.String(), func(b *testing.B) {
 			runHarness(b, benchConfig(im, 32, stencil.Star7(), netmodel.ThetaKNL()))
 		})
 	}
+	b.Run("Layout-OL", func(b *testing.B) {
+		cfg := benchConfig(harness.Layout, 32, stencil.Star7(), netmodel.ThetaKNL())
+		cfg.ExpandGhost = false
+		runHarness(b, cfg)
+	})
 }
 
 // BenchmarkAblation_LayoutOrder isolates the layout choice: identical brick

@@ -5,6 +5,7 @@ package cli
 import (
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -16,13 +17,11 @@ import (
 // impls maps the user-facing implementation names to harness values.
 var impls = map[string]harness.Impl{
 	"yask":       harness.YASK,
-	"yask-ol":    harness.YASKOL,
 	"types":      harness.MPITypes,
 	"basic":      harness.Basic,
 	"layout":     harness.Layout,
 	"memmap":     harness.MemMap,
 	"shift":      harness.Shift,
-	"layout-ol":  harness.LayoutOL,
 	"gpu-layout": harness.GPULayoutCA,
 	"gpu-um":     harness.GPULayoutUM,
 	"gpu-memmap": harness.GPUMemMapUM,
@@ -32,7 +31,12 @@ var impls = map[string]harness.Impl{
 
 // ImplNames returns the accepted implementation names, sorted for help text.
 func ImplNames() string {
-	return "yask, yask-ol, types, basic, layout, layout-ol, memmap, shift, gpu-layout, gpu-um, gpu-memmap, gpu-types, gpu-staged"
+	names := make([]string, 0, len(impls))
+	for name := range impls {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
 }
 
 // ParseImpl resolves one implementation name (case-insensitive).

@@ -27,22 +27,28 @@ func TestParseEmptyDisablesInjection(t *testing.T) {
 	}
 }
 
+// badSpecs are malformed specs Parse must reject; FuzzParse seeds from them.
+var badSpecs = []string{
+	"nonsense:rank=0",
+	"delay:rank=0",                  // missing mean
+	"delay:rank=0:mean=banana",      // bad duration
+	"delay:rank=0:mean=1ms:nth=2",   // unknown field for kind
+	"delay:rank=-2:mean=1ms",        // bad rank
+	"delay:rank=0:mean=1ms:mean=2s", // duplicate field
+	"stall:rank=0",                  // missing dur
+	"stall:rank=0:nth=0:dur=1s",     // nth is 1-based
+	"panic:rank=0:step=-1",
+	"mapfail:rank=0:step=x",
+	"delay:rank=0:mean=1ms:jitter=2", // jitter out of range
+	"  ,  ,  ",                       // clauses but all empty
+}
+
+// roundTripSpec holds a clause of every in-process kind; FuzzParse seeds
+// from it too.
+const roundTripSpec = "delay:rank=*:mean=200us:jitter=0.5,stall:rank=0:nth=5:dur=2s,panic:rank=1:step=3,mapfail:rank=2,mapfail:rank=3:step=4,allocfail:rank=2"
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"nonsense:rank=0",
-		"delay:rank=0",                  // missing mean
-		"delay:rank=0:mean=banana",      // bad duration
-		"delay:rank=0:mean=1ms:nth=2",   // unknown field for kind
-		"delay:rank=-2:mean=1ms",        // bad rank
-		"delay:rank=0:mean=1ms:mean=2s", // duplicate field
-		"stall:rank=0",                  // missing dur
-		"stall:rank=0:nth=0:dur=1s",     // nth is 1-based
-		"panic:rank=0:step=-1",
-		"mapfail:rank=0:step=x",
-		"delay:rank=0:mean=1ms:jitter=2", // jitter out of range
-		"  ,  ,  ",                       // clauses but all empty
-	}
-	for _, spec := range bad {
+	for _, spec := range badSpecs {
 		if _, err := Parse(spec, 1); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
 		}
@@ -50,9 +56,8 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	spec := "delay:rank=*:mean=200us:jitter=0.5,stall:rank=0:nth=5:dur=2s,panic:rank=1:step=3,mapfail:rank=2,mapfail:rank=3:step=4,allocfail:rank=2"
-	in := MustParse(spec, 42)
-	if !in.Enabled() || in.Seed() != 42 || in.String() != spec {
+	in := MustParse(roundTripSpec, 42)
+	if !in.Enabled() || in.Seed() != 42 || in.String() != roundTripSpec {
 		t.Fatalf("round trip lost state: %v", in)
 	}
 	if len(in.delays) != 1 || len(in.stalls) != 1 || len(in.panics) != 1 ||

@@ -8,6 +8,10 @@ import (
 	"github.com/bricklab/brick/internal/mpi"
 )
 
+// regions3 is layout.Regions(3), hoisted so the per-step pack and unpack
+// loops do not rebuild it.
+var regions3 = layout.Regions(3)
+
 // Exchange tags: one message per neighbor per exchange, keyed by the
 // sender's direction index so tags stay unique on tiny periodic grids.
 func gridTag(senderDir layout.Set) int {
@@ -109,7 +113,7 @@ func (e *PackExchanger) Start() int {
 	call := time.Since(t0)
 
 	t0 = time.Now()
-	for _, s := range layout.Regions(3) {
+	for _, s := range regions3 {
 		if e.rank[s] < 0 {
 			continue
 		}
@@ -132,7 +136,7 @@ func (e *PackExchanger) Complete() {
 	e.AddWait(time.Since(t0))
 
 	t0 = time.Now()
-	for _, s := range layout.Regions(3) {
+	for _, s := range regions3 {
 		if e.rank[s] < 0 {
 			continue
 		}
@@ -209,7 +213,7 @@ func (e *TypesExchanger) Start() int {
 	call := time.Since(t0)
 
 	t0 = time.Now()
-	for _, s := range layout.Regions(3) {
+	for _, s := range regions3 {
 		if e.rank[s] < 0 {
 			continue
 		}
@@ -234,7 +238,7 @@ func (e *TypesExchanger) Complete() {
 	e.AddWait(time.Since(t0))
 
 	t0 = time.Now()
-	for _, s := range layout.Regions(3) {
+	for _, s := range regions3 {
 		if e.rank[s] < 0 {
 			continue
 		}

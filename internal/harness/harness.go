@@ -15,8 +15,6 @@ import (
 	"github.com/bricklab/brick/internal/core"
 	"github.com/bricklab/brick/internal/fault"
 	"github.com/bricklab/brick/internal/flight"
-	"github.com/bricklab/brick/internal/gpu"
-	"github.com/bricklab/brick/internal/layout"
 	"github.com/bricklab/brick/internal/metrics"
 	"github.com/bricklab/brick/internal/mpi"
 	"github.com/bricklab/brick/internal/netmodel"
@@ -30,12 +28,9 @@ type Impl int
 // CPU implementations (K experiments) and GPU strategies (V experiments).
 const (
 	// YASK: lexicographic arrays with explicit pack/unpack, one message per
-	// neighbor, no overlap (the paper's YASK -no-overlap_comms baseline
-	// role).
+	// neighbor (the paper's pack-based baseline role; with ExpandGhost off
+	// it overlaps the exchange, the paper's YASK-OL).
 	YASK Impl = iota
-	// YASKOL: as YASK but overlapping communication with interior
-	// computation.
-	YASKOL
 	// MPITypes: lexicographic arrays exchanged with derived datatypes.
 	MPITypes
 	// Basic: bricks with a lexicographic block order, each region sent
@@ -49,10 +44,6 @@ const (
 	// views — 6 messages in 3 serialized phases (paper Section 8 related
 	// work).
 	Shift
-	// LayoutOL: the Layout exchange overlapped with interior computation
-	// (post sends/receives, compute the interior bricks, wait, compute the
-	// surface bricks).
-	LayoutOL
 	// GPULayoutCA, GPULayoutUM, GPUMemMapUM, GPUTypesUM: the V1 strategies,
 	// reported in modeled time.
 	GPULayoutCA
@@ -64,37 +55,17 @@ const (
 	GPUStaged
 )
 
+var implNames = [...]string{
+	YASK: "YASK", MPITypes: "MPI_Types", Basic: "Basic", Layout: "Layout",
+	MemMap: "MemMap", Shift: "Shift", GPULayoutCA: "LayoutCA", GPULayoutUM: "LayoutUM",
+	GPUMemMapUM: "MemMapUM", GPUTypesUM: "MPI_TypesUM", GPUStaged: "Staged",
+}
+
 func (im Impl) String() string {
-	switch im {
-	case YASK:
-		return "YASK"
-	case YASKOL:
-		return "YASK-OL"
-	case MPITypes:
-		return "MPI_Types"
-	case Basic:
-		return "Basic"
-	case Layout:
-		return "Layout"
-	case MemMap:
-		return "MemMap"
-	case Shift:
-		return "Shift"
-	case LayoutOL:
-		return "Layout-OL"
-	case GPULayoutCA:
-		return "LayoutCA"
-	case GPULayoutUM:
-		return "LayoutUM"
-	case GPUMemMapUM:
-		return "MemMapUM"
-	case GPUTypesUM:
-		return "MPI_TypesUM"
-	case GPUStaged:
-		return "Staged"
-	default:
-		return fmt.Sprintf("Impl(%d)", int(im))
+	if im >= 0 && int(im) < len(implNames) {
+		return implNames[im]
 	}
+	return fmt.Sprintf("Impl(%d)", int(im))
 }
 
 // GPU reports whether the implementation is a V-experiment strategy whose
@@ -104,7 +75,7 @@ func (im Impl) GPU() bool { return im >= GPULayoutCA }
 // Brick reports whether the implementation stores data in bricks.
 func (im Impl) Brick() bool {
 	switch im {
-	case Basic, Layout, MemMap, Shift, LayoutOL, GPULayoutCA, GPULayoutUM, GPUMemMapUM:
+	case Basic, Layout, MemMap, Shift, GPULayoutCA, GPULayoutUM, GPUMemMapUM:
 		return true
 	}
 	return false
@@ -137,7 +108,9 @@ type Config struct {
 	// page-size sweep); 0 uses the machine's page size.
 	PageBytes int
 	// ExpandGhost amortizes exchanges over Ghost/Radius timesteps with
-	// redundant computation (ghost-cell expansion). Ignored for YASKOL.
+	// redundant computation (ghost-cell expansion), each exchange completing
+	// before the step computes. Off, every step exchanges and, for every
+	// implementation but Shift, overlaps the exchange with computation.
 	ExpandGhost bool
 	// Workers is the per-rank compute worker count for the stencil kernels
 	// (the rank's "OpenMP team" in the paper's experiments). 0 resolves
@@ -160,7 +133,7 @@ type Config struct {
 	// worker-pool tile metrics, and end-of-run traffic counters and
 	// throughput gauges. Nil (the default) disables all recording; the
 	// instrumented paths then cost only pointer checks.
-	Metrics *metrics.Registry
+	Metrics *metrics.Registry `json:"-"`
 
 	// Checkpoint enables the recovery driver: ranks snapshot their state
 	// every CheckpointEvery steps (brick-ckpt/v1 epochs in internal/ckpt)
@@ -204,7 +177,7 @@ type Config struct {
 	// FlightRec optionally supplies the recorder so callers (tests, soak
 	// drivers) can inspect the rings after the run; when nil and Flight is
 	// set, Run builds one sized by ranks() and FlightDepth.
-	FlightRec *flight.Recorder
+	FlightRec *flight.Recorder `json:"-"`
 
 	// inj is the compiled Fault spec, set by Run before the rank bodies
 	// start; the runners consult it at their hook points. Nil injects
@@ -238,8 +211,8 @@ func (c Config) pageBytes() int {
 
 // exchangePeriod returns how many timesteps one exchange covers.
 func (c Config) exchangePeriod() int {
-	if !c.ExpandGhost || c.Impl == YASKOL || c.Impl == LayoutOL {
-		return 1 // overlap requires fresh ghosts every step
+	if !c.ExpandGhost {
+		return 1
 	}
 	return c.Ghost / c.Stencil.Radius
 }
@@ -586,10 +559,8 @@ func rankBody(cfg Config, perRank []Result) func(*mpi.Comm) {
 		var err error
 		if cfg.Impl.GPU() {
 			r, err = runGPURank(cfg, cart)
-		} else if cfg.Impl.Brick() {
-			r, err = runBrickRank(cfg, cart)
 		} else {
-			r, err = runGridRank(cfg, cart)
+			r, err = runRank(cfg, cart)
 		}
 		if err != nil {
 			// A rank that kept its error to itself used to deadlock the
@@ -669,34 +640,12 @@ func margins(cfg Config) []int {
 	return out
 }
 
-// modeledNetwork returns the per-exchange modeled network time for a message
-// plan given as (bytes per message) values.
-func modeledNetwork(mach netmodel.Machine, kind netmodel.LinkKind, sizes []int) time.Duration {
+// modeledNetwork returns the modeled network seconds of one exchange of a
+// compiled plan: each send priced by the machine profile.
+func modeledNetwork(mach netmodel.Machine, plan *core.ExchangePlan) float64 {
 	var total time.Duration
-	for _, n := range sizes {
-		total += mach.Cost(kind, n)
+	for _, m := range plan.Sends {
+		total += mach.Cost(netmodel.Network, int(m.Bytes))
 	}
-	return total
-}
-
-// networkFloorGrid returns the minimal per-exchange network time for a grid
-// subdomain: one message per neighbor with exact region payloads.
-func networkFloorGrid(cfg Config) float64 {
-	g := tmpGrid(cfg)
-	var sizes []int
-	for _, s := range layout.Regions(3) {
-		lo, hi := g.SendRegion(s)
-		sizes = append(sizes, 8*regionCount(lo, hi))
-	}
-	return modeledNetwork(cfg.Machine, netmodel.Network, sizes).Seconds()
-}
-
-func regionCount(lo, hi [3]int) int {
-	return (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2])
-}
-
-// networkFloorBricks returns the minimal per-exchange network time for a
-// brick decomposition (unpadded payloads, one message per neighbor).
-func networkFloorBricks(cfg Config, dec *core.BrickDecomp) float64 {
-	return gpu.NetworkFloor(dec, cfg.Machine, netmodel.Network).Seconds()
+	return total.Seconds()
 }

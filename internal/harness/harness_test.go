@@ -23,13 +23,47 @@ func baseConfig(im Impl) Config {
 	}
 }
 
-var allImpls = []Impl{YASK, YASKOL, MPITypes, Basic, Layout, MemMap, Shift, LayoutOL,
+var allImpls = []Impl{YASK, MPITypes, Basic, Layout, MemMap, Shift,
 	GPULayoutCA, GPULayoutUM, GPUMemMapUM, GPUTypesUM, GPUStaged}
+
+// schedCell is one cell of the parity suites' implementation × exchange
+// period grid: period 1 (ExpandGhost off), where every implementation but
+// Shift overlaps the exchange with computation, or period Ghost/Radius
+// (ghost-cell expansion), where each exchange completes before the step
+// computes.
+type schedCell struct {
+	im     Impl
+	expand bool
+}
+
+// String labels a cell as Fig 8 does: "<impl>" expands ghosts, and
+// "<impl>-OL" exchanges every step.
+func (c schedCell) String() string {
+	if c.expand {
+		return c.im.String()
+	}
+	return c.im.String() + "-OL"
+}
+
+// apply sets the cell's implementation and period on cfg.
+func (c schedCell) apply(cfg Config) Config {
+	cfg.Impl, cfg.ExpandGhost = c.im, c.expand
+	return cfg
+}
+
+// schedCells is every CPU implementation at both periods.
+func schedCells() []schedCell {
+	var out []schedCell
+	for _, im := range SoakImpls {
+		out = append(out, schedCell{im, false}, schedCell{im, true})
+	}
+	return out
+}
 
 func TestImplStrings(t *testing.T) {
 	want := map[Impl]string{
-		YASK: "YASK", YASKOL: "YASK-OL", MPITypes: "MPI_Types",
-		Basic: "Basic", Layout: "Layout", MemMap: "MemMap", Shift: "Shift", LayoutOL: "Layout-OL",
+		YASK: "YASK", MPITypes: "MPI_Types",
+		Basic: "Basic", Layout: "Layout", MemMap: "MemMap", Shift: "Shift",
 		GPULayoutCA: "LayoutCA", GPULayoutUM: "LayoutUM",
 		GPUMemMapUM: "MemMapUM", GPUTypesUM: "MPI_TypesUM", GPUStaged: "Staged",
 		Impl(99): "Impl(99)",
@@ -109,21 +143,21 @@ func TestWorkerCountsAgree(t *testing.T) {
 	// Intra-rank parallel compute must not change results bit-for-bit:
 	// every element is written by exactly one worker tile, and the per-
 	// element accumulation order is unchanged by tiling.
-	for _, im := range []Impl{YASK, YASKOL, MPITypes, Basic, Layout, MemMap, Shift, LayoutOL} {
-		serial := baseConfig(im)
+	for _, c := range schedCells() {
+		serial := c.apply(baseConfig(c.im))
 		serial.Workers = 1
-		parallel := baseConfig(im)
+		parallel := serial
 		parallel.Workers = 4
 		a, err := Run(serial)
 		if err != nil {
-			t.Fatalf("%v workers=1: %v", im, err)
+			t.Fatalf("%v workers=1: %v", c, err)
 		}
 		b, err := Run(parallel)
 		if err != nil {
-			t.Fatalf("%v workers=4: %v", im, err)
+			t.Fatalf("%v workers=4: %v", c, err)
 		}
-		if a.Checksum != b.Checksum {
-			t.Errorf("%v: workers changed checksum %v -> %v", im, a.Checksum, b.Checksum)
+		if math.Float64bits(a.Checksum) != math.Float64bits(b.Checksum) {
+			t.Errorf("%v: workers changed checksum %v -> %v", c, a.Checksum, b.Checksum)
 		}
 	}
 }
@@ -198,13 +232,17 @@ func TestPackFreeImplsReportZeroPack(t *testing.T) {
 	// (gather/scatter on every exchange), and since the exchanger-internal
 	// phase split those real copies are charged to Pack instead of hiding
 	// inside Wait.
-	for _, im := range []Impl{Basic, Layout, MemMap, LayoutOL} {
-		res, err := Run(baseConfig(im))
-		if err != nil {
-			t.Fatalf("%v: %v", im, err)
-		}
-		if res.Pack.Max() != 0 {
-			t.Errorf("%v: pack time %v, want 0 (pack-free)", im, res.Pack.Max())
+	for _, im := range []Impl{Basic, Layout, MemMap} {
+		for _, expand := range []bool{false, true} {
+			cfg := baseConfig(im)
+			cfg.ExpandGhost = expand
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%v expand=%v: %v", im, expand, err)
+			}
+			if res.Pack.Max() != 0 {
+				t.Errorf("%v expand=%v: pack time %v, want 0 (pack-free)", im, expand, res.Pack.Max())
+			}
 		}
 	}
 	// Packing impls must report non-zero pack time.

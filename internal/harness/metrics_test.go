@@ -10,18 +10,17 @@ import (
 	"github.com/bricklab/brick/internal/stencil"
 )
 
-// TestRunMetrics runs every CPU implementation with a registry attached
-// and checks the snapshot invariants the obsreport/bench consumers rely
-// on: one calc-phase series per rank plus the rank="all" aggregate, each
-// with exactly Steps observations, ordered quantiles, and traffic counters
-// matching the message plan.
+// TestRunMetrics runs every CPU implementation, at both exchange periods,
+// with a registry attached and checks the snapshot invariants the
+// obsreport/bench consumers rely on: one calc-phase series per rank plus
+// the rank="all" aggregate, each with exactly Steps observations, ordered
+// quantiles, and traffic counters matching the message plan.
 func TestRunMetrics(t *testing.T) {
-	impls := []Impl{YASK, YASKOL, MPITypes, Basic, Layout, MemMap, Shift, LayoutOL}
-	for _, im := range impls {
-		t.Run(im.String(), func(t *testing.T) {
+	for _, c := range schedCells() {
+		im := c.im
+		t.Run(c.String(), func(t *testing.T) {
 			reg := metrics.NewRegistry()
-			cfg := Config{
-				Impl:    im,
+			cfg := c.apply(Config{
 				Procs:   [3]int{2, 1, 1},
 				Dom:     [3]int{16, 16, 16},
 				Ghost:   8,
@@ -32,7 +31,7 @@ func TestRunMetrics(t *testing.T) {
 				Machine: netmodel.ThetaKNL(),
 				Workers: 1,
 				Metrics: reg,
-			}
+			})
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

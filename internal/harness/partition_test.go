@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,15 +10,16 @@ import (
 	"github.com/bricklab/brick/internal/mpi"
 )
 
-// TestPipelineMatchesSerial runs every brick implementation twice: with an
-// exchange every step, which pipelines the surface pass into partitioned
-// sends, and with ghost expansion, which exchanges then computes. The
-// checksums must be math.Float64bits-identical: the pipeline reorders when
-// spans hit the wire, never what they carry. Peers, tags, and byte counts
-// of the plan must not change; the digest may differ only by the appended
-// partition section.
+// TestPipelineMatchesSerial runs every CPU implementation twice: with an
+// exchange every step, which overlaps it with computation (bricks pipeline
+// the surface pass into partitioned sends; arrays split interior and
+// shell), and with ghost expansion, which exchanges then computes. The
+// checksums must be math.Float64bits-identical: the schedule reorders when
+// data hits the wire, never what it carries. Peers, tags, and byte counts
+// of the plan must not change; a brick digest may differ only by the
+// appended partition section.
 func TestPipelineMatchesSerial(t *testing.T) {
-	for _, im := range []Impl{Basic, Layout, MemMap, Shift, LayoutOL} {
+	for _, im := range SoakImpls {
 		cfg := baseConfig(im)
 		pipe, err := Run(cfg)
 		if err != nil {
@@ -39,71 +41,77 @@ func TestPipelineMatchesSerial(t *testing.T) {
 			p.RecvBytes != s.RecvBytes || p.Variant != s.Variant {
 			t.Errorf("%v: the schedule changed the message plan: %+v vs %+v", im, p, s)
 		}
-		switch im {
-		case Shift:
-			// Slab phases are serialized by corner forwarding: never pipelined.
-			if p.Partitions != 0 || s.Partitions != 0 {
-				t.Errorf("%v: unexpected partitions %d/%d", im, p.Partitions, s.Partitions)
-			}
-		case LayoutOL:
-			// Overlap needs fresh ghosts every step, so ghost expansion is
-			// ignored and both runs pipeline the same plan.
-			if p.Partitions < p.Sends || p.Digest != s.Digest {
+		if !im.Brick() || im == Shift {
+			// Array exchanges overlap without partitions, and Shift's slab
+			// phases are serialized by corner forwarding: one plan for both
+			// schedules.
+			if p.Partitions != 0 || s.Partitions != 0 || p.Digest != s.Digest {
 				t.Errorf("%v: plans differ: %+v vs %+v", im, p, s)
 			}
-		default:
-			// At least one partition per send, and a digest that differs
-			// from the serial plan's in (exactly) its partition section.
-			if p.Partitions < p.Sends {
-				t.Errorf("%v: %d partitions for %d sends, want >= one per send", im, p.Partitions, p.Sends)
-			}
-			if s.Partitions != 0 {
-				t.Errorf("%v: serial schedule compiled %d partitions", im, s.Partitions)
-			}
-			if p.Digest == s.Digest {
-				t.Errorf("%v: pipelined digest did not record the partition section", im)
-			}
+			continue
+		}
+		// At least one partition per send, and a digest that differs from
+		// the serial plan's in (exactly) its partition section.
+		if p.Partitions < p.Sends {
+			t.Errorf("%v: %d partitions for %d sends, want >= one per send", im, p.Partitions, p.Sends)
+		}
+		if s.Partitions != 0 {
+			t.Errorf("%v: serial schedule compiled %d partitions", im, s.Partitions)
+		}
+		if p.Digest == s.Digest {
+			t.Errorf("%v: pipelined digest did not record the partition section", im)
 		}
 	}
 }
 
-// TestPipelinedStepZeroAllocs: a steady-state pipelined step — receives
-// started, interior computed, exchange completed, next sends armed, surface
-// tiles firing Pready — makes no heap allocation. A single-rank periodic
+// TestPipelinedStepZeroAllocs: a steady-state step of the rank loop —
+// layout step plus the loop's hooks and accounting — makes no heap
+// allocation. For bricks that is the pipelined step (receives started,
+// interior computed, exchange completed, next sends armed, surface tiles
+// firing Pready); for arrays the overlapped step at period 1 and the
+// exchange-then-compute step under ghost expansion. A single-rank periodic
 // world exchanges with itself over chan, so one goroutine drives the whole
 // step.
 func TestPipelinedStepZeroAllocs(t *testing.T) {
+	type cell struct {
+		im     Impl
+		sh     int
+		expand bool
+	}
 	// 8³ bricks take the vector 7-point body on an AVX2 host.
-	for _, sh := range []int{4, 8} {
-		for _, im := range []Impl{Layout, MemMap} {
-			cfg := baseConfig(im)
-			cfg.Shape, cfg.Ghost = core.Shape{sh, sh, sh}, sh
-			cfg.Procs = [3]int{1, 1, 1}
-			cfg.Workers = 1
-			cfg.Steps = 1 << 20 // never the last step: every step re-arms
-			w := mpi.NewWorld(1)
-			w.Run(func(c *mpi.Comm) {
-				r, err := newBrickRank(cfg, mpi.NewCart(c, []int{1, 1, 1}, []bool{true, true, true}))
-				defer r.close()
-				if err != nil {
-					t.Errorf("%v %d³: %v", im, sh, err)
-					return
-				}
-				if r.part == nil {
-					t.Errorf("%v %d³: exchange every step did not select the pipeline", im, sh)
-					return
-				}
-				abs := 0
-				allocs := testing.AllocsPerRun(50, func() {
-					r.step(abs, abs, true)
-					abs++
-				})
-				if allocs != 0 {
-					t.Errorf("%v %d³: pipelined step allocates %v times, want 0", im, sh, allocs)
-				}
+	cells := []cell{{Layout, 4, false}, {MemMap, 4, false}, {Layout, 8, false}, {MemMap, 8, false},
+		{YASK, 4, false}, {MPITypes, 4, false}, {YASK, 4, true}}
+	for _, c := range cells {
+		cfg := baseConfig(c.im)
+		cfg.Shape, cfg.Ghost = core.Shape{c.sh, c.sh, c.sh}, c.sh
+		cfg.ExpandGhost = c.expand
+		cfg.Procs = [3]int{1, 1, 1}
+		cfg.Workers = 1
+		cfg.Warmup = 0
+		cfg.Steps = 1 << 20 // never the last step: every step re-arms
+		name := fmt.Sprintf("%v %d³ expand=%v", c.im, c.sh, c.expand)
+		w := mpi.NewWorld(1)
+		w.Run(func(cm *mpi.Comm) {
+			lp, err := newRankLoop(cfg, mpi.NewCart(cm, []int{1, 1, 1}, []bool{true, true, true}))
+			defer lp.lay.close()
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				return
+			}
+			if br, ok := lp.lay.(*brickRank); ok && br.part == nil {
+				t.Errorf("%s: exchange every step did not select the pipeline", name)
+				return
+			}
+			abs := 0
+			allocs := testing.AllocsPerRun(50, func() {
+				lp.step(abs)
+				abs++
 			})
-			w.Close()
-		}
+			if allocs != 0 {
+				t.Errorf("%s: step allocates %v times, want 0", name, allocs)
+			}
+		})
+		w.Close()
 	}
 }
 

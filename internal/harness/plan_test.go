@@ -11,7 +11,7 @@ import (
 
 // cpuImpls are the implementations that exchange real data over the
 // in-process runtime (GPU strategies are modeled and compile no plans).
-var cpuImpls = []Impl{YASK, YASKOL, MPITypes, Basic, Layout, MemMap, Shift, LayoutOL}
+var cpuImpls = SoakImpls
 
 // TestPlanSummaryShape checks the recorded plan of every CPU implementation
 // — present, non-empty, and with a digest that is stable across two runs of

@@ -26,19 +26,19 @@ func recoverConfig(im Impl) Config {
 }
 
 // TestRecoveryPanicBitIdentical is the headline guarantee: for every CPU
-// implementation, a run that loses a rank to an injected panic mid-run
-// recovers from the last checkpoint and finishes with a checksum
-// bit-identical to the fault-free run.
+// implementation at both exchange periods, a run that loses a rank to an
+// injected panic mid-run recovers from the last checkpoint and finishes
+// with a checksum bit-identical to the fault-free run.
 func TestRecoveryPanicBitIdentical(t *testing.T) {
-	for _, im := range SoakImpls {
-		im := im
-		t.Run(im.String(), func(t *testing.T) {
+	for _, c := range schedCells() {
+		c := c
+		t.Run(c.String(), func(t *testing.T) {
 			t.Parallel()
-			clean, err := Run(baseConfig(im))
+			clean, err := Run(c.apply(baseConfig(c.im)))
 			if err != nil {
 				t.Fatalf("clean run: %v", err)
 			}
-			cfg := recoverConfig(im)
+			cfg := c.apply(recoverConfig(c.im))
 			cfg.Fault = "panic:rank=3:step=3" // mid-run: one checkpoint behind
 			cfg.FaultSeed = 1
 			rec, err := Run(cfg)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/bricklab/brick/internal/ckpt"
@@ -22,20 +23,253 @@ func rankOrigin(cfg Config, cart *mpi.Cart) [3]int {
 	return [3]int{co[2] * cfg.Dom[0], co[1] * cfg.Dom[1], co[0] * cfg.Dom[2]}
 }
 
-func tmpGrid(cfg Config) *grid.Grid { return grid.New(cfg.Dom, cfg.Ghost) }
+// seedDomain writes initValue over the rank's owned elements through set,
+// which takes extended (ghost-inclusive) coordinates.
+func seedDomain(cfg Config, cart *mpi.Cart, set func(x, y, z int, v float64)) {
+	org := rankOrigin(cfg, cart)
+	for z := 0; z < cfg.Dom[2]; z++ {
+		for y := 0; y < cfg.Dom[1]; y++ {
+			for x := 0; x < cfg.Dom[0]; x++ {
+				set(x+cfg.Ghost, y+cfg.Ghost, z+cfg.Ghost, initValue(org[0]+x, org[1]+y, org[2]+z))
+			}
+		}
+	}
+}
 
-// brickRank is one rank of a Basic/Layout/MemMap/Shift run: storage, the
-// compiled exchange, and the step schedule. newBrickRank builds it (and
-// rewinds it to a checkpoint epoch under the recovery driver); step
-// advances it one timestep.
+// sumDomain sums the rank's owned elements through at, which takes
+// extended (ghost-inclusive) coordinates.
+func sumDomain(cfg Config, at func(x, y, z int) float64) float64 {
+	sum := 0.0
+	for z := 0; z < cfg.Dom[2]; z++ {
+		for y := 0; y < cfg.Dom[1]; y++ {
+			for x := 0; x < cfg.Dom[0]; x++ {
+				sum += at(x+cfg.Ghost, y+cfg.Ghost, z+cfg.Ghost)
+			}
+		}
+	}
+	return sum
+}
+
+// rankLayout is one rank's data layout: its double-buffered storage, its
+// compiled exchange, and the stencil schedule over them. brickRank
+// (Basic/Layout/MemMap/Shift) and gridRank (YASK/MPI_Types) implement it;
+// rankLoop drives either one through the same steps, checkpoints, and
+// accounting.
 //
-// There are two schedules, chosen by what the config already says. Every
-// per-step exchange except Shift's runs the partitioned pipeline: the
-// surface pass fires Pready tile by tile into the next exchange while the
-// interior of the following step hides its wire time. Ghost expansion
-// (period > 1) computes into the ghost margin the exchange writes, and
-// Shift's three slab phases are serialized by corner forwarding, so both
-// run exchange-then-compute.
+// The schedule follows the exchange period, not the implementation: at
+// period 1 the exchange overlaps computation (the brick pipeline, or the
+// grid's interior/shell split), and above it every exchange completes
+// before the step computes. Shift is the one exception: its slab phases
+// are serialized by corner forwarding, so it never overlaps.
+type rankLayout interface {
+	// step advances the field from buffer cur to buffer 1-cur, refreshing
+	// the ghosts first when exchange is set, with the given ghost-expansion
+	// margin. abs is the absolute step index (warmup included). It returns
+	// the measured compute time and the exchanger's drained phase split.
+	step(abs, cur int, exchange bool, margin int) (time.Duration, core.PhaseTimings)
+	// exchangers are the compiled exchanges, in plan-digest order.
+	exchangers() []core.Exchanger
+	// bufs are the live storage buffers a checkpoint copies and a restore
+	// overwrites.
+	bufs() [][]float64
+	// resume readies the layout for its first step, after any restore.
+	// degraded is the restored snapshot's exchange mode ("" without one).
+	resume(degraded string) error
+	// checksum sums buffer cur over the owned elements.
+	checksum(cur int) float64
+	close()
+}
+
+// rankLoop is one rank of a measured CPU run: a layout plus everything the
+// step loop owns for every layout — fault hooks, flight step marks,
+// checkpoints and restore, plan-digest pinning, warmup/timed accounting,
+// and the plan record.
+type rankLoop struct {
+	cfg  Config
+	comm *mpi.Comm
+	rank int
+	lay  rankLayout
+	res  Result
+	po   *phaseObs
+	fr   *flight.Ring
+
+	period, cur, startAbs int
+	marg                  []int
+	net                   float64 // modeled network seconds per exchange
+}
+
+// runRank executes the measured CPU implementations.
+func runRank(cfg Config, cart *mpi.Cart) (Result, error) {
+	if rank := cart.Comm().Rank(); cfg.inj.AllocFail(rank) {
+		return Result{}, fmt.Errorf("fault: injected allocation failure on rank %d", rank)
+	}
+	lp, err := newRankLoop(cfg, cart)
+	defer lp.lay.close()
+	if err != nil {
+		return lp.res, err
+	}
+	// One loop over absolute steps so a recovered rank resumes mid-run at
+	// its snapshot step. Timing summaries of a recovered run cover only the
+	// steps since the restore; determinism (the checksums) is what replay
+	// guarantees, not re-measured timings.
+	for a := lp.startAbs; a < cfg.Warmup+cfg.Steps; a++ {
+		if ck := cfg.ck; ck != nil && a%ck.every == 0 {
+			ck.checkpoint(lp.comm, lp.rank, a, func() *ckpt.Snapshot { return lp.snapshot(a) })
+		}
+		lp.step(a)
+	}
+	// Every exchanger counts toward the plan-reuse metrics; the result keeps
+	// the first one's summary (double-buffer plans are identical).
+	exs := lp.lay.exchangers()
+	for i := len(exs) - 1; i >= 0; i-- {
+		recordPlan(&lp.res, cfg.Metrics, cfg.Impl, lp.rank, lp.comm.Transport(), exs[i])
+	}
+	lp.res.Checksum = lp.lay.checksum(lp.cur)
+	return lp.res, nil
+}
+
+// newRankLoop builds the rank's layout and, under the recovery driver,
+// pins its plan digest and restores the latest checkpoint epoch. It returns
+// lp with its layout even on error, so the caller's close releases
+// whatever was built.
+func newRankLoop(cfg Config, cart *mpi.Cart) (*rankLoop, error) {
+	comm := cart.Comm()
+	lp := &rankLoop{cfg: cfg, comm: comm, rank: comm.Rank(), res: Result{Config: cfg},
+		po: newPhaseObs(cfg.Metrics, cfg.Impl, comm.Rank()), fr: cfg.FlightRec.Rank(comm.Rank()),
+		period: cfg.exchangePeriod(), marg: margins(cfg)}
+	newLayout := newGridRank
+	if cfg.Impl.Brick() {
+		newLayout = newBrickRank
+	}
+	var err error
+	if lp.lay, err = newLayout(cfg, cart, lp.period, &lp.res); err != nil {
+		return lp, err
+	}
+	// The compiled plan's sends are the messages of one exchange.
+	plan := lp.lay.exchangers()[0].Plan()
+	lp.res.MsgsPerExchange = len(plan.Sends)
+	lp.net = modeledNetwork(cfg.Machine, plan)
+
+	// Under the recovery driver: pin the plan digest (a respawned rank must
+	// re-pair the identical plan) and, when a checkpoint epoch exists,
+	// rewind storage, cursor, and degraded-exchange mode to it.
+	var snap *ckpt.Snapshot
+	if ck := cfg.ck; ck != nil {
+		if err := ck.noteDigest(lp.rank, lp.digest()); err != nil {
+			return lp, err
+		}
+		if snap, err = ck.latest(lp.rank); err != nil {
+			return lp, err
+		}
+	}
+	degraded := ""
+	if snap != nil {
+		if err := lp.restore(snap); err != nil {
+			return lp, err
+		}
+		degraded = snap.Degraded
+	}
+	if err := lp.lay.resume(degraded); err != nil {
+		return lp, err
+	}
+	if got := lp.degraded(); snap != nil && got != degraded {
+		return lp, fmt.Errorf("harness: rank %d restored exchange degraded=%q but snapshot recorded %q",
+			lp.rank, got, degraded)
+	}
+	return lp, nil
+}
+
+// digest is the plan digest the recovery driver pins: the exchangers'
+// digests joined by "+".
+func (lp *rankLoop) digest() string {
+	exs := lp.lay.exchangers()
+	ds := make([]string, len(exs))
+	for i, ex := range exs {
+		ds[i] = ex.Plan().Digest()
+	}
+	return strings.Join(ds, "+")
+}
+
+func (lp *rankLoop) degraded() string { return lp.lay.exchangers()[0].Plan().Degraded }
+
+// snapshot captures the rank's state at absolute step.
+func (lp *rankLoop) snapshot(step int) *ckpt.Snapshot {
+	snap := &ckpt.Snapshot{Rank: lp.rank, Step: step, Cur: lp.cur,
+		Degraded: lp.degraded(), Digest: lp.digest()}
+	for _, b := range lp.lay.bufs() {
+		snap.Bufs = append(snap.Bufs, append([]float64(nil), b...))
+	}
+	return snap
+}
+
+// restore rewinds storage and cursor to snap after checking that it was
+// taken under the same plan and storage shape.
+func (lp *rankLoop) restore(snap *ckpt.Snapshot) error {
+	// The snapshot's own digest pins the plan across processes: a respawned
+	// worker has no in-memory digest map, but the epoch it restores from
+	// remembers what the pre-crash world compiled.
+	if d := lp.digest(); snap.Digest != "" && snap.Digest != d {
+		return fmt.Errorf("harness: rank %d re-paired plan digest %s differs from snapshot digest %s: replay would diverge",
+			lp.rank, d, snap.Digest)
+	}
+	bufs := lp.lay.bufs()
+	ok := len(snap.Bufs) == len(bufs)
+	for i := 0; ok && i < len(bufs); i++ {
+		ok = len(snap.Bufs[i]) == len(bufs[i])
+	}
+	if !ok {
+		return fmt.Errorf("harness: rank %d snapshot shape mismatch (want %d buffer(s) of %d floats)",
+			lp.rank, len(bufs), len(bufs[0]))
+	}
+	for i, b := range bufs {
+		copy(b, snap.Bufs[i])
+	}
+	lp.cur, lp.startAbs = snap.Cur, snap.Step
+	return nil
+}
+
+// step runs absolute timestep abs: the fault and flight hooks, the layout's
+// step, and — past warmup — the accounting. Warmup steps count the exchange
+// cadence from 0, and so do timed steps.
+func (lp *rankLoop) step(abs int) {
+	cfg := &lp.cfg
+	s, timed := abs, abs >= cfg.Warmup
+	if timed {
+		s -= cfg.Warmup
+	}
+	lp.fr.StepMark(abs)
+	cfg.inj.StepPanic(lp.rank, abs)
+	q := s % lp.period
+	// The layout drains its exchanger's phase split even on untimed warmup
+	// steps, so warmup time never leaks into the first timed step.
+	calc, tm := lp.lay.step(abs, lp.cur, q == 0, lp.marg[q])
+	lp.cur = 1 - lp.cur
+	if !timed {
+		return
+	}
+	res := &lp.res
+	res.Calc.AddDuration(calc)
+	res.Pack.AddDuration(tm.Pack)
+	res.Call.AddDuration(tm.Call)
+	res.Wait.AddDuration(tm.Wait)
+	res.Comm.AddDuration(tm.Pack + tm.Call + tm.Wait)
+	net := 0.0
+	if q == 0 {
+		net = lp.net
+	}
+	res.Network.Add(net)
+	// Pack is zero on the pack-free brick paths (the timer only runs when
+	// staging work exists, e.g. the shmem-degraded fallback), so CommSynth
+	// stays measured on-node movement + modeled wire time.
+	res.CommSynth.Add(tm.Pack.Seconds() + net)
+	lp.po.observeStep(calc, tm.Pack, tm.Call, tm.Wait)
+}
+
+// brickRank is the brick layout of a Basic/Layout/MemMap/Shift run:
+// storage, the compiled exchange, and the brick schedule. At period 1
+// every exchange except Shift's runs the partitioned pipeline: the surface
+// pass fires Pready tile by tile into the next exchange while the interior
+// of the following step hides its wire time.
 type brickRank struct {
 	cfg  Config
 	comm *mpi.Comm
@@ -44,6 +278,8 @@ type brickRank struct {
 	info *core.BrickInfo
 	bs   *core.BrickStorage
 	ex   core.Exchanger
+	// mapped is set for MemMap and Shift, whose storage is a mapped arena.
+	mapped bool
 	// degradable is set for MemMap, the one implementation whose mapped
 	// views can be rebuilt as copy windows mid-run (mapfail:step=S faults).
 	degradable *core.ExchangeView
@@ -54,65 +290,25 @@ type brickRank struct {
 	part  core.PartitionedExchanger
 	ready func(int)
 	tiles [][2]int
-
-	period, cur, startAbs int
-	marg                  []int
-	netPerExchange        float64
-	po                    *phaseObs
-	fr                    *flight.Ring
-	res                   Result
+	fr    *flight.Ring
 }
 
-// runBrickRank executes the Basic/Layout/MemMap/Shift implementations.
-func runBrickRank(cfg Config, cart *mpi.Cart) (Result, error) {
-	r, err := newBrickRank(cfg, cart)
-	defer r.close()
-	if err != nil {
-		return r.res, err
-	}
-	// One loop over absolute steps so a recovered rank resumes mid-run at
-	// its snapshot step. Timing summaries of a recovered run cover only the
-	// steps since the restore; determinism (the checksums) is what replay
-	// guarantees, not re-measured timings.
-	for a := r.startAbs; a < cfg.Warmup+cfg.Steps; a++ {
-		if ck := cfg.ck; ck != nil && a%ck.every == 0 {
-			a := a
-			ck.checkpoint(r.comm, r.rank, a, func() *ckpt.Snapshot {
-				return &ckpt.Snapshot{
-					Rank: r.rank, Step: a, Cur: r.cur,
-					Degraded: r.ex.Plan().Degraded, Digest: r.ex.Plan().Digest(),
-					Bufs: [][]float64{append([]float64(nil), r.bs.Data...)},
-				}
-			})
-		}
-		if a < cfg.Warmup {
-			r.step(a, a, false)
-		} else {
-			r.step(a, a-cfg.Warmup, true)
-		}
-	}
-	recordPlan(&r.res, cfg.Metrics, cfg.Impl, r.rank, r.comm.Transport(), r.ex)
-	r.res.Checksum = checksumBricks(r.dec, r.bs, r.cur, cfg)
-	return r.res, nil
-}
-
-// newBrickRank builds one rank's storage and exchange, restores the latest
-// checkpoint epoch when the recovery driver has one, and arms the
-// pipeline's first exchange. It returns r even on error, so the caller's
-// close releases whatever was built.
-func newBrickRank(cfg Config, cart *mpi.Cart) (*brickRank, error) {
+// newBrickRank builds one rank's brick storage and exchange, and fills the
+// result's byte and floor fields. It returns r even on error, so the
+// caller's close releases whatever was built.
+func newBrickRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayout, error) {
 	comm := cart.Comm()
-	r := &brickRank{cfg: cfg, comm: comm, rank: comm.Rank(), res: Result{Config: cfg}}
-	rank := r.rank
+	r := &brickRank{cfg: cfg, comm: comm, rank: comm.Rank(), mapped: cfg.Impl == MemMap || cfg.Impl == Shift,
+		fr: cfg.FlightRec.Rank(comm.Rank())}
 	order := layout.Surface3D()
 	if cfg.Impl == Basic {
 		order = layout.Lexicographic(3)
 	}
 	var opts []core.Option
-	switch cfg.Impl {
-	case MemMap, Shift:
+	switch {
+	case r.mapped:
 		opts = append(opts, core.WithPageAlignment(cfg.pageBytes()))
-	case Basic:
+	case cfg.Impl == Basic:
 		opts = append(opts, core.WithPerRegionMessages())
 	}
 	dec, err := core.NewBrickDecomp(cfg.Shape, cfg.Dom, cfg.Ghost, 2, order, opts...)
@@ -120,38 +316,32 @@ func newBrickRank(cfg Config, cart *mpi.Cart) (*brickRank, error) {
 		return r, err
 	}
 	r.dec = dec
-	if cfg.inj.AllocFail(rank) {
-		return r, fmt.Errorf("fault: injected allocation failure on rank %d", rank)
-	}
-	if cfg.Impl == MemMap || cfg.Impl == Shift {
+	if r.mapped {
 		alloc := dec.MmapAllocate
-		if cfg.inj.MapFailAtAlloc(rank) {
+		if cfg.inj.MapFailAtAlloc(r.rank) {
 			// Injected shm failure: allocate the deterministic unmapped
 			// arena, which the exchanger degrades to copy windows.
 			alloc = dec.MmapAllocateUnmapped
 		}
-		bs, err := alloc()
-		if err != nil {
+		if r.bs, err = alloc(); err != nil {
 			return r, err
 		}
-		r.bs = bs
 	} else {
 		r.bs = dec.Allocate()
 	}
 	bs := r.bs
 	r.info = dec.BrickInfo()
 	bx := core.NewExchanger(dec, cart)
-	r.period = cfg.exchangePeriod()
-	// Surface spans of the decomposition, computed after the exchange
-	// completes; the interior span is computed while it is in flight.
-	var surfSpans [][2]int
-	for _, reg := range dec.Order() {
-		if sp := dec.Surface(reg); sp.NBricks > 0 {
-			surfSpans = append(surfSpans, [2]int{sp.Start, sp.End()})
-		}
-	}
 	var popts []core.PlanOption
-	if r.period == 1 && cfg.Impl != Shift {
+	if period == 1 && cfg.Impl != Shift {
+		// Surface spans of the decomposition, computed after the exchange
+		// completes; the interior span is computed while it is in flight.
+		var surfSpans [][2]int
+		for _, reg := range dec.Order() {
+			if sp := dec.Surface(reg); sp.NBricks > 0 {
+				surfSpans = append(surfSpans, [2]int{sp.Start, sp.End()})
+			}
+		}
 		r.tiles = stencil.TileSpans(surfSpans, cfg.Workers)
 		if len(r.tiles) > 0 { // empty: no surface to exchange
 			popts = append(popts, core.WithPartitions(r.tiles))
@@ -163,8 +353,7 @@ func newBrickRank(cfg Config, cart *mpi.Cart) (*brickRank, error) {
 		if err != nil {
 			return r, err
 		}
-		r.ex = ev
-		r.degradable = ev
+		r.ex, r.degradable = ev, ev
 	case Shift:
 		sv, err := core.NewShiftView(bx, bs)
 		if err != nil {
@@ -183,101 +372,34 @@ func newBrickRank(cfg Config, cart *mpi.Cart) (*brickRank, error) {
 			}
 		}
 	}
+	seedDomain(cfg, cart, func(x, y, z int, v float64) { dec.SetElem(bs, 0, x, y, z, v) })
 
-	org := rankOrigin(cfg, cart)
-	for z := 0; z < cfg.Dom[2]; z++ {
-		for y := 0; y < cfg.Dom[1]; y++ {
-			for x := 0; x < cfg.Dom[0]; x++ {
-				dec.SetElem(bs, 0, x+cfg.Ghost, y+cfg.Ghost, z+cfg.Ghost,
-					initValue(org[0]+x, org[1]+y, org[2]+z))
-			}
-		}
-	}
-
-	// Message plan metrics + modeled network time per exchange.
-	chunkBytes := 8 * bs.Chunk()
-	var sizes []int
-	switch {
-	case cfg.Impl == Shift:
-		// Six slab transfers: the ±axis slabs, forwarded corners included.
-		for axis := 0; axis < 3; axis++ {
-			ext := dec.GridDim()
-			g := dec.Ghost() / dec.Shape()[axis]
-			n := g * chunkBytes
-			for a := 0; a < 3; a++ {
-				if a == axis {
-					continue
-				}
-				if a < axis {
-					n *= ext[a]
-				} else {
-					n *= ext[a] - 2*g
-				}
-			}
-			sizes = append(sizes, n, n)
-		}
-	case cfg.Impl == MemMap:
-		perDir := map[layout.Set]int{}
-		for _, m := range dec.SendMessages() {
-			perDir[m.Dir] += m.Span.Padded * chunkBytes
-		}
-		for _, n := range perDir {
-			sizes = append(sizes, n)
-		}
-	default:
-		for _, m := range dec.SendMessages() {
-			sizes = append(sizes, m.Span.Padded*chunkBytes)
-		}
-	}
-	r.res.MsgsPerExchange = len(sizes)
 	data, wire := dec.ExchangeBytes()
-	r.res.DataBytes, r.res.WireBytes = int64(data), int64(wire)
-	r.res.NetworkFloor = networkFloorBricks(cfg, dec)
-	r.netPerExchange = modeledNetwork(cfg.Machine, netmodel.Network, sizes).Seconds()
-	r.marg = margins(cfg)
+	res.DataBytes, res.WireBytes = int64(data), int64(wire)
+	// The floor: unpadded payloads, one message per neighbor.
+	res.NetworkFloor = gpu.NetworkFloor(dec, cfg.Machine, netmodel.Network).Seconds()
+	return r, nil
+}
 
-	// Under the recovery driver: pin the plan digest (a respawned rank must
-	// re-pair the identical plan) and, when a checkpoint epoch exists,
-	// rewind storage, cursor, and degraded-exchange mode to it.
-	if ck := cfg.ck; ck != nil {
-		if err := ck.noteDigest(rank, r.ex.Plan().Digest()); err != nil {
-			return r, err
-		}
-		snap, serr := ck.latest(rank)
-		if serr != nil {
-			return r, serr
-		}
-		if snap != nil {
-			// The snapshot's own digest pins the plan across processes: a
-			// respawned worker has no in-memory digest map, but the epoch it
-			// restores from remembers what the pre-crash world compiled.
-			if snap.Digest != "" && snap.Digest != r.ex.Plan().Digest() {
-				return r, fmt.Errorf("harness: rank %d re-paired plan digest %s differs from snapshot digest %s: replay would diverge",
-					rank, r.ex.Plan().Digest(), snap.Digest)
-			}
-			if len(snap.Bufs) != 1 || len(snap.Bufs[0]) != len(bs.Data) {
-				return r, fmt.Errorf("harness: rank %d snapshot shape mismatch (want 1 buffer of %d floats)",
-					rank, len(bs.Data))
-			}
-			copy(bs.Data, snap.Bufs[0])
-			r.cur = snap.Cur
-			r.startAbs = snap.Step
-			if snap.Degraded != "" && r.degradable != nil && !r.degradable.Degraded() {
-				// The snapshot was taken after a mid-run degradation whose
-				// trigger step replay will not pass again; re-enter the same
-				// copy-window fallback before touching the wire.
-				if derr := r.degradable.Degrade(snap.Degraded); derr != nil {
-					return r, derr
-				}
-			}
-			if got := r.ex.Plan().Degraded; got != snap.Degraded {
-				return r, fmt.Errorf("harness: rank %d restored exchange degraded=%q but snapshot recorded %q",
-					rank, got, snap.Degraded)
-			}
+func (r *brickRank) exchangers() []core.Exchanger { return []core.Exchanger{r.ex} }
+
+func (r *brickRank) bufs() [][]float64 { return [][]float64{r.bs.Data} }
+
+func (r *brickRank) checksum(cur int) float64 {
+	return sumDomain(r.cfg, func(x, y, z int) float64 { return r.dec.Elem(r.bs, cur, x, y, z) })
+}
+
+// resume re-enters a restored snapshot's degradation and arms the
+// pipeline's first exchange.
+func (r *brickRank) resume(degraded string) error {
+	if degraded != "" && r.degradable != nil && !r.degradable.Degraded() {
+		// The snapshot was taken after a mid-run degradation whose trigger
+		// step replay will not pass again; re-enter the same copy-window
+		// fallback before touching the wire.
+		if err := r.degradable.Degrade(degraded); err != nil {
+			return err
 		}
 	}
-	r.po = newPhaseObs(cfg.Metrics, cfg.Impl, rank)
-	r.fr = cfg.FlightRec.Rank(rank) // nil when the recorder is off
 	if r.part != nil {
 		// Prologue: arm the first exchange's sends with the current field
 		// contents — the initial values, or the restored snapshot — fully
@@ -286,7 +408,7 @@ func newBrickRank(cfg Config, cart *mpi.Cart) (*brickRank, error) {
 		r.part.StartSends()
 		r.part.ReadyAll()
 	}
-	return r, nil
+	return nil
 }
 
 // close releases the exchanger and a mapped arena, except on an abort
@@ -302,22 +424,16 @@ func (r *brickRank) close() {
 	if r.ex != nil {
 		r.ex.Close()
 	}
-	if r.bs != nil && (r.cfg.Impl == MemMap || r.cfg.Impl == Shift) {
+	if r.bs != nil && r.mapped {
 		r.bs.Close()
 	}
 }
 
-// step runs one timestep. abs is the absolute step index (warmup included):
-// the fault-hook and checkpoint clock. s is the phase-local index driving
-// the exchange cadence.
-func (r *brickRank) step(abs, s int, timed bool) {
+func (r *brickRank) step(abs, cur int, exchange bool, margin int) (time.Duration, core.PhaseTimings) {
 	cfg, dec, wk := &r.cfg, r.dec, r.cfg.Workers
-	r.fr.StepMark(abs)
-	cfg.inj.StepPanic(r.rank, abs)
 	var calc time.Duration
-	src := core.NewBrick(r.info, r.bs, r.cur)
-	dst := core.NewBrick(r.info, r.bs, 1-r.cur)
-	exchange := s%r.period == 0
+	src := core.NewBrick(r.info, r.bs, cur)
+	dst := core.NewBrick(r.info, r.bs, 1-cur)
 	if r.part != nil {
 		// The sends of this step's exchange were armed, and released tile by
 		// tile, by the previous step's surface pass; only the receives start
@@ -349,31 +465,10 @@ func (r *brickRank) step(abs, s int, timed bool) {
 		}
 		r.degradeAt(abs)
 		t0 := time.Now()
-		stencil.ApplyBricksParallel(dst, src, dec, cfg.Stencil, r.marg[s%r.period], wk)
+		stencil.ApplyBricksParallel(dst, src, dec, cfg.Stencil, margin, wk)
 		calc = time.Since(t0)
 	}
-	r.cur = 1 - r.cur
-	// Drain the exchanger's internal phase split even on untimed warmup
-	// steps, so warmup time never leaks into the first timed step.
-	tm := r.ex.Timings()
-	if timed {
-		res := &r.res
-		res.Calc.AddDuration(calc)
-		res.Pack.AddDuration(tm.Pack)
-		res.Call.AddDuration(tm.Call)
-		res.Wait.AddDuration(tm.Wait)
-		res.Comm.AddDuration(tm.Pack + tm.Call + tm.Wait)
-		net := 0.0
-		if exchange {
-			net = r.netPerExchange
-		}
-		res.Network.Add(net)
-		// Pack is zero on the pack-free brick paths (the timer only runs
-		// when staging work exists, e.g. the shmem-degraded fallback), so
-		// CommSynth stays measured on-node movement + modeled wire time.
-		res.CommSynth.Add(tm.Pack.Seconds() + net)
-		r.po.observeStep(calc, tm.Pack, tm.Call, tm.Wait)
-	}
+	return calc, r.ex.Timings()
 }
 
 // degradeAt fires an injected mid-run mapfail. Both schedules call it after
@@ -388,204 +483,93 @@ func (r *brickRank) degradeAt(abs int) {
 	}
 }
 
-// runGridRank executes the YASK/YASK-OL/MPI_Types implementations.
-func runGridRank(cfg Config, cart *mpi.Cart) (Result, error) {
-	res := Result{Config: cfg}
-	gs := [2]*grid.Grid{tmpGrid(cfg), tmpGrid(cfg)}
-	org := rankOrigin(cfg, cart)
-	for z := 0; z < cfg.Dom[2]; z++ {
-		for y := 0; y < cfg.Dom[1]; y++ {
-			for x := 0; x < cfg.Dom[0]; x++ {
-				gs[0].Set(x+cfg.Ghost, y+cfg.Ghost, z+cfg.Ghost,
-					initValue(org[0]+x, org[1]+y, org[2]+z))
-			}
-		}
-	}
-	var sizes []int
-	var engineElems int
-	for _, s := range layout.Regions(3) {
-		lo, hi := gs[0].SendRegion(s)
-		sizes = append(sizes, 8*regionCount(lo, hi))
-		engineElems += 2 * regionCount(lo, hi)
-	}
-	// One exchanger per buffer of the double-buffered grid. Construction
-	// order matters: every rank builds exs[0] fully before exs[1], so the
-	// duplicate-key endpoints pair exchanger-to-exchanger across ranks (FIFO
-	// in registration order).
-	if rank := cart.Comm().Rank(); cfg.inj.AllocFail(rank) {
-		return res, fmt.Errorf("fault: injected allocation failure on rank %d", rank)
-	}
-	var exs [2]core.Exchanger
-	switch cfg.Impl {
-	case MPITypes:
-		exs[0] = grid.NewTypesExchanger(gs[0], cart)
-		exs[1] = grid.NewTypesExchanger(gs[1], cart)
-	default:
-		exs[0] = grid.NewPackExchanger(gs[0], cart)
-		exs[1] = grid.NewPackExchanger(gs[1], cart)
-	}
-	defer exs[0].Close()
-	defer exs[1].Close()
-	res.MsgsPerExchange = len(sizes)
-	for _, n := range sizes {
-		res.DataBytes += int64(n)
-	}
-	res.WireBytes = res.DataBytes
-	res.NetworkFloor = networkFloorGrid(cfg)
-	netPerExchange := modeledNetwork(cfg.Machine, netmodel.Network, sizes).Seconds()
-	_ = engineElems // the datatype engine's walk is real, measured as Pack
+// gridRank is the array layout of a YASK/MPI_Types run: a double-buffered
+// grid with one exchanger per buffer. At period 1 the exchange overlaps the
+// interior sweep: in-flight messages touch only the exchanger's staging
+// buffers, so the interior runs while the wire transfer does, and the
+// shell follows the wait.
+type gridRank struct {
+	cfg     Config
+	gs      [2]*grid.Grid
+	exs     [2]core.Exchanger
+	overlap bool
+	lo, hi  [3]int // the interior box, ghost-independent at period 1
+}
 
-	period := cfg.exchangePeriod()
-	marg := margins(cfg)
-	cur := 0
-	comm := cart.Comm()
-	rank := comm.Rank()
-	// Under the recovery driver: pin the combined digest of both
-	// double-buffer plans, and rewind both grids and the cursor to the
-	// latest checkpoint epoch. Grid exchanges never degrade, so the
-	// snapshot's degraded reason must be empty, matching the plans.
-	startAbs := 0
-	if ck := cfg.ck; ck != nil {
-		digest := exs[0].Plan().Digest() + "+" + exs[1].Plan().Digest()
-		if err := ck.noteDigest(rank, digest); err != nil {
-			return res, err
-		}
-		snap, serr := ck.latest(rank)
-		if serr != nil {
-			return res, serr
-		}
-		if snap != nil {
-			// Cross-process plan pinning via the snapshot, as in runBrickRank.
-			if snap.Digest != "" && snap.Digest != digest {
-				return res, fmt.Errorf("harness: rank %d re-paired plan digest %s differs from snapshot digest %s: replay would diverge",
-					rank, digest, snap.Digest)
-			}
-			if len(snap.Bufs) != 2 || len(snap.Bufs[0]) != len(gs[0].Data) || len(snap.Bufs[1]) != len(gs[1].Data) {
-				return res, fmt.Errorf("harness: rank %d snapshot shape mismatch (want 2 buffers of %d floats)",
-					rank, len(gs[0].Data))
-			}
-			copy(gs[0].Data, snap.Bufs[0])
-			copy(gs[1].Data, snap.Bufs[1])
-			cur = snap.Cur
-			startAbs = snap.Step
-			if got := exs[0].Plan().Degraded; got != snap.Degraded {
-				return res, fmt.Errorf("harness: rank %d restored exchange degraded=%q but snapshot recorded %q",
-					rank, got, snap.Degraded)
-			}
-		}
+// newGridRank builds one rank's grids and exchangers, and fills the
+// result's byte and floor fields.
+func newGridRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayout, error) {
+	g := &gridRank{cfg: cfg, overlap: period == 1,
+		gs: [2]*grid.Grid{grid.New(cfg.Dom, cfg.Ghost), grid.New(cfg.Dom, cfg.Ghost)}}
+	seedDomain(cfg, cart, g.gs[0].Set)
+	for a := 0; a < 3; a++ {
+		g.lo[a], g.hi[a] = cfg.Ghost+cfg.Stencil.Radius, cfg.Ghost+cfg.Dom[a]-cfg.Stencil.Radius
 	}
-	po := newPhaseObs(cfg.Metrics, cfg.Impl, comm.Rank())
-	fr := cfg.FlightRec.Rank(rank) // nil when the recorder is off
-	r := cfg.Stencil.Radius
-	wk := cfg.Workers
-	// MPITypes joins YASKOL in overlapping the exchange with interior
-	// computation whenever ghosts are refreshed every step: in-flight
-	// messages touch only the exchanger's staging buffers, so the interior
-	// sweep runs concurrently with the wire transfer. YASK stays serial as
-	// the paper's no-overlap baseline.
-	overlapTypes := cfg.Impl == MPITypes && period == 1
-	// abs is the absolute step index (warmup included): the fault-hook and
-	// checkpoint clock. s is the phase-local index driving the exchange
-	// cadence.
-	step := func(abs, s int, timed bool) {
-		fr.StepMark(abs)
-		cfg.inj.StepPanic(rank, abs)
-		var calc time.Duration
-		exchange := s%period == 0
-		ex := exs[cur]
-		switch {
-		case cfg.Impl == YASKOL || overlapTypes:
-			if exchange {
-				ex.Start()
-			}
-			// Interior (ghost-independent) computation overlaps the wait.
-			t0 := time.Now()
-			var lo, hi [3]int
-			for a := 0; a < 3; a++ {
-				lo[a], hi[a] = cfg.Ghost+r, cfg.Ghost+cfg.Dom[a]-r
-			}
-			stencil.ApplyGridRegionWorkers(gs[1-cur], gs[cur], cfg.Stencil, lo, hi, wk)
-			calc = time.Since(t0)
-			if exchange {
-				ex.Complete()
-			}
-			t0 = time.Now()
-			stencil.ApplyGridShellWorkers(gs[1-cur], gs[cur], cfg.Stencil, 0, lo, hi, wk)
-			calc += time.Since(t0)
-		default:
-			if exchange {
-				ex.Start()
-				ex.Complete()
-			}
-			t0 := time.Now()
-			stencil.ApplyGridWorkers(gs[1-cur], gs[cur], cfg.Stencil, marg[s%period], wk)
-			calc = time.Since(t0)
-		}
-		cur = 1 - cur
-		// Drain the used exchanger's phase split even on warmup steps.
-		tm := ex.Timings()
-		if timed {
-			res.Calc.AddDuration(calc)
-			res.Pack.AddDuration(tm.Pack)
-			res.Call.AddDuration(tm.Call)
-			res.Wait.AddDuration(tm.Wait)
-			res.Comm.AddDuration(tm.Pack + tm.Call + tm.Wait)
-			net := 0.0
-			if exchange {
-				net = netPerExchange
-			}
-			res.Network.Add(net)
-			res.CommSynth.Add(tm.Pack.Seconds() + net)
-			po.observeStep(calc, tm.Pack, tm.Call, tm.Wait)
-		}
-	}
-	// One loop over absolute steps so a recovered rank resumes mid-run at
-	// its snapshot step (see runBrickRank).
-	for a := startAbs; a < cfg.Warmup+cfg.Steps; a++ {
-		if ck := cfg.ck; ck != nil && a%ck.every == 0 {
-			a := a
-			ck.checkpoint(comm, rank, a, func() *ckpt.Snapshot {
-				return &ckpt.Snapshot{
-					Rank: rank, Step: a, Cur: cur,
-					Degraded: exs[0].Plan().Degraded,
-					Digest:   exs[0].Plan().Digest() + "+" + exs[1].Plan().Digest(),
-					Bufs: [][]float64{
-						append([]float64(nil), gs[0].Data...),
-						append([]float64(nil), gs[1].Data...),
-					},
-				}
-			})
-		}
-		if a < cfg.Warmup {
-			step(a, a, false)
+	// Construction order matters: every rank builds exs[0] fully before
+	// exs[1], so the duplicate-key endpoints pair exchanger-to-exchanger
+	// across ranks (FIFO in registration order).
+	for i, gr := range g.gs {
+		if cfg.Impl == MPITypes {
+			g.exs[i] = grid.NewTypesExchanger(gr, cart)
 		} else {
-			step(a, a-cfg.Warmup, true)
+			g.exs[i] = grid.NewPackExchanger(gr, cart)
 		}
 	}
-	// Both double-buffer exchangers count toward the plan-reuse metrics;
-	// the result keeps exs[0]'s summary (the two plans are identical).
-	recordPlan(&res, cfg.Metrics, cfg.Impl, comm.Rank(), comm.Transport(), exs[1])
-	recordPlan(&res, cfg.Metrics, cfg.Impl, comm.Rank(), comm.Transport(), exs[0])
-	res.Checksum = checksumGrid(gs[cur], cfg)
-	return res, nil
+	// One message per neighbor with exact region payloads: the plan is its
+	// own network floor.
+	plan := g.exs[0].Plan()
+	res.DataBytes = plan.SendBytes()
+	res.WireBytes = res.DataBytes
+	res.NetworkFloor = modeledNetwork(cfg.Machine, plan)
+	return g, nil
+}
+
+func (g *gridRank) exchangers() []core.Exchanger { return g.exs[:] }
+
+func (g *gridRank) bufs() [][]float64 { return [][]float64{g.gs[0].Data, g.gs[1].Data} }
+
+func (g *gridRank) checksum(cur int) float64 { return sumDomain(g.cfg, g.gs[cur].At) }
+
+// resume has nothing to re-enter: grid exchanges never degrade, which the
+// loop's degraded check enforces against the snapshot.
+func (g *gridRank) resume(string) error { return nil }
+
+func (g *gridRank) close() {
+	for _, ex := range g.exs {
+		ex.Close()
+	}
+}
+
+func (g *gridRank) step(_, cur int, exchange bool, margin int) (time.Duration, core.PhaseTimings) {
+	st, wk := g.cfg.Stencil, g.cfg.Workers
+	ex, src, dst := g.exs[cur], g.gs[cur], g.gs[1-cur]
+	var calc time.Duration
+	if g.overlap {
+		ex.Start()
+		t0 := time.Now()
+		stencil.ApplyGridRegionWorkers(dst, src, st, g.lo, g.hi, wk)
+		calc = time.Since(t0)
+		ex.Complete()
+		t0 = time.Now()
+		stencil.ApplyGridShellWorkers(dst, src, st, 0, g.lo, g.hi, wk)
+		calc += time.Since(t0)
+	} else {
+		if exchange {
+			ex.Start()
+			ex.Complete()
+		}
+		t0 := time.Now()
+		stencil.ApplyGridWorkers(dst, src, st, margin, wk)
+		calc = time.Since(t0)
+	}
+	return calc, ex.Timings()
 }
 
 // runGPURank executes the V-experiment strategies with modeled timing.
 func runGPURank(cfg Config, cart *mpi.Cart) (Result, error) {
 	res := Result{Config: cfg, Modeled: true}
-	var strat gpu.Strategy
-	switch cfg.Impl {
-	case GPULayoutCA:
-		strat = gpu.LayoutCA
-	case GPULayoutUM:
-		strat = gpu.LayoutUM
-	case GPUMemMapUM:
-		strat = gpu.MemMapUM
-	case GPUTypesUM:
-		strat = gpu.TypesUM
-	case GPUStaged:
-		strat = gpu.StagedArray
-	}
+	strat := map[Impl]gpu.Strategy{GPULayoutCA: gpu.LayoutCA, GPULayoutUM: gpu.LayoutUM,
+		GPUMemMapUM: gpu.MemMapUM, GPUTypesUM: gpu.TypesUM, GPUStaged: gpu.StagedArray}[cfg.Impl]
 	spec := gpu.V100()
 	if cfg.PageBytes > 0 {
 		spec.PageSize = cfg.PageBytes
@@ -605,7 +589,7 @@ func runGPURank(cfg Config, cart *mpi.Cart) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	// Leak-on-abort, as in runBrickRank: the sim's storage is a mapped
+	// Leak-on-abort, as in brickRank.close: the sim's storage is a mapped
 	// arena that peers' parked transfers may still reference mid-abort.
 	defer func() {
 		if !cart.Comm().Aborting() {
@@ -661,42 +645,6 @@ func runGPURank(cfg Config, cart *mpi.Cart) (Result, error) {
 	if err == nil {
 		res.NetworkFloor = gpu.NetworkFloor(dec, cfg.Machine, netmodel.GPUDirect).Seconds()
 	}
-	res.Checksum = checksumSim(sim, cfg)
+	res.Checksum = sumDomain(cfg, sim.Elem)
 	return res, nil
-}
-
-func checksumGrid(g *grid.Grid, cfg Config) float64 {
-	sum := 0.0
-	for z := 0; z < cfg.Dom[2]; z++ {
-		for y := 0; y < cfg.Dom[1]; y++ {
-			for x := 0; x < cfg.Dom[0]; x++ {
-				sum += g.At(x+cfg.Ghost, y+cfg.Ghost, z+cfg.Ghost)
-			}
-		}
-	}
-	return sum
-}
-
-func checksumBricks(dec *core.BrickDecomp, bs *core.BrickStorage, field int, cfg Config) float64 {
-	sum := 0.0
-	for z := 0; z < cfg.Dom[2]; z++ {
-		for y := 0; y < cfg.Dom[1]; y++ {
-			for x := 0; x < cfg.Dom[0]; x++ {
-				sum += dec.Elem(bs, field, x+cfg.Ghost, y+cfg.Ghost, z+cfg.Ghost)
-			}
-		}
-	}
-	return sum
-}
-
-func checksumSim(sim *gpu.Sim, cfg Config) float64 {
-	sum := 0.0
-	for z := 0; z < cfg.Dom[2]; z++ {
-		for y := 0; y < cfg.Dom[1]; y++ {
-			for x := 0; x < cfg.Dom[0]; x++ {
-				sum += sim.Elem(x+cfg.Ghost, y+cfg.Ghost, z+cfg.Ghost)
-			}
-		}
-	}
-	return sum
 }

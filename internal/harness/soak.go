@@ -8,8 +8,8 @@ import (
 )
 
 // SoakImpls is the CPU implementation set the soak runner drives: every
-// measured (non-modeled) exchange variant, overlapped and not.
-var SoakImpls = []Impl{YASK, YASKOL, MPITypes, Basic, Layout, MemMap, Shift, LayoutOL}
+// measured (non-modeled) exchange variant.
+var SoakImpls = []Impl{YASK, MPITypes, Basic, Layout, MemMap, Shift}
 
 // SoakRun is one implementation's soak outcome: the clean and the
 // fault-injected run of the same configuration, compared bit-for-bit.

@@ -16,20 +16,21 @@ func tcpConfig(im Impl) Config {
 }
 
 // TestTCPParityAllImpls is the tcp backend's acceptance gate: every
-// measured CPU implementation must produce a Float64bits-identical
-// checksum whether the eight ranks are goroutines of this process (chan)
-// or eight spawned worker processes over framed loopback TCP streams.
+// measured CPU implementation, at both exchange periods, must produce a
+// Float64bits-identical checksum whether the eight ranks are goroutines of
+// this process (chan) or eight spawned worker processes over framed
+// loopback TCP streams.
 func TestTCPParityAllImpls(t *testing.T) {
-	for _, im := range SoakImpls {
-		im := im
-		t.Run(im.String(), func(t *testing.T) {
-			chanCfg := tcpConfig(im)
+	for _, c := range schedCells() {
+		c := c
+		t.Run(c.String(), func(t *testing.T) {
+			chanCfg := c.apply(tcpConfig(c.im))
 			chanCfg.Transport = ""
 			cres, err := Run(chanCfg)
 			if err != nil {
 				t.Fatalf("chan run: %v", err)
 			}
-			tres, err := Run(tcpConfig(im))
+			tres, err := Run(c.apply(tcpConfig(c.im)))
 			if err != nil {
 				t.Fatalf("tcp run: %v", err)
 			}

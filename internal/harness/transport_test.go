@@ -39,21 +39,22 @@ func supervisedConfig(im Impl) Config {
 }
 
 // TestSupervisedParityAllImpls is the transport seam's acceptance gate:
-// every measured CPU implementation must produce a Float64bits-identical
-// checksum whether the eight ranks are goroutines of this process (chan)
-// or eight spawned worker processes over a shared segment (shmem).
+// every measured CPU implementation, at both exchange periods (schedCells),
+// must produce a Float64bits-identical checksum whether the eight ranks are
+// goroutines of this process (chan) or eight spawned worker processes over
+// a shared segment (shmem).
 func TestSupervisedParityAllImpls(t *testing.T) {
 	skipWithoutShmem(t)
-	for _, im := range SoakImpls {
-		im := im
-		t.Run(im.String(), func(t *testing.T) {
-			chanCfg := supervisedConfig(im)
+	for _, c := range schedCells() {
+		c := c
+		t.Run(c.String(), func(t *testing.T) {
+			chanCfg := c.apply(supervisedConfig(c.im))
 			chanCfg.Transport = ""
 			cres, err := Run(chanCfg)
 			if err != nil {
 				t.Fatalf("chan run: %v", err)
 			}
-			sres, err := Run(supervisedConfig(im))
+			sres, err := Run(c.apply(supervisedConfig(c.im)))
 			if err != nil {
 				t.Fatalf("shmem run: %v", err)
 			}
@@ -235,24 +236,25 @@ func TestProcessFaultsNeedSupervision(t *testing.T) {
 
 // TestSupervisedRecoveryAllImpls is this PR's acceptance gate, crossing
 // the checkpoint-recovery gate with the transport-parity gate: every
-// measured CPU implementation, run as eight worker processes over a shared
-// segment, must survive an injected SIGKILL of one worker mid-run — the
+// measured CPU implementation at both exchange periods, run as eight
+// worker processes over a shared segment, must survive an injected SIGKILL
+// of one worker mid-run — the
 // supervisor quarantines the dead rank, respawns it, and the world replays
 // from the latest disk-spilled checkpoint epoch — and still produce a
 // math.Float64bits-identical checksum versus a fault-free in-process run.
 func TestSupervisedRecoveryAllImpls(t *testing.T) {
 	skipWithoutShmem(t)
-	for _, im := range SoakImpls {
-		im := im
-		t.Run(im.String(), func(t *testing.T) {
-			clean := supervisedConfig(im)
+	for _, c := range schedCells() {
+		c := c
+		t.Run(c.String(), func(t *testing.T) {
+			clean := c.apply(supervisedConfig(c.im))
 			clean.Transport = ""
 			clean.Watchdog = 0
 			cres, err := Run(clean)
 			if err != nil {
 				t.Fatalf("fault-free chan run: %v", err)
 			}
-			cfg := supervisedConfig(im)
+			cfg := c.apply(supervisedConfig(c.im))
 			cfg.Fault = "kill:rank=3:nth=2"
 			cfg.Checkpoint = true
 			cfg.CheckpointEvery = 2

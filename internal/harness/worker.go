@@ -10,71 +10,10 @@ import (
 	"time"
 
 	"github.com/bricklab/brick/internal/ckpt"
-	"github.com/bricklab/brick/internal/core"
 	"github.com/bricklab/brick/internal/fault"
 	"github.com/bricklab/brick/internal/mpi"
 	"github.com/bricklab/brick/internal/mpi/proc"
-	"github.com/bricklab/brick/internal/netmodel"
-	"github.com/bricklab/brick/internal/stencil"
 )
-
-// wireConfig is the worker spec: the subset of Config a worker process
-// needs, with every field JSON-serializable. It is deliberately not
-// json.Marshal(Config) — Config carries live in-process objects (Metrics,
-// FlightRec) whose decoded zero-ish forms would silently differ
-// from nil (an empty `{}` registry is non-nil), and the supervised gates
-// in Validate guarantee they are nil anyway.
-type wireConfig struct {
-	Impl            Impl             `json:"impl"`
-	Transport       string           `json:"transport"`
-	Procs           [3]int           `json:"procs"`
-	Dom             [3]int           `json:"dom"`
-	Ghost           int              `json:"ghost"`
-	Shape           core.Shape       `json:"shape"`
-	Stencil         stencil.Stencil  `json:"stencil"`
-	Steps           int              `json:"steps"`
-	Warmup          int              `json:"warmup"`
-	Machine         netmodel.Machine `json:"machine"`
-	PageBytes       int              `json:"page_bytes"`
-	ExpandGhost     bool             `json:"expand_ghost"`
-	Workers         int              `json:"workers"`
-	Fault           string           `json:"fault"`
-	FaultSeed       int64            `json:"fault_seed"`
-	Watchdog        time.Duration    `json:"watchdog"`
-	VerifyCRC       bool             `json:"verify_crc"`
-	Checkpoint      bool             `json:"checkpoint"`
-	CheckpointEvery int              `json:"ckpt_every"`
-	CheckpointDir   string           `json:"ckpt_dir"`
-	Flight          bool             `json:"flight"`
-	FlightDepth     int              `json:"flight_depth"`
-	FlightOut       string           `json:"flight_out"`
-}
-
-func wireFrom(c Config) wireConfig {
-	return wireConfig{
-		Impl: c.Impl, Transport: c.transportName(), Procs: c.Procs, Dom: c.Dom,
-		Ghost: c.Ghost, Shape: c.Shape, Stencil: c.Stencil, Steps: c.Steps,
-		Warmup: c.Warmup, Machine: c.Machine, PageBytes: c.PageBytes,
-		ExpandGhost: c.ExpandGhost, Workers: c.Workers,
-		Fault: c.Fault, FaultSeed: c.FaultSeed, Watchdog: c.Watchdog,
-		VerifyCRC: c.VerifyCRC, Checkpoint: c.Checkpoint,
-		CheckpointEvery: c.CheckpointEvery, CheckpointDir: c.CheckpointDir,
-		Flight: c.Flight, FlightDepth: c.FlightDepth, FlightOut: c.FlightOut,
-	}
-}
-
-func (w wireConfig) config() Config {
-	return Config{
-		Impl: w.Impl, Transport: w.Transport, Procs: w.Procs, Dom: w.Dom,
-		Ghost: w.Ghost, Shape: w.Shape, Stencil: w.Stencil, Steps: w.Steps,
-		Warmup: w.Warmup, Machine: w.Machine, PageBytes: w.PageBytes,
-		ExpandGhost: w.ExpandGhost, Workers: w.Workers,
-		Fault: w.Fault, FaultSeed: w.FaultSeed, Watchdog: w.Watchdog,
-		VerifyCRC: w.VerifyCRC, Checkpoint: w.Checkpoint,
-		CheckpointEvery: w.CheckpointEvery, CheckpointDir: w.CheckpointDir,
-		Flight: w.Flight, FlightDepth: w.FlightDepth, FlightOut: w.FlightOut,
-	}
-}
 
 // runSupervised is Run's cross-process driver: it builds the world (shmem
 // or tcp),
@@ -101,7 +40,12 @@ func runSupervised(cfg Config) (Result, error) {
 	if !w.CanSuperviseWorkers() {
 		return Result{}, fmt.Errorf("harness: transport %q cannot host cross-process workers (needs a shmem segment or a tcp coordinator)", cfg.transportName())
 	}
-	spec, err := json.Marshal(wireFrom(cfg))
+	// The worker spec is the Config itself with the transport resolved. The
+	// live in-process objects (Metrics, FlightRec) never ride the wire:
+	// JSON skips them, and Validate already requires them nil here.
+	spec := cfg
+	spec.Transport = cfg.transportName()
+	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return Result{}, fmt.Errorf("harness: encoding worker spec: %w", err)
 	}
@@ -149,7 +93,7 @@ func runSupervised(cfg Config) (Result, error) {
 			return step, true
 		}
 	}
-	envs, err := proc.Run(w, spec, opts)
+	envs, err := proc.Run(w, specJSON, opts)
 	if err != nil {
 		if exhausted {
 			return Result{}, fmt.Errorf("harness: recovery budget exhausted after %d recoveries: %w", budget, err)
@@ -236,12 +180,11 @@ func WorkerMain() {
 		os.Exit(1)
 	}
 	defer w.Close()
-	var spec wireConfig
-	if err := json.Unmarshal(wk.Spec, &spec); err != nil {
+	var cfg Config
+	if err := json.Unmarshal(wk.Spec, &cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "brick worker: decoding spec: %v\n", err)
 		os.Exit(1)
 	}
-	cfg := spec.config()
 	inj, err := fault.Parse(cfg.Fault, cfg.FaultSeed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "brick worker: %v\n", err)

@@ -111,12 +111,18 @@ func (t Subarray) Count() int {
 // advancing an odometer over the subsizes — the interpretive dataloop.
 func (t Subarray) walk(visit func(off, seq int)) {
 	nd := len(t.Sizes)
-	strides := make([]int, nd)
+	// Up to 8 dimensions the odometer lives on the stack, so a persistent
+	// exchange's per-step walk does not allocate.
+	var strideBuf, idxBuf [8]int
+	strides, idx := strideBuf[:], idxBuf[:]
+	if nd > len(strideBuf) {
+		strides, idx = make([]int, nd), make([]int, nd)
+	}
+	strides, idx = strides[:nd], idx[:nd]
 	strides[nd-1] = 1
 	for i := nd - 2; i >= 0; i-- {
 		strides[i] = strides[i+1] * t.Sizes[i+1]
 	}
-	idx := make([]int, nd)
 	off := 0
 	for i := 0; i < nd; i++ {
 		off += t.Starts[i] * strides[i]

@@ -16,9 +16,8 @@ import (
 // of goroutines that executes the stencil kernels over contiguous tiles of
 // the iteration space (k-slabs of rows for grids, runs of bricks for brick
 // storage). It plays the role of a rank's OpenMP team in the paper's
-// experiments — without it, only the YASK-OL baseline could hide
-// communication behind computation, because nothing else kept the cores
-// busy during an exchange.
+// experiments — without it, nothing would keep the cores busy while an
+// overlapped exchange is in flight.
 //
 // Worker-count resolution, in priority order: an explicit positive count,
 // the BRICK_WORKERS environment variable, then GOMAXPROCS. A resolved count
