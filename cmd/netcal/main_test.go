@@ -19,6 +19,19 @@ func TestCalibrate(t *testing.T) {
 	}
 }
 
+// TestCalibrateShmem runs the sweep at the command's default sizes on an
+// in-process shmem world: ~400 MiB of one-shot payload, more than the whole
+// segment, so it passes only because consumed send blocks are reclaimed.
+func TestCalibrateShmem(t *testing.T) {
+	alpha, beta, err := calibrate("shmem", 25, 4<<20, 16)
+	if err != nil {
+		t.Fatalf("calibrate: %v", err)
+	}
+	if alpha <= 0 || beta <= 0 {
+		t.Errorf("α = %v, β = %v B/s, want both > 0", alpha, beta)
+	}
+}
+
 // TestCalibrateUnknownTransport: a bad backend name surfaces the registry
 // error instead of panicking mid-measurement.
 func TestCalibrateUnknownTransport(t *testing.T) {

@@ -51,8 +51,9 @@ func (e *AbortError) Unwrap() []error {
 
 // abort initiates the world-wide shutdown exactly once: record the cause,
 // close the abort channel (unblocking every point-to-point and persistent
-// Wait), and wake every collective waiter. Later calls are no-ops — the
-// first failure wins, as in MPI_Abort.
+// Wait, and so every collective), and carry the abort to the world's other
+// processes. Later calls are no-ops — the first failure wins, as in
+// MPI_Abort.
 func (w *World) abort(rank int, v any) {
 	w.abortOnce.Do(func() {
 		// The originating rank's last flight event is the abort itself, so a

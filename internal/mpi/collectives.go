@@ -3,84 +3,84 @@ package mpi
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
-// barrier is a reusable generation-counting barrier. Like the other
-// collectives it carries a down flag: an aborting world sets it and wakes
-// every waiter, and await reports aborted=true so the caller can unwind
-// with the world's *AbortError instead of hanging.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	size    int
-	waiting int
-	gen     uint64
-	down    bool
+// The collectives are written once, for every backend, as a rank-0
+// fan-in/fan-out over the transport's own isend/irecv on collTag. Rank 0
+// receives the contributions in ascending rank order and folds them in that
+// order, which is what keeps reductions Float64bits-identical on every
+// transport. collTag lies below AnyTag, and matches never lets a wildcard
+// reach below AnyTag, so collective traffic is a matching context of its
+// own: no user receive, wildcard or not, can take a collective message, and
+// no collective receive can take a user message.
+//
+// Collective messages travel on the rank's sys Comm, which has no metrics,
+// no flight ring and traffic counters nobody reads, and they bypass
+// Comm.Isend's fault injection: Traffic, flight recordings and fault
+// ordinals count user messages only. Abort, epoch and incarnation filtering
+// are the point-to-point path's own.
+
+// collTag is the reserved tag of every collective message.
+const collTag = AnyTag - 1
+
+// Collective kinds: the index into World.inColl, whose counts the
+// StallReport prints as barrier=/reduce=/gather=.
+const (
+	collBarrier = iota
+	collReduce
+	collGather
+)
+
+// csend posts one collective message to dst.
+func (c *Comm) csend(dst int, buf []float64) *Request {
+	return c.world.tr.isend(c.sys, dst, collTag, buf, nil, 0)
 }
 
-func (b *barrier) init(size int) {
-	b.size = size
-	b.cond = sync.NewCond(&b.mu)
+// crecv receives one collective message from src into buf.
+func (c *Comm) crecv(src int, buf []float64) {
+	c.world.tr.irecv(c.sys, src, collTag, buf).Wait()
 }
 
-func (b *barrier) await() (aborted bool) {
-	b.mu.Lock()
-	if b.down {
-		b.mu.Unlock()
-		return true
-	}
-	gen := b.gen
-	b.waiting++
-	if b.waiting == b.size {
-		b.waiting = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for gen == b.gen && !b.down {
-			b.cond.Wait()
+// sendLen sends a contribution to rank 0 as two messages, its length and
+// then its payload, so rank 0 can size (or reject) the payload before it
+// receives it.
+func (c *Comm) sendLen(in []float64) {
+	n := []float64{float64(len(in))}
+	Waitall([]*Request{c.csend(0, n), c.csend(0, in)})
+}
+
+// recvLen is rank 0's half of sendLen: it returns the length src announced.
+func (c *Comm) recvLen(src int) int {
+	var n [1]float64
+	c.crecv(src, n[:])
+	return int(n[0])
+}
+
+// fanOut sends buf from this rank to every other rank.
+func (c *Comm) fanOut(buf []float64) {
+	reqs := make([]*Request, 0, c.Size()-1)
+	for r := 0; r < c.Size(); r++ {
+		if r != c.rank {
+			reqs = append(reqs, c.csend(r, buf))
 		}
-		if b.down {
-			b.mu.Unlock()
-			return true
-		}
 	}
-	b.mu.Unlock()
-	return false
-}
-
-func (b *barrier) abortAll() {
-	b.mu.Lock()
-	b.down = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-func (b *barrier) pendingWaiters() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.waiting
-}
-
-// reset re-arms an aborted barrier for a new epoch. Caller must guarantee
-// the world is quiescent (every rank parked). waiting is forced to zero —
-// waiters woken by abortAll return without decrementing it — and gen is
-// bumped so any stale waiter that somehow re-enters sees a fresh round.
-func (b *barrier) reset() {
-	b.mu.Lock()
-	b.waiting = 0
-	b.gen++
-	b.down = false
-	b.mu.Unlock()
+	Waitall(reqs)
 }
 
 // Barrier blocks until every rank has entered it, or panics with the
 // world's *AbortError if the world aborts first.
 func (c *Comm) Barrier() {
-	if c.world.tr.barrier(c.rank) {
-		panic(c.world.Aborted())
+	c.world.inColl[collBarrier].Add(1)
+	defer c.world.inColl[collBarrier].Add(-1)
+	if c.rank != 0 {
+		c.csend(0, nil).Wait()
+		c.crecv(0, nil)
+		return
 	}
-	c.world.progressTick()
+	for r := 1; r < c.Size(); r++ {
+		c.crecv(r, nil)
+	}
+	c.fanOut(nil)
 }
 
 // Op is a reduction operator for Allreduce.
@@ -106,102 +106,33 @@ func (op Op) apply(a, b float64) float64 {
 	}
 }
 
-// reducer implements Allreduce over all ranks with a two-phase generation
-// protocol: collect, combine in rank order, then read. Rank-ordered
-// combination makes floating-point reductions deterministic across runs,
-// matching how reproducible MPI reductions are configured.
-type reducer struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	size    int
-	arrived int
-	left    int
-	down    bool
-	parts   [][]float64
-	out     []float64
-}
-
-func (r *reducer) init(size int) {
-	r.size = size
-	r.cond = sync.NewCond(&r.mu)
-	r.parts = make([][]float64, size)
-}
-
-func (r *reducer) allreduce(rank int, op Op, in []float64) (out []float64, aborted bool) {
-	r.mu.Lock()
-	// Wait for any previous reduction's readers to drain.
-	for r.left > 0 && !r.down {
-		r.cond.Wait()
-	}
-	if r.down {
-		r.mu.Unlock()
-		return nil, true
-	}
-	r.parts[rank] = append(r.parts[rank][:0], in...)
-	r.arrived++
-	if r.arrived == r.size {
-		r.out = append(r.out[:0], r.parts[0]...)
-		for rk := 1; rk < r.size; rk++ {
-			p := r.parts[rk]
-			if len(p) != len(r.out) {
-				r.mu.Unlock()
-				panic(fmt.Sprintf("mpi: Allreduce length mismatch: %d vs %d", len(p), len(r.out)))
-			}
-			for i, v := range p {
-				r.out[i] = op.apply(r.out[i], v)
-			}
-		}
-		r.arrived = 0
-		r.left = r.size
-		r.cond.Broadcast()
-	} else {
-		for r.left == 0 && !r.down {
-			r.cond.Wait()
-		}
-		if r.down {
-			r.mu.Unlock()
-			return nil, true
-		}
-	}
-	result := append([]float64(nil), r.out...)
-	r.left--
-	if r.left == 0 {
-		r.cond.Broadcast()
-	}
-	r.mu.Unlock()
-	return result, false
-}
-
-func (r *reducer) abortAll() {
-	r.mu.Lock()
-	r.down = true
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-func (r *reducer) pendingWaiters() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.arrived + r.left
-}
-
-// reset re-arms an aborted reducer for a new epoch (world quiescent).
-func (r *reducer) reset() {
-	r.mu.Lock()
-	r.arrived, r.left = 0, 0
-	r.down = false
-	r.mu.Unlock()
-}
-
 // Allreduce combines in across all ranks element-wise with op and returns
-// the combined vector on every rank. All ranks must pass the same length.
-// Panics with the world's *AbortError if the world aborts mid-reduction.
+// the combined vector on every rank. Rank 0 folds the contributions in
+// ascending rank order, so floating-point results are deterministic and
+// identical on every backend. All ranks must pass the same length; a
+// mismatch aborts the world. Panics with the world's *AbortError if the
+// world aborts mid-reduction.
 func (c *Comm) Allreduce(op Op, in []float64) []float64 {
-	out, aborted := c.world.tr.allreduce(c.rank, op, in)
-	if aborted {
-		panic(c.world.Aborted())
+	c.world.inColl[collReduce].Add(1)
+	defer c.world.inColl[collReduce].Add(-1)
+	out := append([]float64(nil), in...)
+	if c.rank != 0 {
+		c.sendLen(in)
+		c.crecv(0, out)
+		return out
 	}
-	c.world.progressTick()
+	part := make([]float64, len(in))
+	for r := 1; r < c.Size(); r++ {
+		if n := c.recvLen(r); n != len(in) {
+			panic(fmt.Sprintf("mpi: Allreduce length mismatch: rank %d passed %d elements, rank 0 passed %d",
+				r, n, len(in)))
+		}
+		c.crecv(r, part)
+		for i, v := range part {
+			out[i] = op.apply(out[i], v)
+		}
+	}
+	c.fanOut(out)
 	return out
 }
 
@@ -210,111 +141,32 @@ func (c *Comm) Allreduce1(op Op, x float64) float64 {
 	return c.Allreduce(op, []float64{x})[0]
 }
 
-// gatherBuf implements Gather to rank 0.
-type gatherBuf struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	size    int
-	arrived int
-	left    int
-	down    bool
-	parts   [][]float64
-}
-
-func (g *gatherBuf) init(size int) {
-	g.size = size
-	g.cond = sync.NewCond(&g.mu)
-	g.parts = make([][]float64, size)
-}
-
-func (g *gatherBuf) gather(rank int, in []float64) (out [][]float64, aborted bool) {
-	g.mu.Lock()
-	for g.left > 0 && !g.down {
-		g.cond.Wait()
-	}
-	if g.down {
-		g.mu.Unlock()
-		return nil, true
-	}
-	g.parts[rank] = append([]float64(nil), in...)
-	g.arrived++
-	if g.arrived == g.size {
-		g.arrived = 0
-		g.left = g.size
-		g.cond.Broadcast()
-	} else {
-		for g.left == 0 && !g.down {
-			g.cond.Wait()
-		}
-		if g.down {
-			g.mu.Unlock()
-			return nil, true
-		}
-	}
-	if rank == 0 {
-		out = make([][]float64, g.size)
-		copy(out, g.parts)
-	}
-	g.left--
-	if g.left == 0 {
-		for i := range g.parts {
-			g.parts[i] = nil
-		}
-		g.cond.Broadcast()
-	}
-	g.mu.Unlock()
-	return out, false
-}
-
-func (g *gatherBuf) abortAll() {
-	g.mu.Lock()
-	g.down = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-func (g *gatherBuf) pendingWaiters() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.arrived + g.left
-}
-
-// reset re-arms an aborted gather buffer for a new epoch (world quiescent).
-func (g *gatherBuf) reset() {
-	g.mu.Lock()
-	g.arrived, g.left = 0, 0
-	g.down = false
-	for i := range g.parts {
-		g.parts[i] = nil
-	}
-	g.mu.Unlock()
-}
-
 // Gather collects each rank's vector on rank 0, which receives a slice of
-// per-rank vectors (indexed by rank); other ranks receive nil. Panics with
-// the world's *AbortError if the world aborts mid-gather.
+// per-rank vectors (indexed by rank; lengths may differ); other ranks
+// receive nil and return once their contribution is handed off. Panics
+// with the world's *AbortError if the world aborts mid-gather.
 func (c *Comm) Gather(in []float64) [][]float64 {
-	out, aborted := c.world.tr.gather(c.rank, in)
-	if aborted {
-		panic(c.world.Aborted())
+	c.world.inColl[collGather].Add(1)
+	defer c.world.inColl[collGather].Add(-1)
+	if c.rank != 0 {
+		c.sendLen(in)
+		return nil
 	}
-	c.world.progressTick()
+	out := make([][]float64, c.Size())
+	out[0] = append([]float64(nil), in...)
+	for r := 1; r < c.Size(); r++ {
+		out[r] = make([]float64, c.recvLen(r))
+		c.crecv(r, out[r])
+	}
 	return out
 }
 
 // Bcast distributes root's buffer contents to every rank's buf. All ranks
 // must pass buffers of the same length.
 func (c *Comm) Bcast(root int, buf []float64) {
-	const bcastTag = 1<<30 - 7
 	if c.rank == root {
-		reqs := make([]*Request, 0, c.Size()-1)
-		for r := 0; r < c.Size(); r++ {
-			if r != root {
-				reqs = append(reqs, c.Isend(r, bcastTag, buf))
-			}
-		}
-		Waitall(reqs)
+		c.fanOut(buf)
 	} else {
-		c.Recv(root, bcastTag, buf)
+		c.crecv(root, buf)
 	}
 }

@@ -38,9 +38,9 @@ const (
 	AnyTag = -1
 )
 
-// World owns the ranks of one program run. All collective and matching
-// state lives behind the transport seam (tr); the world keeps the
-// transport-agnostic machinery — abort, watchdog, fault injection, and the
+// World owns the ranks of one program run. All matching state lives
+// behind the transport seam (tr); the world keeps the transport-agnostic
+// machinery — collectives, abort, watchdog, fault injection, and the
 // observability hooks.
 type World struct {
 	size int
@@ -65,6 +65,10 @@ type World struct {
 	fault     *fault.Injector
 	verifyCRC bool           // receive-side payload CRC verify (see crc.go)
 	recov     *recoveryState // non-nil inside RunRecoverable (see recovery.go)
+
+	// inColl counts this process's ranks inside each collective, indexed
+	// by collBarrier/collReduce/collGather (see collectives.go).
+	inColl [3]atomic.Int64
 }
 
 // SetFlight attaches a flight recorder sized for this world; every rank
@@ -141,7 +145,7 @@ func (w *World) newComm(rank int) *Comm {
 	if ra, ok := w.tr.(rankAttacher); ok {
 		ra.attachOnDemand(rank)
 	}
-	c := &Comm{world: w, rank: rank, fl: w.flight.Load().Rank(rank)}
+	c := &Comm{world: w, rank: rank, fl: w.flight.Load().Rank(rank), sys: &Comm{world: w, rank: rank}}
 	if w.reg != nil {
 		c.m = newCommMetrics(w.reg, rank)
 	}
@@ -219,6 +223,9 @@ type Comm struct {
 	rank  int
 	m     *commMetrics // nil unless World.SetMetrics was called
 	fl    *flight.Ring // nil unless World.SetFlight was called
+	// sys carries this rank's collective traffic: same world and rank, but
+	// no metrics, no flight ring, and counters nobody reads.
+	sys *Comm
 
 	// Traffic counters, drained with TrafficSnapshot. Sends count
 	// point-to-point messages initiated by this rank (payload float64s are
@@ -314,6 +321,9 @@ func (c *Comm) Isend(dst, tag int, buf []float64) *Request {
 func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 	if src != AnySource && (src < 0 || src >= c.world.size) {
 		panic(fmt.Sprintf("mpi: Irecv from invalid rank %d (size %d)", src, c.world.size))
+	}
+	if tag < AnyTag {
+		panic("mpi: receive tag must be non-negative or AnyTag")
 	}
 	c.fl.RecvPost(int32(src), int32(tag), int64(8*len(buf)))
 	return c.world.tr.irecv(c, src, tag, buf)

@@ -26,11 +26,10 @@ import (
 //     itself is never mistaken for a stall. Parked ranks are visible in
 //     StallReport as `recovery-parked` pending ops.
 //  3. When every non-completed rank is parked the world is quiescent by
-//     construction: no goroutine can touch inboxes, persistent channels,
-//     or collectives. The supervisor stops the watchdog and asks
+//     construction: no goroutine can touch inboxes or persistent channels. The supervisor stops the watchdog and asks
 //     onRecover(abortErr, attempt) for a verdict.
 //  4. Retry: Respawn() wipes transport state (inboxes, persistent
-//     endpoint registry, collectives) and re-arms the abort machinery,
+//     endpoint registry) and re-arms the abort machinery,
 //     the watchdog restarts for the new epoch, and releaseAll(true)
 //     resumes every parked rank into the next body invocation.
 //  5. Give up: releaseAll(false) lets parked ranks exit, and
@@ -216,7 +215,7 @@ func (w *World) Revoke(rank int, cause any) { w.abort(rank, cause) }
 // persistent-endpoint registry (a rank that died mid-plan-build leaks
 // half-paired endpoints; survivors' endpoints are stale because the new
 // epoch re-pairs from scratch — FIFO pairing order only holds if everyone
-// starts empty), and the collectives. The abort machinery is reset last so
+// starts empty). The abort machinery is reset last so
 // the new epoch fails loud on its own terms. Panics if the backend cannot
 // rewind (shmem worlds span processes and are not respawnable in-place).
 func (w *World) Respawn() {

@@ -159,11 +159,6 @@ type slotKey struct {
 	src, dst, tag int
 }
 
-type collWKey struct {
-	coll int
-	gen  uint64
-}
-
 type tcpNode struct {
 	t    *tcpTransport
 	w    *World
@@ -186,21 +181,18 @@ type tcpNode struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	mu          sync.Mutex
-	posted      []*tcpRecv
-	unmatched   []*tcpMsg
-	lastSeq     map[int]uint64 // per-src wire sequence high-water, this epoch
-	peerInc     map[int]uint64 // per-src incarnation high-water, survives epochs
-	outs        map[int]*tcpOut
-	lookups     map[int][]chan string
-	collW       map[collWKey]chan *ctlMsg
-	collGen     [3]uint64
-	collWaiting [3]int
-	persSend    map[persKey]*tcpPers
-	persRecv    map[persKey]*tcpPers
-	slotNext    map[slotKey]int
-	early       map[persKey][]*earlyPersFrame
-	accepted    map[*tcpAccepted]struct{}
+	mu        sync.Mutex
+	posted    []*tcpRecv
+	unmatched []*tcpMsg
+	lastSeq   map[int]uint64 // per-src wire sequence high-water, this epoch
+	peerInc   map[int]uint64 // per-src incarnation high-water, survives epochs
+	outs      map[int]*tcpOut
+	lookups   map[int][]chan string
+	persSend  map[persKey]*tcpPers
+	persRecv  map[persKey]*tcpPers
+	slotNext  map[slotKey]int
+	early     map[persKey][]*earlyPersFrame
+	accepted  map[*tcpAccepted]struct{}
 }
 
 // earlyPersFrame is a persistent frame held until it may land: parked in
@@ -233,7 +225,6 @@ func newTCPNode(t *tcpTransport, rank int) (*tcpNode, error) {
 		peerInc:      map[int]uint64{},
 		outs:         map[int]*tcpOut{},
 		lookups:      map[int][]chan string{},
-		collW:        map[collWKey]chan *ctlMsg{},
 		persSend:     map[persKey]*tcpPers{},
 		persRecv:     map[persKey]*tcpPers{},
 		slotNext:     map[slotKey]int{},
@@ -603,8 +594,11 @@ func (n *tcpNode) sendData(dst int, kind byte, h *tcpHdr, data []float64, flips 
 	h.wireSeq = o.seq
 	o.payload = appendDataFrame(o.payload[:0], h, data, flips)
 	o.frame = tcpconn.AppendFrame(o.frame[:0], kind, o.payload)
+	// Collective frames bypass network faults, as collectives bypass every
+	// other injected fault: the frame ordinals of a fault spec count user
+	// traffic only.
 	var v fault.NetVerdict
-	if f := n.w.fault; f != nil {
+	if f := n.w.fault; f != nil && h.tag != collTag {
 		v = f.NetFrame(n.rank, dst)
 	}
 	if v.Delay > 0 {
@@ -781,14 +775,6 @@ func (n *tcpNode) ctlReader() {
 			for _, ch := range waiting {
 				ch <- m.Addr
 			}
-		case tfCollOK:
-			n.mu.Lock()
-			ch := n.collW[collWKey{coll: m.Coll, gen: m.Gen}]
-			delete(n.collW, collWKey{coll: m.Coll, gen: m.Gen})
-			n.mu.Unlock()
-			if ch != nil {
-				ch <- &m
-			}
 		case tfAborted:
 			// Epoch-stamped: a pre-recovery abort still buffered in the
 			// control stream must not kill the epoch that replaced it.
@@ -816,38 +802,6 @@ func (n *tcpNode) ctlReader() {
 		case tfHBAck:
 			n.othersProgress.Store(m.Progress)
 		}
-	}
-}
-
-// ---- collectives ----
-
-func (n *tcpNode) collective(coll, op int, bits []uint64) (*ctlMsg, bool) {
-	n.mu.Lock()
-	gen := n.collGen[coll]
-	n.collGen[coll]++
-	ch := make(chan *ctlMsg, 1)
-	n.collW[collWKey{coll: coll, gen: gen}] = ch
-	n.collWaiting[coll]++
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		n.collWaiting[coll]--
-		n.mu.Unlock()
-	}()
-	if err := n.ctl.send(tfColl, &ctlMsg{
-		Coll: coll, Gen: gen, Epoch: n.epoch.Load(), Rank: n.rank, Op: op, Bits: bits,
-	}); err != nil {
-		n.w.abort(n.rank, fmt.Errorf("tcp: rank %d lost control connection: %w", n.rank, err))
-		return nil, true
-	}
-	select {
-	case resp := <-ch:
-		return resp, false
-	case <-n.w.abortCh:
-		return nil, true
-	case <-n.ctlDown:
-		n.w.abort(n.rank, fmt.Errorf("tcp: rank %d lost control connection", n.rank))
-		return nil, true
 	}
 }
 
@@ -945,12 +899,6 @@ func (n *tcpNode) pendingOps() []PendingOp {
 	return out
 }
 
-func (n *tcpNode) collectiveWaiters() (bar, red, gath int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.collWaiting[collBar], n.collWaiting[collRed], n.collWaiting[collGath]
-}
-
 func (n *tcpNode) persistentPending() (unmatched, live int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -993,9 +941,6 @@ func (n *tcpNode) resetForEpoch(ep uint64) {
 	n.unmatched = nil
 	n.lastSeq = map[int]uint64{}
 	n.lookups = map[int][]chan string{}
-	n.collW = map[collWKey]chan *ctlMsg{}
-	n.collGen = [3]uint64{}
-	n.collWaiting = [3]int{}
 	n.persSend = map[persKey]*tcpPers{}
 	n.persRecv = map[persKey]*tcpPers{}
 	n.slotNext = map[slotKey]int{}

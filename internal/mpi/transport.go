@@ -10,13 +10,14 @@ import (
 )
 
 // Transport is the wire seam of the runtime: it owns endpoint matching,
-// message delivery, partitioned-cycle signaling, and collective rendezvous,
-// while World/Comm keep everything transport-agnostic — validation, fault
-// injection, traffic counters, tracing, flight recording, metrics, the
-// abort machinery, and the watchdog. A backend registers a factory under a
-// name (RegisterTransport) and worlds are built on it with NewWorldOn; the
-// "chan" backend is the in-process pre-paired channel runtime, "shmem" the
-// shared-memory segment runtime that also works across processes.
+// message delivery, and partitioned-cycle signaling, while World/Comm keep
+// everything transport-agnostic — validation, collectives (written once over
+// isend/irecv, see collectives.go), fault injection, traffic counters,
+// flight recording, metrics, the abort machinery, and the watchdog. A
+// backend registers a factory under a name (RegisterTransport) and worlds
+// are built on it with NewWorldOn; the "chan" backend is the in-process
+// pre-paired channel runtime, "shmem" the shared-memory segment runtime
+// that also works across processes.
 //
 // The interface is sealed (unexported methods): backends live in this
 // package so the conformance suite in transport_conformance_test.go can
@@ -32,6 +33,8 @@ type Transport interface {
 	// sender's flight sequence stamp.
 	isend(c *Comm, dst, tag int, buf []float64, flips []fault.ByteFlip, seq uint64) *Request
 	// irecv posts a one-shot receive (src may be AnySource, tag AnyTag).
+	// Matching goes through matches, so a wildcard never takes a message
+	// on the collectives' reserved tag.
 	irecv(c *Comm, src, tag int, buf []float64) *Request
 
 	// sendInit/recvInit build persistent endpoints; matching happens here,
@@ -39,23 +42,17 @@ type Transport interface {
 	sendInit(c *Comm, dst, tag int, buf []float64) *Request
 	recvInit(c *Comm, src, tag int, buf []float64) *Request
 
-	// Collectives. Each reports aborted=true when the world went down
-	// mid-operation; the Comm wrapper then panics with the *AbortError.
-	barrier(rank int) (aborted bool)
-	allreduce(rank int, op Op, in []float64) (out []float64, aborted bool)
-	gather(rank int, in []float64) (out [][]float64, aborted bool)
-
-	// abortAll wakes every waiter parked inside the transport (collectives,
-	// polling loops). Point-to-point waits are unblocked by the world-level
-	// abort channel; this call handles transport-internal rendezvous.
+	// abortAll carries a local abort to the other processes of the world
+	// (shmem publishes it in the segment, tcp sends it to the
+	// coordinator). Local waits are unblocked by the world's abort
+	// channel.
 	abortAll()
 
 	// Watchdog hooks: pendingCount is the cheap stall predicate (posted but
-	// incomplete operations), pendingOps the detailed listing for a
-	// StallReport, collectiveWaiters the per-collective parked-rank counts.
+	// incomplete operations, collective traffic included), pendingOps the
+	// detailed listing for a StallReport.
 	pendingCount() int
 	pendingOps() []PendingOp
-	collectiveWaiters() (bar, red, gath int)
 
 	// persistentPending reports unmatched endpoints and live channels for
 	// leak tests (see World.PersistentPending).
@@ -63,7 +60,7 @@ type Transport interface {
 
 	// reset wipes all transport state for a Respawn (world quiescent).
 	// chan rebuilds its in-memory fabric; shmem quarantines the shared
-	// segment (re-seeds rings, staging, collectives, heap bump pointer)
+	// segment (re-seeds rings, staging, one-shot regions, heap bump pointer)
 	// and wipes local matching state — cross-process callers must have
 	// established quiescence first (see recovery_shmem.go). A backend
 	// that cannot rewind returns an error and respawn is unsupported.

@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"github.com/bricklab/brick/internal/fault"
+	"github.com/bricklab/brick/internal/flight"
 )
 
 // The chan backend is the original in-process runtime: per-rank inboxes
-// matched under a mutex for one-shot traffic, pre-paired channels for
-// persistent plans, and condvar collectives. Every rank is a goroutine of
-// the same process; delivery is rendezvous — the payload moves on whichever
-// side matched second, directly into the posted receive buffer.
+// matched under a mutex for one-shot traffic and pre-paired channels for
+// persistent plans. Every rank is a goroutine of the same process; delivery
+// is rendezvous — the payload moves on whichever side matched second,
+// directly into the posted receive buffer.
 
 func init() {
 	RegisterTransport("chan",
@@ -27,9 +28,6 @@ func init() {
 type chanTransport struct {
 	w     *World
 	boxes []*inbox
-	bar   barrier
-	red   reducer
-	gath  gatherBuf
 	pers  persistReg
 }
 
@@ -38,9 +36,6 @@ func newChanTransport(w *World) *chanTransport {
 	for i := range t.boxes {
 		t.boxes[i] = newInbox()
 	}
-	t.bar.init(w.size)
-	t.red.init(w.size)
-	t.gath.init(w.size)
 	t.pers.init()
 	return t
 }
@@ -69,6 +64,7 @@ type posted struct {
 	env      *envelope    // set at match time, before done is closed
 	post     time.Time    // when Irecv posted; zero unless m != nil
 	m        *commMetrics // receiver's metrics, nil when disabled
+	fl       *flight.Ring // receiver's flight ring, nil when unrecorded
 }
 
 // inbox holds unmatched arrivals and unmatched posted receives for one rank.
@@ -80,8 +76,11 @@ type inbox struct {
 
 func newInbox() *inbox { return &inbox{} }
 
+// matches is the one-shot matching rule of every backend. AnyTag matches
+// user tags only: a tag below AnyTag (collTag) is a separate context that
+// only an exact receive takes.
 func matches(wantSrc, wantTag, src, tag int) bool {
-	return (wantSrc == AnySource || wantSrc == src) && (wantTag == AnyTag || wantTag == tag)
+	return (wantSrc == AnySource || wantSrc == src) && (wantTag == tag || wantTag == AnyTag && tag > AnyTag)
 }
 
 func (t *chanTransport) isend(c *Comm, dst, tag int, buf []float64, flips []fault.ByteFlip, seq uint64) *Request {
@@ -106,7 +105,7 @@ func (t *chanTransport) isend(c *Comm, dst, tag int, buf []float64, flips []faul
 }
 
 func (t *chanTransport) irecv(c *Comm, src, tag int, buf []float64) *Request {
-	p := &posted{src: src, tag: tag, buf: buf, done: make(chan struct{})}
+	p := &posted{src: src, tag: tag, buf: buf, done: make(chan struct{}), fl: c.fl}
 	if c.m != nil {
 		p.post, p.m = time.Now(), c.m
 	}
@@ -151,7 +150,7 @@ func deliver(w *World, dst int, env *envelope, p *posted) {
 		p.m.recvMatchWait.Observe(time.Since(p.post).Seconds())
 		p.m.recvBytes.Observe(float64(8 * len(env.data)))
 	}
-	w.flight.Load().Rank(dst).Deliver(int32(env.src), int32(env.tag), -1, int64(8*len(env.data)), env.seq)
+	p.fl.Deliver(int32(env.src), int32(env.tag), -1, int64(8*len(env.data)), env.seq)
 	p.env = env
 	close(p.done)
 	close(env.done)
@@ -254,27 +253,9 @@ func (p *posted) opName(r *Request) string {
 	return fmt.Sprintf("wait recv src=%s tag=%s", wildcard(r.peer), wildcard(r.tag))
 }
 
-// Collectives delegate to the condvar implementations in collectives.go.
-
-func (t *chanTransport) barrier(int) bool { return t.bar.await() }
-
-func (t *chanTransport) allreduce(rank int, op Op, in []float64) ([]float64, bool) {
-	return t.red.allreduce(rank, op, in)
-}
-
-func (t *chanTransport) gather(rank int, in []float64) ([][]float64, bool) {
-	return t.gath.gather(rank, in)
-}
-
-func (t *chanTransport) abortAll() {
-	t.bar.abortAll()
-	t.red.abortAll()
-	t.gath.abortAll()
-}
-
-func (t *chanTransport) collectiveWaiters() (bar, red, gath int) {
-	return t.bar.pendingWaiters(), t.red.pendingWaiters(), t.gath.pendingWaiters()
-}
+// abortAll has nothing to carry: every rank is in this process, and its
+// waits watch the world's abort channel.
+func (t *chanTransport) abortAll() {}
 
 // pendingCount is the cheap stall predicate: a count of operations that are
 // posted but not complete.
@@ -295,8 +276,7 @@ func (t *chanTransport) pendingCount() int {
 		pc.mu.Unlock()
 	}
 	pr.mu.Unlock()
-	bar, red, gath := t.collectiveWaiters()
-	return n + bar + red + gath
+	return n
 }
 
 // pendingOps lists every pending operation for a StallReport (unsorted;
@@ -396,7 +376,7 @@ func (t *chanTransport) persistentPending() (unmatched, live int) {
 // persistent-endpoint registry (a rank that died mid-plan-build leaks
 // half-paired endpoints; survivors' endpoints are stale because the new
 // epoch re-pairs from scratch — FIFO pairing order only holds if everyone
-// starts empty), and the collectives.
+// starts empty).
 func (t *chanTransport) reset() error {
 	for _, box := range t.boxes {
 		box.mu.Lock()
@@ -409,9 +389,6 @@ func (t *chanTransport) reset() error {
 	pr.recvs = map[endpointKey][]*pchan{}
 	pr.all = nil
 	pr.mu.Unlock()
-	t.bar.reset()
-	t.red.reset()
-	t.gath.reset()
 	return nil
 }
 

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,7 +90,8 @@ func TestConformanceOneShot(t *testing.T) {
 
 // TestConformanceCollectives checks Barrier/Allreduce/Gather semantics and
 // the ascending-rank reduction order that keeps checksums bit-identical
-// across backends.
+// across backends: small and 40 000-element vectors, an OpSum whose result
+// depends on the order of the fold, and a length mismatch that must abort.
 func TestConformanceCollectives(t *testing.T) {
 	forEachTransport(t, 4, func(t *testing.T, w *World) {
 		w.Run(func(c *Comm) {
@@ -109,11 +111,111 @@ func TestConformanceCollectives(t *testing.T) {
 			} else if rows != nil {
 				t.Errorf("rank %d Gather returned non-nil %v", c.Rank(), rows)
 			}
+
+			// 1e16 + 1 rounds back to 1e16, so only a fold in ascending rank
+			// order gives the sequential result; element j rotates the
+			// contributions so each term takes every rank's place once.
+			terms := []float64{1e16, 1, -1e16, 1}
+			in = make([]float64, len(terms))
+			for j := range in {
+				in[j] = terms[(c.Rank()+j)%len(terms)]
+			}
+			out = c.Allreduce(OpSum, in)
+			for j := range out {
+				want := terms[j%len(terms)]
+				for r := 1; r < c.Size(); r++ {
+					want += terms[(r+j)%len(terms)]
+				}
+				if math.Float64bits(out[j]) != math.Float64bits(want) {
+					t.Errorf("rank %d order-dependent Allreduce[%d] = %v, want the ascending fold %v", c.Rank(), j, out[j], want)
+				}
+			}
+
+			// 40 000 elements: larger than any fixed collective slot.
+			big := make([]float64, 40000)
+			for i := range big {
+				big[i] = float64(c.Rank()) + float64(i)/8
+			}
+			out = c.Allreduce(OpSum, big)
+			for i, v := range out {
+				want := 0.0
+				for r := 0; r < c.Size(); r++ {
+					want += float64(r) + float64(i)/8
+				}
+				if math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("rank %d big Allreduce[%d] = %v, want %v", c.Rank(), i, v, want)
+				}
+			}
+			rows = c.Gather(big)
+			if c.Rank() == 0 {
+				for r, row := range rows {
+					if len(row) != len(big) || row[len(row)-1] != float64(r)+float64(len(big)-1)/8 {
+						t.Fatalf("big Gather row %d: %d elements", r, len(row))
+					}
+				}
+			}
 			c.Barrier()
 		})
 		if ae := w.Aborted(); ae != nil {
 			t.Fatalf("world aborted: %v", ae)
 		}
+
+		bad, err := NewWorldOn(w.Transport(), 4)
+		if err != nil {
+			t.Fatalf("NewWorldOn: %v", err)
+		}
+		defer bad.Close()
+		ae := expectAbortOn(t, bad, func(c *Comm) {
+			in := make([]float64, 3)
+			if c.Rank() == 2 {
+				in = make([]float64, 7)
+			}
+			c.Allreduce(OpSum, in)
+		})
+		if !strings.Contains(ae.Error(), "Allreduce length mismatch") {
+			t.Fatalf("abort = %v, want an Allreduce length mismatch", ae)
+		}
+	})
+}
+
+// TestConformanceCollectiveContext: collectives are a matching context of
+// their own. A wildcard receive posted before a Bcast must not take the
+// broadcast payload, and still gets the user message sent after it. The
+// watchdog turns a receive that took the wrong message into an abort
+// rather than a hang.
+func TestConformanceCollectiveContext(t *testing.T) {
+	forEachTransport(t, 3, func(t *testing.T, w *World) {
+		w.SetWatchdog(2*time.Second, nil)
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("world aborted: %v", p)
+			}
+		}()
+		w.Run(func(c *Comm) {
+			user := make([]float64, 2)
+			var r *Request
+			if c.Rank() == 1 {
+				r = c.Irecv(AnySource, AnyTag, user)
+			}
+			c.Barrier()
+			b := make([]float64, 2)
+			if c.Rank() == 0 {
+				copy(b, []float64{7, 8})
+			}
+			c.Bcast(0, b)
+			if b[0] != 7 || b[1] != 8 {
+				t.Errorf("rank %d Bcast payload = %v", c.Rank(), b)
+			}
+			switch c.Rank() {
+			case 0:
+				c.Send(1, 5, []float64{-1, -2})
+			case 1:
+				if n := r.Wait(); n != 2 || user[0] != -1 || user[1] != -2 {
+					t.Errorf("wildcard receive got %d elements %v, want the user message [-1 -2]", n, user)
+				}
+			}
+			c.Barrier()
+		})
 	})
 }
 
@@ -330,6 +432,14 @@ func TestConformanceWatchdogStallReport(t *testing.T) {
 		}
 		if !findOp(rep, "recv-posted", 0, 1, 4) {
 			t.Errorf("report lacks recv-posted (0,1,4):\n%v", rep)
+		}
+		if rep.Barrier != 1 {
+			t.Errorf("report barrier = %d, want rank 0 inside it:\n%v", rep.Barrier, rep)
+		}
+		for _, op := range rep.Pending {
+			if op.Tag < AnyTag {
+				t.Errorf("report lists a collective message %+v:\n%v", op, rep)
+			}
 		}
 	})
 }

@@ -19,17 +19,19 @@ import (
 // segment (internal/shmem arena), so the ranks of a world may live in
 // separate worker processes: the supervisor creates the segment, workers
 // inherit its fd and attach (AttachShmemWorld), and every message, staged
-// persistent cycle, partitioned-readiness word, and collective rendezvous
-// lives in the segment where all processes can reach it.
+// persistent cycle, and partitioned-readiness word lives in the segment
+// where all processes can reach it. Collectives are one-shot messages like
+// any other (see collectives.go).
 //
 // Layout (all offsets 8-aligned; fixed regions first, bump heap last):
 //
-//	header      magic, size, abort words, heap bump pointer, collective words
-//	reduce      per-rank length words + per-rank slots + combined-out slot
-//	gather      per-rank length words + per-rank slots
+//	header      magic, size, abort words, heap bump pointer, progress,
+//	            recovery round words
 //	persistent  fixed table of endpoint entries (matching + cycle state)
 //	rings       per-rank MPSC message rings (one-shot traffic)
-//	heap        bump-allocated payload blocks, staging buffers, flip lists
+//	one-shot    per-rank send regions: one-shot payload blocks, reclaimed
+//	            once their receiver consumed them
+//	heap        bump-allocated staging buffers and flip lists
 //
 // Protocol differences from the chan backend, deliberate and documented in
 // docs/transports.md: one-shot sends are EAGER (the payload is staged in
@@ -37,8 +39,7 @@ import (
 // sends are eager-staged with double-buffered staging, because a remote
 // receive buffer is an ordinary Go slice in another process — only its
 // owner can fill it, so rendezvous-style "whoever matches second copies"
-// cannot work across processes. Reductions still combine in ascending rank
-// order, which is what keeps checksums Float64bits-identical to chan.
+// cannot work across processes.
 //
 // All cross-process waits are polling loops (spinner) that watch both the
 // local abort channel and the segment's abort words, so a world-wide abort
@@ -48,7 +49,6 @@ const (
 	shmMagic       = 0x627269636b736831 // "bricksh1"
 	shmRingSlots   = 1024               // one-shot messages in flight per rank
 	shmMaxPers     = 1024               // persistent endpoint table capacity
-	shmCollFloats  = 1 << 15            // per-rank collective slot (float64s)
 	shmAbortMsgCap = 256                // abort cause rendering, truncated
 )
 
@@ -62,19 +62,13 @@ const (
 	offAbortMsgLen = 40
 	offHeapNext    = 48 // bump pointer (byte offset, atomic)
 	offHeapLimit   = 56
-	offBarGen      = 64 // barrier generation + arrival count
-	offBarCount    = 72
-	offRedArrived  = 80 // reducer two-phase words
-	offRedLeft     = 88
-	offGathArrived = 96 // gather two-phase words
-	offGathLeft    = 104
-	offPersLock    = 112 // spinlock over the persistent table
-	offPersCount   = 120
-	offAbortMsg    = 128
-	// offProgress is the world-wide progress counter: every completed wait,
-	// barrier passage, and collective in ANY attached process ticks it. Each
-	// process's watchdog samples it alongside its local counter, so a worker
-	// computing quietly while its peers move data is not misread as a stall.
+	offPersLock    = 64 // spinlock over the persistent table
+	offPersCount   = 72
+	offAbortMsg    = 80
+	// offProgress is the world-wide progress counter: every completed wait
+	// in ANY attached process ticks it. Each process's watchdog samples it
+	// alongside its local counter, so a worker computing quietly while its
+	// peers move data is not misread as a stall.
 	offProgress = offAbortMsg + shmAbortMsgCap
 	// Recovery round words (see recovery_shmem.go): the supervisor runs
 	// cross-process recovery rounds against these. offRecGen is the round
@@ -164,17 +158,13 @@ func newShmemWorldTransport(w *World) (Transport, error) {
 // size so every attaching process computes identical offsets.
 type shmLayout struct {
 	size      int
-	redLens   int // size length words
-	redSlots  int // size * shmCollFloats float64s
-	redOutLen int
-	redOut    int // shmCollFloats float64s
-	gathLens  int
-	gathSlots int
 	incs      int // per-rank incarnation words
 	parked    int // per-rank recovery-parked words
 	pers      int // shmMaxPers * peWords words
 	ringBytes int
 	rings     int // size rings
+	osBytes   int // one send region's bytes: head, tail, then blocks
+	oneShot   int // size send regions
 	heap      int
 	heapEnd   int
 }
@@ -182,18 +172,6 @@ type shmLayout struct {
 func shmLayoutFor(size, segBytes int) (shmLayout, error) {
 	l := shmLayout{size: size}
 	off := shmHdrBytes
-	l.redLens = off
-	off += size * 8
-	l.redSlots = off
-	off += size * shmCollFloats * 8
-	l.redOutLen = off
-	off += 8
-	l.redOut = off
-	off += shmCollFloats * 8
-	l.gathLens = off
-	off += size * 8
-	l.gathSlots = off
-	off += size * shmCollFloats * 8
 	l.incs = off
 	off += size * 8
 	l.parked = off
@@ -203,9 +181,14 @@ func shmLayoutFor(size, segBytes int) (shmLayout, error) {
 	l.ringBytes = 16 + shmRingSlots*16
 	l.rings = off
 	off += size * l.ringBytes
+	// A quarter of what remains is split into the per-rank send regions;
+	// the bump heap keeps the rest for persistent staging.
+	l.osBytes = (segBytes - off) / 4 / size &^ 7
+	l.oneShot = off
+	off += size * l.osBytes
 	l.heap = off
 	l.heapEnd = segBytes
-	if l.heapEnd-l.heap < 1<<20 {
+	if l.heapEnd-l.heap < 1<<20 || l.osBytes < 64<<10 {
 		return l, fmt.Errorf("segment of %d bytes too small for %d ranks (need %d + heap); raise BRICK_SHMEM_BYTES",
 			segBytes, size, l.heap)
 	}
@@ -225,12 +208,13 @@ type shmMsg struct {
 }
 
 // shmInbox is one rank's process-local matching state: messages drained
-// from the rank's ring but not yet matched, and the receives posted by
-// this process that no message has matched.
+// from the rank's ring but not yet matched, in arrival order, and the
+// receives posted by this process that no message has matched, in post
+// order.
 type shmInbox struct {
 	mu        sync.Mutex
 	unmatched []shmMsg
-	posted    map[*shmRecv]struct{}
+	posted    []*shmRecv
 }
 
 type shmemTransport struct {
@@ -239,6 +223,9 @@ type shmemTransport struct {
 	b     []byte // 8-aligned window over the segment
 	l     shmLayout
 	inbox []shmInbox
+	// osMu serializes each rank's allocations from its send region; only
+	// the process hosting a rank allocates from that rank's region.
+	osMu []sync.Mutex
 
 	closeOnce sync.Once
 	closeErr  error
@@ -267,11 +254,8 @@ func newShmemTransport(w *World, arena *shmem.Arena, initialize bool) (*shmemTra
 	if err != nil {
 		return nil, err
 	}
-	t := &shmemTransport{w: w, arena: arena, b: b, l: l}
+	t := &shmemTransport{w: w, arena: arena, b: b, l: l, osMu: make([]sync.Mutex, size)}
 	t.inbox = make([]shmInbox, size)
-	for i := range t.inbox {
-		t.inbox[i].posted = map[*shmRecv]struct{}{}
-	}
 	if initialize {
 		*t.w64(offSize) = uint64(size)
 		*t.w64(offHeapNext) = uint64(l.heap)
@@ -305,9 +289,9 @@ func (t *shmemTransport) floats(off, n int) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&t.b[off])), n)
 }
 
-// alloc bump-allocates n bytes from the segment heap (8-aligned, never
-// freed — the segment lives for one world). Panics on exhaustion: every
-// caller is on a path where an error cannot be surfaced, and a bigger
+// alloc bump-allocates n bytes from the segment heap (8-aligned, freed only
+// by quarantine's rewind) for persistent staging. Panics on exhaustion:
+// every caller is on a path where an error cannot be surfaced, and a bigger
 // segment is one env var away.
 func (t *shmemTransport) alloc(n int) int {
 	n = (n + 7) &^ 7
@@ -365,8 +349,8 @@ func (t *shmemTransport) checkAbort() *AbortError {
 }
 
 // abortAll publishes the local abort into the segment (first process
-// wins) so peer processes' polling waits unwind too. Local collective
-// waiters are polling loops that observe the local abort directly.
+// wins) so peer processes' polling waits unwind too. Local waits are
+// polling loops that observe the local abort directly.
 func (t *shmemTransport) abortAll() {
 	if !atomic.CompareAndSwapUint64(t.w64(offAbortClaim), 0, 1) {
 		return
@@ -455,8 +439,7 @@ func (t *shmemTransport) resetLocal() {
 	for r := range t.inbox {
 		ib := &t.inbox[r]
 		ib.mu.Lock()
-		ib.unmatched = nil
-		ib.posted = map[*shmRecv]struct{}{}
+		ib.unmatched, ib.posted = nil, nil
 		ib.mu.Unlock()
 	}
 }
@@ -465,14 +448,15 @@ func (t *shmemTransport) resetLocal() {
 // caller must guarantee quiescence: every rank parked, exited, or dead —
 // the supervisor's convergence wait (internal/mpi/proc) or Respawn's
 // contract establishes it. Rings are drained and re-sequenced, the
-// persistent-endpoint table and collective words cleared (the new epoch
-// re-pairs from scratch; FIFO pairing only holds if everyone starts
-// empty), and the heap bump pointer rewinds to its base — every staged
-// payload belonged to the dead epoch. Dead ranks get their incarnation
-// bumped so any block a crashed sender already published is discarded at
-// drain, and the checkpoint step the new epoch restores from is published
-// at offRecStep. Monotonic shared words (progress, recovery generation)
-// and live ranks' incarnations are preserved.
+// persistent-endpoint table cleared (the new epoch re-pairs from scratch;
+// FIFO pairing only holds if everyone starts empty), and both allocators
+// rewind — the send regions to empty, the heap bump pointer to its base:
+// every one-shot block and staged payload belonged to the dead epoch. Dead
+// ranks get their incarnation bumped so any block a crashed sender already
+// published is discarded at drain, and the checkpoint step the new epoch
+// restores from is published at offRecStep. Monotonic shared words
+// (progress, recovery generation) and live ranks' incarnations are
+// preserved.
 func (t *shmemTransport) quarantine(dead []int, restoreStep int) {
 	l := t.l
 	// Abort words last published win; the new epoch fails loud on its own.
@@ -480,14 +464,6 @@ func (t *shmemTransport) quarantine(dead []int, restoreStep int) {
 	atomic.StoreUint64(t.w64(offAbortRank), 0)
 	atomic.StoreUint64(t.w64(offAbortMsgLen), 0)
 	atomic.StoreUint64(t.w64(offAbortClaim), 0)
-	// Collective seats.
-	atomic.StoreUint64(t.w64(offBarGen), 0)
-	atomic.StoreUint64(t.w64(offBarCount), 0)
-	atomic.StoreUint64(t.w64(offRedArrived), 0)
-	atomic.StoreUint64(t.w64(offRedLeft), 0)
-	atomic.StoreUint64(t.w64(offGathArrived), 0)
-	atomic.StoreUint64(t.w64(offGathLeft), 0)
-	atomic.StoreUint64(t.w64(l.redOutLen), 0)
 	// Persistent endpoint table, including staging-slot metadata.
 	cnt := int(atomic.LoadUint64(t.w64(offPersCount)))
 	if cnt > shmMaxPers {
@@ -498,7 +474,8 @@ func (t *shmemTransport) quarantine(dead []int, restoreStep int) {
 	}
 	atomic.StoreUint64(t.w64(offPersCount), 0)
 	atomic.StoreUint64(t.w64(offPersLock), 0)
-	// Rings: drop in-flight one-shot traffic, restore Vyukov slot seeding.
+	// Rings: drop in-flight one-shot traffic, restore Vyukov slot seeding;
+	// send regions: empty.
 	for r := 0; r < l.size; r++ {
 		base := l.rings + r*l.ringBytes
 		atomic.StoreUint64(t.w64(base), 0)
@@ -506,6 +483,8 @@ func (t *shmemTransport) quarantine(dead []int, restoreStep int) {
 		for i := 0; i < shmRingSlots; i++ {
 			atomic.StoreUint64(t.w64(base+16+i*16), uint64(i))
 		}
+		atomic.StoreUint64(t.w64(l.oneShot+r*l.osBytes), 0)
+		atomic.StoreUint64(t.w64(l.oneShot+r*l.osBytes+8), 0)
 	}
 	atomic.StoreUint64(t.w64(offHeapNext), uint64(l.heap))
 	for _, r := range dead {
@@ -528,12 +507,77 @@ func (t *shmemTransport) close() error {
 	return t.closeErr
 }
 
-// ---- one-shot messages: per-rank MPSC rings over heap payload blocks ----
+// ---- one-shot messages: per-rank MPSC rings over send-region blocks ----
 
-// One-shot message block layout in the heap (words): src, tag, elems, seq,
-// flipsCnt, crc, sender incarnation, then the payload floats, then
-// flipsCnt (off, mask) pairs.
+// One-shot message layout in its sender's region (words): src, tag, elems,
+// seq, flipsCnt, crc, sender incarnation, then the payload floats, then
+// flipsCnt (off, mask) pairs. The region's block header word precedes it.
 const shmMsgHdr = 56
+
+// A send region is a ring allocator owned by its sender: a head and a tail
+// word (monotonic byte positions, rewound by quarantine), then the block
+// area. Each block starts with a header word, size<<1 | consumed. The
+// sender allocates at head; a receiver sets the consumed bit once it has
+// copied the message out (consume), and the sender's next allocation
+// advances tail past every consumed block at the front. A block never
+// wraps: the area's tail end is skipped with a pad block born consumed.
+// A full region — receivers holding every block — makes the sender spin
+// until one is consumed; the watchdog reports the messages pending.
+const shmOSHdr = 16
+
+// oneShotAlloc reserves a block for an n-byte one-shot message in rank's
+// send region and returns the message's offset.
+func (t *shmemTransport) oneShotAlloc(rank, n int) int {
+	need := 8 + (n+7)&^7
+	base := t.l.oneShot + rank*t.l.osBytes
+	area := t.l.osBytes - shmOSHdr
+	if need > area {
+		panic(fmt.Sprintf("mpi: one-shot message of %d bytes exceeds the %d-byte shmem send region (raise BRICK_SHMEM_BYTES)",
+			n, area))
+	}
+	blk := func(pos uint64) *uint64 { return t.w64(base + shmOSHdr + int(pos%uint64(area))) }
+	t.osMu[rank].Lock()
+	defer t.osMu[rank].Unlock()
+	head, tail := atomic.LoadUint64(t.w64(base)), atomic.LoadUint64(t.w64(base+8))
+	var sp spinner
+	for {
+		for tail < head {
+			h := atomic.LoadUint64(blk(tail))
+			if h&1 == 0 {
+				break
+			}
+			tail += h >> 1
+		}
+		if tail == head {
+			head, tail = 0, 0 // empty: restart at the front, keeping pages warm
+		}
+		pad := 0
+		if at := int(head % uint64(area)); at+need > area {
+			pad = area - at
+		}
+		if uint64(area)-(head-tail) >= uint64(pad+need) {
+			if pad > 0 {
+				atomic.StoreUint64(blk(head), uint64(pad)<<1|1)
+				head += uint64(pad)
+			}
+			atomic.StoreUint64(blk(head), uint64(need)<<1)
+			atomic.StoreUint64(t.w64(base), head+uint64(need))
+			atomic.StoreUint64(t.w64(base+8), tail)
+			return base + shmOSHdr + int(head%uint64(area)) + 8
+		}
+		if ae := t.checkAbort(); ae != nil {
+			panic(ae)
+		}
+		sp.spin()
+	}
+}
+
+// consume marks the one-shot message at off consumed, handing its block
+// back to the sender's region.
+func (t *shmemTransport) consume(off int) {
+	h := t.w64(off - 8)
+	atomic.StoreUint64(h, atomic.LoadUint64(h)|1)
+}
 
 // ringPush publishes a message block to dst's ring (Vyukov MPSC: producers
 // claim tickets by CAS on head, the single consumer frees slots in order).
@@ -583,6 +627,8 @@ func (t *shmemTransport) drain(rank int) {
 		// against post-restore receives.
 		if m.inc == t.incarnationOf(m.src) {
 			ib.unmatched = append(ib.unmatched, m)
+		} else {
+			t.consume(off)
 		}
 		atomic.StoreUint64(seqp, tl+shmRingSlots)
 		atomic.StoreUint64(tail, tl+1)
@@ -633,7 +679,7 @@ func (t *shmemTransport) writeFlips(flips []fault.ByteFlip) (int, int) {
 }
 
 func (t *shmemTransport) isend(c *Comm, dst, tag int, buf []float64, flips []fault.ByteFlip, seq uint64) *Request {
-	off := t.alloc(shmMsgHdr + 8*len(buf) + 16*len(flips))
+	off := t.oneShotAlloc(c.rank, shmMsgHdr+8*len(buf)+16*len(flips))
 	*t.w64(off) = uint64(int64(c.rank))
 	*t.w64(off + 8) = uint64(int64(tag))
 	*t.w64(off + 16) = uint64(len(buf))
@@ -657,10 +703,10 @@ func (t *shmemTransport) isend(c *Comm, dst, tag int, buf []float64, flips []fau
 }
 
 func (t *shmemTransport) irecv(c *Comm, src, tag int, buf []float64) *Request {
-	p := &shmRecv{t: t, rank: c.rank, src: src, tag: tag, buf: buf, post: time.Now()}
+	p := &shmRecv{t: t, c: c, src: src, tag: tag, buf: buf, post: time.Now()}
 	ib := &t.inbox[c.rank]
 	ib.mu.Lock()
-	ib.posted[p] = struct{}{}
+	ib.posted = append(ib.posted, p)
 	ib.mu.Unlock()
 	return &Request{comm: c, op: p, peer: src, tag: tag}
 }
@@ -692,100 +738,105 @@ func (s shmSendDone) opName(r *Request) string {
 
 // shmRecv is a posted one-shot receive: Wait polls the rank's ring for a
 // matching message and performs the delivery copy locally (only this
-// process can reach buf).
+// process can reach buf). The fields below done are written under the
+// inbox lock before done is set.
 type shmRecv struct {
 	t         *shmemTransport
-	rank      int
+	c         *Comm
 	src, tag  int
 	buf       []float64
 	post      time.Time
-	matched   bool
+	done      atomic.Bool
 	n         int
+	overflow  bool
 	corrupted *CorruptionError
 }
 
-// tryMatch drains the ring and scans the unmatched list oldest-first; on a
-// match it performs the delivery copy and bookkeeping.
-func (p *shmRecv) tryMatch(r *Request) bool {
-	ib := &p.t.inbox[p.rank]
-	ib.mu.Lock()
-	p.t.drain(p.rank)
-	for i, m := range ib.unmatched {
-		if (p.src == AnySource || p.src == m.src) && (p.tag == AnyTag || p.tag == m.tag) {
-			ib.unmatched = append(ib.unmatched[:i], ib.unmatched[i+1:]...)
-			delete(ib.posted, p)
-			ib.mu.Unlock()
-			p.deliver(r, m)
-			return true
-		}
+// tryMatch drains the rank's ring and matches its posted receives in post
+// order, each to the oldest message that matches it — MPI's ordering rule,
+// whichever receive is waited first. It reports whether p is delivered.
+func (p *shmRecv) tryMatch() bool {
+	if p.done.Load() {
+		return true
 	}
-	ib.mu.Unlock()
-	return false
+	t, rank := p.t, p.c.rank
+	ib := &t.inbox[rank]
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	t.drain(rank)
+	for i := 0; i < len(ib.posted); {
+		q, j := ib.posted[i], 0
+		for j < len(ib.unmatched) && !matches(q.src, q.tag, ib.unmatched[j].src, ib.unmatched[j].tag) {
+			j++
+		}
+		if j == len(ib.unmatched) {
+			i++
+			continue
+		}
+		m := ib.unmatched[j]
+		ib.unmatched = append(ib.unmatched[:j], ib.unmatched[j+1:]...)
+		ib.posted = append(ib.posted[:i], ib.posted[i+1:]...)
+		q.deliver(m)
+	}
+	return p.done.Load()
 }
 
-func (p *shmRecv) deliver(r *Request, m shmMsg) {
+// deliver copies message m into the receive buffer and hands its block back
+// to the sender's region. Caller holds the inbox lock. An overflow or a CRC
+// mismatch is recorded for the receive's own Wait to raise.
+func (p *shmRecv) deliver(m shmMsg) {
 	t := p.t
-	overflow := m.elems > len(p.buf)
-	n := m.elems
-	if overflow {
-		n = len(p.buf)
-	}
+	n := min(m.elems, len(p.buf))
 	copy(p.buf[:n], t.floats(m.off, m.elems))
 	if m.flipsCnt > 0 {
 		applyFlips(p.buf[:n], t.readFlips(m.flipsOff, m.flipsCnt))
 	}
-	corrupt := t.w.verifyCRC && uint64(crcFloats(p.buf[:n])) != m.crc
-	if c := r.comm; c != nil {
-		if c.m != nil {
-			c.m.recvMatchWait.Observe(time.Since(p.post).Seconds())
-			c.m.recvBytes.Observe(float64(8 * m.elems))
-		}
-		c.fl.Deliver(int32(m.src), int32(m.tag), -1, int64(8*m.elems), m.seq)
+	t.consume(m.off - shmMsgHdr)
+	if t.w.verifyCRC && uint64(crcFloats(p.buf[:n])) != m.crc {
+		p.corrupted = &CorruptionError{Src: m.src, Dst: p.c.rank, Tag: m.tag}
 	}
+	if c := p.c; c.m != nil {
+		c.m.recvMatchWait.Observe(time.Since(p.post).Seconds())
+		c.m.recvBytes.Observe(float64(8 * m.elems))
+	}
+	p.c.fl.Deliver(int32(m.src), int32(m.tag), -1, int64(8*m.elems), m.seq)
 	p.n = m.elems
-	p.matched = true
-	if overflow {
-		panic(fmt.Sprintf("mpi: message overflows receive buffer (src %d tag %d)", m.src, m.tag))
-	}
-	if corrupt {
-		p.corrupted = &CorruptionError{Src: m.src, Dst: p.rank, Tag: m.tag}
-	}
+	p.overflow = m.elems > len(p.buf)
+	p.done.Store(true)
 }
 
-// raiseCorruption kills the world after a CRC mismatch, mirroring the chan
-// backend: delivery completed first, then the world dies.
-func (p *shmRecv) raiseCorruption() {
+// delivered raises a delivered receive's overflow, or returns its CRC
+// verdict: the world dies only after delivery completed, as on chan.
+func (p *shmRecv) delivered() *AbortError {
+	if p.overflow {
+		panic(fmt.Sprintf("mpi: message overflows receive buffer (src %d tag %d)", p.src, p.tag))
+	}
 	if p.corrupted == nil {
-		return
+		return nil
 	}
 	w := p.t.w
-	w.abort(p.rank, p.corrupted)
+	w.abort(p.c.rank, p.corrupted)
 	p.corrupted = nil
-	panic(w.Aborted())
+	return w.Aborted()
 }
 
 func (p *shmRecv) block(r *Request) {
-	if p.matched {
-		p.raiseCorruption()
-		return
-	}
 	var sp spinner
-	for !p.tryMatch(r) {
+	for !p.tryMatch() {
 		if ae := p.t.checkAbort(); ae != nil {
 			panic(ae)
 		}
 		sp.spin()
 	}
-	p.raiseCorruption()
+	if ae := p.delivered(); ae != nil {
+		panic(ae)
+	}
 }
 
 func (p *shmRecv) blockTimeout(r *Request, d time.Duration) error {
-	if p.matched {
-		return nil
-	}
 	deadline := time.Now().Add(d)
 	var sp spinner
-	for !p.tryMatch(r) {
+	for !p.tryMatch() {
 		if ae := p.t.checkAbort(); ae != nil {
 			return ae
 		}
@@ -794,11 +845,8 @@ func (p *shmRecv) blockTimeout(r *Request, d time.Duration) error {
 		}
 		sp.spin()
 	}
-	if p.corrupted != nil {
-		w := p.t.w
-		w.abort(p.rank, p.corrupted)
-		p.corrupted = nil
-		return w.Aborted()
+	if ae := p.delivered(); ae != nil {
+		return ae
 	}
 	return nil
 }
@@ -813,105 +861,6 @@ func (p *shmRecv) finish(r *Request) int {
 
 func (p *shmRecv) opName(r *Request) string {
 	return fmt.Sprintf("wait recv src=%s tag=%s", wildcard(p.src), wildcard(p.tag))
-}
-
-// ---- collectives: shared-word mirrors of the chan backend protocols ----
-
-func (t *shmemTransport) barrier(rank int) (aborted bool) {
-	gen, cnt := t.w64(offBarGen), t.w64(offBarCount)
-	g := atomic.LoadUint64(gen)
-	if atomic.AddUint64(cnt, 1) == uint64(t.l.size) {
-		atomic.StoreUint64(cnt, 0)
-		atomic.StoreUint64(gen, g+1)
-		return false
-	}
-	var sp spinner
-	for atomic.LoadUint64(gen) == g {
-		if t.checkAbort() != nil {
-			return true
-		}
-		sp.spin()
-	}
-	return false
-}
-
-// collWait spins while the shared word matches cond; aborted=true if the
-// world dies first.
-func (t *shmemTransport) collWait(word *uint64, cond func(uint64) bool) (aborted bool) {
-	var sp spinner
-	for cond(atomic.LoadUint64(word)) {
-		if t.checkAbort() != nil {
-			return true
-		}
-		sp.spin()
-	}
-	return false
-}
-
-func (t *shmemTransport) allreduce(rank int, op Op, in []float64) (out []float64, aborted bool) {
-	if len(in) > shmCollFloats {
-		panic(fmt.Sprintf("mpi: Allreduce of %d elements exceeds the shmem collective slot (%d)", len(in), shmCollFloats))
-	}
-	arr, left := t.w64(offRedArrived), t.w64(offRedLeft)
-	// Wait for the previous reduction's readers to drain.
-	if t.collWait(left, func(v uint64) bool { return v > 0 }) {
-		return nil, true
-	}
-	copy(t.floats(t.l.redSlots+rank*shmCollFloats*8, len(in)), in)
-	atomic.StoreUint64(t.w64(t.l.redLens+rank*8), uint64(len(in)))
-	if atomic.AddUint64(arr, 1) == uint64(t.l.size) {
-		// Last to arrive combines, in ascending rank order — the bit-for-bit
-		// determinism contract shared with the chan backend.
-		n := int(atomic.LoadUint64(t.w64(t.l.redLens)))
-		res := t.floats(t.l.redOut, n)
-		copy(res, t.floats(t.l.redSlots, n))
-		for rk := 1; rk < t.l.size; rk++ {
-			pn := int(atomic.LoadUint64(t.w64(t.l.redLens + rk*8)))
-			if pn != n {
-				panic(fmt.Sprintf("mpi: Allreduce length mismatch: %d vs %d", pn, n))
-			}
-			p := t.floats(t.l.redSlots+rk*shmCollFloats*8, n)
-			for i, v := range p {
-				res[i] = op.apply(res[i], v)
-			}
-		}
-		atomic.StoreUint64(t.w64(t.l.redOutLen), uint64(n))
-		atomic.StoreUint64(arr, 0)
-		atomic.StoreUint64(left, uint64(t.l.size))
-	} else if t.collWait(left, func(v uint64) bool { return v == 0 }) {
-		return nil, true
-	}
-	n := int(atomic.LoadUint64(t.w64(t.l.redOutLen)))
-	out = append([]float64(nil), t.floats(t.l.redOut, n)...)
-	atomic.AddUint64(left, ^uint64(0))
-	return out, false
-}
-
-func (t *shmemTransport) gather(rank int, in []float64) (out [][]float64, aborted bool) {
-	if len(in) > shmCollFloats {
-		panic(fmt.Sprintf("mpi: Gather of %d elements exceeds the shmem collective slot (%d)", len(in), shmCollFloats))
-	}
-	arr, left := t.w64(offGathArrived), t.w64(offGathLeft)
-	if t.collWait(left, func(v uint64) bool { return v > 0 }) {
-		return nil, true
-	}
-	copy(t.floats(t.l.gathSlots+rank*shmCollFloats*8, len(in)), in)
-	atomic.StoreUint64(t.w64(t.l.gathLens+rank*8), uint64(len(in)))
-	if atomic.AddUint64(arr, 1) == uint64(t.l.size) {
-		atomic.StoreUint64(arr, 0)
-		atomic.StoreUint64(left, uint64(t.l.size))
-	} else if t.collWait(left, func(v uint64) bool { return v == 0 }) {
-		return nil, true
-	}
-	if rank == 0 {
-		out = make([][]float64, t.l.size)
-		for rk := 0; rk < t.l.size; rk++ {
-			n := int(atomic.LoadUint64(t.w64(t.l.gathLens + rk*8)))
-			out[rk] = append([]float64(nil), t.floats(t.l.gathSlots+rk*shmCollFloats*8, n)...)
-		}
-	}
-	atomic.AddUint64(left, ^uint64(0))
-	return out, false
 }
 
 // ---- watchdog and leak-accounting hooks ----
@@ -978,8 +927,7 @@ func (t *shmemTransport) pendingCount() int {
 			n++
 		}
 	}
-	bar, red, gath := t.collectiveWaiters()
-	return n + bar + red + gath
+	return n
 }
 
 func (t *shmemTransport) pendingOps() []PendingOp {
@@ -1010,7 +958,7 @@ func (t *shmemTransport) pendingOps() []PendingOp {
 				Bytes: int64(8 * m.elems),
 			})
 		}
-		for p := range ib.posted {
+		for _, p := range ib.posted {
 			ops = append(ops, PendingOp{
 				Kind: "recv-posted", Src: p.src, Dst: r, Tag: p.tag,
 				Bytes: int64(8 * len(p.buf)),
@@ -1083,13 +1031,6 @@ func (t *shmemTransport) pendingOps() []PendingOp {
 		}
 	}
 	return ops
-}
-
-func (t *shmemTransport) collectiveWaiters() (bar, red, gath int) {
-	bar = int(atomic.LoadUint64(t.w64(offBarCount)))
-	red = int(atomic.LoadUint64(t.w64(offRedArrived)) + atomic.LoadUint64(t.w64(offRedLeft)))
-	gath = int(atomic.LoadUint64(t.w64(offGathArrived)) + atomic.LoadUint64(t.w64(offGathLeft)))
-	return bar, red, gath
 }
 
 func (t *shmemTransport) persistentPending() (unmatched, live int) {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -44,8 +45,8 @@ func TestShmemAbortForensics(t *testing.T) {
 }
 
 // TestShmemReset: the shmem transport rewinds — reset quarantines the
-// segment (rings re-seeded, staging and collectives cleared, heap bump
-// pointer rewound) and wipes local matching state, so checkpoint/restart
+// segment (rings re-seeded, staging cleared, send regions emptied, heap
+// bump pointer rewound) and wipes local matching state, so checkpoint/restart
 // respawn works on segment-backed worlds too. A reset world must run a
 // fresh exchange cleanly and leave no pending state behind.
 func TestShmemReset(t *testing.T) {
@@ -167,5 +168,41 @@ func TestShmemResetClearsReadyStamps(t *testing.T) {
 	}
 	if early {
 		t.Fatal("partition 0 arrived before the sender marked it ready: the ready stamp survived reset")
+	}
+}
+
+// TestShmemOneShotRegionReclaims sends 10⁶ one-shot messages through a
+// 32 MiB segment — 184 MB of blocks, several times the segment — so the
+// run completes only if every consumed block is handed back to its
+// sender's region. The sender runs up to a window ahead of the receiver,
+// whose acknowledgement closes each window.
+func TestShmemOneShotRegionReclaims(t *testing.T) {
+	t.Setenv("BRICK_SHMEM_BYTES", strconv.Itoa(32<<20))
+	w, err := NewWorldOn("shmem", 2)
+	if err != nil {
+		t.Fatalf("NewWorldOn(shmem): %v", err)
+	}
+	defer w.Close()
+	const msgs, window = 1000000, 100
+	w.Run(func(c *Comm) {
+		buf := make([]float64, 16)
+		for i := 0; i < msgs; i += window {
+			for k := i; k < i+window; k++ {
+				if c.Rank() == 0 {
+					buf[0] = float64(k)
+					c.Send(1, 1, buf)
+				} else if c.Recv(0, 1, buf); buf[0] != float64(k) {
+					t.Fatalf("message %d carried %v", k, buf[0])
+				}
+			}
+			if c.Rank() == 0 {
+				c.Recv(1, 2, buf[:1])
+			} else {
+				c.Send(0, 2, buf[:1])
+			}
+		}
+	})
+	if ae := w.Aborted(); ae != nil {
+		t.Fatalf("world aborted: %v", ae)
 	}
 }

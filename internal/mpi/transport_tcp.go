@@ -3,7 +3,6 @@ package mpi
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net"
 	"os"
 	"strconv"
@@ -38,10 +37,10 @@ import (
 //     fails loud.
 //
 // Topology: one coordinator (the process that called NewWorldOn) runs a
-// small control server — rendezvous handshake, address lookup, collective
-// combining, abort broadcast, persistent-endpoint pairing, recovery-round
-// verdicts — and every rank runs a node holding the data path: a listener
-// plus one framed stream per peer it talks to, carrying one-shot,
+// small control server — rendezvous handshake, address lookup, abort
+// broadcast, persistent-endpoint pairing, recovery-round verdicts — and
+// every rank runs a node holding the data path: a listener plus one framed
+// stream per peer it talks to, carrying one-shot (collectives included),
 // persistent, and partitioned traffic directly rank-to-rank. In-process
 // worlds attach one node per rank lazily (newComm); worker processes attach
 // their single rank from the BRICK_TCP_WORLD environment contract.
@@ -65,8 +64,6 @@ const (
 	tfWelcome  = 2  // coord → worker: world parameters (size, epoch, incarnation)
 	tfLookup   = 3  // node → coord: where is rank Peer?
 	tfLookupOK = 4  // coord → node: rank Peer listens at Addr
-	tfColl     = 5  // node → coord: collective contribution
-	tfCollOK   = 6  // coord → node: collective result
 	tfAbort    = 7  // node → coord: my world aborted (rank, rendered cause)
 	tfAborted  = 8  // coord → node: the world is aborted (rank, rendered cause)
 	tfPark     = 9  // node → coord: parked at the recovery barrier
@@ -85,40 +82,26 @@ const (
 	tfHBData = 26 // data-connection heartbeat (empty payload)
 )
 
-// Collective codes carried in ctlMsg.Coll.
-const (
-	collBar  = 0
-	collRed  = 1
-	collGath = 2
-)
-
 // ctlMsg is the single JSON envelope of every control frame; which fields
-// are meaningful depends on the frame kind. Bits/Rows carry float64
-// payloads as Float64bits so collective results cross the wire
-// bit-identically.
+// are meaningful depends on the frame kind.
 type ctlMsg struct {
-	Rank     int        `json:"rank"`
-	Peer     int        `json:"peer"`
-	Addr     string     `json:"addr"`
-	Size     int        `json:"size"`
-	WorldID  uint64     `json:"world"`
-	Epoch    uint64     `json:"epoch"`
-	Inc      uint64     `json:"inc"`
-	Restore  int        `json:"restore"`
-	Msg      string     `json:"msg"`
-	Coll     int        `json:"coll"`
-	Gen      uint64     `json:"gen"`
-	Op       int        `json:"op"`
-	Bits     []uint64   `json:"bits"`
-	Rows     [][]uint64 `json:"rows"`
-	Resume   bool       `json:"resume"`
-	Src      int        `json:"src"`
-	Dst      int        `json:"dst"`
-	Tag      int        `json:"tag"`
-	Slot     int        `json:"slot"`
-	Parts    int        `json:"parts"`
-	Psend    bool       `json:"psend"`
-	Progress int64      `json:"progress"`
+	Rank     int    `json:"rank"`
+	Peer     int    `json:"peer"`
+	Addr     string `json:"addr"`
+	Size     int    `json:"size"`
+	WorldID  uint64 `json:"world"`
+	Epoch    uint64 `json:"epoch"`
+	Inc      uint64 `json:"inc"`
+	Restore  int    `json:"restore"`
+	Msg      string `json:"msg"`
+	Resume   bool   `json:"resume"`
+	Src      int    `json:"src"`
+	Dst      int    `json:"dst"`
+	Tag      int    `json:"tag"`
+	Slot     int    `json:"slot"`
+	Parts    int    `json:"parts"`
+	Psend    bool   `json:"psend"`
+	Progress int64  `json:"progress"`
 }
 
 // Connection-robustness tunables, captured into each node at attach so
@@ -295,34 +278,6 @@ func (t *tcpTransport) recvInit(c *Comm, src, tag int, buf []float64) *Request {
 	return t.node(c.rank).recvInit(c, src, tag, buf)
 }
 
-func (t *tcpTransport) barrier(rank int) bool {
-	_, aborted := t.node(rank).collective(collBar, 0, nil)
-	return aborted
-}
-
-func (t *tcpTransport) allreduce(rank int, op Op, in []float64) ([]float64, bool) {
-	resp, aborted := t.node(rank).collective(collRed, int(op), floatsToBits(in))
-	if aborted {
-		return nil, true
-	}
-	return bitsToFloats(resp.Bits), false
-}
-
-func (t *tcpTransport) gather(rank int, in []float64) ([][]float64, bool) {
-	resp, aborted := t.node(rank).collective(collGath, 0, floatsToBits(in))
-	if aborted {
-		return nil, true
-	}
-	if rank != 0 {
-		return nil, false
-	}
-	out := make([][]float64, len(resp.Rows))
-	for i, row := range resp.Rows {
-		out[i] = bitsToFloats(row)
-	}
-	return out, false
-}
-
 func (t *tcpTransport) abortAll() {
 	if t.coord != nil {
 		rank, msg := WatchdogRank, "abort with unrecorded cause"
@@ -354,14 +309,6 @@ func (t *tcpTransport) pendingOps() []PendingOp {
 		out = append(out, nd.pendingOps()...)
 	}
 	return out
-}
-
-func (t *tcpTransport) collectiveWaiters() (bar, red, gath int) {
-	for _, nd := range t.snapshotNodes() {
-		b, r, g := nd.collectiveWaiters()
-		bar, red, gath = bar+b, red+r, gath+g
-	}
-	return
 }
 
 func (t *tcpTransport) persistentPending() (unmatched, live int) {
@@ -424,43 +371,7 @@ func (t *tcpTransport) progressShared() int64 {
 	return sum
 }
 
-func floatsToBits(in []float64) []uint64 {
-	if in == nil {
-		return nil
-	}
-	out := make([]uint64, len(in))
-	for i, v := range in {
-		out[i] = math.Float64bits(v)
-	}
-	return out
-}
-
-func bitsToFloats(in []uint64) []float64 {
-	if in == nil {
-		return nil
-	}
-	out := make([]float64, len(in))
-	for i, v := range in {
-		out[i] = math.Float64frombits(v)
-	}
-	return out
-}
-
 // ---- coordinator ----
-
-type collKey struct {
-	epoch uint64
-	coll  int
-	gen   uint64
-}
-
-type collState struct {
-	vals  [][]uint64 // per-rank contribution (allreduce/gather)
-	conns []*ctlConn // per-rank reply target
-	got   []bool
-	n     int
-	op    int
-}
 
 type pairKey struct {
 	epoch         uint64
@@ -477,8 +388,7 @@ type pairState struct {
 // tcpCoord is the control server: one per world, living in the process
 // that built it. Every handler runs on the owning connection's serve
 // goroutine, so frames from one node are processed in order — the property
-// persistent-endpoint pairing and the barrier-after-registration idiom
-// rely on.
+// persistent-endpoint pairing relies on.
 type tcpCoord struct {
 	w       *World
 	worldID uint64
@@ -504,7 +414,6 @@ type tcpCoord struct {
 	abortRank int
 	abortMsg  string
 	parked    map[int]bool
-	colls     map[collKey]*collState
 	pairs     map[pairKey]*pairState
 	progress  []int64
 }
@@ -524,7 +433,6 @@ func newTCPCoord(w *World, worldID uint64, size int) (*tcpCoord, error) {
 		waiters:  map[int][]*ctlConn{},
 		conns:    map[*ctlConn]bool{},
 		parked:   map[int]bool{},
-		colls:    map[collKey]*collState{},
 		pairs:    map[pairKey]*pairState{},
 		progress: make([]int64, size),
 	}
@@ -612,8 +520,6 @@ func (c *tcpCoord) handle(cc *ctlConn, kind byte, m *ctlMsg) {
 		if known {
 			cc.send(tfLookupOK, &ctlMsg{Peer: m.Peer, Addr: addr})
 		}
-	case tfColl:
-		c.handleColl(cc, m)
 	case tfAbort:
 		c.roundMu.Lock()
 		c.mu.Lock()
@@ -642,70 +548,6 @@ func (c *tcpCoord) handle(cc *ctlConn, kind byte, m *ctlMsg) {
 		cc.send(tfHBAck, &ctlMsg{Progress: others})
 	case tfPReg:
 		c.handlePReg(cc, m)
-	}
-}
-
-func (c *tcpCoord) handleColl(cc *ctlConn, m *ctlMsg) {
-	key := collKey{epoch: m.Epoch, coll: m.Coll, gen: m.Gen}
-	c.mu.Lock()
-	if m.Epoch != c.epoch || m.Rank < 0 || m.Rank >= c.size {
-		c.mu.Unlock()
-		return // stale epoch: the contribution belongs to a dead round
-	}
-	st := c.colls[key]
-	if st == nil {
-		st = &collState{vals: make([][]uint64, c.size), conns: make([]*ctlConn, c.size),
-			got: make([]bool, c.size)}
-		c.colls[key] = st
-	}
-	if !st.got[m.Rank] {
-		st.got[m.Rank] = true
-		st.n++
-		st.vals[m.Rank] = m.Bits
-		st.conns[m.Rank] = cc
-		if m.Coll == collRed {
-			st.op = m.Op
-		}
-	}
-	complete := st.n == c.size
-	if complete {
-		delete(c.colls, key)
-	}
-	c.mu.Unlock()
-	if !complete {
-		return
-	}
-	switch m.Coll {
-	case collBar:
-		for r, peer := range st.conns {
-			peer.send(tfCollOK, &ctlMsg{Coll: m.Coll, Gen: m.Gen, Rank: r})
-		}
-	case collRed:
-		acc := append([]uint64(nil), st.vals[0]...)
-		accF := bitsToFloats(acc)
-		op := Op(st.op)
-		for rk := 1; rk < c.size; rk++ {
-			v := st.vals[rk]
-			if len(v) != len(accF) {
-				c.publishAbort(rk, fmt.Sprintf("mpi: Allreduce length mismatch: %d vs %d", len(accF), len(v)))
-				return
-			}
-			for i, bits := range v {
-				accF[i] = op.apply(accF[i], math.Float64frombits(bits))
-			}
-		}
-		out := floatsToBits(accF)
-		for r, peer := range st.conns {
-			peer.send(tfCollOK, &ctlMsg{Coll: m.Coll, Gen: m.Gen, Rank: r, Bits: out})
-		}
-	case collGath:
-		for r, peer := range st.conns {
-			reply := &ctlMsg{Coll: m.Coll, Gen: m.Gen, Rank: r}
-			if r == 0 {
-				reply.Rows = st.vals
-			}
-			peer.send(tfCollOK, reply)
-		}
 	}
 }
 
@@ -768,8 +610,8 @@ func (c *tcpCoord) publishedAbort() (rank int, msg string, ok bool) {
 
 // bumpEpoch starts a new epoch: dead ranks' incarnations bump and their
 // addresses are forgotten (lookups for them park until the respawned
-// process says HELLO), the abort/collective/pairing state of the dead
-// epoch is discarded, and the restore step is pinned for the new one.
+// process says HELLO), the abort/pairing state of the dead epoch is
+// discarded, and the restore step is pinned for the new one.
 func (c *tcpCoord) bumpEpoch(dead []int, restoreStep int) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -782,7 +624,6 @@ func (c *tcpCoord) bumpEpoch(dead []int, restoreStep int) uint64 {
 	}
 	c.abortSet, c.abortRank, c.abortMsg = false, 0, ""
 	c.parked = map[int]bool{}
-	c.colls = map[collKey]*collState{}
 	c.pairs = map[pairKey]*pairState{}
 	c.waiters = map[int][]*ctlConn{}
 	return c.epoch

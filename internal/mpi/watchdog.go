@@ -11,11 +11,11 @@ import (
 // The watchdog turns a silent deadlock — a plan bug leaving one request
 // unmatched, a peer that died without aborting — into a diagnostic. It is a
 // world-level goroutine (started by Run when SetWatchdog was called) that
-// samples two things: a progress counter ticked by every completed wait,
-// barrier passage, and collective, and the count of observably pending
-// operations (unmatched sends and receives in the inboxes, persistent
-// transfers started but undelivered, unpaired persistent endpoints, ranks
-// parked in collectives). When operations stay pending with zero progress
+// samples two things: a progress counter ticked by every completed wait
+// (collective messages included), and the count of observably pending
+// operations (unmatched sends and receives in the inboxes, collective
+// traffic included, persistent transfers started but undelivered, unpaired
+// persistent endpoints). When operations stay pending with zero progress
 // for a full timeout window, the watchdog compiles a StallReport naming
 // every pending operation and aborts the world with it.
 type watchdog struct {
@@ -185,13 +185,14 @@ type StallReport struct {
 	Watchdog time.Duration `json:"watchdog"`
 	// Transport names the backend the stalled world runs on.
 	Transport string `json:"transport,omitempty"`
-	// Barrier/Reduce/Gather count ranks parked in each collective;
-	// Recovery counts ranks parked at the recovery barrier.
+	// Barrier/Reduce/Gather count this process's ranks inside each
+	// collective; Recovery counts ranks parked at the recovery barrier.
 	Barrier  int `json:"barrier"`
 	Reduce   int `json:"reduce"`
 	Gather   int `json:"gather"`
 	Recovery int `json:"recovery"`
 	// Pending lists every stalled operation, sorted by (kind, src, dst, tag).
+	// Collective messages are not listed; the counts above stand for them.
 	Pending []PendingOp `json:"pending"`
 	// FlightRank and FlightTail carry the tail of the stalling rank's
 	// flight ring when a recorder was attached (SetFlight): the rank is
@@ -213,8 +214,14 @@ const flightTailLen = 16
 // time (it only takes the runtime's internal locks briefly).
 func (w *World) StallReport() *StallReport {
 	rep := &StallReport{Size: w.size, Transport: w.tr.name()}
-	rep.Pending = append(rep.Pending, w.tr.pendingOps()...)
-	rep.Barrier, rep.Reduce, rep.Gather = w.tr.collectiveWaiters()
+	for _, op := range w.tr.pendingOps() {
+		if op.Tag != collTag {
+			rep.Pending = append(rep.Pending, op)
+		}
+	}
+	rep.Barrier = int(w.inColl[collBarrier].Load())
+	rep.Reduce = int(w.inColl[collReduce].Load())
+	rep.Gather = int(w.inColl[collGather].Load())
 	if rs := w.recov; rs != nil {
 		parked := rs.parkedRanks()
 		rep.Recovery = len(parked)
