@@ -18,11 +18,24 @@ const Magic = "brick-flight/v1\n"
 // three int64s, four int32s, one kind byte.
 const recSize = 3*8 + 4*4 + 1
 
+// Pending-operation kinds: the StallReport's classification of an
+// operation still pending at a stall. internal/mpi emits them and
+// internal/obs walks them, so both sides use these names.
+const (
+	PendRecvPosted     = "recv-posted"     // a posted Irecv no send has matched
+	PendSendUnmatched  = "send-unmatched"  // an Isend no posted receive has matched
+	PendPsendUnpaired  = "psend-unpaired"  // a SendInit no RecvInit has matched
+	PendPrecvUnpaired  = "precv-unpaired"  // a RecvInit no SendInit has matched
+	PendPsendActive    = "psend-active"    // a started persistent send not yet delivered
+	PendPsendPartial   = "psend-partial"   // a started partitioned send with unready partitions
+	PendPrecvActive    = "precv-active"    // a started persistent receive not yet delivered
+	PendRecoveryParked = "recovery-parked" // a rank parked at the recovery barrier
+)
+
 // PendingRef names one operation that was still pending when the snapshot
 // was taken — the StallReport's pending ops, mirrored here so the artifact
 // is self-contained and the flight package stays independent of
-// internal/mpi. Kind is the StallReport op kind string ("recv-posted",
-// "psend-partial", ...).
+// internal/mpi. Kind is one of the Pend* kinds.
 type PendingRef struct {
 	Kind string `json:"kind"`
 	Src  int    `json:"src"`

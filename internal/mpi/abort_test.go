@@ -184,32 +184,33 @@ func TestWaitallReturnsReceivedCounts(t *testing.T) {
 // TestPersistentFreeNoLeak: freeing both sides of matched endpoints, and
 // the single side of unmatched ones, must empty the registry completely.
 func TestPersistentFreeNoLeak(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		var reqs []*Request
-		if c.Rank() == 0 {
-			reqs = append(reqs, c.SendInit(1, 1, make([]float64, 4))) // matched
-			reqs = append(reqs, c.SendInit(1, 9, make([]float64, 4))) // never matched
-		} else {
-			reqs = append(reqs, c.RecvInit(0, 1, make([]float64, 4)))
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			if un, live := w.PersistentPending(); un != 1 || live != 2 {
-				t.Errorf("before free: unmatched=%d live=%d, want 1, 2", un, live)
+	forEachTransport(t, 2, func(t *testing.T, w *World) {
+		w.Run(func(c *Comm) {
+			var reqs []*Request
+			if c.Rank() == 0 {
+				reqs = append(reqs, c.SendInit(1, 1, make([]float64, 4))) // matched
+				reqs = append(reqs, c.SendInit(1, 9, make([]float64, 4))) // never matched
+			} else {
+				reqs = append(reqs, c.RecvInit(0, 1, make([]float64, 4)))
 			}
-		}
-		c.Barrier()
-		for _, r := range reqs {
-			r.Free()
-			r.Free() // double free is a no-op
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			if un, live := w.PersistentPending(); un != 0 || live != 0 {
-				t.Errorf("after free: unmatched=%d live=%d, want 0, 0", un, live)
+			c.Barrier()
+			if c.Rank() == 0 {
+				if un, live := w.PersistentPending(); un != 1 || live != 2 {
+					t.Errorf("before free: unmatched=%d live=%d, want 1, 2", un, live)
+				}
 			}
-		}
+			c.Barrier()
+			for _, r := range reqs {
+				r.Free()
+				r.Free() // double free is a no-op
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				if un, live := w.PersistentPending(); un != 0 || live != 0 {
+					t.Errorf("after free: unmatched=%d live=%d, want 0, 0", un, live)
+				}
+			}
+		})
 	})
 }
 

@@ -69,6 +69,11 @@ type World struct {
 	// inColl counts this process's ranks inside each collective, indexed
 	// by collBarrier/collReduce/collGather (see collectives.go).
 	inColl [3]atomic.Int64
+
+	// pairs matches persistent endpoints (see persistent.go); solo marks a
+	// worker's world, which hosts one rank of a world spanning processes.
+	pairs pairing
+	solo  bool
 }
 
 // SetFlight attaches a flight recorder sized for this world; every rank
@@ -282,8 +287,8 @@ type Request struct {
 	comm *Comm // owner, for accounting and abort checks
 	op   reqOp // backend protocol; implements persOp for persistent requests
 
-	persistent bool // built by SendInit/RecvInit (reusable, Startable)
-	psend      bool // persistent direction: true = send endpoint
+	pend  *pend // the persistent endpoint, nil for one-shot requests
+	psend bool  // persistent direction: true = send endpoint
 
 	peer, tag int // endpoints for diagnostics (dst for sends, src for recvs)
 }
@@ -346,6 +351,11 @@ func (r *Request) Wait() int {
 		t0 = time.Now()
 	}
 	fl.Record(flight.KindWaitStart, int32(r.peer), int32(r.tag), -1, 0, 0)
+	if p := r.pend; p != nil {
+		if err := p.await(r.comm, forever); err != nil {
+			panic(err)
+		}
+	}
 	r.op.block(r)
 	fl.Record(flight.KindWaitDone, int32(r.peer), int32(r.tag), -1, 0, 0)
 	n := r.op.finish(r)

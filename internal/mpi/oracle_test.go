@@ -4,6 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"sort"
+	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -323,4 +328,505 @@ func FuzzCollectiveOracle(f *testing.F) {
 			runOracle(t, tr, seed, oracleSize(seed))
 		}
 	})
+}
+
+// The persistent oracle: seeded programs of persistent and partitioned
+// channels, checked against the same kind of sequential model. A channel is
+// one SendInit/PsendInit on its source and one RecvInit/PrecvInit on its
+// destination. Channels share (src, dst, tag) keys freely, and FIFO pairing
+// makes the j-th channel of a key the j-th registration of that key on both
+// sides, so the model needs no matching at all: it only has to respect
+// registration order, which the generator keeps per key and per side.
+//
+// Registrations fall into phases separated by barriers, so either side of
+// a channel may register first (late senders, late receivers). A ghost is
+// an endpoint registered and freed while no peer can have matched it; the
+// key it used goes on being registered afterwards. Then the program runs
+// several cycles: buffers are refilled and sometimes rebound, every rank
+// starts its endpoints, a collective may run before any Wait, partitions
+// are marked ready in a random order, and requests are waited in a random
+// order. Every receive buffer is observed after each cycle, each receive
+// side's Partitions once every registration is done, and rank 0 checks that
+// nothing persistent is left after every endpoint is freed.
+
+// Persistent program step kinds.
+const (
+	psReg        = iota // register one side of a channel
+	psGhost             // register an endpoint and free it, unmatched
+	psBarrier           // end of a registration phase
+	psPartitions        // observe Partitions of every local receive side
+	psCycle             // one Start/Pready/Wait cycle
+	psFree              // free every endpoint, then check the leak counters
+)
+
+type persChan struct {
+	src, dst, tag int
+	n, capacity   int
+	bounds        []int       // nil: unpartitioned
+	active        []bool      // per cycle
+	data          [][]float64 // per cycle: the sender's payload
+}
+
+type persStep struct {
+	kind  int
+	ch    int  // psReg: channel; psGhost: key (src, dst, tag) in ghost
+	send  bool // which side
+	ghost persChan
+	cycle int
+}
+
+// persCycle is one cycle's per-rank schedule.
+type persCycle struct {
+	rebind  [][]persRebind // per rank
+	start   [][]persEnd    // per rank, start order
+	coll    *oracleOp      // collective between the Starts and the Preadys
+	pready  [][][2]int     // per rank: (channel, partition) in ready order
+	wait    [][]persEnd    // per rank, wait order
+	recvBuf map[int][]float64
+}
+
+type persEnd struct {
+	ch   int
+	send bool
+}
+
+// persRebind swaps one endpoint's buffer for a fresh one; a receive side's
+// fresh buffer starts out holding init.
+type persRebind struct {
+	persEnd
+	init []float64
+}
+
+type persProgram struct {
+	size   int
+	chans  []persChan
+	init   [][]float64  // per channel: the receive buffer's first contents
+	steps  [][]persStep // per rank
+	cycles []persCycle
+}
+
+// genPersProgram builds the persistent program for a seed.
+func genPersProgram(seed int64, size int) *persProgram {
+	rng := rand.New(rand.NewSource(seed))
+	p := &persProgram{size: size, steps: make([][]persStep, size)}
+	ncycles := 1 + rng.Intn(4)
+	nphases := 1 + rng.Intn(3)
+	type regAt struct{ send, recv int } // registration phases
+	var at []regAt
+	last := map[[3]int]regAt{} // per key: the latest phases used
+	for i, n := 0, 1+rng.Intn(2*size+2); i < n; i++ {
+		ch := persChan{src: rng.Intn(size), dst: rng.Intn(size), tag: rng.Intn(2)}
+		ch.n = 1 + rng.Intn(6)
+		ch.capacity = ch.n + rng.Intn(2)
+		if rng.Intn(2) == 0 {
+			parts := 1 + rng.Intn(min(ch.n, 4))
+			cuts := rng.Perm(ch.n - 1)[:parts-1]
+			sort.Ints(cuts)
+			ch.bounds = []int{0}
+			for _, c := range cuts {
+				ch.bounds = append(ch.bounds, c+1)
+			}
+			ch.bounds = append(ch.bounds, ch.n)
+		}
+		for c := 0; c < ncycles; c++ {
+			ch.active = append(ch.active, rng.Intn(4) != 0)
+			ch.data = append(ch.data, oracleVec(rng, ch.n))
+		}
+		key := [3]int{ch.src, ch.dst, ch.tag}
+		prev := last[key]
+		ra := regAt{send: max(prev.send, rng.Intn(nphases)), recv: max(prev.recv, rng.Intn(nphases))}
+		last[key] = ra
+		at = append(at, ra)
+		p.chans = append(p.chans, ch)
+		p.init = append(p.init, oracleVec(rng, ch.capacity))
+	}
+	// regsBefore counts a key's registrations on one side in phases below
+	// (or, with upto, up to and including) phase ph.
+	regsBefore := func(key [3]int, send bool, ph int, upto bool) int {
+		k := 0
+		for i, ch := range p.chans {
+			reg := at[i].recv
+			if send {
+				reg = at[i].send
+			}
+			if [3]int{ch.src, ch.dst, ch.tag} == key && (reg < ph || upto && reg == ph) {
+				k++
+			}
+		}
+		return k
+	}
+	for ph := 0; ph < nphases; ph++ {
+		ghosts := map[[3]int]bool{} // keys with a ghost in this phase
+		for r := 0; r < size; r++ {
+			// Each (key, side) keeps its channel order; the sequences are
+			// merged at random.
+			var seqs [][]persStep
+			idx := map[[4]int]int{}
+			for i, ch := range p.chans {
+				for _, send := range []bool{true, false} {
+					reg, owner := at[i].recv, ch.dst
+					if send {
+						reg, owner = at[i].send, ch.src
+					}
+					if reg != ph || owner != r {
+						continue
+					}
+					k := [4]int{ch.src, ch.dst, ch.tag, 0}
+					if send {
+						k[3] = 1
+					}
+					j, ok := idx[k]
+					if !ok {
+						j = len(seqs)
+						idx[k] = j
+						seqs = append(seqs, nil)
+					}
+					seqs[j] = append(seqs[j], persStep{kind: psReg, ch: i, send: send})
+				}
+			}
+			// A ghost may go anywhere in the phase when its key has no
+			// endpoint the ghost could match: every peer-side registration
+			// up to this phase is already matched by one from an earlier
+			// phase, and no other ghost of the key shares the phase.
+			if rng.Intn(2) == 0 {
+				g := persChan{tag: rng.Intn(2), n: 1 + rng.Intn(4)}
+				send := rng.Intn(2) == 0
+				peer := rng.Intn(size)
+				g.src, g.dst = r, peer
+				if !send {
+					g.src, g.dst = peer, r
+				}
+				key := [3]int{g.src, g.dst, g.tag}
+				if !ghosts[key] && regsBefore(key, !send, ph, true) <= regsBefore(key, send, ph, false) {
+					ghosts[key] = true
+					seqs = append(seqs, []persStep{{kind: psGhost, send: send, ghost: g}})
+				}
+			}
+			for len(seqs) > 0 {
+				j := rng.Intn(len(seqs))
+				p.steps[r] = append(p.steps[r], seqs[j][0])
+				if seqs[j] = seqs[j][1:]; len(seqs[j]) == 0 {
+					seqs = append(seqs[:j], seqs[j+1:]...)
+				}
+			}
+			p.steps[r] = append(p.steps[r], persStep{kind: psBarrier})
+		}
+	}
+	for r := 0; r < size; r++ {
+		p.steps[r] = append(p.steps[r], persStep{kind: psPartitions})
+	}
+	for c := 0; c < ncycles; c++ {
+		cy := persCycle{
+			rebind: make([][]persRebind, size), start: make([][]persEnd, size),
+			pready: make([][][2]int, size), wait: make([][]persEnd, size),
+		}
+		for i, ch := range p.chans {
+			if rng.Intn(5) == 0 {
+				cy.rebind[ch.src] = append(cy.rebind[ch.src], persRebind{persEnd: persEnd{i, true}})
+			}
+			if rng.Intn(5) == 0 {
+				cy.rebind[ch.dst] = append(cy.rebind[ch.dst], persRebind{persEnd{i, false}, oracleVec(rng, ch.capacity)})
+			}
+			if !ch.active[c] {
+				continue
+			}
+			cy.start[ch.src] = append(cy.start[ch.src], persEnd{i, true})
+			cy.start[ch.dst] = append(cy.start[ch.dst], persEnd{i, false})
+			for part := 0; part+1 < len(ch.bounds); part++ {
+				cy.pready[ch.src] = append(cy.pready[ch.src], [2]int{i, part})
+			}
+		}
+		for r := 0; r < size; r++ {
+			rng.Shuffle(len(cy.start[r]), func(a, b int) { cy.start[r][a], cy.start[r][b] = cy.start[r][b], cy.start[r][a] })
+			rng.Shuffle(len(cy.pready[r]), func(a, b int) { cy.pready[r][a], cy.pready[r][b] = cy.pready[r][b], cy.pready[r][a] })
+			cy.wait[r] = append([]persEnd(nil), cy.start[r]...)
+			rng.Shuffle(len(cy.wait[r]), func(a, b int) { cy.wait[r][a], cy.wait[r][b] = cy.wait[r][b], cy.wait[r][a] })
+		}
+		switch rng.Intn(3) {
+		case 0:
+			cy.coll = &oracleOp{kind: orBarrier}
+		case 1:
+			op := oracleOp{kind: orAllreduce, op: Op(rng.Intn(3))}
+			for r := 0; r < size; r++ {
+				op.in = append(op.in, oracleVec(rng, 2))
+			}
+			cy.coll = &op
+		}
+		p.cycles = append(p.cycles, cy)
+		for r := 0; r < size; r++ {
+			p.steps[r] = append(p.steps[r], persStep{kind: psCycle, cycle: c})
+		}
+	}
+	for r := 0; r < size; r++ {
+		p.steps[r] = append(p.steps[r], persStep{kind: psFree})
+	}
+	return p
+}
+
+// model returns every rank's observations: the partition count of each
+// local receive side, then per cycle the collective's result and each
+// active local receive's buffer and count (in channel order), and on rank 0
+// the leak counters after the final free.
+func (p *persProgram) model() [][][]float64 {
+	obs := make([][][]float64, p.size)
+	bufs := make([][]float64, len(p.chans))
+	for i := range p.chans {
+		bufs[i] = append([]float64(nil), p.init[i]...)
+	}
+	for i, ch := range p.chans {
+		obs[ch.dst] = append(obs[ch.dst], []float64{float64(max(len(ch.bounds)-1, 0))})
+		_ = i
+	}
+	for c, cy := range p.cycles {
+		for r := range obs {
+			for _, rb := range cy.rebind[r] {
+				if !rb.send {
+					bufs[rb.ch] = append([]float64(nil), rb.init...)
+				}
+			}
+		}
+		if cy.coll != nil && cy.coll.kind == orAllreduce {
+			out := append([]float64(nil), cy.coll.in[0]...)
+			for r := 1; r < p.size; r++ {
+				for i, v := range cy.coll.in[r] {
+					out[i] = cy.coll.op.apply(out[i], v)
+				}
+			}
+			for r := range obs {
+				obs[r] = append(obs[r], out)
+			}
+		}
+		for i, ch := range p.chans {
+			if ch.active[c] {
+				copy(bufs[i], ch.data[c])
+				obs[ch.dst] = append(obs[ch.dst], append([]float64(nil), bufs[i]...), []float64{float64(ch.n)})
+			}
+		}
+	}
+	obs[0] = append(obs[0], []float64{0, 0})
+	return obs
+}
+
+// exec runs the program as one rank and returns its observations.
+func (p *persProgram) exec(c *Comm) [][]float64 {
+	var obs [][]float64
+	me := c.Rank()
+	reqs := map[persEnd]*Request{}
+	bufs := map[persEnd][]float64{}
+	register := func(e persEnd) {
+		ch := p.chans[e.ch]
+		if e.send {
+			buf := make([]float64, ch.n)
+			bufs[e] = buf
+			if ch.bounds != nil {
+				reqs[e] = c.PsendInit(ch.dst, ch.tag, buf, ch.bounds)
+			} else {
+				reqs[e] = c.SendInit(ch.dst, ch.tag, buf)
+			}
+			return
+		}
+		buf := append([]float64(nil), p.init[e.ch]...)
+		bufs[e] = buf
+		if ch.bounds != nil {
+			reqs[e] = c.PrecvInit(ch.src, ch.tag, buf)
+		} else {
+			reqs[e] = c.RecvInit(ch.src, ch.tag, buf)
+		}
+	}
+	for _, st := range p.steps[me] {
+		switch st.kind {
+		case psReg:
+			register(persEnd{st.ch, st.send})
+		case psGhost:
+			g := st.ghost
+			buf := make([]float64, g.n)
+			for i := range buf {
+				buf[i] = math.Inf(-1)
+			}
+			if st.send {
+				c.SendInit(g.dst, g.tag, buf).Free()
+			} else {
+				c.RecvInit(g.src, g.tag, buf).Free()
+			}
+		case psBarrier:
+			c.Barrier()
+		case psPartitions:
+			for i, ch := range p.chans {
+				if ch.dst == me {
+					obs = append(obs, []float64{float64(reqs[persEnd{i, false}].Partitions())})
+				}
+			}
+		case psCycle:
+			cy := p.cycles[st.cycle]
+			for _, rb := range cy.rebind[me] {
+				buf := make([]float64, len(bufs[rb.persEnd]))
+				if !rb.send {
+					copy(buf, rb.init)
+				}
+				reqs[rb.persEnd].Rebind(buf)
+				bufs[rb.persEnd] = buf
+			}
+			for i, ch := range p.chans {
+				if ch.src == me && ch.active[st.cycle] {
+					copy(bufs[persEnd{i, true}], ch.data[st.cycle])
+				}
+			}
+			for _, e := range cy.start[me] {
+				reqs[e].Start()
+			}
+			if cy.coll != nil {
+				if cy.coll.kind == orBarrier {
+					c.Barrier()
+				} else {
+					obs = append(obs, c.Allreduce(cy.coll.op, cy.coll.in[me]))
+				}
+			}
+			for _, pr := range cy.pready[me] {
+				reqs[persEnd{pr[0], true}].Pready(pr[1])
+			}
+			counts := map[persEnd]int{}
+			for _, e := range cy.wait[me] {
+				counts[e] = reqs[e].Wait()
+			}
+			for i, ch := range p.chans {
+				if e := (persEnd{i, false}); ch.dst == me && ch.active[st.cycle] {
+					obs = append(obs, append([]float64(nil), bufs[e]...), []float64{float64(counts[e])})
+				}
+			}
+		case psFree:
+			for _, r := range reqs {
+				r.Free()
+			}
+			c.Barrier()
+			if me == 0 {
+				un, live := c.world.PersistentPending()
+				obs = append(obs, []float64{float64(un), float64(live)})
+			}
+		}
+	}
+	return obs
+}
+
+// runPersOracle runs the persistent program for a seed on one transport.
+func runPersOracle(t *testing.T, transport string, seed int64, size int) {
+	t.Helper()
+	p := genPersProgram(seed, size)
+	want := p.model()
+	w, err := NewWorldOn(transport, size)
+	if err != nil {
+		t.Fatalf("NewWorldOn(%q, %d): %v", transport, size, err)
+	}
+	defer w.Close()
+	w.SetWatchdog(10*time.Second, nil)
+	got := make([][][]float64, size)
+	func() {
+		defer func() {
+			if v := recover(); v != nil {
+				t.Fatalf("seed %d size %d on %s: world aborted: %v", seed, size, transport, v)
+			}
+		}()
+		w.Run(func(c *Comm) { got[c.Rank()] = p.exec(c) })
+	}()
+	for r := range want {
+		if err := sameObservations(got[r], want[r]); err != nil {
+			t.Fatalf("seed %d size %d on %s, rank %d: %v", seed, size, transport, r, err)
+		}
+	}
+}
+
+// TestPersistentOracle runs a fixed set of seeds on every transport.
+func TestPersistentOracle(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		for _, tr := range TransportNames() {
+			runPersOracle(t, tr, seed, oracleSize(seed))
+		}
+	}
+}
+
+// FuzzPersistentOracle searches seeds; a failing seed the fuzzer finds is
+// kept under testdata/fuzz and replays in every plain `go test` run.
+func FuzzPersistentOracle(f *testing.F) {
+	f.Add(int64(0))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		for _, tr := range TransportNames() {
+			runPersOracle(t, tr, seed, oracleSize(seed))
+		}
+	})
+}
+
+// workerWorlds attaches one worker world per rank of w, all in this
+// process: each hosts its rank alone, so persistent pairing runs over
+// descriptors exactly as it does between worker processes.
+func workerWorlds(t *testing.T, w *World) []*World {
+	t.Helper()
+	ws := make([]*World, w.Size())
+	for r := range ws {
+		var a *World
+		var err error
+		switch w.Transport() {
+		case "shmem":
+			fd, derr := syscall.Dup(int(w.ShmemFile().Fd()))
+			if derr != nil {
+				t.Fatal(derr)
+			}
+			a, err = AttachShmemWorld(os.NewFile(uintptr(fd), "segment"))
+		case "tcp":
+			kv := strings.SplitN(w.WorkerSpawnEnv()[0], "=", 2)
+			t.Setenv(kv[0], kv[1])
+			a, err = AttachTCPWorld(r)
+		}
+		if err != nil {
+			t.Fatalf("attach rank %d: %v", r, err)
+		}
+		a.SetWatchdog(10*time.Second, nil)
+		ws[r] = a
+		t.Cleanup(func() { a.Close() })
+	}
+	return ws
+}
+
+// TestPersistentOracleAcrossWorkers runs two-rank persistent programs with
+// each rank in its own worker world on shmem and tcp. Two ranks keep every
+// ordering the programs rely on direct: a withdrawal is ordered only before
+// what its sender sends the same receiver afterwards.
+func TestPersistentOracleAcrossWorkers(t *testing.T) {
+	for _, tr := range []string{"shmem", "tcp"} {
+		for seed := int64(4); seed <= 96; seed += 4 {
+			p := genPersProgram(seed, 2)
+			want := p.model()
+			w, err := NewWorldOn(tr, 2)
+			if err != nil {
+				t.Fatalf("NewWorldOn(%q): %v", tr, err)
+			}
+			if tr == "shmem" && w.ShmemFile() == nil {
+				w.Close()
+				t.Skip("shmem arena fell back to the heap; worker worlds unavailable")
+			}
+			ws := workerWorlds(t, w)
+			got := make([][][]float64, 2)
+			errs := make([]any, 2)
+			var wg sync.WaitGroup
+			for r, a := range ws {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() { errs[r] = recover() }()
+					a.RunRank(r, func(c *Comm) { got[r] = p.exec(c) })
+				}()
+			}
+			wg.Wait()
+			for r := range want {
+				if errs[r] != nil {
+					t.Fatalf("seed %d on %s workers, rank %d: %v", seed, tr, r, errs[r])
+				}
+				if err := sameObservations(got[r], want[r]); err != nil {
+					t.Fatalf("seed %d on %s workers, rank %d: %v", seed, tr, r, err)
+				}
+			}
+			for _, a := range ws {
+				a.Close()
+			}
+			w.Close()
+		}
+	}
 }

@@ -37,16 +37,17 @@ func TestPsendInitBoundsValidation(t *testing.T) {
 // TestPartitionedBoundsSizeCheckAtMatch checks the partition-vs-buffer size
 // cross-check fires when the endpoints match, mirroring the overflow check.
 func TestPartitionedBoundsSizeCheckAtMatch(t *testing.T) {
-	w := NewWorld(1)
-	w.Run(func(c *Comm) {
-		send := c.PsendInit(0, 9, make([]float64, 8), []int{0, 3, 8})
-		if got := send.Partitions(); got != 2 {
-			t.Errorf("Partitions() = %d, want 2", got)
-		}
-		recv := c.PrecvInit(0, 9, make([]float64, 8))
-		if got := recv.Partitions(); got != 2 {
-			t.Errorf("receive side Partitions() = %d, want 2", got)
-		}
+	forEachTransport(t, 1, func(t *testing.T, w *World) {
+		w.Run(func(c *Comm) {
+			send := c.PsendInit(0, 9, make([]float64, 8), []int{0, 3, 8})
+			if got := send.Partitions(); got != 2 {
+				t.Errorf("Partitions() = %d, want 2", got)
+			}
+			recv := c.PrecvInit(0, 9, make([]float64, 8))
+			if got := recv.Partitions(); got != 2 {
+				t.Errorf("receive side Partitions() = %d, want 2", got)
+			}
+		})
 	})
 }
 

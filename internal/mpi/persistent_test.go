@@ -1,9 +1,11 @@
 package mpi
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestPersistentPairwise drives a two-rank persistent channel pair through
@@ -42,33 +44,34 @@ func TestPersistentPairwise(t *testing.T) {
 // (src, dst, tag) triples — as double-buffered exchangers do — and checks
 // they pair in registration order: plan 0's send lands in plan 0's receive.
 func TestPersistentFIFOPairing(t *testing.T) {
-	w := NewWorld(2)
-	const n = 8
-	w.Run(func(c *Comm) {
-		peer := 1 - c.Rank()
-		var sends, recvs [2]*Request
-		var sbufs, rbufs [2][]float64
-		for plan := 0; plan < 2; plan++ {
-			sbufs[plan] = make([]float64, n)
-			rbufs[plan] = make([]float64, n)
-			for i := range sbufs[plan] {
-				sbufs[plan][i] = float64(100*plan + i)
+	forEachTransport(t, 2, func(t *testing.T, w *World) {
+		const n = 8
+		w.Run(func(c *Comm) {
+			peer := 1 - c.Rank()
+			var sends, recvs [2]*Request
+			var sbufs, rbufs [2][]float64
+			for plan := 0; plan < 2; plan++ {
+				sbufs[plan] = make([]float64, n)
+				rbufs[plan] = make([]float64, n)
+				for i := range sbufs[plan] {
+					sbufs[plan][i] = float64(100*plan + i)
+				}
+				// Same tag for both plans: pairing must fall back to FIFO order.
+				recvs[plan] = c.RecvInit(peer, 3, rbufs[plan])
+				sends[plan] = c.SendInit(peer, 3, sbufs[plan])
 			}
-			// Same tag for both plans: pairing must fall back to FIFO order.
-			recvs[plan] = c.RecvInit(peer, 3, rbufs[plan])
-			sends[plan] = c.SendInit(peer, 3, sbufs[plan])
-		}
-		for plan := 0; plan < 2; plan++ {
-			recvs[plan].Start()
-			sends[plan].Start()
-			sends[plan].Wait()
-			recvs[plan].Wait()
-			for i, v := range rbufs[plan] {
-				if want := float64(100*plan + i); v != want {
-					t.Fatalf("rank %d plan %d elem %d: got %v want %v (cross-plan match?)", c.Rank(), plan, i, v, want)
+			for plan := 0; plan < 2; plan++ {
+				recvs[plan].Start()
+				sends[plan].Start()
+				sends[plan].Wait()
+				recvs[plan].Wait()
+				for i, v := range rbufs[plan] {
+					if want := float64(100*plan + i); v != want {
+						t.Fatalf("rank %d plan %d elem %d: got %v want %v (cross-plan match?)", c.Rank(), plan, i, v, want)
+					}
 				}
 			}
-		}
+		})
 	})
 }
 
@@ -183,18 +186,19 @@ func TestPersistentDoubleStartPanics(t *testing.T) {
 // TestPersistentOverflowPanicsAtMatch checks buffer overflow is caught at
 // plan-build time, when the endpoints match — not at the first transfer.
 func TestPersistentOverflowPanicsAtMatch(t *testing.T) {
-	w := NewWorld(1)
-	w.Run(func(c *Comm) {
-		c.SendInit(0, 4, make([]float64, 10))
-		defer func() {
-			p := recover()
-			if p == nil {
-				t.Error("oversized persistent send matched undersized receive without panic")
-			} else if !strings.Contains(p.(string), "overflows") {
-				t.Errorf("unexpected panic: %v", p)
-			}
-		}()
-		c.RecvInit(0, 4, make([]float64, 5)) // too small: must panic here
+	forEachTransport(t, 1, func(t *testing.T, w *World) {
+		w.Run(func(c *Comm) {
+			c.SendInit(0, 4, make([]float64, 10))
+			defer func() {
+				p := recover()
+				if p == nil {
+					t.Error("oversized persistent send matched undersized receive without panic")
+				} else if !strings.Contains(p.(string), "overflows") {
+					t.Errorf("unexpected panic: %v", p)
+				}
+			}()
+			c.RecvInit(0, 4, make([]float64, 5)) // too small: must panic here
+		})
 	})
 }
 
@@ -202,36 +206,37 @@ func TestPersistentOverflowPanicsAtMatch(t *testing.T) {
 // from the pending table so a rebuilt plan with the same (src, dst, tag)
 // does not cross-match stale state.
 func TestPersistentFreeUnmatched(t *testing.T) {
-	w := NewWorld(2)
-	const n = 8
-	w.Run(func(c *Comm) {
-		peer := 1 - c.Rank()
-		stale := make([]float64, n)
-		for i := range stale {
-			stale[i] = -1
-		}
-		// First plan: register a send endpoint the peer never matches, then
-		// tear it down before the peer builds its receive side.
-		old := c.SendInit(peer, 6, stale)
-		old.Free()
-		c.Barrier()
-		// Second plan with the same key must pair fresh endpoints.
-		sbuf := make([]float64, n)
-		rbuf := make([]float64, n)
-		for i := range sbuf {
-			sbuf[i] = float64(c.Rank()*10 + i)
-		}
-		recv := c.RecvInit(peer, 6, rbuf)
-		send := c.SendInit(peer, 6, sbuf)
-		recv.Start()
-		send.Start()
-		send.Wait()
-		recv.Wait()
-		for i, v := range rbuf {
-			if want := float64(peer*10 + i); v != want {
-				t.Fatalf("rank %d elem %d: got %v want %v (matched freed endpoint?)", c.Rank(), i, v, want)
+	forEachTransport(t, 2, func(t *testing.T, w *World) {
+		const n = 8
+		w.Run(func(c *Comm) {
+			peer := 1 - c.Rank()
+			stale := make([]float64, n)
+			for i := range stale {
+				stale[i] = -1
 			}
-		}
+			// First plan: register a send endpoint the peer never matches, then
+			// tear it down before the peer builds its receive side.
+			old := c.SendInit(peer, 6, stale)
+			old.Free()
+			c.Barrier()
+			// Second plan with the same key must pair fresh endpoints.
+			sbuf := make([]float64, n)
+			rbuf := make([]float64, n)
+			for i := range sbuf {
+				sbuf[i] = float64(c.Rank()*10 + i)
+			}
+			recv := c.RecvInit(peer, 6, rbuf)
+			send := c.SendInit(peer, 6, sbuf)
+			recv.Start()
+			send.Start()
+			send.Wait()
+			recv.Wait()
+			for i, v := range rbuf {
+				if want := float64(peer*10 + i); v != want {
+					t.Fatalf("rank %d elem %d: got %v want %v (matched freed endpoint?)", c.Rank(), i, v, want)
+				}
+			}
+		})
 	})
 }
 
@@ -266,5 +271,22 @@ func TestPersistentConcurrentStartWait(t *testing.T) {
 			}
 			c.Barrier()
 		}
+	})
+}
+
+// TestPersistentWaitTimeoutUnmatched: a receive whose sender never
+// registers times out in WaitTimeout, even with a zero budget, instead of
+// blocking on the match.
+func TestPersistentWaitTimeoutUnmatched(t *testing.T) {
+	forEachTransport(t, 1, func(t *testing.T, w *World) {
+		w.Run(func(c *Comm) {
+			r := c.RecvInit(0, 3, make([]float64, 4))
+			r.Start()
+			for _, d := range []time.Duration{0, 5 * time.Millisecond} {
+				if _, err := r.WaitTimeout(d); !errors.Is(err, ErrWaitTimeout) {
+					t.Errorf("WaitTimeout(%v) on an unmatched receive = %v, want a timeout", d, err)
+				}
+			}
+		})
 	})
 }

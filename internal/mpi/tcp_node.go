@@ -25,14 +25,18 @@ import (
 // incarnation stamp on every frame lets a respawned rank's traffic be told
 // apart from its dead predecessor's.
 
-// Fixed binary header of tfData/tfPData/tfPPart payloads, little-endian.
-// After the header come elems float64 payload words (Float64bits) and
-// nflips injected byte-flips (u32 offset, u8 mask, 3 pad). wireSeq is
-// stamped at encode time under the stream lock.
-const tcpHdrLen = 80
+// Fixed binary header of tfData/tfPData/tfPPart payloads, little-endian:
+// src, dst, tag (u32 each), the persistent channel id (u64, 0 on one-shot
+// frames), epoch, incarnation, wireSeq, flight seq and cycle (u64 each),
+// then offE, partLo, partHi, nparts, elems and nflips (u32 each). After the
+// header come elems float64 payload words (Float64bits) and nflips injected
+// byte-flips (u32 offset, u8 mask, 3 zero pad bytes). wireSeq is stamped at
+// encode time under the stream lock.
+const tcpHdrLen = 84
 
 type tcpHdr struct {
-	src, dst, tag, slot            int
+	src, dst, tag                  int
+	id                             uint64
 	epoch, inc, wireSeq, fseq, cyc uint64
 	offE, partLo, partHi, nparts   int
 	elems, nflips                  int
@@ -44,7 +48,7 @@ func appendDataFrame(dst []byte, h *tcpHdr, data []float64, flips []fault.ByteFl
 	dst = le.AppendUint32(dst, uint32(h.src))
 	dst = le.AppendUint32(dst, uint32(h.dst))
 	dst = le.AppendUint32(dst, uint32(h.tag))
-	dst = le.AppendUint32(dst, uint32(h.slot))
+	dst = le.AppendUint64(dst, h.id)
 	dst = le.AppendUint64(dst, h.epoch)
 	dst = le.AppendUint64(dst, h.inc)
 	dst = le.AppendUint64(dst, h.wireSeq)
@@ -69,7 +73,7 @@ func appendDataFrame(dst []byte, h *tcpHdr, data []float64, flips []fault.ByteFl
 // decodeDataFrame decodes b into h, appending the payload words to
 // data[:0]: a reader that passes the previous frame's slice back decodes
 // without allocating. Flips, present only under fault injection, are
-// freshly allocated.
+// freshly allocated. A frame it accepts re-encodes to exactly b.
 func decodeDataFrame(b []byte, h *tcpHdr, data []float64) ([]float64, []fault.ByteFlip, error) {
 	if len(b) < tcpHdrLen {
 		return data, nil, fmt.Errorf("tcp: short data frame (%d bytes)", len(b))
@@ -77,12 +81,12 @@ func decodeDataFrame(b []byte, h *tcpHdr, data []float64) ([]float64, []fault.By
 	le := binary.LittleEndian
 	*h = tcpHdr{
 		src: int(int32(le.Uint32(b[0:]))), dst: int(int32(le.Uint32(b[4:]))),
-		tag: int(int32(le.Uint32(b[8:]))), slot: int(int32(le.Uint32(b[12:]))),
-		epoch: le.Uint64(b[16:]), inc: le.Uint64(b[24:]),
-		wireSeq: le.Uint64(b[32:]), fseq: le.Uint64(b[40:]), cyc: le.Uint64(b[48:]),
-		offE: int(int32(le.Uint32(b[56:]))), partLo: int(int32(le.Uint32(b[60:]))),
-		partHi: int(int32(le.Uint32(b[64:]))), nparts: int(int32(le.Uint32(b[68:]))),
-		elems: int(le.Uint32(b[72:])), nflips: int(le.Uint32(b[76:])),
+		tag: int(int32(le.Uint32(b[8:]))), id: le.Uint64(b[12:]),
+		epoch: le.Uint64(b[20:]), inc: le.Uint64(b[28:]),
+		wireSeq: le.Uint64(b[36:]), fseq: le.Uint64(b[44:]), cyc: le.Uint64(b[52:]),
+		offE: int(int32(le.Uint32(b[60:]))), partLo: int(int32(le.Uint32(b[64:]))),
+		partHi: int(int32(le.Uint32(b[68:]))), nparts: int(int32(le.Uint32(b[72:]))),
+		elems: int(le.Uint32(b[76:])), nflips: int(le.Uint32(b[80:])),
 	}
 	want := tcpHdrLen + 8*h.elems + 8*h.nflips
 	if len(b) != want {
@@ -98,6 +102,9 @@ func decodeDataFrame(b []byte, h *tcpHdr, data []float64) ([]float64, []fault.By
 	if h.nflips > 0 {
 		flips = make([]fault.ByteFlip, h.nflips)
 		for i := range flips {
+			if b[off+5]|b[off+6]|b[off+7] != 0 {
+				return data, nil, fmt.Errorf("tcp: data frame flip %d has nonzero padding", i)
+			}
 			flips[i] = fault.ByteFlip{Off: int(le.Uint32(b[off:])), Mask: b[off+4]}
 			off += 8
 		}
@@ -150,15 +157,6 @@ type tcpRecv struct {
 	overflow   string
 }
 
-type persKey struct {
-	src, dst, tag, slot int
-}
-
-type slotKey struct {
-	psend         bool
-	src, dst, tag int
-}
-
 type tcpNode struct {
 	t    *tcpTransport
 	w    *World
@@ -188,16 +186,14 @@ type tcpNode struct {
 	peerInc   map[int]uint64 // per-src incarnation high-water, survives epochs
 	outs      map[int]*tcpOut
 	lookups   map[int][]chan string
-	persSend  map[persKey]*tcpPers
-	persRecv  map[persKey]*tcpPers
-	slotNext  map[slotKey]int
-	early     map[persKey][]*earlyPersFrame
+	persRecv  map[uint64]*tcpPers // bound receive sides by channel id
+	early     map[uint64][]*earlyPersFrame
 	accepted  map[*tcpAccepted]struct{}
 }
 
 // earlyPersFrame is a persistent frame held until it may land: parked in
-// the node's early queue until its endpoint registers, or on the endpoint
-// until its receive cycle starts.
+// the node's early queue until its receive side binds the channel id, or
+// on the endpoint until its receive cycle starts.
 type earlyPersFrame struct {
 	kind  byte
 	h     tcpHdr
@@ -225,10 +221,8 @@ func newTCPNode(t *tcpTransport, rank int) (*tcpNode, error) {
 		peerInc:      map[int]uint64{},
 		outs:         map[int]*tcpOut{},
 		lookups:      map[int][]chan string{},
-		persSend:     map[persKey]*tcpPers{},
-		persRecv:     map[persKey]*tcpPers{},
-		slotNext:     map[slotKey]int{},
-		early:        map[persKey][]*earlyPersFrame{},
+		persRecv:     map[uint64]*tcpPers{},
+		early:        map[uint64][]*earlyPersFrame{},
 		accepted:     map[*tcpAccepted]struct{}{},
 	}
 	n.dial.Seed = int64(rank)*7919 + 1
@@ -594,11 +588,11 @@ func (n *tcpNode) sendData(dst int, kind byte, h *tcpHdr, data []float64, flips 
 	h.wireSeq = o.seq
 	o.payload = appendDataFrame(o.payload[:0], h, data, flips)
 	o.frame = tcpconn.AppendFrame(o.frame[:0], kind, o.payload)
-	// Collective frames bypass network faults, as collectives bypass every
-	// other injected fault: the frame ordinals of a fault spec count user
-	// traffic only.
+	// Frames on reserved tags (collectives, pairing descriptors) bypass
+	// network faults, as they bypass every other injected fault: the frame
+	// ordinals of a fault spec count user traffic only.
 	var v fault.NetVerdict
-	if f := n.w.fault; f != nil && h.tag != collTag {
+	if f := n.w.fault; f != nil && h.tag >= 0 {
 		v = f.NetFrame(n.rank, dst)
 	}
 	if v.Delay > 0 {
@@ -781,19 +775,6 @@ func (n *tcpNode) ctlReader() {
 			if m.Epoch == n.epoch.Load() && n.w.Aborted() == nil {
 				n.w.abort(m.Rank, &RemoteAbort{Msg: m.Msg})
 			}
-		case tfPaired:
-			if m.Epoch != n.epoch.Load() {
-				break
-			}
-			key := persKey{src: m.Src, dst: m.Dst, tag: m.Tag, slot: m.Slot}
-			n.mu.Lock()
-			if p := n.persSend[key]; p != nil && n.rank == m.Src {
-				p.setPaired(m.Parts)
-			}
-			if p := n.persRecv[key]; p != nil && n.rank == m.Dst {
-				p.setPaired(m.Parts)
-			}
-			n.mu.Unlock()
 		case tfVerdict:
 			select {
 			case n.verdictCh <- &m:
@@ -880,37 +861,23 @@ func (n *tcpNode) heartbeater() {
 
 func (n *tcpNode) pendingCount() int { return len(n.pendingOps()) }
 
+// pendingOps lists the node's one-shot traffic; pairing descriptors are
+// bookkeeping, not waits, and stay out.
 func (n *tcpNode) pendingOps() []PendingOp {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var out []PendingOp
 	for _, r := range n.posted {
-		out = append(out, PendingOp{Kind: "recv-posted", Src: r.src, Dst: n.rank, Tag: r.tag, Bytes: int64(8 * len(r.buf))})
+		if r.tag != pairTag {
+			out = append(out, PendingOp{Kind: flight.PendRecvPosted, Src: r.src, Dst: n.rank, Tag: r.tag, Bytes: int64(8 * len(r.buf))})
+		}
 	}
 	for _, m := range n.unmatched {
-		out = append(out, PendingOp{Kind: "send-unmatched", Src: m.src, Dst: n.rank, Tag: m.tag, Bytes: int64(8 * len(m.data))})
-	}
-	for _, p := range n.persSend {
-		out = append(out, p.pendingOps()...)
-	}
-	for _, p := range n.persRecv {
-		out = append(out, p.pendingOps()...)
+		if m.tag != pairTag {
+			out = append(out, PendingOp{Kind: flight.PendSendUnmatched, Src: m.src, Dst: n.rank, Tag: m.tag, Bytes: int64(8 * len(m.data))})
+		}
 	}
 	return out
-}
-
-func (n *tcpNode) persistentPending() (unmatched, live int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, p := range n.persSend {
-		u, l := p.pendingState()
-		unmatched, live = unmatched+u, live+l
-	}
-	for _, p := range n.persRecv {
-		u, l := p.pendingState()
-		unmatched, live = unmatched+u, live+l
-	}
-	return
 }
 
 // ---- epoch lifecycle ----
@@ -941,10 +908,8 @@ func (n *tcpNode) resetForEpoch(ep uint64) {
 	n.unmatched = nil
 	n.lastSeq = map[int]uint64{}
 	n.lookups = map[int][]chan string{}
-	n.persSend = map[persKey]*tcpPers{}
-	n.persRecv = map[persKey]*tcpPers{}
-	n.slotNext = map[slotKey]int{}
-	n.early = map[persKey][]*earlyPersFrame{}
+	n.persRecv = map[uint64]*tcpPers{}
+	n.early = map[uint64][]*earlyPersFrame{}
 	n.mu.Unlock()
 	for _, c := range conns {
 		c.Close()

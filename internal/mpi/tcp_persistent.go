@@ -9,14 +9,9 @@ import (
 	"github.com/bricklab/brick/internal/flight"
 )
 
-// Persistent and partitioned traffic over tcp. Endpoints register with the
-// coordinator (tfPReg) keyed by (epoch, src, dst, tag, slot), where slot is
-// the per-side ordinal of that (src, dst, tag) triple — the k-th SendInit
-// of a triple pairs with the k-th RecvInit, the same FIFO pairing the chan
-// backend's table gives. The coordinator pushes tfPaired to both sides once
-// both registered; the sender's partition count rides along, so the
-// receiver knows how many Parrived slots a cycle has before the first
-// partition lands.
+// Persistent and partitioned traffic over tcp. Every frame of a channel
+// carries the channel id persistent.go assigned at SendInit; a receive side
+// takes the frames of the id it was bound to at the match.
 //
 // Cycles are eager like one-shot sends: an unpartitioned Start puts the
 // whole payload on the wire (tfPData) and Wait completes immediately;
@@ -25,8 +20,8 @@ import (
 // buffer). Receive cycles are keyed by the sender's cycle number carried
 // in every frame, so a sender running ahead of the receiver's Start parks
 // its frames in that future cycle's state rather than corrupting the
-// current one — and frames for endpoints not yet registered park in the
-// node's early queue until RecvInit drains them.
+// current one — and frames for a channel no receive side has bound yet
+// park in the node's early queue until bind drains them.
 
 // tcpPersCycle is the receive side's state of its started cycle. It is
 // reset, not reallocated, at every Start.
@@ -49,19 +44,20 @@ type tcpPersCycle struct {
 type tcpPers struct {
 	n     *tcpNode
 	c     *Comm
-	key   persKey
 	psend bool
 
 	mu     sync.Mutex
 	buf    []float64
 	freed  bool
-	paired bool
 	active bool
 	cycle  uint64
 
 	// Send side. sending counts Pready calls still writing their frames;
 	// sendDone carries one token when every partition of the cycle is
-	// ready and written, like tcpPersCycle.done.
+	// ready and written, like tcpPersCycle.done. id is the channel id
+	// every frame carries.
+	id       uint64
+	dst, tag int
 	bounds   []int
 	ready    []bool
 	nready   int
@@ -70,89 +66,48 @@ type tcpPers struct {
 	flips    []fault.ByteFlip
 	sendDone chan struct{}
 
-	// Receive side. nparts is tri-state: -1 until pairing reveals the
-	// sender's shape, 0 for an unpartitioned sender, >0 partitioned.
-	// parked holds frames of later cycles in arrival order: a frame may land
-	// in the receive buffer only once its cycle starts, since before that
-	// the buffer still belongs to the rank (a restore writes it, the
-	// previous step's compute reads it). spare recycles their word buffers.
-	nparts int
+	// Receive side. parked holds frames of later cycles in arrival order: a
+	// frame may land in the receive buffer only once its cycle starts, since
+	// before that the buffer still belongs to the rank (a restore writes it,
+	// the previous step's compute reads it). spare recycles their word
+	// buffers.
 	cur    tcpPersCycle
 	parked []earlyPersFrame
 	spare  [][]float64
 }
 
-func (n *tcpNode) sendInit(c *Comm, dst, tag int, buf []float64) *Request {
-	n.mu.Lock()
-	sk := slotKey{psend: true, src: c.rank, dst: dst, tag: tag}
-	slot := n.slotNext[sk]
-	n.slotNext[sk]++
-	key := persKey{src: c.rank, dst: dst, tag: tag, slot: slot}
-	p := &tcpPers{n: n, c: c, key: key, psend: true, buf: buf, nparts: -1, sendDone: make(chan struct{}, 1)}
-	n.persSend[key] = p
-	n.mu.Unlock()
-	n.preg(p)
-	return &Request{comm: c, op: p, persistent: true, psend: true, peer: dst, tag: tag}
+func (n *tcpNode) sendInit(c *Comm, p *pend, buf []float64) persOp {
+	return &tcpPers{n: n, c: c, id: p.id, psend: true, dst: p.key.dst, tag: p.key.tag, buf: buf,
+		bounds: p.bounds, ready: make([]bool, p.parts), sendDone: make(chan struct{}, 1)}
 }
 
-func (n *tcpNode) recvInit(c *Comm, src, tag int, buf []float64) *Request {
+func (n *tcpNode) recvInit(c *Comm, buf []float64) persOp {
+	return &tcpPers{n: n, c: c, buf: buf, cur: tcpPersCycle{done: make(chan struct{}, 1)}}
+}
+
+// bind takes the frames of the matched sender's channel id, first those
+// that beat the match to this node.
+func (p *tcpPers) bind(r *Request, s *pend) {
+	n := p.n
 	n.mu.Lock()
-	sk := slotKey{psend: false, src: src, dst: c.rank, tag: tag}
-	slot := n.slotNext[sk]
-	n.slotNext[sk]++
-	key := persKey{src: src, dst: c.rank, tag: tag, slot: slot}
-	p := &tcpPers{n: n, c: c, key: key, psend: false, buf: buf, nparts: -1,
-		cur: tcpPersCycle{done: make(chan struct{}, 1)}}
-	n.persRecv[key] = p
-	// Frames that beat this registration parked in the early queue.
-	pending := n.early[key]
-	delete(n.early, key)
-	for _, f := range pending {
+	defer n.mu.Unlock()
+	n.persRecv[s.id] = p
+	for _, f := range n.early[s.id] {
 		p.deliver(f.kind, &f.h, f.data, f.flips)
 	}
-	n.mu.Unlock()
-	n.preg(p)
-	return &Request{comm: c, op: p, persistent: true, peer: src, tag: tag}
-}
-
-// preg (re-)registers an endpoint with the coordinator; a sender re-sends
-// after partitioning so the pairing note carries the partition count.
-func (n *tcpNode) preg(p *tcpPers) {
-	p.mu.Lock()
-	parts := 0
-	if p.bounds != nil {
-		parts = len(p.bounds) - 1
-	}
-	p.mu.Unlock()
-	if err := n.ctl.send(tfPReg, &ctlMsg{
-		Rank: n.rank, Src: p.key.src, Dst: p.key.dst, Tag: p.key.tag, Slot: p.key.slot,
-		Parts: parts, Psend: p.psend, Epoch: n.epoch.Load(),
-	}); err != nil {
-		n.w.abort(n.rank, fmt.Errorf("tcp: rank %d lost control connection: %w", n.rank, err))
-		panic(n.w.Aborted())
-	}
+	delete(n.early, s.id)
 }
 
 // deliverPers routes an arrived persistent frame (n.mu held). data is the
 // reader's scratch: whatever outlives this call is copied.
 func (n *tcpNode) deliverPers(kind byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) {
-	key := persKey{src: h.src, dst: h.dst, tag: h.tag, slot: h.slot}
-	p := n.persRecv[key]
+	p := n.persRecv[h.id]
 	if p == nil {
-		n.early[key] = append(n.early[key], &earlyPersFrame{
+		n.early[h.id] = append(n.early[h.id], &earlyPersFrame{
 			kind: kind, h: *h, data: append([]float64(nil), data...), flips: flips})
 		return
 	}
 	p.deliver(kind, h, data, flips)
-}
-
-func (p *tcpPers) setPaired(parts int) {
-	p.mu.Lock()
-	p.paired = true
-	if !p.psend {
-		p.nparts = parts
-	}
-	p.mu.Unlock()
 }
 
 // deliver takes one cycle frame: it lands now if its cycle is the started
@@ -187,9 +142,6 @@ func (p *tcpPers) land(kind byte, h *tcpHdr, data []float64, flips []fault.ByteF
 	}
 	switch kind {
 	case tfPData:
-		if p.nparts < 0 {
-			p.nparts = 0
-		}
 		nel := len(data)
 		if nel > len(p.buf) {
 			st.overflow = fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
@@ -214,9 +166,6 @@ func (p *tcpPers) land(kind byte, h *tcpHdr, data []float64, flips []fault.ByteF
 			}
 			st.arrived = st.arrived[:h.nparts]
 			clear(st.arrived)
-			if p.nparts < 0 {
-				p.nparts = h.nparts
-			}
 		}
 		i := h.partLo
 		if i < 0 || i >= len(st.arrived) {
@@ -270,20 +219,6 @@ func (p *tcpPers) signalSent() {
 }
 
 // ---- persOp ----
-
-func (p *tcpPers) elems(r *Request) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.buf)
-}
-
-func (p *tcpPers) partition(r *Request, bounds []int) {
-	p.mu.Lock()
-	p.bounds = bounds
-	p.ready = make([]bool, len(bounds)-1)
-	p.mu.Unlock()
-	p.n.preg(p)
-}
 
 func (p *tcpPers) start(r *Request, seq uint64, flips []fault.ByteFlip) {
 	if p.psend {
@@ -342,14 +277,14 @@ func (p *tcpPers) startSend(seq uint64, flips []fault.ByteFlip) {
 	}
 	n := p.n
 	h := tcpHdr{
-		src: p.key.src, dst: p.key.dst, tag: p.key.tag, slot: p.key.slot,
+		src: p.c.rank, dst: p.dst, tag: p.tag, id: p.id,
 		epoch: n.epoch.Load(), inc: n.inc, fseq: seq, cyc: p.cycle,
 	}
 	p.mu.Unlock()
 	// Outside the lock: a write can block on a redial, and the watchdog's
 	// pendingOps must still get in. Rebind panics on an active send, so
 	// p.buf is stable until Wait.
-	n.sendData(p.key.dst, tfPData, &h, p.buf, flips)
+	n.sendData(p.dst, tfPData, &h, p.buf, flips)
 }
 
 // preadyRange ships each newly ready partition as one frame, written
@@ -381,7 +316,7 @@ func (p *tcpPers) preadyRange(r *Request, lo, hi int) {
 	p.sending++
 	n := p.n
 	h := tcpHdr{
-		src: p.key.src, dst: p.key.dst, tag: p.key.tag, slot: p.key.slot,
+		src: p.c.rank, dst: p.dst, tag: p.tag, id: p.id,
 		epoch: n.epoch.Load(), inc: n.inc, fseq: p.seq, cyc: p.cycle, nparts: np,
 	}
 	bounds, buf, flips := p.bounds, p.buf, p.flips
@@ -404,32 +339,11 @@ func (p *tcpPers) preadyRange(r *Request, lo, hi int) {
 func (p *tcpPers) parrived(r *Request, i int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.nparts == 0 {
-		panic("mpi: Parrived with no partitioned sender matched")
-	}
-	if p.nparts > 0 && i >= p.nparts {
-		panic(fmt.Sprintf("mpi: Parrived partition %d out of range (%d partitions)", i, p.nparts))
-	}
 	st := &p.cur
-	if !p.active || st.nparts < 0 || i < 0 || i >= len(st.arrived) {
+	if !p.active || st.nparts < 0 || i >= len(st.arrived) {
 		return false
 	}
 	return st.arrived[i]
-}
-
-func (p *tcpPers) partitions(r *Request) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.psend {
-		if p.bounds == nil {
-			return 0
-		}
-		return len(p.bounds) - 1
-	}
-	if p.nparts < 0 {
-		return 0
-	}
-	return p.nparts
 }
 
 func (p *tcpPers) rebind(r *Request, buf []float64) {
@@ -444,10 +358,7 @@ func (p *tcpPers) rebind(r *Request, buf []float64) {
 	p.buf = buf
 }
 
-// free detaches the endpoint. Unlike chan, a freed unpaired endpoint stays
-// registered at the coordinator until the next epoch — its frames are
-// dropped here and it is excluded from pending accounting, which is the
-// observable contract.
+// free detaches the endpoint; frames still arriving for it are dropped.
 func (p *tcpPers) free(r *Request) {
 	p.mu.Lock()
 	p.freed = true
@@ -547,58 +458,29 @@ func (p *tcpPers) opName(r *Request) string {
 
 // ---- introspection ----
 
-func (p *tcpPers) pendingOps() []PendingOp {
+func (p *tcpPers) pending(r *Request) (PendingOp, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.freed {
-		return nil
+	if !p.active {
+		return PendingOp{}, false
 	}
-	src, dst, tag := p.key.src, p.key.dst, p.key.tag
-	bytes := int64(8 * len(p.buf))
-	if p.psend {
-		if !p.paired {
-			return []PendingOp{{Kind: "psend-unpaired", Src: src, Dst: dst, Tag: tag, Bytes: bytes, Persistent: true}}
-		}
-		if p.active && p.bounds != nil {
-			np := len(p.bounds) - 1
-			if p.nready < np {
-				var unready []int
-				for i := 0; i < np; i++ {
-					if !p.ready[i] {
-						unready = append(unready, i)
-					}
-				}
-				return []PendingOp{{Kind: "psend-partial", Src: src, Dst: dst, Tag: tag, Bytes: bytes,
-					Persistent: true, Partitions: np, Ready: p.nready, Unready: unready}}
-			}
-			return nil
-		}
-		if p.active {
-			return []PendingOp{{Kind: "psend-active", Src: src, Dst: dst, Tag: tag, Bytes: bytes, Persistent: true}}
-		}
-		return nil
+	if !p.psend {
+		return PendingOp{Kind: flight.PendPrecvActive}, !p.cur.complete
 	}
-	if !p.paired {
-		return []PendingOp{{Kind: "precv-unpaired", Src: src, Dst: dst, Tag: tag, Bytes: bytes, Persistent: true}}
+	if p.bounds == nil {
+		return PendingOp{Kind: flight.PendPsendActive}, true
 	}
-	if p.active {
-		if !p.cur.complete {
-			return []PendingOp{{Kind: "precv-active", Src: src, Dst: dst, Tag: tag, Bytes: bytes, Persistent: true}}
+	np := len(p.bounds) - 1
+	if p.nready == np {
+		return PendingOp{}, false
+	}
+	op := PendingOp{Kind: flight.PendPsendPartial, Partitions: np, Ready: p.nready}
+	for i := 0; i < np; i++ {
+		if !p.ready[i] {
+			op.Unready = append(op.Unready, i)
 		}
 	}
-	return nil
-}
-
-func (p *tcpPers) pendingState() (unmatched, live int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.freed {
-		return 0, 0
-	}
-	if !p.paired {
-		unmatched = 1
-	}
-	return unmatched, 1
+	return op, true
 }
 
 func flipsInRange(flips []fault.ByteFlip, lo, hi int) []fault.ByteFlip {

@@ -9,11 +9,12 @@ import (
 	"github.com/bricklab/brick/internal/fault"
 )
 
-// Transport is the wire seam of the runtime: it owns endpoint matching,
+// Transport is the wire seam of the runtime: it owns one-shot matching,
 // message delivery, and partitioned-cycle signaling, while World/Comm keep
 // everything transport-agnostic — validation, collectives (written once over
-// isend/irecv, see collectives.go), fault injection, traffic counters,
-// flight recording, metrics, the abort machinery, and the watchdog. A
+// isend/irecv, see collectives.go), persistent pairing (see persistent.go),
+// fault injection, traffic counters, flight recording, metrics, the abort
+// machinery, and the watchdog. A
 // backend registers a factory under a name (RegisterTransport) and worlds
 // are built on it with NewWorldOn; the "chan" backend is the in-process
 // pre-paired channel runtime, "shmem" the shared-memory segment runtime
@@ -34,13 +35,16 @@ type Transport interface {
 	isend(c *Comm, dst, tag int, buf []float64, flips []fault.ByteFlip, seq uint64) *Request
 	// irecv posts a one-shot receive (src may be AnySource, tag AnyTag).
 	// Matching goes through matches, so a wildcard never takes a message
-	// on the collectives' reserved tag.
+	// on a reserved tag (collective traffic, pairing descriptors).
 	irecv(c *Comm, src, tag int, buf []float64) *Request
 
-	// sendInit/recvInit build persistent endpoints; matching happens here,
-	// once, following the FIFO pairing rules documented in persistent.go.
-	sendInit(c *Comm, dst, tag int, buf []float64) *Request
-	recvInit(c *Comm, src, tag int, buf []float64) *Request
+	// sendInit/recvInit build one side of a persistent channel for the
+	// endpoint p that persistent.go registers (matching is not theirs: see
+	// the matching rule there). p.peer, when set, is the matched endpoint
+	// of this process that registered first; a send side sets p.link to the
+	// word its receive side binds to.
+	sendInit(c *Comm, p *pend, buf []float64) persOp
+	recvInit(c *Comm, p *pend, buf []float64) persOp
 
 	// abortAll carries a local abort to the other processes of the world
 	// (shmem publishes it in the segment, tcp sends it to the
@@ -48,15 +52,13 @@ type Transport interface {
 	// channel.
 	abortAll()
 
-	// Watchdog hooks: pendingCount is the cheap stall predicate (posted but
-	// incomplete operations, collective traffic included), pendingOps the
-	// detailed listing for a StallReport.
+	// Watchdog hooks for one-shot traffic (persistent endpoints are
+	// persistent.go's): pendingCount is the cheap stall predicate (posted
+	// but incomplete operations, collective traffic included, pairing
+	// descriptors left out), pendingOps the detailed listing for a
+	// StallReport.
 	pendingCount() int
 	pendingOps() []PendingOp
-
-	// persistentPending reports unmatched endpoints and live channels for
-	// leak tests (see World.PersistentPending).
-	persistentPending() (unmatched, live int)
 
 	// reset wipes all transport state for a Respawn (world quiescent).
 	// chan rebuilds its in-memory fabric; shmem quarantines the shared
@@ -94,24 +96,26 @@ type reqOp interface {
 // persistent channel type.
 type persOp interface {
 	reqOp
-	// elems is the current element count of this side's buffer.
-	elems(r *Request) int
+	// bind attaches a receive side to the data path of the send side s it
+	// matched (s.id, s.link, s.parts). Called once, with the matcher's lock
+	// held, before the match is published.
+	bind(r *Request, s *pend)
 	// start activates one transfer cycle; seq/flips carry the generic
 	// stamping results for the send side (zero/nil on the receive side).
 	start(r *Request, seq uint64, flips []fault.ByteFlip)
-	// partition upgrades a freshly built send endpoint to partitioned
-	// (PsendInit); bounds were already validated generically.
-	partition(r *Request, bounds []int)
 	// preadyRange marks partitions [lo, hi) of the active cycle ready.
 	preadyRange(r *Request, lo, hi int)
-	// parrived reports whether partition i of the current cycle arrived.
+	// parrived reports whether partition i (in range, of a matched
+	// partitioned channel) of the current cycle arrived.
 	parrived(r *Request, i int) bool
-	// partitions is the partition count (0 when unpartitioned).
-	partitions(r *Request) int
 	// rebind swaps this side's buffer on an inactive request.
 	rebind(r *Request, buf []float64)
-	// free tears the endpoint down (idempotent).
+	// free tears the endpoint down; called once.
 	free(r *Request)
+	// pending describes a matched endpoint's cycle in flight for a
+	// StallReport (Kind and the partition fields; the caller fills in the
+	// endpoints and size), ok false when none is.
+	pending(r *Request) (op PendingOp, ok bool)
 }
 
 // TransportFactory builds a backend for a world under construction. The

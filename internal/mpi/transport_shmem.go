@@ -27,7 +27,7 @@ import (
 //
 //	header      magic, size, abort words, heap bump pointer, progress,
 //	            recovery round words
-//	persistent  fixed table of endpoint entries (matching + cycle state)
+//	persistent  fixed table of channel entries (staging and cycle state)
 //	rings       per-rank MPSC message rings (one-shot traffic)
 //	one-shot    per-rank send regions: one-shot payload blocks, reclaimed
 //	            once their receiver consumed them
@@ -62,9 +62,8 @@ const (
 	offAbortMsgLen = 40
 	offHeapNext    = 48 // bump pointer (byte offset, atomic)
 	offHeapLimit   = 56
-	offPersLock    = 64 // spinlock over the persistent table
-	offPersCount   = 72
-	offAbortMsg    = 80
+	offPersCount   = 64 // persistent table entries in use
+	offAbortMsg    = 72
 	// offProgress is the world-wide progress counter: every completed wait
 	// in ANY attached process ticks it. Each process's watchdog samples it
 	// alongside its local counter, so a worker computing quietly while its
@@ -88,21 +87,13 @@ const (
 	shmVerdictGiveUp = 2
 )
 
-// Persistent-table entry word indices. One entry is one matched (or
-// half-registered) SendInit/RecvInit pair — the cross-process pchan.
+// Persistent-table entry word indices. One entry is the shared data path of
+// one persistent channel: its sender appends it at SendInit, and the
+// receive side that matches binds to it (the entry offset is the channel's
+// link, see persistent.go).
 const (
-	peSrc = iota
-	peDst
-	peTag
-	peSendReg // 1 once the send side registered
-	peRecvReg // 1 once the recv side registered
-	peSendFreed
-	peRecvFreed
-	peDead // excluded from matching and leak accounting
-	peSendElems
-	peRecvElems
-	peStageCap // staging slot capacity, elems
-	peStage0   // heap offsets of the two staging slots
+	peStageCap = iota // staging slot capacity, elems
+	peStage0          // heap offsets of the two staging slots
 	peStage1
 	peElems0 // payload length staged in each slot's current cycle
 	peElems1
@@ -114,13 +105,10 @@ const (
 	peCrc1
 	peSeqW0 // per-slot flight sequence stamp
 	peSeqW1
-	peSendSeq   // last fully published send cycle (non-partitioned)
-	peDoneSeq   // last cycle the receiver consumed
-	peSendStart // last cycle the send side Started (stall reporting)
-	peRecvStart // last cycle the recv side Started (stall reporting)
-	peNParts    // partition count, 0 when unpartitioned
-	peBounds    // heap offset of the P+1 element bounds
-	peReady     // heap offset of P readyCycle words (value = cycle number)
+	peSendSeq // last fully published send cycle (non-partitioned)
+	peDoneSeq // last cycle the receiver consumed
+	peBounds  // heap offset of the P+1 element bounds
+	peReady   // heap offset of P readyCycle words (value = cycle number)
 	peWords
 )
 
@@ -402,7 +390,7 @@ func AttachShmemWorld(f *os.File) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &World{abortCh: make(chan struct{})}
+	w := &World{abortCh: make(chan struct{}), solo: true}
 	t, err := newShmemTransport(w, arena, false)
 	if err != nil {
 		arena.Close()
@@ -448,8 +436,8 @@ func (t *shmemTransport) resetLocal() {
 // caller must guarantee quiescence: every rank parked, exited, or dead —
 // the supervisor's convergence wait (internal/mpi/proc) or Respawn's
 // contract establishes it. Rings are drained and re-sequenced, the
-// persistent-endpoint table cleared (the new epoch re-pairs from scratch;
-// FIFO pairing only holds if everyone starts empty), and both allocators
+// persistent channel table cleared (the new epoch re-pairs from scratch
+// and builds new channels), and both allocators
 // rewind — the send regions to empty, the heap bump pointer to its base:
 // every one-shot block and staged payload belonged to the dead epoch. Dead
 // ranks get their incarnation bumped so any block a crashed sender already
@@ -464,16 +452,12 @@ func (t *shmemTransport) quarantine(dead []int, restoreStep int) {
 	atomic.StoreUint64(t.w64(offAbortRank), 0)
 	atomic.StoreUint64(t.w64(offAbortMsgLen), 0)
 	atomic.StoreUint64(t.w64(offAbortClaim), 0)
-	// Persistent endpoint table, including staging-slot metadata.
-	cnt := int(atomic.LoadUint64(t.w64(offPersCount)))
-	if cnt > shmMaxPers {
-		cnt = shmMaxPers
-	}
+	// Persistent channel table, including staging-slot metadata.
+	cnt := min(int(atomic.LoadUint64(t.w64(offPersCount))), shmMaxPers)
 	for i := 0; i < cnt*peWords; i++ {
 		atomic.StoreUint64(t.w64(l.pers+i*8), 0)
 	}
 	atomic.StoreUint64(t.w64(offPersCount), 0)
-	atomic.StoreUint64(t.w64(offPersLock), 0)
 	// Rings: drop in-flight one-shot traffic, restore Vyukov slot seeding;
 	// send regions: empty.
 	for r := 0; r < l.size; r++ {
@@ -863,75 +847,25 @@ func (p *shmRecv) opName(r *Request) string {
 	return fmt.Sprintf("wait recv src=%s tag=%s", wildcard(p.src), wildcard(p.tag))
 }
 
-// ---- watchdog and leak-accounting hooks ----
+// ---- watchdog hooks ----
 
-// persEntry returns the byte offset of table entry i.
-func (t *shmemTransport) persEntry(i int) int { return t.l.pers + i*peWords*8 }
+func (t *shmemTransport) pendingCount() int { return len(t.pendingOps()) }
 
-// pw reads entry word idx of the entry at byte offset e.
-func (t *shmemTransport) pw(e, idx int) uint64 { return atomic.LoadUint64(t.w64(e + idx*8)) }
-
-func (t *shmemTransport) setPW(e, idx int, v uint64) { atomic.StoreUint64(t.w64(e+idx*8), v) }
-
-func (t *shmemTransport) persLockAcquire() {
-	p := t.w64(offPersLock)
-	var sp spinner
-	for !atomic.CompareAndSwapUint64(p, 0, 1) {
-		sp.spin()
-	}
-}
-
-func (t *shmemTransport) persLockRelease() { atomic.StoreUint64(t.w64(offPersLock), 0) }
-
-func (t *shmemTransport) pendingCount() int {
-	n := 0
-	// One-shot traffic published but not yet drained by receivers.
-	for r := 0; r < t.l.size; r++ {
-		base := t.l.rings + r*t.l.ringBytes
-		n += int(atomic.LoadUint64(t.w64(base)) - atomic.LoadUint64(t.w64(base+8)))
-	}
-	// Drained-but-unmatched messages and posted receives (process-local).
-	for r := range t.inbox {
-		ib := &t.inbox[r]
-		ib.mu.Lock()
-		n += len(ib.unmatched) + len(ib.posted)
-		ib.mu.Unlock()
-	}
-	// Persistent endpoints: unpaired or mid-cycle (world-wide, from the
-	// shared table).
-	cnt := int(atomic.LoadUint64(t.w64(offPersCount)))
-	for i := 0; i < cnt && i < shmMaxPers; i++ {
-		e := t.persEntry(i)
-		if t.pw(e, peDead) != 0 {
-			continue
-		}
-		sreg, rreg := t.pw(e, peSendReg), t.pw(e, peRecvReg)
-		if sreg == 0 || rreg == 0 {
-			if sreg+rreg > 0 {
-				n++
-			}
-			continue
-		}
-		done := t.pw(e, peDoneSeq)
-		if t.pw(e, peSendStart) > done {
-			n++
-		}
-		if t.pw(e, peRecvStart) > done {
-			n++
-		}
-	}
-	// Ranks parked at the cross-process recovery barrier: visible world-wide
-	// so no process's watchdog misreads a recovery round as quiescence.
-	for r := 0; r < t.l.size; r++ {
-		if atomic.LoadUint64(t.w64(t.l.parked+r*8)) != 0 {
-			n++
-		}
-	}
-	return n
-}
-
+// pendingOps lists one-shot traffic world-wide (the rings) and in this
+// process (drained but unmatched messages, posted receives), plus ranks
+// parked at the cross-process recovery barrier, visible world-wide so no
+// process's watchdog misreads a recovery round as quiescence. Pairing
+// descriptors are bookkeeping, not waits, and stay out.
 func (t *shmemTransport) pendingOps() []PendingOp {
 	var ops []PendingOp
+	msg := func(m shmMsg, dst int) {
+		if m.tag != pairTag {
+			ops = append(ops, PendingOp{
+				Kind: flight.PendSendUnmatched, Src: m.src, Dst: dst, Tag: m.tag,
+				Bytes: int64(8 * m.elems),
+			})
+		}
+	}
 	// In-flight ring messages: readable between tail and head because the
 	// producer published each slot's sequence before we load it.
 	for r := 0; r < t.l.size; r++ {
@@ -942,147 +876,76 @@ func (t *shmemTransport) pendingOps() []PendingOp {
 			if atomic.LoadUint64(t.w64(slot)) != s+1 {
 				continue
 			}
-			m := t.readMsg(int(atomic.LoadUint64(t.w64(slot + 8))))
-			ops = append(ops, PendingOp{
-				Kind: "send-unmatched", Src: m.src, Dst: r, Tag: m.tag,
-				Bytes: int64(8 * m.elems),
-			})
+			msg(t.readMsg(int(atomic.LoadUint64(t.w64(slot+8)))), r)
 		}
 	}
 	for r := range t.inbox {
 		ib := &t.inbox[r]
 		ib.mu.Lock()
 		for _, m := range ib.unmatched {
-			ops = append(ops, PendingOp{
-				Kind: "send-unmatched", Src: m.src, Dst: r, Tag: m.tag,
-				Bytes: int64(8 * m.elems),
-			})
+			msg(m, r)
 		}
 		for _, p := range ib.posted {
-			ops = append(ops, PendingOp{
-				Kind: "recv-posted", Src: p.src, Dst: r, Tag: p.tag,
-				Bytes: int64(8 * len(p.buf)),
-			})
+			if p.tag != pairTag {
+				ops = append(ops, PendingOp{
+					Kind: flight.PendRecvPosted, Src: p.src, Dst: r, Tag: p.tag,
+					Bytes: int64(8 * len(p.buf)),
+				})
+			}
 		}
 		ib.mu.Unlock()
-	}
-	cnt := int(atomic.LoadUint64(t.w64(offPersCount)))
-	for i := 0; i < cnt && i < shmMaxPers; i++ {
-		e := t.persEntry(i)
-		if t.pw(e, peDead) != 0 {
-			continue
-		}
-		src := int(int64(t.pw(e, peSrc)))
-		dst := int(int64(t.pw(e, peDst)))
-		tag := int(int64(t.pw(e, peTag)))
-		sreg, rreg := t.pw(e, peSendReg), t.pw(e, peRecvReg)
-		switch {
-		case sreg != 0 && rreg == 0:
-			ops = append(ops, PendingOp{
-				Kind: "psend-unpaired", Src: src, Dst: dst, Tag: tag,
-				Bytes: int64(8 * t.pw(e, peSendElems)), Persistent: true,
-			})
-			continue
-		case rreg != 0 && sreg == 0:
-			ops = append(ops, PendingOp{
-				Kind: "precv-unpaired", Src: src, Dst: dst, Tag: tag,
-				Bytes: int64(8 * t.pw(e, peRecvElems)), Persistent: true,
-			})
-			continue
-		case sreg == 0:
-			continue
-		}
-		done := t.pw(e, peDoneSeq)
-		if ss := t.pw(e, peSendStart); ss > done {
-			op := PendingOp{
-				Kind: "psend-active", Src: src, Dst: dst, Tag: tag,
-				Bytes: int64(8 * t.pw(e, peSendElems)), Persistent: true,
-			}
-			if parts := int(t.pw(e, peNParts)); parts > 0 {
-				op.Partitions = parts
-				ready := int(t.pw(e, peReady))
-				for p := 0; p < parts; p++ {
-					if atomic.LoadUint64(t.w64(ready+p*8)) == ss {
-						op.Ready++
-					} else {
-						op.Unready = append(op.Unready, p)
-					}
-				}
-				if op.Ready < parts {
-					op.Kind = "psend-partial"
-				} else {
-					op.Unready = nil
-				}
-			}
-			ops = append(ops, op)
-		}
-		if rs := t.pw(e, peRecvStart); rs > done {
-			ops = append(ops, PendingOp{
-				Kind: "precv-active", Src: src, Dst: dst, Tag: tag,
-				Bytes: int64(8 * t.pw(e, peRecvElems)), Persistent: true,
-			})
-		}
 	}
 	for r := 0; r < t.l.size; r++ {
 		if atomic.LoadUint64(t.w64(t.l.parked+r*8)) != 0 {
 			ops = append(ops, PendingOp{
-				Kind: "recovery-parked", Src: r, Dst: -1, Tag: -1,
+				Kind: flight.PendRecoveryParked, Src: r, Dst: -1, Tag: -1,
 			})
 		}
 	}
 	return ops
 }
 
-func (t *shmemTransport) persistentPending() (unmatched, live int) {
-	cnt := int(atomic.LoadUint64(t.w64(offPersCount)))
-	for i := 0; i < cnt && i < shmMaxPers; i++ {
-		e := t.persEntry(i)
-		if t.pw(e, peDead) != 0 {
-			continue
-		}
-		sreg, rreg := t.pw(e, peSendReg), t.pw(e, peRecvReg)
-		if sreg == 0 && rreg == 0 {
-			continue
-		}
-		live++
-		if sreg == 0 || rreg == 0 {
-			unmatched++
-		}
-	}
-	return unmatched, live
-}
-
-// ---- persistent endpoints: the cross-process pchan ----
+// ---- persistent channels: the cross-process pchan ----
 //
-// A matched SendInit/RecvInit pair is one entry of the shared table. The
-// cycle protocol is eager-staged and double-buffered: the sender copies its
-// buffer into staging slot cycle%2 and publishes peSendSeq; the receiver
-// spins for its cycle's publication, copies staging into its own buffer,
-// and publishes peDoneSeq. A sender may run at most one full cycle ahead
-// (slot reuse waits for peDoneSeq >= cycle-2), which is exactly the
-// pipelining the chan backend's token channels allow. Partitioned sends
-// stage per-partition spans at Pready time and stamp the span's readyCycle
-// word, so Parrived on the receive side observes partitions early; only
-// one partitioned cycle is in flight at a time (readyCycle words hold a
-// single cycle number).
+// A persistent channel is one entry of the shared table, appended by its
+// sender. The cycle protocol is eager-staged and double-buffered: the
+// sender copies its buffer into staging slot cycle%2 and publishes
+// peSendSeq; the receiver spins for its cycle's publication, copies staging
+// into its own buffer, and publishes peDoneSeq. A sender may run at most one
+// full cycle ahead (slot reuse waits for peDoneSeq >= cycle-2), which is
+// exactly the pipelining the chan backend's token channels allow.
+// Partitioned sends stage per-partition spans at Pready time and stamp the
+// span's readyCycle word, so Parrived on the receive side observes
+// partitions early; only one partitioned cycle is in flight at a time
+// (readyCycle words hold a single cycle number).
+
+// persEntry returns the byte offset of table entry i.
+func (t *shmemTransport) persEntry(i int) int { return t.l.pers + i*peWords*8 }
+
+// pw reads entry word idx of the entry at byte offset e.
+func (t *shmemTransport) pw(e, idx int) uint64 { return atomic.LoadUint64(t.w64(e + idx*8)) }
+
+func (t *shmemTransport) setPW(e, idx int, v uint64) { atomic.StoreUint64(t.w64(e+idx*8), v) }
 
 // shmPers is one side's process-local handle on a table entry.
 type shmPers struct {
 	t    *shmemTransport
-	e    int // entry byte offset in the segment
+	e    int // entry byte offset in the segment; 0 until a receive side binds
 	rank int
 
-	mu     sync.Mutex
-	buf    []float64
-	cycle  uint64 // this side's current cycle (starts at 1)
-	active bool
-	gone   bool // this side called Free
+	mu      sync.Mutex
+	buf     []float64
+	cycle   uint64        // this side's current cycle (starts at 1)
+	started atomic.Uint64 // cycle, readable without mu (stall reports)
+	active  bool
+	parts   int // partition count, 0 when unpartitioned
+	// heap offsets of the partition bounds and readyCycle words
+	boundsOff, readyOff int
 
 	// send side
 	seq      uint64
 	flips    []fault.ByteFlip
-	staged   bool
-	started  time.Time
+	at       time.Time
 	bounds   []int // partitioned send: element offsets
 	readyLoc []bool
 	copied   []bool
@@ -1094,40 +957,10 @@ type shmPers struct {
 	n        int
 }
 
-// entryKeyEq reports whether table entry e carries exactly this endpoint
-// triple. Caller holds the persistent-table lock.
-func (t *shmemTransport) entryKeyEq(e, src, dst, tag int) bool {
-	return int(int64(t.pw(e, peSrc))) == src &&
-		int(int64(t.pw(e, peDst))) == dst &&
-		int(int64(t.pw(e, peTag))) == tag
-}
-
-// checkEntrySizes mirrors pchan.checkSizesLocked on the shared entry:
-// validate as soon as both sides are known. Caller holds the table lock;
-// the panic strings are part of the conformance contract.
-func (t *shmemTransport) checkEntrySizes(e int) {
-	src := int(int64(t.pw(e, peSrc)))
-	dst := int(int64(t.pw(e, peDst)))
-	tag := int(int64(t.pw(e, peTag)))
-	se, re := int(t.pw(e, peSendElems)), int(t.pw(e, peRecvElems))
-	if t.pw(e, peSendReg) != 0 && t.pw(e, peRecvReg) != 0 && se > re {
-		t.persLockRelease()
-		panic(fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
-			src, dst, tag, se, re))
-	}
-	if p := int(t.pw(e, peNParts)); p > 0 && t.pw(e, peSendReg) != 0 {
-		cover := int(t.pw(int(t.pw(e, peBounds))+p*8, 0))
-		if cover != se {
-			t.persLockRelease()
-			panic(fmt.Sprintf("mpi: partitioned send (src %d dst %d tag %d) bounds cover %d elements but the buffer holds %d",
-				src, dst, tag, cover, se))
-		}
-	}
-}
-
 // ensureStaging grows the entry's double-buffered staging slots to hold at
-// least elems floats. Caller holds the table lock. Old slots are abandoned
-// to the bump heap (rebind-growth is rare; the heap is append-only anyway).
+// least elems floats. Only the entry's sender writes them. Old slots are
+// abandoned to the bump heap (rebind-growth is rare; the heap is
+// append-only anyway).
 func (t *shmemTransport) ensureStaging(e, elems int) {
 	if int(t.pw(e, peStageCap)) >= elems {
 		return
@@ -1137,107 +970,52 @@ func (t *shmemTransport) ensureStaging(e, elems int) {
 	t.setPW(e, peStageCap, uint64(elems))
 }
 
-// matchOrAppend finds the FIFO-first live entry for the triple where the
-// peer registered and this side has not, or appends a fresh entry. Returns
-// the entry offset with this side registered; table lock held throughout.
-func (t *shmemTransport) matchOrAppend(src, dst, tag int, psend bool, elems int) int {
-	myReg, peerReg := peSendReg, peRecvReg
-	if !psend {
-		myReg, peerReg = peRecvReg, peSendReg
+// sendInit appends the channel's entry: staging sized for buf and, for a
+// partitioned send, its bounds and readyCycle words.
+func (t *shmemTransport) sendInit(c *Comm, p *pend, buf []float64) persOp {
+	i := int(atomic.AddUint64(t.w64(offPersCount), 1)) - 1
+	if i >= shmMaxPers {
+		panic(fmt.Sprintf("mpi: shmem persistent endpoint table full (%d endpoints)", shmMaxPers))
 	}
-	cnt := int(atomic.LoadUint64(t.w64(offPersCount)))
-	e := -1
-	for i := 0; i < cnt; i++ {
-		ei := t.persEntry(i)
-		if t.pw(ei, peDead) == 0 && t.entryKeyEq(ei, src, dst, tag) &&
-			t.pw(ei, peerReg) != 0 && t.pw(ei, myReg) == 0 {
-			e = ei
-			break
+	e := t.persEntry(i)
+	t.ensureStaging(e, len(buf))
+	sp := &shmPers{t: t, e: e, rank: c.rank, buf: buf, parts: p.parts, bounds: p.bounds}
+	if p.parts > 0 {
+		sp.boundsOff = t.alloc(8 * (p.parts + 1))
+		for i, b := range p.bounds {
+			atomic.StoreUint64(t.w64(sp.boundsOff+8*i), uint64(b))
 		}
-	}
-	if e < 0 {
-		if cnt >= shmMaxPers {
-			t.persLockRelease()
-			panic(fmt.Sprintf("mpi: shmem persistent endpoint table full (%d endpoints)", shmMaxPers))
+		// readyCycle words, zero = never ready. The heap is not: quarantine
+		// rewinds the bump pointer without clearing it, so a respawned
+		// epoch's words would inherit the dead epoch's stamps and a receiver
+		// would take cycle 1 as already arrived.
+		sp.readyOff = t.alloc(8 * p.parts)
+		for i := 0; i < p.parts; i++ {
+			atomic.StoreUint64(t.w64(sp.readyOff+8*i), 0)
 		}
-		e = t.persEntry(cnt)
-		t.setPW(e, peSrc, uint64(int64(src)))
-		t.setPW(e, peDst, uint64(int64(dst)))
-		t.setPW(e, peTag, uint64(int64(tag)))
-		// Publish the count only after the key words are readable: lock-free
-		// scanners (the watchdog) load count first.
-		atomic.StoreUint64(t.w64(offPersCount), uint64(cnt+1))
+		t.setPW(e, peBounds, uint64(sp.boundsOff))
+		t.setPW(e, peReady, uint64(sp.readyOff))
+		sp.readyLoc = make([]bool, p.parts)
+		sp.copied = make([]bool, p.parts)
 	}
-	if psend {
-		t.setPW(e, peSendElems, uint64(elems))
-	} else {
-		t.setPW(e, peRecvElems, uint64(elems))
-	}
-	t.setPW(e, myReg, 1)
-	t.checkEntrySizes(e)
-	if t.pw(e, peSendReg) != 0 && t.pw(e, peRecvReg) != 0 {
-		t.ensureStaging(e, int(t.pw(e, peSendElems)))
-	}
-	return e
+	p.link = uint64(e)
+	return sp
 }
 
-func (t *shmemTransport) sendInit(c *Comm, dst, tag int, buf []float64) *Request {
-	t.persLockAcquire()
-	e := t.matchOrAppend(c.rank, dst, tag, true, len(buf))
-	t.persLockRelease()
-	p := &shmPers{t: t, e: e, rank: c.rank, buf: buf}
-	return &Request{comm: c, op: p, persistent: true, psend: true, peer: dst, tag: tag}
+func (t *shmemTransport) recvInit(c *Comm, p *pend, buf []float64) persOp {
+	return &shmPers{t: t, rank: c.rank, buf: buf}
 }
 
-func (t *shmemTransport) recvInit(c *Comm, src, tag int, buf []float64) *Request {
-	t.persLockAcquire()
-	e := t.matchOrAppend(src, c.rank, tag, false, len(buf))
-	t.persLockRelease()
-	p := &shmPers{t: t, e: e, rank: c.rank, buf: buf}
-	return &Request{comm: c, op: p, persistent: true, psend: false, peer: src, tag: tag}
-}
-
-func (p *shmPers) elems(r *Request) int { return len(p.buf) }
-
-func (p *shmPers) partition(r *Request, bounds []int) {
+// bind attaches a receive side to its sender's entry.
+func (p *shmPers) bind(r *Request, s *pend) {
 	t := p.t
-	np := len(bounds) - 1
 	p.mu.Lock()
-	p.bounds = append([]int(nil), bounds...)
-	p.readyLoc = make([]bool, np)
-	p.copied = make([]bool, np)
-	p.mu.Unlock()
-	t.persLockAcquire()
-	boff := t.alloc(8 * (np + 1))
-	for i, b := range bounds {
-		atomic.StoreUint64(t.w64(boff+8*i), uint64(b))
+	defer p.mu.Unlock()
+	p.e, p.parts = int(s.link), s.parts
+	if p.parts > 0 {
+		p.boundsOff, p.readyOff = int(t.pw(p.e, peBounds)), int(t.pw(p.e, peReady))
+		p.arrived = make([]bool, p.parts)
 	}
-	// readyCycle words, zero = never ready. The heap is not: quarantine
-	// rewinds the bump pointer without clearing it, so a respawned epoch's
-	// words would inherit the dead epoch's stamps and a receiver would take
-	// cycle 1 as already arrived.
-	roff := t.alloc(8 * np)
-	for i := 0; i < np; i++ {
-		atomic.StoreUint64(t.w64(roff+8*i), 0)
-	}
-	t.setPW(p.e, peBounds, uint64(boff))
-	t.setPW(p.e, peReady, uint64(roff))
-	// nparts last: the receive side reads the offsets only once it sees a
-	// nonzero partition count.
-	t.setPW(p.e, peNParts, uint64(np))
-	t.checkEntrySizes(p.e)
-	t.persLockRelease()
-}
-
-// recvParts loads the sender's partitioning from the entry (0 when the
-// matched sender is unpartitioned or not yet registered).
-func (p *shmPers) recvParts() (np int, bounds, ready int) {
-	t := p.t
-	np = int(t.pw(p.e, peNParts))
-	if np == 0 {
-		return 0, 0, 0
-	}
-	return np, int(t.pw(p.e, peBounds)), int(t.pw(p.e, peReady))
 }
 
 // stageWait blocks until staging slot cycle%2 is safe to overwrite: the
@@ -1260,28 +1038,11 @@ func (p *shmPers) stageWait(k uint64, lag uint64) {
 	}
 }
 
-// matchWait blocks until the peer side registers (plan skew across worker
-// processes); the watchdog reports the endpoint as psend/precv-unpaired if
-// it never does.
-func (p *shmPers) matchWait(peerReg int) {
-	t := p.t
-	var sp spinner
-	for t.pw(p.e, peerReg) == 0 {
-		if ae := t.checkAbort(); ae != nil {
-			panic(ae)
-		}
-		sp.spin()
-	}
-}
-
 // stageCycle copies the full send buffer into slot k%2 and publishes the
-// cycle (unpartitioned sends). Caller holds p.mu; the peer must be
-// registered and the slot reusable (stageWait).
+// cycle (unpartitioned sends). Caller holds p.mu; the slot is reusable
+// (stageWait).
 func (p *shmPers) stageCycle(k uint64) {
 	t, e := p.t, p.e
-	t.persLockAcquire()
-	t.ensureStaging(e, len(p.buf))
-	t.persLockRelease()
 	slot := int(k % 2)
 	stage := int(t.pw(e, peStage0+slot))
 	copy(t.floats(stage, len(p.buf)), p.buf)
@@ -1294,73 +1055,48 @@ func (p *shmPers) stageCycle(k uint64) {
 	t.setPW(e, peSeqW0+slot, p.seq)
 	t.setPW(e, peElems0+slot, uint64(len(p.buf)))
 	atomic.StoreUint64(t.w64(e+peSendSeq*8), k)
-	p.staged = true
 }
 
 func (p *shmPers) start(r *Request, seq uint64, flips []fault.ByteFlip) {
 	t := p.t
-	if r.psend {
-		p.mu.Lock()
-		if p.active {
-			p.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.active {
+		if r.psend {
 			panic("mpi: persistent send started twice without Wait")
 		}
-		p.active = true
-		p.cycle++
-		k := p.cycle
-		p.seq, p.flips = seq, flips
-		if r.comm.m != nil {
-			p.started = time.Now()
-		}
-		atomic.StoreUint64(t.w64(p.e+peSendStart*8), k)
-		if p.bounds != nil {
-			// Partitioned: nothing becomes visible at Start. Wait for the
-			// previous cycle to drain (single in flight), then expose this
-			// cycle's flight sequence so per-partition deliveries can be
-			// attributed before the cycle's metadata lands.
-			for i := range p.readyLoc {
-				p.readyLoc[i] = false
-				p.copied[i] = false
-			}
-			p.nready, p.ncopied = 0, 0
-			p.staged = false
-			p.stageWait(k, 1)
-			t.setPW(p.e, peSeqW0+int(k%2), seq)
-			p.mu.Unlock()
-			return
-		}
-		if t.pw(p.e, peRecvReg) != 0 {
-			p.stageWait(k, 2)
-			p.stageCycle(k)
-		} else {
-			// Unmatched: defer staging to Wait, where we block for the peer.
-			p.staged = false
-		}
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Lock()
-	if p.active {
-		p.mu.Unlock()
 		panic("mpi: persistent receive started twice without Wait")
 	}
 	p.active = true
 	p.cycle++
-	atomic.StoreUint64(t.w64(p.e+peRecvStart*8), p.cycle)
-	if np, _, _ := p.recvParts(); np > 0 {
-		if len(p.arrived) != np {
-			p.arrived = make([]bool, np)
-		}
-		for i := range p.arrived {
-			p.arrived[i] = false
-		}
+	k := p.cycle
+	p.started.Store(k)
+	if !r.psend {
+		clear(p.arrived)
 		p.narrived = 0
+		return
 	}
-	p.mu.Unlock()
+	p.seq, p.flips = seq, flips
+	if r.comm.m != nil {
+		p.at = time.Now()
+	}
+	if p.bounds == nil {
+		p.stageWait(k, 2)
+		p.stageCycle(k)
+		return
+	}
+	// Partitioned: nothing becomes visible at Start. Wait for the previous
+	// cycle to drain (single in flight), then expose this cycle's flight
+	// sequence so per-partition deliveries can be attributed before the
+	// cycle's metadata lands.
+	clear(p.readyLoc)
+	clear(p.copied)
+	p.nready, p.ncopied = 0, 0
+	p.stageWait(k, 1)
+	t.setPW(p.e, peSeqW0+int(k%2), seq)
 }
 
 func (p *shmPers) preadyRange(r *Request, lo, hi int) {
-	t := p.t
 	c := r.comm
 	p.mu.Lock()
 	if p.bounds == nil {
@@ -1371,10 +1107,9 @@ func (p *shmPers) preadyRange(r *Request, lo, hi int) {
 		p.mu.Unlock()
 		panic("mpi: Pready before Start")
 	}
-	np := len(p.bounds) - 1
-	if lo < 0 || hi > np || lo >= hi {
+	if lo < 0 || hi > p.parts || lo >= hi {
 		p.mu.Unlock()
-		panic(fmt.Sprintf("mpi: Pready range [%d,%d) out of bounds for %d partitions", lo, hi, np))
+		panic(fmt.Sprintf("mpi: Pready range [%d,%d) out of bounds for %d partitions", lo, hi, p.parts))
 	}
 	for i := lo; i < hi; i++ {
 		if p.readyLoc[i] {
@@ -1386,9 +1121,7 @@ func (p *shmPers) preadyRange(r *Request, lo, hi int) {
 		c.fl.Record(flight.KindPready, int32(r.peer), int32(r.tag), int32(i),
 			int64(8*(p.bounds[i+1]-p.bounds[i])), p.seq)
 	}
-	if t.pw(p.e, peRecvReg) != 0 {
-		p.flushReadyLocked()
-	}
+	p.flushReadyLocked()
 	p.mu.Unlock()
 	// Partitions advancing is progress: without this tick a long compute
 	// phase with an armed pipeline would read as a stall to the watchdog.
@@ -1399,18 +1132,13 @@ func (p *shmPers) preadyRange(r *Request, lo, hi int) {
 // into the cycle's staging slot and stamps its readyCycle word. The stamp
 // that completes the set is preceded by the cycle's metadata (elems, flip
 // list, CRC), so a receiver that has observed every stamp can trust the
-// metadata words. Caller holds p.mu; the receive side must be registered.
+// metadata words. Caller holds p.mu.
 func (p *shmPers) flushReadyLocked() {
 	t, e := p.t, p.e
 	k := p.cycle
-	np := len(p.bounds) - 1
-	t.persLockAcquire()
-	t.ensureStaging(e, len(p.buf))
-	t.persLockRelease()
 	slot := int(k % 2)
 	stage := int(t.pw(e, peStage0+slot))
-	ready := int(t.pw(e, peReady))
-	for i := 0; i < np; i++ {
+	for i := 0; i < p.parts; i++ {
 		if !p.readyLoc[i] || p.copied[i] {
 			continue
 		}
@@ -1418,7 +1146,7 @@ func (p *shmPers) flushReadyLocked() {
 		copy(t.floats(stage, len(p.buf))[lo:hi], p.buf[lo:hi])
 		p.copied[i] = true
 		p.ncopied++
-		if p.ncopied == np {
+		if p.ncopied == p.parts {
 			fo, fc := t.writeFlips(p.flips)
 			t.setPW(e, peFlipsOff0+slot, uint64(fo))
 			t.setPW(e, peFlipsCnt0+slot, uint64(fc))
@@ -1430,45 +1158,31 @@ func (p *shmPers) flushReadyLocked() {
 			}
 			t.setPW(e, peElems0+slot, uint64(len(p.buf)))
 		}
-		atomic.StoreUint64(t.w64(ready+8*i), k)
-	}
-	if p.ncopied == np {
-		p.staged = true
+		atomic.StoreUint64(t.w64(p.readyOff+8*i), k)
 	}
 }
 
 func (p *shmPers) parrived(r *Request, i int) bool {
-	t := p.t
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	np, bounds, ready := p.recvParts()
-	if np == 0 {
-		panic("mpi: Parrived with no partitioned sender matched")
+	if p.arrived[i] || !p.active {
+		return p.arrived[i]
 	}
-	if i < 0 || i >= np {
-		panic(fmt.Sprintf("mpi: Parrived partition %d out of range (%d partitions)", i, np))
-	}
-	if len(p.arrived) != np {
-		p.arrived = make([]bool, np)
-	}
-	if p.arrived[i] {
-		return true
-	}
-	if atomic.LoadUint64(t.w64(ready+8*i)) != p.cycle {
+	if atomic.LoadUint64(p.t.w64(p.readyOff+8*i)) != p.cycle {
 		return false
 	}
-	p.copyPartLocked(r, i, bounds)
+	p.copyPartLocked(r, i)
 	return true
 }
 
 // copyPartLocked moves one arrived partition span from staging into the
 // receive buffer. Caller holds p.mu and has checked the readyCycle stamp.
-func (p *shmPers) copyPartLocked(r *Request, i, bounds int) {
+func (p *shmPers) copyPartLocked(r *Request, i int) {
 	t, e := p.t, p.e
 	slot := int(p.cycle % 2)
 	stage := int(t.pw(e, peStage0+slot))
-	lo := int(t.pw(bounds+8*i, 0))
-	hi := int(t.pw(bounds+8*(i+1), 0))
+	lo := int(atomic.LoadUint64(t.w64(p.boundsOff + 8*i)))
+	hi := int(atomic.LoadUint64(t.w64(p.boundsOff + 8*(i+1))))
 	copy(p.buf[lo:hi], t.floats(stage+8*lo, hi-lo))
 	r.comm.fl.Record(flight.KindParrived, int32(r.peer), int32(r.tag), int32(i),
 		int64(8*(hi-lo)), t.pw(e, peSeqW0+slot))
@@ -1476,53 +1190,29 @@ func (p *shmPers) copyPartLocked(r *Request, i, bounds int) {
 	p.narrived++
 }
 
-func (p *shmPers) partitions(r *Request) int {
-	if r.psend {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.bounds == nil {
-			return 0
-		}
-		return len(p.bounds) - 1
-	}
-	np, _, _ := p.recvParts()
-	return np
-}
-
-// waitSend completes the send side of a cycle: ensure the payload is
-// staged and published. deadline is zero for an unbounded wait.
+// waitSend completes the send side of a cycle. An unpartitioned payload
+// was staged at Start; a partitioned one waits for every partition to be
+// marked ready (Pready arrives from other goroutines), each staged as it
+// was. deadline is zero for an unbounded wait.
 func (p *shmPers) waitSend(r *Request, deadline time.Time) error {
 	t := p.t
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.staged || !p.active {
+	if p.bounds == nil || !p.active {
 		return nil
 	}
-	if p.bounds != nil {
-		// Partitioned: every partition must be locally ready, and (if the
-		// peer was slow to register) staged+stamped.
-		var sp spinner
-		for p.nready < len(p.bounds)-1 {
-			if ae := t.checkAbort(); ae != nil {
-				panic(ae)
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				return &TimeoutError{Op: p.opName(r)}
-			}
-			// Pready arrives from other goroutines; let them in.
-			p.mu.Unlock()
-			sp.spin()
-			p.mu.Lock()
+	var sp spinner
+	for p.nready < p.parts {
+		if ae := t.checkAbort(); ae != nil {
+			panic(ae)
 		}
-		if !p.staged {
-			p.matchWait(peRecvReg)
-			p.flushReadyLocked()
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return &TimeoutError{Op: p.opName(r)}
 		}
-		return nil
+		p.mu.Unlock()
+		sp.spin()
+		p.mu.Lock()
 	}
-	p.matchWait(peRecvReg)
-	p.stageWait(p.cycle, 2)
-	p.stageCycle(p.cycle)
 	return nil
 }
 
@@ -1543,47 +1233,41 @@ func (p *shmPers) waitRecv(r *Request, deadline time.Time) (*CorruptionError, er
 	}
 	slot := int(k % 2)
 	var sp spinner
-	// The matched sender may still be registering (plan skew across worker
-	// processes), so its partition count cannot be read just once: a
-	// partitioned sender publishes it with PsendInit and from then on only
-	// stamps readyCycle words, never peSendSeq, while an unpartitioned one
-	// publishes only peSendSeq. Wait for whichever shows up first.
-	sendSeq := t.w64(e + peSendSeq*8)
-	np, bounds, ready := p.recvParts()
-	for np == 0 && atomic.LoadUint64(sendSeq) < k {
+	poll := func() error {
 		if ae := t.checkAbort(); ae != nil {
 			panic(ae)
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			return nil, &TimeoutError{Op: p.opName(r)}
+			return &TimeoutError{Op: p.opName(r)}
 		}
 		sp.spin()
-		np, bounds, ready = p.recvParts()
+		return nil
 	}
-	if np > 0 {
-		if len(p.arrived) != np {
-			p.arrived = make([]bool, np)
-		}
-		for i := 0; i < np; i++ {
+	if p.parts > 0 {
+		for i := 0; i < p.parts; i++ {
 			for !p.arrived[i] {
-				if atomic.LoadUint64(t.w64(ready+8*i)) == k {
-					p.copyPartLocked(r, i, bounds)
+				if atomic.LoadUint64(t.w64(p.readyOff+8*i)) == k {
+					p.copyPartLocked(r, i)
 					break
 				}
-				if ae := t.checkAbort(); ae != nil {
-					panic(ae)
+				if err := poll(); err != nil {
+					return nil, err
 				}
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					return nil, &TimeoutError{Op: p.opName(r)}
-				}
-				sp.spin()
 			}
 		}
 	} else {
+		for atomic.LoadUint64(t.w64(e+peSendSeq*8)) < k {
+			if err := poll(); err != nil {
+				return nil, err
+			}
+		}
 		n := int(t.pw(e, peElems0+slot))
-		stage := int(t.pw(e, peStage0+slot))
-		copy(p.buf[:n], t.floats(stage, n))
-		p.n = n
+		if n > len(p.buf) {
+			// A sender in another process rebound to a larger buffer.
+			panic(fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
+				r.peer, p.rank, r.tag, n, len(p.buf)))
+		}
+		copy(p.buf[:n], t.floats(int(t.pw(e, peStage0+slot)), n))
 	}
 	n := int(t.pw(e, peElems0+slot))
 	p.n = n
@@ -1592,11 +1276,7 @@ func (p *shmPers) waitRecv(r *Request, deadline time.Time) (*CorruptionError, er
 	}
 	var corrupt *CorruptionError
 	if t.w.verifyCRC && uint64(crcFloats(p.buf[:n])) != t.pw(e, peCrc0+slot) {
-		corrupt = &CorruptionError{
-			Src: int(int64(t.pw(e, peSrc))),
-			Dst: int(int64(t.pw(e, peDst))),
-			Tag: int(int64(t.pw(e, peTag))),
-		}
+		corrupt = &CorruptionError{Src: r.peer, Dst: p.rank, Tag: r.tag}
 	}
 	r.comm.fl.Deliver(int32(r.peer), int32(r.tag), -1, int64(8*n), t.pw(e, peSeqW0+slot))
 	atomic.StoreUint64(t.w64(e+peDoneSeq*8), k)
@@ -1618,20 +1298,17 @@ func (p *shmPers) block(r *Request) {
 
 func (p *shmPers) blockTimeout(r *Request, d time.Duration) error {
 	deadline := time.Now().Add(d)
+	var err error
+	var corrupt *CorruptionError
 	if r.psend {
-		if err := p.waitSend(r, deadline); err != nil {
-			if te, ok := err.(*TimeoutError); ok {
-				te.After = d
-			}
-			return err
-		}
-		return nil
+		err = p.waitSend(r, deadline)
+	} else {
+		corrupt, err = p.waitRecv(r, deadline)
 	}
-	corrupt, err := p.waitRecv(r, deadline)
+	if te, ok := err.(*TimeoutError); ok {
+		te.After = d
+	}
 	if err != nil {
-		if te, ok := err.(*TimeoutError); ok {
-			te.After = d
-		}
 		return err
 	}
 	if corrupt != nil {
@@ -1649,8 +1326,8 @@ func (p *shmPers) finish(r *Request) int {
 	defer p.mu.Unlock()
 	p.active = false
 	if r.psend {
-		if m := c.m; m != nil && !p.started.IsZero() {
-			m.sendSeconds.Observe(time.Since(p.started).Seconds())
+		if m := c.m; m != nil && !p.at.IsZero() {
+			m.sendSeconds.Observe(time.Since(p.at).Seconds())
 		}
 		return 0
 	}
@@ -1670,52 +1347,52 @@ func (p *shmPers) opName(r *Request) string {
 }
 
 func (p *shmPers) rebind(r *Request, buf []float64) {
-	t := p.t
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.active {
-		p.mu.Unlock()
 		if r.psend {
 			panic("mpi: Rebind on an active persistent send")
 		}
 		panic("mpi: Rebind on an active persistent receive")
 	}
 	p.buf = buf
-	p.mu.Unlock()
-	t.persLockAcquire()
 	if r.psend {
-		t.setPW(p.e, peSendElems, uint64(len(buf)))
-	} else {
-		t.setPW(p.e, peRecvElems, uint64(len(buf)))
+		p.t.ensureStaging(p.e, len(buf))
 	}
-	t.checkEntrySizes(p.e)
-	if t.pw(p.e, peSendReg) != 0 && t.pw(p.e, peRecvReg) != 0 {
-		t.ensureStaging(p.e, int(t.pw(p.e, peSendElems)))
-	}
-	t.persLockRelease()
 }
 
 func (p *shmPers) free(r *Request) {
-	t := p.t
 	p.mu.Lock()
-	if p.gone {
-		p.mu.Unlock()
-		return
-	}
-	p.gone = true
 	p.active = false
 	p.buf = nil
 	p.mu.Unlock()
-	t.persLockAcquire()
-	myFreed := peSendFreed
+}
+
+// pending reads only atomics: a wait may hold p.mu while it spins.
+func (p *shmPers) pending(r *Request) (PendingOp, bool) {
+	t := p.t
+	k := p.started.Load()
+	if k <= t.pw(p.e, peDoneSeq) {
+		return PendingOp{}, false
+	}
 	if !r.psend {
-		myFreed = peRecvFreed
+		return PendingOp{Kind: flight.PendPrecvActive}, true
 	}
-	t.setPW(p.e, myFreed, 1)
-	matched := t.pw(p.e, peSendReg) != 0 && t.pw(p.e, peRecvReg) != 0
-	if !matched || (t.pw(p.e, peSendFreed) != 0 && t.pw(p.e, peRecvFreed) != 0) {
-		// Unmatched-freed endpoints leave the table so a later plan can
-		// reuse the triple; matched channels die once both sides freed.
-		t.setPW(p.e, peDead, 1)
+	op := PendingOp{Kind: flight.PendPsendActive}
+	if p.parts > 0 {
+		op.Partitions = p.parts
+		for i := 0; i < p.parts; i++ {
+			if atomic.LoadUint64(t.w64(p.readyOff+8*i)) == k {
+				op.Ready++
+			} else {
+				op.Unready = append(op.Unready, i)
+			}
+		}
+		if op.Ready < p.parts {
+			op.Kind = flight.PendPsendPartial
+		} else {
+			op.Unready = nil
+		}
 	}
-	t.persLockRelease()
+	return op, true
 }

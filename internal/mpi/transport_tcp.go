@@ -38,7 +38,7 @@ import (
 //
 // Topology: one coordinator (the process that called NewWorldOn) runs a
 // small control server — rendezvous handshake, address lookup, abort
-// broadcast, persistent-endpoint pairing, recovery-round verdicts — and
+// broadcast, recovery-round verdicts — and
 // every rank runs a node holding the data path: a listener plus one framed
 // stream per peer it talks to, carrying one-shot (collectives included),
 // persistent, and partitioned traffic directly rank-to-rank. In-process
@@ -70,8 +70,6 @@ const (
 	tfVerdict  = 10 // coord → node: recovery verdict (resume/give-up, epoch, step)
 	tfHB       = 11 // worker → coord: control heartbeat + local progress
 	tfHBAck    = 12 // coord → worker: sum of the other ranks' progress
-	tfPReg     = 13 // node → coord: persistent endpoint registered
-	tfPaired   = 14 // coord → node: persistent endpoint pair complete
 
 	tfJoin   = 20 // data dial handshake: who I am, which epoch/incarnation
 	tfJoinOK = 21 // data accept: welcome
@@ -95,12 +93,6 @@ type ctlMsg struct {
 	Restore  int    `json:"restore"`
 	Msg      string `json:"msg"`
 	Resume   bool   `json:"resume"`
-	Src      int    `json:"src"`
-	Dst      int    `json:"dst"`
-	Tag      int    `json:"tag"`
-	Slot     int    `json:"slot"`
-	Parts    int    `json:"parts"`
-	Psend    bool   `json:"psend"`
 	Progress int64  `json:"progress"`
 }
 
@@ -195,7 +187,7 @@ func AttachTCPWorld(rank int) (*World, error) {
 	if err != nil || size <= 0 {
 		return nil, fmt.Errorf("mpi: attaching tcp world: bad size in %s=%q", EnvTCPWorld, spec)
 	}
-	w := &World{size: size, abortCh: make(chan struct{})}
+	w := &World{size: size, abortCh: make(chan struct{}), solo: true}
 	t := &tcpTransport{w: w, worldID: worldID, coordAddr: parts[0], nodes: map[int]*tcpNode{}}
 	w.tr = t
 	w.sprog = t
@@ -270,12 +262,12 @@ func (t *tcpTransport) irecv(c *Comm, src, tag int, buf []float64) *Request {
 	return t.node(c.rank).irecv(c, src, tag, buf)
 }
 
-func (t *tcpTransport) sendInit(c *Comm, dst, tag int, buf []float64) *Request {
-	return t.node(c.rank).sendInit(c, dst, tag, buf)
+func (t *tcpTransport) sendInit(c *Comm, p *pend, buf []float64) persOp {
+	return t.node(c.rank).sendInit(c, p, buf)
 }
 
-func (t *tcpTransport) recvInit(c *Comm, src, tag int, buf []float64) *Request {
-	return t.node(c.rank).recvInit(c, src, tag, buf)
+func (t *tcpTransport) recvInit(c *Comm, p *pend, buf []float64) persOp {
+	return t.node(c.rank).recvInit(c, buf)
 }
 
 func (t *tcpTransport) abortAll() {
@@ -309,14 +301,6 @@ func (t *tcpTransport) pendingOps() []PendingOp {
 		out = append(out, nd.pendingOps()...)
 	}
 	return out
-}
-
-func (t *tcpTransport) persistentPending() (unmatched, live int) {
-	for _, nd := range t.snapshotNodes() {
-		u, l := nd.persistentPending()
-		unmatched, live = unmatched+u, live+l
-	}
-	return
 }
 
 // reset wipes wire state for an in-process Respawn: bump the world epoch at
@@ -373,22 +357,9 @@ func (t *tcpTransport) progressShared() int64 {
 
 // ---- coordinator ----
 
-type pairKey struct {
-	epoch         uint64
-	src, dst, tag int
-	slot          int
-}
-
-type pairState struct {
-	sendCC, recvCC   *ctlConn
-	sendSet, recvSet bool
-	parts            int
-}
-
 // tcpCoord is the control server: one per world, living in the process
 // that built it. Every handler runs on the owning connection's serve
-// goroutine, so frames from one node are processed in order — the property
-// persistent-endpoint pairing relies on.
+// goroutine, so frames from one node are processed in order.
 type tcpCoord struct {
 	w       *World
 	worldID uint64
@@ -414,7 +385,6 @@ type tcpCoord struct {
 	abortRank int
 	abortMsg  string
 	parked    map[int]bool
-	pairs     map[pairKey]*pairState
 	progress  []int64
 }
 
@@ -433,7 +403,6 @@ func newTCPCoord(w *World, worldID uint64, size int) (*tcpCoord, error) {
 		waiters:  map[int][]*ctlConn{},
 		conns:    map[*ctlConn]bool{},
 		parked:   map[int]bool{},
-		pairs:    map[pairKey]*pairState{},
 		progress: make([]int64, size),
 	}
 	c.wg.Add(1)
@@ -546,39 +515,6 @@ func (c *tcpCoord) handle(cc *ctlConn, kind byte, m *ctlMsg) {
 		}
 		c.mu.Unlock()
 		cc.send(tfHBAck, &ctlMsg{Progress: others})
-	case tfPReg:
-		c.handlePReg(cc, m)
-	}
-}
-
-func (c *tcpCoord) handlePReg(cc *ctlConn, m *ctlMsg) {
-	key := pairKey{epoch: m.Epoch, src: m.Src, dst: m.Dst, tag: m.Tag, slot: m.Slot}
-	c.mu.Lock()
-	if m.Epoch != c.epoch {
-		c.mu.Unlock()
-		return
-	}
-	ps := c.pairs[key]
-	if ps == nil {
-		ps = &pairState{}
-		c.pairs[key] = ps
-	}
-	if m.Psend {
-		ps.sendCC, ps.sendSet = cc, true
-		ps.parts = m.Parts
-	} else {
-		ps.recvCC, ps.recvSet = cc, true
-	}
-	paired := ps.sendSet && ps.recvSet
-	sendCC, recvCC, parts := ps.sendCC, ps.recvCC, ps.parts
-	c.mu.Unlock()
-	if !paired {
-		return
-	}
-	note := &ctlMsg{Src: m.Src, Dst: m.Dst, Tag: m.Tag, Slot: m.Slot, Parts: parts, Epoch: m.Epoch}
-	sendCC.send(tfPaired, note)
-	if recvCC != sendCC {
-		recvCC.send(tfPaired, note)
 	}
 }
 
@@ -610,8 +546,8 @@ func (c *tcpCoord) publishedAbort() (rank int, msg string, ok bool) {
 
 // bumpEpoch starts a new epoch: dead ranks' incarnations bump and their
 // addresses are forgotten (lookups for them park until the respawned
-// process says HELLO), the abort/pairing state of the dead epoch is
-// discarded, and the restore step is pinned for the new one.
+// process says HELLO), the abort state of the dead epoch is discarded, and
+// the restore step is pinned for the new one.
 func (c *tcpCoord) bumpEpoch(dead []int, restoreStep int) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -624,7 +560,6 @@ func (c *tcpCoord) bumpEpoch(dead []int, restoreStep int) uint64 {
 	}
 	c.abortSet, c.abortRank, c.abortMsg = false, 0, ""
 	c.parked = map[int]bool{}
-	c.pairs = map[pairKey]*pairState{}
 	c.waiters = map[int][]*ctlConn{}
 	return c.epoch
 }

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -444,4 +446,26 @@ func TestTCPFrameLandsOnlyAfterStart(t *testing.T) {
 	if ae := w.Aborted(); ae != nil {
 		t.Fatalf("run aborted: %v", ae)
 	}
+}
+
+// FuzzDecodeDataFrame holds the data-frame codec to two properties:
+// decodeDataFrame never panics on any input, and every frame it accepts
+// re-encodes byte for byte.
+func FuzzDecodeDataFrame(f *testing.F) {
+	plain := tcpHdr{src: 1, dst: 2, tag: 7, epoch: 3, inc: 1, wireSeq: 9, fseq: 4}
+	f.Add(appendDataFrame(nil, &plain, []float64{1.5, -2, math.Inf(1)}, nil))
+	part := tcpHdr{src: 0, dst: 3, tag: 41, id: 1<<32 | 5, epoch: 1, wireSeq: 2, fseq: 7, cyc: 3,
+		offE: 16, partLo: 2, partHi: 3, nparts: 4}
+	f.Add(appendDataFrame(nil, &part, []float64{0.25, math.NaN()}, nil))
+	f.Add(appendDataFrame(nil, &part, []float64{1, 2, 3}, []fault.ByteFlip{{Off: 3, Mask: 0x80}, {Off: 17, Mask: 1}}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var h tcpHdr
+		data, flips, err := decodeDataFrame(b, &h, nil)
+		if err != nil {
+			return
+		}
+		if got := appendDataFrame(nil, &h, data, flips); !bytes.Equal(got, b) {
+			t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", got, b)
+		}
+	})
 }

@@ -36,6 +36,13 @@ func (e *TimeoutError) Unwrap() error { return ErrWaitTimeout }
 // error rather than raised as a panic, so single-goroutine drivers and
 // tests can observe it without a recover.
 func (r *Request) WaitTimeout(d time.Duration) (int, error) {
+	if p := r.pend; p != nil {
+		t0 := time.Now()
+		if err := p.await(r.comm, d); err != nil {
+			return 0, err
+		}
+		d = max(d-time.Since(t0), 0)
+	}
 	if err := r.op.blockTimeout(r, d); err != nil {
 		return 0, err
 	}

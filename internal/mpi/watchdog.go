@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"github.com/bricklab/brick/internal/flight"
 )
 
 // The watchdog turns a silent deadlock — a plan bug leaving one request
@@ -134,7 +136,7 @@ func (w *World) watchLoop(wd *watchdog) {
 // posted but not complete. Zero means the world is quiescent (computing)
 // and the watchdog stays silent regardless of elapsed time.
 func (w *World) pendingOps() int {
-	n := w.tr.pendingCount()
+	n := w.tr.pendingCount() + len(w.pairs.pendingOps(w))
 	if rs := w.recov; rs != nil {
 		n += len(rs.parkedRanks())
 	}
@@ -144,7 +146,7 @@ func (w *World) pendingOps() int {
 // PendingOp is one stalled operation in a StallReport. Src/Dst/Tag are -1
 // for wildcard receives (AnySource/AnyTag).
 type PendingOp struct {
-	// Kind classifies the operation:
+	// Kind classifies the operation (the flight.Pend* constants):
 	//
 	//	recv-posted     a posted Irecv no send has matched
 	//	send-unmatched  an Isend sitting in the destination inbox with no
@@ -192,7 +194,9 @@ type StallReport struct {
 	Gather   int `json:"gather"`
 	Recovery int `json:"recovery"`
 	// Pending lists every stalled operation, sorted by (kind, src, dst, tag).
-	// Collective messages are not listed; the counts above stand for them.
+	// Messages on reserved tags are not listed: the collective counts
+	// above stand for collective traffic, and pairing descriptors are
+	// bookkeeping of the unpaired endpoints listed here.
 	Pending []PendingOp `json:"pending"`
 	// FlightRank and FlightTail carry the tail of the stalling rank's
 	// flight ring when a recorder was attached (SetFlight): the rank is
@@ -215,10 +219,11 @@ const flightTailLen = 16
 func (w *World) StallReport() *StallReport {
 	rep := &StallReport{Size: w.size, Transport: w.tr.name()}
 	for _, op := range w.tr.pendingOps() {
-		if op.Tag != collTag {
+		if op.Tag >= AnyTag {
 			rep.Pending = append(rep.Pending, op)
 		}
 	}
+	rep.Pending = append(rep.Pending, w.pairs.pendingOps(w)...)
 	rep.Barrier = int(w.inColl[collBarrier].Load())
 	rep.Reduce = int(w.inColl[collReduce].Load())
 	rep.Gather = int(w.inColl[collGather].Load())
@@ -227,7 +232,7 @@ func (w *World) StallReport() *StallReport {
 		rep.Recovery = len(parked)
 		for _, r := range parked {
 			rep.Pending = append(rep.Pending, PendingOp{
-				Kind: "recovery-parked", Src: r, Dst: -1, Tag: -1,
+				Kind: flight.PendRecoveryParked, Src: r, Dst: -1, Tag: -1,
 			})
 		}
 	}
@@ -288,7 +293,7 @@ func (r *StallReport) String() string {
 		if op.Persistent {
 			b.WriteString(" persistent")
 		}
-		if op.Kind == "psend-partial" {
+		if op.Kind == flight.PendPsendPartial {
 			fmt.Fprintf(&b, " parts=%d/%d unready=%v", op.Ready, op.Partitions, op.Unready)
 		}
 		b.WriteByte('\n')

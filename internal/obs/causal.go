@@ -63,7 +63,7 @@ func CausalChains(s *flight.Snapshot) []CausalChain {
 // (peer or tag -1 in the ring) match any pending src/tag.
 func terminalEvent(rings map[int][]flight.Event, p flight.PendingRef) (rank, idx int, ok bool) {
 	switch p.Kind {
-	case "recv-posted", "precv-active", "recv-unpaired":
+	case flight.PendRecvPosted, flight.PendPrecvActive, flight.PendPrecvUnpaired:
 		evs := rings[p.Dst]
 		for i := len(evs) - 1; i >= 0; i-- {
 			e := evs[i]
@@ -73,7 +73,7 @@ func terminalEvent(rings map[int][]flight.Event, p flight.PendingRef) (rank, idx
 				return p.Dst, i, true
 			}
 		}
-	case "send-unmatched", "psend-active", "psend-partial", "send-unpaired":
+	case flight.PendSendUnmatched, flight.PendPsendActive, flight.PendPsendPartial, flight.PendPsendUnpaired:
 		evs := rings[p.Src]
 		for i := len(evs) - 1; i >= 0; i-- {
 			e := evs[i]
@@ -154,7 +154,7 @@ func blameEdge(rings map[int][]flight.Event, p flight.PendingRef) string {
 		}
 	}
 	switch p.Kind {
-	case "recv-posted", "precv-active":
+	case flight.PendRecvPosted, flight.PendPrecvActive, flight.PendPrecvUnpaired:
 		var lastSend *flight.Event
 		for _, e := range rings[p.Src] {
 			if e.Kind == flight.KindSendPost && e.Peer == int32(p.Dst) && e.Tag == int32(p.Tag) {
@@ -174,7 +174,7 @@ func blameEdge(rings map[int][]flight.Event, p flight.PendingRef) string {
 		}
 		return fmt.Sprintf("rank %d posted send tag=%d seq=%d to rank %d but it was never delivered",
 			p.Src, p.Tag, lastSend.Seq, p.Dst)
-	case "send-unmatched", "psend-active", "psend-partial":
+	case flight.PendSendUnmatched, flight.PendPsendActive, flight.PendPsendPartial, flight.PendPsendUnpaired:
 		for _, e := range rings[p.Dst] {
 			if e.Kind == flight.KindRecvPost &&
 				(e.Peer == int32(p.Src) || e.Peer < 0) &&

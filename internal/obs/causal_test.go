@@ -131,6 +131,53 @@ func TestCausalChainCrossRankHop(t *testing.T) {
 	}
 }
 
+// TestCausalChainUnpairedPersistent: a plan whose two sides disagree on
+// the tag leaves a SendInit and a RecvInit unpaired, each Started. Both
+// pending ops get their Start as the terminal event and a blame naming
+// the side that never registered its half.
+func TestCausalChainUnpairedPersistent(t *testing.T) {
+	s := &flight.Snapshot{
+		Pending: []flight.PendingRef{
+			{Kind: flight.PendPrecvUnpaired, Src: 0, Dst: 1, Tag: 8},
+			{Kind: flight.PendPsendUnpaired, Src: 0, Dst: 1, Tag: 7},
+		},
+		Ranks: []flight.RankLog{
+			{Rank: 0, Events: []flight.Event{
+				{Nanos: 100, Kind: flight.KindSendPost, Peer: 1, Tag: 7, Part: -1, Seq: 1, Bytes: 32},
+				{Nanos: 150, Kind: flight.KindWaitStart, Peer: 1, Tag: 7, Part: -1},
+			}},
+			{Rank: 1, Events: []flight.Event{
+				{Nanos: 120, Kind: flight.KindRecvPost, Peer: 0, Tag: 8, Part: -1, Bytes: 32},
+				{Nanos: 160, Kind: flight.KindWaitStart, Peer: 0, Tag: 8, Part: -1},
+			}},
+		},
+	}
+	chains := CausalChains(s)
+	if len(chains) != 2 {
+		t.Fatalf("%d chains, want 2", len(chains))
+	}
+	want := []struct {
+		rank  int
+		kind  flight.Kind
+		blame string
+	}{
+		{1, flight.KindRecvPost, "rank 0 never posted a send tag=8 to rank 1"},
+		{0, flight.KindSendPost, "rank 1 never posted a matching receive for tag=7 from rank 0"},
+	}
+	for i, ch := range chains {
+		if len(ch.Links) == 0 {
+			t.Fatalf("%s chain has no terminal event", ch.Pending.Kind)
+		}
+		last := ch.Links[len(ch.Links)-1]
+		if last.Rank != want[i].rank || last.Event.Kind != want[i].kind {
+			t.Errorf("%s terminal link = %+v, want rank %d kind %v", ch.Pending.Kind, last, want[i].rank, want[i].kind)
+		}
+		if ch.Blame != want[i].blame {
+			t.Errorf("%s blame = %q, want %q", ch.Pending.Kind, ch.Blame, want[i].blame)
+		}
+	}
+}
+
 // TestWriteFlightReportGolden freezes the flightreport text format.
 // Regenerate with: go test ./internal/obs/ -run Golden -update
 func TestWriteFlightReportGolden(t *testing.T) {
