@@ -172,7 +172,7 @@ benchmark-smoke:
 
 # bench-allocs fails if the persistent per-step hot path regresses above
 # zero heap allocations (Layout + MemMap Start/Complete — partitioned and
-# not — the raw persistent-request Start/Wait cycle on chan and tcp, and a
+# not — the raw persistent-request Start/Wait cycle on chan, shmem and tcp, and a
 # whole pipelined brick step of the harness), if the flight recorder's
 # record path (enabled or disabled) starts allocating, or if a serial
 # stencil Apply (bricks or arrays, 7pt or 125pt) allocates at all.

@@ -20,15 +20,18 @@ const recSize = 3*8 + 4*4 + 1
 
 // Pending-operation kinds: the StallReport's classification of an
 // operation still pending at a stall. internal/mpi emits them and
-// internal/obs walks them, so both sides use these names.
+// internal/obs walks them, so both sides use these names. A started
+// persistent endpoint is listed exactly while its own Wait would block:
+// until every span of its cycle has landed (receive) or been sent (send:
+// delivered on chan, staged on shmem, written on tcp).
 const (
 	PendRecvPosted     = "recv-posted"     // a posted Irecv no send has matched
 	PendSendUnmatched  = "send-unmatched"  // an Isend no posted receive has matched
 	PendPsendUnpaired  = "psend-unpaired"  // a SendInit no RecvInit has matched
 	PendPrecvUnpaired  = "precv-unpaired"  // a RecvInit no SendInit has matched
-	PendPsendActive    = "psend-active"    // a started persistent send not yet delivered
-	PendPsendPartial   = "psend-partial"   // a started partitioned send with unready partitions
-	PendPrecvActive    = "precv-active"    // a started persistent receive not yet delivered
+	PendPsendActive    = "psend-active"    // a started persistent send whose Wait would block
+	PendPsendPartial   = "psend-partial"   // a psend-active partitioned send with unready partitions
+	PendPrecvActive    = "precv-active"    // a started persistent receive whose Wait would block
 	PendRecoveryParked = "recovery-parked" // a rank parked at the recovery barrier
 )
 

@@ -65,3 +65,34 @@ func TestWorldMetricsDisabled(t *testing.T) {
 	w2.SetMetrics(nil)
 	w2.Run(func(c *Comm) {})
 }
+
+// TestPersistentSendSeconds checks every persistent send cycle, plain and
+// partitioned, records one mpi_send_seconds sample on every backend.
+func TestPersistentSendSeconds(t *testing.T) {
+	forEachTransport(t, 2, func(t *testing.T, w *World) {
+		reg := metrics.NewRegistry()
+		w.SetMetrics(reg)
+		const cycles = 3
+		w.Run(func(c *Comm) {
+			peer := 1 - c.Rank()
+			send := c.SendInit(peer, 1, make([]float64, 8))
+			recv := c.RecvInit(peer, 1, make([]float64, 8))
+			psend := c.PsendInit(peer, 2, make([]float64, 8), []int{0, 3, 8})
+			precv := c.PrecvInit(peer, 2, make([]float64, 8))
+			reqs := []*Request{recv, precv, send, psend}
+			for i := 0; i < cycles; i++ {
+				Startall(reqs)
+				psend.PreadyAll()
+				Waitall(reqs)
+			}
+		})
+		snap := reg.Snapshot()
+		for rank := 0; rank < 2; rank++ {
+			lb := map[string]string{"rank": []string{"0", "1"}[rank]}
+			lat := snap.FindHistograms(metrics.MPISendSeconds, lb)
+			if len(lat) != 1 || lat[0].Count != 2*cycles {
+				t.Errorf("rank %d send latency histogram: %+v, want %d samples", rank, lat, 2*cycles)
+			}
+		}
+	})
+}

@@ -279,13 +279,13 @@ func (c *Comm) TrafficSnapshot() Traffic {
 // to the inactive state and may be Started again.
 //
 // The request is transport-agnostic: the protocol — how completion is
-// signalled, where the payload moves — lives in op (a backend-provided
-// reqOp/persOp), while the request carries the generic identity
-// (owner, endpoints) and stamps flight/metrics events around the
-// protocol calls.
+// signalled, where the payload moves — lives in op (a backend's reqOp for
+// one-shot requests, the cycle of cycle.go for persistent ones), while the
+// request carries the generic identity (owner, endpoints) and stamps
+// flight/metrics events around the protocol calls.
 type Request struct {
 	comm *Comm // owner, for accounting and abort checks
-	op   reqOp // backend protocol; implements persOp for persistent requests
+	op   reqOp // the protocol: a backend's one-shot op, or a persistent *cycle
 
 	pend  *pend // the persistent endpoint, nil for one-shot requests
 	psend bool  // persistent direction: true = send endpoint

@@ -345,9 +345,10 @@ func FuzzCollectiveOracle(f *testing.F) {
 // several cycles: buffers are refilled and sometimes rebound, every rank
 // starts its endpoints, a collective may run before any Wait, partitions
 // are marked ready in a random order, and requests are waited in a random
-// order. Every receive buffer is observed after each cycle, each receive
-// side's Partitions once every registration is done, and rank 0 checks that
-// nothing persistent is left after every endpoint is freed.
+// order. Every receive buffer is observed after each cycle, with Parrived
+// of each partition of a partitioned receive (true until the next Start),
+// each receive side's Partitions once every registration is done, and rank
+// 0 checks that nothing persistent is left after every endpoint is freed.
 
 // Persistent program step kinds.
 const (
@@ -565,8 +566,9 @@ func genPersProgram(seed int64, size int) *persProgram {
 
 // model returns every rank's observations: the partition count of each
 // local receive side, then per cycle the collective's result and each
-// active local receive's buffer and count (in channel order), and on rank 0
-// the leak counters after the final free.
+// active local receive's buffer, count and, when partitioned, Parrived of
+// every partition (in channel order), and on rank 0 the leak counters after
+// the final free.
 func (p *persProgram) model() [][][]float64 {
 	obs := make([][][]float64, p.size)
 	bufs := make([][]float64, len(p.chans))
@@ -600,6 +602,13 @@ func (p *persProgram) model() [][][]float64 {
 			if ch.active[c] {
 				copy(bufs[i], ch.data[c])
 				obs[ch.dst] = append(obs[ch.dst], append([]float64(nil), bufs[i]...), []float64{float64(ch.n)})
+				if parts := len(ch.bounds) - 1; parts > 0 {
+					arrived := make([]float64, parts)
+					for j := range arrived {
+						arrived[j] = 1
+					}
+					obs[ch.dst] = append(obs[ch.dst], arrived)
+				}
 			}
 		}
 	}
@@ -691,6 +700,15 @@ func (p *persProgram) exec(c *Comm) [][]float64 {
 			for i, ch := range p.chans {
 				if e := (persEnd{i, false}); ch.dst == me && ch.active[st.cycle] {
 					obs = append(obs, append([]float64(nil), bufs[e]...), []float64{float64(counts[e])})
+					if parts := len(ch.bounds) - 1; parts > 0 {
+						arrived := make([]float64, parts)
+						for j := range arrived {
+							if reqs[e].Parrived(j) {
+								arrived[j] = 1
+							}
+						}
+						obs = append(obs, arrived)
+					}
 				}
 			}
 		case psFree:

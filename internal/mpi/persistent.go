@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/bricklab/brick/internal/fault"
 	"github.com/bricklab/brick/internal/flight"
 )
 
@@ -37,8 +36,8 @@ import (
 // fits the receive buffer and the bounds cover it, hands the receive side
 // its sender's id and partition count, withdraws freed endpoints, and keeps
 // the unpaired PendingOps and PersistentPending. A backend only binds its
-// data path: sendInit and recvInit build each side, persOp.bind attaches a
-// receive side to the id of the sender it matched.
+// data path: newLink builds each side's link, link.bind attaches a receive
+// side to the id of the sender it matched.
 //
 // Progress rule. Ranks hosted by this process (all of them under World.Run,
 // the one rank of a worker attached with AttachShmemWorld or AttachTCPWorld)
@@ -54,6 +53,29 @@ import (
 // has matched, so the sender needs no word back. A withdrawal reaches the
 // receiver before anything its sender sends that receiver afterwards;
 // across processes, ordering through a third rank does not order it.
+//
+// Cycle rule, the same on every backend (cycle.go). Each endpoint runs its
+// own numbered cycles: Start opens cycle k, and the k-th send cycle of a
+// channel fills the k-th receive cycle. An unpartitioned send puts its
+// whole payload at Start; a partitioned one puts nothing until Pready puts
+// each partition. A receive cycle is complete once every span has landed
+// in its buffer, a send cycle once every span is sent; Wait blocks until
+// then, Parrived reports a partition from its arrival until the next Start,
+// and a span of a cycle not yet started waits for its Start. The cycle owns
+// the states and their misuse panics, the ready and arrived marks, the
+// flight records, the landing of a span (copy, injected flips, CRC verdict,
+// overflow check), completion, Wait, the counters and the stall listing:
+// an endpoint is listed while its own Wait would block.
+//
+// A link (one per endpoint, built by the backend's newLink) only moves
+// bytes: it sends the spans the cycle puts and reports each sent, lands the
+// spans that arrive through the cycle, polls for arrivals where nothing
+// pushes them (shmem), and binds a receive side at its match. "Sent" is the
+// backend's: delivered into the receive buffer on chan, staged in the
+// segment on shmem, written to the stream on tcp — so a send's Wait returns
+// at delivery on chan and at once on the eager backends. A link never
+// changes a cycle's state but through land and sent, never copies into a
+// receive buffer itself, and reads a cycle's fields only under its lock.
 
 // endpointKey identifies the (src, dst, tag) key of a persistent channel.
 type endpointKey struct {
@@ -203,14 +225,13 @@ func (pr *pairing) register(c *Comm, p *pend, buf []float64) {
 		}
 		pr.seq++
 		p.id = inc<<48 | uint64(c.rank)<<32 | pr.seq&(1<<32-1)
-		p.r = &Request{comm: c, op: w.tr.sendInit(c, p, buf), pend: p, psend: true, peer: p.key.dst, tag: p.key.tag}
 	} else {
 		if q != nil {
 			checkPair(q, p)
 		}
 		p.done = make(chan struct{})
-		p.r = &Request{comm: c, op: w.tr.recvInit(c, p, buf), pend: p, peer: p.key.src, tag: p.key.tag}
 	}
+	p.r = newCycle(c, p, buf).r
 	pr.eps = append(pr.eps, p)
 	switch {
 	case q != nil:
@@ -231,7 +252,11 @@ func (pr *pairing) match(s, q *pend) {
 	q.id, q.parts = s.id, s.parts
 	s.peer, q.peer = q, s
 	s.matched, q.matched = true, true
-	q.r.op.(persOp).bind(q.r, s)
+	e := q.cycle()
+	e.mu.Lock()
+	e.parts, e.marks = s.parts, make([]uint64, s.parts)
+	e.mu.Unlock()
+	e.link.bind(e, s)
 	close(q.done)
 }
 
@@ -389,7 +414,7 @@ func (pr *pairing) pendingOps(w *World) []PendingOp {
 		if w.unpaired(p) {
 			continue // listed from its queue
 		}
-		if op, ok := p.r.op.(persOp).pending(p.r); ok {
+		if op, ok := p.cycle().pending(); ok {
 			op.Src, op.Dst, op.Tag, op.Bytes, op.Persistent = p.key.src, p.key.dst, p.key.tag, int64(8*p.elems), true
 			ops = append(ops, op)
 		}
@@ -545,89 +570,6 @@ func (c *Comm) PrecvInit(src, tag int, buf []float64) *Request {
 	return c.RecvInit(src, tag, buf)
 }
 
-// Start activates a persistent request for one transfer. The request must
-// be inactive: starting again before Wait panics (as in MPI). Data becomes
-// visible in the receive buffer only after the receiver's Wait returns.
-func (r *Request) Start() {
-	op, ok := r.op.(persOp)
-	if !ok {
-		panic("mpi: Start on a non-persistent request")
-	}
-	c := r.comm
-	n := r.pend.elems
-	if r.psend {
-		r.pend.started = true
-		if f := c.world.fault; f != nil {
-			if d := f.SendDelay(c.rank); d > 0 {
-				time.Sleep(d)
-			}
-			f.ProcessFault(c.rank)
-		}
-		c.sentMsgs.Add(1)
-		c.sentBytes.Add(int64(8 * n))
-		if m := c.m; m != nil {
-			m.sendBytes.Observe(float64(8 * n))
-		}
-		seq := c.fl.Send(int32(r.peer), int32(r.tag), -1, int64(8*n))
-		var flips []fault.ByteFlip
-		if f := c.world.fault; f != nil {
-			flips = f.CorruptSend(c.rank, n)
-		}
-		op.start(r, seq, flips)
-		return
-	}
-	c.fl.RecvPost(int32(r.peer), int32(r.tag), int64(8*n))
-	op.start(r, 0, nil)
-}
-
-// Pready declares partition i of an active partitioned send ready for
-// transfer (MPI_Pready): its payload may move to the receiver immediately —
-// while sibling partitions are still being computed — and the sender must
-// not touch the partition's span again until Wait returns. Panics on a
-// non-partitioned request, before Start, or if the partition was already
-// marked ready this cycle. Safe to call concurrently from different
-// goroutines (worker tiles) on different partitions.
-func (r *Request) Pready(i int) { r.PreadyRange(i, i+1) }
-
-// PreadyRange marks partitions [lo, hi) ready (MPI_Pready_range).
-func (r *Request) PreadyRange(lo, hi int) {
-	op, ok := r.op.(persOp)
-	if !ok || !r.psend {
-		panic("mpi: Pready on a non-persistent or receive request")
-	}
-	op.preadyRange(r, lo, hi)
-}
-
-// PreadyAll marks every partition of the active cycle ready at once — the
-// prologue form for data that is already fully computed.
-func (r *Request) PreadyAll() {
-	if r.psend && r.pend.parts > 0 {
-		r.PreadyRange(0, r.pend.parts)
-		return
-	}
-	panic("mpi: PreadyAll on a non-partitioned request")
-}
-
-// Parrived reports whether partition i of the current receive cycle has
-// been delivered (MPI_Parrived). Once the endpoint has matched it is a
-// non-blocking poll: callers may consume the partition's span of the
-// receive buffer as soon as it returns true, but the request still
-// requires Wait to finish the cycle. Panics on a send request or when the
-// matched sender is unpartitioned.
-func (r *Request) Parrived(i int) bool {
-	op, ok := r.op.(persOp)
-	if !ok || r.psend {
-		panic("mpi: Parrived on a non-persistent or send request")
-	}
-	switch parts := r.Partitions(); {
-	case parts == 0:
-		panic("mpi: Parrived with no partitioned sender matched")
-	case i < 0 || i >= parts:
-		panic(fmt.Sprintf("mpi: Parrived partition %d out of range (%d partitions)", i, parts))
-	}
-	return op.parrived(r, i)
-}
-
 // Partitions returns the partition count of the channel (0 for an
 // unpartitioned or one-shot request). A receive side learns it from the
 // sender it matched, so it blocks until the match completes.
@@ -640,32 +582,6 @@ func (r *Request) Partitions() int {
 		panic(err)
 	}
 	return p.parts
-}
-
-// Startall starts every request in the slice (MPI_Startall). Nil entries
-// are skipped.
-func Startall(reqs []*Request) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Start()
-		}
-	}
-}
-
-// Rebind swaps the buffer behind an inactive persistent request, keeping
-// the matched channel and its (src, dst, tag) identity. The peer is
-// unaffected — the wire format is the flat []float64 payload either way —
-// which is what lets a degraded exchanger substitute a copy-window buffer
-// for a mapped view mid-run without renegotiating the plan. Panics on a
-// non-persistent request, on an active (Started, un-Waited) request, or if
-// the new buffer fails the size checks against the matched peer.
-func (r *Request) Rebind(buf []float64) {
-	op, ok := r.op.(persOp)
-	if !ok {
-		panic("mpi: Rebind on a non-persistent request")
-	}
-	op.rebind(r, buf)
-	r.comm.world.pairs.rebind(r.pend, len(buf))
 }
 
 // Free tears down a persistent endpoint. An endpoint no peer has matched is
@@ -686,7 +602,7 @@ func (r *Request) Rebind(buf []float64) {
 // delivery, blocks in Wait, and leaves through the abort channel. Calling
 // Free twice on the same request is a no-op.
 func (r *Request) Free() {
-	op, ok := r.op.(persOp)
+	e, ok := r.op.(*cycle)
 	if !ok {
 		return
 	}
@@ -700,7 +616,7 @@ func (r *Request) Free() {
 	if !first {
 		return
 	}
-	op.free(r)
+	e.free()
 	if withdraw && live {
 		sendDesc(c, r.pend.key.dst, descWithdraw, r.pend)
 	}

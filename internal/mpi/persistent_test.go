@@ -104,12 +104,13 @@ func TestPersistentSelfPair(t *testing.T) {
 }
 
 // TestPersistentZeroAllocSteps asserts the steady-state Start/Wait cycle
-// performs zero heap allocations, plain and partitioned, on chan and on
-// tcp. A self-pair runs the full protocol from one rank: on chan
-// single-threaded, on tcp through the loopback stream and the node's
-// reader goroutine, whose decode and delivery count too.
+// performs zero heap allocations, plain and partitioned, on every backend.
+// A self-pair runs the full protocol from one rank: on chan
+// single-threaded, on shmem through the segment's staging slots, on tcp
+// through the loopback stream and the node's reader goroutine, whose
+// decode and delivery count too.
 func TestPersistentZeroAllocSteps(t *testing.T) {
-	for _, tr := range []string{"chan", "tcp"} {
+	for _, tr := range []string{"chan", "shmem", "tcp"} {
 		w, err := NewWorldOn(tr, 1)
 		if err != nil {
 			t.Fatalf("NewWorldOn(%s): %v", tr, err)
@@ -286,6 +287,61 @@ func TestPersistentWaitTimeoutUnmatched(t *testing.T) {
 				if _, err := r.WaitTimeout(d); !errors.Is(err, ErrWaitTimeout) {
 					t.Errorf("WaitTimeout(%v) on an unmatched receive = %v, want a timeout", d, err)
 				}
+			}
+		})
+	})
+}
+
+// TestPersistentStallListing pins the stall-listing rule on every backend:
+// a started persistent endpoint is listed exactly while its own Wait would
+// block. After PreadyAll with its receiver not started, a chan send still
+// waits for delivery and is listed; an eager backend's send is complete
+// and is not. A started receive whose sender has not started is listed and
+// blocks everywhere, and nothing is listed once every cycle completed.
+func TestPersistentStallListing(t *testing.T) {
+	forEachTransport(t, 1, func(t *testing.T, w *World) {
+		w.Run(func(c *Comm) {
+			listed := func(kind string, tag int) bool {
+				for _, op := range w.pairs.pendingOps(w) {
+					if op.Kind == kind && op.Tag == tag {
+						return true
+					}
+				}
+				return false
+			}
+			blocks := func(r *Request) bool {
+				_, err := r.WaitTimeout(20 * time.Millisecond)
+				if err != nil && !errors.Is(err, ErrWaitTimeout) {
+					t.Fatalf("WaitTimeout: %v", err)
+				}
+				return err != nil
+			}
+			psend := c.PsendInit(0, 1, make([]float64, 6), []int{0, 2, 6})
+			precv := c.PrecvInit(0, 1, make([]float64, 6))
+			psend.Start()
+			psend.Pready(1)
+			if l, b := listed("psend-partial", 1), blocks(psend); !l || !b {
+				t.Errorf("send with a partition unready: listed %v, Wait blocks %v; want both", l, b)
+			}
+			psend.Pready(0)
+			if l, b := listed("psend-active", 1), blocks(psend); l != b {
+				t.Errorf("send after every Pready, receiver not started: listed %v, Wait blocks %v", l, b)
+			}
+			precv.Start()
+			psend.Wait()
+			precv.Wait()
+
+			recv := c.RecvInit(0, 2, make([]float64, 4))
+			send := c.SendInit(0, 2, make([]float64, 4))
+			recv.Start()
+			if l, b := listed("precv-active", 2), blocks(recv); !l || !b {
+				t.Errorf("receive with its sender not started: listed %v, Wait blocks %v; want both", l, b)
+			}
+			send.Start()
+			send.Wait()
+			recv.Wait()
+			if ops := w.pairs.pendingOps(w); len(ops) != 0 {
+				t.Errorf("listed after every cycle completed: %+v", ops)
 			}
 		})
 	})

@@ -186,7 +186,7 @@ type tcpNode struct {
 	peerInc   map[int]uint64 // per-src incarnation high-water, survives epochs
 	outs      map[int]*tcpOut
 	lookups   map[int][]chan string
-	persRecv  map[uint64]*tcpPers // bound receive sides by channel id
+	persRecv  map[uint64]*tcpLink // bound receive sides by channel id
 	early     map[uint64][]*earlyPersFrame
 	accepted  map[*tcpAccepted]struct{}
 }
@@ -221,7 +221,7 @@ func newTCPNode(t *tcpTransport, rank int) (*tcpNode, error) {
 		peerInc:      map[int]uint64{},
 		outs:         map[int]*tcpOut{},
 		lookups:      map[int][]chan string{},
-		persRecv:     map[uint64]*tcpPers{},
+		persRecv:     map[uint64]*tcpLink{},
 		early:        map[uint64][]*earlyPersFrame{},
 		accepted:     map[*tcpAccepted]struct{}{},
 	}
@@ -447,7 +447,7 @@ func (n *tcpNode) deliverLocked(m *tcpMsg, r *tcpRecv) {
 		return
 	}
 	copy(r.buf[:nel], m.data)
-	applyFlips(r.buf[:nel], m.flips)
+	applyFlips(r.buf, 0, nel, m.flips)
 	if n.w.verifyCRC && crcFloats(m.data) != crcFloats(r.buf[:nel]) {
 		r.corrupted = &CorruptionError{Src: m.src, Dst: r.c.rank, Tag: m.tag}
 	}
@@ -908,7 +908,7 @@ func (n *tcpNode) resetForEpoch(ep uint64) {
 	n.unmatched = nil
 	n.lastSeq = map[int]uint64{}
 	n.lookups = map[int][]chan string{}
-	n.persRecv = map[uint64]*tcpPers{}
+	n.persRecv = map[uint64]*tcpLink{}
 	n.early = map[uint64][]*earlyPersFrame{}
 	n.mu.Unlock()
 	for _, c := range conns {

@@ -14,6 +14,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"time"
 )
 
@@ -36,6 +37,9 @@ const (
 	// MaxPayload bounds a frame's payload so a corrupted length word cannot
 	// make a reader attempt a multi-gigabyte allocation.
 	MaxPayload = 1 << 30
+	// readAhead is the most a FrameReader's buffer grows past the bytes it
+	// has read, until it is as large as that.
+	readAhead = 1 << 20
 )
 
 // ErrCorrupt reports a frame that failed its magic, reserved-byte, length,
@@ -90,7 +94,9 @@ func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 
 // FrameReader reads the frames of one stream into a buffer it reuses, so
 // once the buffer has grown to the largest frame, reading costs no
-// allocation. The payload Next returns is valid until the next call.
+// allocation. The buffer grows with the payload bytes that arrive, not with
+// the length a header claims. The payload Next returns is valid until the
+// next call.
 type FrameReader struct {
 	R   io.Reader
 	buf []byte
@@ -117,16 +123,28 @@ func (fr *FrameReader) Next() (kind byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: payload length %d exceeds the %d-byte cap", ErrCorrupt, length, MaxPayload)
 	}
 	want := binary.LittleEndian.Uint32(hdr[12:16])
-	if n := HeaderBytes + int(length); cap(fr.buf) < n {
-		fr.buf = make([]byte, n)
-	}
-	payload = fr.buf[HeaderBytes : HeaderBytes+int(length)]
-	if _, err := io.ReadFull(fr.R, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	// The length word is only a claim until its payload arrives: a buffer
+	// short of it grows as bytes come in, at most readAhead (or its own
+	// size) beyond what was read, so a damaged or hostile header costs a
+	// bounded allocation rather than the claimed gigabyte.
+	n := HeaderBytes + int(length)
+	buf := fr.buf[:HeaderBytes]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(readAhead, len(buf))))
 		}
-		return 0, nil, err
+		m, err := io.ReadFull(fr.R, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			fr.buf = buf
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
 	}
+	fr.buf = buf
+	payload = buf[HeaderBytes:n]
 	if got := frameCRC(kind, payload); got != want {
 		return 0, nil, fmt.Errorf("%w: CRC mismatch on kind %d (payload damaged in flight)", ErrCorrupt, kind)
 	}

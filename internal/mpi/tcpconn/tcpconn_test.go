@@ -2,9 +2,11 @@ package tcpconn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -151,4 +153,80 @@ func TestDialSucceedsAfterRetry(t *testing.T) {
 		t.Fatalf("dial under budget after listener appeared: %v", err)
 	}
 	c.Close()
+}
+
+// allocBytes reports the bytes the process allocated while f ran.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadFrameHugeClaimTruncated: a bare header claiming MaxPayload is a
+// truncation, and reading it allocates a bounded buffer, not the claim.
+func TestReadFrameHugeClaimTruncated(t *testing.T) {
+	hdr := AppendFrame(nil, 3, nil)
+	binary.LittleEndian.PutUint32(hdr[8:12], MaxPayload)
+	var err error
+	got := allocBytes(func() { _, _, err = ReadFrame(bytes.NewReader(hdr)) })
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("header-only frame claiming %d bytes: got %v, want io.ErrUnexpectedEOF", MaxPayload, err)
+	}
+	if limit := uint64(4 << 20); got > limit {
+		t.Errorf("reading it allocated %d bytes, want at most %d", got, limit)
+	}
+}
+
+// TestFrameReaderSteadyStateAllocs: once its buffer has grown to the
+// largest frame, a FrameReader reads frames without allocating, including
+// frames larger than readAhead.
+func TestFrameReaderSteadyStateAllocs(t *testing.T) {
+	var stream []byte
+	for _, n := range []int{3 * readAhead, 80, readAhead + 5, 0} {
+		stream = AppendFrame(stream, 5, bytes.Repeat([]byte{byte(n)}, n))
+	}
+	rd := bytes.NewReader(stream)
+	fr := FrameReader{R: rd}
+	read := func() {
+		rd.Reset(stream)
+		for i := 0; i < 4; i++ {
+			if _, _, err := fr.Next(); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+		}
+	}
+	read()
+	if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+		t.Errorf("steady-state frame reads allocate %v objects per stream, want 0", allocs)
+	}
+}
+
+// FuzzReadFrame holds the frame reader to three properties on any input:
+// it never panics; a frame it accepts re-encodes through AppendFrame to
+// exactly the bytes it consumed; and it allocates in proportion to the
+// input it was given (at most readAhead beyond a small multiple of it),
+// never in proportion to a length word the input does not back.
+func FuzzReadFrame(f *testing.F) {
+	f.Add(AppendFrame(nil, 7, []byte("payload")))
+	f.Add(AppendFrame(nil, 0, nil))
+	huge := AppendFrame(nil, 3, []byte{1, 2, 3})
+	binary.LittleEndian.PutUint32(huge[8:12], MaxPayload)
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var kind byte
+		var payload []byte
+		var err error
+		got := allocBytes(func() { kind, payload, err = ReadFrame(bytes.NewReader(b)) })
+		if limit := uint64(4*len(b) + 4*readAhead); got > limit {
+			t.Fatalf("reading %d input bytes allocated %d, want at most %d", len(b), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if enc := AppendFrame(nil, kind, payload); !bytes.Equal(enc, b[:len(enc)]) {
+			t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", enc, b[:len(enc)])
+		}
+	})
 }

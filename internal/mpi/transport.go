@@ -9,16 +9,17 @@ import (
 	"github.com/bricklab/brick/internal/fault"
 )
 
-// Transport is the wire seam of the runtime: it owns one-shot matching,
-// message delivery, and partitioned-cycle signaling, while World/Comm keep
-// everything transport-agnostic — validation, collectives (written once over
-// isend/irecv, see collectives.go), persistent pairing (see persistent.go),
-// fault injection, traffic counters, flight recording, metrics, the abort
-// machinery, and the watchdog. A
-// backend registers a factory under a name (RegisterTransport) and worlds
-// are built on it with NewWorldOn; the "chan" backend is the in-process
-// pre-paired channel runtime, "shmem" the shared-memory segment runtime
-// that also works across processes.
+// Transport is the wire seam of the runtime: it owns one-shot matching and
+// message delivery, and builds the link that moves each persistent
+// endpoint's bytes, while World/Comm keep everything transport-agnostic —
+// validation, collectives (written once over isend/irecv, see
+// collectives.go), persistent pairing (persistent.go) and the partitioned
+// cycle (cycle.go), fault injection, traffic counters, flight recording,
+// metrics, the abort machinery, and the watchdog. A backend registers a
+// factory under a name (RegisterTransport) and worlds are built on it with
+// NewWorldOn; the "chan" backend is the in-process pre-paired channel
+// runtime, "shmem" the shared-memory segment runtime that also works across
+// processes, "tcp" framed streams between ranks.
 //
 // The interface is sealed (unexported methods): backends live in this
 // package so the conformance suite in transport_conformance_test.go can
@@ -38,13 +39,12 @@ type Transport interface {
 	// on a reserved tag (collective traffic, pairing descriptors).
 	irecv(c *Comm, src, tag int, buf []float64) *Request
 
-	// sendInit/recvInit build one side of a persistent channel for the
-	// endpoint p that persistent.go registers (matching is not theirs: see
-	// the matching rule there). p.peer, when set, is the matched endpoint
-	// of this process that registered first; a send side sets p.link to the
-	// word its receive side binds to.
-	sendInit(c *Comm, p *pend, buf []float64) persOp
-	recvInit(c *Comm, p *pend, buf []float64) persOp
+	// newLink builds the data path of persistent endpoint e when
+	// persistent.go registers it (matching is not the backend's: see the
+	// matching rule there). e.r.pend.peer, when set, is the matched endpoint
+	// of this process that registered first; a send side sets e.r.pend.link
+	// to the word its receive side binds to.
+	newLink(e *cycle) link
 
 	// abortAll carries a local abort to the other processes of the world
 	// (shmem publishes it in the segment, tcp sends it to the
@@ -89,33 +89,6 @@ type reqOp interface {
 	finish(r *Request) int
 	// opName describes the operation for timeout diagnostics (cold path).
 	opName(r *Request) string
-}
-
-// persOp extends reqOp with the persistent-request protocol
-// (Start/Pready/Parrived/Rebind/Free). Implemented by each backend's
-// persistent channel type.
-type persOp interface {
-	reqOp
-	// bind attaches a receive side to the data path of the send side s it
-	// matched (s.id, s.link, s.parts). Called once, with the matcher's lock
-	// held, before the match is published.
-	bind(r *Request, s *pend)
-	// start activates one transfer cycle; seq/flips carry the generic
-	// stamping results for the send side (zero/nil on the receive side).
-	start(r *Request, seq uint64, flips []fault.ByteFlip)
-	// preadyRange marks partitions [lo, hi) of the active cycle ready.
-	preadyRange(r *Request, lo, hi int)
-	// parrived reports whether partition i (in range, of a matched
-	// partitioned channel) of the current cycle arrived.
-	parrived(r *Request, i int) bool
-	// rebind swaps this side's buffer on an inactive request.
-	rebind(r *Request, buf []float64)
-	// free tears the endpoint down; called once.
-	free(r *Request)
-	// pending describes a matched endpoint's cycle in flight for a
-	// StallReport (Kind and the partition fields; the caller fills in the
-	// endpoints and size), ok false when none is.
-	pending(r *Request) (op PendingOp, ok bool)
 }
 
 // TransportFactory builds a backend for a world under construction. The

@@ -137,7 +137,7 @@ func deliver(w *World, dst int, env *envelope, p *posted) {
 	}
 	copy(p.buf, env.data)
 	if env.flips != nil {
-		applyFlips(p.buf[:len(env.data)], env.flips)
+		applyFlips(p.buf, 0, len(env.data), env.flips)
 	}
 	corrupt := w.verifyCRC && crcFloats(env.data) != crcFloats(p.buf[:len(env.data)])
 	if env.m != nil {
@@ -305,383 +305,69 @@ func (t *chanTransport) close() error { return nil }
 
 // ---- persistent channels ----
 
-// pchan is the pre-wired channel of a chan persistent pair, shared by both
-// sides' requests: whichever side registers first builds it, the matched
-// side joins it. One step of the protocol: both sides Start; whichever side
-// starts second performs the copy (mirroring the one-shot deliver) and
-// releases one completion token per side. Each side's Wait consumes its own
-// token and returns the request to the inactive state. Because Start panics
-// on an active request (Wait must intervene, as in MPI), each side's token
-// channel holds at most one token, so the cap-1 channels never block and
-// the steady-state path allocates nothing.
-type pchan struct {
-	key endpointKey
-
+// chanLink is the data path of one persistent channel, shared by both of
+// its endpoints along with its lock: whichever side registers first builds
+// it, the other joins it at its match. A span moves on whichever side fires
+// second — a Pready or an unpartitioned Start finding the receive cycle
+// open, or a receive Start finding spans its open send cycle already put —
+// straight from the send buffer into the receive buffer, mirroring the
+// one-shot deliver. A send cycle is therefore complete only once its
+// receiver has it.
+type chanLink struct {
 	mu         sync.Mutex
-	sendBuf    []float64
-	recvBuf    []float64
-	sendActive bool             // send Started, not yet Waited
-	recvActive bool             // recv Started, not yet Waited
-	sendFired  bool             // send Started in the current cycle, cleared at delivery
-	recvFired  bool             // recv Started in the current cycle, cleared at delivery
-	sendStart  time.Time        // set at send Start when sender metrics enabled
-	sendDone   chan struct{}    // cap 1: delivery token for the send side
-	recvDone   chan struct{}    // cap 1: delivery token for the recv side
-	sendComm   *Comm            // nil until the send side registered
-	recvComm   *Comm            // nil until the recv side registered
-	flips      []fault.ByteFlip // injected corruption for the current cycle
-	seq        uint64           // sender's flight sequence stamp for the current cycle
-	n          int              // elements delivered by the last completed cycle
-
-	// Partitioned state (MPI 4.x Psend_init/Pready/Parrived), nil/zero on
-	// unpartitioned channels. bounds holds the P+1 element offsets of the P
-	// send partitions (bounds[0] == 0, bounds[P] == len(sendBuf)); ready[i]
-	// is set by the sender's Pready, arrived[i] when partition i's payload
-	// has been copied into the receive buffer. A partitioned cycle completes
-	// — tokens released, fired flags cleared — only when every partition has
-	// been delivered.
-	bounds   []int
-	ready    []bool
-	arrived  []bool
-	nready   int
-	narrived int
+	send, recv *cycle
 }
 
-// joinPchan returns the channel of p's matched peer when it registered
-// first, or a new one.
-func joinPchan(p *pend) *pchan {
-	if p.peer != nil {
-		return p.peer.r.op.(*pchan)
+func (t *chanTransport) newLink(e *cycle) link {
+	l := &chanLink{}
+	if q := e.r.pend.peer; q != nil {
+		l = q.cycle().link.(*chanLink)
 	}
-	return &pchan{key: p.key, sendDone: make(chan struct{}, 1), recvDone: make(chan struct{}, 1)}
-}
-
-func (t *chanTransport) sendInit(c *Comm, p *pend, buf []float64) persOp {
-	pc := joinPchan(p)
-	pc.mu.Lock()
-	pc.sendBuf, pc.sendComm = buf, c
-	if p.bounds != nil {
-		pc.bounds = p.bounds
-		pc.ready = make([]bool, p.parts)
-		pc.arrived = make([]bool, p.parts)
-	}
-	pc.mu.Unlock()
-	return pc
-}
-
-func (t *chanTransport) recvInit(c *Comm, p *pend, buf []float64) persOp {
-	pc := joinPchan(p)
-	pc.mu.Lock()
-	pc.recvBuf, pc.recvComm = buf, c
-	pc.mu.Unlock()
-	return pc
-}
-
-// bind has nothing to do: the matched sides already share the channel.
-func (pc *pchan) bind(*Request, *pend) {}
-
-// deliverLocked runs on whichever side started second in a cycle: copy,
-// clear the cycle's fired flags, and release one completion token per
-// side. Called with pc.mu held. The token channels are cap 1 and provably
-// never full here: a side's previous token must have been consumed by its
-// Wait before its Start (enforced by the active-flag panic) could arm this
-// delivery. The returned error is non-nil only when receive-side CRC
-// verification is on and the (possibly corrupted) receive buffer differs
-// from the send buffer; the caller must release pc.mu before acting on it,
-// since aborting with the lock held would hang peers blocked on pc.mu.
-func (pc *pchan) deliverLocked() error {
-	if pc.sendBuf == nil || pc.recvBuf == nil {
-		panic(fmt.Sprintf("mpi: persistent channel (src %d dst %d tag %d) started before both endpoints initialized",
-			pc.key.src, pc.key.dst, pc.key.tag))
-	}
-	copy(pc.recvBuf, pc.sendBuf)
-	return pc.completeCycleLocked()
-}
-
-// completeCycleLocked finishes one transfer cycle once the receive buffer
-// holds the full payload: apply injected corruption, verify CRCs, account
-// send latency, clear the cycle's fired flags, and release one completion
-// token per side. Shared by the unpartitioned delivery and the partitioned
-// path (which reaches here only after the last partition arrived).
-func (pc *pchan) completeCycleLocked() error {
-	if pc.flips != nil {
-		applyFlips(pc.recvBuf[:len(pc.sendBuf)], pc.flips)
-		pc.flips = nil
-	}
-	var err error
-	if pc.sendComm.world.verifyCRC && crcFloats(pc.sendBuf) != crcFloats(pc.recvBuf[:len(pc.sendBuf)]) {
-		err = &CorruptionError{Src: pc.key.src, Dst: pc.key.dst, Tag: pc.key.tag}
-	}
-	if m := pc.sendComm.m; m != nil && !pc.sendStart.IsZero() {
-		m.sendSeconds.Observe(time.Since(pc.sendStart).Seconds())
-	}
-	pc.recvComm.fl.Deliver(int32(pc.key.src), int32(pc.key.tag), -1, int64(8*len(pc.sendBuf)), pc.seq)
-	pc.n = len(pc.sendBuf)
-	pc.sendFired, pc.recvFired = false, false
-	pc.sendDone <- struct{}{}
-	pc.recvDone <- struct{}{}
-	return err
-}
-
-// deliverPartLocked copies one ready partition into the receive buffer and,
-// when it was the last outstanding one, completes the cycle. Requires both
-// sides fired, partition i ready and not yet arrived; pc.mu held.
-func (pc *pchan) deliverPartLocked(i int) error {
-	if pc.sendBuf == nil || pc.recvBuf == nil {
-		panic(fmt.Sprintf("mpi: partitioned channel (src %d dst %d tag %d) started before both endpoints initialized",
-			pc.key.src, pc.key.dst, pc.key.tag))
-	}
-	lo, hi := pc.bounds[i], pc.bounds[i+1]
-	copy(pc.recvBuf[lo:hi], pc.sendBuf[lo:hi])
-	pc.recvComm.fl.Record(flight.KindParrived, int32(pc.key.src), int32(pc.key.tag), int32(i), int64(8*(hi-lo)), pc.seq)
-	pc.arrived[i] = true
-	pc.narrived++
-	if pc.narrived == len(pc.arrived) {
-		return pc.completeCycleLocked()
-	}
-	return nil
-}
-
-// deliverReadyLocked delivers every partition the sender has already marked
-// ready (the receive side just started this cycle); pc.mu held.
-func (pc *pchan) deliverReadyLocked() error {
-	for i := range pc.ready {
-		if pc.ready[i] && !pc.arrived[i] {
-			if err := pc.deliverPartLocked(i); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (pc *pchan) start(r *Request, seq uint64, flips []fault.ByteFlip) {
-	c := r.comm
-	if r.psend {
-		pc.mu.Lock()
-		if pc.sendActive {
-			pc.mu.Unlock()
-			panic("mpi: persistent send started twice without Wait")
-		}
-		pc.sendActive, pc.sendFired = true, true
-		pc.seq = seq
-		pc.flips = flips
-		if c.m != nil {
-			pc.sendStart = time.Now()
-		}
-		var err error
-		if pc.bounds != nil {
-			// Partitioned: activation makes nothing visible — each partition
-			// moves only after its Pready. Reset this cycle's readiness.
-			for i := range pc.ready {
-				pc.ready[i] = false
-			}
-			pc.nready = 0
-		} else if pc.recvFired {
-			err = pc.deliverLocked()
-		}
-		pc.mu.Unlock()
-		if err != nil {
-			c.world.abort(c.rank, err)
-			panic(c.world.Aborted())
-		}
-		return
-	}
-	pc.mu.Lock()
-	if pc.recvActive {
-		pc.mu.Unlock()
-		panic("mpi: persistent receive started twice without Wait")
-	}
-	pc.recvActive, pc.recvFired = true, true
-	var err error
-	if pc.bounds != nil {
-		// Partitioned: reset arrival state for this cycle, then drain any
-		// partitions the sender already marked ready.
-		for i := range pc.arrived {
-			pc.arrived[i] = false
-		}
-		pc.narrived = 0
-		if pc.sendFired {
-			err = pc.deliverReadyLocked()
-		}
-	} else if pc.sendFired {
-		err = pc.deliverLocked()
-	}
-	pc.mu.Unlock()
-	if err != nil {
-		c.world.abort(c.rank, err)
-		panic(c.world.Aborted())
-	}
-}
-
-func (pc *pchan) preadyRange(r *Request, lo, hi int) {
-	c := r.comm
-	pc.mu.Lock()
-	if pc.bounds == nil {
-		pc.mu.Unlock()
-		panic("mpi: Pready on an unpartitioned persistent send")
-	}
-	if !pc.sendActive {
-		pc.mu.Unlock()
-		panic("mpi: Pready before Start")
-	}
-	if lo < 0 || hi > len(pc.ready) || lo >= hi {
-		pc.mu.Unlock()
-		panic(fmt.Sprintf("mpi: Pready range [%d,%d) out of bounds for %d partitions", lo, hi, len(pc.ready)))
-	}
-	var err error
-	for i := lo; i < hi; i++ {
-		if pc.ready[i] {
-			pc.mu.Unlock()
-			panic(fmt.Sprintf("mpi: partition %d marked ready twice in one cycle", i))
-		}
-		pc.ready[i] = true
-		pc.nready++
-		c.fl.Record(flight.KindPready, int32(pc.key.dst), int32(pc.key.tag), int32(i),
-			int64(8*(pc.bounds[i+1]-pc.bounds[i])), pc.seq)
-		if pc.recvFired && !pc.arrived[i] {
-			if err = pc.deliverPartLocked(i); err != nil {
-				break
-			}
-		}
-	}
-	pc.mu.Unlock()
-	// Partitions advancing is progress: without this tick a long compute
-	// phase with an armed pipeline would read as a stall to the watchdog.
-	c.world.progressTick()
-	if err != nil {
-		c.world.abort(c.rank, err)
-		panic(c.world.Aborted())
-	}
-}
-
-func (pc *pchan) parrived(r *Request, i int) bool {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.arrived[i]
-}
-
-// token returns the given side's completion-token channel.
-func (pc *pchan) token(psend bool) chan struct{} {
-	if psend {
-		return pc.sendDone
-	}
-	return pc.recvDone
-}
-
-// block consumes this side's completion token: the fast path — token
-// already released — is a single non-blocking channel read.
-func (pc *pchan) block(r *Request) {
-	tok := pc.token(r.psend)
-	select {
-	case <-tok:
-		return
-	default:
-	}
-	select {
-	case <-tok:
-	case <-r.comm.world.abortCh:
-		panic(r.comm.world.Aborted())
-	}
-}
-
-func (pc *pchan) blockTimeout(r *Request, d time.Duration) error {
-	tok := pc.token(r.psend)
-	select {
-	case <-tok:
-		return nil
-	default:
-	}
-	w := r.comm.world
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-tok:
-		return nil
-	case <-w.abortCh:
-		return w.Aborted()
-	case <-t.C:
-		return &TimeoutError{After: d, Op: pc.opName(r)}
-	}
-}
-
-// finish runs after this side's token was consumed: deactivate, tick
-// progress, and on the receive side account the delivered payload.
-func (pc *pchan) finish(r *Request) int {
-	c := r.comm
-	c.world.progressTick()
-	if r.psend {
-		pc.mu.Lock()
-		pc.sendActive = false
-		pc.mu.Unlock()
-		return 0
-	}
-	pc.mu.Lock()
-	pc.recvActive = false
-	n := pc.n
-	pc.mu.Unlock()
-	c.recvMsgs.Add(1)
-	c.recvBytes.Add(int64(8 * n))
-	if m := c.m; m != nil {
-		m.recvBytes.Observe(float64(8 * n))
-	}
-	return n
-}
-
-func (pc *pchan) opName(r *Request) string {
-	if r.psend {
-		return fmt.Sprintf("wait psend dst=%d tag=%d", pc.key.dst, pc.key.tag)
-	}
-	return fmt.Sprintf("wait precv src=%d tag=%d", pc.key.src, pc.key.tag)
-}
-
-func (pc *pchan) rebind(r *Request, buf []float64) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if r.psend {
-		if pc.sendActive {
-			panic("mpi: Rebind on an active persistent send")
-		}
-		pc.sendBuf = buf
+	l.mu.Lock()
+	if e.r.psend {
+		l.send = e
 	} else {
-		if pc.recvActive {
-			panic("mpi: Rebind on an active persistent receive")
-		}
-		pc.recvBuf = buf
+		l.recv = e
+	}
+	l.mu.Unlock()
+	e.mu = &l.mu
+	return l
+}
+
+// bind has nothing to do: the matched sides already share the link.
+func (l *chanLink) bind(*cycle, *pend) {}
+
+func (l *chanLink) put(_ *cycle, part int) {
+	if rv := l.recv; rv != nil && rv.state.Load() == cycOpen {
+		l.move(part)
 	}
 }
 
-// free retracts this side's undelivered Start and drops its buffer; the
-// channel lock serializes it against a delivery already copying.
-func (pc *pchan) free(r *Request) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if r.psend {
-		pc.sendFired, pc.sendBuf = false, nil
-	} else {
-		pc.recvFired, pc.recvBuf = false, nil
+// poll moves, when the receive cycle opens, every span the open send cycle
+// put before it: the whole payload, or each partition readied and not yet
+// arrived.
+func (l *chanLink) poll(e *cycle) bool {
+	s := l.send
+	if s == nil || s.state.Load() != cycOpen {
+		return false
 	}
-}
-
-func (pc *pchan) pending(r *Request) (PendingOp, bool) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if !r.psend {
-		return PendingOp{Kind: flight.PendPrecvActive}, pc.recvFired
+	if s.parts == 0 {
+		l.move(-1)
+		return false
 	}
-	op := PendingOp{Kind: flight.PendPsendActive}
-	if pc.bounds != nil {
-		op.Partitions, op.Ready = len(pc.ready), pc.nready
-		if pc.nready < len(pc.ready) {
-			// A parked partition: the send is active but some producing
-			// tiles never declared their spans ready.
-			op.Kind = flight.PendPsendPartial
-			for i, rdy := range pc.ready {
-				if !rdy {
-					op.Unready = append(op.Unready, i)
-				}
-			}
+	sk, rk := s.n, e.n
+	for i := range s.marks {
+		if s.marks[i] == sk && e.marks[i] != rk {
+			l.move(i)
 		}
 	}
-	return op, pc.sendFired
+	return false
+}
+
+// move lands span part of the open send cycle in the open receive cycle.
+func (l *chanLink) move(part int) {
+	s := l.send
+	lo, hi := s.span(part)
+	l.recv.land(part, lo, s.buf[lo:hi], s.flips, s.seq)
+	s.sent()
 }

@@ -101,8 +101,6 @@ const (
 	peFlipsOff1
 	peFlipsCnt0
 	peFlipsCnt1
-	peCrc0 // per-slot payload CRC (when the sender's world verifies)
-	peCrc1
 	peSeqW0 // per-slot flight sequence stamp
 	peSeqW1
 	peSendSeq // last fully published send cycle (non-partitioned)
@@ -773,7 +771,7 @@ func (p *shmRecv) deliver(m shmMsg) {
 	n := min(m.elems, len(p.buf))
 	copy(p.buf[:n], t.floats(m.off, m.elems))
 	if m.flipsCnt > 0 {
-		applyFlips(p.buf[:n], t.readFlips(m.flipsOff, m.flipsCnt))
+		applyFlips(p.buf, 0, n, t.readFlips(m.flipsOff, m.flipsCnt))
 	}
 	t.consume(m.off - shmMsgHdr)
 	if t.w.verifyCRC && uint64(crcFloats(p.buf[:n])) != m.crc {
@@ -905,19 +903,20 @@ func (t *shmemTransport) pendingOps() []PendingOp {
 	return ops
 }
 
-// ---- persistent channels: the cross-process pchan ----
+// ---- persistent channels ----
 //
 // A persistent channel is one entry of the shared table, appended by its
-// sender. The cycle protocol is eager-staged and double-buffered: the
-// sender copies its buffer into staging slot cycle%2 and publishes
-// peSendSeq; the receiver spins for its cycle's publication, copies staging
-// into its own buffer, and publishes peDoneSeq. A sender may run at most one
-// full cycle ahead (slot reuse waits for peDoneSeq >= cycle-2), which is
-// exactly the pipelining the chan backend's token channels allow.
-// Partitioned sends stage per-partition spans at Pready time and stamp the
-// span's readyCycle word, so Parrived on the receive side observes
-// partitions early; only one partitioned cycle is in flight at a time
-// (readyCycle words hold a single cycle number).
+// sender. An unpartitioned send stages its payload in slot k%2 at Start and
+// publishes peSendSeq; the receiver lands the slot once it sees cycle k
+// published and publishes peDoneSeq. A sender may run one full cycle ahead
+// (slot reuse waits for peDoneSeq >= k-2), which is the pipelining the
+// chan backend allows. A partitioned send stages each partition span at
+// its Pready and stamps the span's readyCycle word, so the receiver lands
+// partitions early; only one partitioned cycle is in flight (readyCycle
+// words hold one cycle number), so its first span waits for the receiver
+// to finish the previous cycle. A receive buffer is an ordinary slice in
+// its owner's process, so only the receive side can land: it polls, and
+// the cycle polls it whenever it waits or asks Parrived.
 
 // persEntry returns the byte offset of table entry i.
 func (t *shmemTransport) persEntry(i int) int { return t.l.pers + i*peWords*8 }
@@ -927,34 +926,15 @@ func (t *shmemTransport) pw(e, idx int) uint64 { return atomic.LoadUint64(t.w64(
 
 func (t *shmemTransport) setPW(e, idx int, v uint64) { atomic.StoreUint64(t.w64(e+idx*8), v) }
 
-// shmPers is one side's process-local handle on a table entry.
-type shmPers struct {
-	t    *shmemTransport
-	e    int // entry byte offset in the segment; 0 until a receive side binds
-	rank int
-
-	mu      sync.Mutex
-	buf     []float64
-	cycle   uint64        // this side's current cycle (starts at 1)
-	started atomic.Uint64 // cycle, readable without mu (stall reports)
-	active  bool
-	parts   int // partition count, 0 when unpartitioned
-	// heap offsets of the partition bounds and readyCycle words
+// shmLink is one side's process-local handle on a table entry; its fields
+// are guarded by the endpoint's lock.
+type shmLink struct {
+	t     *shmemTransport
+	ent   int // entry byte offset in the segment; 0 until a receive side binds
+	parts int
+	// heap offsets of the partition bounds (receive) and readyCycle words
 	boundsOff, readyOff int
-
-	// send side
-	seq      uint64
-	flips    []fault.ByteFlip
-	at       time.Time
-	bounds   []int // partitioned send: element offsets
-	readyLoc []bool
-	copied   []bool
-	nready   int
-	ncopied  int
-	// receive side
-	arrived  []bool
-	narrived int
-	n        int
+	armed               uint64 // send: the last cycle whose slot metadata is staged
 }
 
 // ensureStaging grows the entry's double-buffered staging slots to hold at
@@ -970,67 +950,59 @@ func (t *shmemTransport) ensureStaging(e, elems int) {
 	t.setPW(e, peStageCap, uint64(elems))
 }
 
-// sendInit appends the channel's entry: staging sized for buf and, for a
-// partitioned send, its bounds and readyCycle words.
-func (t *shmemTransport) sendInit(c *Comm, p *pend, buf []float64) persOp {
+// newLink builds a receive side's unbound handle, or appends a send side's
+// entry: staging sized for its buffer and, when partitioned, its bounds and
+// readyCycle words.
+func (t *shmemTransport) newLink(e *cycle) link {
+	l := &shmLink{t: t}
+	if !e.r.psend {
+		return l
+	}
+	p := e.r.pend
 	i := int(atomic.AddUint64(t.w64(offPersCount), 1)) - 1
 	if i >= shmMaxPers {
 		panic(fmt.Sprintf("mpi: shmem persistent endpoint table full (%d endpoints)", shmMaxPers))
 	}
-	e := t.persEntry(i)
-	t.ensureStaging(e, len(buf))
-	sp := &shmPers{t: t, e: e, rank: c.rank, buf: buf, parts: p.parts, bounds: p.bounds}
+	l.ent = t.persEntry(i)
+	t.ensureStaging(l.ent, len(e.buf))
 	if p.parts > 0 {
-		sp.boundsOff = t.alloc(8 * (p.parts + 1))
+		bounds := t.alloc(8 * (p.parts + 1))
 		for i, b := range p.bounds {
-			atomic.StoreUint64(t.w64(sp.boundsOff+8*i), uint64(b))
+			atomic.StoreUint64(t.w64(bounds+8*i), uint64(b))
 		}
 		// readyCycle words, zero = never ready. The heap is not: quarantine
 		// rewinds the bump pointer without clearing it, so a respawned
 		// epoch's words would inherit the dead epoch's stamps and a receiver
 		// would take cycle 1 as already arrived.
-		sp.readyOff = t.alloc(8 * p.parts)
+		l.readyOff = t.alloc(8 * p.parts)
 		for i := 0; i < p.parts; i++ {
-			atomic.StoreUint64(t.w64(sp.readyOff+8*i), 0)
+			atomic.StoreUint64(t.w64(l.readyOff+8*i), 0)
 		}
-		t.setPW(e, peBounds, uint64(sp.boundsOff))
-		t.setPW(e, peReady, uint64(sp.readyOff))
-		sp.readyLoc = make([]bool, p.parts)
-		sp.copied = make([]bool, p.parts)
+		t.setPW(l.ent, peBounds, uint64(bounds))
+		t.setPW(l.ent, peReady, uint64(l.readyOff))
 	}
-	p.link = uint64(e)
-	return sp
-}
-
-func (t *shmemTransport) recvInit(c *Comm, p *pend, buf []float64) persOp {
-	return &shmPers{t: t, rank: c.rank, buf: buf}
+	p.link = uint64(l.ent)
+	return l
 }
 
 // bind attaches a receive side to its sender's entry.
-func (p *shmPers) bind(r *Request, s *pend) {
-	t := p.t
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.e, p.parts = int(s.link), s.parts
-	if p.parts > 0 {
-		p.boundsOff, p.readyOff = int(t.pw(p.e, peBounds)), int(t.pw(p.e, peReady))
-		p.arrived = make([]bool, p.parts)
+func (l *shmLink) bind(e *cycle, s *pend) {
+	t := l.t
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	l.ent, l.parts = int(s.link), s.parts
+	if l.parts > 0 {
+		l.boundsOff, l.readyOff = int(t.pw(l.ent, peBounds)), int(t.pw(l.ent, peReady))
 	}
 }
 
-// stageWait blocks until staging slot cycle%2 is safe to overwrite: the
-// receiver consumed the cycle that used it last. lag is 2 for the
-// double-buffered unpartitioned path, 1 for partitioned (single cycle in
-// flight — readyCycle words hold one cycle number).
-func (p *shmPers) stageWait(k uint64, lag uint64) {
-	t := p.t
-	done := t.w64(p.e + peDoneSeq*8)
+// stageWait blocks until the receiver has consumed every cycle up to k-lag,
+// so slot k%2 (lag 2) or every slot (lag 1) is safe to overwrite.
+func (l *shmLink) stageWait(k, lag uint64) {
+	t := l.t
+	done := t.w64(l.ent + peDoneSeq*8)
 	var sp spinner
-	for {
-		d := atomic.LoadUint64(done)
-		if d+lag >= k {
-			return
-		}
+	for atomic.LoadUint64(done)+lag < k {
 		if ae := t.checkAbort(); ae != nil {
 			panic(ae)
 		}
@@ -1038,361 +1010,72 @@ func (p *shmPers) stageWait(k uint64, lag uint64) {
 	}
 }
 
-// stageCycle copies the full send buffer into slot k%2 and publishes the
-// cycle (unpartitioned sends). Caller holds p.mu; the slot is reusable
-// (stageWait).
-func (p *shmPers) stageCycle(k uint64) {
-	t, e := p.t, p.e
+// put stages one span in slot k%2 and publishes it. The first span of a
+// cycle claims the slot and stages the cycle's metadata (length, flip list,
+// flight stamp) ahead of any publication, so a receiver that sees a span
+// published can trust them; a partitioned cycle, or a send buffer grown by
+// Rebind, first waits for the receiver to finish every earlier cycle.
+func (l *shmLink) put(e *cycle, part int) {
+	t, ent := l.t, l.ent
+	k := e.n
 	slot := int(k % 2)
-	stage := int(t.pw(e, peStage0+slot))
-	copy(t.floats(stage, len(p.buf)), p.buf)
-	fo, fc := t.writeFlips(p.flips)
-	t.setPW(e, peFlipsOff0+slot, uint64(fo))
-	t.setPW(e, peFlipsCnt0+slot, uint64(fc))
-	if t.w.verifyCRC {
-		t.setPW(e, peCrc0+slot, uint64(crcFloats(p.buf)))
-	}
-	t.setPW(e, peSeqW0+slot, p.seq)
-	t.setPW(e, peElems0+slot, uint64(len(p.buf)))
-	atomic.StoreUint64(t.w64(e+peSendSeq*8), k)
-}
-
-func (p *shmPers) start(r *Request, seq uint64, flips []fault.ByteFlip) {
-	t := p.t
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.active {
-		if r.psend {
-			panic("mpi: persistent send started twice without Wait")
+	if l.armed != k {
+		lag := uint64(2)
+		if part >= 0 || int(t.pw(ent, peStageCap)) < len(e.buf) {
+			lag = 1
 		}
-		panic("mpi: persistent receive started twice without Wait")
+		l.stageWait(k, lag)
+		t.ensureStaging(ent, len(e.buf))
+		fo, fc := t.writeFlips(e.flips)
+		t.setPW(ent, peFlipsOff0+slot, uint64(fo))
+		t.setPW(ent, peFlipsCnt0+slot, uint64(fc))
+		t.setPW(ent, peSeqW0+slot, e.seq)
+		t.setPW(ent, peElems0+slot, uint64(len(e.buf)))
+		l.armed = k
 	}
-	p.active = true
-	p.cycle++
-	k := p.cycle
-	p.started.Store(k)
-	if !r.psend {
-		clear(p.arrived)
-		p.narrived = 0
-		return
+	lo, hi := e.span(part)
+	copy(t.floats(int(t.pw(ent, peStage0+slot))+8*lo, hi-lo), e.buf[lo:hi])
+	if part < 0 {
+		atomic.StoreUint64(t.w64(ent+peSendSeq*8), k)
+	} else {
+		atomic.StoreUint64(t.w64(l.readyOff+8*part), k)
 	}
-	p.seq, p.flips = seq, flips
-	if r.comm.m != nil {
-		p.at = time.Now()
-	}
-	if p.bounds == nil {
-		p.stageWait(k, 2)
-		p.stageCycle(k)
-		return
-	}
-	// Partitioned: nothing becomes visible at Start. Wait for the previous
-	// cycle to drain (single in flight), then expose this cycle's flight
-	// sequence so per-partition deliveries can be attributed before the
-	// cycle's metadata lands.
-	clear(p.readyLoc)
-	clear(p.copied)
-	p.nready, p.ncopied = 0, 0
-	p.stageWait(k, 1)
-	t.setPW(p.e, peSeqW0+int(k%2), seq)
+	e.sent()
 }
 
-func (p *shmPers) preadyRange(r *Request, lo, hi int) {
-	c := r.comm
-	p.mu.Lock()
-	if p.bounds == nil {
-		p.mu.Unlock()
-		panic("mpi: Pready on an unpartitioned persistent send")
+// poll adopts a peer process's abort (the cycle's wait watches only the
+// local abort channel) and lands every span published for the open
+// receive cycle; once the cycle is complete it hands the slot back.
+func (l *shmLink) poll(e *cycle) bool {
+	t, ent := l.t, l.ent
+	t.checkAbort()
+	if ent == 0 {
+		return true // not bound yet
 	}
-	if !p.active {
-		p.mu.Unlock()
-		panic("mpi: Pready before Start")
-	}
-	if lo < 0 || hi > p.parts || lo >= hi {
-		p.mu.Unlock()
-		panic(fmt.Sprintf("mpi: Pready range [%d,%d) out of bounds for %d partitions", lo, hi, p.parts))
-	}
-	for i := lo; i < hi; i++ {
-		if p.readyLoc[i] {
-			p.mu.Unlock()
-			panic(fmt.Sprintf("mpi: partition %d marked ready twice in one cycle", i))
-		}
-		p.readyLoc[i] = true
-		p.nready++
-		c.fl.Record(flight.KindPready, int32(r.peer), int32(r.tag), int32(i),
-			int64(8*(p.bounds[i+1]-p.bounds[i])), p.seq)
-	}
-	p.flushReadyLocked()
-	p.mu.Unlock()
-	// Partitions advancing is progress: without this tick a long compute
-	// phase with an armed pipeline would read as a stall to the watchdog.
-	c.world.progressTick()
-}
-
-// flushReadyLocked copies every locally-ready-but-unstaged partition span
-// into the cycle's staging slot and stamps its readyCycle word. The stamp
-// that completes the set is preceded by the cycle's metadata (elems, flip
-// list, CRC), so a receiver that has observed every stamp can trust the
-// metadata words. Caller holds p.mu.
-func (p *shmPers) flushReadyLocked() {
-	t, e := p.t, p.e
-	k := p.cycle
+	k := e.n
 	slot := int(k % 2)
-	stage := int(t.pw(e, peStage0+slot))
-	for i := 0; i < p.parts; i++ {
-		if !p.readyLoc[i] || p.copied[i] {
-			continue
+	flips := func() []fault.ByteFlip {
+		return t.readFlips(int(t.pw(ent, peFlipsOff0+slot)), int(t.pw(ent, peFlipsCnt0+slot)))
+	}
+	if l.parts == 0 {
+		if atomic.LoadUint64(t.w64(ent+peSendSeq*8)) < k {
+			return true
 		}
-		lo, hi := p.bounds[i], p.bounds[i+1]
-		copy(t.floats(stage, len(p.buf))[lo:hi], p.buf[lo:hi])
-		p.copied[i] = true
-		p.ncopied++
-		if p.ncopied == p.parts {
-			fo, fc := t.writeFlips(p.flips)
-			t.setPW(e, peFlipsOff0+slot, uint64(fo))
-			t.setPW(e, peFlipsCnt0+slot, uint64(fc))
-			if t.w.verifyCRC {
-				// The staged copy carries the cycle's payload exactly; CRC it
-				// rather than p.buf so a racing compute thread mutating the
-				// source after Pready cannot poison verification.
-				t.setPW(e, peCrc0+slot, uint64(crcFloats(t.floats(stage, len(p.buf)))))
+		n := int(t.pw(ent, peElems0+slot))
+		e.land(-1, 0, t.floats(int(t.pw(ent, peStage0+slot)), n), flips(), t.pw(ent, peSeqW0+slot))
+	} else {
+		for i := 0; i < l.parts; i++ {
+			if e.marks[i] == k || atomic.LoadUint64(t.w64(l.readyOff+8*i)) != k {
+				continue
 			}
-			t.setPW(e, peElems0+slot, uint64(len(p.buf)))
+			lo := int(atomic.LoadUint64(t.w64(l.boundsOff + 8*i)))
+			hi := int(atomic.LoadUint64(t.w64(l.boundsOff + 8*(i+1))))
+			stage := int(t.pw(ent, peStage0+slot))
+			e.land(i, lo, t.floats(stage+8*lo, hi-lo), flips(), t.pw(ent, peSeqW0+slot))
 		}
-		atomic.StoreUint64(t.w64(p.readyOff+8*i), k)
 	}
-}
-
-func (p *shmPers) parrived(r *Request, i int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.arrived[i] || !p.active {
-		return p.arrived[i]
+	if e.state.Load() == cycDone {
+		atomic.StoreUint64(t.w64(ent+peDoneSeq*8), k)
 	}
-	if atomic.LoadUint64(p.t.w64(p.readyOff+8*i)) != p.cycle {
-		return false
-	}
-	p.copyPartLocked(r, i)
 	return true
-}
-
-// copyPartLocked moves one arrived partition span from staging into the
-// receive buffer. Caller holds p.mu and has checked the readyCycle stamp.
-func (p *shmPers) copyPartLocked(r *Request, i int) {
-	t, e := p.t, p.e
-	slot := int(p.cycle % 2)
-	stage := int(t.pw(e, peStage0+slot))
-	lo := int(atomic.LoadUint64(t.w64(p.boundsOff + 8*i)))
-	hi := int(atomic.LoadUint64(t.w64(p.boundsOff + 8*(i+1))))
-	copy(p.buf[lo:hi], t.floats(stage+8*lo, hi-lo))
-	r.comm.fl.Record(flight.KindParrived, int32(r.peer), int32(r.tag), int32(i),
-		int64(8*(hi-lo)), t.pw(e, peSeqW0+slot))
-	p.arrived[i] = true
-	p.narrived++
-}
-
-// waitSend completes the send side of a cycle. An unpartitioned payload
-// was staged at Start; a partitioned one waits for every partition to be
-// marked ready (Pready arrives from other goroutines), each staged as it
-// was. deadline is zero for an unbounded wait.
-func (p *shmPers) waitSend(r *Request, deadline time.Time) error {
-	t := p.t
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.bounds == nil || !p.active {
-		return nil
-	}
-	var sp spinner
-	for p.nready < p.parts {
-		if ae := t.checkAbort(); ae != nil {
-			panic(ae)
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return &TimeoutError{Op: p.opName(r)}
-		}
-		p.mu.Unlock()
-		sp.spin()
-		p.mu.Lock()
-	}
-	return nil
-}
-
-// waitRecv completes the receive side of a cycle: block for the sender's
-// publication and copy the payload in. deadline is zero for an unbounded
-// wait. The CRC verdict is returned (not raised) so block/blockTimeout can
-// mirror the chan backend's complete-then-abort ordering.
-func (p *shmPers) waitRecv(r *Request, deadline time.Time) (*CorruptionError, error) {
-	t, e := p.t, p.e
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.active {
-		return nil, nil
-	}
-	k := p.cycle
-	if atomic.LoadUint64(t.w64(e+peDoneSeq*8)) >= k {
-		return nil, nil // cycle already consumed (repeated Wait)
-	}
-	slot := int(k % 2)
-	var sp spinner
-	poll := func() error {
-		if ae := t.checkAbort(); ae != nil {
-			panic(ae)
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return &TimeoutError{Op: p.opName(r)}
-		}
-		sp.spin()
-		return nil
-	}
-	if p.parts > 0 {
-		for i := 0; i < p.parts; i++ {
-			for !p.arrived[i] {
-				if atomic.LoadUint64(t.w64(p.readyOff+8*i)) == k {
-					p.copyPartLocked(r, i)
-					break
-				}
-				if err := poll(); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		for atomic.LoadUint64(t.w64(e+peSendSeq*8)) < k {
-			if err := poll(); err != nil {
-				return nil, err
-			}
-		}
-		n := int(t.pw(e, peElems0+slot))
-		if n > len(p.buf) {
-			// A sender in another process rebound to a larger buffer.
-			panic(fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
-				r.peer, p.rank, r.tag, n, len(p.buf)))
-		}
-		copy(p.buf[:n], t.floats(int(t.pw(e, peStage0+slot)), n))
-	}
-	n := int(t.pw(e, peElems0+slot))
-	p.n = n
-	if fc := int(t.pw(e, peFlipsCnt0+slot)); fc > 0 {
-		applyFlips(p.buf[:n], t.readFlips(int(t.pw(e, peFlipsOff0+slot)), fc))
-	}
-	var corrupt *CorruptionError
-	if t.w.verifyCRC && uint64(crcFloats(p.buf[:n])) != t.pw(e, peCrc0+slot) {
-		corrupt = &CorruptionError{Src: r.peer, Dst: p.rank, Tag: r.tag}
-	}
-	r.comm.fl.Deliver(int32(r.peer), int32(r.tag), -1, int64(8*n), t.pw(e, peSeqW0+slot))
-	atomic.StoreUint64(t.w64(e+peDoneSeq*8), k)
-	return corrupt, nil
-}
-
-func (p *shmPers) block(r *Request) {
-	if r.psend {
-		p.waitSend(r, time.Time{})
-		return
-	}
-	corrupt, _ := p.waitRecv(r, time.Time{})
-	if corrupt != nil {
-		w := p.t.w
-		w.abort(p.rank, corrupt)
-		panic(w.Aborted())
-	}
-}
-
-func (p *shmPers) blockTimeout(r *Request, d time.Duration) error {
-	deadline := time.Now().Add(d)
-	var err error
-	var corrupt *CorruptionError
-	if r.psend {
-		err = p.waitSend(r, deadline)
-	} else {
-		corrupt, err = p.waitRecv(r, deadline)
-	}
-	if te, ok := err.(*TimeoutError); ok {
-		te.After = d
-	}
-	if err != nil {
-		return err
-	}
-	if corrupt != nil {
-		w := p.t.w
-		w.abort(p.rank, corrupt)
-		return w.Aborted()
-	}
-	return nil
-}
-
-func (p *shmPers) finish(r *Request) int {
-	c := r.comm
-	c.world.progressTick()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.active = false
-	if r.psend {
-		if m := c.m; m != nil && !p.at.IsZero() {
-			m.sendSeconds.Observe(time.Since(p.at).Seconds())
-		}
-		return 0
-	}
-	c.recvMsgs.Add(1)
-	c.recvBytes.Add(int64(8 * p.n))
-	if m := c.m; m != nil {
-		m.recvBytes.Observe(float64(8 * p.n))
-	}
-	return p.n
-}
-
-func (p *shmPers) opName(r *Request) string {
-	if r.psend {
-		return fmt.Sprintf("wait psend dst=%d tag=%d", r.peer, r.tag)
-	}
-	return fmt.Sprintf("wait precv src=%d tag=%d", r.peer, r.tag)
-}
-
-func (p *shmPers) rebind(r *Request, buf []float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.active {
-		if r.psend {
-			panic("mpi: Rebind on an active persistent send")
-		}
-		panic("mpi: Rebind on an active persistent receive")
-	}
-	p.buf = buf
-	if r.psend {
-		p.t.ensureStaging(p.e, len(buf))
-	}
-}
-
-func (p *shmPers) free(r *Request) {
-	p.mu.Lock()
-	p.active = false
-	p.buf = nil
-	p.mu.Unlock()
-}
-
-// pending reads only atomics: a wait may hold p.mu while it spins.
-func (p *shmPers) pending(r *Request) (PendingOp, bool) {
-	t := p.t
-	k := p.started.Load()
-	if k <= t.pw(p.e, peDoneSeq) {
-		return PendingOp{}, false
-	}
-	if !r.psend {
-		return PendingOp{Kind: flight.PendPrecvActive}, true
-	}
-	op := PendingOp{Kind: flight.PendPsendActive}
-	if p.parts > 0 {
-		op.Partitions = p.parts
-		for i := 0; i < p.parts; i++ {
-			if atomic.LoadUint64(t.w64(p.readyOff+8*i)) == k {
-				op.Ready++
-			} else {
-				op.Unready = append(op.Unready, i)
-			}
-		}
-		if op.Ready < p.parts {
-			op.Kind = flight.PendPsendPartial
-		} else {
-			op.Unready = nil
-		}
-	}
-	return op, true
 }

@@ -262,12 +262,8 @@ func (t *tcpTransport) irecv(c *Comm, src, tag int, buf []float64) *Request {
 	return t.node(c.rank).irecv(c, src, tag, buf)
 }
 
-func (t *tcpTransport) sendInit(c *Comm, p *pend, buf []float64) persOp {
-	return t.node(c.rank).sendInit(c, p, buf)
-}
-
-func (t *tcpTransport) recvInit(c *Comm, p *pend, buf []float64) persOp {
-	return t.node(c.rank).recvInit(c, buf)
+func (t *tcpTransport) newLink(e *cycle) link {
+	return t.node(e.r.comm.rank).newLink(e)
 }
 
 func (t *tcpTransport) abortAll() {

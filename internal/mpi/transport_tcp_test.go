@@ -420,11 +420,11 @@ func TestTCPFrameLandsOnlyAfterStart(t *testing.T) {
 		buf := []float64{-1, -1}
 		r := c.RecvInit(0, 3, buf)
 		c.Barrier()
-		p := r.op.(*tcpPers)
+		e := r.op.(*cycle)
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			p.mu.Lock()
-			parked := len(p.parked)
-			p.mu.Unlock()
+			e.mu.Lock()
+			parked := len(e.link.(*tcpLink).parked)
+			e.mu.Unlock()
 			if parked > 0 {
 				break
 			}

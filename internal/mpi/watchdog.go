@@ -16,7 +16,7 @@ import (
 // samples two things: a progress counter ticked by every completed wait
 // (collective messages included), and the count of observably pending
 // operations (unmatched sends and receives in the inboxes, collective
-// traffic included, persistent transfers started but undelivered, unpaired
+// traffic included, persistent endpoints whose Wait would block, unpaired
 // persistent endpoints). When operations stay pending with zero progress
 // for a full timeout window, the watchdog compiles a StallReport naming
 // every pending operation and aborts the world with it.
@@ -155,11 +155,17 @@ type PendingOp struct {
 	//	                registered (the classic mismatched-tag plan bug)
 	//	precv-unpaired  a persistent receive endpoint whose SendInit never
 	//	                registered
-	//	psend-active    a started persistent send whose peer has not started
-	//	psend-partial   a started partitioned send with partitions not yet
-	//	                marked ready (Unready names them) — the producing
-	//	                tiles never fired Pready
-	//	precv-active    a started persistent receive whose peer has not started
+	//	psend-active    a started persistent send whose Wait would block:
+	//	                a span is not yet sent (on chan, delivered; on
+	//	                shmem and tcp, staged or written)
+	//	psend-partial   a psend-active partitioned send with partitions not
+	//	                yet marked ready (Unready names them) — the
+	//	                producing tiles never fired Pready
+	//	precv-active    a started persistent receive whose Wait would block:
+	//	                a span has not landed
+	//
+	// The persistent kinds follow one rule on every backend: an endpoint
+	// is listed exactly while its own Wait would block.
 	//	recovery-parked a rank parked at the RunRecoverable recovery barrier
 	//	                awaiting a respawn/give-up verdict (Src is the rank)
 	Kind       string `json:"kind"`
