@@ -39,6 +39,18 @@ func (e *AbortError) Error() string {
 	return fmt.Sprintf("mpi: rank %d panicked: %v", e.Rank, e.Value)
 }
 
+// cause renders what killed the world without Error's prefix: the text an
+// abort carries to other processes, where it arrives as a *RemoteAbort and
+// Error renders it — prefix included — exactly once.
+func (e *AbortError) cause() string { return fmt.Sprint(e.Value) }
+
+// RemoteAbort is the abort cause observed by a process whose peer aborted
+// the shared world: the original value lives in the peer, only its
+// rendering crosses processes.
+type RemoteAbort struct{ Msg string }
+
+func (e *RemoteAbort) Error() string { return e.Msg }
+
 // Unwrap exposes both ErrAborted and, when the abort carried an error (a
 // rank calling Comm.Abort with one), that error — so errors.Is/As reach
 // either.
@@ -59,9 +71,10 @@ func (w *World) abort(rank int, v any) {
 		// The originating rank's last flight event is the abort itself, so a
 		// post-mortem ring ends at the kill shot rather than trailing off.
 		w.flight.Load().Rank(rank).Record(flight.KindAbort, -1, -1, -1, 0, 0)
-		w.abortVal.Store(&AbortError{Rank: rank, Value: v})
+		ae := &AbortError{Rank: rank, Value: v}
+		w.abortVal.Store(ae)
 		close(w.abortCh)
-		w.tr.abortAll()
+		w.tr.abortAll(ae)
 	})
 }
 

@@ -63,8 +63,13 @@ type World struct {
 	abortVal  atomic.Pointer[AbortError]
 	wdog      *watchdog
 	fault     *fault.Injector
-	verifyCRC bool           // receive-side payload CRC verify (see crc.go)
-	recov     *recoveryState // non-nil inside RunRecoverable (see recovery.go)
+	verifyCRC bool // receive-side payload CRC verify (see crc.go)
+
+	// Recovery (see recovery.go): epoch is the verdict of the epoch this
+	// world is in; roundMu guards it and orders entering an epoch against
+	// adopting a peer process's abort.
+	roundMu sync.Mutex
+	epoch   verdict
 
 	// inColl counts this process's ranks inside each collective, indexed
 	// by collBarrier/collReduce/collGather (see collectives.go).
@@ -157,10 +162,10 @@ func (w *World) newComm(rank int) *Comm {
 	return c
 }
 
-// runRank executes body on one rank goroutine with the standard recover
-// protocol: a panic aborts the whole world unless this rank is a victim of
-// an abort already in flight.
-func (w *World) runRank(rank int, body func(*Comm)) {
+// runRank executes body on rank c with the standard recover protocol: a
+// panic aborts the whole world unless this rank is a victim of an abort
+// already in flight. It reports whether body returned.
+func (w *World) runRank(c *Comm, body func(*Comm)) (returned bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			if ae, ok := p.(*AbortError); ok && ae == w.Aborted() {
@@ -168,10 +173,11 @@ func (w *World) runRank(rank int, body func(*Comm)) {
 				// world-wide abort, not an originator.
 				return
 			}
-			w.abort(rank, p)
+			w.abort(c.rank, p)
 		}
 	}()
-	body(w.newComm(rank))
+	body(c)
+	return true
 }
 
 // Run starts one goroutine per rank, invoking body with that rank's Comm,
@@ -188,7 +194,7 @@ func (w *World) Run(body func(*Comm)) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			w.runRank(rank, body)
+			w.runRank(w.newComm(rank), body)
 		}(r)
 	}
 	wg.Wait()
@@ -210,7 +216,7 @@ func (w *World) RunRank(rank int, body func(*Comm)) {
 		panic(fmt.Sprintf("mpi: RunRank rank %d out of range (size %d)", rank, w.size))
 	}
 	stopWatchdog := w.startWatchdog()
-	w.runRank(rank, body)
+	w.runRank(w.newComm(rank), body)
 	stopWatchdog()
 	if ae := w.Aborted(); ae != nil {
 		panic(ae)

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"sort"
-	"strings"
 	"sync"
-	"syscall"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -616,8 +614,9 @@ func (p *persProgram) model() [][][]float64 {
 	return obs
 }
 
-// exec runs the program as one rank and returns its observations.
-func (p *persProgram) exec(c *Comm) [][]float64 {
+// exec runs the program as one rank and returns its observations. A rank
+// given a stop step aborts the world just before running it (-1: never).
+func (p *persProgram) exec(c *Comm, stop int) [][]float64 {
 	var obs [][]float64
 	me := c.Rank()
 	reqs := map[persEnd]*Request{}
@@ -642,7 +641,13 @@ func (p *persProgram) exec(c *Comm) [][]float64 {
 			reqs[e] = c.RecvInit(ch.src, ch.tag, buf)
 		}
 	}
-	for _, st := range p.steps[me] {
+	halt := func(i int) {
+		if i == stop {
+			c.Abort(fmt.Errorf("oracle: rank %d stops before step %d", me, i))
+		}
+	}
+	for i, st := range p.steps[me] {
+		halt(i)
 		switch st.kind {
 		case psReg:
 			register(persEnd{st.ch, st.send})
@@ -722,6 +727,7 @@ func (p *persProgram) exec(c *Comm) [][]float64 {
 			}
 		}
 	}
+	halt(len(p.steps[me]))
 	return obs
 }
 
@@ -743,7 +749,7 @@ func runPersOracle(t *testing.T, transport string, seed int64, size int) {
 				t.Fatalf("seed %d size %d on %s: world aborted: %v", seed, size, transport, v)
 			}
 		}()
-		w.Run(func(c *Comm) { got[c.Rank()] = p.exec(c) })
+		w.Run(func(c *Comm) { got[c.Rank()] = p.exec(c, -1) })
 	}()
 	for r := range want {
 		if err := sameObservations(got[r], want[r]); err != nil {
@@ -757,6 +763,65 @@ func TestPersistentOracle(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		for _, tr := range TransportNames() {
 			runPersOracle(t, tr, seed, oracleSize(seed))
+		}
+	}
+}
+
+// runPersOracleRespawn runs the persistent program for a seed under
+// RunRecoverable: in epoch 0 a seeded victim rank aborts before a seeded
+// step, the world respawns once, and epoch 1 must run the whole program to
+// the model's observations on every rank.
+func runPersOracleRespawn(t *testing.T, transport string, seed int64, size int) {
+	t.Helper()
+	p := genPersProgram(seed, size)
+	want := p.model()
+	rng := rand.New(rand.NewSource(^seed))
+	victim := rng.Intn(size)
+	stop := rng.Intn(len(p.steps[victim]) + 1)
+	w, err := NewWorldOn(transport, size)
+	if err != nil {
+		t.Fatalf("NewWorldOn(%q, %d): %v", transport, size, err)
+	}
+	defer w.Close()
+	w.SetWatchdog(10*time.Second, nil)
+	got := make([][][]float64, size)
+	var epoch atomic.Int64
+	func() {
+		defer func() {
+			if v := recover(); v != nil {
+				t.Fatalf("seed %d size %d on %s: world aborted: %v", seed, size, transport, v)
+			}
+		}()
+		w.RunRecoverable(func(c *Comm) {
+			s := -1
+			if epoch.Load() == 0 && c.Rank() == victim {
+				s = stop
+			}
+			got[c.Rank()] = p.exec(c, s)
+		}, func(ae *AbortError, attempt int) bool {
+			if ae.Rank != victim {
+				t.Errorf("seed %d on %s: abort attributed to rank %d, want %d: %v", seed, transport, ae.Rank, victim, ae)
+			}
+			epoch.Add(1)
+			return attempt == 1
+		})
+	}()
+	if epoch.Load() != 1 {
+		t.Fatalf("seed %d on %s: recovered %d times, want 1", seed, transport, epoch.Load())
+	}
+	for r := range want {
+		if err := sameObservations(got[r], want[r]); err != nil {
+			t.Fatalf("seed %d size %d on %s, rank %d: %v", seed, size, transport, r, err)
+		}
+	}
+}
+
+// TestPersistentOracleRespawn runs the respawn-mid-program form of the
+// oracle for a fixed set of seeds on every transport.
+func TestPersistentOracleRespawn(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		for _, tr := range TransportNames() {
+			runPersOracleRespawn(t, tr, seed, oracleSize(seed))
 		}
 	}
 }
@@ -779,26 +844,7 @@ func workerWorlds(t *testing.T, w *World) []*World {
 	t.Helper()
 	ws := make([]*World, w.Size())
 	for r := range ws {
-		var a *World
-		var err error
-		switch w.Transport() {
-		case "shmem":
-			fd, derr := syscall.Dup(int(w.ShmemFile().Fd()))
-			if derr != nil {
-				t.Fatal(derr)
-			}
-			a, err = AttachShmemWorld(os.NewFile(uintptr(fd), "segment"))
-		case "tcp":
-			kv := strings.SplitN(w.WorkerSpawnEnv()[0], "=", 2)
-			t.Setenv(kv[0], kv[1])
-			a, err = AttachTCPWorld(r)
-		}
-		if err != nil {
-			t.Fatalf("attach rank %d: %v", r, err)
-		}
-		a.SetWatchdog(10*time.Second, nil)
-		ws[r] = a
-		t.Cleanup(func() { a.Close() })
+		ws[r] = attachWorker(t, w, r)
 	}
 	return ws
 }
@@ -829,7 +875,7 @@ func TestPersistentOracleAcrossWorkers(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					defer func() { errs[r] = recover() }()
-					a.RunRank(r, func(c *Comm) { got[r] = p.exec(c) })
+					a.RunRank(r, func(c *Comm) { got[r] = p.exec(c, -1) })
 				}()
 			}
 			wg.Wait()

@@ -219,12 +219,8 @@ func (pr *pairing) register(c *Comm, p *pend, buf []float64) {
 		if q != nil {
 			checkPair(p, q)
 		}
-		var inc uint64
-		if st, ok := w.tr.(supervisedTransport); ok {
-			inc = st.incarnationOf(c.rank)
-		}
 		pr.seq++
-		p.id = inc<<48 | uint64(c.rank)<<32 | pr.seq&(1<<32-1)
+		p.id = w.tr.incarnation(c.rank)<<48 | uint64(c.rank)<<32 | pr.seq&(1<<32-1)
 	} else {
 		if q != nil {
 			checkPair(q, p)

@@ -1,124 +1,127 @@
 package mpi
 
 import (
-	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
-// Recovery (ULFM-style revoke/respawn, in-process form). World.Run is
-// fail-loud: the first panic aborts every rank and re-raises in the caller.
-// RunRecoverable inserts a recovery layer between the abort and the caller:
-// when a world-wide abort fires, surviving ranks park at an in-memory
-// recovery barrier instead of exiting, a supervisor consults an onRecover
-// policy, and on a retry verdict the whole world is re-armed (Respawn) and
-// every rank — including the one that died, whose goroutine unwound — is
-// relaunched from the rank body. The rank body is therefore the "rank
-// constructor": it must rebuild its exchangers and restore state from a
-// checkpoint on re-entry (the harness layer owns that protocol).
+// Recovery (ULFM-style respawn). World.Run is fail-loud: the first panic
+// aborts every rank and re-raises in the caller. Recovery inserts one round
+// between the abort and the caller, written once here for every transport
+// and driven by two supervisors: RunRecoverable for the ranks of this
+// process, and the worker supervisor (internal/mpi/proc) for worker
+// processes, through AwaitParked/ResumeRound/GiveUpRound. The round:
 //
-// The dance per failed epoch:
+//  1. A rank panics, aborts, or stalls (or its worker process dies and the
+//     supervisor calls Kill): every blocked operation unwinds with the
+//     *AbortError.
+//  2. Each surviving rank parks (ParkForRecovery): it marks itself parked
+//     in the round cell and waits for the cell's generation to move.
+//     Parked ranks show in every StallReport as `recovery-parked` ops.
+//  3. The supervisor converges: every live rank parked, so the world is
+//     quiescent by construction — no rank touches the wire.
+//  4. It rules: a rank that already completed the epoch cannot be replayed,
+//     so any completion forces give-up; otherwise the policy decides.
+//  5. It releases the parked ranks with a verdict. On resume the shared
+//     wire state is re-seeded (dead ranks' incarnations bump, the restore
+//     step is pinned) and each world enters the new epoch exactly once:
+//     its wire state resets (Transport.newEpoch), its pairing matcher
+//     empties and its abort machinery re-arms. On give-up the abort stays
+//     published and the parked ranks exit.
 //
-//  1. Some rank panics (or the watchdog/CRC verifier calls Revoke): the
-//     normal abort path runs — abortCh closes, every blocked operation
-//     unwinds with the *AbortError.
-//  2. Each rank goroutine recovers the abort and parks in
-//     parkForRecovery, ticking the watchdog progress counter so the park
-//     itself is never mistaken for a stall. Parked ranks are visible in
-//     StallReport as `recovery-parked` pending ops.
-//  3. When every non-completed rank is parked the world is quiescent by
-//     construction: no goroutine can touch inboxes or persistent channels. The supervisor stops the watchdog and asks
-//     onRecover(abortErr, attempt) for a verdict.
-//  4. Retry: Respawn() wipes transport state (inboxes), empties the
-//     persistent-endpoint matcher and re-arms the abort machinery,
-//     the watchdog restarts for the new epoch, and releaseAll(true)
-//     resumes every parked rank into the next body invocation.
-//  5. Give up: releaseAll(false) lets parked ranks exit, and
-//     RunRecoverable re-raises the original *AbortError — identical
-//     fail-loud behavior to Run, one recovery layer later.
-type recoveryState struct {
-	mu        sync.Mutex
-	parked    map[int]bool  // ranks parked at the recovery barrier
-	completed int           // ranks that finished the body this epoch
-	release   chan struct{} // closed to end the current parked round
-	allParked chan struct{} // closed when every live rank is parked
-	resume    bool          // verdict for the round being released
+// A backend supplies only the round cell: where the parked marks, the
+// generation and the verdict live, and how a parked rank waits for the
+// generation to move (chan: memory; shmem: segment words; tcp: the
+// coordinator's parked set and tfPark/tfVerdict frames).
+type roundCell interface {
+	// park marks rank parked at the recovery barrier.
+	park(rank int)
+	// parked lists the parked ranks, ascending (nil where the world cannot
+	// see them: a tcp worker).
+	parked() []int
+	// await blocks rank until the generation moves past gen and returns the
+	// verdict published with it; ok is false when no verdict can arrive
+	// (a tcp worker's control link is gone).
+	await(rank int, gen uint64) (v verdict, ok bool)
+	// settle clears the parked marks and, on resume, re-seeds the shared
+	// round state — dead ranks' incarnations bump, the restore step is
+	// pinned — and returns the next generation's verdict, not yet visible
+	// to parked ranks.
+	settle(resume bool, dead []int, step int) verdict
+	// release publishes v: parked ranks wake.
+	release(v verdict)
+	// incarnation reads rank's life number: 0 first spawn, bumped per
+	// crash-respawn round.
+	incarnation(rank int) uint64
+	// publishedAbort reads the world-wide abort, adopting a peer
+	// process's into this world first (nil while none).
+	publishedAbort() *AbortError
 }
 
-func newRecoveryState() *recoveryState {
-	return &recoveryState{
-		parked:    map[int]bool{},
-		release:   make(chan struct{}),
-		allParked: make(chan struct{}),
-	}
-}
-
-// parkedRanks returns the parked rank ids, unsorted.
-func (rs *recoveryState) parkedRanks() []int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := make([]int, 0, len(rs.parked))
-	for r := range rs.parked {
-		out = append(out, r)
-	}
-	return out
-}
-
-// releaseAll ends the current parked round with the given verdict and arms
-// a fresh round. Called by the supervisor with the world quiescent.
-func (rs *recoveryState) releaseAll(resume bool) {
-	rs.mu.Lock()
-	rs.resume = resume
-	rs.parked = map[int]bool{}
-	rs.completed = 0
-	rs.allParked = make(chan struct{})
-	old := rs.release
-	rs.release = make(chan struct{})
-	rs.mu.Unlock()
-	close(old)
+// verdict is a released round: its generation, whether the world resumes,
+// and the checkpoint step the resumed epoch restores from (-1 for none).
+type verdict struct {
+	gen    uint64
+	resume bool
+	step   int
 }
 
 // RunRecoverable is Run with a recovery policy. body runs once per rank per
-// epoch and must be re-entrant: on recovery it is invoked again on a fresh
-// goroutine for every rank and must rebuild its communication plans from
-// scratch (Respawn emptied the persistent-endpoint matcher). onRecover is
-// called once per world-wide abort, with the *AbortError and the 1-based
-// attempt number, while every rank is parked and the world is quiescent —
-// it may checkpoint-rewind, log, sleep for backoff, and decide: true to
-// respawn and retry, false to give up. On give-up (and on a nil onRecover,
-// which degenerates to Run) the *AbortError re-raises in the caller exactly
-// as Run would.
+// epoch and must be re-entrant: on recovery it is invoked again for every
+// rank and must rebuild its communication plans from scratch (the new
+// epoch emptied the persistent-endpoint matcher). onRecover is called once
+// per world-wide abort, with the *AbortError and the 1-based attempt
+// number, while every rank is parked and the world is quiescent — it may
+// checkpoint-rewind, log, sleep for backoff, and decide: true to respawn
+// and retry, false to give up. On give-up (and on a nil onRecover, which
+// degenerates to Run) the *AbortError re-raises in the caller exactly as
+// Run would.
+//
+// RunRecoverable is the in-process supervisor of the recovery round: its
+// ranks park with ParkForRecovery and it converges, resumes and gives up
+// with AwaitParked, ResumeRound and GiveUpRound, as the worker supervisor
+// does.
 func (w *World) RunRecoverable(body func(*Comm), onRecover func(ae *AbortError, attempt int) bool) {
 	if onRecover == nil {
 		w.Run(body)
 		return
 	}
-	rs := newRecoveryState()
-	w.recov = rs
-	defer func() { w.recov = nil }()
+	// A trailing barrier separates "my body returned" from "the epoch
+	// succeeded": without it a rank could finish and exit while a peer
+	// panics mid-step, leaving the round short one participant.
+	epoch := func(c *Comm) {
+		body(c)
+		c.Barrier()
+	}
 	stopWatchdog := w.startWatchdog()
+	exited := make([]atomic.Bool, w.size)
 	var wg sync.WaitGroup
-	for r := 0; r < w.size; r++ {
+	for r := range w.size {
 		wg.Add(1)
-		go func(rank int) {
+		go func() {
 			defer wg.Done()
-			c := w.newComm(rank)
-			for {
-				if w.runRankEpoch(c, body) {
-					return
-				}
-				if !w.parkForRecovery(rank) {
+			defer exited[r].Store(true)
+			c := w.newComm(r)
+			for !w.runRank(c, epoch) {
+				if resume, _ := w.ParkForRecovery(r); !resume {
 					return
 				}
 			}
-		}(r)
+		}()
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	attempt := 0
-	for {
-		rs.mu.Lock()
-		allParked := rs.allParked
-		rs.mu.Unlock()
+	live := func() (out []int) {
+		for r := range exited {
+			if !exited[r].Load() {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	for attempt := 1; ; attempt++ {
 		select {
 		case <-done:
 			stopWatchdog()
@@ -126,111 +129,148 @@ func (w *World) RunRecoverable(body func(*Comm), onRecover func(ae *AbortError, 
 				panic(ae)
 			}
 			return
-		case <-allParked:
-			stopWatchdog()
-			ae := w.Aborted()
-			rs.mu.Lock()
-			nCompleted := rs.completed
-			rs.mu.Unlock()
-			retry := false
-			if nCompleted == 0 {
-				// Only a world where no rank finished the epoch can rewind:
-				// a completed rank's goroutine already exited and cannot be
-				// replayed. (Reaching here with completions requires the
-				// abort to land after the epoch's closing barrier — e.g. a
-				// watchdog misfire — and the only safe verdict is give up.)
-				attempt++
-				retry = onRecover(ae, attempt)
-			}
-			if retry {
-				w.Respawn()
-				stopWatchdog = w.startWatchdog()
-			}
-			rs.releaseAll(retry)
-			if !retry {
-				// Parked ranks are exiting; the done case re-raises ae.
-				stopWatchdog = func() {}
-			}
+		case <-w.abortCh:
 		}
+		// Converge on the ranks that have not exited: one finishing its
+		// closing barrier as the abort lands leaves the wanted set, and
+		// forces give-up like any rank that cannot be replayed.
+		for w.AwaitParked(live(), time.Now().Add(time.Millisecond)) != nil {
+		}
+		stopWatchdog()
+		ae := w.Aborted()
+		if len(live()) < w.size || !onRecover(ae, attempt) {
+			w.GiveUpRound()
+			<-done
+			panic(ae)
+		}
+		w.ResumeRound(nil, -1)
+		stopWatchdog = w.startWatchdog()
 	}
 }
 
-// runRankEpoch runs one epoch of body on rank c, reporting whether the rank
-// completed it (true) or unwound from a world-wide abort (false, park next).
-// A trailing abort-aware barrier separates "my body returned" from "the
-// epoch succeeded": without it a rank could finish and exit while a peer
-// panics mid-step, leaving the recovery round short one participant.
-func (w *World) runRankEpoch(c *Comm, body func(*Comm)) (completed bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			if ae, ok := p.(*AbortError); ok && ae == w.Aborted() {
-				return // victim of the world-wide abort, not the originator
-			}
-			w.abort(c.rank, p)
-		}
-	}()
-	body(c)
-	c.Barrier()
-	rs := w.recov
-	rs.mu.Lock()
-	rs.completed++
-	rs.mu.Unlock()
-	return true
-}
-
-// parkForRecovery blocks the rank at the recovery barrier until the
-// supervisor rules on the abort. Returns true to re-run the body (world
-// respawned), false to exit (recovery refused or budget exhausted).
-func (w *World) parkForRecovery(rank int) (resume bool) {
-	rs := w.recov
-	rs.mu.Lock()
-	rs.parked[rank] = true
-	release := rs.release
-	if len(rs.parked)+rs.completed == w.size {
-		close(rs.allParked)
-	}
-	rs.mu.Unlock()
+// ParkForRecovery parks the calling rank at the recovery barrier until the
+// supervisor rules on the abort. resume=true means the world was respawned:
+// the caller must re-enter its rank body, restoring from checkpoint step
+// restoreStep (-1 when no checkpoint exists and the epoch restarts from
+// scratch). resume=false means recovery was refused or the budget is
+// exhausted; the caller reports its failure and exits.
+func (w *World) ParkForRecovery(rank int) (resume bool, restoreStep int) {
+	// The generation is read before the mark is published: the supervisor
+	// releases only after seeing this rank parked, so the round it ends is
+	// never one this rank missed.
+	w.roundMu.Lock()
+	gen := w.epoch.gen
+	w.roundMu.Unlock()
+	w.tr.park(rank)
 	// The park is progress, not a stall: without this tick a slow peer's
 	// unwind could push the quiet period past the watchdog timeout.
 	w.progressTick()
-	<-release
-	rs.mu.Lock()
-	resume = rs.resume
-	rs.mu.Unlock()
-	return resume
-}
-
-// Revoke aborts the world on behalf of rank without panicking the caller —
-// the exported form of the internal abort path, for drivers that detect a
-// failure outside any rank goroutine (health checks, external verifiers).
-// Every blocked operation unwinds with the resulting *AbortError; under
-// RunRecoverable the ranks then park for a recovery verdict.
-func (w *World) Revoke(rank int, cause any) { w.abort(rank, cause) }
-
-// Respawn re-arms an aborted world for a new epoch. The caller must
-// guarantee quiescence — every rank goroutine parked or exited, watchdog
-// stopped — which RunRecoverable establishes before calling it. It asks
-// the transport to wipe all wire state (a mid-exchange abort strands
-// envelopes and posted receives), then empties the persistent-endpoint
-// matcher (a rank that died mid-plan-build leaks half-paired endpoints;
-// survivors' endpoints are stale because the new epoch re-pairs from
-// scratch — FIFO pairing order only holds if everyone starts empty) and
-// resets the abort machinery so the new epoch fails loud on its own terms. Panics if the backend cannot
-// rewind (shmem worlds span processes and are not respawnable in-place).
-func (w *World) Respawn() {
-	if err := w.tr.reset(); err != nil {
-		panic(fmt.Sprintf("mpi: Respawn on transport %q: %v", w.tr.name(), err))
+	v, ok := w.tr.await(rank, gen)
+	if !ok || !v.resume {
+		return false, -1
 	}
-	w.rearmAbort()
+	w.roundMu.Lock()
+	w.enterEpoch(v)
+	w.roundMu.Unlock()
+	return true, v.step
 }
 
-// rearmAbort starts this process's side of a new epoch: it empties the
-// persistent-endpoint matcher (the epoch re-pairs from scratch) and resets
-// the abort machinery so the epoch fails loud on its own terms. The caller
-// must guarantee the world is quiescent.
-func (w *World) rearmAbort() {
+// AwaitParked blocks until every rank in want is parked at the recovery
+// barrier or the deadline passes; it reports the ranks still missing (nil
+// on success). The supervisor's convergence wait.
+func (w *World) AwaitParked(want []int, deadline time.Time) (missing []int) {
+	var sp spinner
+	for {
+		parked := w.tr.parked()
+		missing = missing[:0]
+		for _, r := range want {
+			if !slices.Contains(parked, r) {
+				missing = append(missing, r)
+			}
+		}
+		if len(missing) == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return missing
+		}
+		sp.spin()
+	}
+}
+
+// ResumeRound ends the current recovery round with a retry verdict: dead
+// ranks' incarnations bump, the new epoch restores from checkpoint step
+// restoreStep (-1 for none), this world enters the new epoch, and every
+// parked rank is released into it. The caller (the supervisor, with
+// convergence established) then respawns the dead ranks' processes.
+func (w *World) ResumeRound(dead []int, restoreStep int) {
+	// The epoch is entered before the verdict is out, under roundMu so a
+	// late abort of the dead epoch can neither race the re-arm nor kill the
+	// new epoch; parked ranks of this world then skip their entry.
+	w.roundMu.Lock()
+	v := w.tr.settle(true, dead, restoreStep)
+	w.enterEpoch(v)
+	w.roundMu.Unlock()
+	w.tr.release(v)
+}
+
+// GiveUpRound ends the current recovery round with a give-up verdict:
+// parked ranks wake, observe the verdict, and exit. The published abort
+// stays readable.
+func (w *World) GiveUpRound() {
+	w.tr.release(w.tr.settle(false, nil, -1))
+}
+
+// Respawn re-arms an aborted world for a new epoch: a resume round with no
+// parked rank and no dead one, on every transport (a tcp world's from its
+// coordinator process). The caller must guarantee quiescence — every rank
+// goroutine and worker exited or parked, watchdog stopped.
+func (w *World) Respawn() { w.ResumeRound(nil, -1) }
+
+// enterEpoch moves this world into the epoch verdict v opens, once: the
+// supervisor enters before it releases the round, and its own parked ranks
+// then find the epoch entered. The transport drops its wire state, the
+// persistent-endpoint matcher empties (the epoch re-pairs from scratch),
+// and the abort machinery re-arms so the epoch fails loud on its own terms.
+// The caller holds roundMu.
+func (w *World) enterEpoch(v verdict) {
+	if v.gen <= w.epoch.gen {
+		return
+	}
+	w.epoch = v
+	w.tr.newEpoch(v.gen)
 	w.pairs.reset()
 	w.abortVal.Store(nil)
 	w.abortOnce = sync.Once{}
 	w.abortCh = make(chan struct{})
+}
+
+// RestoreStep reads the checkpoint step the current epoch restores from
+// (-1 when none). Survivors learn it from ParkForRecovery's return; a
+// respawned worker, which never parked, reads it here after attach.
+func (w *World) RestoreStep() int {
+	w.roundMu.Lock()
+	defer w.roundMu.Unlock()
+	return w.epoch.step
+}
+
+// Incarnation reads rank's incarnation: 0 for a first life, bumped once
+// per crash-respawn round.
+func (w *World) Incarnation(rank int) uint64 { return w.tr.incarnation(rank) }
+
+// PublishedAbort reads the world-wide abort: the supervisor uses it to
+// report why a worker-process world died even when the local process never
+// ran a rank. ok is false while no abort is published.
+func (w *World) PublishedAbort() (rank int, msg string, ok bool) {
+	if ae := w.tr.publishedAbort(); ae != nil {
+		return ae.Rank, ae.Error(), true
+	}
+	return 0, "", false
+}
+
+// CanSuperviseWorkers reports whether worker processes can attach to this
+// world: it carries a spawn contract (a segment file to inherit, or a
+// coordinator address in the environment).
+func (w *World) CanSuperviseWorkers() bool {
+	return w.WorkerSpawnEnv() != nil || w.WorkerSpawnFiles() != nil
 }

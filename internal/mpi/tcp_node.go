@@ -167,19 +167,21 @@ type tcpNode struct {
 	dial tcpconn.DialPolicy
 
 	epoch          atomic.Uint64
-	restore        atomic.Int64
 	othersProgress atomic.Int64
 
 	hbInterval, hbMiss, hbDead time.Duration
 	writeTimeout, hsTimeout    time.Duration
 
-	closed    chan struct{}
-	ctlDown   chan struct{}
-	verdictCh chan *ctlMsg
+	closed  chan struct{}
+	ctlDown chan struct{}
+	// verdictCh signals that last moved: the newest WELCOME or recovery
+	// verdict from the coordinator (guarded by mu).
+	verdictCh chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
 	mu        sync.Mutex
+	last      ctlMsg
 	posted    []*tcpRecv
 	unmatched []*tcpMsg
 	lastSeq   map[int]uint64 // per-src wire sequence high-water, this epoch
@@ -216,7 +218,7 @@ func newTCPNode(t *tcpTransport, rank int) (*tcpNode, error) {
 		hsTimeout:    tcpHandshakeTimeout,
 		closed:       make(chan struct{}),
 		ctlDown:      make(chan struct{}),
-		verdictCh:    make(chan *ctlMsg, 4),
+		verdictCh:    make(chan struct{}, 1),
 		lastSeq:      map[int]uint64{},
 		peerInc:      map[int]uint64{},
 		outs:         map[int]*tcpOut{},
@@ -259,7 +261,7 @@ func newTCPNode(t *tcpTransport, rank int) (*tcpNode, error) {
 	conn.SetReadDeadline(time.Time{})
 	n.inc = welcome.Inc
 	n.epoch.Store(welcome.Epoch)
-	n.restore.Store(int64(welcome.Restore))
+	n.last = welcome
 	n.wg.Add(3)
 	go n.acceptLoop()
 	go n.ctlReader()
@@ -737,15 +739,6 @@ func (n *tcpNode) join(conn net.Conn, dst int) (retry bool, err error) {
 	}
 }
 
-// sendAbort forwards this world's abort to the coordinator (best-effort).
-func (n *tcpNode) sendAbort() {
-	rank, msg := WatchdogRank, "abort with unrecorded cause"
-	if ae := n.w.Aborted(); ae != nil {
-		rank, msg = ae.Rank, ae.Error()
-	}
-	n.ctl.send(tfAbort, &ctlMsg{Rank: rank, Msg: msg, Epoch: n.epoch.Load()})
-}
-
 // ---- control reader ----
 
 func (n *tcpNode) ctlReader() {
@@ -770,14 +763,20 @@ func (n *tcpNode) ctlReader() {
 				ch <- m.Addr
 			}
 		case tfAborted:
-			// Epoch-stamped: a pre-recovery abort still buffered in the
-			// control stream must not kill the epoch that replaced it.
+			// Epoch-stamped, and checked under roundMu: a pre-recovery
+			// abort still buffered in the control stream must not kill the
+			// epoch that replaced it.
+			n.w.roundMu.Lock()
 			if m.Epoch == n.epoch.Load() && n.w.Aborted() == nil {
 				n.w.abort(m.Rank, &RemoteAbort{Msg: m.Msg})
 			}
+			n.w.roundMu.Unlock()
 		case tfVerdict:
+			n.mu.Lock()
+			n.last = m
+			n.mu.Unlock()
 			select {
-			case n.verdictCh <- &m:
+			case n.verdictCh <- struct{}{}:
 			default:
 			}
 		case tfHBAck:
@@ -859,8 +858,6 @@ func (n *tcpNode) heartbeater() {
 
 // ---- introspection ----
 
-func (n *tcpNode) pendingCount() int { return len(n.pendingOps()) }
-
 // pendingOps lists the node's one-shot traffic; pairing descriptors are
 // bookkeeping, not waits, and stay out.
 func (n *tcpNode) pendingOps() []PendingOp {
@@ -913,33 +910,6 @@ func (n *tcpNode) resetForEpoch(ep uint64) {
 	n.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
-	}
-}
-
-// parkForRecovery blocks this worker rank at the recovery barrier until
-// the coordinator's verdict. A resume verdict carries the new epoch and
-// the checkpoint step to replay from; anything else (give-up, a dead
-// control link) ends the run with the published abort standing.
-func (n *tcpNode) parkForRecovery() (resume bool, restoreStep int) {
-	if err := n.ctl.send(tfPark, &ctlMsg{Rank: n.rank}); err != nil {
-		return false, -1
-	}
-	for {
-		select {
-		case v := <-n.verdictCh:
-			if v.Resume && v.Epoch <= n.epoch.Load() {
-				continue // verdict of an epoch this node already left behind
-			}
-			if !v.Resume {
-				return false, -1
-			}
-			n.resetForEpoch(v.Epoch)
-			n.restore.Store(int64(v.Restore))
-			n.w.rearmAbort()
-			return true, v.Restore
-		case <-n.ctlDown:
-			return false, -1
-		}
 	}
 }
 

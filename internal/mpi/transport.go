@@ -13,8 +13,8 @@ import (
 // message delivery, and builds the link that moves each persistent
 // endpoint's bytes, while World/Comm keep everything transport-agnostic —
 // validation, collectives (written once over isend/irecv, see
-// collectives.go), persistent pairing (persistent.go) and the partitioned
-// cycle (cycle.go), fault injection, traffic counters, flight recording,
+// collectives.go), persistent pairing (persistent.go), the partitioned
+// cycle (cycle.go) and the recovery round (recovery.go), fault injection, traffic counters, flight recording,
 // metrics, the abort machinery, and the watchdog. A backend registers a
 // factory under a name (RegisterTransport) and worlds are built on it with
 // NewWorldOn; the "chan" backend is the in-process pre-paired channel
@@ -46,27 +46,27 @@ type Transport interface {
 	// to the word its receive side binds to.
 	newLink(e *cycle) link
 
-	// abortAll carries a local abort to the other processes of the world
-	// (shmem publishes it in the segment, tcp sends it to the
-	// coordinator). Local waits are unblocked by the world's abort
+	// abortAll carries the world's abort ae to its other processes (shmem
+	// publishes it in the segment, tcp sends it to the coordinator) as its
+	// rank and cause text. Local waits are unblocked by the world's abort
 	// channel.
-	abortAll()
+	abortAll(ae *AbortError)
 
-	// Watchdog hooks for one-shot traffic (persistent endpoints are
-	// persistent.go's): pendingCount is the cheap stall predicate (posted
-	// but incomplete operations, collective traffic included, pairing
-	// descriptors left out), pendingOps the detailed listing for a
-	// StallReport.
-	pendingCount() int
+	// pendingOps lists one-shot traffic (persistent endpoints are
+	// persistent.go's) for the watchdog: its length is the stall predicate
+	// (collective traffic included, pairing descriptors left out), its
+	// entries the StallReport listing.
 	pendingOps() []PendingOp
 
-	// reset wipes all transport state for a Respawn (world quiescent).
-	// chan rebuilds its in-memory fabric; shmem quarantines the shared
-	// segment (re-seeds rings, staging, one-shot regions, heap bump pointer)
-	// and wipes local matching state — cross-process callers must have
-	// established quiescence first (see recovery_shmem.go). A backend
-	// that cannot rewind returns an error and respawn is unsupported.
-	reset() error
+	// newEpoch drops this process's wire state as the world enters epoch
+	// gen of a recovery round (see recovery.go; the world is quiescent):
+	// chan empties its inboxes, shmem its local matching state (the round
+	// re-seeded the segment), tcp cuts every stream and moves its nodes onto
+	// the epoch.
+	newEpoch(gen uint64)
+
+	// roundCell is the backend's share of the recovery round.
+	roundCell
 
 	// close releases transport resources (segments, fds). The world is
 	// unusable afterwards.
@@ -158,7 +158,7 @@ func NewWorldOn(name string, size int) (*World, error) {
 		return nil, fmt.Errorf("mpi: unknown transport %q (registered: %s)",
 			name, strings.Join(TransportNames(), ", "))
 	}
-	w := &World{size: size, abortCh: make(chan struct{})}
+	w := &World{size: size, abortCh: make(chan struct{}), epoch: verdict{step: -1}}
 	tr, err := ent.factory(w)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: transport %q: %w", name, err)

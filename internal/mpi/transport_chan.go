@@ -23,14 +23,21 @@ func init() {
 		})
 }
 
-// chanTransport carries the one-shot matching and rendezvous state.
+// chanTransport carries the one-shot matching and rendezvous state, and
+// the recovery round's cell in memory: parked marks, the verdict, and a
+// channel closed when the generation moves.
 type chanTransport struct {
 	w     *World
 	boxes []*inbox
+
+	cellMu sync.Mutex
+	marks  []bool
+	v      verdict
+	moved  chan struct{}
 }
 
 func newChanTransport(w *World) *chanTransport {
-	t := &chanTransport{w: w, boxes: make([]*inbox, w.size)}
+	t := &chanTransport{w: w, boxes: make([]*inbox, w.size), marks: make([]bool, w.size), moved: make(chan struct{})}
 	for i := range t.boxes {
 		t.boxes[i] = newInbox()
 	}
@@ -252,19 +259,7 @@ func (p *posted) opName(r *Request) string {
 
 // abortAll has nothing to carry: every rank is in this process, and its
 // waits watch the world's abort channel.
-func (t *chanTransport) abortAll() {}
-
-// pendingCount is the cheap stall predicate: a count of operations that are
-// posted but not complete.
-func (t *chanTransport) pendingCount() int {
-	n := 0
-	for _, box := range t.boxes {
-		box.mu.Lock()
-		n += len(box.sends) + len(box.recvs)
-		box.mu.Unlock()
-	}
-	return n
-}
+func (t *chanTransport) abortAll(*AbortError) {}
 
 // pendingOps lists every pending operation for a StallReport (unsorted;
 // the report sorts after merging in world-level entries).
@@ -289,17 +284,65 @@ func (t *chanTransport) pendingOps() []PendingOp {
 	return pending
 }
 
-// reset wipes the inboxes for a Respawn: a mid-exchange abort strands
-// envelopes and posted receives. Persistent channels need nothing: the
-// epoch re-pairs from scratch and builds new ones.
-func (t *chanTransport) reset() error {
+// newEpoch wipes the inboxes: a mid-exchange abort strands envelopes and
+// posted receives. Persistent channels need nothing: the epoch re-pairs
+// from scratch and builds new ones.
+func (t *chanTransport) newEpoch(uint64) {
 	for _, box := range t.boxes {
 		box.mu.Lock()
 		box.sends, box.recvs = nil, nil
 		box.mu.Unlock()
 	}
-	return nil
 }
+
+func (t *chanTransport) park(rank int) {
+	t.cellMu.Lock()
+	t.marks[rank] = true
+	t.cellMu.Unlock()
+}
+
+func (t *chanTransport) parked() (out []int) {
+	t.cellMu.Lock()
+	defer t.cellMu.Unlock()
+	for r, m := range t.marks {
+		if m {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func (t *chanTransport) await(_ int, gen uint64) (verdict, bool) {
+	for {
+		t.cellMu.Lock()
+		v, moved := t.v, t.moved
+		t.cellMu.Unlock()
+		if v.gen > gen {
+			return v, true
+		}
+		<-moved
+	}
+}
+
+func (t *chanTransport) settle(resume bool, _ []int, step int) verdict {
+	t.cellMu.Lock()
+	defer t.cellMu.Unlock()
+	clear(t.marks)
+	return verdict{gen: t.v.gen + 1, resume: resume, step: step}
+}
+
+func (t *chanTransport) release(v verdict) {
+	t.cellMu.Lock()
+	t.v = v
+	close(t.moved)
+	t.moved = make(chan struct{})
+	t.cellMu.Unlock()
+}
+
+// incarnation is always 0: no rank of an in-process world dies alone.
+func (t *chanTransport) incarnation(int) uint64 { return 0 }
+
+func (t *chanTransport) publishedAbort() *AbortError { return t.w.Aborted() }
 
 func (t *chanTransport) close() error { return nil }
 

@@ -522,8 +522,8 @@ func TestConformanceRespawnCycle(t *testing.T) {
 				t.Fatalf("cycle %d: abort rank = %d, want 0", cycle, ae.Rank)
 			}
 			w.Respawn()
-			if n := w.tr.pendingCount(); n != 0 {
-				t.Fatalf("cycle %d: pendingCount after Respawn = %d, want 0", cycle, n)
+			if n := len(w.tr.pendingOps()); n != 0 {
+				t.Fatalf("cycle %d: pending ops after Respawn = %d, want 0", cycle, n)
 			}
 			w.Run(func(c *Comm) {
 				// One-shot on the same tag the stranded send used: the fresh

@@ -69,22 +69,15 @@ const (
 	// alongside its local counter, so a worker computing quietly while its
 	// peers move data is not misread as a stall.
 	offProgress = offAbortMsg + shmAbortMsgCap
-	// Recovery round words (see recovery_shmem.go): the supervisor runs
-	// cross-process recovery rounds against these. offRecGen is the round
-	// generation — parked workers spin until it moves; offRecVerdict holds
-	// the round's verdict (shmVerdictResume/shmVerdictGiveUp) and
-	// offRecStep the checkpoint step to restore, encoded as step+1 so the
-	// zero word means "no checkpoint, restart from scratch".
+	// The recovery round's cell (see recovery.go), with the per-rank parked
+	// words. offRecGen is the round generation — parked ranks spin until it
+	// moves; offRecVerdict is 1 when the round resumed, and offRecStep the
+	// checkpoint step to restore, encoded as step+1 so the zero word means
+	// "no checkpoint, restart from scratch".
 	offRecGen     = offProgress + 8
 	offRecVerdict = offProgress + 16
 	offRecStep    = offProgress + 24
 	shmHdrBytes   = offRecStep + 8
-)
-
-// Recovery round verdicts published at offRecVerdict.
-const (
-	shmVerdictResume = 1
-	shmVerdictGiveUp = 2
 )
 
 // Persistent-table entry word indices. One entry is the shared data path of
@@ -310,16 +303,9 @@ func (s *spinner) spin() {
 	}
 }
 
-// RemoteAbort is the abort cause observed by a process whose peer aborted
-// the shared world: the original value lives in the peer, only its
-// rendering crosses the segment.
-type RemoteAbort struct{ Msg string }
-
-func (e *RemoteAbort) Error() string { return e.Msg }
-
 // checkAbort reports the world's abort error, adopting a peer process's
-// published abort into the local world first if needed. Every polling
-// wait calls it each iteration.
+// abort published in the segment into the local world first if needed.
+// Every polling wait calls it each iteration.
 func (t *shmemTransport) checkAbort() *AbortError {
 	if ae := t.w.Aborted(); ae != nil {
 		return ae
@@ -327,26 +313,22 @@ func (t *shmemTransport) checkAbort() *AbortError {
 	if atomic.LoadUint64(t.w64(offAbortState)) != 0 {
 		rank := int(int64(atomic.LoadUint64(t.w64(offAbortRank))))
 		n := int(atomic.LoadUint64(t.w64(offAbortMsgLen)))
-		msg := string(t.b[offAbortMsg : offAbortMsg+n])
-		t.w.abort(rank, &RemoteAbort{Msg: msg})
+		t.w.abort(rank, &RemoteAbort{Msg: string(t.b[offAbortMsg : offAbortMsg+n])})
 		return t.w.Aborted()
 	}
 	return nil
 }
 
+func (t *shmemTransport) publishedAbort() *AbortError { return t.checkAbort() }
+
 // abortAll publishes the local abort into the segment (first process
 // wins) so peer processes' polling waits unwind too. Local waits are
 // polling loops that observe the local abort directly.
-func (t *shmemTransport) abortAll() {
+func (t *shmemTransport) abortAll(ae *AbortError) {
 	if !atomic.CompareAndSwapUint64(t.w64(offAbortClaim), 0, 1) {
 		return
 	}
-	rank, msg := WatchdogRank, "abort with unrecorded cause"
-	if ae := t.w.Aborted(); ae != nil {
-		// A remote-adopted abort carries the peer's rendering already;
-		// re-publishing is idempotent because the claim word was ours.
-		rank, msg = ae.Rank, ae.Error()
-	}
+	rank, msg := ae.Rank, ae.cause()
 	if len(msg) > shmAbortMsgCap {
 		msg = msg[:shmAbortMsgCap]
 	}
@@ -367,16 +349,14 @@ func (w *World) ShmemFile() *os.File {
 	return nil
 }
 
-// ShmemAbort reads the segment's published abort cause: the supervisor
-// uses it to report why a worker-process world died even when the local
-// process never ran a rank. ok is false while no abort is published or
-// the world is not on shmem.
-func (w *World) ShmemAbort() (rank int, msg string, ok bool) {
-	t, isShmem := w.tr.(*shmemTransport)
-	if !isShmem {
-		return 0, "", false
+// WorkerSpawnFiles returns the files a spawned worker must inherit, in
+// os/exec ExtraFiles order starting at fd 3: a shmem world's segment, nil
+// on other transports.
+func (w *World) WorkerSpawnFiles() []*os.File {
+	if f := w.ShmemFile(); f != nil {
+		return []*os.File{f}
 	}
-	return t.publishedAbort()
+	return nil
 }
 
 // AttachShmemWorld maps an existing shmem-world segment — inherited from
@@ -396,6 +376,7 @@ func AttachShmemWorld(f *os.File) (*World, error) {
 	}
 	w.tr = t
 	w.sprog = t
+	w.epoch = verdict{gen: atomic.LoadUint64(t.w64(offRecGen)), step: t.restoreStep()}
 	return w, nil
 }
 
@@ -410,18 +391,18 @@ func (t *shmemTransport) progressShared() int64 {
 	return int64(atomic.LoadUint64(t.w64(offProgress)))
 }
 
-// incarnationOf reads rank's incarnation word: bumped by quarantine for
+// incarnation reads rank's incarnation word: bumped by quarantine for
 // every dead rank, so a respawned worker self-identifies and pre-crash
 // deliveries are discarded at drain.
-func (t *shmemTransport) incarnationOf(rank int) uint64 {
+func (t *shmemTransport) incarnation(rank int) uint64 {
 	return atomic.LoadUint64(t.w64(t.l.incs + rank*8))
 }
 
-// resetLocal clears this process's matching state — drained-but-unmatched
+// newEpoch clears this process's matching state — drained-but-unmatched
 // messages and posted receives stranded by an abort. Each attached process
 // must clear its own view before re-entering a respawned world; quarantine
 // only reaches the shared segment.
-func (t *shmemTransport) resetLocal() {
+func (t *shmemTransport) newEpoch(uint64) {
 	for r := range t.inbox {
 		ib := &t.inbox[r]
 		ib.mu.Lock()
@@ -432,10 +413,9 @@ func (t *shmemTransport) resetLocal() {
 
 // quarantine re-seeds the segment's shared wire state for a new epoch. The
 // caller must guarantee quiescence: every rank parked, exited, or dead —
-// the supervisor's convergence wait (internal/mpi/proc) or Respawn's
-// contract establishes it. Rings are drained and re-sequenced, the
-// persistent channel table cleared (the new epoch re-pairs from scratch
-// and builds new channels), and both allocators
+// the recovery round's convergence establishes it. Rings are drained and
+// re-sequenced, the persistent channel table cleared (the new epoch
+// re-pairs from scratch and builds new channels), and both allocators
 // rewind — the send regions to empty, the heap bump pointer to its base:
 // every one-shot block and staged payload belonged to the dead epoch. Dead
 // ranks get their incarnation bumped so any block a crashed sender already
@@ -472,16 +452,54 @@ func (t *shmemTransport) quarantine(dead []int, restoreStep int) {
 	for _, r := range dead {
 		atomic.AddUint64(t.w64(l.incs+r*8), 1)
 	}
-	for r := 0; r < l.size; r++ {
-		atomic.StoreUint64(t.w64(l.parked+r*8), 0)
-	}
 	atomic.StoreUint64(t.w64(offRecStep), uint64(restoreStep+1))
 }
 
-func (t *shmemTransport) reset() error {
-	t.quarantine(nil, -1)
-	t.resetLocal()
-	return nil
+// ---- the recovery round's cell: segment words ----
+
+func (t *shmemTransport) park(rank int) { atomic.StoreUint64(t.w64(t.l.parked+rank*8), 1) }
+
+func (t *shmemTransport) parked() (out []int) {
+	for r := 0; r < t.l.size; r++ {
+		if atomic.LoadUint64(t.w64(t.l.parked+r*8)) != 0 {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func (t *shmemTransport) await(_ int, gen uint64) (verdict, bool) {
+	var sp spinner
+	for atomic.LoadUint64(t.w64(offRecGen)) <= gen {
+		sp.spin()
+	}
+	return verdict{
+		gen:    atomic.LoadUint64(t.w64(offRecGen)),
+		resume: atomic.LoadUint64(t.w64(offRecVerdict)) == 1,
+		step:   t.restoreStep(),
+	}, true
+}
+
+// settle publishes the verdict word ahead of the generation, so a rank that
+// sees the generation move reads this round's verdict.
+func (t *shmemTransport) settle(resume bool, dead []int, step int) verdict {
+	word := uint64(0)
+	if resume {
+		t.quarantine(dead, step)
+		word = 1
+	}
+	for r := 0; r < t.l.size; r++ {
+		atomic.StoreUint64(t.w64(t.l.parked+r*8), 0)
+	}
+	atomic.StoreUint64(t.w64(offRecVerdict), word)
+	return verdict{gen: atomic.LoadUint64(t.w64(offRecGen)) + 1, resume: resume, step: t.restoreStep()}
+}
+
+func (t *shmemTransport) release(v verdict) { atomic.StoreUint64(t.w64(offRecGen), v.gen) }
+
+// restoreStep reads the checkpoint step the segment's epoch restores from.
+func (t *shmemTransport) restoreStep() int {
+	return int(atomic.LoadUint64(t.w64(offRecStep))) - 1
 }
 
 func (t *shmemTransport) close() error {
@@ -607,7 +625,7 @@ func (t *shmemTransport) drain(rank int) {
 		// Drop deliveries from a previous incarnation of the sender: a rank
 		// respawned after a crash must not have its pre-crash traffic matched
 		// against post-restore receives.
-		if m.inc == t.incarnationOf(m.src) {
+		if m.inc == t.incarnation(m.src) {
 			ib.unmatched = append(ib.unmatched, m)
 		} else {
 			t.consume(off)
@@ -670,7 +688,7 @@ func (t *shmemTransport) isend(c *Comm, dst, tag int, buf []float64, flips []fau
 	if t.w.verifyCRC {
 		*t.w64(off + 40) = uint64(crcFloats(buf))
 	}
-	*t.w64(off + 48) = t.incarnationOf(c.rank)
+	*t.w64(off + 48) = t.incarnation(c.rank)
 	copy(t.floats(off+shmMsgHdr, len(buf)), buf)
 	for i, f := range flips {
 		*t.w64(off + shmMsgHdr + 8*len(buf) + 16*i) = uint64(f.Off)
@@ -847,12 +865,8 @@ func (p *shmRecv) opName(r *Request) string {
 
 // ---- watchdog hooks ----
 
-func (t *shmemTransport) pendingCount() int { return len(t.pendingOps()) }
-
 // pendingOps lists one-shot traffic world-wide (the rings) and in this
-// process (drained but unmatched messages, posted receives), plus ranks
-// parked at the cross-process recovery barrier, visible world-wide so no
-// process's watchdog misreads a recovery round as quiescence. Pairing
+// process (drained but unmatched messages, posted receives). Pairing
 // descriptors are bookkeeping, not waits, and stay out.
 func (t *shmemTransport) pendingOps() []PendingOp {
 	var ops []PendingOp
@@ -892,13 +906,6 @@ func (t *shmemTransport) pendingOps() []PendingOp {
 			}
 		}
 		ib.mu.Unlock()
-	}
-	for r := 0; r < t.l.size; r++ {
-		if atomic.LoadUint64(t.w64(t.l.parked+r*8)) != 0 {
-			ops = append(ops, PendingOp{
-				Kind: flight.PendRecoveryParked, Src: r, Dst: -1, Tag: -1,
-			})
-		}
 	}
 	return ops
 }

@@ -7,17 +7,17 @@ import (
 	"testing"
 )
 
-// TestShmemAbortForensics: ShmemAbort reads the abort published in the
+// TestShmemAbortForensics: PublishedAbort reads the abort published in the
 // segment header — the supervisor-side view of why a world died, available
-// without ever running a rank — and stays false on clean worlds and on
-// non-shmem transports, which have no segment to read.
+// without ever running a rank — and stays false on clean worlds, shmem or
+// not.
 func TestShmemAbortForensics(t *testing.T) {
 	w, err := NewWorldOn("shmem", 2)
 	if err != nil {
 		t.Fatalf("NewWorldOn(shmem): %v", err)
 	}
 	defer w.Close()
-	if _, _, ok := w.ShmemAbort(); ok {
+	if _, _, ok := w.PublishedAbort(); ok {
 		t.Fatal("clean world reports a published abort")
 	}
 	ae := expectAbortOn(t, w, func(c *Comm) {
@@ -29,7 +29,7 @@ func TestShmemAbortForensics(t *testing.T) {
 	if ae.Rank != 1 {
 		t.Fatalf("abort attributed to rank %d, want 1", ae.Rank)
 	}
-	rank, msg, ok := w.ShmemAbort()
+	rank, msg, ok := w.PublishedAbort()
 	if !ok {
 		t.Fatal("abort not readable from the segment header")
 	}
@@ -39,8 +39,8 @@ func TestShmemAbortForensics(t *testing.T) {
 
 	cw := NewWorld(1)
 	defer cw.Close()
-	if _, _, ok := cw.ShmemAbort(); ok {
-		t.Fatal("chan world reports a shmem abort")
+	if _, _, ok := cw.PublishedAbort(); ok {
+		t.Fatal("clean chan world reports a published abort")
 	}
 }
 
@@ -63,12 +63,9 @@ func TestShmemReset(t *testing.T) {
 		}
 		c.Barrier()
 	})
-	if err := w.tr.reset(); err != nil {
-		t.Fatalf("reset: %v", err)
-	}
-	w.rearmAbort()
-	if n := w.tr.pendingCount(); n != 0 {
-		t.Fatalf("pendingCount after reset = %d, want 0", n)
+	w.Respawn()
+	if n := len(w.tr.pendingOps()); n != 0 {
+		t.Fatalf("pending ops after Respawn = %d, want 0", n)
 	}
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
@@ -106,7 +103,7 @@ func TestShmemIncarnationFiltersStaleSends(t *testing.T) {
 	if n := len(tr.inbox[1].unmatched); n != 1 {
 		t.Fatalf("current-incarnation message dropped (unmatched = %d, want 1)", n)
 	}
-	tr.resetLocal()
+	tr.newEpoch(0)
 
 	// The crash window: rank 0's old life published a message, then the
 	// supervisor bumped its incarnation word (quarantine). The delivery is
@@ -117,7 +114,7 @@ func TestShmemIncarnationFiltersStaleSends(t *testing.T) {
 	if n := len(tr.inbox[1].unmatched); n != 0 {
 		t.Fatalf("stale-incarnation message queued for matching (unmatched = %d, want 0)", n)
 	}
-	if got := w.ShmemIncarnation(0); got != 1 {
+	if got := w.Incarnation(0); got != 1 {
 		t.Fatalf("incarnation = %d, want 1", got)
 	}
 }
@@ -157,10 +154,7 @@ func TestShmemResetClearsReadyStamps(t *testing.T) {
 		r.Free()
 	}
 	w.Run(func(c *Comm) { epoch(c, nil) })
-	if err := w.tr.reset(); err != nil {
-		t.Fatalf("reset: %v", err)
-	}
-	w.rearmAbort()
+	w.Respawn()
 	var early bool
 	w.Run(func(c *Comm) { epoch(c, &early) })
 	if ae := w.Aborted(); ae != nil {

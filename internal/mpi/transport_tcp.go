@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -83,17 +84,18 @@ const (
 // ctlMsg is the single JSON envelope of every control frame; which fields
 // are meaningful depends on the frame kind.
 type ctlMsg struct {
-	Rank     int    `json:"rank"`
-	Peer     int    `json:"peer"`
-	Addr     string `json:"addr"`
-	Size     int    `json:"size"`
-	WorldID  uint64 `json:"world"`
-	Epoch    uint64 `json:"epoch"`
-	Inc      uint64 `json:"inc"`
-	Restore  int    `json:"restore"`
-	Msg      string `json:"msg"`
-	Resume   bool   `json:"resume"`
-	Progress int64  `json:"progress"`
+	Rank     int      `json:"rank"`
+	Peer     int      `json:"peer"`
+	Addr     string   `json:"addr"`
+	Size     int      `json:"size"`
+	WorldID  uint64   `json:"world"`
+	Epoch    uint64   `json:"epoch"`
+	Inc      uint64   `json:"inc"`
+	Restore  int      `json:"restore"`
+	Incs     []uint64 `json:"incs"`
+	Msg      string   `json:"msg"`
+	Resume   bool     `json:"resume"`
+	Progress int64    `json:"progress"`
 }
 
 // Connection-robustness tunables, captured into each node at attach so
@@ -194,7 +196,21 @@ func AttachTCPWorld(rank int) (*World, error) {
 	if err := t.attachRank(rank); err != nil {
 		return nil, fmt.Errorf("mpi: attaching tcp world: %w", err)
 	}
+	n := t.node(rank)
+	n.mu.Lock()
+	w.epoch = verdict{gen: n.last.Epoch, step: n.last.Restore}
+	n.mu.Unlock()
 	return w, nil
+}
+
+// WorkerSpawnEnv returns the environment entries a spawned worker needs to
+// attach to this world: the coordinator's address of a tcp world, nil on
+// other transports and in worker processes.
+func (w *World) WorkerSpawnEnv() []string {
+	if t, ok := w.tr.(*tcpTransport); ok && t.coord != nil {
+		return []string{fmt.Sprintf("%s=%s|%d|%d", EnvTCPWorld, t.coordAddr, t.worldID, w.size)}
+	}
+	return nil
 }
 
 // rankAttacher is implemented by backends whose per-rank state must be
@@ -266,29 +282,22 @@ func (t *tcpTransport) newLink(e *cycle) link {
 	return t.node(e.r.comm.rank).newLink(e)
 }
 
-func (t *tcpTransport) abortAll() {
+func (t *tcpTransport) abortAll(ae *AbortError) {
+	m := &ctlMsg{Rank: ae.Rank, Msg: ae.cause()}
 	if t.coord != nil {
-		rank, msg := WatchdogRank, "abort with unrecorded cause"
-		if ae := t.w.Aborted(); ae != nil {
-			rank, msg = ae.Rank, ae.Error()
-		}
-		t.coord.publishAbort(rank, msg)
+		t.coord.mu.Lock()
+		m.Epoch = t.coord.epoch
+		t.coord.mu.Unlock()
+		t.coord.broadcast(tfAborted, m)
 		return
 	}
 	// Worker: forward the abort to the coordinator (best-effort — if the
 	// control link is down the coordinator's heartbeat loss or the
 	// supervisor's reaping takes over). Local waiters watch w.abortCh.
 	for _, n := range t.snapshotNodes() {
-		n.sendAbort()
+		m.Epoch = n.epoch.Load()
+		n.ctl.send(tfAbort, m)
 	}
-}
-
-func (t *tcpTransport) pendingCount() int {
-	n := 0
-	for _, nd := range t.snapshotNodes() {
-		n += nd.pendingCount()
-	}
-	return n
 }
 
 func (t *tcpTransport) pendingOps() []PendingOp {
@@ -299,20 +308,103 @@ func (t *tcpTransport) pendingOps() []PendingOp {
 	return out
 }
 
-// reset wipes wire state for an in-process Respawn: bump the world epoch at
-// the coordinator (no incarnations change — no rank died) and move every
-// local node onto it. Worker processes cannot reset a world they do not
-// coordinate; their epochs move through recovery verdicts.
-func (t *tcpTransport) reset() error {
-	if t.coord == nil {
-		return fmt.Errorf("tcp: reset from a worker process (epochs advance by recovery verdict)")
-	}
-	ep := t.coord.bumpEpoch(nil, -1)
+// newEpoch moves every node of this process onto the epoch: the round's
+// generation, which the coordinator's epoch follows.
+func (t *tcpTransport) newEpoch(gen uint64) {
 	for _, n := range t.snapshotNodes() {
-		n.resetForEpoch(ep)
+		n.resetForEpoch(gen)
 	}
-	return nil
 }
+
+// ---- the recovery round's cell: the coordinator's parked set, tfPark and
+// tfVerdict frames. Ranks park and wait through their node's control link,
+// in the coordinator's process too; settling and releasing is the
+// coordinator's, whose epoch is the round generation. ----
+
+func (t *tcpTransport) park(rank int) { t.node(rank).ctl.send(tfPark, &ctlMsg{Rank: rank}) }
+
+func (t *tcpTransport) parked() (out []int) {
+	if c := t.coord; c != nil {
+		c.mu.Lock()
+		for r := range c.parked {
+			out = append(out, r)
+		}
+		c.mu.Unlock()
+		slices.Sort(out)
+	}
+	return out
+}
+
+func (t *tcpTransport) await(rank int, gen uint64) (verdict, bool) {
+	n := t.node(rank)
+	for {
+		n.mu.Lock()
+		m := n.last
+		n.mu.Unlock()
+		if m.Epoch > gen {
+			return verdict{gen: m.Epoch, resume: m.Resume, step: m.Restore}, true
+		}
+		select {
+		case <-n.verdictCh:
+		case <-n.ctlDown:
+			return verdict{}, false
+		}
+	}
+}
+
+// settle bumps the epoch. On resume, dead ranks' incarnations bump and
+// their addresses are forgotten (lookups for them park until the respawned
+// process says HELLO), and the restore step is pinned. The epoch bumps
+// before the verdict goes out and before any dead rank respawns, so a
+// respawned worker's WELCOME already carries the new epoch and stale frames
+// of the old one never match.
+func (t *tcpTransport) settle(resume bool, dead []int, step int) verdict {
+	c := t.coord
+	if c == nil {
+		panic("mpi: a tcp world's recovery rounds are settled by its coordinator process")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.epoch++
+	c.parked = map[int]bool{}
+	if resume {
+		c.restore = step
+		for _, r := range dead {
+			c.incs[r]++
+			delete(c.addrs, r)
+			delete(c.byRank, r)
+		}
+		c.waiters = map[int][]*ctlConn{}
+	}
+	return verdict{gen: c.epoch, resume: resume, step: c.restore}
+}
+
+func (t *tcpTransport) release(v verdict) {
+	c := t.coord
+	c.mu.Lock()
+	m := &ctlMsg{Resume: v.resume, Restore: v.step, Epoch: v.gen, Incs: slices.Clone(c.incs)}
+	c.mu.Unlock()
+	c.broadcast(tfVerdict, m)
+}
+
+func (t *tcpTransport) incarnation(rank int) uint64 {
+	if c := t.coord; c != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.incs[rank]
+	}
+	var inc uint64
+	for _, n := range t.snapshotNodes() { // a worker's only node
+		n.mu.Lock()
+		inc = n.last.Incs[rank]
+		n.mu.Unlock()
+	}
+	return inc
+}
+
+// publishedAbort is the world's own: the coordinator adopts every live
+// worker's abort, and a worker adopts the coordinator's broadcast.
+func (t *tcpTransport) publishedAbort() *AbortError { return t.w.Aborted() }
 
 func (t *tcpTransport) close() error {
 	t.mu.Lock()
@@ -363,25 +455,17 @@ type tcpCoord struct {
 	ln      net.Listener
 	done    chan struct{}
 	wg      sync.WaitGroup
-	// roundMu orders a worker's abort (epoch check, then World.abort)
-	// against a recovery round's epoch bump and abort re-arm, so a late
-	// abort from the old epoch can neither race the re-arm nor kill the
-	// new epoch.
-	roundMu sync.Mutex
 
-	mu        sync.Mutex
-	epoch     uint64
-	restore   int // checkpoint step the current epoch restores from, -1 none
-	incs      []uint64
-	addrs     map[int]string
-	byRank    map[int]*ctlConn
-	waiters   map[int][]*ctlConn // conns waiting for a rank's address
-	conns     map[*ctlConn]bool
-	abortSet  bool
-	abortRank int
-	abortMsg  string
-	parked    map[int]bool
-	progress  []int64
+	mu       sync.Mutex
+	epoch    uint64 // the recovery round generation
+	restore  int    // checkpoint step the current epoch restores from, -1 none
+	incs     []uint64
+	addrs    map[int]string
+	byRank   map[int]*ctlConn
+	waiters  map[int][]*ctlConn // conns waiting for a rank's address
+	conns    map[*ctlConn]bool
+	parked   map[int]bool
+	progress []int64
 }
 
 func newTCPCoord(w *World, worldID uint64, size int) (*tcpCoord, error) {
@@ -463,17 +547,16 @@ func (c *tcpCoord) handle(cc *ctlConn, kind byte, m *ctlMsg) {
 		c.addrs[m.Rank] = m.Addr
 		c.byRank[m.Rank] = cc
 		welcome := &ctlMsg{Size: c.size, Epoch: c.epoch, Inc: c.incs[m.Rank],
-			Restore: c.restore, WorldID: c.worldID}
+			Incs: slices.Clone(c.incs), Restore: c.restore, WorldID: c.worldID}
 		waiting := c.waiters[m.Rank]
 		delete(c.waiters, m.Rank)
-		aborted, aRank, aMsg := c.abortSet, c.abortRank, c.abortMsg
 		c.mu.Unlock()
 		cc.send(tfWelcome, welcome)
 		for _, w := range waiting {
 			w.send(tfLookupOK, &ctlMsg{Peer: m.Rank, Addr: m.Addr})
 		}
-		if aborted {
-			cc.send(tfAborted, &ctlMsg{Rank: aRank, Msg: aMsg, Epoch: welcome.Epoch})
+		if ae := c.w.Aborted(); ae != nil {
+			cc.send(tfAborted, &ctlMsg{Rank: ae.Rank, Msg: ae.cause(), Epoch: welcome.Epoch})
 		}
 	case tfLookup:
 		c.mu.Lock()
@@ -486,14 +569,16 @@ func (c *tcpCoord) handle(cc *ctlConn, kind byte, m *ctlMsg) {
 			cc.send(tfLookupOK, &ctlMsg{Peer: m.Peer, Addr: addr})
 		}
 	case tfAbort:
-		c.roundMu.Lock()
+		// Under the world's roundMu: a late abort of the old epoch can
+		// neither race a recovery round's re-arm nor kill the new epoch.
+		c.w.roundMu.Lock()
 		c.mu.Lock()
 		stale := m.Epoch != c.epoch
 		c.mu.Unlock()
 		if !stale {
 			c.w.abort(m.Rank, &RemoteAbort{Msg: m.Msg})
 		}
-		c.roundMu.Unlock()
+		c.w.roundMu.Unlock()
 	case tfPark:
 		c.mu.Lock()
 		c.parked[m.Rank] = true
@@ -514,77 +599,8 @@ func (c *tcpCoord) handle(cc *ctlConn, kind byte, m *ctlMsg) {
 	}
 }
 
-// publishAbort records the world's abort (first cause wins) and broadcasts
-// it to every control connection so remote processes unwind too.
-func (c *tcpCoord) publishAbort(rank int, msg string) {
-	c.mu.Lock()
-	if !c.abortSet {
-		c.abortSet, c.abortRank, c.abortMsg = true, rank, msg
-	}
-	rank, msg = c.abortRank, c.abortMsg
-	ep := c.epoch
-	conns := make([]*ctlConn, 0, len(c.conns))
-	for cc := range c.conns {
-		conns = append(conns, cc)
-	}
-	c.mu.Unlock()
-	for _, cc := range conns {
-		cc.send(tfAborted, &ctlMsg{Rank: rank, Msg: msg, Epoch: ep})
-	}
-}
-
-// publishedAbort reads the currently published abort, if any.
-func (c *tcpCoord) publishedAbort() (rank int, msg string, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.abortRank, c.abortMsg, c.abortSet
-}
-
-// bumpEpoch starts a new epoch: dead ranks' incarnations bump and their
-// addresses are forgotten (lookups for them park until the respawned
-// process says HELLO), the abort state of the dead epoch is discarded, and
-// the restore step is pinned for the new one.
-func (c *tcpCoord) bumpEpoch(dead []int, restoreStep int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.epoch++
-	c.restore = restoreStep
-	for _, r := range dead {
-		c.incs[r]++
-		delete(c.addrs, r)
-		delete(c.byRank, r)
-	}
-	c.abortSet, c.abortRank, c.abortMsg = false, 0, ""
-	c.parked = map[int]bool{}
-	c.waiters = map[int][]*ctlConn{}
-	return c.epoch
-}
-
-// awaitParked polls until every rank in want parked or the deadline
-// passes, reporting the ranks still missing (nil on success).
-func (c *tcpCoord) awaitParked(want []int, deadline time.Time) (missing []int) {
-	for {
-		missing = missing[:0]
-		c.mu.Lock()
-		for _, r := range want {
-			if !c.parked[r] {
-				missing = append(missing, r)
-			}
-		}
-		c.mu.Unlock()
-		if len(missing) == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return missing
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// broadcastVerdict sends the recovery-round verdict to every control
-// connection; parked workers act on it, everyone else ignores it.
-func (c *tcpCoord) broadcastVerdict(resume bool, restoreStep int, epoch uint64) {
+// broadcast sends one control frame to every control connection.
+func (c *tcpCoord) broadcast(kind byte, m *ctlMsg) {
 	c.mu.Lock()
 	conns := make([]*ctlConn, 0, len(c.conns))
 	for cc := range c.conns {
@@ -592,17 +608,8 @@ func (c *tcpCoord) broadcastVerdict(resume bool, restoreStep int, epoch uint64) 
 	}
 	c.mu.Unlock()
 	for _, cc := range conns {
-		cc.send(tfVerdict, &ctlMsg{Resume: resume, Restore: restoreStep, Epoch: epoch})
+		cc.send(kind, m)
 	}
-}
-
-// giveUp ends a recovery round without respawning: the abort stays
-// published so waking workers report the original cause.
-func (c *tcpCoord) giveUp() {
-	c.mu.Lock()
-	c.parked = map[int]bool{}
-	c.mu.Unlock()
-	c.broadcastVerdict(false, -1, 0)
 }
 
 // progressSum returns the sum of the progress the workers reported,
@@ -619,28 +626,12 @@ func (c *tcpCoord) progressSum(excl int) int64 {
 	return sum
 }
 
-func (c *tcpCoord) incOf(rank int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.incs[rank]
-}
-
-func (c *tcpCoord) restoreStep() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.restore
-}
-
 func (c *tcpCoord) close() {
 	c.ln.Close()
 	c.mu.Lock()
-	conns := make([]*ctlConn, 0, len(c.conns))
 	for cc := range c.conns {
-		conns = append(conns, cc)
-	}
-	c.mu.Unlock()
-	for _, cc := range conns {
 		cc.close()
 	}
+	c.mu.Unlock()
 	c.wg.Wait()
 }

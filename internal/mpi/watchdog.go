@@ -136,11 +136,7 @@ func (w *World) watchLoop(wd *watchdog) {
 // posted but not complete. Zero means the world is quiescent (computing)
 // and the watchdog stays silent regardless of elapsed time.
 func (w *World) pendingOps() int {
-	n := w.tr.pendingCount() + len(w.pairs.pendingOps(w))
-	if rs := w.recov; rs != nil {
-		n += len(rs.parkedRanks())
-	}
-	return n
+	return len(w.tr.pendingOps()) + len(w.pairs.pendingOps(w)) + len(w.tr.parked())
 }
 
 // PendingOp is one stalled operation in a StallReport. Src/Dst/Tag are -1
@@ -166,8 +162,9 @@ type PendingOp struct {
 	//
 	// The persistent kinds follow one rule on every backend: an endpoint
 	// is listed exactly while its own Wait would block.
-	//	recovery-parked a rank parked at the RunRecoverable recovery barrier
-	//	                awaiting a respawn/give-up verdict (Src is the rank)
+	//	recovery-parked a rank parked at the recovery barrier awaiting a
+	//	                respawn/give-up verdict (Src is the rank), listed
+	//	                by every world that sees the round's parked marks
 	Kind       string `json:"kind"`
 	Src        int    `json:"src"`
 	Dst        int    `json:"dst"`
@@ -233,14 +230,12 @@ func (w *World) StallReport() *StallReport {
 	rep.Barrier = int(w.inColl[collBarrier].Load())
 	rep.Reduce = int(w.inColl[collReduce].Load())
 	rep.Gather = int(w.inColl[collGather].Load())
-	if rs := w.recov; rs != nil {
-		parked := rs.parkedRanks()
-		rep.Recovery = len(parked)
-		for _, r := range parked {
-			rep.Pending = append(rep.Pending, PendingOp{
-				Kind: flight.PendRecoveryParked, Src: r, Dst: -1, Tag: -1,
-			})
-		}
+	parked := w.tr.parked()
+	rep.Recovery = len(parked)
+	for _, r := range parked {
+		rep.Pending = append(rep.Pending, PendingOp{
+			Kind: flight.PendRecoveryParked, Src: r, Dst: -1, Tag: -1,
+		})
 	}
 	sort.Slice(rep.Pending, func(i, j int) bool {
 		a, b := rep.Pending[i], rep.Pending[j]
