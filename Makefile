@@ -16,10 +16,13 @@ vet: cross
 # cross vets the stencil package and builds everything for arm64, offline:
 # it proves the pure-Go fallback (brickkernel_other.go) still builds where
 # the amd64 assembly does not. On amd64, `go vet`'s asmdecl check covers the
-# assembly's frame offsets.
+# assembly's frame offsets. The s390x build does the same for the tcp
+# payload codec's big-endian branch, the one host order whose float64
+# bytes are not the wire's.
 cross:
 	GOARCH=arm64 $(GO) vet ./internal/stencil/
 	GOARCH=arm64 $(GO) build ./...
+	GOARCH=s390x $(GO) build ./...
 
 # fmt fails (listing the offenders) if any file needs gofmt.
 fmt:

@@ -26,15 +26,30 @@ type copySeg struct {
 	stor, win, n int
 }
 
-// partFire is one partition of one partitioned send request, ready to fire
-// when its owning tile completes. sv is nil for direct-storage sends
-// (LayoutExchange); for view windows the segs are applied to sv's current
-// window first when that window is copy-based.
+// partFire is the copy-window refresh of one partition of a view-window
+// send (ExchangeView): its segs are applied to sv's current window before
+// the partition fires, when that window is copy-based. Direct-storage
+// sends (LayoutExchange) have none.
 type partFire struct {
-	req  *mpi.Request
-	part int
 	sv   *sendView
 	segs []copySeg
+}
+
+// tileFires is every partition one completing tile fires: the request and
+// partition columns of its one mpi.Preadyall, built at compile time so
+// firing a tile allocates nothing, and the refreshes that go first.
+type tileFires struct {
+	reqs    []*mpi.Request
+	parts   []int
+	refresh []partFire
+}
+
+func (g *tileFires) add(req *mpi.Request, part int, sv *sendView, segs []copySeg) {
+	g.reqs = append(g.reqs, req)
+	g.parts = append(g.parts, part)
+	if sv != nil {
+		g.refresh = append(g.refresh, partFire{sv: sv, segs: segs})
+	}
 }
 
 // msgPartition is the compiled partitioning of one send window: P+1 window
@@ -125,10 +140,10 @@ func compileWindowParts(runs []Span, chunk int, tileOf []int) msgPartition {
 // atomic drained by Complete — PlanBase's accumulators are single-driver
 // and must not be touched from workers.
 type partState struct {
-	fires     [][]partFire // partitions to fire per completing tile
-	immediate []partFire   // owner-less partitions, fired when armed
-	total     int          // total partitions across all sends
-	data      []float64    // backing storage, source of copy-window segs
+	tiles     []tileFires // partitions to fire per completing tile
+	immediate tileFires   // owner-less partitions, fired when armed
+	total     int         // total partitions across all sends
+	data      []float64   // backing storage, source of copy-window segs
 	armedAt   time.Time
 	packNanos atomic.Int64
 	readyCtr  *metrics.Counter
@@ -136,18 +151,17 @@ type partState struct {
 }
 
 func newPartState(nTiles int, data []float64) *partState {
-	return &partState{fires: make([][]partFire, nTiles), data: data}
+	return &partState{tiles: make([]tileFires, nTiles), data: data}
 }
 
 // addMsg indexes one compiled message's partitions by owning tile.
 func (s *partState) addMsg(req *mpi.Request, sv *sendView, mp msgPartition) {
 	for i, o := range mp.owners {
-		f := partFire{req: req, part: i, sv: sv, segs: mp.segs[i]}
+		g := &s.immediate
 		if o >= 0 {
-			s.fires[o] = append(s.fires[o], f)
-		} else {
-			s.immediate = append(s.immediate, f)
+			g = &s.tiles[o]
 		}
+		g.add(req, i, sv, mp.segs[i])
 		s.total++
 	}
 }
@@ -170,42 +184,45 @@ func (s *partState) setMetrics(reg *metrics.Registry) {
 // right after Startall on the sends.
 func (s *partState) arm() {
 	s.armedAt = time.Now()
-	for _, f := range s.immediate {
-		s.fire(f)
-	}
+	s.fire(&s.immediate)
 }
 
-// fire marks one partition ready, refreshing its copy window segment first
-// when the window does not alias storage. Runs on pool workers: allocation-
+// fire marks a tile's partitions ready with one mpi.Preadyall — on tcp one
+// write per destination — refreshing each copy window segment first when
+// its window does not alias storage. Runs on pool workers: allocation-
 // free, touching only the atomic pack timer and concurrency-safe metrics.
-func (s *partState) fire(f partFire) {
-	if f.sv != nil && !f.sv.aliased() {
-		t0 := time.Now()
-		flat := f.sv.flat
-		for _, sg := range f.segs {
-			copy(flat[sg.win:sg.win+sg.n], s.data[sg.stor:sg.stor+sg.n])
-		}
-		s.packNanos.Add(time.Since(t0).Nanoseconds())
+func (s *partState) fire(g *tileFires) {
+	if len(g.reqs) == 0 {
+		return
 	}
-	f.req.Pready(f.part)
+	for _, f := range g.refresh {
+		if !f.sv.aliased() {
+			t0 := time.Now()
+			flat := f.sv.flat
+			for _, sg := range f.segs {
+				copy(flat[sg.win:sg.win+sg.n], s.data[sg.stor:sg.stor+sg.n])
+			}
+			s.packNanos.Add(time.Since(t0).Nanoseconds())
+		}
+	}
+	mpi.Preadyall(g.reqs, g.parts)
 	if s.readyCtr != nil {
-		s.readyCtr.Inc()
-		s.lagHist.Observe(time.Since(s.armedAt).Seconds())
+		s.readyCtr.Add(int64(len(g.parts)))
+		lag := time.Since(s.armedAt).Seconds()
+		for range g.parts {
+			s.lagHist.Observe(lag)
+		}
 	}
 }
 
 // readyTile fires every partition owned by tile t. Safe to call
 // concurrently for distinct tiles.
-func (s *partState) readyTile(t int) {
-	for _, f := range s.fires[t] {
-		s.fire(f)
-	}
-}
+func (s *partState) readyTile(t int) { s.fire(&s.tiles[t]) }
 
-// readyAll fires every owned partition (the prologue, and the combined
-// Start path for callers without tile callbacks).
+// readyAll fires every owned partition, tile by tile (the prologue, and
+// the combined Start path for callers without tile callbacks).
 func (s *partState) readyAll() {
-	for t := range s.fires {
+	for t := range s.tiles {
 		s.readyTile(t)
 	}
 }

@@ -114,6 +114,10 @@ const (
 	// backend (labels: kind = data|pdata|ppart|hb|stale-drop|dup-drop|
 	// net-drop|net-dup).
 	TransportFramesTotal = "transport_frames_total"
+	// TransportWritesTotal: counter of the tcp backend's vectored data
+	// writes — one per destination per API call that sent frames, however
+	// many frames it carried; an injected partition or a redial adds one.
+	TransportWritesTotal = "transport_writes_total"
 
 	// StencilTileSeconds: histogram of per-tile kernel execution time in
 	// the worker pool (no labels; the pool is process-wide).

@@ -20,8 +20,10 @@ import (
 type link interface {
 	// put hands span part of the open send cycle off: -1 is the whole
 	// payload of an unpartitioned send, at Start; otherwise a partition, at
-	// its Pready. The link calls e.sent once the span is on its way.
-	put(e *cycle, part int)
+	// its Pready. b is the batch of the call that put it, nil off tcp
+	// (tcp_node.go). The link calls e.sent once the span is on its way: at
+	// once, or, if it queued the span in b, when the call flushes b.
+	put(e *cycle, part int, b *batch)
 	// poll lands, through e.land, whatever has arrived for the open receive
 	// cycle e. The cycle calls it at receive Start and from Parrived, and,
 	// while it waits, again and again if the Start's poll reported that
@@ -109,6 +111,14 @@ func (e *cycle) span(part int) (lo, hi int) {
 // visible in the receive buffer only after the receiver's Wait returns (or,
 // partition by partition, once Parrived reports it).
 func (r *Request) Start() {
+	b := r.comm.batch()
+	defer b.flush()
+	r.start(b)
+}
+
+// start opens the request's next cycle, putting an unpartitioned send's
+// payload in b.
+func (r *Request) start(b *batch) {
 	e, ok := r.op.(*cycle)
 	if !ok {
 		panic("mpi: Start on a non-persistent request")
@@ -151,16 +161,26 @@ func (r *Request) Start() {
 	case !r.psend:
 		e.pull = e.link.poll(e)
 	case e.parts == 0:
-		e.link.put(e, -1)
+		e.link.put(e, -1, b)
 	}
 }
 
-// Startall starts every request in the slice (MPI_Startall). Nil entries
-// are skipped.
+// Startall starts every request in the slice (MPI_Startall) as one call:
+// on tcp the payloads of its unpartitioned sends leave in one write per
+// destination. Nil entries are skipped.
 func Startall(reqs []*Request) {
-	for _, r := range reqs {
+	i := 0
+	for i < len(reqs) && reqs[i] == nil {
+		i++
+	}
+	if i == len(reqs) {
+		return
+	}
+	b := reqs[i].comm.batch()
+	defer b.flush()
+	for _, r := range reqs[i:] {
 		if r != nil {
-			r.Start()
+			r.start(b)
 		}
 	}
 }
@@ -176,6 +196,36 @@ func (r *Request) Pready(i int) { r.PreadyRange(i, i+1) }
 
 // PreadyRange marks partitions [lo, hi) ready (MPI_Pready_range).
 func (r *Request) PreadyRange(lo, hi int) {
+	b := r.comm.batch()
+	defer b.flush()
+	r.pready(lo, hi, b)
+}
+
+// Preadyall marks partition parts[i] of reqs[i] ready for every i, as one
+// call: the partitioned analogue of Startall. Each entry is a Pready —
+// same rules, same panics — and a request may appear once per partition.
+// The spans it puts leave together before it returns: on tcp in one write
+// per destination, however many partitions go there. Safe to call
+// concurrently from different goroutines on different partitions. Panics
+// if the slices differ in length.
+func Preadyall(reqs []*Request, parts []int) {
+	if len(reqs) != len(parts) {
+		panic(fmt.Sprintf("mpi: Preadyall with %d requests but %d partitions", len(reqs), len(parts)))
+	}
+	if len(reqs) == 0 {
+		return
+	}
+	b := reqs[0].comm.batch()
+	defer b.flush()
+	for i, r := range reqs {
+		r.pready(parts[i], parts[i]+1, b)
+	}
+}
+
+// pready marks partitions [lo, hi) of r ready, putting their spans in b.
+// Every check runs before the first mark, so a misuse panic leaves the
+// cycle as it was.
+func (r *Request) pready(lo, hi int, b *batch) {
 	e, ok := r.op.(*cycle)
 	if !ok || !r.psend {
 		panic("mpi: Pready on a non-persistent or receive request")
@@ -196,10 +246,12 @@ func (r *Request) PreadyRange(lo, hi int) {
 		if e.marks[i] == k {
 			panic(fmt.Sprintf("mpi: partition %d marked ready twice in one cycle", i))
 		}
+	}
+	for i := lo; i < hi; i++ {
 		e.marks[i] = k
 		c.fl.Record(flight.KindPready, int32(r.peer), int32(r.tag), int32(i),
 			int64(8*(e.bounds[i+1]-e.bounds[i])), e.seq)
-		e.link.put(e, i)
+		e.link.put(e, i, b)
 	}
 	// Partitions advancing is progress: without this tick a long compute
 	// phase with an armed pipeline would read as a stall to the watchdog.
@@ -274,30 +326,59 @@ func (r *Request) Rebind(buf []float64) {
 // or of a partition that already arrived, is dropped. Called by the link,
 // e.mu held.
 func (e *cycle) land(part, lo int, src []float64, flips []fault.ByteFlip, fseq uint64) {
-	k := e.n
-	if e.state.Load() != cycOpen || part >= e.parts || part >= 0 && e.marks[part] == k {
-		return
+	if dst, ok := e.landing(part, lo, len(src)); ok {
+		copy(dst, src)
+		e.landed(part, lo, dst, flips, fseq)
+	}
+}
+
+// landWire is land for a span that arrived as wire bytes (tcp): its
+// little-endian words are copied once, straight into the receive buffer.
+func (e *cycle) landWire(part, lo int, wire []byte, flips []fault.ByteFlip, fseq uint64) {
+	if dst, ok := e.landing(part, lo, len(wire)/8); ok {
+		copyWire(dst, wire)
+		e.landed(part, lo, dst, flips, fseq)
+	}
+}
+
+// landing returns where a span of n elements at offset lo lands, or false
+// when it is dropped or overflows the buffer (the overflow completes the
+// cycle, to be raised at Wait).
+func (e *cycle) landing(part, lo, n int) ([]float64, bool) {
+	if e.state.Load() != cycOpen || part >= e.parts || part >= 0 && e.marks[part] == e.n {
+		return nil, false
 	}
 	r := e.r
-	c := r.comm
-	hi := lo + len(src)
+	hi := lo + n
 	if lo < 0 || hi > len(e.buf) {
 		e.overflow = fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
-			r.peer, c.rank, r.tag, hi, len(e.buf))
+			r.peer, r.comm.rank, r.tag, hi, len(e.buf))
 		e.complete()
-		return
+		return nil, false
 	}
-	dst := e.buf[lo:hi]
-	copy(dst, src)
-	applyFlips(e.buf, lo, hi, flips)
-	if c.world.verifyCRC && e.corrupt == nil && crcFloats(src) != crcFloats(dst) {
+	return e.buf[lo:hi], true
+}
+
+// landed finishes a span just copied into dst, the buffer at offset lo:
+// the flips land, then the CRC compares what landed against the copy, and
+// the span counts.
+func (e *cycle) landed(part, lo int, dst []float64, flips []fault.ByteFlip, fseq uint64) {
+	r := e.r
+	c := r.comm
+	check := c.world.verifyCRC && e.corrupt == nil
+	var sum uint32
+	if check {
+		sum = crcFloats(dst)
+	}
+	applyFlips(e.buf, lo, lo+len(dst), flips)
+	if check && crcFloats(dst) != sum {
 		e.corrupt = &CorruptionError{Src: r.peer, Dst: c.rank, Tag: r.tag}
 	}
-	e.elems += len(src)
+	e.elems += len(dst)
 	e.spans++
 	if part >= 0 {
-		e.marks[part] = k
-		c.fl.Record(flight.KindParrived, int32(r.peer), int32(r.tag), int32(part), int64(8*len(src)), fseq)
+		e.marks[part] = e.n
+		c.fl.Record(flight.KindParrived, int32(r.peer), int32(r.tag), int32(part), int64(8*len(dst)), fseq)
 	}
 	if e.spans == max(e.parts, 1) {
 		c.fl.Deliver(int32(r.peer), int32(r.tag), -1, int64(8*e.elems), fseq)
@@ -306,8 +387,12 @@ func (e *cycle) land(part, lo int, src []float64, flips []fault.ByteFlip, fseq u
 }
 
 // sent records that the link sent one span of the open send cycle; the
-// last completes it. Called by the link, e.mu held.
+// last completes it. A span whose cycle was freed meanwhile no longer
+// counts. Called by the link, e.mu held.
 func (e *cycle) sent() {
+	if e.state.Load() != cycOpen {
+		return
+	}
 	e.spans++
 	if e.spans == max(e.parts, 1) {
 		e.complete()

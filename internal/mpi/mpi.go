@@ -114,6 +114,7 @@ func (w *World) SetMetrics(reg *metrics.Registry) {
 	reg.Describe(metrics.TransportReconnectsTotal, "Connection (re-)establishments per rank/peer pair on connection-oriented transports.")
 	reg.Describe(metrics.TransportHeartbeatMissesTotal, "Heartbeat intervals missed per rank/peer pair before a peer was declared dead.")
 	reg.Describe(metrics.TransportFramesTotal, "Transport frames by kind (data, pdata, ppart, hb, stale-drop, dup-drop, net-drop, net-dup).")
+	reg.Describe(metrics.TransportWritesTotal, "Vectored data writes on connection-oriented transports: one per destination per call, more when a fault or a redial splits one.")
 }
 
 // commMetrics caches one rank's histogram series so the per-message hot
@@ -242,6 +243,8 @@ type Comm struct {
 	// point-to-point messages initiated by this rank (payload float64s are
 	// 8 bytes each).
 	sentMsgs, sentBytes, recvMsgs, recvBytes atomic.Int64
+
+	batches batchPool // the batches of this rank's calls
 }
 
 // Rank returns this rank's id in [0, Size).

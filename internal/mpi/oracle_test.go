@@ -380,6 +380,7 @@ type persCycle struct {
 	start   [][]persEnd    // per rank, start order
 	coll    *oracleOp      // collective between the Starts and the Preadys
 	pready  [][][2]int     // per rank: (channel, partition) in ready order
+	calls   [][]int        // per rank: pready split into calls — one entry a Pready, more a Preadyall
 	wait    [][]persEnd    // per rank, wait order
 	recvBuf map[int][]float64
 }
@@ -407,6 +408,9 @@ type persProgram struct {
 // genPersProgram builds the persistent program for a seed.
 func genPersProgram(seed int64, size int) *persProgram {
 	rng := rand.New(rand.NewSource(seed))
+	// The split of each rank's Preadys into calls draws from its own
+	// stream, so adding it left every other draw of a seed unchanged.
+	split := rand.New(rand.NewSource(seed*31 + 17))
 	p := &persProgram{size: size, steps: make([][]persStep, size)}
 	ncycles := 1 + rng.Intn(4)
 	nphases := 1 + rng.Intn(3)
@@ -517,7 +521,7 @@ func genPersProgram(seed int64, size int) *persProgram {
 	for c := 0; c < ncycles; c++ {
 		cy := persCycle{
 			rebind: make([][]persRebind, size), start: make([][]persEnd, size),
-			pready: make([][][2]int, size), wait: make([][]persEnd, size),
+			pready: make([][][2]int, size), calls: make([][]int, size), wait: make([][]persEnd, size),
 		}
 		for i, ch := range p.chans {
 			if rng.Intn(5) == 0 {
@@ -538,6 +542,11 @@ func genPersProgram(seed int64, size int) *persProgram {
 		for r := 0; r < size; r++ {
 			rng.Shuffle(len(cy.start[r]), func(a, b int) { cy.start[r][a], cy.start[r][b] = cy.start[r][b], cy.start[r][a] })
 			rng.Shuffle(len(cy.pready[r]), func(a, b int) { cy.pready[r][a], cy.pready[r][b] = cy.pready[r][b], cy.pready[r][a] })
+			for left := len(cy.pready[r]); left > 0; {
+				k := 1 + split.Intn(left)
+				cy.calls[r] = append(cy.calls[r], k)
+				left -= k
+			}
 			cy.wait[r] = append([]persEnd(nil), cy.start[r]...)
 			rng.Shuffle(len(cy.wait[r]), func(a, b int) { cy.wait[r][a], cy.wait[r][b] = cy.wait[r][b], cy.wait[r][a] })
 		}
@@ -695,8 +704,19 @@ func (p *persProgram) exec(c *Comm, stop int) [][]float64 {
 					obs = append(obs, c.Allreduce(cy.coll.op, cy.coll.in[me]))
 				}
 			}
-			for _, pr := range cy.pready[me] {
-				reqs[persEnd{pr[0], true}].Pready(pr[1])
+			ready := cy.pready[me]
+			for _, k := range cy.calls[me] {
+				if k == 1 {
+					reqs[persEnd{ready[0][0], true}].Pready(ready[0][1])
+				} else {
+					var rs []*Request
+					var parts []int
+					for _, pr := range ready[:k] {
+						rs, parts = append(rs, reqs[persEnd{pr[0], true}]), append(parts, pr[1])
+					}
+					Preadyall(rs, parts)
+				}
+				ready = ready[k:]
 			}
 			counts := map[persEnd]int{}
 			for _, e := range cy.wait[me] {

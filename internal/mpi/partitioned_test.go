@@ -164,13 +164,17 @@ func TestPartitionedTwoRankPipeline(t *testing.T) {
 				}
 				recv.Start()
 				send.Start()
-				// Fire partitions from a worker goroutine, as pool tiles do.
-				wg.Add(1)
+				// Fire partitions from two worker goroutines at once, as pool
+				// tiles do: one a Pready at a time, one a Preadyall.
+				wg.Add(2)
 				go func() {
 					defer wg.Done()
-					for p := send.Partitions() - 1; p >= 0; p-- {
-						send.Pready(p)
-					}
+					send.Pready(3)
+					send.Pready(1)
+				}()
+				go func() {
+					defer wg.Done()
+					Preadyall([]*Request{send, send}, []int{2, 0})
 				}()
 				send.Wait()
 				recv.Wait()
@@ -187,7 +191,8 @@ func TestPartitionedTwoRankPipeline(t *testing.T) {
 }
 
 // TestPartitionedMisusePanics checks the runtime guards on the Pready /
-// Parrived surface.
+// Preadyall / Parrived surface. A Preadyall entry panics as its Pready
+// would, and the entries before it still go out.
 func TestPartitionedMisusePanics(t *testing.T) {
 	forEachTransport(t, 1, func(t *testing.T, w *World) {
 		w.Run(func(c *Comm) {
@@ -195,18 +200,28 @@ func TestPartitionedMisusePanics(t *testing.T) {
 			rbuf := make([]float64, 4)
 			send := c.PsendInit(0, 5, sbuf, []int{0, 2, 4})
 			recv := c.PrecvInit(0, 5, rbuf)
+			all := func(reqs []*Request, parts ...int) func() {
+				return func() { Preadyall(reqs, parts) }
+			}
+			sends := []*Request{send}
 
 			mustPanic(t, "before Start", func() { send.Pready(0) })
+			mustPanic(t, "before Start", all(sends, 0))
 			mustPanic(t, "Pready on a non-persistent or receive request", func() { recv.Pready(0) })
+			mustPanic(t, "Pready on a non-persistent or receive request", all([]*Request{recv}, 0))
+			mustPanic(t, "Preadyall with 1 requests but 0 partitions", all(sends))
 
 			recv.Start()
 			send.Start()
 			mustPanic(t, "out of bounds", func() { send.Pready(2) })
+			mustPanic(t, "out of bounds", all(sends, 2))
+			mustPanic(t, "out of bounds", all(sends, -1))
 			send.Pready(0)
 			mustPanic(t, "marked ready twice", func() { send.Pready(0) })
+			mustPanic(t, "marked ready twice", all(sends, 0))
 			mustPanic(t, "Parrived on a non-persistent or send request", func() { send.Parrived(0) })
 			mustPanic(t, "out of range", func() { recv.Parrived(2) })
-			send.Pready(1)
+			mustPanic(t, "marked ready twice", all([]*Request{send, send}, 1, 1))
 			send.Wait()
 			recv.Wait()
 
@@ -216,6 +231,7 @@ func TestPartitionedMisusePanics(t *testing.T) {
 			prcv.Start()
 			plain.Start()
 			mustPanic(t, "unpartitioned", func() { plain.Pready(0) })
+			mustPanic(t, "unpartitioned", all([]*Request{plain}, 0))
 			mustPanic(t, "PreadyAll on a non-partitioned request", func() { plain.PreadyAll() })
 			plain.Wait()
 			prcv.Wait()

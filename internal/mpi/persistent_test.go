@@ -104,8 +104,9 @@ func TestPersistentSelfPair(t *testing.T) {
 }
 
 // TestPersistentZeroAllocSteps asserts the steady-state Start/Wait cycle
-// performs zero heap allocations, plain and partitioned, on every backend.
-// A self-pair runs the full protocol from one rank: on chan
+// performs zero heap allocations, plain and partitioned — a PreadyRange,
+// and a Preadyall over two partitioned sends — on every backend. A
+// self-pair runs the full protocol from one rank: on chan
 // single-threaded, on shmem through the segment's staging slots, on tcp
 // through the loopback stream and the node's reader goroutine, whose
 // decode and delivery count too.
@@ -120,14 +121,21 @@ func TestPersistentZeroAllocSteps(t *testing.T) {
 			recv := c.RecvInit(0, 9, make([]float64, 512))
 			psend := c.PsendInit(0, 10, make([]float64, 512), []int{0, 200, 512})
 			precv := c.PrecvInit(0, 10, make([]float64, 512))
+			qsend := c.PsendInit(0, 11, make([]float64, 300), []int{0, 100, 300})
+			qrecv := c.PrecvInit(0, 11, make([]float64, 300))
 			plain := []*Request{recv, send}
 			part := []*Request{precv, psend}
+			both := []*Request{precv, qrecv, psend, qsend}
+			reqs, parts := []*Request{psend, qsend, psend, qsend}, []int{1, 0, 0, 1}
 			cycle := func() {
 				Startall(plain)
 				Waitall(plain)
 				Startall(part)
 				psend.PreadyRange(0, 2)
 				Waitall(part)
+				Startall(both)
+				Preadyall(reqs, parts)
+				Waitall(both)
 			}
 			cycle() // warm-up: pairing, stream dial, buffer growth
 			// Integer division over the runs: an occasional heartbeat frame

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/bricklab/brick/internal/fault"
 	"github.com/bricklab/brick/internal/flight"
@@ -29,9 +30,14 @@ import (
 // src, dst, tag (u32 each), the persistent channel id (u64, 0 on one-shot
 // frames), epoch, incarnation, wireSeq, flight seq and cycle (u64 each),
 // then offE, partLo, partHi, nparts, elems and nflips (u32 each). After the
-// header come elems float64 payload words (Float64bits) and nflips injected
-// byte-flips (u32 offset, u8 mask, 3 zero pad bytes). wireSeq is stamped at
-// encode time under the stream lock.
+// header come elems float64 payload words (little-endian IEEE bits) and
+// nflips injected byte-flips (u32 offset, u8 mask, 3 zero pad bytes).
+// wireSeq is stamped at flush time under the stream lock.
+//
+// The payload words are never encoded one by one: a sender writes its
+// buffer's own bytes, and a receiver copies the frame's bytes straight into
+// the receive buffer (wireBytes, copyWire). Only a big-endian host, whose
+// memory order is not the wire's, converts word by word.
 const tcpHdrLen = 84
 
 type tcpHdr struct {
@@ -42,8 +48,9 @@ type tcpHdr struct {
 	elems, nflips                  int
 }
 
-// appendDataFrame appends the encoding of one data frame to dst.
-func appendDataFrame(dst []byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) []byte {
+// appendDataHdr appends the encoding of h's header for a payload of elems
+// words and nflips flips.
+func appendDataHdr(dst []byte, h *tcpHdr, elems, nflips int) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, uint32(h.src))
 	dst = le.AppendUint32(dst, uint32(h.dst))
@@ -58,25 +65,26 @@ func appendDataFrame(dst []byte, h *tcpHdr, data []float64, flips []fault.ByteFl
 	dst = le.AppendUint32(dst, uint32(h.partLo))
 	dst = le.AppendUint32(dst, uint32(h.partHi))
 	dst = le.AppendUint32(dst, uint32(h.nparts))
-	dst = le.AppendUint32(dst, uint32(len(data)))
-	dst = le.AppendUint32(dst, uint32(len(flips)))
-	for _, v := range data {
-		dst = le.AppendUint64(dst, math.Float64bits(v))
-	}
+	dst = le.AppendUint32(dst, uint32(elems))
+	return le.AppendUint32(dst, uint32(nflips))
+}
+
+// appendFlips appends the wire form of injected byte-flips.
+func appendFlips(dst []byte, flips []fault.ByteFlip) []byte {
 	for _, fl := range flips {
-		dst = le.AppendUint32(dst, uint32(fl.Off))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(fl.Off))
 		dst = append(dst, fl.Mask, 0, 0, 0)
 	}
 	return dst
 }
 
-// decodeDataFrame decodes b into h, appending the payload words to
-// data[:0]: a reader that passes the previous frame's slice back decodes
-// without allocating. Flips, present only under fault injection, are
-// freshly allocated. A frame it accepts re-encodes to exactly b.
-func decodeDataFrame(b []byte, h *tcpHdr, data []float64) ([]float64, []fault.ByteFlip, error) {
+// decodeDataFrame decodes the header of data frame b into h and returns
+// the payload's wire bytes, a view into b (decode them with copyWire).
+// Flips, present only under fault injection, are freshly allocated. A
+// frame it accepts re-encodes to exactly b.
+func decodeDataFrame(b []byte, h *tcpHdr) ([]byte, []fault.ByteFlip, error) {
 	if len(b) < tcpHdrLen {
-		return data, nil, fmt.Errorf("tcp: short data frame (%d bytes)", len(b))
+		return nil, nil, fmt.Errorf("tcp: short data frame (%d bytes)", len(b))
 	}
 	le := binary.LittleEndian
 	*h = tcpHdr{
@@ -90,40 +98,95 @@ func decodeDataFrame(b []byte, h *tcpHdr, data []float64) ([]float64, []fault.By
 	}
 	want := tcpHdrLen + 8*h.elems + 8*h.nflips
 	if len(b) != want {
-		return data, nil, fmt.Errorf("tcp: data frame length %d, header claims %d", len(b), want)
+		return nil, nil, fmt.Errorf("tcp: data frame length %d, header claims %d", len(b), want)
 	}
-	off := tcpHdrLen
-	data = data[:0]
-	for i := 0; i < h.elems; i++ {
-		data = append(data, math.Float64frombits(le.Uint64(b[off:])))
-		off += 8
-	}
+	off := tcpHdrLen + 8*h.elems
+	wire := b[tcpHdrLen:off]
 	var flips []fault.ByteFlip
 	if h.nflips > 0 {
 		flips = make([]fault.ByteFlip, h.nflips)
 		for i := range flips {
 			if b[off+5]|b[off+6]|b[off+7] != 0 {
-				return data, nil, fmt.Errorf("tcp: data frame flip %d has nonzero padding", i)
+				return nil, nil, fmt.Errorf("tcp: data frame flip %d has nonzero padding", i)
 			}
 			flips[i] = fault.ByteFlip{Off: int(le.Uint32(b[off:])), Mask: b[off+4]}
 			off += 8
 		}
 	}
-	return data, flips, nil
+	return wire, flips, nil
+}
+
+// littleEndian reports whether this host keeps a float64 in memory in the
+// wire's byte order, so a buffer's own bytes are its wire bytes.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wireBytes returns the wire bytes of data: on a little-endian host its
+// own storage, viewed in place; elsewhere an encoding appended to scratch,
+// which it returns grown.
+func wireBytes(data []float64, scratch []byte) (wire, grown []byte) {
+	if littleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 8*len(data)), scratch
+	}
+	n := len(scratch)
+	scratch = encodeWords(scratch, data)
+	return scratch[n:], scratch
+}
+
+// copyWire copies the wire bytes of len(dst) words into dst. It writes
+// through dst's own bytes: wire is a view into a frame at an unaligned
+// offset and is never read as words.
+func copyWire(dst []float64, wire []byte) {
+	if littleEndian {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst)), wire)
+		return
+	}
+	decodeWords(dst, wire)
+}
+
+// encodeWords and decodeWords are the word-by-word codec of a host whose
+// memory order is not the wire's.
+func encodeWords(dst []byte, data []float64) []byte {
+	for _, v := range data {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+func decodeWords(dst []float64, wire []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(wire[8*i:]))
+	}
+}
+
+// tcpFrame is one data frame of a call's batch: its kind and header, its
+// payload viewed in place in the sender's buffer, its injected flips, and
+// the send cycle whose span it carries (nil for a one-shot message).
+type tcpFrame struct {
+	n     *tcpNode
+	kind  byte
+	h     tcpHdr
+	data  []float64
+	flips []fault.ByteFlip
+	e     *cycle
+	done  bool // taken by its destination's write
 }
 
 // tcpOut is the dialed stream to one peer. seq counts every data frame
 // handed to the stream (dropped-by-injection ones included, which is what
-// makes injected drops detectable as sequence gaps on the far side).
-// payload and frame are the encode buffers of the frame being written,
-// reused so a steady stream of frames costs no allocation.
+// makes injected drops detectable as sequence gaps on the far side). A
+// flush encodes its frames' headers into hdrs and lists each frame's
+// buffers in iov — header, payload in place, flips — for one vectored
+// write. The write consumes wv, a copy of iov over the array wvs, so a
+// retry still has iov. All are reused, so a steady stream of flushes costs
+// no allocation.
 type tcpOut struct {
 	mu            sync.Mutex
 	conn          net.Conn
 	seq           uint64
 	everConnected bool
-	payload       []byte
-	frame         []byte
+	hdrs          []byte
+	iov, wvs      [][]byte
+	wv            net.Buffers
 }
 
 // tcpAccepted is one accepted peer stream, monitored for heartbeat
@@ -136,10 +199,11 @@ type tcpAccepted struct {
 	missAt   atomic.Int64 // UnixNano of the last recorded miss (rate limit)
 }
 
-// tcpMsg is an arrived one-shot message awaiting a matching receive.
+// tcpMsg is an arrived one-shot message awaiting a matching receive; wire
+// is its payload's wire bytes.
 type tcpMsg struct {
 	src, tag int
-	data     []float64
+	wire     []byte
 	flips    []fault.ByteFlip
 	fseq     uint64
 }
@@ -199,7 +263,7 @@ type tcpNode struct {
 type earlyPersFrame struct {
 	kind  byte
 	h     tcpHdr
-	data  []float64
+	wire  []byte
 	flips []fault.ByteFlip
 }
 
@@ -351,10 +415,9 @@ func (n *tcpNode) serveAccepted(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	n.fl().Record(flight.KindConnect, int32(join.Rank), -1, -1, 0, 0)
-	// The frame buffer and the decoded words are reused frame to frame:
-	// every delivery copies out of them before the next read.
+	// The frame buffer is reused frame to frame: every delivery copies out
+	// of it before the next read.
 	fr := tcpconn.FrameReader{R: conn}
-	var data []float64
 	for {
 		kind, payload, err := fr.Next()
 		if err != nil {
@@ -367,7 +430,7 @@ func (n *tcpNode) serveAccepted(conn net.Conn) {
 		case tfHBData:
 			n.countFrame("hb")
 		case tfData, tfPData, tfPPart:
-			data = n.handleData(kind, payload, data)
+			n.handleData(kind, payload)
 		}
 	}
 }
@@ -384,55 +447,55 @@ func (n *tcpNode) dropAccepted(a *tcpAccepted) {
 // and duplicates are dropped silently but counted; a sequence gap means a
 // frame was lost in flight, which fails loud — the exactly-once story is
 // "deliver once or abort", never "maybe".
-func (n *tcpNode) handleData(kind byte, payload []byte, scratch []float64) []float64 {
+func (n *tcpNode) handleData(kind byte, payload []byte) {
 	var h tcpHdr
-	data, flips, err := decodeDataFrame(payload, &h, scratch)
+	wire, flips, err := decodeDataFrame(payload, &h)
 	if err != nil {
 		n.w.abort(n.rank, fmt.Errorf("tcp: rank %d: %w", n.rank, err))
-		return data
+		return
 	}
 	n.mu.Lock()
 	if h.epoch != n.epoch.Load() || h.inc < n.peerInc[h.src] {
 		n.mu.Unlock()
 		n.countFrame("stale-drop")
-		return data
+		return
 	}
 	last := n.lastSeq[h.src]
 	if h.wireSeq <= last {
 		n.mu.Unlock()
 		n.countFrame("dup-drop")
-		return data
+		return
 	}
 	if h.wireSeq != last+1 {
 		n.mu.Unlock()
 		n.w.abort(n.rank, fmt.Errorf("tcp: lost %d frame(s) from rank %d on rank %d (wire seq jumped %d -> %d)",
 			h.wireSeq-last-1, h.src, n.rank, last, h.wireSeq))
-		return data
+		return
 	}
 	n.lastSeq[h.src] = h.wireSeq
 	switch kind {
 	case tfData:
 		n.countFrame("data")
-		// A one-shot message may wait unmatched, so it owns its words.
-		m := &tcpMsg{src: h.src, tag: h.tag, data: append([]float64(nil), data...), flips: flips, fseq: h.fseq}
+		m := &tcpMsg{src: h.src, tag: h.tag, wire: wire, flips: flips, fseq: h.fseq}
 		for i, r := range n.posted {
 			if matches(r.src, r.tag, m.src, m.tag) {
 				n.posted = append(n.posted[:i], n.posted[i+1:]...)
 				n.deliverLocked(m, r)
 				n.mu.Unlock()
-				return data
+				return
 			}
 		}
+		// A message that waits unmatched outlives the frame: it owns its bytes.
+		m.wire = append([]byte(nil), wire...)
 		n.unmatched = append(n.unmatched, m)
 	case tfPData:
 		n.countFrame("pdata")
-		n.deliverPers(kind, &h, data, flips)
+		n.deliverPers(kind, &h, wire, flips)
 	case tfPPart:
 		n.countFrame("ppart")
-		n.deliverPers(kind, &h, data, flips)
+		n.deliverPers(kind, &h, wire, flips)
 	}
 	n.mu.Unlock()
-	return data
 }
 
 // deliverLocked copies an arrived message into its matched receive (n.mu
@@ -441,16 +504,21 @@ func (n *tcpNode) handleData(kind byte, payload []byte, scratch []float64) []flo
 // is caught by the same receive-side CRC. Errors (overflow, corruption)
 // are parked on the tcpRecv and raised on the waiting rank's goroutine.
 func (n *tcpNode) deliverLocked(m *tcpMsg, r *tcpRecv) {
-	nel := len(m.data)
+	nel := len(m.wire) / 8
 	if nel > len(r.buf) {
-		copy(r.buf, m.data[:len(r.buf)])
+		copyWire(r.buf, m.wire)
 		r.overflow = fmt.Sprintf("mpi: message overflows receive buffer (src %d tag %d)", m.src, m.tag)
 		close(r.done)
 		return
 	}
-	copy(r.buf[:nel], m.data)
+	dst := r.buf[:nel]
+	copyWire(dst, m.wire)
+	var sum uint32
+	if n.w.verifyCRC {
+		sum = crcFloats(dst)
+	}
 	applyFlips(r.buf, 0, nel, m.flips)
-	if n.w.verifyCRC && crcFloats(m.data) != crcFloats(r.buf[:nel]) {
+	if n.w.verifyCRC && crcFloats(dst) != sum {
 		r.corrupted = &CorruptionError{Src: m.src, Dst: r.c.rank, Tag: m.tag}
 	}
 	r.nDelivered = nel
@@ -478,9 +546,11 @@ func (*tcpSendOp) opName(r *Request) string {
 }
 
 func (n *tcpNode) isend(c *Comm, dst, tag int, buf []float64, flips []fault.ByteFlip, seq uint64) *Request {
-	h := tcpHdr{src: c.rank, dst: dst, tag: tag, epoch: n.epoch.Load(), inc: n.inc, fseq: seq}
 	start := time.Now()
-	n.sendData(dst, tfData, &h, buf, flips)
+	b := c.batch()
+	b.tcp = append(b.tcp, tcpFrame{n: n, kind: tfData, data: buf, flips: flips,
+		h: tcpHdr{src: c.rank, dst: dst, tag: tag, epoch: n.epoch.Load(), inc: n.inc, fseq: seq}})
+	b.flush()
 	if c.m != nil {
 		c.m.sendSeconds.Observe(time.Since(start).Seconds())
 	}
@@ -572,64 +642,196 @@ func (n *tcpNode) out(dst int) *tcpOut {
 	return o
 }
 
-// sendData stamps the next wire sequence into h, encodes the frame into
-// the stream's reusable buffers, and writes it, applying any injected
-// network faults first. The sequence is bumped even
-// for frames the injector drops: the receiver sees the gap and fails
-// loud, which is the point of deterministic drop injection. A write that
-// still fails after a reconnect attempt means the redial budget is spent:
-// the world aborts rather than hangs.
-func (n *tcpNode) sendData(dst int, kind byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) {
-	o := n.out(dst)
-	o.mu.Lock()
-	// Unlock by defer: connect (inside writeLocked) panics when the world
-	// aborts mid-dial, and a mutex orphaned by that panic would deadlock
-	// Close on the unwinding path.
-	defer o.mu.Unlock()
-	o.seq++
-	h.wireSeq = o.seq
-	o.payload = appendDataFrame(o.payload[:0], h, data, flips)
-	o.frame = tcpconn.AppendFrame(o.frame[:0], kind, o.payload)
-	// Frames on reserved tags (collectives, pairing descriptors) bypass
-	// network faults, as they bypass every other injected fault: the frame
-	// ordinals of a fault spec count user traffic only.
-	var v fault.NetVerdict
-	if f := n.w.fault; f != nil && h.tag >= 0 {
-		v = f.NetFrame(n.rank, dst)
+// batch is the frames one API call sends on tcp — Start, Startall,
+// Pready, PreadyRange, Preadyall, a one-shot send. The tcp link queues a
+// span's frame in it at put, and the call flushes it before it returns, so
+// every span is on its way by the time the call is: Pready stays eager as
+// its caller sees it. chan and shmem move a span at put, so their calls
+// take no batch (nil). A batch belongs to its call, never to a node or an
+// endpoint: calls run concurrently on pool workers, and each takes its own
+// from its Comm's free list, which the flush refills.
+type batch struct {
+	c   *Comm
+	tcp []tcpFrame
+}
+
+// batchPool is a Comm's free list of batches: a steady stream of calls
+// reuses the same few, grown once, and allocates nothing.
+type batchPool struct {
+	mu   sync.Mutex
+	free []*batch
+}
+
+// batch takes a batch for one call on c: nil unless the world runs on tcp.
+func (c *Comm) batch() *batch {
+	if _, ok := c.world.tr.(*tcpTransport); !ok {
+		return nil
 	}
-	if v.Delay > 0 {
-		time.Sleep(v.Delay)
+	p := &c.batches
+	p.mu.Lock()
+	if i := len(p.free) - 1; i >= 0 {
+		b := p.free[i]
+		p.free = p.free[:i]
+		p.mu.Unlock()
+		return b
 	}
-	if v.Partition > 0 {
-		if o.conn != nil {
-			o.conn.Close()
-			o.conn = nil
-			n.fl().Record(flight.KindDisconnect, int32(dst), -1, -1, 0, 0)
-		}
-		time.Sleep(v.Partition)
-	}
-	if v.Drop {
-		n.countFrame("net-drop")
+	p.mu.Unlock()
+	return &batch{c: c}
+}
+
+// flush writes what the call queued and returns the batch to its Comm. A
+// call defers it, so the spans it put before a misuse panic still go out,
+// as they do on the backends that move a span at put.
+func (b *batch) flush() {
+	if b == nil {
 		return
 	}
-	err := n.writeLocked(o, dst)
-	if err == nil && v.Dup {
-		n.countFrame("net-dup")
-		err = n.writeLocked(o, dst)
+	if len(b.tcp) > 0 {
+		b.write()
+		clear(b.tcp)
+		b.tcp = b.tcp[:0]
 	}
-	if err != nil {
-		n.w.abort(n.rank, fmt.Errorf("tcp: send to rank %d failed (reconnect budget exhausted): %w", dst, err))
-		panic(n.w.Aborted())
+	p := &b.c.batches
+	p.mu.Lock()
+	p.free = append(p.free, b)
+	p.mu.Unlock()
+}
+
+// write writes a batch's frames: for each destination, in the order of
+// its first frame, one vectored write under the stream lock; then, its
+// write returned, each span's sent.
+func (b *batch) write() {
+	fs := b.tcp
+	for i := range fs {
+		if fs[i].done {
+			continue
+		}
+		n, dst := fs[i].n, fs[i].h.dst
+		n.writeFrames(dst, fs[i:])
+		for j := i; j < len(fs); j++ {
+			if f := &fs[j]; f.e != nil && f.n == n && f.h.dst == dst {
+				f.e.mu.Lock()
+				f.e.sent()
+				f.e.mu.Unlock()
+			}
+		}
 	}
 }
 
-// writeLocked (o.mu held) writes the encoded o.frame, dialing or
-// redialing the peer as needed. One reconnect is attempted per write; the
-// dial itself carries the backoff budget.
-func (n *tcpNode) writeLocked(o *tcpOut, dst int) error {
-	if len(o.frame)-tcpconn.HeaderBytes > tcpconn.MaxPayload {
-		return fmt.Errorf("tcp: frame payload of %d bytes exceeds the %d-byte cap", len(o.frame)-tcpconn.HeaderBytes, tcpconn.MaxPayload)
+// frameHdrSlot reserves a frame header in a stream's header buffer; it is
+// written once the frame's CRC is known.
+var frameHdrSlot [tcpconn.HeaderBytes]byte
+
+// writeFrames writes the frames of fs that n sends to dst, stamping each
+// the stream's next wire sequence and applying any injected network fault
+// frame by frame, in order: a delay sleeps before the frame, a partition
+// writes the frames before it and then severs the stream, a drop skips the
+// frame — its sequence number is spent, so the receiver sees the gap and
+// fails loud, which is the point of deterministic drop injection — and a
+// dup lists the frame twice. A write that still fails after a reconnect
+// attempt means the redial budget is spent: the world aborts rather than
+// hangs.
+func (n *tcpNode) writeFrames(dst int, fs []tcpFrame) {
+	o := n.out(dst)
+	o.mu.Lock()
+	// Unlock by defer: connect (inside writev) panics when the world
+	// aborts mid-dial, and a mutex orphaned by that panic would deadlock
+	// Close on the unwinding path.
+	defer o.mu.Unlock()
+	o.hdrs = o.hdrs[:0]
+	for i := range fs {
+		f := &fs[i]
+		if f.done || f.n != n || f.h.dst != dst {
+			continue
+		}
+		f.done = true
+		if size := tcpHdrLen + 8*len(f.data) + 8*len(f.flips); size > tcpconn.MaxPayload {
+			n.w.abort(n.rank, fmt.Errorf("tcp: send to rank %d: frame payload of %d bytes exceeds the %d-byte cap", dst, size, tcpconn.MaxPayload))
+			panic(n.w.Aborted())
+		}
+		o.seq++
+		f.h.wireSeq = o.seq
+		// Frames on reserved tags (collectives, pairing descriptors) bypass
+		// network faults, as they bypass every other injected fault: the
+		// frame ordinals of a fault spec count user traffic only.
+		var v fault.NetVerdict
+		if flt := n.w.fault; flt != nil && f.h.tag >= 0 {
+			v = flt.NetFrame(n.rank, dst)
+		}
+		if v.Delay > 0 {
+			time.Sleep(v.Delay)
+		}
+		if v.Partition > 0 {
+			n.writev(o, dst)
+			if o.conn != nil {
+				o.conn.Close()
+				o.conn = nil
+				n.fl().Record(flight.KindDisconnect, int32(dst), -1, -1, 0, 0)
+			}
+			time.Sleep(v.Partition)
+		}
+		if v.Drop {
+			n.countFrame("net-drop")
+			continue
+		}
+		k := len(o.iov)
+		o.queue(f)
+		if v.Dup {
+			n.countFrame("net-dup")
+			o.iov = append(o.iov, o.iov[k:]...)
+		}
 	}
+	n.writev(o, dst)
+}
+
+// queue (o.mu held) encodes frame f's frame and data headers into o.hdrs
+// and lists its buffers in o.iov: the headers, the payload viewed in
+// place, the flips. The frame CRC runs over the same buffers in wire
+// order. Earlier frames' views into o.hdrs stay valid if it grows: the old
+// array keeps their bytes.
+func (o *tcpOut) queue(f *tcpFrame) {
+	at := len(o.hdrs)
+	o.hdrs = append(o.hdrs, frameHdrSlot[:]...)
+	o.hdrs = appendDataHdr(o.hdrs, &f.h, len(f.data), len(f.flips))
+	mid := len(o.hdrs)
+	var wire []byte
+	wire, o.hdrs = wireBytes(f.data, o.hdrs)
+	fl := len(o.hdrs)
+	o.hdrs = appendFlips(o.hdrs, f.flips)
+	hdr, flips := o.hdrs[at:mid], o.hdrs[fl:]
+	crc := tcpconn.UpdateCRC(tcpconn.StartCRC(f.kind), hdr[tcpconn.HeaderBytes:])
+	crc = tcpconn.UpdateCRC(tcpconn.UpdateCRC(crc, wire), flips)
+	tcpconn.AppendHeader(hdr[:0], f.kind, len(hdr)-tcpconn.HeaderBytes+len(wire)+len(flips), crc)
+	o.iov = append(o.iov, hdr)
+	if len(wire) > 0 {
+		o.iov = append(o.iov, wire)
+	}
+	if len(flips) > 0 {
+		o.iov = append(o.iov, flips)
+	}
+}
+
+// writev (o.mu held) writes the frames listed in o.iov with one vectored
+// write, dialing or redialing the peer as needed, and empties the list.
+// One reconnect is attempted per write, resending the whole list: the
+// receiver drops by sequence whatever of it the failed stream delivered.
+// The dial itself carries the backoff budget.
+func (n *tcpNode) writev(o *tcpOut, dst int) {
+	if len(o.iov) == 0 {
+		return
+	}
+	if err := n.tryWritev(o, dst); err != nil {
+		n.w.abort(n.rank, fmt.Errorf("tcp: send to rank %d failed (reconnect budget exhausted): %w", dst, err))
+		panic(n.w.Aborted())
+	}
+	clear(o.iov)
+	o.iov = o.iov[:0]
+	if n.w.reg != nil {
+		n.w.reg.Counter(metrics.TransportWritesTotal, nil).Inc()
+	}
+}
+
+func (n *tcpNode) tryWritev(o *tcpOut, dst int) error {
 	for attempt := 0; ; attempt++ {
 		if o.conn == nil {
 			if o.everConnected {
@@ -647,8 +849,10 @@ func (n *tcpNode) writeLocked(o *tcpOut, dst int) error {
 			o.everConnected = true
 			n.fl().Record(flight.KindConnect, int32(dst), -1, -1, 0, 0)
 		}
+		o.wvs = append(o.wvs[:0], o.iov...)
+		o.wv = o.wvs
 		err := tcpconn.WithWriteDeadline(o.conn, n.writeTimeout, func() error {
-			_, err := o.conn.Write(o.frame)
+			_, err := o.wv.WriteTo(o.conn)
 			return err
 		})
 		if err == nil {
@@ -871,7 +1075,7 @@ func (n *tcpNode) pendingOps() []PendingOp {
 	}
 	for _, m := range n.unmatched {
 		if m.tag != pairTag {
-			out = append(out, PendingOp{Kind: flight.PendSendUnmatched, Src: m.src, Dst: n.rank, Tag: m.tag, Bytes: int64(8 * len(m.data))})
+			out = append(out, PendingOp{Kind: flight.PendSendUnmatched, Src: m.src, Dst: n.rank, Tag: m.tag, Bytes: int64(len(m.wire))})
 		}
 	}
 	return out

@@ -9,14 +9,21 @@ import (
 // sender's cycle number; a receive side takes the frames of the id it was
 // bound to at the match.
 //
-// Sends are eager like one-shot sends: each span the cycle puts goes on the
-// wire as one frame — the whole payload as tfPData at an unpartitioned
-// Start, each partition span as tfPPart at its Pready, offset-addressed
-// into the receive buffer — and is sent once written. A frame lands if its
-// cycle is the open receive cycle, parks on the link if its cycle has not
-// started (a sender running ahead of the receiver's Start), and is dropped
-// if its cycle is over; frames for a channel no receive side has bound yet
-// park in the node's early queue until bind drains them.
+// Sends are eager like one-shot sends, and batched by call: each span the
+// cycle puts becomes one frame — the whole payload as tfPData at an
+// unpartitioned Start, each partition span as tfPPart at its Pready,
+// offset-addressed into the receive buffer — queued in the batch of the
+// API call that put it. The call flushes its batch before it returns: per
+// destination one vectored write of every frame's headers, its payload
+// bytes viewed in place in the send buffer, and its flips; each span is
+// sent once that write returned. So a Preadyall over a tile's partitions
+// costs one write per peer, not one per partition, and still nothing is
+// held back past the call that readied it. A frame lands — its bytes
+// copied once, straight into the receive buffer — if its cycle is the
+// open receive cycle, parks on the link if its cycle has not started (a
+// sender running ahead of the receiver's Start), and is dropped if its
+// cycle is over; frames for a channel no receive side has bound yet park
+// in the node's early queue until bind drains them.
 
 // tcpLink is one endpoint's data path. parked and spare are guarded by the
 // endpoint's lock.
@@ -28,9 +35,9 @@ type tcpLink struct {
 	// parked holds frames of later cycles in arrival order: a frame may land
 	// in the receive buffer only once its cycle starts, since before that
 	// the buffer still belongs to the rank (a restore writes it, the
-	// previous step's compute reads it). spare recycles their word buffers.
+	// previous step's compute reads it). spare recycles their byte buffers.
 	parked []earlyPersFrame
-	spare  [][]float64
+	spare  [][]byte
 }
 
 func (n *tcpNode) newLink(e *cycle) link {
@@ -45,14 +52,14 @@ func (l *tcpLink) bind(e *cycle, s *pend) {
 	defer n.mu.Unlock()
 	n.persRecv[s.id] = l
 	for _, f := range n.early[s.id] {
-		l.deliver(f.kind, &f.h, f.data, f.flips)
+		l.deliver(f.kind, &f.h, f.wire, f.flips)
 	}
 	delete(n.early, s.id)
 }
 
-// put writes one span as a frame. The endpoint's lock stays held across a
-// write that may block on a redial; the stall listing never waits for it.
-func (l *tcpLink) put(e *cycle, part int) {
+// put queues one span as a frame in the call's batch; the flush writes it
+// and reports it sent.
+func (l *tcpLink) put(e *cycle, part int, b *batch) {
 	n, r := l.n, e.r
 	h := tcpHdr{
 		src: r.comm.rank, dst: r.peer, tag: r.tag, id: l.id,
@@ -64,8 +71,7 @@ func (l *tcpLink) put(e *cycle, part int) {
 		kind, flips = tfPPart, flipsInRange(flips, 8*lo, 8*hi)
 		h.offE, h.partLo, h.partHi, h.nparts = lo, part, part+1, e.parts
 	}
-	n.sendData(h.dst, kind, &h, e.buf[lo:hi], flips)
-	e.sent()
+	b.tcp = append(b.tcp, tcpFrame{n: n, kind: kind, h: h, data: e.buf[lo:hi], flips: flips, e: e})
 }
 
 // poll lands the frames parked for the cycle that just opened, in arrival
@@ -81,30 +87,30 @@ func (l *tcpLink) poll(e *cycle) bool {
 			kept = append(kept, f)
 			continue
 		}
-		l.land(f.kind, &f.h, f.data, f.flips)
-		l.spare = append(l.spare, f.data)
+		l.land(f.kind, &f.h, f.wire, f.flips)
+		l.spare = append(l.spare, f.wire)
 	}
 	clear(l.parked[len(kept):])
 	l.parked = kept
 	return false
 }
 
-// deliverPers routes an arrived persistent frame (n.mu held). data is the
-// reader's scratch: whatever outlives this call is copied.
-func (n *tcpNode) deliverPers(kind byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) {
+// deliverPers routes an arrived persistent frame (n.mu held). wire views
+// the reader's frame buffer: whatever outlives this call is copied.
+func (n *tcpNode) deliverPers(kind byte, h *tcpHdr, wire []byte, flips []fault.ByteFlip) {
 	l := n.persRecv[h.id]
 	if l == nil {
 		n.early[h.id] = append(n.early[h.id], &earlyPersFrame{
-			kind: kind, h: *h, data: append([]float64(nil), data...), flips: flips})
+			kind: kind, h: *h, wire: append([]byte(nil), wire...), flips: flips})
 		return
 	}
-	l.deliver(kind, h, data, flips)
+	l.deliver(kind, h, wire, flips)
 }
 
 // deliver takes one frame: it lands now if its cycle is the open one,
 // parks if its cycle has not started, and is dropped if its cycle is over
 // or the endpoint was freed.
-func (l *tcpLink) deliver(kind byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) {
+func (l *tcpLink) deliver(kind byte, h *tcpHdr, wire []byte, flips []fault.ByteFlip) {
 	e := l.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -112,23 +118,23 @@ func (l *tcpLink) deliver(kind byte, h *tcpHdr, data []float64, flips []fault.By
 	case e.freed:
 		l.parked, l.spare = nil, nil
 	case h.cyc == k:
-		l.land(kind, h, data, flips)
+		l.land(kind, h, wire, flips)
 	case h.cyc > k:
-		var words []float64
+		var keep []byte
 		if i := len(l.spare); i > 0 {
-			words, l.spare = l.spare[i-1], l.spare[:i-1]
+			keep, l.spare = l.spare[i-1], l.spare[:i-1]
 		}
-		l.parked = append(l.parked, earlyPersFrame{kind: kind, h: *h, data: append(words[:0], data...), flips: flips})
+		l.parked = append(l.parked, earlyPersFrame{kind: kind, h: *h, wire: append(keep[:0], wire...), flips: flips})
 	}
 }
 
 // land hands one frame of the open cycle to the cycle. e.mu held.
-func (l *tcpLink) land(kind byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) {
+func (l *tcpLink) land(kind byte, h *tcpHdr, wire []byte, flips []fault.ByteFlip) {
 	part := -1
 	if kind == tfPPart {
 		part = h.partLo
 	}
-	l.e.land(part, h.offE, data, flips, h.fseq)
+	l.e.landWire(part, h.offE, wire, flips, h.fseq)
 }
 
 func flipsInRange(flips []fault.ByteFlip, lo, hi int) []fault.ByteFlip {

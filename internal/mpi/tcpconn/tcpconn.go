@@ -62,13 +62,28 @@ func frameCRC(kind byte, payload []byte) uint32 {
 	return crc32.Update(kindCRC[kind], crcTable, payload)
 }
 
+// StartCRC returns the CRC of a frame of kind before any payload byte. A
+// writer whose payload lies in several buffers folds each in, in wire
+// order, with UpdateCRC and hands the result to AppendHeader.
+func StartCRC(kind byte) uint32 { return kindCRC[kind] }
+
+// UpdateCRC folds the next payload bytes p into a frame CRC.
+func UpdateCRC(crc uint32, p []byte) uint32 { return crc32.Update(crc, crcTable, p) }
+
+// AppendHeader appends the header of a frame of kind whose payload is n
+// bytes with CRC crc (StartCRC then UpdateCRC over the payload); the
+// payload itself follows on the wire, from whatever buffers hold it.
+func AppendHeader(dst []byte, kind byte, n int, crc uint32) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+	dst = append(dst, kind, 0, 0, 0)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	return binary.LittleEndian.AppendUint32(dst, crc)
+}
+
 // AppendFrame appends one encoded frame to dst and returns the extended
 // slice; the allocation-free building block under WriteFrame.
 func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
-	dst = append(dst, kind, 0, 0, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, frameCRC(kind, payload))
+	dst = AppendHeader(dst, kind, len(payload), frameCRC(kind, payload))
 	return append(dst, payload...)
 }
 

@@ -33,6 +33,27 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHeaderOverSplitPayload: a frame whose payload lies in several
+// buffers — its header from AppendHeader with the CRC folded over each
+// part — is byte for byte the frame AppendFrame builds from the joined
+// payload, for every split point.
+func TestHeaderOverSplitPayload(t *testing.T) {
+	payload := []byte("a payload written from three buffers")
+	want := AppendFrame(nil, 25, payload)
+	for i := 0; i <= len(payload); i++ {
+		for j := i; j <= len(payload); j++ {
+			crc := StartCRC(25)
+			for _, part := range [][]byte{payload[:i], payload[i:j], payload[j:]} {
+				crc = UpdateCRC(crc, part)
+			}
+			got := append(AppendHeader(nil, 25, len(payload), crc), payload...)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("split at %d,%d: %x, want %x", i, j, got, want)
+			}
+		}
+	}
+}
+
 // TestFrameEveryPrefixTruncation: every strict prefix of an encoded frame
 // must fail to decode — as clean EOF only at offset zero, as unexpected EOF
 // everywhere else. Mirrors the flight/ckpt codec truncation suites.

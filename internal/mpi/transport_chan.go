@@ -380,7 +380,7 @@ func (t *chanTransport) newLink(e *cycle) link {
 // bind has nothing to do: the matched sides already share the link.
 func (l *chanLink) bind(*cycle, *pend) {}
 
-func (l *chanLink) put(_ *cycle, part int) {
+func (l *chanLink) put(_ *cycle, part int, _ *batch) {
 	if rv := l.recv; rv != nil && rv.state.Load() == cycOpen {
 		l.move(part)
 	}

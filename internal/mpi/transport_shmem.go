@@ -1022,7 +1022,7 @@ func (l *shmLink) stageWait(k, lag uint64) {
 // flight stamp) ahead of any publication, so a receiver that sees a span
 // published can trust them; a partitioned cycle, or a send buffer grown by
 // Rebind, first waits for the receiver to finish every earlier cycle.
-func (l *shmLink) put(e *cycle, part int) {
+func (l *shmLink) put(e *cycle, part int, _ *batch) {
 	t, ent := l.t, l.ent
 	k := e.n
 	slot := int(k % 2)

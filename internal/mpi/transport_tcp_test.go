@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -62,6 +64,37 @@ func rawJoin(t *testing.T, addr string, join *ctlMsg) (net.Conn, byte, *ctlMsg) 
 		t.Fatalf("raw join reply decode: %v", err)
 	}
 	return conn, kind, &reply
+}
+
+// appendDataFrame is the reference encoding of one data frame's payload,
+// word by word: the header, elems float64s as little-endian bits, then the
+// flips. Raw-frame tests hand-craft frames with it, and the flush and the
+// header-only decoder are held to it byte for byte.
+func appendDataFrame(dst []byte, h *tcpHdr, data []float64, flips []fault.ByteFlip) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, uint32(h.src))
+	dst = le.AppendUint32(dst, uint32(h.dst))
+	dst = le.AppendUint32(dst, uint32(h.tag))
+	dst = le.AppendUint64(dst, h.id)
+	dst = le.AppendUint64(dst, h.epoch)
+	dst = le.AppendUint64(dst, h.inc)
+	dst = le.AppendUint64(dst, h.wireSeq)
+	dst = le.AppendUint64(dst, h.fseq)
+	dst = le.AppendUint64(dst, h.cyc)
+	dst = le.AppendUint32(dst, uint32(h.offE))
+	dst = le.AppendUint32(dst, uint32(h.partLo))
+	dst = le.AppendUint32(dst, uint32(h.partHi))
+	dst = le.AppendUint32(dst, uint32(h.nparts))
+	dst = le.AppendUint32(dst, uint32(len(data)))
+	dst = le.AppendUint32(dst, uint32(len(flips)))
+	for _, v := range data {
+		dst = le.AppendUint64(dst, math.Float64bits(v))
+	}
+	for _, fl := range flips {
+		dst = le.AppendUint32(dst, uint32(fl.Off))
+		dst = append(dst, fl.Mask, 0, 0, 0)
+	}
+	return dst
 }
 
 func waitFrameCount(t *testing.T, reg *metrics.Registry, kind string, want int64) {
@@ -449,7 +482,8 @@ func TestTCPFrameLandsOnlyAfterStart(t *testing.T) {
 }
 
 // FuzzDecodeDataFrame holds the data-frame codec to two properties:
-// decodeDataFrame never panics on any input, and every frame it accepts
+// decodeDataFrame never panics on any input, and every frame it accepts —
+// its header decoded, its payload copied out of the frame as wire bytes —
 // re-encodes byte for byte.
 func FuzzDecodeDataFrame(f *testing.F) {
 	plain := tcpHdr{src: 1, dst: 2, tag: 7, epoch: 3, inc: 1, wireSeq: 9, fseq: 4}
@@ -460,12 +494,268 @@ func FuzzDecodeDataFrame(f *testing.F) {
 	f.Add(appendDataFrame(nil, &part, []float64{1, 2, 3}, []fault.ByteFlip{{Off: 3, Mask: 0x80}, {Off: 17, Mask: 1}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var h tcpHdr
-		data, flips, err := decodeDataFrame(b, &h, nil)
+		wire, flips, err := decodeDataFrame(b, &h)
 		if err != nil {
 			return
 		}
+		data := make([]float64, len(wire)/8)
+		copyWire(data, wire)
 		if got := appendDataFrame(nil, &h, data, flips); !bytes.Equal(got, b) {
 			t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", got, b)
 		}
 	})
+}
+
+// TestTCPBatchWireUnchanged captures what one flush writes to a loopback
+// stream — a partition span with flips, a whole payload listed twice by a
+// dup verdict, a one-shot message — and holds it to the reference
+// encoding: each frame exactly as tcpconn.AppendFrame(appendDataFrame(...))
+// lays it out, in order, from one vectored write.
+func TestTCPBatchWireUnchanged(t *testing.T) {
+	oldHB := tcpHBInterval
+	tcpHBInterval = time.Hour // no heartbeat frame between the captured ones
+	defer func() { tcpHBInterval = oldHB }()
+	w, tr := newTCPTestWorld(t)
+	reg := metrics.NewRegistry()
+	w.SetMetrics(reg)
+	w.SetFault(fault.New(1).WithNetDup(0, 2))
+	n0 := tr.node(0)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer client.Close()
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	defer server.Close()
+	o := n0.out(1)
+	o.mu.Lock()
+	if o.conn != nil {
+		o.conn.Close()
+	}
+	o.conn, o.everConnected = client, true
+	seq := o.seq
+	o.mu.Unlock()
+
+	ep := n0.epoch.Load()
+	frames := []tcpFrame{
+		{n: n0, kind: tfPPart, data: []float64{1.5, -2, math.Inf(1)},
+			flips: []fault.ByteFlip{{Off: 3, Mask: 0x80}, {Off: 17, Mask: 1}},
+			h: tcpHdr{src: 0, dst: 1, tag: 4, id: 1<<32 | 7, epoch: ep, fseq: 11, cyc: 2,
+				offE: 8, partLo: 1, partHi: 2, nparts: 3}},
+		{n: n0, kind: tfPData, data: []float64{math.NaN(), 0.25},
+			h: tcpHdr{src: 0, dst: 1, tag: 5, id: 1<<32 | 8, epoch: ep, fseq: 12, cyc: 2}},
+		{n: n0, kind: tfData, data: []float64{42},
+			h: tcpHdr{src: 0, dst: 1, tag: 6, epoch: ep, fseq: 13}},
+	}
+	var want []byte
+	for i, f := range frames {
+		h := f.h
+		h.wireSeq = seq + uint64(i) + 1
+		enc := tcpconn.AppendFrame(nil, f.kind, appendDataFrame(nil, &h, f.data, f.flips))
+		want = append(want, enc...)
+		if i == 1 { // the dup verdict: the same frame, same sequence, twice
+			want = append(want, enc...)
+		}
+	}
+	b := (&Comm{world: w, rank: 0}).batch()
+	b.tcp = append(b.tcp, frames...)
+	b.flush()
+
+	got := make([]byte, len(want))
+	server.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadFull(server, got); err != nil {
+		t.Fatalf("read the batch: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("batch wire bytes differ from the per-frame encoding:\n got %x\nwant %x", got, want)
+	}
+	if n := reg.Counter(metrics.TransportWritesTotal, nil).Value(); n != 1 {
+		t.Errorf("TransportWritesTotal = %d, want one write for the batch", n)
+	}
+	if n := reg.Counter(metrics.TransportFramesTotal, metrics.Labels{"kind": "net-dup"}).Value(); n != 1 {
+		t.Errorf("net-dup frames = %d, want 1", n)
+	}
+}
+
+// batchRun is one Preadyall scenario on a 3-rank tcp world: rank 0 holds
+// three partitioned sends — two to rank 1, one to rank 2, three partitions
+// each — and readies all nine partitions with one Preadyall.
+const batchParts = 3
+
+var batchDsts = []int{1, 1, 2}
+
+// preadyallBatch returns the scenario's rank body. Rank 0 stores in
+// writes the writes its Preadyall made; receivers check every element that
+// landed. Nothing else is sent, not even a barrier: a peer's write is
+// counted only after its syscall returns, so it could land inside rank 0's
+// window. Frames that beat a receiver's Start park until it.
+func preadyallBatch(t *testing.T, reg *metrics.Registry, writes *int64) func(*Comm) {
+	return func(c *Comm) {
+		const n = 6
+		bounds := []int{0, 2, 4, n}
+		if c.Rank() == 0 {
+			var reqs []*Request
+			var parts []int
+			for i, dst := range batchDsts {
+				buf := make([]float64, n)
+				for j := range buf {
+					buf[j] = float64(100*i + j)
+				}
+				s := c.PsendInit(dst, i, buf, bounds)
+				for p := 0; p < batchParts; p++ {
+					reqs = append(reqs, s)
+					parts = append(parts, p)
+				}
+			}
+			sends := []*Request{reqs[0], reqs[batchParts], reqs[2*batchParts]}
+			Startall(sends)
+			before := reg.Counter(metrics.TransportWritesTotal, nil).Value()
+			Preadyall(reqs, parts)
+			*writes = reg.Counter(metrics.TransportWritesTotal, nil).Value() - before
+			Waitall(sends)
+			return
+		}
+		var recvs []*Request
+		var bufs [][]float64
+		var ids []int
+		for i, dst := range batchDsts {
+			if dst == c.Rank() {
+				buf := make([]float64, n)
+				bufs, ids = append(bufs, buf), append(ids, i)
+				recvs = append(recvs, c.PrecvInit(0, i, buf))
+			}
+		}
+		Startall(recvs)
+		Waitall(recvs)
+		for k, buf := range bufs {
+			for j, v := range buf {
+				if want := float64(100*ids[k] + j); v != want {
+					t.Errorf("rank %d message %d element %d = %v, want %v", c.Rank(), ids[k], j, v, want)
+				}
+			}
+		}
+	}
+}
+
+func newBatchWorld(t *testing.T, f *fault.Injector) (*World, *metrics.Registry) {
+	t.Helper()
+	w, err := NewWorldOn("tcp", 3)
+	if err != nil {
+		t.Fatalf(`NewWorldOn("tcp", 3): %v`, err)
+	}
+	t.Cleanup(func() { w.Close() })
+	reg := metrics.NewRegistry()
+	w.SetMetrics(reg)
+	if f != nil {
+		w.SetFault(f)
+	}
+	return w, reg
+}
+
+// TestTCPPreadyallOneWritePerDestination: a Preadyall over the partitions
+// of three requests to two destinations makes exactly two writes, and the
+// receivers count every partition frame.
+func TestTCPPreadyallOneWritePerDestination(t *testing.T) {
+	w, reg := newBatchWorld(t, nil)
+	var writes int64
+	w.Run(preadyallBatch(t, reg, &writes))
+	if writes != 2 {
+		t.Errorf("Preadyall to two destinations made %d writes, want 2", writes)
+	}
+	if ae := w.Aborted(); ae != nil {
+		t.Fatalf("run aborted: %v", ae)
+	}
+	want := int64(len(batchDsts) * batchParts)
+	if got := reg.Counter(metrics.TransportFramesTotal, metrics.Labels{"kind": "ppart"}).Value(); got != want {
+		t.Errorf("ppart frames = %d, want %d", got, want)
+	}
+}
+
+// TestTCPPreadyallFaultsPerFrame: network faults still act on single frames
+// inside a batch. A drop of rank 0's second frame (mid-batch, to rank 1)
+// aborts with the lost-frame gap; a dup is filtered exactly once; a
+// partition before the second frame to rank 1 writes the first, severs,
+// redials, and every frame still arrives exactly once.
+func TestTCPPreadyallFaultsPerFrame(t *testing.T) {
+	t.Run("drop", func(t *testing.T) {
+		w, reg := newBatchWorld(t, fault.New(1).WithNetDrop(0, 2))
+		var writes int64
+		ae := runWorldExpectAbort(t, w, 30*time.Second, preadyallBatch(t, reg, &writes))
+		if !strings.Contains(ae.Error(), "lost 1 frame(s) from rank 0") {
+			t.Fatalf("abort does not name the lost frame: %v", ae)
+		}
+	})
+	t.Run("dup", func(t *testing.T) {
+		w, reg := newBatchWorld(t, fault.New(1).WithNetDup(0, 2))
+		var writes int64
+		w.Run(preadyallBatch(t, reg, &writes))
+		if ae := w.Aborted(); ae != nil {
+			t.Fatalf("run aborted: %v", ae)
+		}
+		if got := reg.Counter(metrics.TransportFramesTotal, metrics.Labels{"kind": "dup-drop"}).Value(); got != 1 {
+			t.Errorf("dup-drop frames = %d, want exactly 1", got)
+		}
+	})
+	t.Run("partition", func(t *testing.T) {
+		w, reg := newBatchWorld(t, fault.New(1).WithNetPartition(0, 1, 2, 30*time.Millisecond))
+		var writes int64
+		w.Run(preadyallBatch(t, reg, &writes))
+		if ae := w.Aborted(); ae != nil {
+			t.Fatalf("run aborted: %v", ae)
+		}
+		if writes != 3 {
+			t.Errorf("Preadyall with a partition inside made %d writes, want 3 (before it, after the redial, rank 2)", writes)
+		}
+		want := int64(len(batchDsts) * batchParts)
+		if got := reg.Counter(metrics.TransportFramesTotal, metrics.Labels{"kind": "ppart"}).Value(); got != want {
+			t.Errorf("ppart frames = %d, want %d", got, want)
+		}
+		for _, kind := range []string{"dup-drop", "stale-drop"} {
+			if got := reg.Counter(metrics.TransportFramesTotal, metrics.Labels{"kind": kind}).Value(); got != 0 {
+				t.Errorf("%s frames = %d, want 0", kind, got)
+			}
+		}
+		if got := reg.Counter(metrics.TransportReconnectsTotal, metrics.Labels{"rank": "0", "peer": "1"}).Value(); got < 1 {
+			t.Errorf("no reconnect counted after the partition")
+		}
+	})
+}
+
+// TestWireWordsBothOrders holds the two payload paths to one wire form:
+// the in-place byte view this host uses and the word-by-word codec a
+// big-endian host uses must both yield the reference little-endian bits,
+// NaN payloads included, and copy back exactly — also from an unaligned
+// frame offset, as a payload sits in a received frame.
+func TestWireWordsBothOrders(t *testing.T) {
+	data := []float64{0, -0.0, 1.5, math.Inf(-1), math.Float64frombits(0x7ff8_dead_beef_0001), 5e-324}
+	var want []byte
+	for _, v := range data {
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
+	}
+	view, _ := wireBytes(data, nil)
+	if !bytes.Equal(view, want) {
+		t.Fatalf("wireBytes = %x, want %x", view, want)
+	}
+	if got := encodeWords([]byte{9}, data)[1:]; !bytes.Equal(got, want) {
+		t.Fatalf("encodeWords = %x, want %x", got, want)
+	}
+	frame := append([]byte{1, 2, 3}, want...) // payload at an odd offset
+	for name, decode := range map[string]func([]float64, []byte){"copyWire": copyWire, "decodeWords": decodeWords} {
+		got := make([]float64, len(data))
+		decode(got, frame[3:])
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(data[i]) {
+				t.Errorf("%s word %d = %#x, want %#x", name, i, math.Float64bits(got[i]), math.Float64bits(data[i]))
+			}
+		}
+	}
 }
