@@ -88,11 +88,14 @@ race:
 # race-recovery repeats the cross-process recovery tests under -race. Their
 # races are timing-dependent (tcp reader goroutines against a restore,
 # coordinator aborts against a recovery round), so one pass proves little.
-# The mpi round, parked-listing and respawn-oracle tests take milliseconds.
+# The mpi tests take milliseconds each: the recovery round, the parked
+# listing and the respawn oracle, and the one-shot matcher's callers racing
+# one another — tcp readers and chan senders posting into it, the
+# watchdog's listing and the epoch reset.
 race-recovery:
 	$(GO) test -race -count=20 -run 'TestTCPNetFaultRecovery$$' ./internal/harness
 	$(GO) test -race -count=5 -run 'TestSupervisedRecoveryAllImpls$$' ./internal/harness
-	$(GO) test -race -count=20 -run '^(TestRecoveryRoundConformance|TestStallReportListsParkedWorkers|TestPersistentOracleRespawn)$$' ./internal/mpi
+	$(GO) test -race -count=20 -run '^(TestRecoveryRoundConformance|TestStallReportListsParkedWorkers|TestPersistentOracleRespawn|TestConformanceOneShot|TestConformanceRespawnCycle|TestCollectiveOracleAcrossWorkers)$$' ./internal/mpi
 
 # soak runs the fault-injection soak under the race detector: every CPU
 # implementation on 8 ranks, once clean and once under benign faults

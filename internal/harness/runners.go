@@ -412,7 +412,7 @@ func (r *brickRank) resume(degraded string) error {
 }
 
 // close releases the exchanger and a mapped arena, except on an abort
-// unwind: a surviving peer's parked one-shot envelope (or, without the Free
+// unwind: a surviving peer's unmatched one-shot message (or, without the Free
 // retraction, a persistent delivery) may still reference their pages and
 // endpoints, and copying from an unmapped page is a fatal SIGSEGV no
 // recover can catch. Respawn discards the stale references and the next

@@ -31,8 +31,10 @@ const (
 	// PlanStartBytesTotal: payload bytes posted by those starts.
 	PlanStartBytesTotal = "exchange_plan_start_bytes_total"
 
-	// MPISendSeconds: histogram of per-message latency from Isend post to
-	// delivery into the matched receive buffer (labels: rank).
+	// MPISendSeconds: histogram of per-message send latency from post to
+	// completion: a one-shot send until delivered (chan) or handed to the
+	// segment or stream (shmem, tcp), a persistent send from Start to Wait
+	// (labels: rank).
 	MPISendSeconds = "mpi_send_seconds"
 	// MPISendBytes: histogram of per-message payload sizes at Isend
 	// (labels: rank).

@@ -6,7 +6,7 @@ import (
 )
 
 // The collectives are written once, for every backend, as a rank-0
-// fan-in/fan-out over the transport's own isend/irecv on collTag. Rank 0
+// fan-in/fan-out of one-shot messages (oneshot.go) on collTag. Rank 0
 // receives the contributions in ascending rank order and folds them in that
 // order, which is what keeps reductions Float64bits-identical on every
 // transport. collTag lies below AnyTag, and matches never lets a wildcard
@@ -33,12 +33,12 @@ const (
 
 // csend posts one collective message to dst.
 func (c *Comm) csend(dst int, buf []float64) *Request {
-	return c.world.tr.isend(c.sys, dst, collTag, buf, nil, 0)
+	return c.sys.isend(dst, collTag, buf, nil, 0)
 }
 
 // crecv receives one collective message from src into buf.
 func (c *Comm) crecv(src int, buf []float64) {
-	c.world.tr.irecv(c.sys, src, collTag, buf).Wait()
+	c.sys.irecv(src, collTag, buf).Wait()
 }
 
 // sendLen sends a contribution to rank 0 as two messages, its length and

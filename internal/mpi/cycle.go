@@ -67,11 +67,10 @@ type cycle struct {
 	pull  bool          // receive: set by Start's poll, read by the Wait that follows it
 	done  chan struct{} // cap 1: a completion wakes a blocked Wait; a token nobody took stays
 
-	seq      uint64           // send: the cycle's flight stamp
-	flips    []fault.ByteFlip // send: the cycle's injected corruption
-	at       time.Time        // send: Start time, when metrics are on
-	corrupt  *CorruptionError // receive: the CRC verdict, raised at Wait
-	overflow string           // receive: an overflow, raised at Wait
+	seq         uint64           // send: the cycle's flight stamp
+	flips       []fault.ByteFlip // send: the cycle's injected corruption
+	at          time.Time        // send: Start time, when metrics are on
+	landVerdict                  // receive: the CRC verdict or an overflow, raised at Wait
 }
 
 // newCycle builds endpoint p's cycle, its Request and its backend link.
@@ -83,7 +82,7 @@ func newCycle(c *Comm, p *pend, buf []float64) *cycle {
 	if p.psend {
 		peer = p.key.dst
 	}
-	e.r = &Request{comm: c, op: e, pend: p, psend: p.psend, peer: peer, tag: p.key.tag}
+	e.r = &Request{comm: c, op: e, pend: p, send: p.psend, peer: peer, tag: p.key.tag}
 	e.link = c.world.tr.newLink(e)
 	return e
 }
@@ -92,7 +91,7 @@ func newCycle(c *Comm, p *pend, buf []float64) *cycle {
 func (p *pend) cycle() *cycle { return p.r.op.(*cycle) }
 
 func (e *cycle) side() string {
-	if e.r.psend {
+	if e.r.send {
 		return "send"
 	}
 	return "receive"
@@ -127,7 +126,7 @@ func (r *Request) start(b *batch) {
 	n := r.pend.elems
 	var seq uint64
 	var flips []fault.ByteFlip
-	if r.psend {
+	if r.send {
 		r.pend.started = true
 		if f := c.world.fault; f != nil {
 			if d := f.SendDelay(c.rank); d > 0 {
@@ -152,13 +151,13 @@ func (r *Request) start(b *batch) {
 	}
 	e.n++
 	e.spans, e.elems = 0, 0
-	e.seq, e.flips, e.corrupt, e.overflow = seq, flips, nil, ""
-	if r.psend && c.m != nil {
+	e.seq, e.flips, e.landVerdict = seq, flips, landVerdict{}
+	if r.send && c.m != nil {
 		e.at = time.Now()
 	}
 	e.state.Store(cycOpen)
 	switch {
-	case !r.psend:
+	case !r.send:
 		e.pull = e.link.poll(e)
 	case e.parts == 0:
 		e.link.put(e, -1, b)
@@ -227,7 +226,7 @@ func Preadyall(reqs []*Request, parts []int) {
 // cycle as it was.
 func (r *Request) pready(lo, hi int, b *batch) {
 	e, ok := r.op.(*cycle)
-	if !ok || !r.psend {
+	if !ok || !r.send {
 		panic("mpi: Pready on a non-persistent or receive request")
 	}
 	e.mu.Lock()
@@ -261,7 +260,7 @@ func (r *Request) pready(lo, hi int, b *batch) {
 // PreadyAll marks every partition of the active cycle ready at once — the
 // prologue form for data that is already fully computed.
 func (r *Request) PreadyAll() {
-	if r.psend && r.pend.parts > 0 {
+	if r.pend != nil && r.send && r.pend.parts > 0 {
 		r.PreadyRange(0, r.pend.parts)
 		return
 	}
@@ -277,7 +276,7 @@ func (r *Request) PreadyAll() {
 // matched sender is unpartitioned.
 func (r *Request) Parrived(i int) bool {
 	e, ok := r.op.(*cycle)
-	if !ok || r.psend {
+	if !ok || r.send {
 		panic("mpi: Parrived on a non-persistent or send request")
 	}
 	switch parts := r.Partitions(); {
@@ -317,68 +316,34 @@ func (r *Request) Rebind(buf []float64) {
 	r.comm.world.pairs.rebind(r.pend, len(buf))
 }
 
-// land copies one span of the open receive cycle into the receive buffer:
-// part is its partition (-1: an unpartitioned payload), lo its element
-// offset, src the sender's words, flips the cycle's injected corruption
-// (absolute offsets; the span's own apply) and fseq the sender's flight
-// stamp. Then the receive-side CRC over what actually landed; an overflow
-// or a CRC mismatch is raised at Wait. A span of a cycle that is not open,
-// or of a partition that already arrived, is dropped. Called by the link,
-// e.mu held.
-func (e *cycle) land(part, lo int, src []float64, flips []fault.ByteFlip, fseq uint64) {
-	if dst, ok := e.landing(part, lo, len(src)); ok {
-		copy(dst, src)
-		e.landed(part, lo, dst, flips, fseq)
-	}
-}
-
-// landWire is land for a span that arrived as wire bytes (tcp): its
-// little-endian words are copied once, straight into the receive buffer.
-func (e *cycle) landWire(part, lo int, wire []byte, flips []fault.ByteFlip, fseq uint64) {
-	if dst, ok := e.landing(part, lo, len(wire)/8); ok {
-		copyWire(dst, wire)
-		e.landed(part, lo, dst, flips, fseq)
-	}
-}
-
-// landing returns where a span of n elements at offset lo lands, or false
-// when it is dropped or overflows the buffer (the overflow completes the
-// cycle, to be raised at Wait).
-func (e *cycle) landing(part, lo, n int) ([]float64, bool) {
+// land lands span p of the open receive cycle in the receive buffer: part
+// is its partition (-1: an unpartitioned payload), lo its element offset,
+// its flips the cycle's injected corruption (absolute offsets; the span's
+// own apply) and fseq the sender's flight stamp. An overflow or a CRC
+// mismatch is raised at Wait. A span of a cycle that is not open, or of a
+// partition that already arrived, is dropped. Called by the link, e.mu
+// held.
+func (e *cycle) land(part, lo int, p payload, fseq uint64) {
 	if e.state.Load() != cycOpen || part >= e.parts || part >= 0 && e.marks[part] == e.n {
-		return nil, false
+		return
 	}
-	r := e.r
-	hi := lo + n
-	if lo < 0 || hi > len(e.buf) {
-		e.overflow = fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
-			r.peer, r.comm.rank, r.tag, hi, len(e.buf))
-		e.complete()
-		return nil, false
-	}
-	return e.buf[lo:hi], true
-}
-
-// landed finishes a span just copied into dst, the buffer at offset lo:
-// the flips land, then the CRC compares what landed against the copy, and
-// the span counts.
-func (e *cycle) landed(part, lo int, dst []float64, flips []fault.ByteFlip, fseq uint64) {
 	r := e.r
 	c := r.comm
-	check := c.world.verifyCRC && e.corrupt == nil
-	var sum uint32
-	if check {
-		sum = crcFloats(dst)
+	n := p.elems()
+	if lo < 0 || lo+n > len(e.buf) {
+		e.overflow = fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
+			r.peer, c.rank, r.tag, lo+n, len(e.buf))
+		e.complete()
+		return
 	}
-	applyFlips(e.buf, lo, lo+len(dst), flips)
-	if check && crcFloats(dst) != sum {
-		e.corrupt = &CorruptionError{Src: r.peer, Dst: c.rank, Tag: r.tag}
+	if cr := p.land(e.buf, lo, c.world.verifyCRC && e.corrupt == nil, r.peer, c.rank, r.tag); cr != nil {
+		e.corrupt = cr
 	}
-	e.elems += len(dst)
+	e.elems += n
 	e.spans++
 	if part >= 0 {
 		e.marks[part] = e.n
-		c.fl.Record(flight.KindParrived, int32(r.peer), int32(r.tag), int32(part), int64(8*len(dst)), fseq)
+		c.fl.Record(flight.KindParrived, int32(r.peer), int32(r.tag), int32(part), int64(8*n), fseq)
 	}
 	if e.spans == max(e.parts, 1) {
 		c.fl.Deliver(int32(r.peer), int32(r.tag), -1, int64(8*e.elems), fseq)
@@ -426,7 +391,7 @@ func (e *cycle) wait(r *Request, d time.Duration) error {
 	if e.state.Load() != cycDone {
 		return nil // inactive, or freed while waiting
 	}
-	return e.delivered(r)
+	return e.raise(r)
 }
 
 // sleep blocks on completion tokens while the cycle is open.
@@ -444,7 +409,7 @@ func (e *cycle) sleep(r *Request, d time.Duration) error {
 		case <-w.abortCh:
 			return w.Aborted()
 		case <-expire:
-			return &TimeoutError{After: d, Op: e.opName(r)}
+			return &TimeoutError{After: d, Op: r.opName()}
 		}
 	}
 	return nil
@@ -471,34 +436,11 @@ func (e *cycle) spin(r *Request, d time.Duration) error {
 		case w.Aborted() != nil:
 			return w.Aborted()
 		case d >= 0 && time.Now().After(deadline):
-			return &TimeoutError{After: d, Op: e.opName(r)}
+			return &TimeoutError{After: d, Op: r.opName()}
 		}
 		sp.spin()
 	}
 }
-
-// delivered raises a completed cycle's overflow, or returns its CRC
-// verdict as the world's abort: the world dies only after the cycle
-// completed, so the peer is not left blocked on it.
-func (e *cycle) delivered(r *Request) error {
-	if e.overflow != "" {
-		panic(e.overflow)
-	}
-	if e.corrupt == nil {
-		return nil
-	}
-	w := r.comm.world
-	w.abort(r.comm.rank, e.corrupt)
-	return w.Aborted()
-}
-
-func (e *cycle) block(r *Request) {
-	if err := e.wait(r, forever); err != nil {
-		panic(err)
-	}
-}
-
-func (e *cycle) blockTimeout(r *Request, d time.Duration) error { return e.wait(r, d) }
 
 // finish returns a completed cycle to idle: progress tick, and on the
 // receive side the traffic counters, on the send side its latency.
@@ -509,7 +451,7 @@ func (e *cycle) finish(r *Request) int {
 	if !e.state.CompareAndSwap(cycDone, cycIdle) {
 		return 0 // Wait on an inactive request
 	}
-	if r.psend {
+	if r.send {
 		if m := c.m; m != nil {
 			m.sendSeconds.Observe(time.Since(at).Seconds())
 		}
@@ -523,13 +465,6 @@ func (e *cycle) finish(r *Request) int {
 	return n
 }
 
-func (e *cycle) opName(r *Request) string {
-	if r.psend {
-		return fmt.Sprintf("wait psend dst=%d tag=%d", r.peer, r.tag)
-	}
-	return fmt.Sprintf("wait precv src=%d tag=%d", r.peer, r.tag)
-}
-
 // pending lists the endpoint for a StallReport while its Wait would block
 // (Kind and the partition fields; the caller fills in the endpoints and
 // size). A link may hold e.mu while it waits for its peer, and the
@@ -538,7 +473,7 @@ func (e *cycle) pending() (PendingOp, bool) {
 	if e.state.Load() != cycOpen {
 		return PendingOp{}, false
 	}
-	if !e.r.psend {
+	if !e.r.send {
 		return PendingOp{Kind: flight.PendPrecvActive}, true
 	}
 	op := PendingOp{Kind: flight.PendPsendActive}

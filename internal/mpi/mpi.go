@@ -38,13 +38,14 @@ const (
 	AnyTag = -1
 )
 
-// World owns the ranks of one program run. All matching state lives
-// behind the transport seam (tr); the world keeps the transport-agnostic
-// machinery — collectives, abort, watchdog, fault injection, and the
-// observability hooks.
+// World owns the ranks of one program run. The transport (tr) moves the
+// bytes; the world keeps the transport-agnostic machinery — one-shot
+// matching, collectives, persistent pairing, abort, watchdog, fault
+// injection, and the observability hooks.
 type World struct {
-	size int
-	tr   Transport
+	size    int
+	tr      Transport
+	backend string // tr's registered name
 	// sprog is tr's shared-progress view when the backend has one (shmem);
 	// cached at construction so the per-operation tick skips the assertion.
 	sprog sharedProgress
@@ -75,10 +76,12 @@ type World struct {
 	// by collBarrier/collReduce/collGather (see collectives.go).
 	inColl [3]atomic.Int64
 
+	// matchers match one-shot messages, one per rank (see oneshot.go);
 	// pairs matches persistent endpoints (see persistent.go); solo marks a
 	// worker's world, which hosts one rank of a world spanning processes.
-	pairs pairing
-	solo  bool
+	matchers []matcher
+	pairs    pairing
+	solo     bool
 }
 
 // SetFlight attaches a flight recorder sized for this world; every rank
@@ -106,7 +109,7 @@ func (w *World) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.Describe(metrics.MPISendSeconds, "Per-message latency from Isend post to delivery (seconds).")
+	reg.Describe(metrics.MPISendSeconds, "Per-message send latency from post to completion: a one-shot send until delivered (chan) or handed to the segment or stream (shmem, tcp), a persistent send from Start to Wait (seconds).")
 	reg.Describe(metrics.MPISendBytes, "Per-message payload size at Isend (bytes).")
 	reg.Describe(metrics.MPIRecvMatchWaitSeconds, "Time a posted receive waited before a send matched (seconds).")
 	reg.Describe(metrics.MPIRecvBytes, "Delivered payload size per receive (bytes).")
@@ -255,7 +258,7 @@ func (c *Comm) Size() int { return c.world.size }
 
 // Transport returns the name of the backend the world runs on, for
 // metrics labels and diagnostics.
-func (c *Comm) Transport() string { return c.world.tr.name() }
+func (c *Comm) Transport() string { return c.world.backend }
 
 // Traffic is one rank's point-to-point traffic since the previous
 // TrafficSnapshot (or the start of the run). Sends are counted at Isend,
@@ -288,18 +291,31 @@ func (c *Comm) TrafficSnapshot() Traffic {
 // to the inactive state and may be Started again.
 //
 // The request is transport-agnostic: the protocol — how completion is
-// signalled, where the payload moves — lives in op (a backend's reqOp for
-// one-shot requests, the cycle of cycle.go for persistent ones), while the
-// request carries the generic identity (owner, endpoints) and stamps
-// flight/metrics events around the protocol calls.
+// signalled, where the payload moves — lives in op (the oneshot of
+// oneshot.go for one-shot requests, the cycle of cycle.go for persistent
+// ones), while the request carries the generic identity (owner, direction,
+// endpoints) and stamps flight/metrics events around the protocol calls.
 type Request struct {
 	comm *Comm // owner, for accounting and abort checks
-	op   reqOp // the protocol: a backend's one-shot op, or a persistent *cycle
+	op   reqOp // the protocol: a *oneshot or a persistent *cycle
 
-	pend  *pend // the persistent endpoint, nil for one-shot requests
-	psend bool  // persistent direction: true = send endpoint
+	pend *pend // the persistent endpoint, nil for one-shot requests
+	send bool  // direction: true = a send
 
-	peer, tag int // endpoints for diagnostics (dst for sends, src for recvs)
+	peer, tag int // endpoints (dst for sends, src for recvs)
+}
+
+// opName describes the operation for timeout diagnostics.
+func (r *Request) opName() string {
+	switch {
+	case r.pend == nil && r.send:
+		return fmt.Sprintf("wait send dst=%d tag=%d", r.peer, r.tag)
+	case r.pend == nil:
+		return fmt.Sprintf("wait recv src=%s tag=%s", wildcard(r.peer), wildcard(r.tag))
+	case r.send:
+		return fmt.Sprintf("wait psend dst=%d tag=%d", r.peer, r.tag)
+	}
+	return fmt.Sprintf("wait precv src=%d tag=%d", r.peer, r.tag)
 }
 
 // Isend starts a nonblocking send of buf to rank dst with the given tag.
@@ -326,7 +342,7 @@ func (c *Comm) Isend(dst, tag int, buf []float64) *Request {
 	if c.m != nil {
 		c.m.sendBytes.Observe(float64(8 * len(buf)))
 	}
-	return c.world.tr.isend(c, dst, tag, buf, flips, seq)
+	return c.isend(dst, tag, buf, flips, seq)
 }
 
 // Irecv starts a nonblocking receive into buf from rank src (or AnySource)
@@ -340,7 +356,7 @@ func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 		panic("mpi: receive tag must be non-negative or AnyTag")
 	}
 	c.fl.RecvPost(int32(src), int32(tag), int64(8*len(buf)))
-	return c.world.tr.irecv(c, src, tag, buf)
+	return c.irecv(src, tag, buf)
 }
 
 // Wait blocks until the request completes. For receives it returns the
@@ -349,12 +365,7 @@ func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 // aborts while Wait is blocked, Wait panics with the world's *AbortError
 // (recovered by World.Run) instead of hanging.
 func (r *Request) Wait() int {
-	var m *commMetrics
-	var fl *flight.Ring
-	if r.comm != nil {
-		m = r.comm.m
-		fl = r.comm.fl
-	}
+	m, fl := r.comm.m, r.comm.fl
 	var t0 time.Time
 	if m != nil {
 		t0 = time.Now()
@@ -365,7 +376,9 @@ func (r *Request) Wait() int {
 			panic(err)
 		}
 	}
-	r.op.block(r)
+	if err := r.op.wait(r, forever); err != nil {
+		panic(err)
+	}
 	fl.Record(flight.KindWaitDone, int32(r.peer), int32(r.tag), -1, 0, 0)
 	n := r.op.finish(r)
 	if m != nil {
@@ -390,8 +403,8 @@ func Waitall(reqs []*Request) int {
 // Send is a blocking convenience wrapper: Isend + Wait. On the chan
 // backend delivery is rendezvous, so Send blocks until the destination
 // posts a matching receive; post receives first in symmetric exchanges.
-// (The shmem backend is eager — Send returns once the payload is staged —
-// but portable callers should assume rendezvous.)
+// (shmem and tcp are eager — Send returns once the payload is staged or
+// written — but portable callers should assume rendezvous.)
 func (c *Comm) Send(dst, tag int, buf []float64) { c.Isend(dst, tag, buf).Wait() }
 
 // Recv is a blocking convenience wrapper: Irecv + Wait. Returns the number

@@ -869,6 +869,42 @@ func workerWorlds(t *testing.T, w *World) []*World {
 	return ws
 }
 
+// runAcrossWorkers runs exec on a fresh world of the given size with each
+// rank in its own worker world, and returns every rank's observations.
+func runAcrossWorkers(t *testing.T, transport string, size int, exec func(c *Comm) [][]float64) [][][]float64 {
+	t.Helper()
+	w, err := NewWorldOn(transport, size)
+	if err != nil {
+		t.Fatalf("NewWorldOn(%q): %v", transport, err)
+	}
+	defer w.Close()
+	if transport == "shmem" && w.ShmemFile() == nil {
+		t.Skip("shmem arena fell back to the heap; worker worlds unavailable")
+	}
+	ws := workerWorlds(t, w)
+	got := make([][][]float64, size)
+	errs := make([]any, size)
+	var wg sync.WaitGroup
+	for r, a := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { errs[r] = recover() }()
+			a.RunRank(r, func(c *Comm) { got[r] = exec(c) })
+		}()
+	}
+	wg.Wait()
+	for _, a := range ws {
+		a.Close()
+	}
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return got
+}
+
 // TestPersistentOracleAcrossWorkers runs two-rank persistent programs with
 // each rank in its own worker world on shmem and tcp. Two ranks keep every
 // ordering the programs rely on direct: a withdrawal is ordered only before
@@ -877,40 +913,32 @@ func TestPersistentOracleAcrossWorkers(t *testing.T) {
 	for _, tr := range []string{"shmem", "tcp"} {
 		for seed := int64(4); seed <= 96; seed += 4 {
 			p := genPersProgram(seed, 2)
-			want := p.model()
-			w, err := NewWorldOn(tr, 2)
-			if err != nil {
-				t.Fatalf("NewWorldOn(%q): %v", tr, err)
-			}
-			if tr == "shmem" && w.ShmemFile() == nil {
-				w.Close()
-				t.Skip("shmem arena fell back to the heap; worker worlds unavailable")
-			}
-			ws := workerWorlds(t, w)
-			got := make([][][]float64, 2)
-			errs := make([]any, 2)
-			var wg sync.WaitGroup
-			for r, a := range ws {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() { errs[r] = recover() }()
-					a.RunRank(r, func(c *Comm) { got[r] = p.exec(c, -1) })
-				}()
-			}
-			wg.Wait()
-			for r := range want {
-				if errs[r] != nil {
-					t.Fatalf("seed %d on %s workers, rank %d: %v", seed, tr, r, errs[r])
-				}
-				if err := sameObservations(got[r], want[r]); err != nil {
+			got := runAcrossWorkers(t, tr, 2, func(c *Comm) [][]float64 { return p.exec(c, -1) })
+			for r, want := range p.model() {
+				if err := sameObservations(got[r], want); err != nil {
 					t.Fatalf("seed %d on %s workers, rank %d: %v", seed, tr, r, err)
 				}
 			}
-			for _, a := range ws {
-				a.Close()
+		}
+	}
+}
+
+// TestCollectiveOracleAcrossWorkers runs the collective oracle's programs
+// with each rank in its own worker world on shmem and tcp, so every rank
+// matches its one-shot messages — collectives included — in a matcher of
+// its own. Every size the in-process oracle runs is kept: the programs'
+// receives name their source, so no ordering through a third rank matters.
+func TestCollectiveOracleAcrossWorkers(t *testing.T) {
+	for _, tr := range []string{"shmem", "tcp"} {
+		for seed := int64(1); seed <= 24; seed++ {
+			size := oracleSize(seed)
+			p := genOracleProgram(seed, size)
+			got := runAcrossWorkers(t, tr, size, p.exec)
+			for r, want := range p.model() {
+				if err := sameObservations(got[r], want); err != nil {
+					t.Fatalf("seed %d size %d on %s workers, rank %d: %v", seed, size, tr, r, err)
+				}
 			}
-			w.Close()
 		}
 	}
 }

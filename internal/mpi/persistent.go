@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -104,7 +105,7 @@ type pend struct {
 	elems  int    // buffer length: the payload (send) or the capacity (receive)
 	bounds []int  // send: the partition bounds, nil when unpartitioned
 	parts  int    // partition count: the sender's, adopted by the receive side at match
-	link   uint64 // send: the backend word a receive side binds to
+	link   uint64 // the backend's data-path word: the sender's, adopted at match
 	r      *Request
 	peer   *pend         // the matched endpoint
 	done   chan struct{} // receive: closed at match
@@ -245,7 +246,7 @@ func (pr *pairing) register(c *Comm, p *pend, buf []float64) {
 
 // match pairs send side s with receive side q; pr.mu held, sizes checked.
 func (pr *pairing) match(s, q *pend) {
-	q.id, q.parts = s.id, s.parts
+	q.id, q.parts, q.link = s.id, s.parts, s.link
 	s.peer, q.peer = q, s
 	s.matched, q.matched = true, true
 	e := q.cycle()
@@ -317,16 +318,10 @@ func (pr *pairing) drain(c *Comm, d time.Duration) error {
 	defer pr.inMu.Unlock()
 	for {
 		if pr.in == nil {
-			pr.in = w.tr.irecv(c.sys, AnySource, pairTag, pr.inBuf[:])
+			pr.in = c.sys.irecv(AnySource, pairTag, pr.inBuf[:])
 		}
 		in := pr.in
-		var err error
-		if d == forever {
-			in.op.block(in)
-		} else {
-			err = in.op.blockTimeout(in, d)
-		}
-		if err != nil {
+		if err := in.op.wait(in, d); err != nil {
 			if _, expired := err.(*TimeoutError); expired && !block {
 				return nil
 			}
@@ -353,6 +348,7 @@ func (pr *pairing) apply(c *Comm, d []float64) {
 		for _, s := range pr.queue(true)[key] {
 			if s.id == id {
 				drop(pr.sends, s)
+				c.world.tr.retire(s.link, false)
 				return
 			}
 		}
@@ -376,7 +372,7 @@ func sendDesc(c *Comm, dst, kind int, p *pend) {
 		uint64(p.elems), uint64(p.parts), p.link} {
 		d[i] = math.Float64frombits(v)
 	}
-	c.world.tr.isend(c.sys, dst, pairTag, d[:], nil, 0).Wait()
+	c.sys.isend(dst, pairTag, d[:], nil, 0).Wait()
 }
 
 // unpaired reports whether p is an endpoint of this process queued for its
@@ -442,6 +438,9 @@ func (w *World) PersistentPending() (unmatched, live int) {
 // free retires p. It reports whether this was the first Free, and whether a
 // withdrawal must reach p's receiver in another process. An unmatched send
 // that has started stays queued: its receive side still takes the cycle.
+// The backend learns which sides of the channel are done with its data
+// path (retire) — not for an endpoint of an epoch that has ended, whose
+// data path the new epoch re-seeded.
 func (pr *pairing) free(w *World, p *pend) (first, withdraw bool) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
@@ -449,18 +448,23 @@ func (pr *pairing) free(w *World, p *pend) (first, withdraw bool) {
 		return false, false
 	}
 	p.freed = true
-	for i, q := range pr.eps {
-		if q == p {
-			pr.eps = append(pr.eps[:i], pr.eps[i+1:]...)
-			break
-		}
+	i := slices.Index(pr.eps, p)
+	if i < 0 {
+		return true, false
 	}
+	pr.eps = slices.Delete(pr.eps, i, i+1)
 	switch {
 	case p.matched || p.started:
+		w.tr.retire(p.link, p.psend)
 	case p.psend && w.remote(p.key.src, p.key.dst):
 		withdraw = true
+		w.tr.retire(p.link, true)
 	default:
 		drop(pr.queue(p.psend), p)
+		if p.psend { // no receive side will ever bind
+			w.tr.retire(p.link, true)
+			w.tr.retire(p.link, false)
+		}
 	}
 	return true, withdraw
 }
@@ -608,12 +612,9 @@ func (r *Request) Free() {
 	if live {
 		w.pairs.drain(c, 0)
 	}
-	first, withdraw := w.pairs.free(w, r.pend)
-	if !first {
-		return
-	}
 	e.free()
-	if withdraw && live {
+	first, withdraw := w.pairs.free(w, r.pend)
+	if first && withdraw && live {
 		sendDesc(c, r.pend.key.dst, descWithdraw, r.pend)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -297,6 +298,81 @@ func TestPersistentWaitTimeoutUnmatched(t *testing.T) {
 				}
 			}
 		})
+	})
+}
+
+// TestPersistentInitFreeChurn registers, cycles and frees persistent
+// channels 10⁴ times in one epoch, an unpartitioned one and a partitioned
+// one of 2 or 4 partitions per round, with one Rebind growth in the first.
+// Every backend must keep going; on shmem a freed channel's table entry is
+// reused with its staging, bounds and readyCycle words, so the segment heap
+// does not grow after the first round.
+func TestPersistentInitFreeChurn(t *testing.T) {
+	forEachTransport(t, 2, func(t *testing.T, w *World) {
+		heap := func() uint64 { return 0 }
+		if tr, ok := w.tr.(*shmemTransport); ok {
+			heap = func() uint64 { return atomic.LoadUint64(tr.w64(offHeapNext)) }
+		}
+		const rounds = 10000
+		var after1 uint64
+		w.Run(func(c *Comm) {
+			for round := 0; round < rounds; round++ {
+				n, parts := 8, 4-2*(round%2)
+				bounds := []int{0, 2, 4, 6, 8}
+				if parts == 2 {
+					bounds = []int{0, 3, 8}
+				}
+				a, b := make([]float64, n), make([]float64, n)
+				var ra, rb *Request
+				if c.Rank() == 0 {
+					for i := range a {
+						a[i], b[i] = float64(round+i), float64(-round-i)
+					}
+					ra, rb = c.SendInit(1, 1, a), c.PsendInit(1, 2, b, bounds)
+				} else {
+					ra, rb = c.RecvInit(0, 1, a), c.PrecvInit(0, 2, b)
+				}
+				if round == 0 {
+					// Grow the unpartitioned channel: the receive side first,
+					// so the sender's rebind finds room.
+					a = append(a, make([]float64, n)...)
+					if c.Rank() == 1 {
+						ra.Rebind(a)
+					}
+					c.Barrier()
+					if c.Rank() == 0 {
+						for i := range a {
+							a[i] = float64(i)
+						}
+						ra.Rebind(a)
+					}
+				}
+				Startall([]*Request{ra, rb})
+				if c.Rank() == 0 {
+					rb.PreadyAll()
+				}
+				ra.Wait()
+				rb.Wait()
+				if c.Rank() == 1 && (a[n-1] != float64(round+n-1) || b[1] != float64(-round-1)) {
+					t.Fatalf("round %d: received a[%d]=%v b[1]=%v", round, n-1, a[n-1], b[1])
+				}
+				ra.Free()
+				rb.Free()
+				c.Barrier()
+				if round == 0 && c.Rank() == 0 {
+					after1 = heap()
+				}
+			}
+		})
+		if ae := w.Aborted(); ae != nil {
+			t.Fatalf("world aborted: %v", ae)
+		}
+		if got := heap(); got != after1 {
+			t.Errorf("segment heap grew from %d to %d bytes after the first round", after1, got)
+		}
+		if un, live := w.PersistentPending(); un != 0 || live != 0 {
+			t.Errorf("PersistentPending = (%d, %d), want (0, 0)", un, live)
+		}
 	})
 }
 

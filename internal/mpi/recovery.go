@@ -27,9 +27,9 @@ import (
 //  5. It releases the parked ranks with a verdict. On resume the shared
 //     wire state is re-seeded (dead ranks' incarnations bump, the restore
 //     step is pinned) and each world enters the new epoch exactly once:
-//     its wire state resets (Transport.newEpoch), its pairing matcher
-//     empties and its abort machinery re-arms. On give-up the abort stays
-//     published and the parked ranks exit.
+//     its wire state resets (Transport.newEpoch), its one-shot and pairing
+//     matchers empty and its abort machinery re-arms. On give-up the abort
+//     stays published and the parked ranks exit.
 //
 // A backend supplies only the round cell: where the parked marks, the
 // generation and the verdict live, and how a parked rank waits for the
@@ -230,7 +230,8 @@ func (w *World) Respawn() { w.ResumeRound(nil, -1) }
 // enterEpoch moves this world into the epoch verdict v opens, once: the
 // supervisor enters before it releases the round, and its own parked ranks
 // then find the epoch entered. The transport drops its wire state, the
-// persistent-endpoint matcher empties (the epoch re-pairs from scratch),
+// one-shot matchers and the persistent-endpoint matcher empty (the epoch
+// re-pairs from scratch),
 // and the abort machinery re-arms so the epoch fails loud on its own terms.
 // The caller holds roundMu.
 func (w *World) enterEpoch(v verdict) {
@@ -239,6 +240,7 @@ func (w *World) enterEpoch(v verdict) {
 	}
 	w.epoch = v
 	w.tr.newEpoch(v.gen)
+	w.resetMatchers()
 	w.pairs.reset()
 	w.abortVal.Store(nil)
 	w.abortOnce = sync.Once{}

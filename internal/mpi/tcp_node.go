@@ -199,28 +199,6 @@ type tcpAccepted struct {
 	missAt   atomic.Int64 // UnixNano of the last recorded miss (rate limit)
 }
 
-// tcpMsg is an arrived one-shot message awaiting a matching receive; wire
-// is its payload's wire bytes.
-type tcpMsg struct {
-	src, tag int
-	wire     []byte
-	flips    []fault.ByteFlip
-	fseq     uint64
-}
-
-// tcpRecv is a posted one-shot receive; it is its own reqOp.
-type tcpRecv struct {
-	n          *tcpNode
-	c          *Comm
-	src, tag   int
-	buf        []float64
-	post       time.Time
-	done       chan struct{}
-	nDelivered int
-	corrupted  *CorruptionError
-	overflow   string
-}
-
 type tcpNode struct {
 	t    *tcpTransport
 	w    *World
@@ -244,17 +222,15 @@ type tcpNode struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	mu        sync.Mutex
-	last      ctlMsg
-	posted    []*tcpRecv
-	unmatched []*tcpMsg
-	lastSeq   map[int]uint64 // per-src wire sequence high-water, this epoch
-	peerInc   map[int]uint64 // per-src incarnation high-water, survives epochs
-	outs      map[int]*tcpOut
-	lookups   map[int][]chan string
-	persRecv  map[uint64]*tcpLink // bound receive sides by channel id
-	early     map[uint64][]*earlyPersFrame
-	accepted  map[*tcpAccepted]struct{}
+	mu       sync.Mutex
+	last     ctlMsg
+	lastSeq  map[int]uint64 // per-src wire sequence high-water, this epoch
+	peerInc  map[int]uint64 // per-src incarnation high-water, survives epochs
+	outs     map[int]*tcpOut
+	lookups  map[int][]chan string
+	persRecv map[uint64]*tcpLink // bound receive sides by channel id
+	early    map[uint64][]*earlyPersFrame
+	accepted map[*tcpAccepted]struct{}
 }
 
 // earlyPersFrame is a persistent frame held until it may land: parked in
@@ -446,10 +422,12 @@ func (n *tcpNode) dropAccepted(a *tcpAccepted) {
 // a surviving frame. Stale frames (pre-recovery epoch, dead incarnation)
 // and duplicates are dropped silently but counted; a sequence gap means a
 // frame was lost in flight, which fails loud — the exactly-once story is
-// "deliver once or abort", never "maybe".
-func (n *tcpNode) handleData(kind byte, payload []byte) {
+// "deliver once or abort", never "maybe". A frame is handed on under the
+// lock its sequence was checked under: a redial can leave two readers of
+// one source, and the lock keeps frames k and k+1 in order across it.
+func (n *tcpNode) handleData(kind byte, frame []byte) {
 	var h tcpHdr
-	wire, flips, err := decodeDataFrame(payload, &h)
+	wire, flips, err := decodeDataFrame(frame, &h)
 	if err != nil {
 		n.w.abort(n.rank, fmt.Errorf("tcp: rank %d: %w", n.rank, err))
 		return
@@ -476,18 +454,8 @@ func (n *tcpNode) handleData(kind byte, payload []byte) {
 	switch kind {
 	case tfData:
 		n.countFrame("data")
-		m := &tcpMsg{src: h.src, tag: h.tag, wire: wire, flips: flips, fseq: h.fseq}
-		for i, r := range n.posted {
-			if matches(r.src, r.tag, m.src, m.tag) {
-				n.posted = append(n.posted[:i], n.posted[i+1:]...)
-				n.deliverLocked(m, r)
-				n.mu.Unlock()
-				return
-			}
-		}
-		// A message that waits unmatched outlives the frame: it owns its bytes.
-		m.wire = append([]byte(nil), wire...)
-		n.unmatched = append(n.unmatched, m)
+		// wire views the reused frame buffer: lent for the call, no release.
+		n.w.arrive(n.rank, arrival{src: h.src, tag: h.tag, seq: h.fseq, payload: payload{wire: wire, flips: flips}})
 	case tfPData:
 		n.countFrame("pdata")
 		n.deliverPers(kind, &h, wire, flips)
@@ -496,137 +464,6 @@ func (n *tcpNode) handleData(kind byte, payload []byte) {
 		n.deliverPers(kind, &h, wire, flips)
 	}
 	n.mu.Unlock()
-}
-
-// deliverLocked copies an arrived message into its matched receive (n.mu
-// held). Injected byte flips land after the copy and before the CRC
-// check, exactly like the chan backend, so corruption injected by tests
-// is caught by the same receive-side CRC. Errors (overflow, corruption)
-// are parked on the tcpRecv and raised on the waiting rank's goroutine.
-func (n *tcpNode) deliverLocked(m *tcpMsg, r *tcpRecv) {
-	nel := len(m.wire) / 8
-	if nel > len(r.buf) {
-		copyWire(r.buf, m.wire)
-		r.overflow = fmt.Sprintf("mpi: message overflows receive buffer (src %d tag %d)", m.src, m.tag)
-		close(r.done)
-		return
-	}
-	dst := r.buf[:nel]
-	copyWire(dst, m.wire)
-	var sum uint32
-	if n.w.verifyCRC {
-		sum = crcFloats(dst)
-	}
-	applyFlips(r.buf, 0, nel, m.flips)
-	if n.w.verifyCRC && crcFloats(dst) != sum {
-		r.corrupted = &CorruptionError{Src: m.src, Dst: r.c.rank, Tag: m.tag}
-	}
-	r.nDelivered = nel
-	r.c.fl.Deliver(int32(m.src), int32(m.tag), -1, int64(8*nel), m.fseq)
-	if r.c.m != nil {
-		r.c.m.recvMatchWait.Observe(time.Since(r.post).Seconds())
-		r.c.m.recvBytes.Observe(float64(8 * nel))
-	}
-	close(r.done)
-}
-
-// ---- one-shot reqOps ----
-
-// tcpSendOp: sends are eager — the frame is on the wire (or the world is
-// aborted) before Isend returns, so Wait on a send completes immediately.
-type tcpSendOp struct{}
-
-var tcpSendComplete = &tcpSendOp{}
-
-func (*tcpSendOp) block(r *Request)                               {}
-func (*tcpSendOp) blockTimeout(r *Request, d time.Duration) error { return nil }
-func (*tcpSendOp) finish(r *Request) int                          { r.comm.world.progressTick(); return 0 }
-func (*tcpSendOp) opName(r *Request) string {
-	return fmt.Sprintf("wait send dst=%d tag=%d", r.peer, r.tag)
-}
-
-func (n *tcpNode) isend(c *Comm, dst, tag int, buf []float64, flips []fault.ByteFlip, seq uint64) *Request {
-	start := time.Now()
-	b := c.batch()
-	b.tcp = append(b.tcp, tcpFrame{n: n, kind: tfData, data: buf, flips: flips,
-		h: tcpHdr{src: c.rank, dst: dst, tag: tag, epoch: n.epoch.Load(), inc: n.inc, fseq: seq}})
-	b.flush()
-	if c.m != nil {
-		c.m.sendSeconds.Observe(time.Since(start).Seconds())
-	}
-	return &Request{comm: c, op: tcpSendComplete, peer: dst, tag: tag}
-}
-
-func (n *tcpNode) irecv(c *Comm, src, tag int, buf []float64) *Request {
-	r := &tcpRecv{n: n, c: c, src: src, tag: tag, buf: buf, post: time.Now(), done: make(chan struct{})}
-	n.mu.Lock()
-	for i, m := range n.unmatched {
-		if matches(src, tag, m.src, m.tag) {
-			n.unmatched = append(n.unmatched[:i], n.unmatched[i+1:]...)
-			n.deliverLocked(m, r)
-			n.mu.Unlock()
-			return &Request{comm: c, op: r, peer: src, tag: tag}
-		}
-	}
-	n.posted = append(n.posted, r)
-	n.mu.Unlock()
-	return &Request{comm: c, op: r, peer: src, tag: tag}
-}
-
-func (rv *tcpRecv) raiseDelivered() {
-	if rv.overflow != "" {
-		panic(rv.overflow)
-	}
-	if rv.corrupted != nil {
-		rv.c.world.abort(rv.c.rank, rv.corrupted)
-		panic(rv.c.world.Aborted())
-	}
-}
-
-func (rv *tcpRecv) block(r *Request) {
-	select {
-	case <-rv.done:
-		rv.raiseDelivered()
-		return
-	default:
-	}
-	select {
-	case <-rv.done:
-		rv.raiseDelivered()
-	case <-rv.c.world.abortCh:
-		panic(rv.c.world.Aborted())
-	}
-}
-
-func (rv *tcpRecv) blockTimeout(r *Request, d time.Duration) error {
-	select {
-	case <-rv.done:
-		rv.raiseDelivered()
-		return nil
-	default:
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-rv.done:
-		rv.raiseDelivered()
-		return nil
-	case <-rv.c.world.abortCh:
-		return rv.c.world.Aborted()
-	case <-t.C:
-		return &TimeoutError{After: d, Op: rv.opName(r)}
-	}
-}
-
-func (rv *tcpRecv) finish(r *Request) int {
-	rv.c.world.progressTick()
-	rv.c.recvMsgs.Add(1)
-	rv.c.recvBytes.Add(int64(8 * rv.nDelivered))
-	return rv.nDelivered
-}
-
-func (rv *tcpRecv) opName(r *Request) string {
-	return fmt.Sprintf("wait recv src=%s tag=%s", wildcard(r.peer), wildcard(r.tag))
 }
 
 // ---- send path: frames, faults, reconnect ----
@@ -1060,27 +897,6 @@ func (n *tcpNode) heartbeater() {
 	}
 }
 
-// ---- introspection ----
-
-// pendingOps lists the node's one-shot traffic; pairing descriptors are
-// bookkeeping, not waits, and stay out.
-func (n *tcpNode) pendingOps() []PendingOp {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var out []PendingOp
-	for _, r := range n.posted {
-		if r.tag != pairTag {
-			out = append(out, PendingOp{Kind: flight.PendRecvPosted, Src: r.src, Dst: n.rank, Tag: r.tag, Bytes: int64(8 * len(r.buf))})
-		}
-	}
-	for _, m := range n.unmatched {
-		if m.tag != pairTag {
-			out = append(out, PendingOp{Kind: flight.PendSendUnmatched, Src: m.src, Dst: n.rank, Tag: m.tag, Bytes: int64(len(m.wire))})
-		}
-	}
-	return out
-}
-
 // ---- epoch lifecycle ----
 
 // resetForEpoch moves the node onto a new epoch: every stream is cut,
@@ -1105,8 +921,6 @@ func (n *tcpNode) resetForEpoch(ep uint64) {
 	}
 	n.outs = map[int]*tcpOut{}
 	n.accepted = map[*tcpAccepted]struct{}{}
-	n.posted = nil
-	n.unmatched = nil
 	n.lastSeq = map[int]uint64{}
 	n.lookups = map[int][]chan string{}
 	n.persRecv = map[uint64]*tcpLink{}

@@ -134,7 +134,7 @@ func (l *tcpLink) land(kind byte, h *tcpHdr, wire []byte, flips []fault.ByteFlip
 	if kind == tfPPart {
 		part = h.partLo
 	}
-	l.e.landWire(part, h.offE, wire, flips, h.fseq)
+	l.e.land(part, h.offE, payload{wire: wire, flips: flips}, h.fseq)
 }
 
 func flipsInRange(flips []fault.ByteFlip, lo, hi int) []fault.ByteFlip {

@@ -5,39 +5,25 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"github.com/bricklab/brick/internal/fault"
 )
 
-// Transport is the wire seam of the runtime: it owns one-shot matching and
-// message delivery, and builds the link that moves each persistent
-// endpoint's bytes, while World/Comm keep everything transport-agnostic —
-// validation, collectives (written once over isend/irecv, see
-// collectives.go), persistent pairing (persistent.go), the partitioned
-// cycle (cycle.go) and the recovery round (recovery.go), fault injection, traffic counters, flight recording,
-// metrics, the abort machinery, and the watchdog. A backend registers a
-// factory under a name (RegisterTransport) and worlds are built on it with
-// NewWorldOn; the "chan" backend is the in-process pre-paired channel
-// runtime, "shmem" the shared-memory segment runtime that also works across
-// processes, "tcp" framed streams between ranks.
+// Transport is the wire seam of the runtime. A backend supplies a mailbox
+// that carries one-shot messages (oneshot.go), the link that moves each
+// persistent endpoint's bytes (cycle.go) and its cell of the recovery round
+// (recovery.go). Every protocol — one-shot matching, collectives, pairing,
+// the cycle, the recovery round — and validation, fault injection,
+// counters, flight recording, metrics, aborts and the watchdog belong to
+// World/Comm, written once. A backend registers a factory under a name
+// (RegisterTransport) and worlds are built on it with NewWorldOn: "chan"
+// runs every rank in this process, "shmem" over a shared-memory segment
+// that also works across processes, "tcp" over framed streams.
 //
 // The interface is sealed (unexported methods): backends live in this
 // package so the conformance suite in transport_conformance_test.go can
 // hold every implementation to the same semantics.
 type Transport interface {
-	// name identifies the backend ("chan", "shmem") in metrics labels,
-	// flight artifact headers, and stall reports.
-	name() string
-
-	// isend posts a one-shot send whose generic stamping (fault delay,
-	// traffic counters, trace, flight seq, metrics) already happened; flips
-	// is injected in-flight corruption to apply at delivery, seq the
-	// sender's flight sequence stamp.
-	isend(c *Comm, dst, tag int, buf []float64, flips []fault.ByteFlip, seq uint64) *Request
-	// irecv posts a one-shot receive (src may be AnySource, tag AnyTag).
-	// Matching goes through matches, so a wildcard never takes a message
-	// on a reserved tag (collective traffic, pairing descriptors).
-	irecv(c *Comm, src, tag int, buf []float64) *Request
+	// mailbox carries one-shot messages.
+	mailbox
 
 	// newLink builds the data path of persistent endpoint e when
 	// persistent.go registers it (matching is not the backend's: see the
@@ -45,6 +31,11 @@ type Transport interface {
 	// of this process that registered first; a send side sets e.r.pend.link
 	// to the word its receive side binds to.
 	newLink(e *cycle) link
+	// retire records that one side of the persistent channel whose send
+	// side set link is done with it: the send endpoint was freed (send), or
+	// the receive side was freed or can never bind (!send). Once both sides
+	// retired, the backend may reuse the data path (shmem: its table entry).
+	retire(link uint64, send bool)
 
 	// abortAll carries the world's abort ae to its other processes (shmem
 	// publishes it in the segment, tcp sends it to the coordinator) as its
@@ -52,17 +43,9 @@ type Transport interface {
 	// channel.
 	abortAll(ae *AbortError)
 
-	// pendingOps lists one-shot traffic (persistent endpoints are
-	// persistent.go's) for the watchdog: its length is the stall predicate
-	// (collective traffic included, pairing descriptors left out), its
-	// entries the StallReport listing.
-	pendingOps() []PendingOp
-
 	// newEpoch drops this process's wire state as the world enters epoch
-	// gen of a recovery round (see recovery.go; the world is quiescent):
-	// chan empties its inboxes, shmem its local matching state (the round
-	// re-seeded the segment), tcp cuts every stream and moves its nodes onto
-	// the epoch.
+	// gen of a recovery round (the world is quiescent): tcp cuts every
+	// stream and moves its nodes onto the epoch; chan and shmem keep none.
 	newEpoch(gen uint64)
 
 	// roundCell is the backend's share of the recovery round.
@@ -73,22 +56,18 @@ type Transport interface {
 	close() error
 }
 
-// reqOp is the per-request protocol half of a Request: how to park until
-// completion and what bookkeeping completion implies. The generic half —
+// reqOp is the per-request protocol half of a Request: a persistent
+// endpoint's *cycle or a one-shot request's *oneshot. The generic half —
 // trace/flight/metrics stamping — lives on Request itself.
 type reqOp interface {
-	// block parks until the transfer completed, or panics with the world's
-	// *AbortError if the world aborts first.
-	block(r *Request)
-	// blockTimeout is block with a deadline: nil on completion, the
-	// *AbortError on abort, a *TimeoutError on expiry (the operation is
-	// still in flight and may be waited again).
-	blockTimeout(r *Request, d time.Duration) error
+	// wait parks until the transfer completed, the world aborts or d
+	// expires (forever: no bound): nil on completion, the *AbortError on
+	// abort, a *TimeoutError on expiry (the operation is still in flight
+	// and may be waited again).
+	wait(r *Request, d time.Duration) error
 	// finish performs post-completion bookkeeping (progress tick, receive
 	// accounting) and returns the received element count (0 for sends).
 	finish(r *Request) int
-	// opName describes the operation for timeout diagnostics (cold path).
-	opName(r *Request) string
 }
 
 // TransportFactory builds a backend for a world under construction. The
@@ -163,13 +142,20 @@ func NewWorldOn(name string, size int) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mpi: transport %q: %w", name, err)
 	}
-	w.tr = tr
-	w.sprog, _ = tr.(sharedProgress)
+	w.setTransport(name, tr)
 	return w, nil
 }
 
+// setTransport installs the world's backend under its registered name,
+// once the world's size is final.
+func (w *World) setTransport(name string, tr Transport) {
+	w.tr, w.backend = tr, name
+	w.sprog, _ = tr.(sharedProgress)
+	w.matchers = make([]matcher, w.size)
+}
+
 // Transport returns the name of the backend this world runs on.
-func (w *World) Transport() string { return w.tr.name() }
+func (w *World) Transport() string { return w.backend }
 
 // Close releases the transport's resources (shared segments, fds). Worlds
 // on the chan backend hold none, so Close is optional there; shmem worlds

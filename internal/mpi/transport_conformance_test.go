@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -84,6 +85,56 @@ func TestConformanceOneShot(t *testing.T) {
 		})
 		if ae := w.Aborted(); ae != nil {
 			t.Fatalf("world aborted: %v", ae)
+		}
+	})
+}
+
+// TestConformanceOneShotOverflowBlame: a message longer than its posted
+// receive aborts the world from the receiving rank, with the same text, on
+// every backend — whichever side reached the matcher first.
+func TestConformanceOneShotOverflowBlame(t *testing.T) {
+	forEachTransport(t, 2, func(t *testing.T, w *World) {
+		ae := expectAbortOn(t, w, func(c *Comm) {
+			if c.Rank() == 1 {
+				r := c.Irecv(0, 3, make([]float64, 4))
+				c.Barrier()
+				r.Wait()
+				return
+			}
+			c.Barrier()
+			c.Isend(1, 3, make([]float64, 8)).Wait()
+		})
+		if ae.Rank != 1 {
+			t.Errorf("abort rank = %d, want the receiver, 1: %v", ae.Rank, ae)
+		}
+		if want := "message overflows receive buffer (src 0 tag 3)"; !strings.Contains(fmt.Sprint(ae.Value), want) {
+			t.Errorf("abort value %q lacks %q", fmt.Sprint(ae.Value), want)
+		}
+	})
+}
+
+// TestConformanceOneShotCompletion pins when a one-shot send completes:
+// chan is rendezvous (its Wait blocks until a receive took the message),
+// shmem and tcp are eager (complete once the mailbox has it).
+func TestConformanceOneShotCompletion(t *testing.T) {
+	forEachTransport(t, 2, func(t *testing.T, w *World) {
+		var early error
+		w.Run(func(c *Comm) {
+			buf := []float64{7}
+			if c.Rank() == 0 {
+				r := c.Isend(1, 5, buf)
+				_, early = r.WaitTimeout(20 * time.Millisecond)
+				c.Barrier()
+				r.Wait()
+				return
+			}
+			c.Barrier()
+			if c.Recv(0, 5, buf); buf[0] != 7 {
+				t.Errorf("recv = %v, want 7", buf[0])
+			}
+		})
+		if rendezvous := w.Transport() == "chan"; rendezvous != errors.Is(early, ErrWaitTimeout) {
+			t.Errorf("send WaitTimeout before any receive = %v; want a timeout exactly when rendezvous (%v)", early, rendezvous)
 		}
 	})
 }
@@ -522,7 +573,7 @@ func TestConformanceRespawnCycle(t *testing.T) {
 				t.Fatalf("cycle %d: abort rank = %d, want 0", cycle, ae.Rank)
 			}
 			w.Respawn()
-			if n := len(w.tr.pendingOps()); n != 0 {
+			if n := len(w.oneShotOps()); n != 0 {
 				t.Fatalf("cycle %d: pending ops after Respawn = %d, want 0", cycle, n)
 			}
 			w.Run(func(c *Comm) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -81,9 +82,10 @@ const (
 )
 
 // Persistent-table entry word indices. One entry is the shared data path of
-// one persistent channel: its sender appends it at SendInit, and the
-// receive side that matches binds to it (the entry offset is the channel's
-// link, see persistent.go).
+// one persistent channel: its sender claims it at SendInit, and the receive
+// side that matches binds to it (the entry offset is the channel's link,
+// see persistent.go). Once both sides retired it, the next channel a
+// sender registers may claim it again.
 const (
 	peStageCap = iota // staging slot capacity, elems
 	peStage0          // heap offsets of the two staging slots
@@ -100,8 +102,14 @@ const (
 	peDoneSeq // last cycle the receiver consumed
 	peBounds  // heap offset of the P+1 element bounds
 	peReady   // heap offset of P readyCycle words (value = cycle number)
+	peParts   // the partitions the bounds and readyCycle words have room for
+	peRetired // the sides done with the entry: 1 its sender, 2 its receive side
 	peWords
 )
+
+// peFree is the peRetired word of an entry both sides are done with: the
+// next channel may claim it.
+const peFree = 3
 
 func init() {
 	RegisterTransport("shmem",
@@ -174,37 +182,15 @@ func shmLayoutFor(size, segBytes int) (shmLayout, error) {
 	return l, nil
 }
 
-// shmMsg is the process-local header of one drained one-shot message; the
-// payload stays in the segment heap until matched.
-type shmMsg struct {
-	src, tag, elems int
-	off             int // heap offset of the payload floats
-	seq             uint64
-	crc             uint64
-	inc             uint64 // sender's incarnation at post (stale after respawn)
-	flipsOff        int
-	flipsCnt        int
-}
-
-// shmInbox is one rank's process-local matching state: messages drained
-// from the rank's ring but not yet matched, in arrival order, and the
-// receives posted by this process that no message has matched, in post
-// order.
-type shmInbox struct {
-	mu        sync.Mutex
-	unmatched []shmMsg
-	posted    []*shmRecv
-}
-
 type shmemTransport struct {
 	w     *World
 	arena *shmem.Arena
 	b     []byte // 8-aligned window over the segment
 	l     shmLayout
-	inbox []shmInbox
 	// osMu serializes each rank's allocations from its send region; only
-	// the process hosting a rank allocates from that rank's region.
-	osMu []sync.Mutex
+	// the process hosting a rank allocates from that rank's region. ringMu
+	// serializes the drains of each rank's ring, its single consumer.
+	osMu, ringMu []sync.Mutex
 
 	closeOnce sync.Once
 	closeErr  error
@@ -233,8 +219,7 @@ func newShmemTransport(w *World, arena *shmem.Arena, initialize bool) (*shmemTra
 	if err != nil {
 		return nil, err
 	}
-	t := &shmemTransport{w: w, arena: arena, b: b, l: l, osMu: make([]sync.Mutex, size)}
-	t.inbox = make([]shmInbox, size)
+	t := &shmemTransport{w: w, arena: arena, b: b, l: l, osMu: make([]sync.Mutex, size), ringMu: make([]sync.Mutex, size)}
 	if initialize {
 		*t.w64(offSize) = uint64(size)
 		*t.w64(offHeapNext) = uint64(l.heap)
@@ -252,8 +237,6 @@ func newShmemTransport(w *World, arena *shmem.Arena, initialize bool) (*shmemTra
 	}
 	return t, nil
 }
-
-func (t *shmemTransport) name() string { return "shmem" }
 
 // w64 returns the segment word at the byte offset, for sync/atomic access.
 func (t *shmemTransport) w64(off int) *uint64 {
@@ -374,8 +357,7 @@ func AttachShmemWorld(f *os.File) (*World, error) {
 		arena.Close()
 		return nil, fmt.Errorf("mpi: attaching shmem world: %w", err)
 	}
-	w.tr = t
-	w.sprog = t
+	w.setTransport("shmem", t)
 	w.epoch = verdict{gen: atomic.LoadUint64(t.w64(offRecGen)), step: t.restoreStep()}
 	return w, nil
 }
@@ -398,18 +380,9 @@ func (t *shmemTransport) incarnation(rank int) uint64 {
 	return atomic.LoadUint64(t.w64(t.l.incs + rank*8))
 }
 
-// newEpoch clears this process's matching state — drained-but-unmatched
-// messages and posted receives stranded by an abort. Each attached process
-// must clear its own view before re-entering a respawned world; quarantine
-// only reaches the shared segment.
-func (t *shmemTransport) newEpoch(uint64) {
-	for r := range t.inbox {
-		ib := &t.inbox[r]
-		ib.mu.Lock()
-		ib.unmatched, ib.posted = nil, nil
-		ib.mu.Unlock()
-	}
-}
+// newEpoch has nothing to drop: the round's quarantine re-seeded the
+// segment.
+func (t *shmemTransport) newEpoch(uint64) {}
 
 // quarantine re-seeds the segment's shared wire state for a new epoch. The
 // caller must guarantee quiescence: every rank parked, exited, or dead —
@@ -606,27 +579,31 @@ func (t *shmemTransport) ringPush(dst int, msgOff int) {
 	}
 }
 
-// drain moves every published message from rank's ring into its local
-// unmatched list, preserving ring order (which preserves per-sender FIFO).
-// Caller holds the rank's inbox mutex — the single-consumer invariant.
-func (t *shmemTransport) drain(rank int) {
+// drain hands rank's matcher every message published in its ring, in ring
+// order (which is each sender's send order), and adopts a peer process's
+// abort: nothing pushes arrivals, so a waiting receive polls. A message of
+// a sender's earlier incarnation — a rank respawned after a crash — is
+// consumed unread, never matched against a post-restore receive.
+func (t *shmemTransport) drain(rank int) bool {
+	t.checkAbort()
 	base := t.l.rings + rank*t.l.ringBytes
 	tail := t.w64(base + 8)
-	ib := &t.inbox[rank]
+	if _, ok := t.ringSlot(base, atomic.LoadUint64(tail)); !ok {
+		return true // nothing published: a waiting receive polls without the lock
+	}
+	t.ringMu[rank].Lock()
+	defer t.ringMu[rank].Unlock()
 	for {
 		tl := atomic.LoadUint64(tail)
-		slot := base + 16 + int(tl%shmRingSlots)*16
-		seqp := t.w64(slot)
-		if atomic.LoadUint64(seqp) != tl+1 {
-			return
+		slot, ok := t.ringSlot(base, tl)
+		if !ok {
+			return true
 		}
+		seqp := t.w64(slot)
 		off := int(atomic.LoadUint64(t.w64(slot + 8)))
-		m := t.readMsg(off)
-		// Drop deliveries from a previous incarnation of the sender: a rank
-		// respawned after a crash must not have its pre-crash traffic matched
-		// against post-restore receives.
-		if m.inc == t.incarnation(m.src) {
-			ib.unmatched = append(ib.unmatched, m)
+		if a, inc := t.readMsg(off); inc == t.incarnation(a.src) {
+			a.release = func() { t.consume(off) }
+			t.w.arrive(rank, a)
 		} else {
 			t.consume(off)
 		}
@@ -635,19 +612,28 @@ func (t *shmemTransport) drain(rank int) {
 	}
 }
 
-func (t *shmemTransport) readMsg(off int) shmMsg {
-	m := shmMsg{
-		src:      int(int64(*t.w64(off))),
-		tag:      int(int64(*t.w64(off + 8))),
-		elems:    int(*t.w64(off + 16)),
-		seq:      *t.w64(off + 24),
-		flipsCnt: int(*t.w64(off + 32)),
-		crc:      *t.w64(off + 40),
-		inc:      *t.w64(off + 48),
-		off:      off + shmMsgHdr,
-	}
-	m.flipsOff = m.off + 8*m.elems
-	return m
+// ringSlot returns the slot of ticket s in the ring at base, and whether
+// its message is published (the producer stored the slot's sequence).
+func (t *shmemTransport) ringSlot(base int, s uint64) (int, bool) {
+	slot := base + 16 + int(s%shmRingSlots)*16
+	return slot, atomic.LoadUint64(t.w64(slot)) == s+1
+}
+
+// readMsg reads the one-shot message at off: the arrival, its payload
+// viewed in the block, and the sender's incarnation at post.
+func (t *shmemTransport) readMsg(off int) (arrival, uint64) {
+	elems := int(*t.w64(off + 16))
+	return arrival{
+		src: int(int64(*t.w64(off))),
+		tag: int(int64(*t.w64(off + 8))),
+		seq: *t.w64(off + 24),
+		payload: payload{
+			data:    t.floats(off+shmMsgHdr, elems),
+			flips:   t.readFlips(off+shmMsgHdr+8*elems, int(*t.w64(off + 32))),
+			crc:     uint32(*t.w64(off + 40)),
+			stamped: true,
+		},
+	}, *t.w64(off + 48)
 }
 
 // readFlips reconstructs a sender's injected-corruption list.
@@ -665,247 +651,52 @@ func (t *shmemTransport) readFlips(off, cnt int) []fault.ByteFlip {
 	return flips
 }
 
-// writeFlips stages a corruption list in the heap; returns (offset, count).
-func (t *shmemTransport) writeFlips(flips []fault.ByteFlip) (int, int) {
-	if len(flips) == 0 {
-		return 0, 0
-	}
-	off := t.alloc(16 * len(flips))
+// writeFlips writes a corruption list at off as (offset, mask) word pairs.
+func (t *shmemTransport) writeFlips(off int, flips []fault.ByteFlip) {
 	for i, f := range flips {
 		*t.w64(off + 16*i) = uint64(f.Off)
 		*t.w64(off + 16*i + 8) = uint64(f.Mask)
 	}
-	return off, len(flips)
 }
 
-func (t *shmemTransport) isend(c *Comm, dst, tag int, buf []float64, flips []fault.ByteFlip, seq uint64) *Request {
+// send stages the message in a block of the sender's region and publishes
+// it to dst's ring; the send is complete once staged.
+func (t *shmemTransport) send(c *Comm, dst int, a arrival) {
+	buf, flips := a.data, a.flips
 	off := t.oneShotAlloc(c.rank, shmMsgHdr+8*len(buf)+16*len(flips))
-	*t.w64(off) = uint64(int64(c.rank))
-	*t.w64(off + 8) = uint64(int64(tag))
+	*t.w64(off) = uint64(int64(a.src))
+	*t.w64(off + 8) = uint64(int64(a.tag))
 	*t.w64(off + 16) = uint64(len(buf))
-	*t.w64(off + 24) = seq
+	*t.w64(off + 24) = a.seq
 	*t.w64(off + 32) = uint64(len(flips))
 	if t.w.verifyCRC {
 		*t.w64(off + 40) = uint64(crcFloats(buf))
 	}
 	*t.w64(off + 48) = t.incarnation(c.rank)
 	copy(t.floats(off+shmMsgHdr, len(buf)), buf)
-	for i, f := range flips {
-		*t.w64(off + shmMsgHdr + 8*len(buf) + 16*i) = uint64(f.Off)
-		*t.w64(off + shmMsgHdr + 8*len(buf) + 16*i + 8) = uint64(f.Mask)
-	}
+	t.writeFlips(off+shmMsgHdr+8*len(buf), flips)
 	t.ringPush(dst, off)
-	if m := c.m; m != nil {
-		// Eager delivery: the send's wire leg completes at post.
-		m.sendSeconds.Observe(0)
-	}
-	return &Request{comm: c, op: shmSendDone{t}, peer: dst, tag: tag}
+	a.release()
 }
 
-func (t *shmemTransport) irecv(c *Comm, src, tag int, buf []float64) *Request {
-	p := &shmRecv{t: t, c: c, src: src, tag: tag, buf: buf, post: time.Now()}
-	ib := &t.inbox[c.rank]
-	ib.mu.Lock()
-	ib.posted = append(ib.posted, p)
-	ib.mu.Unlock()
-	return &Request{comm: c, op: p, peer: src, tag: tag}
-}
-
-// shmSendDone is the eager send's op: complete at post.
-type shmSendDone struct{ t *shmemTransport }
-
-func (s shmSendDone) block(r *Request) {
-	if ae := s.t.checkAbort(); ae != nil {
-		panic(ae)
-	}
-}
-
-func (s shmSendDone) blockTimeout(r *Request, d time.Duration) error {
-	if ae := s.t.checkAbort(); ae != nil {
-		return ae
-	}
-	return nil
-}
-
-func (s shmSendDone) finish(r *Request) int {
-	r.comm.world.progressTick()
-	return 0
-}
-
-func (s shmSendDone) opName(r *Request) string {
-	return fmt.Sprintf("wait send dst=%d tag=%d", r.peer, r.tag)
-}
-
-// shmRecv is a posted one-shot receive: Wait polls the rank's ring for a
-// matching message and performs the delivery copy locally (only this
-// process can reach buf). The fields below done are written under the
-// inbox lock before done is set.
-type shmRecv struct {
-	t         *shmemTransport
-	c         *Comm
-	src, tag  int
-	buf       []float64
-	post      time.Time
-	done      atomic.Bool
-	n         int
-	overflow  bool
-	corrupted *CorruptionError
-}
-
-// tryMatch drains the rank's ring and matches its posted receives in post
-// order, each to the oldest message that matches it — MPI's ordering rule,
-// whichever receive is waited first. It reports whether p is delivered.
-func (p *shmRecv) tryMatch() bool {
-	if p.done.Load() {
-		return true
-	}
-	t, rank := p.t, p.c.rank
-	ib := &t.inbox[rank]
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	t.drain(rank)
-	for i := 0; i < len(ib.posted); {
-		q, j := ib.posted[i], 0
-		for j < len(ib.unmatched) && !matches(q.src, q.tag, ib.unmatched[j].src, ib.unmatched[j].tag) {
-			j++
-		}
-		if j == len(ib.unmatched) {
-			i++
-			continue
-		}
-		m := ib.unmatched[j]
-		ib.unmatched = append(ib.unmatched[:j], ib.unmatched[j+1:]...)
-		ib.posted = append(ib.posted[:i], ib.posted[i+1:]...)
-		q.deliver(m)
-	}
-	return p.done.Load()
-}
-
-// deliver copies message m into the receive buffer and hands its block back
-// to the sender's region. Caller holds the inbox lock. An overflow or a CRC
-// mismatch is recorded for the receive's own Wait to raise.
-func (p *shmRecv) deliver(m shmMsg) {
-	t := p.t
-	n := min(m.elems, len(p.buf))
-	copy(p.buf[:n], t.floats(m.off, m.elems))
-	if m.flipsCnt > 0 {
-		applyFlips(p.buf, 0, n, t.readFlips(m.flipsOff, m.flipsCnt))
-	}
-	t.consume(m.off - shmMsgHdr)
-	if t.w.verifyCRC && uint64(crcFloats(p.buf[:n])) != m.crc {
-		p.corrupted = &CorruptionError{Src: m.src, Dst: p.c.rank, Tag: m.tag}
-	}
-	if c := p.c; c.m != nil {
-		c.m.recvMatchWait.Observe(time.Since(p.post).Seconds())
-		c.m.recvBytes.Observe(float64(8 * m.elems))
-	}
-	p.c.fl.Deliver(int32(m.src), int32(m.tag), -1, int64(8*m.elems), m.seq)
-	p.n = m.elems
-	p.overflow = m.elems > len(p.buf)
-	p.done.Store(true)
-}
-
-// delivered raises a delivered receive's overflow, or returns its CRC
-// verdict: the world dies only after delivery completed, as on chan.
-func (p *shmRecv) delivered() *AbortError {
-	if p.overflow {
-		panic(fmt.Sprintf("mpi: message overflows receive buffer (src %d tag %d)", p.src, p.tag))
-	}
-	if p.corrupted == nil {
-		return nil
-	}
-	w := p.t.w
-	w.abort(p.c.rank, p.corrupted)
-	p.corrupted = nil
-	return w.Aborted()
-}
-
-func (p *shmRecv) block(r *Request) {
-	var sp spinner
-	for !p.tryMatch() {
-		if ae := p.t.checkAbort(); ae != nil {
-			panic(ae)
-		}
-		sp.spin()
-	}
-	if ae := p.delivered(); ae != nil {
-		panic(ae)
-	}
-}
-
-func (p *shmRecv) blockTimeout(r *Request, d time.Duration) error {
-	deadline := time.Now().Add(d)
-	var sp spinner
-	for !p.tryMatch() {
-		if ae := p.t.checkAbort(); ae != nil {
-			return ae
-		}
-		if time.Now().After(deadline) {
-			return &TimeoutError{After: d, Op: p.opName(r)}
-		}
-		sp.spin()
-	}
-	if ae := p.delivered(); ae != nil {
-		return ae
-	}
-	return nil
-}
-
-func (p *shmRecv) finish(r *Request) int {
-	c := r.comm
-	c.world.progressTick()
-	c.recvMsgs.Add(1)
-	c.recvBytes.Add(int64(8 * p.n))
-	return p.n
-}
-
-func (p *shmRecv) opName(r *Request) string {
-	return fmt.Sprintf("wait recv src=%s tag=%s", wildcard(p.src), wildcard(p.tag))
-}
-
-// ---- watchdog hooks ----
-
-// pendingOps lists one-shot traffic world-wide (the rings) and in this
-// process (drained but unmatched messages, posted receives). Pairing
-// descriptors are bookkeeping, not waits, and stay out.
-func (t *shmemTransport) pendingOps() []PendingOp {
+// peek lists the messages published in every rank's ring that no drain has
+// taken, without taking them: this process may host none of those ranks.
+// Pairing descriptors are bookkeeping, not waits, and stay out.
+func (t *shmemTransport) peek() []PendingOp {
 	var ops []PendingOp
-	msg := func(m shmMsg, dst int) {
-		if m.tag != pairTag {
-			ops = append(ops, PendingOp{
-				Kind: flight.PendSendUnmatched, Src: m.src, Dst: dst, Tag: m.tag,
-				Bytes: int64(8 * m.elems),
-			})
-		}
-	}
-	// In-flight ring messages: readable between tail and head because the
-	// producer published each slot's sequence before we load it.
 	for r := 0; r < t.l.size; r++ {
 		base := t.l.rings + r*t.l.ringBytes
 		head, tail := atomic.LoadUint64(t.w64(base)), atomic.LoadUint64(t.w64(base+8))
 		for s := tail; s < head; s++ {
-			slot := base + 16 + int(s%shmRingSlots)*16
-			if atomic.LoadUint64(t.w64(slot)) != s+1 {
+			slot, ok := t.ringSlot(base, s)
+			if !ok {
 				continue
 			}
-			msg(t.readMsg(int(atomic.LoadUint64(t.w64(slot+8)))), r)
-		}
-	}
-	for r := range t.inbox {
-		ib := &t.inbox[r]
-		ib.mu.Lock()
-		for _, m := range ib.unmatched {
-			msg(m, r)
-		}
-		for _, p := range ib.posted {
-			if p.tag != pairTag {
-				ops = append(ops, PendingOp{
-					Kind: flight.PendRecvPosted, Src: p.src, Dst: r, Tag: p.tag,
-					Bytes: int64(8 * len(p.buf)),
-				})
+			if a, _ := t.readMsg(int(atomic.LoadUint64(t.w64(slot + 8)))); a.tag != pairTag {
+				ops = append(ops, PendingOp{Kind: flight.PendSendUnmatched, Src: a.src, Dst: r, Tag: a.tag,
+					Bytes: int64(8 * len(a.data))})
 			}
 		}
-		ib.mu.Unlock()
 	}
 	return ops
 }
@@ -957,39 +748,95 @@ func (t *shmemTransport) ensureStaging(e, elems int) {
 	t.setPW(e, peStageCap, uint64(elems))
 }
 
-// newLink builds a receive side's unbound handle, or appends a send side's
+// newLink builds a receive side's unbound handle, or claims a send side's
 // entry: staging sized for its buffer and, when partitioned, its bounds and
-// readyCycle words.
+// readyCycle words, each kept from the entry's last channel when it fits.
 func (t *shmemTransport) newLink(e *cycle) link {
 	l := &shmLink{t: t}
-	if !e.r.psend {
+	if !e.r.send {
 		return l
 	}
 	p := e.r.pend
+	l.ent = t.claim(len(e.buf), p.parts)
+	t.ensureStaging(l.ent, len(e.buf))
+	if p.parts > 0 {
+		if int(t.pw(l.ent, peParts)) < p.parts {
+			t.setPW(l.ent, peBounds, uint64(t.alloc(8*(p.parts+1))))
+			t.setPW(l.ent, peReady, uint64(t.alloc(8*p.parts)))
+			t.setPW(l.ent, peParts, uint64(p.parts))
+		}
+		bounds := int(t.pw(l.ent, peBounds))
+		for i, b := range p.bounds {
+			atomic.StoreUint64(t.w64(bounds+8*i), uint64(b))
+		}
+		// readyCycle words, zero = never ready. Neither a reused entry's nor
+		// the heap's are: quarantine rewinds the bump pointer without
+		// clearing it, so a respawned epoch's words would inherit the dead
+		// epoch's stamps and a receiver would take cycle 1 as already arrived.
+		l.readyOff = int(t.pw(l.ent, peReady))
+		for i := 0; i < p.parts; i++ {
+			atomic.StoreUint64(t.w64(l.readyOff+8*i), 0)
+		}
+	}
+	p.link = uint64(l.ent)
+	return l
+}
+
+// claim takes a table entry for a channel of elems elements and parts
+// partitions: the free entry that fits it best — the least heap to grow,
+// then the fewest partition words to spare, then the fewest staging
+// elements — or else a new one. A claimed entry's cycle words restart.
+func (t *shmemTransport) claim(elems, parts int) int {
+	for {
+		best, fit := -1, [3]int{}
+		for i := range min(int(atomic.LoadUint64(t.w64(offPersCount))), shmMaxPers) {
+			e := t.persEntry(i)
+			if t.pw(e, peRetired) != peFree {
+				continue
+			}
+			var f [3]int // heap words to grow, partitions to spare, elements to spare
+			if c := int(t.pw(e, peParts)); c < parts {
+				f[0] += 2*parts + 1
+			} else {
+				f[1] = c - parts
+			}
+			if c := int(t.pw(e, peStageCap)); c < elems {
+				f[0] += 2 * elems
+			} else {
+				f[2] = c - elems
+			}
+			if best < 0 || slices.Compare(f[:], fit[:]) < 0 {
+				best, fit = e, f
+			}
+		}
+		if best < 0 {
+			break
+		}
+		if atomic.CompareAndSwapUint64(t.w64(best+peRetired*8), peFree, 0) {
+			t.setPW(best, peSendSeq, 0)
+			t.setPW(best, peDoneSeq, 0)
+			return best
+		}
+	}
 	i := int(atomic.AddUint64(t.w64(offPersCount), 1)) - 1
 	if i >= shmMaxPers {
 		panic(fmt.Sprintf("mpi: shmem persistent endpoint table full (%d endpoints)", shmMaxPers))
 	}
-	l.ent = t.persEntry(i)
-	t.ensureStaging(l.ent, len(e.buf))
-	if p.parts > 0 {
-		bounds := t.alloc(8 * (p.parts + 1))
-		for i, b := range p.bounds {
-			atomic.StoreUint64(t.w64(bounds+8*i), uint64(b))
-		}
-		// readyCycle words, zero = never ready. The heap is not: quarantine
-		// rewinds the bump pointer without clearing it, so a respawned
-		// epoch's words would inherit the dead epoch's stamps and a receiver
-		// would take cycle 1 as already arrived.
-		l.readyOff = t.alloc(8 * p.parts)
-		for i := 0; i < p.parts; i++ {
-			atomic.StoreUint64(t.w64(l.readyOff+8*i), 0)
-		}
-		t.setPW(l.ent, peBounds, uint64(bounds))
-		t.setPW(l.ent, peReady, uint64(l.readyOff))
+	return t.persEntry(i)
+}
+
+// retire marks one side done with the entry at offset link (0: a channel
+// that has none); the second side frees the entry for reuse. Each side
+// retires once, so adding its bit sets it.
+func (t *shmemTransport) retire(link uint64, send bool) {
+	if link == 0 {
+		return
 	}
-	p.link = uint64(l.ent)
-	return l
+	bit := uint64(2)
+	if send {
+		bit = 1
+	}
+	atomic.AddUint64(t.w64(int(link)+peRetired*8), bit)
 }
 
 // bind attaches a receive side to its sender's entry.
@@ -1033,9 +880,12 @@ func (l *shmLink) put(e *cycle, part int, _ *batch) {
 		}
 		l.stageWait(k, lag)
 		t.ensureStaging(ent, len(e.buf))
-		fo, fc := t.writeFlips(e.flips)
-		t.setPW(ent, peFlipsOff0+slot, uint64(fo))
-		t.setPW(ent, peFlipsCnt0+slot, uint64(fc))
+		if len(e.flips) > 0 { // staged in the heap
+			fo := t.alloc(16 * len(e.flips))
+			t.writeFlips(fo, e.flips)
+			t.setPW(ent, peFlipsOff0+slot, uint64(fo))
+		}
+		t.setPW(ent, peFlipsCnt0+slot, uint64(len(e.flips)))
 		t.setPW(ent, peSeqW0+slot, e.seq)
 		t.setPW(ent, peElems0+slot, uint64(len(e.buf)))
 		l.armed = k
@@ -1069,7 +919,7 @@ func (l *shmLink) poll(e *cycle) bool {
 			return true
 		}
 		n := int(t.pw(ent, peElems0+slot))
-		e.land(-1, 0, t.floats(int(t.pw(ent, peStage0+slot)), n), flips(), t.pw(ent, peSeqW0+slot))
+		e.land(-1, 0, payload{data: t.floats(int(t.pw(ent, peStage0+slot)), n), flips: flips()}, t.pw(ent, peSeqW0+slot))
 	} else {
 		for i := 0; i < l.parts; i++ {
 			if e.marks[i] == k || atomic.LoadUint64(t.w64(l.readyOff+8*i)) != k {
@@ -1078,7 +928,7 @@ func (l *shmLink) poll(e *cycle) bool {
 			lo := int(atomic.LoadUint64(t.w64(l.boundsOff + 8*i)))
 			hi := int(atomic.LoadUint64(t.w64(l.boundsOff + 8*(i+1))))
 			stage := int(t.pw(ent, peStage0+slot))
-			e.land(i, lo, t.floats(stage+8*lo, hi-lo), flips(), t.pw(ent, peSeqW0+slot))
+			e.land(i, lo, payload{data: t.floats(stage+8*lo, hi-lo), flips: flips()}, t.pw(ent, peSeqW0+slot))
 		}
 	}
 	if e.state.Load() == cycDone {

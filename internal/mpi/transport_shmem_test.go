@@ -64,7 +64,7 @@ func TestShmemReset(t *testing.T) {
 		c.Barrier()
 	})
 	w.Respawn()
-	if n := len(w.tr.pendingOps()); n != 0 {
+	if n := len(w.oneShotOps()); n != 0 {
 		t.Fatalf("pending ops after Respawn = %d, want 0", n)
 	}
 	w.Run(func(c *Comm) {
@@ -98,20 +98,20 @@ func TestShmemIncarnationFiltersStaleSends(t *testing.T) {
 	c0 := w.newComm(0)
 
 	// Positive control: a current-incarnation message survives the drain.
-	tr.isend(c0, 1, 3, []float64{1}, nil, 1)
+	c0.isend(1, 3, []float64{1}, nil, 1)
 	tr.drain(1)
-	if n := len(tr.inbox[1].unmatched); n != 1 {
+	if n := len(w.matchers[1].unexpected); n != 1 {
 		t.Fatalf("current-incarnation message dropped (unmatched = %d, want 1)", n)
 	}
-	tr.newEpoch(0)
+	w.resetMatchers()
 
 	// The crash window: rank 0's old life published a message, then the
 	// supervisor bumped its incarnation word (quarantine). The delivery is
 	// stale and must be discarded, not queued for matching.
-	tr.isend(c0, 1, 3, []float64{6}, nil, 2)
+	c0.isend(1, 3, []float64{6}, nil, 2)
 	atomic.AddUint64(tr.w64(tr.l.incs), 1)
 	tr.drain(1)
-	if n := len(tr.inbox[1].unmatched); n != 0 {
+	if n := len(w.matchers[1].unexpected); n != 0 {
 		t.Fatalf("stale-incarnation message queued for matching (unmatched = %d, want 0)", n)
 	}
 	if got := w.Incarnation(0); got != 1 {

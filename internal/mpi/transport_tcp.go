@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/bricklab/brick/internal/fault"
 	"github.com/bricklab/brick/internal/mpi/tcpconn"
 )
 
@@ -191,8 +190,7 @@ func AttachTCPWorld(rank int) (*World, error) {
 	}
 	w := &World{size: size, abortCh: make(chan struct{}), solo: true}
 	t := &tcpTransport{w: w, worldID: worldID, coordAddr: parts[0], nodes: map[int]*tcpNode{}}
-	w.tr = t
-	w.sprog = t
+	w.setTransport("tcp", t)
 	if err := t.attachRank(rank); err != nil {
 		return nil, fmt.Errorf("mpi: attaching tcp world: %w", err)
 	}
@@ -268,15 +266,26 @@ func (t *tcpTransport) snapshotNodes() []*tcpNode {
 	return out
 }
 
-func (t *tcpTransport) name() string { return "tcp" }
-
-func (t *tcpTransport) isend(c *Comm, dst, tag int, buf []float64, flips []fault.ByteFlip, seq uint64) *Request {
-	return t.node(c.rank).isend(c, dst, tag, buf, flips, seq)
+// send writes the message as a tfData frame, a batch of one; the send is
+// complete once written. The receiving node's reader hands it to the
+// receiver's matcher.
+func (t *tcpTransport) send(c *Comm, dst int, a arrival) {
+	n := t.node(c.rank)
+	b := c.batch()
+	b.tcp = append(b.tcp, tcpFrame{n: n, kind: tfData, data: a.data, flips: a.flips,
+		h: tcpHdr{src: c.rank, dst: dst, tag: a.tag, epoch: n.epoch.Load(), inc: n.inc, fseq: a.seq}})
+	b.flush()
+	a.release()
 }
 
-func (t *tcpTransport) irecv(c *Comm, src, tag int, buf []float64) *Request {
-	return t.node(c.rank).irecv(c, src, tag, buf)
-}
+// drain has nothing to hand over: readers hand frames over as they decode
+// them.
+func (t *tcpTransport) drain(int) bool { return false }
+
+func (t *tcpTransport) peek() []PendingOp { return nil }
+
+// retire has nothing to reuse: channel ids are never reused.
+func (t *tcpTransport) retire(uint64, bool) {}
 
 func (t *tcpTransport) newLink(e *cycle) link {
 	return t.node(e.r.comm.rank).newLink(e)
@@ -298,14 +307,6 @@ func (t *tcpTransport) abortAll(ae *AbortError) {
 		m.Epoch = n.epoch.Load()
 		n.ctl.send(tfAbort, m)
 	}
-}
-
-func (t *tcpTransport) pendingOps() []PendingOp {
-	var out []PendingOp
-	for _, nd := range t.snapshotNodes() {
-		out = append(out, nd.pendingOps()...)
-	}
-	return out
 }
 
 // newEpoch moves every node of this process onto the epoch: the round's

@@ -211,7 +211,7 @@ func TestTCPStaleAndDuplicateFramesDropped(t *testing.T) {
 	}
 	waitFrameCount(t, reg, "dup-drop", 1)
 
-	if got := len(n0.pendingOps()); got != 1 {
+	if got := len(w.oneShotOps()); got != 1 {
 		t.Fatalf("rank 0 pending ops = %d, want exactly the one delivered unmatched message", got)
 	}
 	if ae := w.Aborted(); ae != nil {

@@ -36,6 +36,7 @@ func (e *TimeoutError) Unwrap() error { return ErrWaitTimeout }
 // error rather than raised as a panic, so single-goroutine drivers and
 // tests can observe it without a recover.
 func (r *Request) WaitTimeout(d time.Duration) (int, error) {
+	d = max(d, 0) // a negative d has expired, never unbounded (forever)
 	if p := r.pend; p != nil {
 		t0 := time.Now()
 		if err := p.await(r.comm, d); err != nil {
@@ -43,7 +44,7 @@ func (r *Request) WaitTimeout(d time.Duration) (int, error) {
 		}
 		d = max(d-time.Since(t0), 0)
 	}
-	if err := r.op.blockTimeout(r, d); err != nil {
+	if err := r.op.wait(r, d); err != nil {
 		return 0, err
 	}
 	return r.op.finish(r), nil

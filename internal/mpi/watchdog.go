@@ -15,11 +15,12 @@ import (
 // world-level goroutine (started by Run when SetWatchdog was called) that
 // samples two things: a progress counter ticked by every completed wait
 // (collective messages included), and the count of observably pending
-// operations (unmatched sends and receives in the inboxes, collective
-// traffic included, persistent endpoints whose Wait would block, unpaired
-// persistent endpoints). When operations stay pending with zero progress
-// for a full timeout window, the watchdog compiles a StallReport naming
-// every pending operation and aborts the world with it.
+// operations (unmatched sends and receives in the matchers and the shmem
+// rings, collective traffic included, persistent endpoints whose Wait
+// would block, unpaired persistent endpoints). When operations stay
+// pending with zero progress for a full timeout window, the watchdog
+// compiles a StallReport naming every pending operation and aborts the
+// world with it.
 type watchdog struct {
 	timeout  time.Duration
 	onStall  func(*StallReport)
@@ -45,8 +46,8 @@ func (w *World) SetWatchdog(timeout time.Duration, onStall func(*StallReport)) {
 }
 
 // sharedProgress is implemented by transports whose pending-op view spans
-// other processes (shmem): pendingOps there reports endpoints whose owning
-// ranks live in peer processes, so the stall predicate must also see those
+// other processes (shmem): peek there reports messages whose owning ranks
+// live in peer processes, so the stall predicate must also see those
 // peers' progress. The transport keeps one world-wide counter in shared
 // memory; every process ticks it and every process's watchdog samples it.
 type sharedProgress interface {
@@ -136,7 +137,7 @@ func (w *World) watchLoop(wd *watchdog) {
 // posted but not complete. Zero means the world is quiescent (computing)
 // and the watchdog stays silent regardless of elapsed time.
 func (w *World) pendingOps() int {
-	return len(w.tr.pendingOps()) + len(w.pairs.pendingOps(w)) + len(w.tr.parked())
+	return len(w.oneShotOps()) + len(w.pairs.pendingOps(w)) + len(w.tr.parked())
 }
 
 // PendingOp is one stalled operation in a StallReport. Src/Dst/Tag are -1
@@ -145,8 +146,8 @@ type PendingOp struct {
 	// Kind classifies the operation (the flight.Pend* constants):
 	//
 	//	recv-posted     a posted Irecv no send has matched
-	//	send-unmatched  an Isend sitting in the destination inbox with no
-	//	                matching receive posted (the unexpected-message queue)
+	//	send-unmatched  an Isend no receive has matched: in the destination's
+	//	                unexpected-message queue, or on shmem still in its ring
 	//	psend-unpaired  a persistent send endpoint whose RecvInit never
 	//	                registered (the classic mismatched-tag plan bug)
 	//	precv-unpaired  a persistent receive endpoint whose SendInit never
@@ -220,8 +221,8 @@ const flightTailLen = 16
 // watchdog calls it on stall; tests and debugging hooks may call it at any
 // time (it only takes the runtime's internal locks briefly).
 func (w *World) StallReport() *StallReport {
-	rep := &StallReport{Size: w.size, Transport: w.tr.name()}
-	for _, op := range w.tr.pendingOps() {
+	rep := &StallReport{Size: w.size, Transport: w.backend}
+	for _, op := range w.oneShotOps() {
 		if op.Tag >= AnyTag {
 			rep.Pending = append(rep.Pending, op)
 		}

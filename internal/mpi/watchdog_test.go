@@ -59,29 +59,30 @@ func TestWatchdogReportsMismatchedPersistentTag(t *testing.T) {
 	}
 }
 
-// TestWatchdogReportsOneShotMismatch covers the one-shot path: an Isend
-// whose tag no receive matches shows up as send-unmatched, and the posted
-// receive as recv-posted.
+// TestWatchdogReportsOneShotMismatch covers the one-shot path on every
+// backend: an Isend whose tag no receive matches shows up as
+// send-unmatched, and the posted receive as recv-posted.
 func TestWatchdogReportsOneShotMismatch(t *testing.T) {
-	w := NewWorld(2)
-	w.SetWatchdog(50*time.Millisecond, nil)
-	ae := runWorldExpectAbort(t, w, 10*time.Second, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Isend(1, 3, make([]float64, 2)).Wait()
-		} else {
-			c.Irecv(0, 4, make([]float64, 2)).Wait()
+	forEachTransport(t, 2, func(t *testing.T, w *World) {
+		w.SetWatchdog(50*time.Millisecond, nil)
+		ae := runWorldExpectAbort(t, w, 10*time.Second, func(c *Comm) {
+			if c.Rank() == 0 {
+				c.Isend(1, 3, make([]float64, 2)).Wait()
+			} else {
+				c.Irecv(0, 4, make([]float64, 2)).Wait()
+			}
+		})
+		rep, ok := ae.Value.(*StallReport)
+		if !ok {
+			t.Fatalf("abort value %T, want *StallReport", ae.Value)
+		}
+		if !findOp(rep, "send-unmatched", 0, 1, 3) {
+			t.Errorf("report lacks send-unmatched (0,1,3):\n%v", rep)
+		}
+		if !findOp(rep, "recv-posted", 0, 1, 4) {
+			t.Errorf("report lacks recv-posted (0,1,4):\n%v", rep)
 		}
 	})
-	rep, ok := ae.Value.(*StallReport)
-	if !ok {
-		t.Fatalf("abort value %T, want *StallReport", ae.Value)
-	}
-	if !findOp(rep, "send-unmatched", 0, 1, 3) {
-		t.Errorf("report lacks send-unmatched (0,1,3):\n%v", rep)
-	}
-	if !findOp(rep, "recv-posted", 0, 1, 4) {
-		t.Errorf("report lacks recv-posted (0,1,4):\n%v", rep)
-	}
 }
 
 // TestWatchdogQuietUnderProgress: a healthy exchanging world must never
