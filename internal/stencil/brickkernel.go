@@ -19,7 +19,9 @@ import (
 //     each output row is one fused expression over five source rows (row7);
 //     on 8³ bricks and an AVX2 host one brick7Box call computes the box;
 //   - rows: any other table gathers the brick plus its radius-wide halo into
-//     a dense scratch block and runs tapRows over it, as on an array;
+//     a dense scratch block and runs the tap rows over it, as on an array:
+//     on bricks eight wide and an AVX2 host four rows per tapRows call,
+//     elsewhere tapRow a row at a time;
 //   - run: the per-element table walk, the fallback when the box can reach a
 //     missing neighbor and the oracle the other two are tested against.
 //
@@ -35,9 +37,8 @@ type brickKernel struct {
 	star7 bool       // row7 applies
 	w7    [7]float64 // its coefficients, point-table order
 
-	ext  [3]int    // brick extents plus the halo: sh + 2r
-	offs []int     // per point, offset within the halo'd block
-	cs   []float64 // per point, coefficient
+	ext  [3]int // brick extents plus the halo: sh + 2r
+	taps tapTab // the point table over the halo'd block
 }
 
 // path names the body one brick visit took.
@@ -47,7 +48,8 @@ const (
 	pathFused path = iota
 	pathRows
 	pathFallback
-	pathVector // fused7 through the AVX2 brick7Box
+	pathVector     // fused7 through the AVX2 brick7Box
+	pathRowsVector // rows through the AVX2 tapRows8
 )
 
 func newBrickKernel(sh core.Shape, st Stencil) *brickKernel {
@@ -78,7 +80,7 @@ func newBrickKernel(sh core.Shape, st Stencil) *brickKernel {
 		k.star7, k.w7 = true, w
 		return k
 	}
-	k.offs, k.cs = tapTable(nil, nil, k.pts, k.ext[0], k.ext[0]*k.ext[1])
+	k.taps = tapTable(nil, nil, k.pts, k.ext[0], k.ext[0]*k.ext[1])
 	return k
 }
 
@@ -171,8 +173,7 @@ func (kr *brickKernel) apply(dst, src core.Brick, b int, lo, hi [3]int, halo []f
 	bases, ok := kr.loadBases(src, b, lo, hi)
 	if ok && !kr.star7 {
 		kr.gather(halo, src, &bases, lo, hi)
-		kr.rows(dst, b, halo, lo, hi)
-		return pathRows
+		return kr.rows(dst, b, halo, lo, hi)
 	}
 	kr.run(dst, src, b, &bases, lo, hi)
 	return pathFallback
@@ -211,6 +212,12 @@ func (kr *brickKernel) loadBases(src core.Brick, b int, lo, hi [3]int) (bases [c
 // written for 8³ bricks only.
 func (kr *brickKernel) vector() bool {
 	return useAVX2 && kr.sh == core.Shape{8, 8, 8}
+}
+
+// rowsVector reports whether the rows body runs the AVX2 tapRows8: it
+// computes rows of eight lanes.
+func (kr *brickKernel) rowsVector() bool {
+	return useAVX2 && kr.sh[0] == 8
 }
 
 // fused7 is the 7-point body. Per (k, j) row it takes the centre, ±j and ±k
@@ -286,7 +293,10 @@ func (kr *brickKernel) fused7(dst, src core.Brick, b int, lo, hi [3]int) bool {
 // gather copies the part of brick b's neighborhood the box [lo, hi) reads —
 // [lo-r, hi+r) on every axis — into the dense halo'd block, resolving each
 // (k, j) row's brick once and splitting it along i into at most three
-// constant-base runs.
+// constant-base runs. The edge runs are r elements at most, so they are
+// copied element by element, and the centre run of an 8-wide brick is one
+// array copied through a local, which the compiler does inline: neither
+// calls memmove.
 func (kr *brickKernel) gather(halo []float64, src core.Brick, bases *[core.NumAdj]int64, lo, hi [3]int) {
 	r, I, J := kr.r, kr.sh[0], kr.sh[1]
 	s := src.Storage.Data
@@ -300,29 +310,54 @@ func (kr *brickKernel) gather(halo []float64, src core.Brick, bases *[core.NumAd
 			off := int64((int(kr.loc[2][k])*J + int(kr.loc[1][j])) * I)
 			h := halo[(k*kr.ext[1]+j)*kr.ext[0]:][:kr.ext[0]]
 			if x0 < xa {
-				copy(h[x0:xa], s[bases[adj]+off+int64(I+x0-r):])
+				l := s[bases[adj]+off+int64(I+x0-r):]
+				for x := range xa - x0 {
+					h[x0+x] = l[x]
+				}
 			}
-			copy(h[xa:xb], s[bases[adj+1]+off+int64(xa-r):])
+			if c := h[xa:xb]; len(c) == 8 {
+				v := *(*[8]float64)(s[bases[adj+1]+off+int64(xa-r):])
+				*(*[8]float64)(c) = v
+			} else {
+				copy(c, s[bases[adj+1]+off+int64(xa-r):])
+			}
 			if xb < x1 {
-				copy(h[xb:x1], s[bases[adj+2]+off:])
+				rt := s[bases[adj+2]+off:]
+				for x := range x1 - xb {
+					h[xb+x] = rt[x]
+				}
 			}
 		}
 	}
 }
 
 // rows runs the point table over the gathered block for every row of the
-// box, writing brick b of dst.
-func (kr *brickKernel) rows(dst core.Brick, b int, halo []float64, lo, hi [3]int) {
+// box, writing brick b of dst, and reports the body that did. On bricks
+// eight wide and an AVX2 host that is tapRows8, up to four rows of a plane
+// per call, each computed on all eight lanes and stored on the box's
+// [lo0, hi0): a lane outside it reads block elements the gather did not
+// fill for this box, which only that lane's discarded sum sees.
+func (kr *brickKernel) rows(dst core.Brick, b int, halo []float64, lo, hi [3]int) path {
 	I, J := kr.sh[0], kr.sh[1]
 	d := dst.Storage.Data
 	dself := b*dst.Storage.Chunk() + dst.FieldBase()
+	if kr.rowsVector() {
+		for k := lo[2]; k < hi[2]; k++ {
+			for j := lo[1]; j < hi[1]; j += 4 {
+				at := ((k+kr.r)*kr.ext[1]+j+kr.r)*kr.ext[0] + kr.r
+				tapRows(d[dself+(k*J+j)*I:], I, halo, at, kr.ext[0], min(4, hi[1]-j), &kr.taps, lo[0], hi[0])
+			}
+		}
+		return pathRowsVector
+	}
 	for k := lo[2]; k < hi[2]; k++ {
 		for j := lo[1]; j < hi[1]; j++ {
 			out := d[dself+(k*J+j)*I:][lo[0]:hi[0]]
 			at := ((k+kr.r)*kr.ext[1]+j+kr.r)*kr.ext[0] + lo[0] + kr.r
-			tapRow(out, halo, at, kr.offs, kr.cs)
+			tapRow(out, halo, at, &kr.taps)
 		}
 	}
+	return pathRows
 }
 
 // run applies the stencil to the box [lo, hi) of brick b one element at a

@@ -1,7 +1,8 @@
 package stencil
 
 // useAVX2 selects the vector bodies: brick7Box for the 7-point star on 8³
-// bricks and row7x4 for array rows. It is read on every visit, so tests can
+// bricks, row7x4 for its array rows, and tapRows8 for every other point
+// table on bricks eight wide and on array rows. It is read on every visit, so tests can
 // flip it to run the pure-Go bodies on the same host.
 var useAVX2 = hasAVX2()
 
@@ -24,3 +25,16 @@ func brick7Box(d, c *[512]float64, nb *[6]*[512]float64, w *[7]float64, lo0, hi0
 //
 //go:noescape
 func row7x4(out, c, jm, jp, km, kp []float64, w *[7]float64)
+
+// tapRows8 writes rows q < rows, one to four of them, of eight lanes of a
+// flattened point table: for lane x in [lo, hi),
+//
+//	out[q*ostride+x] = Σ cs[p]·src[base+q*sstride+x+offs[p]],
+//
+// summed from +0.0 in table order with separate multiplies and adds. It
+// computes all eight lanes of every row and stores only those in [lo, hi).
+// It checks no bounds: the caller, tapRows, slices out and src to what the
+// rows reach.
+//
+//go:noescape
+func tapRows8(out []float64, ostride int, src []float64, base, sstride, rows int, offs []int, cs []float64, lo, hi int)

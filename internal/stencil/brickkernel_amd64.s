@@ -72,13 +72,15 @@ TEXT ·brick7Box(SB), NOSPLIT, $0-80
 	VBROADCASTSD 40(AX), Y14
 	VBROADCASTSD 48(AX), Y15
 
-	// lane x is stored iff x > lo0-1 and hi0 > x
+	// lane x is stored iff x > lo0-1 and hi0 > x. VMOVQ, not MOVQ: a
+	// legacy-SSE instruction after the YMM writes above pays an AVX–SSE
+	// transition, which measured ~200 ns a call.
 	MOVQ         lo0+32(FP), AX
 	DECQ         AX
-	MOVQ         AX, X0
+	VMOVQ        AX, X0
 	VPBROADCASTQ X0, Y0
 	MOVQ         hi0+40(FP), AX
-	MOVQ         AX, X1
+	VMOVQ        AX, X1
 	VPBROADCASTQ X1, Y1
 	VMOVDQU      lanes<>+0(SB), Y2
 	VMOVDQU      lanes<>+32(SB), Y3
@@ -257,5 +259,125 @@ loop4:
 	JMP  loop4
 
 done4:
+	VZEROUPPER
+	RET
+
+// TAP adds one tap to one row: the coefficient (Y15) times the row's eight
+// source elements at the tap's offset (R13), added to the row's
+// accumulators — coefficient first, then accumulator first, as brick7Box
+// and row7x4 order their operands.
+#define TAP(row, a0, a1) \
+	VMULPD (row)(R13*8), Y15, Y10; \
+	VMULPD 32(row)(R13*8), Y15, Y11; \
+	VADDPD Y10, a0, a0; \
+	VADDPD Y11, a1, a1
+
+// func tapRows8(out []float64, ostride int, src []float64, base, sstride, rows int, offs []int, cs []float64, lo, hi int)
+//
+// Each row is two YMM accumulators. Four rows (Y0–Y7) share every
+// coefficient broadcast and offset load, which keeps eight independent add
+// chains in flight over the table; one or two rows take a two-row loop
+// (Y0–Y3). A row past rows reads the last real row again and is not stored.
+//
+// Registers: R9–R12 the source address of lane 0 of rows 0–3, DI the
+// output row, R8 the output stride in bytes, BX/CX the offset and
+// coefficient tables, DX the tap count, AX the tap index, R13 its offset.
+TEXT ·tapRows8(SB), NOSPLIT, $0-144
+	MOVQ out_base+0(FP), DI
+	MOVQ ostride+24(FP), R8
+	SHLQ $3, R8
+	MOVQ src_base+32(FP), R9
+	MOVQ base+56(FP), AX
+	LEAQ (R9)(AX*8), R9
+	MOVQ sstride+64(FP), R14
+	SHLQ $3, R14
+	MOVQ offs_base+80(FP), BX
+	MOVQ offs_len+88(FP), DX
+	MOVQ cs_base+104(FP), CX
+
+	// rows 1–3, each the previous row again where rows stops short of it
+	MOVQ    rows+72(FP), SI
+	LEAQ    (R9)(R14*1), R10
+	CMPQ    SI, $2
+	CMOVQLT R9, R10
+	LEAQ    (R10)(R14*1), R11
+	CMPQ    SI, $3
+	CMOVQLT R10, R11
+	LEAQ    (R11)(R14*1), R12
+	CMPQ    SI, $4
+	CMOVQLT R11, R12
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ   AX, AX
+	CMPQ   SI, $2
+	JGT    four
+
+two:
+	CMPQ         AX, DX
+	JGE          store
+	MOVQ         (BX)(AX*8), R13
+	VBROADCASTSD (CX)(AX*8), Y15
+	TAP(R9, Y0, Y1)
+	TAP(R10, Y2, Y3)
+	INCQ         AX
+	JMP          two
+
+four:
+	CMPQ         AX, DX
+	JGE          store
+	MOVQ         (BX)(AX*8), R13
+	VBROADCASTSD (CX)(AX*8), Y15
+	TAP(R9, Y0, Y1)
+	TAP(R10, Y2, Y3)
+	TAP(R11, Y4, Y5)
+	TAP(R12, Y6, Y7)
+	INCQ         AX
+	JMP          four
+
+	// lane x is stored iff x > lo-1 and hi > x: masks Y8 (lanes 0–3) and
+	// Y9 (lanes 4–7), built as in brick7Box (VMOVQ, not MOVQ)
+store:
+	MOVQ         lo+128(FP), AX
+	DECQ         AX
+	VMOVQ        AX, X10
+	VPBROADCASTQ X10, Y10
+	MOVQ         hi+136(FP), AX
+	VMOVQ        AX, X11
+	VPBROADCASTQ X11, Y11
+	VMOVDQU      lanes<>+0(SB), Y12
+	VMOVDQU      lanes<>+32(SB), Y13
+	VPCMPGTQ     Y10, Y12, Y8
+	VPCMPGTQ     Y12, Y11, Y12
+	VPAND        Y12, Y8, Y8
+	VPCMPGTQ     Y10, Y13, Y9
+	VPCMPGTQ     Y13, Y11, Y13
+	VPAND        Y13, Y9, Y9
+
+	VMASKMOVPD Y0, Y8, (DI)
+	VMASKMOVPD Y1, Y9, 32(DI)
+	CMPQ       SI, $2
+	JLT        rowsdone
+	ADDQ       R8, DI
+	VMASKMOVPD Y2, Y8, (DI)
+	VMASKMOVPD Y3, Y9, 32(DI)
+	CMPQ       SI, $3
+	JLT        rowsdone
+	ADDQ       R8, DI
+	VMASKMOVPD Y4, Y8, (DI)
+	VMASKMOVPD Y5, Y9, 32(DI)
+	CMPQ       SI, $4
+	JLT        rowsdone
+	ADDQ       R8, DI
+	VMASKMOVPD Y6, Y8, (DI)
+	VMASKMOVPD Y7, Y9, 32(DI)
+
+rowsdone:
 	VZEROUPPER
 	RET

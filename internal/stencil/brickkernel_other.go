@@ -12,3 +12,7 @@ func brick7Box(d, c *[512]float64, nb *[6]*[512]float64, w *[7]float64, lo0, hi0
 func row7x4(out, c, jm, jp, km, kp []float64, w *[7]float64) {
 	panic("stencil: no vector body on this architecture")
 }
+
+func tapRows8(out []float64, ostride int, src []float64, base, sstride, rows int, offs []int, cs []float64, lo, hi int) {
+	panic("stencil: no vector body on this architecture")
+}

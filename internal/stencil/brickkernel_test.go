@@ -2,6 +2,9 @@ package stencil
 
 import (
 	"math"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"github.com/bricklab/brick/internal/core"
@@ -78,8 +81,17 @@ func fused7Path(sh core.Shape) path {
 	return pathFused
 }
 
+// rowsPath is the path a visit of any other table on shape sh must take
+// under the current useAVX2: the vector tap rows are eight lanes wide.
+func rowsPath(sh core.Shape) path {
+	if useAVX2 && sh[0] == 8 {
+		return pathRowsVector
+	}
+	return pathRows
+}
+
 // pathCounts is visits per path, indexed by path.
-type pathCounts [pathVector + 1]int
+type pathCounts [pathRowsVector + 1]int
 
 // only reports whether every visit, and at least one, took path p.
 func (n pathCounts) only(p path) bool {
@@ -134,12 +146,12 @@ func kernelMatchesReference(t *testing.T) {
 					}
 				}
 				n := countPaths(a, src, dec, st, margin)
-				want := pathRows
+				want := rowsPath(sh)
 				if st.Name == "7pt" && sh[0] >= 2 { // the fused rows peel two ends
 					want = fused7Path(sh)
 				}
 				if !n.only(want) {
-					t.Errorf("%v %s margin %d: visits fused/rows/fallback/vector = %v, want all on path %d", sh, st.Name, margin, n, want)
+					t.Errorf("%v %s margin %d: visits fused/rows/fallback/vector/rows-vector = %v, want all on path %d", sh, st.Name, margin, n, want)
 				}
 			}
 		}
@@ -209,8 +221,12 @@ func kernelBodiesOnTorus(t *testing.T) {
 			for _, box := range boxes {
 				lo, hi := box[0], box[1]
 				for b := 0; b < 27; b++ {
-					if p := kr.apply(got, src, b, lo, hi, halo); kr.star7 && p != fused7Path(sh) {
-						t.Fatalf("%v %s box %v brick %d: took path %d, want %d", sh, st.Name, box, b, p, fused7Path(sh))
+					wantPath := rowsPath(sh)
+					if kr.star7 {
+						wantPath = fused7Path(sh)
+					}
+					if p := kr.apply(got, src, b, lo, hi, halo); p != wantPath {
+						t.Fatalf("%v %s box %v brick %d: took path %d, want %d", sh, st.Name, box, b, p, wantPath)
 					}
 					bases, ok := kr.loadBases(src, b, lo, hi)
 					if !ok {
@@ -287,62 +303,83 @@ func TestKernelFallbackOnMissingNeighbor(t *testing.T) {
 // Afterwards every element of the storage outside the margin keeps its bits
 // and every element inside carries the oracle's: a store outside a box, or
 // a computed lane that reads a row the stencil does not reach, fails here.
-func TestStar7BoxConfinement(t *testing.T) { eachBody(t, star7BoxConfinement) }
+// The first domain brick's source is -0.0, so an output whose taps all read
+// it is +0.0 only if its sum starts from +0.0.
+func TestStar7BoxConfinement(t *testing.T) {
+	eachBody(t, func(t *testing.T) { boxConfinement(t, Star7(), fused7Path(core.Shape{8, 8, 8})) })
+}
 
-func star7BoxConfinement(t *testing.T) {
+// TestCube125BoxConfinement is TestStar7BoxConfinement for the tap rows, at
+// margins 6…0: the odd margins give i-boxes one to seven lanes wide, which
+// the vector body stores through masks.
+func TestCube125BoxConfinement(t *testing.T) {
+	eachBody(t, func(t *testing.T) { boxConfinement(t, Cube125(), rowsPath(core.Shape{8, 8, 8})) })
+}
+
+func boxConfinement(t *testing.T, st Stencil, wantPath path) {
+	for margin := 8 - st.Radius; margin >= 0; margin-- {
+		confineMargin(t, st, margin, wantPath)
+	}
+}
+
+// confineMargin is one margin of the box confinement tests on a 16³ domain, ghost
+// 8, of 8³ bricks.
+func confineMargin(t *testing.T, st Stencil, margin int, wantPath path) {
 	const dim, ghost = 16, 8
 	sentinel := math.Float64frombits(0x7ff8_dead_beef_0001)
 	poison := math.Float64frombits(0x7ff8_0bad_f00d_0002)
-	st := Star7()
-	for margin := ghost - 1; margin >= 0; margin-- {
-		dec, bs, src, dst, _ := kernelSetupShape(t, core.Shape{8, 8, 8}, [3]int{dim, dim, dim}, ghost)
-		depth := func(e [3]int) int {
-			return max(depth1(e[0], ghost, dim), depth1(e[1], ghost, dim), depth1(e[2], ghost, dim))
-		}
-		ext := dec.ExtDim()
-		for k := 0; k < ext[2]; k++ {
-			for j := 0; j < ext[1]; j++ {
-				for i := 0; i < ext[0]; i++ {
-					if depth([3]int{i, j, k}) > margin+st.Radius {
-						dec.SetElem(bs, 0, i, j, k, poison)
-					}
+	dec, bs, src, dst, _ := kernelSetupShape(t, core.Shape{8, 8, 8}, [3]int{dim, dim, dim}, ghost)
+	depth := func(e [3]int) int {
+		return max(depth1(e[0], ghost, dim), depth1(e[1], ghost, dim), depth1(e[2], ghost, dim))
+	}
+	ext := dec.ExtDim()
+	for k := 0; k < ext[2]; k++ {
+		for j := 0; j < ext[1]; j++ {
+			for i := 0; i < ext[0]; i++ {
+				e := [3]int{i, j, k}
+				switch {
+				case depth(e) > margin+st.Radius:
+					dec.SetElem(bs, 0, i, j, k, poison)
+				case i >= ghost && i < ghost+8 && j >= ghost && j < ghost+8 && k >= ghost && k < ghost+8:
+					dec.SetElem(bs, 0, i, j, k, math.Copysign(0, -1))
 				}
 			}
 		}
-		for b := 0; b < dec.NumBricks(); b++ {
-			for f := 1; f < bs.Fields; f++ {
-				for e, field := 0, bs.FieldSlice(b, f); e < len(field); e++ {
-					field[e] = sentinel
-				}
+	}
+	for b := 0; b < dec.NumBricks(); b++ {
+		for f := 1; f < bs.Fields; f++ {
+			for e, field := 0, bs.FieldSlice(b, f); e < len(field); e++ {
+				field[e] = sentinel
 			}
 		}
-		before := append([]float64(nil), bs.Data...)
+	}
+	before := append([]float64(nil), bs.Data...)
 
-		if n := countPaths(dst, src, dec, st, margin); !n.only(fused7Path(core.Shape{8, 8, 8})) {
-			t.Fatalf("margin %d: visits fused/rows/fallback/vector = %v", margin, n)
-		}
+	if n := countPaths(dst, src, dec, st, margin); !n.only(wantPath) {
+		t.Fatalf("%s margin %d: visits fused/rows/fallback/vector/rows-vector = %v, want all on path %d", st.Name, margin, n, wantPath)
+	}
 
-		for p, v := range bs.Data {
-			b, f, e := p/bs.Chunk(), p%bs.Chunk()/bs.Vol(), p%bs.Vol()
-			i, j, k := e%8, (e/8)%8, e/64
-			want := before[p]
-			if b < dec.NumBricks() && f == dst.Field {
-				if c := dec.BrickCoord(b); c[0] >= 0 && depth([3]int{c[0]*8 + i, c[1]*8 + j, c[2]*8 + k}) <= margin {
-					want = oracleAt(src, st, b, i, j, k)
-				}
+	for p, v := range bs.Data {
+		b, f, e := p/bs.Chunk(), p%bs.Chunk()/bs.Vol(), p%bs.Vol()
+		i, j, k := e%8, (e/8)%8, e/64
+		want := before[p]
+		if b < dec.NumBricks() && f == dst.Field {
+			if c := dec.BrickCoord(b); c[0] >= 0 && depth([3]int{c[0]*8 + i, c[1]*8 + j, c[2]*8 + k}) <= margin {
+				want = oracleAt(src, st, b, i, j, k)
 			}
-			if math.Float64bits(v) != math.Float64bits(want) {
-				t.Fatalf("margin %d brick %d field %d (%d,%d,%d): %v (bits %#x), want bits %#x",
-					margin, b, f, i, j, k, v, math.Float64bits(v), math.Float64bits(want))
-			}
+		}
+		if math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("%s margin %d brick %d field %d (%d,%d,%d): %v (bits %#x), want bits %#x",
+				st.Name, margin, b, f, i, j, k, v, math.Float64bits(v), math.Float64bits(want))
 		}
 	}
 }
 
 // TestBenchmarkShapesStayOffFallback pins what the frozen benchmark's
 // workloads execute: on its decompositions (ghost 8, 8³ bricks) and at every
-// margin of one exchange period, no brick takes the table walk and every
-// 7-point visit takes the fused body — the vector one on an AVX2 host.
+// margin of one exchange period, no brick takes the table walk, every
+// 7-point visit takes the fused body and every 125-point visit the tap
+// rows — the vector ones on an AVX2 host.
 func TestBenchmarkShapesStayOffFallback(t *testing.T) { eachBody(t, benchmarkShapesStayOffFallback) }
 
 func benchmarkShapesStayOffFallback(t *testing.T) {
@@ -353,16 +390,16 @@ func benchmarkShapesStayOffFallback(t *testing.T) {
 			want    path
 		}{
 			{Star7(), []int{7, 6, 5, 4, 3, 2, 1, 0}, fused7Path(core.Shape{8, 8, 8})},
-			{Cube125(), []int{6, 4, 2, 0}, pathRows},
+			{Cube125(), []int{6, 4, 2, 0}, rowsPath(core.Shape{8, 8, 8})},
 		} {
-			if dim == 64 && c.want == pathRows && testing.Short() {
+			if dim == 64 && c.st.Name == "125pt" && testing.Short() {
 				continue
 			}
 			dec, _, src, dst, _ := kernelSetupShape(t, core.Shape{8, 8, 8}, [3]int{dim, dim, dim}, 8)
 			for _, margin := range c.margins {
 				n := countPaths(dst, src, dec, c.st, margin)
 				if !n.only(c.want) {
-					t.Errorf("%d³ %s margin %d: visits fused/rows/fallback/vector = %v, want all on path %d", dim, c.st.Name, margin, n, c.want)
+					t.Errorf("%d³ %s margin %d: visits fused/rows/fallback/vector/rows-vector = %v, want all on path %d", dim, c.st.Name, margin, n, c.want)
 				}
 			}
 		}
@@ -401,6 +438,23 @@ func applyZeroAllocs(t *testing.T) {
 			if n := testing.AllocsPerRun(5, call); n != 0 {
 				t.Errorf("%s %s: %v allocs per call, want 0", st.Name, name, n)
 			}
+		}
+	}
+}
+
+// TestVectorBodiesStayVEX fails on a legacy-SSE MOVQ into an XMM register
+// in the AVX2 bodies: after their YMM writes it costs an AVX–SSE transition
+// per call, which measured ~200 ns (DESIGN.md §5.12). VMOVQ does the same
+// move without it.
+func TestVectorBodiesStayVEX(t *testing.T) {
+	src, err := os.ReadFile("brickkernel_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := regexp.MustCompile(`^\s*MOVQ\s+[^,]+,\s*X\d+\s*$`)
+	for n, line := range strings.Split(string(src), "\n") {
+		if legacy.MatchString(line) {
+			t.Errorf("brickkernel_amd64.s:%d: %s: use VMOVQ", n+1, strings.TrimSpace(line))
 		}
 	}
 }

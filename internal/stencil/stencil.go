@@ -184,7 +184,9 @@ func applyGridBox(dst, src *grid.Grid, st Stencil, lo, hi [3]int, workers int) {
 // j-fastest. The canonical 7-point table takes the fused row7 expression,
 // on an AVX2 host after row7x4 has computed the row's first width &^ 3
 // elements four at a time; any other table is flattened to offsets (on
-// this frame's stack, so a call allocates nothing) and run through tapRow.
+// this frame's stack, so a call allocates nothing) and run through
+// tapRows: on an AVX2 host up to four rows of one plane at once, eight
+// elements at a time, with tapRow finishing each row's width % 8 tail.
 func applyGridRows(dst, src *grid.Grid, st Stencil, lo, hi [3]int, rlo, rhi int) {
 	sj, sk := src.Ext[0], src.Ext[0]*src.Ext[1]
 	nj, width := hi[1]-lo[1], hi[0]-lo[0]
@@ -206,10 +208,22 @@ func applyGridRows(dst, src *grid.Grid, st Stencil, lo, hi [3]int, rlo, rhi int)
 	}
 	var offBuf [128]int
 	var cBuf [128]float64
-	offs, cs := tapTable(offBuf[:0], cBuf[:0], st.Points, sj, sk)
-	for r := rlo; r < rhi; r++ {
+	t := tapTable(offBuf[:0], cBuf[:0], st.Points, sj, sk)
+	n8 := 0 // elements per row tapRows computes
+	if useAVX2 {
+		n8 = width &^ 7
+	}
+	for r := rlo; r < rhi; {
 		at := src.Idx(lo[0], lo[1]+r%nj, lo[2]+r/nj)
-		tapRow(dst.Data[at:at+width], s, at, offs, cs)
+		n := min(4, rhi-r, nj-r%nj) // rows of this plane in the group
+		for x := 0; x < n8; x += 8 {
+			tapRows(dst.Data[at+x:], sj, s, at+x, sj, n, &t, 0, 8)
+		}
+		for q := range n {
+			a := at + q*sj + n8
+			tapRow(dst.Data[a:at+q*sj+width], s, a, &t)
+		}
+		r += n
 	}
 }
 
@@ -270,22 +284,39 @@ func row7x8(o, c, jm, jp, km, kp *[8]float64, l, r float64, w *[7]float64) {
 	o[7] = 0.0 + w0*c[7] + w1*c[6] + w2*r + w3*jm[7] + w4*jp[7] + w5*km[7] + w6*kp[7]
 }
 
-// tapTable flattens a point table for a dense array with row stride sj and
-// plane stride sk, appending each tap's element offset and coefficient.
-func tapTable(offs []int, cs []float64, pts []Point, sj, sk int) ([]int, []float64) {
-	for _, pt := range pts {
-		offs = append(offs, pt.DK*sk+pt.DJ*sj+pt.DI)
-		cs = append(cs, pt.C)
+// tapTab is a point table flattened for one row stride and plane stride:
+// each tap's element offset and coefficient, in table order, and the least
+// and greatest offset, which bound what a row of taps reads.
+type tapTab struct {
+	offs   []int
+	cs     []float64
+	lo, hi int
+}
+
+// tapTable flattens pts for a dense array with row stride sj and plane
+// stride sk, appending to offs and cs.
+func tapTable(offs []int, cs []float64, pts []Point, sj, sk int) tapTab {
+	t := tapTab{offs: offs, cs: cs}
+	for p, pt := range pts {
+		off := pt.DK*sk + pt.DJ*sj + pt.DI
+		t.offs = append(t.offs, off)
+		t.cs = append(t.cs, pt.C)
+		if p == 0 || off < t.lo {
+			t.lo = off
+		}
+		if p == 0 || off > t.hi {
+			t.hi = off
+		}
 	}
-	return offs, cs
+	return t
 }
 
 // tapRow writes out[x] = Σ cs[p]·src[at+x+offs[p]], every element
 // accumulated from 0.0 in table order. Eight neighboring elements advance
 // together so their partial sums stay in registers across the whole table
 // and each tap costs one bounds check per eight loads.
-func tapRow(out, src []float64, at int, offs []int, cs []float64) {
-	cs = cs[:len(offs)]
+func tapRow(out, src []float64, at int, t *tapTab) {
+	offs, cs := t.offs, t.cs[:len(t.offs)]
 	x := 0
 	for ; x+8 <= len(out); x += 8 {
 		var a0, a1, a2, a3, a4, a5, a6, a7 float64
@@ -310,6 +341,22 @@ func tapRow(out, src []float64, at int, offs []int, cs []float64) {
 		}
 		out[x] = acc
 	}
+}
+
+// tapRows writes rows q < rows, one to four of them, of eight elements
+// each through the AVX2 body: lane x of row q, for x in [lo, hi), is
+// out[q*ostride+x] = Σ cs[p]·src[at+q*sstride+x+offs[p]], accumulated as
+// tapRow does. All eight lanes are computed; the others are not stored.
+// It first slices out and src to exactly what those rows can touch under
+// offsets in [t.lo, t.hi], so the assembly, which checks nothing, reads
+// and writes only memory these slice expressions have bounds-checked.
+func tapRows(out []float64, ostride int, src []float64, at, sstride, rows int, t *tapTab, lo, hi int) {
+	if rows < 1 || rows > 4 || ostride < 0 || sstride < 0 {
+		panic("stencil: tapRows takes one to four rows at non-negative strides")
+	}
+	out = out[:(rows-1)*ostride+8]
+	src = src[at+t.lo : at+(rows-1)*sstride+t.hi+8]
+	tapRows8(out, ostride, src, -t.lo, sstride, rows, t.offs, t.cs[:len(t.offs)], lo, hi)
 }
 
 // ApplyGridShell applies the stencil over the margin region minus the inner

@@ -352,5 +352,10 @@ func BenchmarkStar7Grid64(b *testing.B) {
 	eachBody(b, func(b *testing.B) { benchGrid(b, Star7(), 64) })
 }
 
-func BenchmarkCube125Bricks32(b *testing.B) { benchBricks(b, Cube125(), 32, 0) }
-func BenchmarkCube125Grid32(b *testing.B)   { benchGrid(b, Cube125(), 32) }
+func BenchmarkCube125Bricks32(b *testing.B) {
+	eachBody(b, func(b *testing.B) { benchBricks(b, Cube125(), 32, 0) })
+}
+
+func BenchmarkCube125Grid32(b *testing.B) {
+	eachBody(b, func(b *testing.B) { benchGrid(b, Cube125(), 32) })
+}
