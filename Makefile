@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build cross vet fmt lint test race race-recovery cover soak soak-recover bench bench-allocs benchmark-smoke netcal
+.PHONY: all build cross vet fmt lint test examples race race-recovery cover soak soak-recover bench bench-allocs benchmark-smoke netcal
 
 all: build vet fmt test benchmark-smoke
 
@@ -45,6 +45,16 @@ lint:
 # -shuffle=on randomizes test order to keep tests order-independent.
 test:
 	$(GO) test -shuffle=on ./...
+
+# examples runs every self-validating example (a few seconds each); each
+# exits non-zero when its own check fails (a checksum, mass or bit-identity
+# mismatch, or a failed analytic validation).
+EXAMPLES = gpusim heat3d multifield quickstart wave2d
+examples:
+	@for ex in $(EXAMPLES); do \
+		echo "== examples/$$ex"; \
+		$(GO) run ./examples/$$ex || exit 1; \
+	done
 
 # cover merges a single coverage profile across every package (each test
 # binary instruments the whole module via -coverpkg) and enforces the soft
@@ -179,14 +189,17 @@ benchmark-smoke:
 	cd benchmark && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # bench-allocs fails if the persistent per-step hot path regresses above
-# zero heap allocations (Layout + MemMap Start/Complete — partitioned and
-# not — the raw persistent-request Start/Wait cycle on chan, shmem and tcp, and a
-# whole pipelined brick step of the harness), if the flight recorder's
-# record path (enabled or disabled) starts allocating, or if a serial
-# stencil Apply (bricks or arrays, 7pt or 125pt) allocates at all.
+# zero heap allocations (Start/Complete of every exchange variant: Layout
+# and MemMap — partitioned and not — MemMap over copy windows, Shift, YASK
+# pack and MPI_Types; the raw persistent-request Start/Wait cycle on chan,
+# shmem and tcp, and a whole pipelined brick step of the harness), if the
+# flight recorder's record path (enabled or disabled) starts allocating, or
+# if a serial stencil Apply (bricks or arrays, 7pt or 125pt) allocates at
+# all.
 bench-allocs:
 	$(GO) test -count=1 -run 'TestApplyZeroAllocs' ./internal/stencil/
 	$(GO) test -count=1 -run 'TestPersistentHotPathAllocs|TestPartitionedHotPathAllocs' ./internal/core/
+	$(GO) test -count=1 -run 'TestStagedHotPathAllocs' ./internal/grid/
 	$(GO) test -count=1 -run 'TestPersistentZeroAllocSteps' ./internal/mpi/
 	$(GO) test -count=1 -run 'TestPipelinedStepZeroAllocs' ./internal/harness/
 	$(GO) test -count=1 -run 'TestRecordAllocs' ./internal/flight/

@@ -48,10 +48,12 @@ type (
 	// Exchanger is the unified Plan/Start/Complete/Close lifecycle every
 	// exchange variant implements.
 	Exchanger = core.Exchanger
-	// BrickExchanger is the topology + span plan of the pack-free exchange.
+	// BrickExchanger is the topology + span plan every brick exchange
+	// variant binds to storage.
 	BrickExchanger = core.BrickExchanger
-	// LayoutExchange is the compiled persistent Basic/Layout exchange.
-	LayoutExchange = core.LayoutExchange
+	// Engine is the compiled persistent exchange every variant runs;
+	// NewLayoutExchange returns one with no on-node copies (Basic/Layout).
+	Engine = core.Engine
 	// ExchangePlan is a compiled, immutable per-step message plan.
 	ExchangePlan = core.ExchangePlan
 	// PlanSummary is the compact serializable description of a plan.

@@ -32,8 +32,9 @@ func TestPublicAPISmoke(t *testing.T) {
 		}
 		storage := dec.Allocate()
 		dec.SetElem(storage, 0, 4, 4, 4, float64(c.Rank()+1))
-		ex := brick.NewExchanger(dec, cart)
-		if n := ex.Exchange(storage); n != 42 {
+		ex := brick.NewLayoutExchange(brick.NewExchanger(dec, cart), storage)
+		defer ex.Close()
+		if n := ex.Exchange(); n != 42 {
 			t.Errorf("exchange sent %d messages", n)
 		}
 		// Collective through the facade.
@@ -71,7 +72,9 @@ func TestStencilFacade(t *testing.T) {
 		storage := dec.Allocate()
 		info := dec.BrickInfo()
 		dec.SetElem(storage, 0, 8, 8, 8, 64.0)
-		brick.NewExchanger(dec, cart).Exchange(storage)
+		ex := brick.NewLayoutExchange(brick.NewExchanger(dec, cart), storage)
+		defer ex.Close()
+		ex.Exchange()
 		brick.ApplyBricks(brick.NewBrick(info, storage, 1), brick.NewBrick(info, storage, 0), dec, st, 0)
 		sum := 0.0
 		for z := 0; z < 8; z++ {

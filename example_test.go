@@ -54,8 +54,9 @@ func ExampleNewBrickDecomp() {
 			panic(err)
 		}
 		storage := dec.Allocate()
-		ex := brick.NewExchanger(dec, cart)
-		sent := ex.Exchange(storage)
+		ex := brick.NewLayoutExchange(brick.NewExchanger(dec, cart), storage)
+		defer ex.Close()
+		sent := ex.Exchange()
 		fmt.Println("messages per exchange:", sent)
 		fmt.Println("bricks:", dec.NumBricks(), "interior:", dec.Interior().NBricks)
 	})

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"github.com/bricklab/brick/internal/core"
@@ -32,6 +33,8 @@ func main() {
 
 	fmt.Printf("%-12s %-10s %-10s %-10s %-10s %-8s %-10s %-10s\n",
 		"strategy", "link_ms", "fault_ms", "engine_ms", "comp_ms", "msgs", "pad_%", "checksum")
+	var first float64
+	mismatch := false
 	for _, strat := range []gpu.Strategy{gpu.LayoutCA, gpu.LayoutUM, gpu.MemMapUM, gpu.TypesUM, gpu.StagedArray} {
 		var total gpu.CommCost
 		var compSec float64
@@ -94,7 +97,16 @@ func main() {
 			total.Engine.Seconds()*1e3/float64(*steps),
 			compSec*1e3/float64(*steps),
 			total.Msgs, pad, checksum)
+		if strat == gpu.LayoutCA {
+			first = checksum
+		} else if math.Float64bits(checksum) != math.Float64bits(first) {
+			mismatch = true
+		}
 	}
 	fmt.Println("\nAll checksums must match: the strategies differ only in data movement.")
 	fmt.Println("Times are modeled (V100 roofline + page-fault/link cost model); see DESIGN.md.")
+	if mismatch {
+		fmt.Println("CHECKSUM MISMATCH")
+		os.Exit(1)
+	}
 }

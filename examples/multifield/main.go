@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"os"
 
 	brick "github.com/bricklab/brick"
 )
@@ -37,6 +38,7 @@ func diffusionStencil(alpha float64) brick.Stencil {
 
 func main() {
 	alphas := []float64{0.05, 0.10, 0.15}
+	failed := false
 	world := brick.NewWorld(8)
 	world.Run(func(c *brick.Comm) {
 		cart := brick.NewCart(c, []int{2, 2, 2}, []bool{true, true, true})
@@ -47,7 +49,8 @@ func main() {
 		}
 		storage := dec.Allocate()
 		info := dec.BrickInfo()
-		ex := brick.NewExchanger(dec, cart)
+		ex := brick.NewLayoutExchange(brick.NewExchanger(dec, cart), storage)
+		defer ex.Close()
 
 		// Each species starts as a point mass of a different magnitude on a
 		// different rank.
@@ -61,7 +64,7 @@ func main() {
 		exchanges := 0
 		for s := 0; s < steps; s++ {
 			// One exchange carries all interleaved fields at once.
-			ex.Exchange(storage)
+			ex.Exchange()
 			exchanges++
 			for sp := 0; sp < nSpec; sp++ {
 				src := brick.NewBrick(info, storage, cur*nSpec+sp)
@@ -97,10 +100,14 @@ func main() {
 				status := "ok"
 				if math.Abs(sum-want) > 1e-9*want {
 					status = "MASS NOT CONSERVED"
+					failed = true
 				}
 				fmt.Printf("species %d (α=%.2f): mass %.9f (want %.0f, %s), peak %.4f\n",
 					sp, alphas[sp], sum, want, status, maxv)
 			}
 		}
 	})
+	if failed {
+		os.Exit(1)
+	}
 }

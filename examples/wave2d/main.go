@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"os"
 
 	brick "github.com/bricklab/brick"
 )
@@ -40,7 +41,8 @@ func run(period int) []float64 {
 		}
 		storage := dec.Allocate()
 		info := dec.BrickInfo()
-		ex := brick.NewExchanger(dec, cart)
+		ex := brick.NewLayoutExchange(brick.NewExchanger(dec, cart), storage)
+		defer ex.Close()
 
 		// A ripple source in the middle of rank 0, constant along k.
 		if co[1] == 0 && co[2] == 0 {
@@ -57,7 +59,7 @@ func run(period int) []float64 {
 		cur := 0
 		for s := 0; s < steps; s++ {
 			if s%period == 0 {
-				ex.Exchange(storage)
+				ex.Exchange()
 			}
 			// Ghost-cell expansion: margin shrinks by the radius each step
 			// since the last exchange.
@@ -86,7 +88,7 @@ func main() {
 	for i := range everyStep {
 		if everyStep[i] != expanded[i] {
 			fmt.Printf("MISMATCH at %d: %v vs %v\n", i, everyStep[i], expanded[i])
-			return
+			os.Exit(1)
 		}
 	}
 	fmt.Printf("ghost-cell expansion verified: %d steps with 1 exchange per %d steps\n",

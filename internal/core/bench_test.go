@@ -60,7 +60,9 @@ func benchExchange(b *testing.B, dim int, mode string) {
 			defer sv.Close()
 			run = func() { sv.Exchange() }
 		default:
-			run = func() { ex.Exchange(bs) }
+			lx := NewLayoutExchange(ex, bs)
+			defer lx.Close()
+			run = func() { lx.Exchange() }
 		}
 		if c.Rank() == 0 {
 			_, wire := d.ExchangeBytes()

@@ -19,8 +19,7 @@ func globalValue(f, x, y, z int) float64 {
 type exchangeKind int
 
 const (
-	kindLayout     exchangeKind = iota // unbound-storage BrickExchanger.Exchange
-	kindLayoutPlan                     // compiled LayoutExchange Start/Complete, two cycles
+	kindLayout exchangeKind = iota // compiled Layout plan Start/Complete, two cycles
 	kindMemMap
 	kindMemMapHeap
 	kindMemMapUnmapped // arena storage with mapping forced off (degraded)
@@ -85,8 +84,6 @@ func verifyExchange(t *testing.T, procs [3]int, dom [3]int, ghost, fields int,
 		ex := NewExchanger(d, cart)
 		switch kind {
 		case kindLayout:
-			ex.Exchange(bs)
-		case kindLayoutPlan:
 			// The first cycle moves a negated field, the second the real one
 			// over the same endpoints: stale ghosts from cycle one would fail
 			// the check below, so endpoint reuse is verified element by element.
@@ -140,13 +137,11 @@ func verifyExchange(t *testing.T, procs [3]int, dom [3]int, ghost, fields int,
 
 func mod(a, n int) int { return ((a % n) + n) % n }
 
-// verifyLayoutExchange checks the span exchange both ways it can run: the
-// unbound-storage BrickExchanger.Exchange and the compiled LayoutExchange
-// plan production runs use.
+// verifyLayoutExchange checks the compiled span exchange over two cycles of
+// the same endpoints.
 func verifyLayoutExchange(t *testing.T, procs [3]int, dom [3]int, ghost, fields int, order []layout.Set) {
 	t.Helper()
 	verifyExchange(t, procs, dom, ghost, fields, order, kindLayout)
-	verifyExchange(t, procs, dom, ghost, fields, order, kindLayoutPlan)
 }
 
 func TestExchangeLayout8Ranks(t *testing.T) {
@@ -243,8 +238,9 @@ func TestExchangeNonPeriodicBoundary(t *testing.T) {
 				}
 			}
 		}
-		ex := NewExchanger(d, cart)
-		ex.Exchange(bs)
+		ex := NewLayoutExchange(NewExchanger(d, cart), bs)
+		defer ex.Close()
+		ex.Exchange()
 		// Rank 0's low-i ghost face is an open boundary: must be zero.
 		if c.Rank() == 0 {
 			for z := ghost; z < ghost+dom[2]; z++ {
@@ -302,7 +298,9 @@ func TestExchangeMessageCountsOnWire(t *testing.T) {
 			c.TrafficSnapshot() // drain setup traffic
 			switch tc.kind {
 			case kindLayout:
-				ex.Exchange(bs)
+				lx := NewLayoutExchange(ex, bs)
+				defer lx.Close()
+				lx.Exchange()
 			default:
 				ev, err := NewExchangeView(ex, bs)
 				if err != nil {
@@ -333,11 +331,12 @@ func TestExchangeRepeatedIsStable(t *testing.T) {
 		for i := range bs.Data {
 			bs.Data[i] = float64(c.Rank()*1000000 + i)
 		}
-		ex := NewExchanger(d, cart)
-		ex.Exchange(bs)
+		ex := NewLayoutExchange(NewExchanger(d, cart), bs)
+		defer ex.Close()
+		ex.Exchange()
 		snapshot := append([]float64(nil), bs.Data...)
 		for i := 0; i < 3; i++ {
-			ex.Exchange(bs)
+			ex.Exchange()
 		}
 		for i := range snapshot {
 			if bs.Data[i] != snapshot[i] {

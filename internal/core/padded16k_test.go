@@ -52,7 +52,9 @@ func TestPaddedExchange16KiB(t *testing.T) {
 					defer ev.Close()
 					ev.Exchange()
 				} else {
-					ex.Exchange(bs)
+					lx := NewLayoutExchange(ex, bs)
+					defer lx.Close()
+					lx.Exchange()
 				}
 				global := [3]int{32, 32, 32}
 				ext := d.ExtDim()

@@ -139,7 +139,9 @@ func TestPaddedExchangeStillCorrect(t *testing.T) {
 				}
 			}
 		}
-		NewExchanger(d, cart).Exchange(bs)
+		lx := NewLayoutExchange(NewExchanger(d, cart), bs)
+		defer lx.Close()
+		lx.Exchange()
 		global := [3]int{2 * dom[0], 2 * dom[1], 2 * dom[2]}
 		ext := d.ExtDim()
 		for z := 0; z < ext[2]; z++ {

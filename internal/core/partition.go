@@ -26,12 +26,12 @@ type copySeg struct {
 	stor, win, n int
 }
 
-// partFire is the copy-window refresh of one partition of a view-window
-// send (ExchangeView): its segs are applied to sv's current window before
-// the partition fires, when that window is copy-based. Direct-storage
-// sends (LayoutExchange) have none.
+// partFire is the refresh of one partition of a multi-span send window:
+// its segs are copied from storage into the window's current buffer before
+// the partition fires, when that buffer is a copy. A one-span window is a
+// slice of storage and has none.
 type partFire struct {
-	sv   *sendView
+	win  *Window
 	segs []copySeg
 }
 
@@ -44,11 +44,11 @@ type tileFires struct {
 	refresh []partFire
 }
 
-func (g *tileFires) add(req *mpi.Request, part int, sv *sendView, segs []copySeg) {
+func (g *tileFires) add(req *mpi.Request, part int, w *Window, segs []copySeg) {
 	g.reqs = append(g.reqs, req)
 	g.parts = append(g.parts, part)
-	if sv != nil {
-		g.refresh = append(g.refresh, partFire{sv: sv, segs: segs})
+	if len(w.spans) > 1 {
+		g.refresh = append(g.refresh, partFire{win: w, segs: segs})
 	}
 }
 
@@ -137,7 +137,7 @@ func compileWindowParts(runs []Span, chunk int, tileOf []int) msgPartition {
 // pool-worker ReadyTile callbacks. The fires table is immutable after
 // construction; armedAt is written before the surface pass is submitted to
 // the pool (happens-before via task submission), and the pack timer is an
-// atomic drained by Complete — PlanBase's accumulators are single-driver
+// atomic drained by Complete — the engine's accumulators have one caller
 // and must not be touched from workers.
 type partState struct {
 	tiles     []tileFires // partitions to fire per completing tile
@@ -155,13 +155,13 @@ func newPartState(nTiles int, data []float64) *partState {
 }
 
 // addMsg indexes one compiled message's partitions by owning tile.
-func (s *partState) addMsg(req *mpi.Request, sv *sendView, mp msgPartition) {
+func (s *partState) addMsg(req *mpi.Request, w *Window, mp msgPartition) {
 	for i, o := range mp.owners {
 		g := &s.immediate
 		if o >= 0 {
 			g = &s.tiles[o]
 		}
-		g.add(req, i, sv, mp.segs[i])
+		g.add(req, i, w, mp.segs[i])
 		s.total++
 	}
 }
@@ -196,11 +196,11 @@ func (s *partState) fire(g *tileFires) {
 		return
 	}
 	for _, f := range g.refresh {
-		if !f.sv.aliased() {
+		if f.win.copied {
 			t0 := time.Now()
-			flat := f.sv.flat
+			buf := f.win.Buf
 			for _, sg := range f.segs {
-				copy(flat[sg.win:sg.win+sg.n], s.data[sg.stor:sg.stor+sg.n])
+				copy(buf[sg.win:sg.win+sg.n], s.data[sg.stor:sg.stor+sg.n])
 			}
 			s.packNanos.Add(time.Since(t0).Nanoseconds())
 		}
@@ -228,7 +228,7 @@ func (s *partState) readyAll() {
 }
 
 // drainPack converts the accumulated worker-side pack time into a
-// duration for the driver's PlanBase accumulator (call from Complete).
+// duration for the engine's Pack accumulator (call from Complete).
 func (s *partState) drainPack() time.Duration {
 	return time.Duration(s.packNanos.Swap(0))
 }

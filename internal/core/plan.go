@@ -35,33 +35,6 @@ type Exchanger interface {
 	Close() error
 }
 
-// PartitionedExchanger is the pipelined refinement of Exchanger compiled by
-// WithPartitions: each persistent send is split into partitions aligned
-// with the worker pool's surface tiles, so the wire leg of a message starts
-// while sibling tiles are still computing. The per-step schedule becomes
-//
-//	StartRecvs()  — arm this step's receives (ghosts may now be written)
-//	...interior compute overlaps in-flight deliveries...
-//	Complete()    — block until all of this step's transfers delivered
-//	StartSends()  — arm the NEXT exchange's sends with all partitions unready
-//	...surface pass; each finished tile t calls ReadyTile(t)...
-//
-// ReadyTile is called from pool worker goroutines and must be safe to call
-// concurrently for distinct tiles; all other methods keep the Exchanger
-// single-driver contract. ReadyAll marks every partition of armed sends
-// ready at once (the prologue, and any caller without tile callbacks).
-// Partitions reports the total partition count across sends. The combined
-// Start() remains valid — it performs StartRecvs, StartSends, ReadyAll —
-// so non-pipelined callers see the unpartitioned behavior bit-for-bit.
-type PartitionedExchanger interface {
-	Exchanger
-	StartRecvs()
-	StartSends() int
-	ReadyTile(tile int)
-	ReadyAll()
-	Partitions() int
-}
-
 // PlanMsg is one compiled message of an exchange plan.
 type PlanMsg struct {
 	Peer  int   `json:"peer"`
@@ -194,8 +167,8 @@ type planOpts struct {
 // WithPartitions compiles the plan's persistent sends as partitioned
 // requests aligned with the given surface tiles (each tile a [lo, hi)
 // storage-brick range, as produced by stencil.TileSpans over the surface
-// spans). The resulting exchanger implements PartitionedExchanger; tile
-// index t in ReadyTile(t) refers to tiles[t]. An empty tile list is a no-op
+// spans). The resulting Engine runs the pipelined schedule; tile index t in
+// ReadyTile(t) refers to tiles[t]. An empty tile list is a no-op
 // (plan stays unpartitioned).
 func WithPartitions(tiles [][2]int) PlanOption {
 	return func(o *planOpts) { o.tiles = tiles }
@@ -211,54 +184,39 @@ func resolveTiles(opts []PlanOption) [][2]int {
 	return o.tiles
 }
 
-// PlanBase carries the plan, timing, and reuse-stat state shared by every
-// Exchanger implementation; embed it and call its record helpers.
-type PlanBase struct {
+// planBase carries the plan, timing, and reuse-stat state of an Exchanger.
+// An Engine records into its own; Shift's three phase engines share one.
+type planBase struct {
 	plan      ExchangePlan
-	sendBytes int64 // cached plan.SendBytes() so RecordStart is loop-free
+	sendBytes int64 // cached plan.SendBytes() so recordStart is loop-free
 	tm        PhaseTimings
 	stats     PlanStats
 }
 
-// SetPlan installs the compiled plan (construction time).
-func (b *PlanBase) SetPlan(p ExchangePlan) {
-	b.plan = p
-	b.sendBytes = p.SendBytes()
-}
-
-// MarkDegraded records why the exchanger fell back to copy-based windows.
+// markDegraded records why the exchanger fell back to copy-based windows.
 // The first reason wins — later degradations of an already-degraded plan
 // do not overwrite the original cause.
-func (b *PlanBase) MarkDegraded(reason string) {
+func (b *planBase) markDegraded(reason string) {
 	if b.plan.Degraded == "" {
 		b.plan.Degraded = reason
 	}
 }
 
 // Plan returns the compiled plan.
-func (b *PlanBase) Plan() *ExchangePlan { return &b.plan }
+func (b *planBase) Plan() *ExchangePlan { return &b.plan }
 
 // Timings returns and resets the accumulated phase times.
-func (b *PlanBase) Timings() PhaseTimings {
+func (b *planBase) Timings() PhaseTimings {
 	t := b.tm
 	b.tm = PhaseTimings{}
 	return t
 }
 
 // Stats returns the cumulative plan-reuse counters.
-func (b *PlanBase) Stats() PlanStats { return b.stats }
+func (b *planBase) Stats() PlanStats { return b.stats }
 
-// RecordStart accounts one Start of the compiled plan.
-func (b *PlanBase) RecordStart() {
+// recordStart accounts one Start of the compiled plan.
+func (b *planBase) recordStart() {
 	b.stats.Starts++
 	b.stats.StartBytes += b.sendBytes
 }
-
-// AddPack, AddCall, AddWait accumulate phase time.
-func (b *PlanBase) AddPack(d time.Duration) { b.tm.Pack += d }
-
-// AddCall accumulates posting time.
-func (b *PlanBase) AddCall(d time.Duration) { b.tm.Call += d }
-
-// AddWait accumulates completion-wait time.
-func (b *PlanBase) AddWait(d time.Duration) { b.tm.Wait += d }

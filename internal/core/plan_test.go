@@ -77,6 +77,66 @@ func TestPersistentHotPathAllocsMemMap(t *testing.T) {
 	})
 }
 
+// TestPersistentHotPathAllocsMemMapDegraded asserts the MemMap step over
+// copy windows — the fill step gathering every window from storage before
+// the sends — is allocation-free, both after a mid-run Degrade rebinds the
+// mapped views and on heap storage, whose windows are copies from the start.
+func TestPersistentHotPathAllocsMemMapDegraded(t *testing.T) {
+	for _, mapped := range []bool{true, false} {
+		withSingleRank(t, mapped, func(cart *mpi.Cart, d *BrickDecomp, bs *BrickStorage) {
+			ev, err := NewExchangeView(NewExchanger(d, cart), bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ev.Close()
+			if err := ev.Degrade(DegradeForced); err != nil {
+				t.Fatal(err)
+			}
+			ev.Exchange()
+			allocs := testing.AllocsPerRun(50, func() {
+				ev.Start()
+				ev.Complete()
+			})
+			if allocs != 0 {
+				t.Errorf("degraded MemMap step (mapped storage %v) allocates %v times, want 0", mapped, allocs)
+			}
+			if ev.Timings().Pack <= 0 {
+				t.Errorf("degraded MemMap step (mapped storage %v) charged no Pack", mapped)
+			}
+		})
+	}
+}
+
+// TestPersistentHotPathAllocsShift asserts the three-phase Shift Start (and
+// its no-op Complete) is allocation-free on mapped storage and on heap
+// storage, whose slabs are copy windows gathered and scattered each phase.
+func TestPersistentHotPathAllocsShift(t *testing.T) {
+	for _, mapped := range []bool{true, false} {
+		withSingleRank(t, mapped, func(cart *mpi.Cart, d *BrickDecomp, bs *BrickStorage) {
+			sv, err := NewShiftView(NewExchanger(d, cart), bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sv.Close()
+			sv.Exchange()
+			allocs := testing.AllocsPerRun(50, func() {
+				sv.Start()
+				sv.Complete()
+			})
+			if allocs != 0 {
+				t.Errorf("Shift step (mapped storage %v) allocates %v times, want 0", mapped, allocs)
+			}
+			if st := sv.Stats(); st.Starts != 52 {
+				t.Errorf("Shift plan starts = %d after 52 exchanges, want one per exchange", st.Starts)
+			}
+			if !mapped && (!sv.Degraded() || sv.Timings().Pack <= 0) {
+				t.Errorf("Shift on heap storage: degraded %v, pack %v; want copy slabs charged to Pack",
+					sv.Degraded(), sv.Timings().Pack)
+			}
+		})
+	}
+}
+
 // TestPlanDigest checks digest determinism and sensitivity.
 func TestPlanDigest(t *testing.T) {
 	p := &ExchangePlan{

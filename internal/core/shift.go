@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/bricklab/brick/internal/layout"
-	"github.com/bricklab/brick/internal/mpi"
 	"github.com/bricklab/brick/internal/shmem"
 )
 
@@ -22,93 +20,58 @@ import (
 // Shift trades message count (6 vs Layout's 42 or MemMap's 26) for three
 // serialized communication phases per exchange.
 //
-// As an Exchanger, the whole three-phase exchange runs inside Start (the
-// phases cannot overlap computation: each forwards ghost data the previous
-// one received) and Complete is a no-op. The six transfers are pre-matched
-// once and every phase reuses its fixed slab windows.
+// As an Exchanger, the whole exchange runs inside Start as three engine
+// phases back to back (the phases cannot overlap computation: each forwards
+// ghost data the previous one received) and Complete is a no-op. The six
+// transfers are pre-matched once into one plan; a copy slab is gathered as
+// its phase's fill step and scattered as its drain step.
 type ShiftView struct {
-	PlanBase
-	e        *BrickExchanger
-	bs       *BrickStorage
-	phases   [3][2]shiftMsg // [axis][0: negative dir, 1: positive dir]
+	planBase
+	phases   [3]*Engine    // ±i, then ±j, then ±k
+	views    []*shmem.View // mapped slab views, unmapped after the endpoints are freed
 	degraded bool
-	preqs    [3]phaseReqs // persistent per-axis request sets
 }
 
 var _ Exchanger = (*ShiftView)(nil)
 
-// phaseReqs is one axis phase's persistent requests.
-type phaseReqs struct {
-	recvs []*mpi.Request
-	sends []*mpi.Request
-	all   []*mpi.Request
-}
-
-type shiftMsg struct {
-	dir  layout.Set // face direction of the transfer
-	send *slabView  // data sent to the neighbor at dir
-	recv *slabView  // ghost slab filled from the neighbor at dir
-}
-
-// slabView is a (possibly aliasing) contiguous window over a scattered set
-// of bricks.
-type slabView struct {
-	spans []Span
-	view  *shmem.View
-	flat  []float64
-}
-
-// NewShiftView precomputes the six per-phase slab views and compiles the
-// exchange plan.
+// NewShiftView builds the six per-phase slab windows and compiles the
+// exchange plan in phase order — receives then sends within each axis, the
+// same program order on every rank.
 func NewShiftView(e *BrickExchanger, bs *BrickStorage) (*ShiftView, error) {
-	sv := &ShiftView{e: e, bs: bs}
+	sv := &ShiftView{}
 	d := e.d
+	var recvs, sends [3][]Window
 	for axis := 0; axis < 3; axis++ {
 		for side := 0; side < 2; side++ {
 			dir := axisDir(axis, side)
-			send, err := sv.makeSlab(d, sendSlabCoords(d, axis, side))
+			peer := e.rank[dir]
+			if peer < 0 {
+				continue
+			}
+			send, err := sv.slab(d, bs, peer, dirIndex(dir)*tagStride+50+axis, sendSlabCoords(d, axis, side))
 			if err != nil {
 				return nil, fmt.Errorf("core: shift send slab %v: %w", dir, err)
 			}
-			recv, err := sv.makeSlab(d, recvSlabCoords(d, axis, side))
+			// The incoming data comes from the neighbor at dir; it sent its
+			// own slab for the opposite side.
+			recv, err := sv.slab(d, bs, peer, dirIndex(dir.Opposite())*tagStride+50+axis, recvSlabCoords(d, axis, side))
 			if err != nil {
 				return nil, fmt.Errorf("core: shift recv slab %v: %w", dir, err)
 			}
-			sv.phases[axis][side] = shiftMsg{dir: dir, send: send, recv: recv}
+			recvs[axis] = append(recvs[axis], recv)
+			sends[axis] = append(sends[axis], send)
 		}
 	}
-	// Compile the plan in phase order — receives then sends within each
-	// axis, the same program order on every rank so persistent endpoints
-	// pair deterministically.
-	plan := ExchangePlan{Variant: "shift"}
-	for axis := 0; axis < 3; axis++ {
-		for side := 0; side < 2; side++ {
-			m := sv.phases[axis][side]
-			src := e.rank[m.dir]
-			if src < 0 {
-				continue
-			}
-			// The incoming data comes from the neighbor at dir; it sent its
-			// own slab for the opposite side.
-			tag := dirIndex(m.dir.Opposite())*tagStride + 50 + axis
-			plan.Recvs = append(plan.Recvs, PlanMsg{Peer: src, Tag: tag, Bytes: int64(8 * len(m.recv.flat))})
-			sv.preqs[axis].recvs = append(sv.preqs[axis].recvs, e.comm.RecvInit(src, tag, m.recv.flat))
+	for axis := range sv.phases {
+		ph := newEngine(&sv.planBase, e.comm, "shift", recvs[axis], sends[axis], bs, nil)
+		if hasCopies(ph.sendWins) {
+			ph.fill = ph.gather
 		}
-		for side := 0; side < 2; side++ {
-			m := sv.phases[axis][side]
-			dst := e.rank[m.dir]
-			if dst < 0 {
-				continue
-			}
-			tag := dirIndex(m.dir)*tagStride + 50 + axis
-			plan.Sends = append(plan.Sends, PlanMsg{Peer: dst, Tag: tag, Bytes: int64(8 * len(m.send.flat))})
-			sv.preqs[axis].sends = append(sv.preqs[axis].sends, e.comm.SendInit(dst, tag, m.send.flat))
+		if hasCopies(ph.recvWins) {
+			ph.drain = ph.scatter
 		}
-		pr := &sv.preqs[axis]
-		pr.all = make([]*mpi.Request, 0, len(pr.recvs)+len(pr.sends))
-		pr.all = append(append(pr.all, pr.recvs...), pr.sends...)
+		sv.phases[axis] = ph
 	}
-	sv.SetPlan(plan)
 	return sv, nil
 }
 
@@ -178,22 +141,18 @@ func boxCoords(lo, hi [3]int) [][3]int {
 	return out
 }
 
-// makeSlab converts grid coordinates to storage spans IN GEOMETRIC ORDER
-// and builds a contiguous window over them. Geometric (grid-lexicographic)
+// slab converts grid coordinates to storage spans IN GEOMETRIC ORDER and
+// builds a contiguous window over them. Geometric (grid-lexicographic)
 // order is the correspondence contract between the two ends of a shift
 // transfer: an axis shift preserves it, while storage order differs between
 // a sender's surface bricks and a receiver's ghost bricks.
-func (sv *ShiftView) makeSlab(d *BrickDecomp, coords [][3]int) (*slabView, error) {
-	idxs := make([]int, 0, len(coords))
+func (sv *ShiftView) slab(d *BrickDecomp, bs *BrickStorage, peer, tag int, coords [][3]int) (Window, error) {
+	var spans []Span
 	for _, c := range coords {
 		idx := d.BrickIndex(c)
 		if idx < 0 {
-			return nil, fmt.Errorf("unmapped brick at %v", c)
+			return Window{}, fmt.Errorf("unmapped brick at %v", c)
 		}
-		idxs = append(idxs, idx)
-	}
-	var spans []Span
-	for _, idx := range idxs {
 		if n := len(spans); n > 0 && spans[n-1].End() == idx {
 			spans[n-1].NBricks++
 			spans[n-1].Padded++
@@ -201,80 +160,12 @@ func (sv *ShiftView) makeSlab(d *BrickDecomp, coords [][3]int) (*slabView, error
 			spans = append(spans, Span{Start: idx, NBricks: 1, Padded: 1})
 		}
 	}
-	s := &slabView{spans: spans}
-	chunk := sv.bs.Chunk()
-	chunkBytes := 8 * chunk
-	if len(spans) == 1 {
-		sp := spans[0]
-		s.flat = sv.bs.Data[sp.Start*chunk : sp.End()*chunk]
-		return s, nil
+	w, view, _ := spanWindow(bs, peer, tag, spans)
+	if view != nil {
+		sv.views = append(sv.views, view)
 	}
-	if arena := sv.bs.arena; arena != nil {
-		segs := make([]shmem.Segment, len(spans))
-		aligned := true
-		for i, sp := range spans {
-			segs[i] = shmem.Segment{Offset: sp.Start * chunkBytes, Len: sp.NBricks * chunkBytes}
-			if segs[i].Offset%arena.PageSize() != 0 || segs[i].Len%arena.PageSize() != 0 {
-				aligned = false
-			}
-		}
-		if aligned || !arena.Mapped() {
-			view, err := arena.MapVector(segs)
-			if err != nil {
-				return nil, err
-			}
-			s.view = view
-			s.flat = view.Float64s()
-			if !view.Mapped() {
-				sv.degraded = true
-			}
-			return s, nil
-		}
-	}
-	// Copy-based fallback window.
-	total := 0
-	for _, sp := range spans {
-		total += sp.NBricks * chunk
-	}
-	s.flat = make([]float64, total)
-	sv.degraded = true
-	return s, nil
-}
-
-// gather refreshes a copy-based window from storage before sending.
-func (s *slabView) gather(bs *BrickStorage) {
-	if s.view != nil {
-		s.view.Gather()
-		return
-	}
-	if len(s.spans) == 1 {
-		return // aliases storage directly
-	}
-	chunk := bs.Chunk()
-	off := 0
-	for _, sp := range s.spans {
-		n := sp.NBricks * chunk
-		copy(s.flat[off:off+n], bs.Data[sp.Start*chunk:sp.End()*chunk])
-		off += n
-	}
-}
-
-// scatter pushes a copy-based window back into storage after receiving.
-func (s *slabView) scatter(bs *BrickStorage) {
-	if s.view != nil {
-		s.view.Scatter()
-		return
-	}
-	if len(s.spans) == 1 {
-		return
-	}
-	chunk := bs.Chunk()
-	off := 0
-	for _, sp := range s.spans {
-		n := sp.NBricks * chunk
-		copy(bs.Data[sp.Start*chunk:sp.End()*chunk], s.flat[off:off+n])
-		off += n
-	}
+	sv.degraded = sv.degraded || w.copied
+	return w, nil
 }
 
 // Degraded reports whether any slab window is copy-based (effectively
@@ -282,17 +173,7 @@ func (s *slabView) scatter(bs *BrickStorage) {
 func (sv *ShiftView) Degraded() bool { return sv.degraded }
 
 // NumMessages returns the messages per exchange: 2 per dimension = 6 in 3D.
-func (sv *ShiftView) NumMessages() int {
-	n := 0
-	for axis := 0; axis < 3; axis++ {
-		for side := 0; side < 2; side++ {
-			if sv.e.rank[sv.phases[axis][side].dir] >= 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (sv *ShiftView) NumMessages() int { return len(sv.plan.Sends) }
 
 // Exchange runs the three-phase shift exchange, returning the sends
 // posted. It is equivalent to Start (Complete is a no-op for Shift).
@@ -302,74 +183,34 @@ func (sv *ShiftView) Exchange() int { return sv.Start() }
 // directions proceed concurrently; the phase completes before the next
 // begins (later phases forward data received earlier), which is why Shift
 // cannot overlap computation and Complete is a no-op. Phase time lands in
-// Call (posting), Wait (completion), and — degraded storage only — Pack
-// (gather/scatter copies).
+// Call (posting), Wait (completion), and — copy slabs only — Pack
+// (gather/scatter copies). The three phases count as one plan start.
 func (sv *ShiftView) Start() int {
-	e := sv.e
 	n := 0
-	for axis := 0; axis < 3; axis++ {
-		pr := &sv.preqs[axis]
-		t0 := time.Now()
-		mpi.Startall(pr.recvs)
-		call := time.Since(t0)
-		if sv.degraded {
-			// Aliasing views need no gather; only copy-based windows do.
-			t0 = time.Now()
-			for side := 0; side < 2; side++ {
-				m := sv.phases[axis][side]
-				if e.rank[m.dir] >= 0 {
-					m.send.gather(sv.bs)
-				}
-			}
-			sv.AddPack(time.Since(t0))
-		}
-		t0 = time.Now()
-		mpi.Startall(pr.sends)
-		n += len(pr.sends)
-		sv.AddCall(call + time.Since(t0))
-		t0 = time.Now()
-		mpi.Waitall(pr.all)
-		sv.AddWait(time.Since(t0))
-		if sv.degraded {
-			t0 = time.Now()
-			for side := 0; side < 2; side++ {
-				m := sv.phases[axis][side]
-				if e.rank[m.dir] >= 0 {
-					m.recv.scatter(sv.bs)
-				}
-			}
-			sv.AddPack(time.Since(t0))
-		}
+	for _, ph := range sv.phases {
+		ph.start()
+		ph.Complete()
+		n += len(ph.sends)
 	}
-	sv.RecordStart()
+	sv.recordStart()
 	return n
 }
 
 // Complete is a no-op: Start runs the serialized phases to completion.
 func (sv *ShiftView) Complete() {}
 
-// Close releases the mmap views and persistent endpoints.
+// Close frees every phase's endpoints, then unmaps the slab views (see
+// ExchangeView.Close for why in that order).
 func (sv *ShiftView) Close() error {
-	// Free every endpoint before unmapping any slab view: the views back
-	// the persistent buffers, and Free retracts undelivered Starts and
-	// serializes against a peer's in-flight copy (see ExchangeView.Close).
-	for axis := 0; axis < 3; axis++ {
-		for _, r := range sv.preqs[axis].all {
-			r.Free()
-		}
-		sv.preqs[axis] = phaseReqs{}
+	for _, ph := range sv.phases {
+		ph.Close()
 	}
 	var first error
-	for axis := 0; axis < 3; axis++ {
-		for side := 0; side < 2; side++ {
-			for _, s := range []*slabView{sv.phases[axis][side].send, sv.phases[axis][side].recv} {
-				if s != nil && s.view != nil {
-					if err := s.view.Close(); err != nil && first == nil {
-						first = err
-					}
-				}
-			}
+	for _, v := range sv.views {
+		if err := v.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
+	sv.views = nil
 	return first
 }

@@ -91,6 +91,7 @@ type Sim struct {
 	bs   *core.BrickStorage
 	info *core.BrickInfo
 	ex   *core.BrickExchanger
+	lx   *core.Engine // LayoutCA / LayoutUM
 	ev   *core.ExchangeView
 	pt   *PageTable
 
@@ -143,6 +144,8 @@ func NewSim(cart *mpi.Cart, cfg Config) (*Sim, error) {
 		if s.ev, err = core.NewExchangeView(s.ex, s.bs); err != nil {
 			return nil, err
 		}
+	} else {
+		s.lx = core.NewLayoutExchange(s.ex, s.bs)
 	}
 	if cfg.Strategy != LayoutCA {
 		s.pt = NewPageTable(s.Dev, 8*len(s.bs.Data))
@@ -154,6 +157,9 @@ func NewSim(cart *mpi.Cart, cfg Config) (*Sim, error) {
 func (s *Sim) Close() error {
 	if s.ev != nil {
 		s.ev.Close()
+	}
+	if s.lx != nil {
+		s.lx.Close()
 	}
 	for i := range s.g {
 		if s.px[i] != nil {
@@ -258,7 +264,7 @@ func (s *Sim) Exchange() CommCost {
 			c.Data += int64(m.Span.NBricks * chunkBytes)
 			c.Wire += int64(n)
 		}
-		s.ex.Exchange(s.bs)
+		s.lx.Exchange()
 	case LayoutUM:
 		chunkBytes := 8 * s.bs.Chunk()
 		for _, m := range s.dec.SendMessages() {
@@ -278,7 +284,7 @@ func (s *Sim) Exchange() CommCost {
 			}
 			c.Fault += s.pt.HostAccess(m.Span.Start*chunkBytes, m.Span.Padded*chunkBytes)
 		}
-		s.ex.Exchange(s.bs)
+		s.lx.Exchange()
 	case MemMapUM:
 		chunkBytes := 8 * s.bs.Chunk()
 		perDir := map[layout.Set]*CommCost{}

@@ -222,6 +222,31 @@ func verifyGridExchange(t *testing.T, kind string) {
 
 func mod(a, n int) int { return ((a % n) + n) % n }
 
+// TestStagedHotPathAllocs asserts the YASK pack and MPI_Types steps —
+// Start and Complete with their pack/unpack or datatype walks — are
+// allocation-free on a one-rank periodic world, where every neighbor is the
+// rank itself and each cycle completes inline.
+func TestStagedHotPathAllocs(t *testing.T) {
+	for _, kind := range []string{"pack", "types"} {
+		mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+			cart := mpi.NewCart(c, []int{1, 1, 1}, []bool{true, true, true})
+			g := New([3]int{8, 8, 8}, 2)
+			var e core.Exchanger
+			if kind == "types" {
+				e = NewTypesExchanger(g, cart)
+			} else {
+				e = NewPackExchanger(g, cart)
+			}
+			defer e.Close()
+			cycle(e)
+			allocs := testing.AllocsPerRun(50, func() { cycle(e) })
+			if allocs != 0 {
+				t.Errorf("%s step allocates %v times, want 0", kind, allocs)
+			}
+		})
+	}
+}
+
 func TestPackExchange(t *testing.T)    { verifyGridExchange(t, "pack") }
 func TestOverlapExchange(t *testing.T) { verifyGridExchange(t, "overlap") }
 func TestTypesExchange(t *testing.T)   { verifyGridExchange(t, "types") }

@@ -68,8 +68,9 @@ func TestPlanSummaryShape(t *testing.T) {
 // configuration (16³ per rank on 2×2×2 ranks, 7-point, ghost 8, brick 8,
 // ghost expansion on, 8 steps, one worker — the `cmd/weak` defaults):
 // variant, send count, wire bytes per exchange, and the plan digest, which
-// covers every peer, tag, and span. All four are deterministic, so any
-// change is a change of communication behaviour, not noise.
+// covers every peer, tag, and span, for all six CPU plans. All four are
+// deterministic, so any change is a change of communication behaviour, not
+// noise.
 func TestPlanGolden(t *testing.T) {
 	cases := []struct {
 		impl    Impl
@@ -80,6 +81,10 @@ func TestPlanGolden(t *testing.T) {
 	}{
 		{Layout, "spans", 35, 458752, "b8b2dab3bb240eff"},
 		{MemMap, "memmap", 26, 458752, "1f138eb957a39776"},
+		{YASK, "pack", 26, 229376, "e0d6d23524ae6b72"},
+		{MPITypes, "types", 26, 229376, "7c288a19b8f3d7cc"},
+		{Basic, "spans", 56, 458752, "9207e52c8a7b5ff4"},
+		{Shift, "shift", 6, 458752, "9cb7e3a8de5e53ab"},
 	}
 	for _, tc := range cases {
 		res, err := Run(Config{

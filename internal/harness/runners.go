@@ -11,7 +11,6 @@ import (
 	"github.com/bricklab/brick/internal/gpu"
 	"github.com/bricklab/brick/internal/grid"
 	"github.com/bricklab/brick/internal/layout"
-	"github.com/bricklab/brick/internal/metrics"
 	"github.com/bricklab/brick/internal/mpi"
 	"github.com/bricklab/brick/internal/netmodel"
 	"github.com/bricklab/brick/internal/stencil"
@@ -283,11 +282,11 @@ type brickRank struct {
 	// degradable is set for MemMap, the one implementation whose mapped
 	// views can be rebuilt as copy windows mid-run (mapfail:step=S faults).
 	degradable *core.ExchangeView
-	// part is ex's pipelined view, nil on the serial schedule. ready is its
-	// ReadyTile, hoisted so step never allocates the method value. tiles
-	// are the surface tiles: both the plan's partition alignment and the
-	// surface pass's execution tiling.
-	part  core.PartitionedExchanger
+	// part is ex's engine when it runs the pipelined schedule, nil on the
+	// serial one. ready is its ReadyTile, hoisted so step never allocates
+	// the method value. tiles are the surface tiles: both the plan's
+	// partition alignment and the surface pass's execution tiling.
+	part  *core.Engine
 	ready func(int)
 	tiles [][2]int
 	fr    *flight.Ring
@@ -347,13 +346,14 @@ func newBrickRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayo
 			popts = append(popts, core.WithPartitions(r.tiles))
 		}
 	}
+	var eng *core.Engine // the engine a partitioned plan pipelines
 	switch cfg.Impl {
 	case MemMap:
 		ev, err := core.NewExchangeView(bx, bs, popts...)
 		if err != nil {
 			return r, err
 		}
-		r.ex, r.degradable = ev, ev
+		r.ex, r.degradable, eng = ev, ev, ev.Engine
 	case Shift:
 		sv, err := core.NewShiftView(bx, bs)
 		if err != nil {
@@ -361,16 +361,12 @@ func newBrickRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayo
 		}
 		r.ex = sv
 	default:
-		r.ex = core.NewLayoutExchange(bx, bs, popts...)
+		eng = core.NewLayoutExchange(bx, bs, popts...)
+		r.ex = eng
 	}
 	if len(popts) > 0 {
-		r.part = r.ex.(core.PartitionedExchanger)
-		r.ready = r.part.ReadyTile
-		if cfg.Metrics != nil {
-			if pm, ok := r.ex.(interface{ SetPartitionMetrics(*metrics.Registry) }); ok {
-				pm.SetPartitionMetrics(cfg.Metrics)
-			}
-		}
+		r.part, r.ready = eng, eng.ReadyTile
+		eng.SetPartitionMetrics(cfg.Metrics)
 	}
 	seedDomain(cfg, cart, func(x, y, z int, v float64) { dec.SetElem(bs, 0, x, y, z, v) })
 

@@ -161,8 +161,10 @@ func kernelMatchesReference(t *testing.T) {
 // torus builds a 3×3×3 periodic neighborhood of bricks of any shape — the
 // decomposition only builds cubic ones — with three fields, field 0 filled.
 // Brick 0 holds -0.0 throughout: where every tap reads it, only a sum that
-// starts from +0.0, as the table walk's does, comes out +0.0.
-func torus(sh core.Shape) (*core.BrickInfo, *core.BrickStorage) {
+// starts from +0.0, as the table walk's does, comes out +0.0. With special,
+// about one element in eight of the other bricks is instead -0.0, +Inf,
+// -Inf, a quiet NaN or a negative signalling NaN, each with its own payload.
+func torus(sh core.Shape, special bool) (*core.BrickInfo, *core.BrickStorage) {
 	info := core.NewBrickInfo(sh, 27)
 	for b := 0; b < 27; b++ {
 		for a := 0; a < core.NumAdj; a++ {
@@ -175,12 +177,21 @@ func torus(sh core.Shape) (*core.BrickInfo, *core.BrickStorage) {
 	for b := 0; b < 27; b++ {
 		for e, f := 0, bs.FieldSlice(b, 0); e < len(f); e++ {
 			f[e] = fillValue(b*len(f) + e)
+			if x := uint64(b*len(f)+e+1) * 0x9E3779B97F4A7C15; special && x>>61 == 0 {
+				f[e] = torusSpecials[(x>>32)%uint64(len(torusSpecials))]
+			}
 			if b == 0 {
 				f[e] = math.Copysign(0, -1)
 			}
 		}
 	}
 	return info, bs
+}
+
+// torusSpecials are the source values where summation order shows.
+var torusSpecials = []float64{
+	math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.Float64frombits(0x7ff8_0000_0000_0bad), math.Float64frombits(0xfff0_0000_dead_0001),
 }
 
 // oracleAt is one element of applyBricksReference: every tap through the
@@ -197,15 +208,33 @@ func oracleAt(src core.Brick, st Stencil, b, i, j, k int) float64 {
 // and boxes the decomposition cannot produce — non-cubic bricks, an extent
 // of 1, one-element-wide boxes against each face — and checks them bit for
 // bit against the accessor oracle and the table walk.
-func TestKernelBodiesOnTorus(t *testing.T) { eachBody(t, kernelBodiesOnTorus) }
+func TestKernelBodiesOnTorus(t *testing.T) {
+	eachBody(t, func(t *testing.T) {
+		kernelBodiesOnTorus(t, []Stencil{Star7(), Cube125(), Star5(), swappedStar7()}, false)
+	})
+}
 
-func kernelBodiesOnTorus(t *testing.T) {
+// TestStar7BodiesOnTorusSpecialValues runs the same comparison for the
+// 7-point star — brick7Box on an AVX2 host, else the Go fused rows (row7x8,
+// row7) — and the table walk, with -0.0, ±Inf and NaN sources. Every
+// element must carry the oracle's bits, except that two NaNs match:
+// sameBits, the rule FuzzTapRows uses, because which payload survives an
+// operation on two NaNs follows the operand order the compiler picks.
+func TestStar7BodiesOnTorusSpecialValues(t *testing.T) {
+	eachBody(t, func(t *testing.T) { kernelBodiesOnTorus(t, []Stencil{Star7()}, true) })
+}
+
+func kernelBodiesOnTorus(t *testing.T, stencils []Stencil, special bool) {
+	same := func(got, want float64) bool { return math.Float64bits(got) == math.Float64bits(want) }
+	if special {
+		same = sameBits
+	}
 	for _, sh := range []core.Shape{{8, 4, 2}, {2, 3, 5}, {1, 4, 4}, {10, 2, 2}, {8, 8, 8}} {
-		for _, st := range []Stencil{Star7(), Cube125(), Star5(), swappedStar7()} {
+		for _, st := range stencils {
 			if st.Radius > min(sh[0], sh[1], sh[2]) {
 				continue
 			}
-			info, bs := torus(sh)
+			info, bs := torus(sh, special)
 			src, got, want := core.NewBrick(info, bs, 0), core.NewBrick(info, bs, 1), core.NewBrick(info, bs, 2)
 			kr := newBrickKernel(sh, st)
 			halo := make([]float64, kr.ext[0]*kr.ext[1]*kr.ext[2])
@@ -238,9 +267,9 @@ func kernelBodiesOnTorus(t *testing.T) {
 							for i := lo[0]; i < hi[0]; i++ {
 								acc := oracleAt(src, st, b, i, j, k)
 								g, w := got.At(b, i, j, k), want.At(b, i, j, k)
-								if math.Float64bits(g) != math.Float64bits(acc) || math.Float64bits(w) != math.Float64bits(acc) {
-									t.Fatalf("%v %s box %v brick %d (%d,%d,%d): body %v, table walk %v, oracle %v",
-										sh, st.Name, box, b, i, j, k, g, w, acc)
+								if !same(g, acc) || !same(w, acc) {
+									t.Fatalf("%v %s box %v brick %d (%d,%d,%d): body %v (%#x), table walk %v (%#x), oracle %v (%#x)",
+										sh, st.Name, box, b, i, j, k, g, math.Float64bits(g), w, math.Float64bits(w), acc, math.Float64bits(acc))
 								}
 							}
 						}
@@ -260,7 +289,7 @@ func kernelBodiesOnTorus(t *testing.T) {
 // read diagonals); the fused body, which looks up faces only, stays fused.
 func TestKernelFallbackOnMissingNeighbor(t *testing.T) {
 	sh := core.Shape{4, 4, 4}
-	info, bs := torus(sh)
+	info, bs := torus(sh, false)
 	const b = 13
 	info.SetAdjacency(b, -1, -1, 0, core.NoBrick)
 	src, got := core.NewBrick(info, bs, 0), core.NewBrick(info, bs, 1)

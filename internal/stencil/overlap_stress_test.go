@@ -40,7 +40,8 @@ func runOverlapWorld(t *testing.T, st stencil.Stencil, steps, workers int) [][]f
 			}
 		}
 		info := dec.BrickInfo()
-		ex := core.NewExchanger(dec, cart)
+		ex := core.NewLayoutExchange(core.NewExchanger(dec, cart), bs)
+		defer ex.Close()
 		inter := dec.Interior()
 		var surf [][2]int
 		for _, s := range dec.Order() {
@@ -56,13 +57,13 @@ func runOverlapWorld(t *testing.T, st stencil.Stencil, steps, workers int) [][]f
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
-					ex.Exchange(bs)
+					ex.Exchange()
 				}()
 				stencil.ApplyBricksRangeWorkers(dst, src, dec, st, 0, inter.Start, inter.End(), workers)
 				<-done
 				stencil.ApplyBricksSpans(dst, src, dec, st, 0, surf, workers)
 			} else {
-				ex.Exchange(bs)
+				ex.Exchange()
 				stencil.ApplyBricks(dst, src, dec, st, 0)
 			}
 		}
