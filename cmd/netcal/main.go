@@ -7,7 +7,7 @@
 // one — the ROADMAP's "calibration targets instead of fiction".
 //
 //	make netcal                      # writes brick-netmodel.json
-//	strong -machine brick-netmodel.json ...
+//	weak -machine brick-netmodel.json ...
 package main
 
 import (

@@ -19,19 +19,6 @@ import (
 	"github.com/bricklab/brick/internal/mpi"
 )
 
-// writeTrace exports the run's flight rings as a Chrome trace file.
-func writeTrace(rec *flight.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = flight.WriteChromeTrace(f, flight.ToTrace(rec.Snapshot("trace", "", nil)))
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 func main() {
 	// Under -transport shmem this binary doubles as its own rank worker.
 	harness.WorkerMain()
@@ -42,7 +29,6 @@ func main() {
 		ranks    = flag.String("ranks", "2,2,2", "rank grid i,j,k (periodic)")
 		expand   = flag.Bool("expand", true, "use ghost-cell expansion")
 		page     = flag.Int("page", 0, "override page size for MemMap padding (bytes)")
-		traceOut = flag.String("trace", "", "write the run's flight rings (last -flight-depth events per rank) as a Chrome trace JSON to this file; chan transport only")
 	)
 	common := cli.RegisterCommon(8, 8, 16)
 	flag.Parse()
@@ -55,11 +41,6 @@ func main() {
 	procs, err := cli.ParseRanks(*ranks)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "weak: -ranks: %v\n", err)
-		os.Exit(2)
-	}
-	if *traceOut != "" && common.Transport != mpi.DefaultTransport {
-		fmt.Fprintf(os.Stderr, "weak: -trace reads in-process flight rings and needs -transport %s; on %s use -flight for per-worker artifacts\n",
-			mpi.DefaultTransport, common.Transport)
 		os.Exit(2)
 	}
 	r, err := common.Resolve("weak")
@@ -77,7 +58,9 @@ func main() {
 		PageBytes:   *page,
 	}
 	common.Apply(&cfg, r)
-	if *traceOut != "" {
+	if common.Flight && common.Transport == mpi.DefaultTransport {
+		// On chan the rings live in this process, so a finished run can
+		// leave its artifact at -flight-out just as a failed one does.
 		cfg.FlightRec = flight.New(procs[0]*procs[1]*procs[2], common.FlightDepth)
 	}
 	res, err := harness.Run(cfg)
@@ -89,12 +72,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "weak: %v\n", err)
 		os.Exit(1)
 	}
-	if *traceOut != "" {
-		if err := writeTrace(cfg.FlightRec, *traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "weak: trace: %v\n", err)
+	if cfg.FlightRec != nil {
+		snap := cfg.FlightRec.Snapshot("complete", "", nil)
+		snap.Transport = common.Transport
+		if err := snap.WriteFile(common.FlightOut); err != nil {
+			fmt.Fprintf(os.Stderr, "weak: flight: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("trace written to %s (open in chrome://tracing or Perfetto)\n", *traceOut)
+		fmt.Fprintf(os.Stderr, "weak: flight artifact written to %s (inspect with flightreport)\n", common.FlightOut)
 	}
 
 	fmt.Printf("impl=%s dim=%d ranks=%v stencil=%s steps=%d msgs/exchange=%d wire=%dB",

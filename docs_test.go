@@ -1,0 +1,72 @@
+package brick_test
+
+import (
+	"os"
+	"os/exec"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestDocsListEveryCommand: the cmd/ block of README.md's layout tree and
+// the cmd/ rows of DESIGN.md's inventory table name exactly the commands
+// `go list ./cmd/...` builds, so a deleted command cannot stay documented
+// and a new one cannot go undocumented.
+func TestDocsListEveryCommand(t *testing.T) {
+	out, err := exec.Command("go", "list", "./cmd/...").Output()
+	if err != nil {
+		t.Fatalf("go list ./cmd/...: %v", err)
+	}
+	var want []string
+	for _, pkg := range strings.Fields(string(out)) {
+		want = append(want, pkg[strings.LastIndex(pkg, "/")+1:])
+	}
+	slices.Sort(want)
+
+	check := func(doc string, got []string) {
+		t.Helper()
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s lists commands %v; go list ./cmd/... has %v", doc, got, want)
+		}
+	}
+	check("README.md", readmeCommands(t))
+	design := readFile(t, "DESIGN.md")
+	var rows []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `cmd/(\\w+)`").FindAllStringSubmatch(design, -1) {
+		rows = append(rows, m[1])
+	}
+	check("DESIGN.md", rows)
+}
+
+// readmeCommands returns the names in README.md's layout tree under its
+// "cmd/" line: each entry starts with a name indented two spaces, and its
+// description may continue on lines indented further. The block ends at the
+// first line indented less.
+func readmeCommands(t *testing.T) []string {
+	lines := strings.Split(readFile(t, "README.md"), "\n")
+	i := slices.Index(lines, "cmd/")
+	if i < 0 {
+		t.Fatal(`README.md has no "cmd/" line in its layout tree`)
+	}
+	var names []string
+	for _, l := range lines[i+1:] {
+		if !strings.HasPrefix(l, "  ") {
+			break
+		}
+		if len(l) > 2 && l[2] != ' ' {
+			names = append(names, strings.Fields(l)[0])
+		}
+	}
+	return names
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}

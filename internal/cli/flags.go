@@ -15,8 +15,8 @@ import (
 	"github.com/bricklab/brick/internal/stencil"
 )
 
-// Common holds the flags every experiment command shares (cmd/strong,
-// cmd/weak, cmd/soak). They are registered in one place so a cross-cutting
+// Common holds the flags every experiment command shares (cmd/weak,
+// cmd/soak). They are registered in one place so a cross-cutting
 // flag — like -transport or -watchdog — is defined once and appears in every
 // binary with the same name, default, and help text.
 type Common struct {
@@ -46,8 +46,7 @@ type Common struct {
 
 // RegisterCommon installs the shared flags on the default flag set.
 // ghostDefault, brickDefault, and itersDefault let the commands keep their
-// historical defaults (weak: 16 iterations; strong: 8; soak: small fast
-// domains).
+// historical defaults (weak: 16 iterations; soak: small fast domains).
 func RegisterCommon(ghostDefault, brickDefault, itersDefault int) *Common {
 	c := &Common{}
 	flag.StringVar(&c.Stencil, "stencil", "7pt", "stencil: 7pt or 125pt")
@@ -68,9 +67,9 @@ func RegisterCommon(ghostDefault, brickDefault, itersDefault int) *Common {
 	flag.StringVar(&c.CheckpointDir, "ckpt-dir", "", "spill committed checkpoint epochs to this directory (brick-ckpt/v1 files)")
 	flag.IntVar(&c.MaxRecoveries, "max-recoveries", 3, "recovery budget under -ckpt before the run fails with the original abort")
 	flag.BoolVar(&c.VerifyCRC, "verify-crc", false, "verify payload CRCs at receive; detected corruption aborts (and recovers under -ckpt)")
-	flag.BoolVar(&c.Flight, "flight", false, "record per-rank flight-recorder rings (post/deliver/wait/Pready/tile events); on stall or abort a brick-flight/v1 artifact is written to -flight-out (inspect with flightreport)")
+	flag.BoolVar(&c.Flight, "flight", false, "record per-rank flight-recorder rings (post/deliver/wait/Pready/tile events); on stall or abort — and on chan after weak finishes — a brick-flight/v1 artifact is written to -flight-out (inspect with flightreport)")
 	flag.IntVar(&c.FlightDepth, "flight-depth", 0, "per-rank flight ring capacity in events (0 = default 1024)")
-	flag.StringVar(&c.FlightOut, "flight-out", "brick-flight.bin", "path of the brick-flight/v1 artifact written when a -flight run fails")
+	flag.StringVar(&c.FlightOut, "flight-out", "brick-flight.bin", "path of the brick-flight/v1 artifact a -flight run writes")
 	return c
 }
 
@@ -136,7 +135,7 @@ func (c *Common) Apply(cfg *harness.Config, r Resolved) {
 }
 
 // Finish writes the metrics snapshot if -metrics-out was given: the input
-// cmd/obsreport turns into per-rank critical-path reports.
+// flightreport -metrics turns into per-rank critical-path reports.
 func (c *Common) Finish(prog string, reg *metrics.Registry) error {
 	if c.MetricsOut == "" {
 		return nil
@@ -144,6 +143,6 @@ func (c *Common) Finish(prog string, reg *metrics.Registry) error {
 	if err := reg.WriteJSONFile(c.MetricsOut); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "%s: metrics snapshot written to %s (inspect with obsreport)\n", prog, c.MetricsOut)
+	fmt.Fprintf(os.Stderr, "%s: metrics snapshot written to %s (inspect with flightreport -metrics)\n", prog, c.MetricsOut)
 	return nil
 }

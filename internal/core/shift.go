@@ -27,9 +27,8 @@ import (
 // its phase's fill step and scattered as its drain step.
 type ShiftView struct {
 	planBase
-	phases   [3]*Engine    // ±i, then ±j, then ±k
-	views    []*shmem.View // mapped slab views, unmapped after the endpoints are freed
-	degraded bool
+	phases [3]*Engine    // ±i, then ±j, then ±k
+	views  []*shmem.View // mapped slab views, unmapped after the endpoints are freed
 }
 
 var _ Exchanger = (*ShiftView)(nil)
@@ -160,17 +159,19 @@ func (sv *ShiftView) slab(d *BrickDecomp, bs *BrickStorage, peer, tag int, coord
 			spans = append(spans, Span{Start: idx, NBricks: 1, Padded: 1})
 		}
 	}
-	w, view, _ := spanWindow(bs, peer, tag, spans)
+	w, view, why := spanWindow(bs, peer, tag, spans)
 	if view != nil {
 		sv.views = append(sv.views, view)
 	}
-	sv.degraded = sv.degraded || w.copied
+	if why != "" {
+		sv.markDegraded(why)
+	}
 	return w, nil
 }
 
 // Degraded reports whether any slab window is copy-based (effectively
 // packing) rather than an aliasing mmap view.
-func (sv *ShiftView) Degraded() bool { return sv.degraded }
+func (sv *ShiftView) Degraded() bool { return sv.plan.Degraded != "" }
 
 // NumMessages returns the messages per exchange: 2 per dimension = 6 in 3D.
 func (sv *ShiftView) NumMessages() int { return len(sv.plan.Sends) }

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// TraceKind is a Chrome-trace event category ("cat"). cmd/obsreport names
-// the steps of a rank's longest chain after it.
+// TraceKind is a Chrome-trace event category ("cat"). Analyze names the
+// steps of a rank's longest chain after it.
 type TraceKind string
 
 // Trace kinds that differ from the flight Kind they come from; every other
@@ -35,8 +35,9 @@ type TraceEvent struct {
 	Peer  int // peer rank for send/recv, -1 otherwise
 }
 
-// ToTrace converts a flight snapshot into trace events so recorder output
-// flows through the Chrome-trace tooling (cmd/obsreport, chrome://tracing).
+// ToTrace converts a flight snapshot into timed trace events: the input of
+// the critical-path chain analysis and of the Chrome export
+// (chrome://tracing, Perfetto).
 // Start/Done pairs — waits keyed by (peer, tag), tiles keyed by tile index —
 // are fused into intervals; everything else becomes a zero-duration marker.
 // A Start whose Done never happened is emitted as a marker named
@@ -209,33 +210,4 @@ func WriteChromeTrace(w io.Writer, evs []TraceEvent) error {
 	}
 	_, err := io.WriteString(w, "]\n")
 	return err
-}
-
-// ReadChromeTrace parses a trace previously written with WriteChromeTrace
-// back into events (the inverse mapping: tid→rank, cat→kind, µs→durations).
-// cmd/obsreport uses it to merge a trace with a metrics snapshot.
-func ReadChromeTrace(rd io.Reader) ([]TraceEvent, error) {
-	var ces []chromeEvent
-	if err := json.NewDecoder(rd).Decode(&ces); err != nil {
-		return nil, fmt.Errorf("flight: parse chrome trace: %w", err)
-	}
-	out := make([]TraceEvent, 0, len(ces))
-	for _, ce := range ces {
-		e := TraceEvent{
-			Rank:  ce.Tid,
-			Kind:  TraceKind(ce.Cat),
-			Name:  ce.Name,
-			Start: time.Duration(ce.Ts * float64(time.Microsecond)),
-			Dur:   time.Duration(ce.Dur * float64(time.Microsecond)),
-			Peer:  -1,
-		}
-		if b, ok := ce.Args["bytes"].(float64); ok {
-			e.Bytes = int64(b)
-		}
-		if p, ok := ce.Args["peer"].(float64); ok {
-			e.Peer = int(p)
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }

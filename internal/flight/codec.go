@@ -20,7 +20,7 @@ const recSize = 3*8 + 4*4 + 1
 
 // Pending-operation kinds: the StallReport's classification of an
 // operation still pending at a stall. internal/mpi emits them and
-// internal/obs walks them, so both sides use these names. A started
+// causal.go walks them, so both sides use these names. A started
 // persistent endpoint is listed exactly while its own Wait would block:
 // until every span of its cycle has landed (receive) or been sent (send:
 // delivered on chan, staged on shmem, written on tcp).
@@ -65,7 +65,8 @@ type RankLog struct {
 // Snapshot is a whole-world flight capture, the in-memory form of a
 // brick-flight/v1 artifact.
 type Snapshot struct {
-	// Reason is the trigger: "stall", "abort", or "recovery-budget".
+	// Reason is the trigger: "stall", "abort", or "recovery-budget" — or
+	// "complete" for the rings of a run that finished.
 	Reason string
 	// Detail carries the trigger's message (an AbortError / StallReport
 	// rendering).

@@ -10,7 +10,12 @@
 // rendered by cmd/flightreport. Each send is stamped with a per-(src, dst,
 // tag) sequence number and each delivery carries its sender's stamp, so
 // the cross-rank causal graph — which send unblocked which receive — is
-// reconstructible from the rings alone (internal/obs builds it).
+// reconstructible from the rings alone (causal.go builds it).
+//
+// The artifact is the only per-run event format. Chrome trace JSON is an
+// export of it (chrome.go), and the critical-path report (critpath.go)
+// reads a rank's longest chain off the same events, merged with a metrics
+// snapshot's phase histograms.
 //
 // The record hot path is allocation-free (one mutex, index arithmetic, a
 // fixed-size slot write) and the disabled path is a nil check, so the

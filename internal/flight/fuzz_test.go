@@ -53,7 +53,7 @@ func checkDecode(t *testing.T, data []byte) {
 }
 
 // FuzzDecode feeds hostile bytes to the brick-flight/v1 decoder, which
-// flightreport and obsreport run on artifacts read from disk. Each input is
+// flightreport runs on artifacts read from disk. Each input is
 // decoded as given and again with its CRC trailer re-sealed: the checksum
 // rejects nearly every raw mutation before the header and records are
 // parsed, so the sealed form is what reaches the parser.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bricklab/brick/internal/core"
 	"github.com/bricklab/brick/internal/metrics"
 	"github.com/bricklab/brick/internal/mpi"
 )
@@ -136,6 +137,37 @@ func TestRunMapFailAtAllocDegrades(t *testing.T) {
 	}
 	if injected != 8 {
 		t.Errorf("fault_injected_total{kind=mapfail} = %d, want 8", injected)
+	}
+}
+
+// TestShiftMapFailReportsReason: Shift's slab windows fall back to copies
+// on an unmapped arena exactly as MemMap's views do, so the plan summary and
+// exchange_degraded_total must name the same reason MemMap's do.
+func TestShiftMapFailReportsReason(t *testing.T) {
+	reasons := map[Impl]string{}
+	for _, im := range []Impl{MemMap, Shift} {
+		reg := metrics.NewRegistry()
+		cfg := baseConfig(im)
+		cfg.Fault = "mapfail:rank=0"
+		cfg.Metrics = reg
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", im, err)
+		}
+		if res.Plan == nil {
+			t.Fatalf("%v: no plan summary", im)
+		}
+		reasons[im] = res.Plan.Degraded
+		if n := reg.Counter(metrics.ExchangeDegradedTotal, metrics.Labels{
+			"impl": im.String(), "rank": "0", "reason": res.Plan.Degraded}).Value(); n != 1 {
+			t.Errorf("%v: exchange_degraded_total{rank=0, reason=%q} = %d, want 1", im, res.Plan.Degraded, n)
+		}
+	}
+	if reasons[MemMap] != core.DegradeUnmappedArena {
+		t.Errorf("MemMap degraded reason = %q, want %q", reasons[MemMap], core.DegradeUnmappedArena)
+	}
+	if reasons[Shift] != reasons[MemMap] {
+		t.Errorf("Shift degraded reason = %q, want MemMap's %q", reasons[Shift], reasons[MemMap])
 	}
 }
 

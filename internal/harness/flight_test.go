@@ -14,7 +14,6 @@ import (
 	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/metrics"
 	"github.com/bricklab/brick/internal/mpi"
-	"github.com/bricklab/brick/internal/obs"
 )
 
 // TestFlightStallWritesArtifactWithCausalChain is the forensics acceptance
@@ -70,7 +69,7 @@ func TestFlightStallWritesArtifactWithCausalChain(t *testing.T) {
 
 	// The causal analysis must produce, for at least one pending op, a
 	// chain whose terminal event sits on that op's endpoint with its tag.
-	chains := obs.CausalChains(snap)
+	chains := flight.CausalChains(snap)
 	if len(chains) != len(rep.Pending) {
 		t.Fatalf("%d causal chains, want one per pending op (%d)", len(chains), len(rep.Pending))
 	}
@@ -91,7 +90,7 @@ func TestFlightStallWritesArtifactWithCausalChain(t *testing.T) {
 
 	// And the rendered report names the pending (src, dst, tag) verbatim.
 	var buf bytes.Buffer
-	if err := obs.WriteFlightReport(&buf, snap, 8); err != nil {
+	if err := flight.WriteFlightReport(&buf, snap, 8); err != nil {
 		t.Fatal(err)
 	}
 	op := rep.Pending[0]

@@ -18,7 +18,6 @@ import (
 	"github.com/bricklab/brick/internal/metrics"
 	"github.com/bricklab/brick/internal/mpi"
 	"github.com/bricklab/brick/internal/netmodel"
-	"github.com/bricklab/brick/internal/stats"
 	"github.com/bricklab/brick/internal/stencil"
 )
 
@@ -222,17 +221,17 @@ func (c Config) exchangePeriod() int {
 type Result struct {
 	Config Config
 
-	Calc stats.Summary // stencil computation (measured; modeled for GPU)
-	Pack stats.Summary // packing/unpacking copies (zero for pack-free impls)
-	Call stats.Summary // posting sends/receives
-	Wait stats.Summary // completion waits
-	Comm stats.Summary // Pack+Call+Wait per timestep
+	Calc Summary // stencil computation (measured; modeled for GPU)
+	Pack Summary // packing/unpacking copies (zero for pack-free impls)
+	Call Summary // posting sends/receives
+	Wait Summary // completion waits
+	Comm Summary // Pack+Call+Wait per timestep
 
 	// Network is the deterministic modeled network time per timestep
 	// (per-message α + bytes/β over the machine profile); NetworkFloor is
 	// the same for the minimal one-message-per-neighbor plan — the paper's
 	// "Network" reference line.
-	Network      stats.Summary
+	Network      Summary
 	NetworkFloor float64
 
 	// CommSynth is the synthetic communication time per timestep: measured
@@ -240,7 +239,7 @@ type Result struct {
 	// fewer cores than ranks, measured call/wait absorbs co-scheduled
 	// ranks' work; CommSynth is the oversubscription-robust comparison
 	// metric (real copies + deterministic wire model).
-	CommSynth stats.Summary
+	CommSynth Summary
 
 	// MsgsPerExchange is the number of messages each rank sends per
 	// exchange; DataBytes/WireBytes are per rank per exchange.

@@ -12,7 +12,7 @@ import (
 
 // TestRunMetrics runs every CPU implementation, at both exchange periods,
 // with a registry attached and checks the snapshot invariants the
-// obsreport/bench consumers rely on: one calc-phase series per rank plus
+// critical-path report and bench consumers rely on: one calc-phase series per rank plus
 // the rank="all" aggregate, each with exactly Steps observations, ordered
 // quantiles, and traffic counters matching the message plan.
 func TestRunMetrics(t *testing.T) {

@@ -15,7 +15,7 @@ const SnapshotSchema = "brick-metrics/v1"
 
 // Snapshot is the point-in-time JSON export of a registry. It is the
 // interchange format between the harness binaries (-metrics-out) and
-// cmd/obsreport.
+// flightreport -metrics.
 type Snapshot struct {
 	Schema     string              `json:"schema"`
 	Counters   []CounterSnapshot   `json:"counters,omitempty"`

@@ -260,7 +260,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotRejectsWrongSchema guards the obsreport input path.
+// TestLoadSnapshotRejectsWrongSchema guards the critical-path report's input path.
 func TestLoadSnapshotRejectsWrongSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(path, []byte(`{"schema":"other/v9"}`), 0o644); err != nil {

@@ -1,7 +1,7 @@
 package metrics
 
 // Well-known metric names shared by the instrumented layers (mpi, stencil,
-// harness) and the consumers (cmd/obsreport, benchmark/, the Prometheus
+// harness) and the consumers (flightreport -metrics, benchmark/, the Prometheus
 // endpoint). Label conventions are documented in docs/observability.md:
 //
 //	impl   exchange implementation (harness.Impl.String()); the per-phase
