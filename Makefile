@@ -65,11 +65,13 @@ examples:
 # spawned worker processes, which `go test`'s own profile cannot see — and
 # runtime/coverage cannot emit from test binaries at all (their coverage
 # meta-data is not registered the way `go build -cover` registers it). So
-# the target also builds cmd/soak with -cover, drives one supervised
-# crash-and-recover sweep under GOCOVERDIR (supervisor + every worker
-# process, first lives and respawns, auto-emit binary pods on exit), and
-# folds `go tool covdata textfmt` of those pods into the profile before
-# the floor check. Worker-side statements thus count as covered.
+# the target also builds cmd/soak with -cover, drives two supervised
+# crash-and-recover sweeps under GOCOVERDIR (supervisor + every worker
+# process, first lives and respawns, auto-emit binary pods on exit) — one
+# on shmem with a caller-supplied -ckpt-dir, one on tcp with the private
+# checkpoint directory — and folds `go tool covdata textfmt` of those pods
+# into the profile before the floor check. Worker-side statements thus
+# count as covered.
 COVER_PROFILE ?= cover.out
 COVER_FLOOR_FILE ?= COVERAGE_FLOOR
 COVER_WORKER_DIR ?= /tmp/brick-worker-cov
@@ -81,6 +83,8 @@ cover:
 	GOCOVERDIR=$(COVER_WORKER_DIR)/pods $(COVER_WORKER_DIR)/soak -impls layout \
 		-transport shmem -ckpt -ckpt-every 2 -ckpt-dir $(COVER_WORKER_DIR)/ckpt \
 		-fault 'kill:rank=3:nth=2'
+	GOCOVERDIR=$(COVER_WORKER_DIR)/pods $(COVER_WORKER_DIR)/soak -impls layout \
+		-transport tcp -ckpt -ckpt-every 2 -fault 'kill:rank=3:nth=2'
 	$(GO) tool covdata textfmt -i=$(COVER_WORKER_DIR)/pods -o=$(COVER_PROFILE).workers
 	tail -n +2 $(COVER_PROFILE).workers >> $(COVER_PROFILE)
 	@total=$$($(GO) tool cover -func=$(COVER_PROFILE) | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
@@ -95,9 +99,10 @@ cover:
 race:
 	$(GO) test -race ./...
 
-# race-recovery repeats the cross-process recovery tests under -race. Their
-# races are timing-dependent (tcp reader goroutines against a restore,
-# coordinator aborts against a recovery round), so one pass proves little.
+# race-recovery repeats the recovery tests under -race. Their races are
+# timing-dependent (tcp reader goroutines against a restore, coordinator
+# aborts against a recovery round, in-process ranks reading the restore
+# step the policy pins), so one pass proves little.
 # The mpi tests take milliseconds each: the recovery round, the parked
 # listing and the respawn oracle, and the one-shot matcher's callers racing
 # one another — tcp readers and chan senders posting into it, the
@@ -105,6 +110,7 @@ race:
 race-recovery:
 	$(GO) test -race -count=20 -run 'TestTCPNetFaultRecovery$$' ./internal/harness
 	$(GO) test -race -count=5 -run 'TestSupervisedRecoveryAllImpls$$' ./internal/harness
+	$(GO) test -race -count=5 -run 'TestRecoveryPanicBitIdentical$$' ./internal/harness
 	$(GO) test -race -count=20 -run '^(TestRecoveryRoundConformance|TestStallReportListsParkedWorkers|TestPersistentOracleRespawn|TestConformanceOneShot|TestConformanceRespawnCycle|TestCollectiveOracleAcrossWorkers)$$' ./internal/mpi
 
 # soak runs the fault-injection soak under the race detector: every CPU

@@ -446,9 +446,10 @@ func BenchmarkAblation_FlightOverhead(b *testing.B) {
 // BenchmarkAblation_CheckpointOverhead measures the recovery runtime's
 // cost on a fault-free run in its three states: checkpointing absent
 // (Config.Checkpoint false — the step loop pays one nil check), every 4
-// steps, and every 2 steps. The per-epoch cost (quiesce barriers + storage
-// copy + deposit) is reported as ckpt_ms/epoch alongside the committed
-// epoch count and snapshot volume.
+// steps, and every 2 steps. The per-epoch cost (quiesce barriers, storage
+// copy, and the disk spill: rank files, manifest, pruning of the previous
+// epoch) is reported as ckpt_ms/epoch alongside the committed epoch count
+// and snapshot volume.
 func BenchmarkAblation_CheckpointOverhead(b *testing.B) {
 	base := func() harness.Config {
 		cfg := benchConfig(harness.Layout, 32, stencil.Star7(), netmodel.ThetaKNL())

@@ -1,8 +1,8 @@
 // Package ckpt implements versioned per-rank checkpoints of stencil state
 // for the recovery runtime: the brick-ckpt/v1 on-the-wire format (CRC-
 // checked encode/decode of one rank's storage buffers plus replay
-// metadata), and an in-memory double-buffered epoch store with optional
-// disk spill (see store.go).
+// metadata), and the on-disk epoch layout every checkpointing run commits
+// to and restores from (see disk.go).
 //
 // A snapshot captures everything a rank needs to re-enter the step loop
 // deterministically after a respawn: the raw float64 storage (for bricks,

@@ -2,9 +2,6 @@ package ckpt
 
 import (
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -61,108 +58,5 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Decode([]byte("not a checkpoint")); err == nil {
 		t.Error("garbage decoded cleanly; want error")
-	}
-}
-
-// TestStoreCommitAndLatest: an epoch serves only once complete, and a
-// newer complete epoch replaces it.
-func TestStoreCommitAndLatest(t *testing.T) {
-	st := NewStore(2, "")
-	if st.LatestStep() != -1 {
-		t.Fatal("empty store has a latest step")
-	}
-	if c, err := st.Put(sampleSnap(0, 4)); err != nil || c {
-		t.Fatalf("first deposit: committed=%v err=%v", c, err)
-	}
-	if st.Latest(0) != nil {
-		t.Fatal("partial epoch served")
-	}
-	if c, err := st.Put(sampleSnap(1, 4)); err != nil || !c {
-		t.Fatalf("completing deposit: committed=%v err=%v", c, err)
-	}
-	if st.LatestStep() != 4 {
-		t.Fatalf("LatestStep = %d, want 4", st.LatestStep())
-	}
-	// Next epoch: until complete, Latest stays on step 4.
-	if _, err := st.Put(sampleSnap(1, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Latest(0); got == nil || got.Step != 4 {
-		t.Fatalf("Latest mid-epoch = %+v, want step 4", got)
-	}
-	if _, err := st.Put(sampleSnap(0, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Latest(1); got == nil || got.Step != 6 {
-		t.Fatalf("Latest = %+v, want step 6", got)
-	}
-	if e, b := st.Stats(); e != 2 || b <= 0 {
-		t.Fatalf("Stats = %d epochs %d bytes", e, b)
-	}
-}
-
-// TestStoreProtocolErrors: duplicate deposits and abandoned partial epochs
-// are protocol bugs, rejected loudly.
-func TestStoreProtocolErrors(t *testing.T) {
-	st := NewStore(2, "")
-	if _, err := st.Put(sampleSnap(0, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Put(sampleSnap(0, 2)); err == nil || !strings.Contains(err.Error(), "twice") {
-		t.Fatalf("duplicate deposit: %v", err)
-	}
-	if _, err := st.Put(sampleSnap(1, 4)); err == nil || !strings.Contains(err.Error(), "abandoned") {
-		t.Fatalf("abandoning partial epoch: %v", err)
-	}
-	if _, err := st.Put(&Snapshot{Rank: 5, Step: 2}); err == nil {
-		t.Fatal("out-of-world rank accepted")
-	}
-}
-
-// TestStoreDropAndReplay: recovery drops a half-deposited epoch and replay
-// re-deposits an already-committed step from scratch.
-func TestStoreDropAndReplay(t *testing.T) {
-	st := NewStore(2, "")
-	st.Put(sampleSnap(0, 0))
-	st.Put(sampleSnap(1, 0))
-	// Failure strikes mid-checkpoint at step 2: one deposit, then Drop.
-	st.Put(sampleSnap(0, 2))
-	st.Drop()
-	if got := st.LatestStep(); got != 0 {
-		t.Fatalf("LatestStep after Drop = %d, want 0", got)
-	}
-	// Replay passes step 0 again: same-step re-deposit opens a new round.
-	if _, err := st.Put(sampleSnap(0, 0)); err != nil {
-		t.Fatalf("replay re-deposit: %v", err)
-	}
-	if c, err := st.Put(sampleSnap(1, 0)); err != nil || !c {
-		t.Fatalf("replay completion: committed=%v err=%v", c, err)
-	}
-	if got := st.LatestStep(); got != 0 {
-		t.Fatalf("LatestStep after replay = %d, want 0", got)
-	}
-}
-
-// TestStoreSpill: a committed epoch with spill enabled lands on disk as
-// decodable brick-ckpt/v1 files.
-func TestStoreSpill(t *testing.T) {
-	dir := t.TempDir()
-	st := NewStore(2, dir)
-	st.Put(sampleSnap(0, 8))
-	if c, err := st.Put(sampleSnap(1, 8)); err != nil || !c {
-		t.Fatalf("commit: committed=%v err=%v", c, err)
-	}
-	for rank := 0; rank < 2; rank++ {
-		blob, err := os.ReadFile(filepath.Join(dir, "epoch8", "rank"+string(rune('0'+rank))+".ckpt"))
-		if err != nil {
-			t.Fatalf("spill file: %v", err)
-		}
-		snap, err := Decode(blob)
-		if err != nil {
-			t.Fatalf("decode spill: %v", err)
-		}
-		if snap.Rank != rank || snap.Step != 8 {
-			t.Fatalf("spill snapshot %+v, want rank %d step 8", snap, rank)
-		}
 	}
 }

@@ -122,12 +122,48 @@ func Load(dir string, step, rank int) (*Snapshot, error) {
 // Skipping is silent by design: a partial epoch is the expected residue of
 // a crash mid-checkpoint, not an error.
 func ScanDir(dir string, ranks int) (step int, err error) {
+	steps, err := epochSteps(dir)
+	if err != nil {
+		return -1, err
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(steps)))
+	for _, st := range steps {
+		if epochComplete(dir, st, ranks) {
+			return st, nil
+		}
+	}
+	return -1, nil
+}
+
+// RemoveEpochs deletes every epoch directory under dir whose step is below
+// before, committed or not. The harness calls it with the step it just
+// committed, so the directory holds at most the newest complete epoch and
+// a partial one being written after it; with math.MaxInt it wipes the
+// epochs an earlier run left behind.
+func RemoveEpochs(dir string, before int) error {
+	steps, err := epochSteps(dir)
+	if err != nil {
+		return err
+	}
+	for _, st := range steps {
+		if st < before {
+			if err := os.RemoveAll(epochDir(dir, st)); err != nil {
+				return fmt.Errorf("ckpt: remove epoch %d: %w", st, err)
+			}
+		}
+	}
+	return nil
+}
+
+// epochSteps lists the steps of the epoch directories under dir, in
+// directory order; a missing dir holds none.
+func epochSteps(dir string) ([]int, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return -1, nil
+			return nil, nil
 		}
-		return -1, fmt.Errorf("ckpt: scan %s: %w", dir, err)
+		return nil, fmt.Errorf("ckpt: scan %s: %w", dir, err)
 	}
 	var steps []int
 	for _, e := range ents {
@@ -140,13 +176,7 @@ func ScanDir(dir string, ranks int) (step int, err error) {
 		}
 		steps = append(steps, n)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(steps)))
-	for _, st := range steps {
-		if epochComplete(dir, st, ranks) {
-			return st, nil
-		}
-	}
-	return -1, nil
+	return steps, nil
 }
 
 // epochComplete reports whether the epoch at step is fully committed and

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -139,21 +140,34 @@ func TestLoadCrossChecks(t *testing.T) {
 	}
 }
 
-// TestStoreSpillCommitsManifest: the in-process store's spill path uses the
-// same epoch layout and commit record as worker-mode spills, so a
-// supervised restart can scan epochs left by either driver.
-func TestStoreSpillCommitsManifest(t *testing.T) {
+// TestRemoveEpochs: pruning below a committed step removes every older
+// epoch, committed or partial, and keeps the committed one and anything
+// newer; a missing directory prunes nothing.
+func TestRemoveEpochs(t *testing.T) {
 	dir := t.TempDir()
-	st := NewStore(2, dir)
-	st.Put(sampleSnap(0, 8))
-	if c, err := st.Put(sampleSnap(1, 8)); err != nil || !c {
-		t.Fatalf("commit: committed=%v err=%v", c, err)
+	writeEpoch(t, dir, 2, 2)
+	writeEpoch(t, dir, 4, 2)
+	if err := Spill(dir, sampleSnap(0, 3)); err != nil { // partial, older
+		t.Fatal(err)
 	}
-	step, err := ScanDir(dir, 2)
+	if err := Spill(dir, sampleSnap(0, 6)); err != nil { // partial, newer
+		t.Fatal(err)
+	}
+	if err := RemoveEpochs(dir, 4); err != nil {
+		t.Fatal(err)
+	}
+	steps, err := epochSteps(dir)
 	if err != nil {
-		t.Fatalf("ScanDir: %v", err)
+		t.Fatal(err)
 	}
-	if step != 8 {
-		t.Fatalf("ScanDir = %d, want 8", step)
+	slices.Sort(steps)
+	if !slices.Equal(steps, []int{4, 6}) {
+		t.Fatalf("epochs left = %v, want [4 6]", steps)
+	}
+	if step, err := ScanDir(dir, 2); err != nil || step != 4 {
+		t.Fatalf("ScanDir after prune = %d, %v; want 4", step, err)
+	}
+	if err := RemoveEpochs(filepath.Join(dir, "absent"), 10); err != nil {
+		t.Fatalf("pruning a missing dir: %v", err)
 	}
 }

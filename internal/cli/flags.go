@@ -64,7 +64,7 @@ func RegisterCommon(ghostDefault, brickDefault, itersDefault int) *Common {
 	flag.DurationVar(&c.Watchdog, "watchdog", 0, "abort with a stall report if no exchange progress for this long (0 disables)")
 	flag.BoolVar(&c.Checkpoint, "ckpt", false, "checkpoint every -ckpt-every steps and recover from rank failures instead of failing loud")
 	flag.IntVar(&c.CheckpointEvery, "ckpt-every", 2, "steps between checkpoints under -ckpt")
-	flag.StringVar(&c.CheckpointDir, "ckpt-dir", "", "spill committed checkpoint epochs to this directory (brick-ckpt/v1 files)")
+	flag.StringVar(&c.CheckpointDir, "ckpt-dir", "", "commit checkpoint epochs (brick-ckpt/v1 files) to this directory, keeping the newest after the run; empty uses a private temporary directory")
 	flag.IntVar(&c.MaxRecoveries, "max-recoveries", 3, "recovery budget under -ckpt before the run fails with the original abort")
 	flag.BoolVar(&c.VerifyCRC, "verify-crc", false, "verify payload CRCs at receive; detected corruption aborts (and recovers under -ckpt)")
 	flag.BoolVar(&c.Flight, "flight", false, "record per-rank flight-recorder rings (post/deliver/wait/Pready/tile events); on stall or abort — and on chan after weak finishes — a brick-flight/v1 artifact is written to -flight-out (inspect with flightreport)")

@@ -51,7 +51,7 @@ const (
 	KindTileDone       // surface tile Part finished (before its Pready fires)
 	KindStep           // step-loop entered absolute step Step
 	KindPhase          // step-loop phase transition; Part is a Phase* code
-	KindCkpt           // checkpoint epoch deposited at step Step
+	KindCkpt           // checkpoint epoch spilled at step Step
 	KindRecovery       // recovery rewound this rank
 	// Connection-lifecycle kinds (tcp transport): Peer is the remote rank.
 	KindConnect       // data connection to/from Peer established

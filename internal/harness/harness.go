@@ -93,9 +93,9 @@ type Config struct {
 	// Cross-process runs reject the
 	// observability hooks that cannot span processes — Metrics and a
 	// caller-supplied FlightRec — and GPU (modeled) impls. Checkpoint
-	// recovery works, but requires CheckpointDir: workers spill epochs to
-	// disk and the supervisor respawns crashed workers from the latest
-	// complete one (see docs/robustness.md).
+	// recovery works as on chan: the supervisor respawns crashed workers
+	// and every rank restores from the newest committed epoch on disk
+	// (see docs/robustness.md).
 	Transport string
 	Ghost     int // ghost width in elements
 	Shape     core.Shape
@@ -134,26 +134,27 @@ type Config struct {
 	// instrumented paths then cost only pointer checks.
 	Metrics *metrics.Registry `json:"-"`
 
-	// Checkpoint enables the recovery driver: ranks snapshot their state
-	// every CheckpointEvery steps (brick-ckpt/v1 epochs in internal/ckpt)
-	// behind a world-wide quiesce barrier, and a world abort — injected
-	// panic, detected corruption, stall — rewinds every rank to the last
-	// complete epoch, respawns the world, and replays. Disabled (the
-	// default), the step loop pays one nil check.
+	// Checkpoint enables recovery, the same on every transport: ranks
+	// spill their state every CheckpointEvery steps behind a world-wide
+	// quiesce barrier and commit it as one brick-ckpt/v1 epoch on disk
+	// (internal/ckpt), keeping only the newest committed epoch; a world
+	// abort — injected panic, detected corruption, stall, or on shmem/tcp
+	// a dead worker — rewinds every rank to that epoch, respawns the world,
+	// and replays. Disabled (the default), the step loop pays one nil
+	// check.
 	Checkpoint bool
 	// CheckpointEvery is the absolute-step period between snapshots
 	// (warmup steps included); <= 0 defaults to 2.
 	CheckpointEvery int
-	// CheckpointDir, when non-empty, spills each committed epoch to
-	// <dir>/epoch<step>/rank<N>.ckpt for postmortem inspection.
+	// CheckpointDir is where epochs commit, as
+	// <dir>/epoch<step>/rank<N>.ckpt plus a manifest; epochs an earlier run
+	// left there are removed at start, and the newest committed one stays
+	// after the run for postmortem inspection. Empty uses a private
+	// temporary directory that Run removes when it returns.
 	CheckpointDir string
 	// MaxRecoveries caps world recoveries before the run fails loud with
 	// the original abort chain; <= 0 defaults to 3.
 	MaxRecoveries int
-	// RecoveryBackoff is the base of the exponential backoff between
-	// repeated recoveries of the same rank (the k-th recovery of a rank
-	// waits base<<(k-2); the first is immediate). Zero disables backoff.
-	RecoveryBackoff time.Duration
 	// VerifyCRC enables receive-side payload CRC verification in the mpi
 	// layer: silent wire corruption (the `corrupt` fault kind) is detected
 	// at delivery and aborts the world — recoverable like a crash.
@@ -296,12 +297,9 @@ func (c Config) Validate() error {
 	}
 	if c.supervised() {
 		// Worker ranks are separate processes: hooks that hand the caller a
-		// live in-process object cannot see them. Checkpoint recovery works —
-		// the supervisor respawns dead workers — but snapshots must cross
-		// process boundaries, so the disk spill is mandatory.
-		if c.Checkpoint && c.CheckpointDir == "" {
-			return fmt.Errorf("harness: checkpoint recovery on transport %q needs CheckpointDir: respawned workers restore from disk-spilled epochs", c.transportName())
-		}
+		// live in-process object cannot see them, and modeled GPU impls
+		// have no worker. Checkpoint recovery needs no check: epochs commit
+		// on disk on every transport.
 		if c.Impl.GPU() {
 			return fmt.Errorf("harness: GPU (modeled) impl %s is unsupported on transport %q", c.Impl, c.transportName())
 		}
@@ -387,7 +385,7 @@ func describeMetrics(reg *metrics.Registry) {
 	reg.Describe(metrics.ExchangeDegradedTotal, "Exchangers that fell back to copy-based windows (labels: impl, rank, reason).")
 	reg.Describe(metrics.ExchangePartitionsReadyTotal, "Send partitions marked ready (Pready fired by a completed surface tile).")
 	reg.Describe(metrics.PartitionReadyLagSeconds, "Delay from arming a partitioned send to each partition's Pready.")
-	reg.Describe(metrics.CkptBytesTotal, "Checkpoint snapshot payload bytes deposited (labels: impl, rank).")
+	reg.Describe(metrics.CkptBytesTotal, "Checkpoint snapshot payload bytes spilled (labels: impl, rank).")
 	reg.Describe(metrics.CkptEpochsTotal, "Committed world-wide checkpoint epochs (labels: impl).")
 	reg.Describe(metrics.RecoveryTotal, "Recovery verdicts (labels: rank, outcome=recovered|budget-exhausted).")
 	reg.Describe(metrics.FlightEventsTotal, "Flight-recorder events recorded per rank (including later-overwritten ones).")
@@ -425,8 +423,9 @@ func recordPlan(res *Result, reg *metrics.Registry, im Impl, rank int, tr string
 // same way, with the AbortError carrying the StallReport.
 //
 // With Config.Checkpoint set the abort instead triggers checkpoint
-// recovery (see runRecoverable): the run only fails once MaxRecoveries is
-// exhausted, and then with the original abort chain.
+// recovery on every transport (see recoveryPolicy): the world rewinds to
+// the newest epoch committed on disk and replays, and the run only fails
+// once MaxRecoveries is exhausted, and then with the original abort chain.
 func Run(cfg Config) (res Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -446,6 +445,14 @@ func Run(cfg Config) (res Result, err error) {
 		// silently inject nothing.
 		return Result{}, fmt.Errorf("harness: fault %q injects network faults; they need the tcp transport (-transport tcp)", cfg.Fault)
 	}
+	if cfg.Checkpoint {
+		dir, done, err := checkpointDir(cfg.CheckpointDir)
+		if err != nil {
+			return Result{}, err
+		}
+		defer done()
+		cfg.CheckpointDir = dir
+	}
 	if cfg.supervised() {
 		// Workers re-parse the fault spec themselves; the parse above only
 		// front-loads syntax errors before any process spawns.
@@ -453,32 +460,41 @@ func Run(cfg Config) (res Result, err error) {
 	}
 	cfg.inj = inj
 	cfg.resolveFlight()
-	if cfg.Checkpoint {
-		return runRecoverable(cfg)
-	}
-	n := cfg.ranks()
-	perRank := make([]Result, n)
+	perRank := make([]Result, cfg.ranks())
 	w, detach := setupWorld(cfg)
 	defer detach()
-	// World.Run re-raises the first failure as an *mpi.AbortError panic once
-	// every rank has unwound; surface it as the run's error.
+	pol := newRecoveryPolicy(cfg)
+	var onRecover func(*mpi.AbortError, int) (int, bool)
+	if cfg.Checkpoint {
+		cfg.ck = newCkptState(cfg, w)
+		onRecover = func(ae *mpi.AbortError, _ int) (int, bool) { return pol.decide(ae.Rank) }
+	}
+	// World.RunRecoverable re-raises the failure it gave up on as an
+	// *mpi.AbortError panic once every rank has unwound; surface it as the
+	// run's error.
 	defer func() {
 		if p := recover(); p != nil {
 			ae, ok := p.(*mpi.AbortError)
 			if !ok {
 				panic(p)
 			}
-			flightDump(cfg, ae, "")
-			res, err = Result{}, ae
+			reason := ""
+			if pol.exhausted {
+				reason = "recovery-budget"
+			}
+			flightDump(cfg, ae, reason)
+			res, err = Result{}, pol.wrap(ae)
 		}
 	}()
-	w.Run(rankBody(cfg, perRank))
-	return aggregate(cfg, perRank), nil
+	w.RunRecoverable(rankBody(cfg, perRank), onRecover)
+	res = aggregate(cfg, perRank)
+	res.Recoveries = pol.recovered
+	return res, nil
 }
 
 // resolveFlight materializes the run's flight recorder: the supplied
 // FlightRec if any, otherwise a fresh one when Flight is set. Run and
-// runRecoverable call it once, before the first world starts, so one
+// WorkerMain call it once, before the first world starts, so one
 // recorder (and one time epoch) spans every recovery epoch.
 func (c *Config) resolveFlight() {
 	if c.FlightRec == nil && c.Flight {
@@ -547,8 +563,8 @@ func setupWorld(cfg Config) (*mpi.World, func()) {
 	return w, detach
 }
 
-// rankBody returns the per-rank body shared by the fail-loud and
-// recoverable drivers. Under recovery the body re-runs per epoch, so
+// rankBody returns the per-rank body shared by Run's in-process ranks and
+// the worker processes. Under recovery the body re-runs per epoch, so
 // everything it builds — topology, decomposition, exchangers — is rebuilt
 // from scratch each time; the runners restore snapshot state internally.
 func rankBody(cfg Config, perRank []Result) func(*mpi.Comm) {

@@ -2,9 +2,10 @@ package harness
 
 import (
 	"fmt"
+	"math"
+	"os"
 	"strconv"
 	"sync"
-	"time"
 
 	"github.com/bricklab/brick/internal/ckpt"
 	"github.com/bricklab/brick/internal/flight"
@@ -12,84 +13,56 @@ import (
 	"github.com/bricklab/brick/internal/mpi"
 )
 
-// ckptState is the checkpoint/restore machinery shared by the runners and
-// the recovery driver for one recoverable run. It owns the epoch store,
-// the checkpoint cadence, and the pre-failure plan digests that respawned
-// ranks must reproduce.
+// ckptState is the checkpoint/restore machinery of one rank body under
+// Config.Checkpoint, the same on every transport: an in-process run
+// shares one across its rank goroutines, a worker process holds one for
+// its rank. It owns the checkpoint cadence, the epoch directory, and the
+// pre-failure plan digests that respawned ranks must reproduce.
 //
-// It has two modes. In-process (chan transport): store is the world-wide
-// epoch store, every rank of the run deposits into it, and restore reads
-// store.Latest. Worker (shmem transport): store is nil — the process runs
-// one rank and cannot hold a world-wide epoch — and checkpoints go
-// straight to disk (ckpt.Spill per rank, rank 0 writing the manifest
-// behind a barrier); restore loads the epoch the supervisor pinned at the
-// recovery round (restoreStep, -1 for none).
+// Checkpoints commit on disk (ckpt.Spill per rank, rank 0 writing the
+// manifest behind a barrier, then pruning the older epochs); restore loads
+// the epoch the recovery policy picked, which the world publishes as its
+// RestoreStep (-1 for none).
 type ckptState struct {
-	store *ckpt.Store
 	every int // absolute-step checkpoint period
 	impl  Impl
 	reg   *metrics.Registry
 	fr    *flight.Recorder
-
-	// Worker (disk) mode: the spill directory, the world size for the
-	// manifest, and the restore step the supervisor published for this
-	// epoch (-1: restart from scratch).
-	dir         string
-	ranks       int
-	restoreStep int
+	dir   string
+	ranks int
+	w     *mpi.World
 
 	mu      sync.Mutex
 	digests map[int]string // rank -> plan digest of the first build
 }
 
-func newCkptState(cfg Config) *ckptState {
+func newCkptState(cfg Config, w *mpi.World) *ckptState {
+	every := cfg.CheckpointEvery
+	if every <= 0 {
+		every = 2
+	}
 	return &ckptState{
-		store:       ckpt.NewStore(cfg.ranks(), cfg.CheckpointDir),
-		every:       ckptEvery(cfg),
-		impl:        cfg.Impl,
-		reg:         cfg.Metrics,
-		fr:          cfg.FlightRec,
-		ranks:       cfg.ranks(),
-		restoreStep: -1,
-		digests:     map[int]string{},
+		every:   every,
+		impl:    cfg.Impl,
+		reg:     cfg.Metrics,
+		fr:      cfg.FlightRec,
+		dir:     cfg.CheckpointDir,
+		ranks:   cfg.ranks(),
+		w:       w,
+		digests: map[int]string{},
 	}
-}
-
-// newWorkerCkptState builds the disk-mode state for one worker process's
-// epoch. restoreStep is the checkpoint step the supervisor pinned for this
-// epoch: -1 on a first run, the ckpt.ScanDir verdict after a recovery.
-func newWorkerCkptState(cfg Config, restoreStep int) *ckptState {
-	return &ckptState{
-		every:       ckptEvery(cfg),
-		impl:        cfg.Impl,
-		fr:          cfg.FlightRec,
-		dir:         cfg.CheckpointDir,
-		ranks:       cfg.ranks(),
-		restoreStep: restoreStep,
-		digests:     map[int]string{},
-	}
-}
-
-func ckptEvery(cfg Config) int {
-	if cfg.CheckpointEvery > 0 {
-		return cfg.CheckpointEvery
-	}
-	return 2
 }
 
 // latest returns rank's snapshot to restore from, or nil to start from
-// scratch. In-process mode serves the store's newest complete epoch;
-// worker mode loads (and CRC-verifies) the supervisor-pinned epoch from
-// disk — an unreadable pinned epoch is an error, not a silent fresh start,
-// because the supervisor already verified it when scanning.
+// scratch. It loads (and CRC-verifies) the epoch the world restores from;
+// an unreadable epoch is an error, not a silent fresh start, because the
+// recovery policy already verified it when scanning.
 func (ck *ckptState) latest(rank int) (*ckpt.Snapshot, error) {
-	if ck.store != nil {
-		return ck.store.Latest(rank), nil
-	}
-	if ck.restoreStep < 0 {
+	step := ck.w.RestoreStep()
+	if step < 0 {
 		return nil, nil
 	}
-	return ckpt.Load(ck.dir, ck.restoreStep, rank)
+	return ckpt.Load(ck.dir, step, rank)
 }
 
 // noteDigest records rank's compiled plan digest on the first build and,
@@ -113,135 +86,123 @@ func (ck *ckptState) noteDigest(rank int, digest string) error {
 }
 
 // checkpoint runs one world-coordinated snapshot round: a quiesce barrier,
-// the capture and deposit, and a closing barrier so no rank races ahead and
-// mutates storage another rank is still encoding. Across the barrier
-// nothing is delivered into a rank's storage: delivery needs the rank to
-// start its receives, and every rank is here between steps with its
-// receives completed. The pipelined brick schedule does have the next
-// exchange's sends armed and released across it, but they only read
-// surface bricks, which capture copies unchanged, and a replay re-arms
-// them from the restored storage, so the bytes sent are the same. Both
-// barriers tick the watchdog progress counter, so a slow checkpoint is
-// progress, not a stall.
+// each rank's capture and spill, a barrier ordering every spill before
+// rank 0's manifest — the epoch's commit record — and rank 0 pruning the
+// epochs older than the one it just committed. A crash anywhere before the
+// manifest leaves a partial epoch that ckpt.ScanDir skips, and the previous
+// committed epoch is still on disk. The second barrier also keeps a rank
+// from racing ahead and mutating storage another rank is still encoding.
+// Across the barriers nothing is delivered into a rank's storage: delivery
+// needs the rank to start its receives, and every rank is here between
+// steps with its receives completed. The pipelined brick schedule does
+// have the next exchange's sends armed and released across them, but they
+// only read surface bricks, which capture copies unchanged, and a replay
+// re-arms them from the restored storage, so the bytes sent are the same.
+// Both barriers tick the watchdog progress counter, so a slow checkpoint
+// is progress, not a stall.
 func (ck *ckptState) checkpoint(comm *mpi.Comm, rank, step int, capture func() *ckpt.Snapshot) {
 	comm.Barrier()
 	ck.fr.Rank(rank).Record(flight.KindCkpt, -1, -1, -1, 0, 0)
 	snap := capture()
-	if ck.store == nil {
-		// Worker (disk) mode: each rank spills its own snapshot; the closing
-		// barrier orders every spill before rank 0's manifest, the epoch's
-		// commit record. A crash anywhere in between leaves a manifest-less
-		// partial epoch that ScanDir skips.
-		if err := ckpt.Spill(ck.dir, snap); err != nil {
-			comm.Abort(err)
-		}
-		comm.Barrier()
-		if rank == 0 {
-			if err := ckpt.WriteManifest(ck.dir, step, ck.ranks); err != nil {
-				comm.Abort(err)
-			}
-		}
-		return
-	}
-	committed, err := ck.store.Put(snap)
-	if err != nil {
+	if err := ckpt.Spill(ck.dir, snap); err != nil {
 		comm.Abort(err)
 	}
 	if ck.reg != nil {
 		ck.reg.Counter(metrics.CkptBytesTotal, metrics.Labels{
 			"impl": ck.impl.String(), "rank": strconv.Itoa(rank)}).Add(snap.Bytes())
-		if committed {
-			ck.reg.Counter(metrics.CkptEpochsTotal, metrics.Labels{"impl": ck.impl.String()}).Add(1)
-		}
 	}
 	comm.Barrier()
+	if rank != 0 {
+		return
+	}
+	if err := ckpt.WriteManifest(ck.dir, step, ck.ranks); err != nil {
+		comm.Abort(err)
+	}
+	if ck.reg != nil {
+		ck.reg.Counter(metrics.CkptEpochsTotal, metrics.Labels{"impl": ck.impl.String()}).Add(1)
+	}
+	if err := ckpt.RemoveEpochs(ck.dir, step); err != nil {
+		comm.Abort(err)
+	}
 }
 
-// recoveryBackoff returns how long to wait before the k-th recovery of a
-// rank: nothing for the first, then base, 2*base, 4*base, ... capped at
-// base<<10 so a misconfigured base cannot park the run for hours.
-func recoveryBackoff(base time.Duration, k int) time.Duration {
-	if base <= 0 || k <= 1 {
-		return 0
+// checkpointDir resolves the epoch directory of a checkpointing run: the
+// caller's, cleared of the epochs an earlier run (possibly a different
+// world or domain) left there so they can never be restored into this
+// one, or a private directory that done removes when the run returns.
+func checkpointDir(dir string) (resolved string, done func(), err error) {
+	if dir == "" {
+		if dir, err = os.MkdirTemp("", "brick-ckpt-*"); err != nil {
+			return "", nil, fmt.Errorf("harness: checkpoint dir: %w", err)
+		}
+		return dir, func() { os.RemoveAll(dir) }, nil
 	}
-	shift := k - 2
-	if shift > 10 {
-		shift = 10
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", nil, fmt.Errorf("harness: checkpoint dir: %w", err)
 	}
-	return base << uint(shift)
+	if err := ckpt.RemoveEpochs(dir, math.MaxInt); err != nil {
+		return "", nil, fmt.Errorf("harness: clearing stale epochs: %w", err)
+	}
+	return dir, func() {}, nil
 }
 
-// runRecoverable is the fail-over driver behind Config.Checkpoint: it runs
-// the same rank bodies as Run, but under mpi.World.RunRecoverable, so a
-// world abort — injected panic, detected corruption, stall — rewinds the
-// world to the last complete checkpoint epoch instead of killing the run.
-// Each recovery drops any half-deposited epoch, backs off exponentially for
-// repeat offenders, respawns every rank, and replays from the snapshot;
-// once MaxRecoveries is exhausted the original abort chain is re-raised
-// wrapped in a budget error.
-func runRecoverable(cfg Config) (res Result, err error) {
+// recoveryPolicy is the one recovery policy of both supervisors — the
+// in-process run's onRecover and the worker supervisor's Recover call
+// decide once per world failure, while every rank is parked. It spends a
+// budget of MaxRecoveries (<= 0 defaults to 3) and picks the newest
+// complete epoch on disk as the restore step.
+type recoveryPolicy struct {
+	cfg       Config
+	budget    int
+	recovered int
+	exhausted bool
+}
+
+func newRecoveryPolicy(cfg Config) *recoveryPolicy {
 	budget := cfg.MaxRecoveries
 	if budget <= 0 {
 		budget = 3
 	}
-	ck := newCkptState(cfg)
-	cfg.ck = ck
-	n := cfg.ranks()
-	perRank := make([]Result, n)
-	w, detach := setupWorld(cfg)
-	defer detach()
+	return &recoveryPolicy{cfg: cfg, budget: budget}
+}
 
-	perRankRecoveries := map[int]int{}
-	total, recovered := 0, 0
-	var exhausted *mpi.AbortError
-	onRecover := func(ae *mpi.AbortError, _ int) bool {
-		retry := total < budget
-		total++
-		outcome := "recovered"
-		if !retry {
-			outcome = "budget-exhausted"
-		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.Counter(metrics.RecoveryTotal, metrics.Labels{
-				"rank": strconv.Itoa(ae.Rank), "outcome": outcome}).Add(1)
-		}
-		if !retry {
-			exhausted = ae
-			return false
-		}
-		// Mark the recovery epoch on the failed rank's ring (watchdog aborts
-		// carry rank -1, which Rank maps to a nil no-op ring).
-		cfg.FlightRec.Rank(ae.Rank).Record(flight.KindRecovery, -1, -1, -1, 0, 0)
-		// A failure mid-checkpoint leaves a partial epoch nobody will
-		// finish; replay re-deposits that step from scratch.
-		ck.store.Drop()
-		k := perRankRecoveries[ae.Rank] + 1
-		perRankRecoveries[ae.Rank] = k
-		if d := recoveryBackoff(cfg.RecoveryBackoff, k); d > 0 {
-			time.Sleep(d)
-		}
-		recovered++
-		return true
+// decide rules on one world failure attributed to rank (-1 when no rank
+// is known: a watchdog stall, or a soft abort seen by the worker
+// supervisor). It books the verdict in recovery_total and, on retry, marks
+// the recovery on the failed rank's flight ring and returns the step to
+// restore from.
+func (p *recoveryPolicy) decide(rank int) (restoreStep int, retry bool) {
+	retry = p.recovered < p.budget
+	outcome := "recovered"
+	if !retry {
+		outcome = "budget-exhausted"
 	}
+	if p.cfg.Metrics != nil {
+		p.cfg.Metrics.Counter(metrics.RecoveryTotal, metrics.Labels{
+			"rank": strconv.Itoa(rank), "outcome": outcome}).Add(1)
+	}
+	if !retry {
+		p.exhausted = true
+		return -1, false
+	}
+	// Rank maps -1 to a nil no-op ring.
+	p.cfg.FlightRec.Rank(rank).Record(flight.KindRecovery, -1, -1, -1, 0, 0)
+	step, err := ckpt.ScanDir(p.cfg.CheckpointDir, p.cfg.ranks())
+	if err != nil {
+		// Replay from scratch rather than give up: determinism makes a
+		// zero-step replay correct, just slower.
+		fmt.Fprintf(os.Stderr, "harness: checkpoint scan failed (%v); replaying from scratch\n", err)
+		step = -1
+	}
+	p.recovered++
+	return step, true
+}
 
-	defer func() {
-		if p := recover(); p != nil {
-			ae, ok := p.(*mpi.AbortError)
-			if !ok {
-				panic(p)
-			}
-			if ae == exhausted {
-				flightDump(cfg, ae, "recovery-budget")
-				err = fmt.Errorf("harness: recovery budget exhausted after %d recoveries: %w", budget, ae)
-			} else {
-				flightDump(cfg, ae, "")
-				err = ae
-			}
-			res = Result{}
-		}
-	}()
-	w.RunRecoverable(rankBody(cfg, perRank), onRecover)
-	res = aggregate(cfg, perRank)
-	res.Recoveries = recovered
-	return res, nil
+// wrap returns the run's failure, wrapped in the budget error once the
+// budget ran out.
+func (p *recoveryPolicy) wrap(err error) error {
+	if p.exhausted {
+		return fmt.Errorf("harness: recovery budget exhausted after %d recoveries: %w", p.budget, err)
+	}
+	return err
 }

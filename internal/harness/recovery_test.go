@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -220,8 +221,8 @@ func TestRecoveryObservability(t *testing.T) {
 	}
 }
 
-// TestRecoveryCheckpointSpill: with a spill dir, committed epochs land on
-// disk for postmortem inspection.
+// TestRecoveryCheckpointSpill: with a caller-supplied dir, the newest
+// committed epoch stays on disk for postmortem inspection.
 func TestRecoveryCheckpointSpill(t *testing.T) {
 	cfg := recoverConfig(YASK)
 	cfg.Procs = [3]int{2, 1, 1}
@@ -229,8 +230,11 @@ func TestRecoveryCheckpointSpill(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	// Epoch at absolute step 0 always commits; its spill must decode.
-	blob, err := os.ReadFile(filepath.Join(cfg.CheckpointDir, "epoch0", "rank0.ckpt"))
+	step, err := ckpt.ScanDir(cfg.CheckpointDir, cfg.ranks())
+	if err != nil || step < 0 {
+		t.Fatalf("no committed epoch on disk: step %d, %v", step, err)
+	}
+	blob, err := os.ReadFile(filepath.Join(cfg.CheckpointDir, fmt.Sprintf("epoch%d", step), "rank0.ckpt"))
 	if err != nil {
 		t.Fatalf("spill missing: %v", err)
 	}
@@ -238,27 +242,43 @@ func TestRecoveryCheckpointSpill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spill does not decode: %v", err)
 	}
-	if snap.Rank != 0 || snap.Step != 0 {
-		t.Fatalf("spill snapshot %+v, want rank 0 step 0", snap)
+	if snap.Rank != 0 || snap.Step != step {
+		t.Fatalf("spill snapshot %+v, want rank 0 step %d", snap, step)
 	}
 }
 
-// TestRecoveryBackoff: the exponential schedule — first recovery of a rank
-// immediate, then base, 2*base, ... capped.
-func TestRecoveryBackoff(t *testing.T) {
-	base := 10 * time.Millisecond
-	for _, tc := range []struct {
-		k    int
-		want time.Duration
-	}{
-		{1, 0}, {2, base}, {3, 2 * base}, {4, 4 * base}, {20, base << 10},
-	} {
-		if got := recoveryBackoff(base, tc.k); got != tc.want {
-			t.Errorf("recoveryBackoff(base, %d) = %v, want %v", tc.k, got, tc.want)
-		}
+// TestRecoveryPrunesToNewestEpoch: each commit removes the epochs before
+// it, so after a recovered chan run the directory holds exactly one epoch,
+// the newest checkpoint step, with its manifest and every rank's file.
+func TestRecoveryPrunesToNewestEpoch(t *testing.T) {
+	cfg := recoverConfig(Layout)
+	cfg.Fault = "panic:rank=3:step=3"
+	cfg.CheckpointDir = t.TempDir()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("recovered run: %v", err)
 	}
-	if got := recoveryBackoff(0, 5); got != 0 {
-		t.Errorf("zero base backed off %v", got)
+	if res.Recoveries != 1 {
+		t.Fatalf("Recoveries = %d, want 1", res.Recoveries)
+	}
+	ents, err := os.ReadDir(cfg.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := (cfg.Warmup + cfg.Steps - 1) / cfg.CheckpointEvery * cfg.CheckpointEvery
+	want := fmt.Sprintf("epoch%d", newest)
+	if len(ents) != 1 || ents[0].Name() != want {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("checkpoint dir holds %v, want only %s", names, want)
+	}
+	if _, err := os.Stat(filepath.Join(cfg.CheckpointDir, want, "MANIFEST.json")); err != nil {
+		t.Fatalf("newest epoch lacks its manifest: %v", err)
+	}
+	if step, err := ckpt.ScanDir(cfg.CheckpointDir, cfg.ranks()); err != nil || step != newest {
+		t.Fatalf("ScanDir = %d, %v; want %d", step, err, newest)
 	}
 }
 

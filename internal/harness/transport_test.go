@@ -193,7 +193,6 @@ func TestSupervisedGates(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"checkpoint-without-dir", func(c *Config) { c.Checkpoint = true }},
 		{"gpu-impl", func(c *Config) { c.Impl = GPULayoutCA }},
 		{"metrics", func(c *Config) { c.Metrics = metrics.NewRegistry() }},
 		{"flightrec", func(c *Config) { c.FlightRec = flight.New(8, 0) }},
@@ -205,13 +204,12 @@ func TestSupervisedGates(t *testing.T) {
 			t.Errorf("%s: accepted on a supervised transport", tc.name)
 		}
 	}
-	// Checkpoint recovery IS supported supervised — it just needs the disk
-	// spill so respawned workers have somewhere to restore from.
+	// Checkpoint recovery IS supported supervised, with or without a
+	// caller-supplied epoch directory.
 	cfg := base
 	cfg.Checkpoint = true
-	cfg.CheckpointDir = t.TempDir()
 	if err := cfg.Validate(); err != nil {
-		t.Errorf("supervised checkpoint with a spill dir rejected: %v", err)
+		t.Errorf("supervised checkpoint rejected: %v", err)
 	}
 	// The same hooks stay valid in-process.
 	cfg = base
@@ -272,6 +270,46 @@ func TestSupervisedRecoveryAllImpls(t *testing.T) {
 			}
 			if math.Abs(cres.Checksum) < 1e-9 {
 				t.Fatalf("degenerate checksum %v", cres.Checksum)
+			}
+		})
+	}
+}
+
+// TestRecoveryPrivateDirAcrossTransports: a checkpointing run given no
+// CheckpointDir commits its epochs to a private temporary directory — on
+// the worker transports too — survives a SIGKILLed worker bit-identical
+// to the fault-free chan run, and removes the directory when it returns.
+func TestRecoveryPrivateDirAcrossTransports(t *testing.T) {
+	skipWithoutShmem(t)
+	clean := supervisedConfig(Layout)
+	clean.Transport = ""
+	cres, err := Run(clean)
+	if err != nil {
+		t.Fatalf("fault-free chan run: %v", err)
+	}
+	for _, tr := range []string{"shmem", "tcp"} {
+		t.Run(tr, func(t *testing.T) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			cfg := supervisedConfig(Layout)
+			cfg.Transport = tr
+			cfg.Fault = "kill:rank=3:nth=2"
+			cfg.Checkpoint = true
+			cfg.CheckpointEvery = 2
+			rres, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("run did not recover from SIGKILL: %v", err)
+			}
+			if rres.Recoveries == 0 {
+				t.Fatal("injected kill never fired: zero recovery rounds")
+			}
+			if math.Float64bits(cres.Checksum) != math.Float64bits(rres.Checksum) {
+				t.Fatalf("recovered checksum diverged: fault-free chan %v, recovered %s %v",
+					cres.Checksum, tr, rres.Checksum)
+			}
+			left, err := filepath.Glob(filepath.Join(os.TempDir(), "brick-ckpt-*"))
+			if err != nil || len(left) != 0 {
+				t.Fatalf("private checkpoint dir left behind: %v %v", left, err)
 			}
 		})
 	}

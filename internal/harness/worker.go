@@ -4,12 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime/coverage"
-	"strings"
-	"time"
 
-	"github.com/bricklab/brick/internal/ckpt"
 	"github.com/bricklab/brick/internal/fault"
 	"github.com/bricklab/brick/internal/mpi"
 	"github.com/bricklab/brick/internal/mpi/proc"
@@ -26,10 +22,10 @@ import (
 // a hard worker death (SIGKILL, OOM, nonzero exit) or a soft world abort
 // triggers a recovery round in which the supervisor quarantines the
 // segment, respawns the dead ranks, and directs the world to replay from
-// the newest complete disk-spilled checkpoint epoch — until the run
-// completes or MaxRecoveries is exhausted, at which point the original
-// failure surfaces wrapped in the budget error, exactly like the
-// in-process driver's.
+// the step the shared recoveryPolicy picks — until the run completes or
+// the budget is spent, at which point the original failure surfaces
+// wrapped in the budget error, exactly like an in-process run's. The
+// spec carries the epoch directory Run resolved, a private one included.
 func runSupervised(cfg Config) (Result, error) {
 	n := cfg.ranks()
 	w, err := mpi.NewWorldOn(cfg.transportName(), n)
@@ -50,55 +46,19 @@ func runSupervised(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("harness: encoding worker spec: %w", err)
 	}
 	var opts proc.Options
-	budget := cfg.MaxRecoveries
-	if budget <= 0 {
-		budget = 3
-	}
-	exhausted := false
-	recovered := 0
+	pol := newRecoveryPolicy(cfg)
 	if cfg.Checkpoint {
-		// Stale epochs from an earlier run (possibly a different world or
-		// domain) must not be restored into this one.
-		if err := wipeEpochs(cfg.CheckpointDir); err != nil {
-			return Result{}, err
-		}
-		perRankRecoveries := map[int]int{}
-		total := 0
-		opts.Recover = func(attempt int, death *proc.Death, abortMsg string) (restoreStep int, retry bool) {
-			retry = total < budget
-			total++
-			if !retry {
-				exhausted = true
-				return -1, false
-			}
-			// Backoff keyed per rank, like the in-process driver; a soft
-			// abort with no death books under the abort's publisher slot -1.
-			r := -1
+		opts.Recover = func(_ int, death *proc.Death, _ string) (int, bool) {
+			r := -1 // a soft abort names no dead worker
 			if death != nil {
 				r = death.Rank
 			}
-			k := perRankRecoveries[r] + 1
-			perRankRecoveries[r] = k
-			if d := recoveryBackoff(cfg.RecoveryBackoff, k); d > 0 {
-				time.Sleep(d)
-			}
-			step, serr := ckpt.ScanDir(cfg.CheckpointDir, n)
-			if serr != nil {
-				// Replay from scratch rather than give up: determinism makes a
-				// zero-step replay correct, just slower.
-				fmt.Fprintf(os.Stderr, "harness: checkpoint scan failed (%v); replaying from scratch\n", serr)
-				step = -1
-			}
-			recovered++
-			return step, true
+			return pol.decide(r)
 		}
 	}
 	envs, err := proc.Run(w, specJSON, opts)
 	if err != nil {
-		if exhausted {
-			return Result{}, fmt.Errorf("harness: recovery budget exhausted after %d recoveries: %w", budget, err)
-		}
-		return Result{}, err
+		return Result{}, pol.wrap(err)
 	}
 	perRank := make([]Result, n)
 	for _, e := range envs {
@@ -113,28 +73,8 @@ func runSupervised(cfg Config) (Result, error) {
 		perRank[e.Rank].Config = cfg
 	}
 	res := aggregate(cfg, perRank)
-	res.Recoveries = recovered
+	res.Recoveries = pol.recovered
 	return res, nil
-}
-
-// wipeEpochs clears epoch directories left under dir by earlier runs, so
-// a recovery of this run can never restore a stale world's snapshots.
-func wipeEpochs(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("harness: checkpoint dir: %w", err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("harness: checkpoint dir: %w", err)
-	}
-	for _, e := range ents {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "epoch") {
-			if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
-				return fmt.Errorf("harness: clearing stale epoch %s: %w", e.Name(), err)
-			}
-		}
-	}
-	return nil
 }
 
 // coverFlush writes this worker process's coverage counters before exit.
@@ -229,9 +169,10 @@ func WorkerMain() {
 		w.RunRank(wk.Rank, rankBody(cfg, perRank))
 	}
 	if cfg.Checkpoint {
-		// First lives read -1 here; a respawned worker reads the step the
-		// supervisor pinned when it quarantined the segment.
-		cfg.ck = newWorkerCkptState(cfg, w.RestoreStep())
+		// Each epoch restores from the world's RestoreStep: -1 for a first
+		// life, the step the supervisor pinned for a respawned worker or a
+		// resumed survivor.
+		cfg.ck = newCkptState(cfg, w)
 	}
 	for {
 		runEpoch()
@@ -241,11 +182,9 @@ func WorkerMain() {
 		// Park at the cross-process recovery barrier; the supervisor's
 		// verdict either re-enters the body from the pinned step or releases
 		// us to report the abort below.
-		resume, restoreStep := w.ParkForRecovery(wk.Rank)
-		if !resume {
+		if resume, _ := w.ParkForRecovery(wk.Rank); !resume {
 			break
 		}
-		cfg.ck = newWorkerCkptState(cfg, restoreStep)
 	}
 	var payload any
 	if runErr == nil {

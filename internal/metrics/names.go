@@ -81,7 +81,7 @@ const (
 	// Checkpoint/recovery families of the internal/ckpt + harness recovery
 	// driver (PR 5).
 	//
-	// CkptBytesTotal: counter of snapshot payload bytes deposited
+	// CkptBytesTotal: counter of snapshot payload bytes spilled
 	// (labels: impl, rank).
 	CkptBytesTotal = "ckpt_bytes_total"
 	// CkptEpochsTotal: counter of committed world-wide checkpoint epochs

@@ -818,12 +818,12 @@ func runPersOracleRespawn(t *testing.T, transport string, seed int64, size int) 
 				s = stop
 			}
 			got[c.Rank()] = p.exec(c, s)
-		}, func(ae *AbortError, attempt int) bool {
+		}, func(ae *AbortError, attempt int) (int, bool) {
 			if ae.Rank != victim {
 				t.Errorf("seed %d on %s: abort attributed to rank %d, want %d: %v", seed, transport, ae.Rank, victim, ae)
 			}
 			epoch.Add(1)
-			return attempt == 1
+			return -1, attempt == 1
 		})
 	}()
 	if epoch.Load() != 1 {

@@ -74,8 +74,9 @@ type verdict struct {
 // epoch emptied the persistent-endpoint matcher). onRecover is called once
 // per world-wide abort, with the *AbortError and the 1-based attempt
 // number, while every rank is parked and the world is quiescent — it may
-// checkpoint-rewind, log, sleep for backoff, and decide: true to respawn
-// and retry, false to give up. On give-up (and on a nil onRecover, which
+// pick a checkpoint, log, and decide: retry to respawn, naming the
+// checkpoint step the new epoch restores from (-1 for none; ranks read it
+// with RestoreStep), or give up. On give-up (and on a nil onRecover, which
 // degenerates to Run) the *AbortError re-raises in the caller exactly as
 // Run would.
 //
@@ -83,7 +84,7 @@ type verdict struct {
 // ranks park with ParkForRecovery and it converges, resumes and gives up
 // with AwaitParked, ResumeRound and GiveUpRound, as the worker supervisor
 // does.
-func (w *World) RunRecoverable(body func(*Comm), onRecover func(ae *AbortError, attempt int) bool) {
+func (w *World) RunRecoverable(body func(*Comm), onRecover func(ae *AbortError, attempt int) (restoreStep int, retry bool)) {
 	if onRecover == nil {
 		w.Run(body)
 		return
@@ -138,12 +139,16 @@ func (w *World) RunRecoverable(body func(*Comm), onRecover func(ae *AbortError, 
 		}
 		stopWatchdog()
 		ae := w.Aborted()
-		if len(live()) < w.size || !onRecover(ae, attempt) {
+		step, retry := -1, false
+		if len(live()) == w.size {
+			step, retry = onRecover(ae, attempt)
+		}
+		if !retry {
 			w.GiveUpRound()
 			<-done
 			panic(ae)
 		}
-		w.ResumeRound(nil, -1)
+		w.ResumeRound(nil, step)
 		stopWatchdog = w.startWatchdog()
 	}
 }
@@ -248,8 +253,9 @@ func (w *World) enterEpoch(v verdict) {
 }
 
 // RestoreStep reads the checkpoint step the current epoch restores from
-// (-1 when none). Survivors learn it from ParkForRecovery's return; a
-// respawned worker, which never parked, reads it here after attach.
+// (-1 when none): the step RunRecoverable's policy or the worker
+// supervisor named when it resumed the world. A respawned worker, which
+// never parked, reads it here after attach.
 func (w *World) RestoreStep() int {
 	w.roundMu.Lock()
 	defer w.roundMu.Unlock()

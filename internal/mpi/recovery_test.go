@@ -40,7 +40,7 @@ func TestRunRecoverable_RespawnAfterPanic(t *testing.T) {
 				finished.Add(1) // only the replay epoch counts; epoch 0 aborts
 			}
 		}
-		onRecover := func(ae *AbortError, attempt int) bool {
+		onRecover := func(ae *AbortError, attempt int) (int, bool) {
 			if ae.Rank != 2 {
 				t.Errorf("abort attributed to rank %d, want 2", ae.Rank)
 			}
@@ -49,7 +49,7 @@ func TestRunRecoverable_RespawnAfterPanic(t *testing.T) {
 			}
 			recovered.Add(1)
 			epoch.Add(1)
-			return true
+			return -1, true
 		}
 		w.RunRecoverable(body, onRecover)
 		if recovered.Load() != 1 {
@@ -80,12 +80,12 @@ func TestRunRecoverable_TwoRecoveries(t *testing.T) {
 			}
 			c.Barrier()
 			finished.Add(1)
-		}, func(ae *AbortError, attempt int) bool {
+		}, func(ae *AbortError, attempt int) (int, bool) {
 			if want := attempt - 1; ae.Rank != want {
 				t.Errorf("round %d: abort attributed to rank %d, want %d", attempt, ae.Rank, want)
 			}
 			epoch.Add(1)
-			return attempt <= 2
+			return -1, attempt <= 2
 		})
 		if epoch.Load() != 2 || finished.Load() != n {
 			t.Fatalf("recovered %d times, %d ranks finished; want 2 and %d", epoch.Load(), finished.Load(), n)
@@ -126,9 +126,9 @@ func TestRunRecoverable_BudgetExhausted(t *testing.T) {
 				c.Abort(cause)
 			}
 			c.Barrier()
-		}, func(ae *AbortError, attempt int) bool {
+		}, func(ae *AbortError, attempt int) (int, bool) {
 			attempts++
-			return attempts <= budget
+			return -1, attempts <= budget
 		})
 	})
 }
@@ -163,9 +163,9 @@ func TestRunRecoverable_PersistentRepair(t *testing.T) {
 				c.Abort(fmt.Errorf("rank %d received %v, want %v", rank, recv[0], want))
 			}
 		}
-		w.RunRecoverable(body, func(ae *AbortError, attempt int) bool {
+		w.RunRecoverable(body, func(ae *AbortError, attempt int) (int, bool) {
 			epoch.Add(1)
-			return attempt == 1
+			return -1, attempt == 1
 		})
 		if unmatched, live := w.PersistentPending(); unmatched != 0 || live != 0 {
 			t.Fatalf("persistent registry not clean after run: unmatched=%d live=%d", unmatched, live)
@@ -201,7 +201,7 @@ func TestRunRecoverable_StallReportNamesParkedRanks(t *testing.T) {
 				panic("injected")
 			}
 			c.Barrier()
-		}, func(ae *AbortError, attempt int) bool {
+		}, func(ae *AbortError, attempt int) (int, bool) {
 			rep := w.StallReport()
 			if rep.Recovery != n {
 				t.Errorf("StallReport.Recovery = %d, want %d (all ranks parked)", rep.Recovery, n)
@@ -209,7 +209,7 @@ func TestRunRecoverable_StallReportNamesParkedRanks(t *testing.T) {
 			if parked := countParked(rep); parked != n {
 				t.Errorf("%d recovery-parked ops in report, want %d:\n%s", parked, n, rep)
 			}
-			return false
+			return -1, false
 		})
 	})
 }
@@ -231,12 +231,12 @@ func TestRunRecoverable_WatchdogStallRecovers(t *testing.T) {
 			}
 			c.Barrier()
 			finished.Add(1)
-		}, func(ae *AbortError, attempt int) bool {
+		}, func(ae *AbortError, attempt int) (int, bool) {
 			if ae.Rank != WatchdogRank {
 				t.Errorf("stall attributed to rank %d, want watchdog (%d)", ae.Rank, WatchdogRank)
 			}
 			epoch.Add(1)
-			return attempt == 1
+			return -1, attempt == 1
 		})
 		if finished.Load() != n {
 			t.Fatalf("%d ranks finished the replay epoch, want %d", finished.Load(), n)
