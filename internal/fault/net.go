@@ -6,7 +6,9 @@ import "time"
 // (tcp) once per outbound data frame. Frame ordinals are deterministic
 // program points exactly like send ordinals: the rank's Nth frame is the
 // same frame in every run of the same program, so drop/dup/partition
-// clauses reproduce bit-identically.
+// clauses reproduce bit-identically. A frame is a one-shot message or a
+// persistent span on the wire; a rank's persistent channels to itself move
+// in memory, have no frames, and are never counted.
 const (
 	// KindNetDrop silently discards the rank's Nth outbound frame after
 	// the wire sequence was assigned, so the receiver observes a sequence

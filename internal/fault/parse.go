@@ -24,6 +24,11 @@ import (
 //	netdelay:rank=*:mean=1ms[:jitter=0.5]  per-frame delay, ±jitter fraction (tcp)
 //	netpartition:rank=0:peer=1:nth=3[:dur=100ms]  sever the 0→1 link before frame 3 (tcp)
 //
+// The net clauses count the rank's outbound tcp data frames: its one-shot
+// messages, to any rank, and its persistent spans to other ranks. A rank's
+// persistent channels to itself move in memory on every transport, so they
+// have no frames and spend no ordinal.
+//
 // rank accepts a non-negative integer or * (every rank); kill and exit
 // require a concrete rank — killing every worker leaves nothing to
 // recover. Durations use Go syntax (200us, 1ms, 2s). An empty spec yields

@@ -52,13 +52,16 @@ func (r RankReport) Dominant() PhaseStat {
 var phaseOrder = []string{"call", "pack", "wait", "calc"}
 
 // Analyze builds per-rank reports from a metrics snapshot, reading each
-// rank's longest chain off the run's flight artifact fs. A row with no
+// rank's longest chain off the run's flight artifact fs. The chain, like the
+// phase shares, covers only the timed steps: the events from the rank's
+// first timed step mark on (timedStart). A row with no
 // recorded timeline — every row when fs is nil, and the rank="all"
 // aggregate always — gets the phase-share fallback chain instead. Reports
 // are sorted by impl, then rank (numeric, with "all" last).
 func Analyze(snap *metrics.Snapshot, fs *Snapshot) []RankReport {
 	type key struct{ impl, rank string }
 	byRank := map[key][]PhaseStat{}
+	steps := map[int]uint64{} // per rank: its timed steps, the phase histograms' count
 	for _, h := range snap.Histograms {
 		if h.Name != metrics.PhaseSeconds {
 			continue
@@ -72,9 +75,12 @@ func Analyze(snap *metrics.Snapshot, fs *Snapshot) []RankReport {
 			Max:     h.Max,
 			Count:   h.Count,
 		})
+		if rk, err := strconv.Atoi(k.rank); err == nil {
+			steps[rk] = max(steps[rk], h.Count)
+		}
 	}
 
-	chains := chainByRank(ToTrace(fs))
+	chains := chainByRank(ToTrace(fs), timedStart(fs, steps))
 
 	var out []RankReport
 	for k, phases := range byRank {
@@ -142,15 +148,47 @@ type chain struct {
 	dur   time.Duration
 }
 
+// timedStart returns, per rank of fs, when its first timed step began: the
+// time of its KindStep mark for that step. The timed steps are the last
+// steps[rank] absolute steps the rank entered, steps[rank] being its phase
+// histogram count; warmup and setup come before them. A rank whose ring no
+// longer holds that mark kept only timed events and gets no entry, so its
+// chain may start anywhere.
+func timedStart(fs *Snapshot, steps map[int]uint64) map[int]time.Duration {
+	out := map[int]time.Duration{}
+	if fs == nil {
+		return out
+	}
+	for _, rl := range fs.Ranks {
+		last := int64(-1)
+		for _, e := range rl.Events {
+			if e.Kind == KindStep {
+				last = max(last, int64(e.Step))
+			}
+		}
+		first := last - int64(steps[rl.Rank]) + 1
+		for _, e := range rl.Events {
+			if e.Kind == KindStep && int64(e.Step) == first {
+				out[rl.Rank] = time.Duration(e.Nanos)
+				break
+			}
+		}
+	}
+	return out
+}
+
 // chainByRank finds, per rank, the longest-by-duration chain of
-// back-to-back events: consecutive events on the rank's timeline where
-// each next event starts before the previous one has been over for 10% of
-// its duration (tolerating scheduler jitter between phases). Consecutive
-// events of the same kind collapse to one step.
-func chainByRank(events []TraceEvent) map[int]chain {
+// back-to-back events starting at or after from[rank]: consecutive events
+// on the rank's timeline where each next event starts before the previous
+// one has been over for 10% of its duration (tolerating scheduler jitter
+// between phases). Consecutive events of the same kind collapse to one
+// step.
+func chainByRank(events []TraceEvent, from map[int]time.Duration) map[int]chain {
 	perRank := map[int][]TraceEvent{}
 	for _, e := range events {
-		perRank[e.Rank] = append(perRank[e.Rank], e)
+		if e.Start >= from[e.Rank] {
+			perRank[e.Rank] = append(perRank[e.Rank], e)
+		}
 	}
 	out := map[int]chain{}
 	for rank, evs := range perRank {

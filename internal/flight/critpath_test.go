@@ -103,6 +103,35 @@ func TestAnalyzeChainFromTrace(t *testing.T) {
 	}
 }
 
+// TestAnalyzeChainSkipsWarmup: a rank's chain covers the same steps as its
+// phase shares. snapFor counts 8 timed steps; rank 0's ring holds steps 0
+// to 9, so steps 0 and 1 are warmup. Its 30 ms wait in step 0 is longer
+// than any timed chain, and must not be the rank's longest chain.
+func TestAnalyzeChainSkipsWarmup(t *testing.T) {
+	ms := int64(time.Millisecond)
+	evs := []Event{
+		{Nanos: 0, Kind: KindStep, Step: 0},
+		{Nanos: 1 * ms, Kind: KindWaitStart, Step: 0, Peer: 1, Tag: 7},
+		{Nanos: 31 * ms, Kind: KindWaitDone, Step: 0, Peer: 1, Tag: 7},
+		{Nanos: 31 * ms, Kind: KindStep, Step: 1},
+	}
+	for k := int64(2); k < 10; k++ {
+		at := 40*ms + 5*ms*(k-2)
+		evs = append(evs,
+			Event{Nanos: at, Kind: KindStep, Step: int32(k)},
+			Event{Nanos: at + 50_000, Kind: KindTileStart, Step: int32(k), Part: 0},
+			Event{Nanos: at + 3*ms, Kind: KindTileDone, Step: int32(k), Part: 0})
+	}
+	fs := &Snapshot{Ranks: []RankLog{{Rank: 0, Events: evs}}}
+	r0 := find(t, Analyze(snapFor(t), fs), "0")
+	if got := strings.Join(r0.Chain, "→"); got != "step→tile" {
+		t.Errorf("chain = %s, want step→tile from a timed step", got)
+	}
+	if r0.ChainDur < 0.0029 || r0.ChainDur > 0.003 {
+		t.Errorf("chain duration = %v, want 2.95ms", r0.ChainDur)
+	}
+}
+
 // TestWriteReport smoke-checks the rendered text.
 func TestWriteReport(t *testing.T) {
 	var sb strings.Builder
@@ -202,7 +231,7 @@ func TestCritpathMatchesChromeTrace(t *testing.T) {
 	if err := WriteChromeTrace(&chrome, events); err != nil {
 		t.Fatal(err)
 	}
-	exact, rounded := chainByRank(events), chainByRank(readChromeTrace(t, chrome.Bytes()))
+	exact, rounded := chainByRank(events, nil), chainByRank(readChromeTrace(t, chrome.Bytes()), nil)
 	intervals := map[int]int{}
 	for _, e := range events {
 		if e.Dur > 0 {

@@ -123,6 +123,32 @@ func TestTCPFrameDupIsFiltered(t *testing.T) {
 	}
 }
 
+// TestTCPNetFaultSkipsSelfChannels: network fault ordinals count frames,
+// and a rank's persistent channels to itself have none. In a 1×1×1
+// periodic world every halo message is one, so a drop of rank 0's first
+// frame never fires and the run finishes Float64bits-identical to the
+// fault-free in-process run.
+func TestTCPNetFaultSkipsSelfChannels(t *testing.T) {
+	clean := tcpConfig(Layout)
+	clean.Procs = [3]int{1, 1, 1}
+	clean.Transport = ""
+	clean.Watchdog = 0
+	cres, err := Run(clean)
+	if err != nil {
+		t.Fatalf("fault-free chan run: %v", err)
+	}
+	cfg := tcpConfig(Layout)
+	cfg.Procs = [3]int{1, 1, 1}
+	cfg.Fault = "netdrop:rank=0:nth=1"
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("tcp run with a drop armed and no frame to drop: %v", err)
+	}
+	if math.Float64bits(cres.Checksum) != math.Float64bits(res.Checksum) {
+		t.Fatalf("checksum diverged: fault-free chan %v, tcp %v", cres.Checksum, res.Checksum)
+	}
+}
+
 // TestTCPWorkerDeathFailsLoud: without recovery armed, a SIGKILLed tcp
 // worker must end the run with the supervisor's hard-death error — the
 // survivors unwound by the world-wide abort, not hung on a dead peer.

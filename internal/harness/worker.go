@@ -48,7 +48,7 @@ func runSupervised(cfg Config) (Result, error) {
 	var opts proc.Options
 	pol := newRecoveryPolicy(cfg)
 	if cfg.Checkpoint {
-		opts.Recover = func(_ int, death *proc.Death, _ string) (int, bool) {
+		opts.Recover = func(death *proc.Death) (int, bool) {
 			r := -1 // a soft abort names no dead worker
 			if death != nil {
 				r = death.Rank
@@ -182,7 +182,7 @@ func WorkerMain() {
 		// Park at the cross-process recovery barrier; the supervisor's
 		// verdict either re-enters the body from the pinned step or releases
 		// us to report the abort below.
-		if resume, _ := w.ParkForRecovery(wk.Rank); !resume {
+		if !w.ParkForRecovery(wk.Rank) {
 			break
 		}
 	}

@@ -73,7 +73,8 @@ type cycle struct {
 	landVerdict                  // receive: the CRC verdict or an overflow, raised at Wait
 }
 
-// newCycle builds endpoint p's cycle, its Request and its backend link.
+// newCycle builds endpoint p's cycle, its Request and its link: the
+// backend's, or the in-memory chanLink when the peer is the rank itself.
 func newCycle(c *Comm, p *pend, buf []float64) *cycle {
 	e := &cycle{buf: buf, bounds: p.bounds, parts: p.parts, marks: make([]uint64, p.parts),
 		done: make(chan struct{}, 1)}
@@ -83,7 +84,11 @@ func newCycle(c *Comm, p *pend, buf []float64) *cycle {
 		peer = p.key.dst
 	}
 	e.r = &Request{comm: c, op: e, pend: p, send: p.psend, peer: peer, tag: p.key.tag}
-	e.link = c.world.tr.newLink(e)
+	if peer == c.rank {
+		e.link = newChanLink(e) // a rank's channel to itself moves in memory on every backend
+	} else {
+		e.link = c.world.tr.newLink(e)
+	}
 	return e
 }
 

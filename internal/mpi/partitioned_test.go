@@ -52,17 +52,18 @@ func TestPartitionedBoundsSizeCheckAtMatch(t *testing.T) {
 	})
 }
 
-// TestPartitionedOutOfOrderDelivery drives a self-paired partitioned channel
-// with partitions readied out of order and checks Parrived tracks each
-// Pready exactly. On chan and shmem a partition has arrived when its Pready
-// returns (chan copies inline, shmem's Parrived lands the staged span); tcp
-// delivers through its loopback stream's reader, so there Parrived is
-// polled until the partition lands.
+// TestPartitionedOutOfOrderDelivery drives a partitioned channel with
+// partitions readied out of order and checks Parrived tracks each Pready
+// exactly. A partition has arrived when its Pready returns on a channel to
+// the rank itself and on chan and shmem (chan copies inline, shmem's
+// Parrived lands the staged span); tcp delivers to another rank through
+// the receiving node's reader, so there Parrived is polled until the
+// partition lands.
 func TestPartitionedOutOfOrderDelivery(t *testing.T) {
-	forEachTransport(t, 1, func(t *testing.T, w *World) {
+	forEachPair(t, func(t *testing.T, s, r *Comm) {
 		const n = 12
 		arrived := func(recv *Request, p int) bool {
-			if w.Transport() != "tcp" {
+			if s == r || s.world.Transport() != "tcp" {
 				return recv.Parrived(p)
 			}
 			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
@@ -72,42 +73,40 @@ func TestPartitionedOutOfOrderDelivery(t *testing.T) {
 			}
 			return false
 		}
-		w.Run(func(c *Comm) {
-			sbuf := make([]float64, n)
-			rbuf := make([]float64, n)
-			send := c.PsendInit(0, 3, sbuf, []int{0, 4, 8, n})
-			recv := c.PrecvInit(0, 3, rbuf)
-			for cycle := 0; cycle < 3; cycle++ {
-				for i := range sbuf {
-					sbuf[i] = float64(100*cycle + i)
-				}
-				for i := range rbuf {
-					rbuf[i] = -1
-				}
-				recv.Start()
-				send.Start()
-				// Start must publish nothing: no partition is ready yet.
-				for p := 0; p < 3; p++ {
-					if recv.Parrived(p) {
-						t.Fatalf("cycle %d: partition %d arrived before Pready", cycle, p)
-					}
-				}
-				for _, p := range []int{2, 0, 1} {
-					send.Pready(p)
-					if !arrived(recv, p) {
-						t.Fatalf("cycle %d: partition %d not arrived after Pready", cycle, p)
-					}
-					lo, hi := 4*p, 4*p+4
-					for i := lo; i < hi; i++ {
-						if rbuf[i] != sbuf[i] {
-							t.Fatalf("cycle %d partition %d elem %d: got %v want %v", cycle, p, i, rbuf[i], sbuf[i])
-						}
-					}
-				}
-				send.Wait()
-				recv.Wait()
+		sbuf := make([]float64, n)
+		rbuf := make([]float64, n)
+		send := s.PsendInit(r.Rank(), 3, sbuf, []int{0, 4, 8, n})
+		recv := r.PrecvInit(s.Rank(), 3, rbuf)
+		for cycle := 0; cycle < 3; cycle++ {
+			for i := range sbuf {
+				sbuf[i] = float64(100*cycle + i)
 			}
-		})
+			for i := range rbuf {
+				rbuf[i] = -1
+			}
+			recv.Start()
+			send.Start()
+			// Start must publish nothing: no partition is ready yet.
+			for p := 0; p < 3; p++ {
+				if recv.Parrived(p) {
+					t.Fatalf("cycle %d: partition %d arrived before Pready", cycle, p)
+				}
+			}
+			for _, p := range []int{2, 0, 1} {
+				send.Pready(p)
+				if !arrived(recv, p) {
+					t.Fatalf("cycle %d: partition %d not arrived after Pready", cycle, p)
+				}
+				lo, hi := 4*p, 4*p+4
+				for i := lo; i < hi; i++ {
+					if rbuf[i] != sbuf[i] {
+						t.Fatalf("cycle %d partition %d elem %d: got %v want %v", cycle, p, i, rbuf[i], sbuf[i])
+					}
+				}
+			}
+			send.Wait()
+			recv.Wait()
+		}
 	})
 }
 
@@ -115,32 +114,31 @@ func TestPartitionedOutOfOrderDelivery(t *testing.T) {
 // receiver has not started its cycle yet; the deliveries must be deferred
 // and flushed when the receive side finally starts.
 func TestPartitionedReadyBeforeRecvStart(t *testing.T) {
-	forEachTransport(t, 1, func(t *testing.T, w *World) {
+	forEachPair(t, func(t *testing.T, s, r *Comm) {
 		const n = 6
-		w.Run(func(c *Comm) {
-			sbuf := make([]float64, n)
-			rbuf := make([]float64, n)
-			send := c.PsendInit(0, 4, sbuf, []int{0, 2, n})
-			recv := c.PrecvInit(0, 4, rbuf)
-			for i := range sbuf {
-				sbuf[i] = float64(i + 1)
+		sbuf := make([]float64, n)
+		rbuf := make([]float64, n)
+		send := s.PsendInit(r.Rank(), 4, sbuf, []int{0, 2, n})
+		recv := r.PrecvInit(s.Rank(), 4, rbuf)
+		for i := range sbuf {
+			sbuf[i] = float64(i + 1)
+		}
+		send.Start()
+		send.PreadyAll()
+		time.Sleep(time.Millisecond) // a frame on its way has time to arrive
+		for i := range rbuf {
+			if rbuf[i] != 0 {
+				t.Fatalf("elem %d delivered before receive started", i)
 			}
-			send.Start()
-			send.PreadyAll()
-			for i := range rbuf {
-				if rbuf[i] != 0 {
-					t.Fatalf("elem %d delivered before receive started", i)
-				}
+		}
+		recv.Start() // flushes both deferred partitions
+		send.Wait()
+		recv.Wait()
+		for i := range rbuf {
+			if rbuf[i] != sbuf[i] {
+				t.Fatalf("elem %d: got %v want %v", i, rbuf[i], sbuf[i])
 			}
-			recv.Start() // flushes both deferred partitions
-			send.Wait()
-			recv.Wait()
-			for i := range rbuf {
-				if rbuf[i] != sbuf[i] {
-					t.Fatalf("elem %d: got %v want %v", i, rbuf[i], sbuf[i])
-				}
-			}
-		})
+		}
 	})
 }
 
@@ -243,39 +241,37 @@ func TestPartitionedMisusePanics(t *testing.T) {
 // between cycles — the Degrade path — and checks the next cycle ships the
 // new buffer's contents partition by partition.
 func TestPartitionedRebind(t *testing.T) {
-	forEachTransport(t, 1, func(t *testing.T, w *World) {
+	forEachPair(t, func(t *testing.T, s, r *Comm) {
 		const n = 8
-		w.Run(func(c *Comm) {
-			first := make([]float64, n)
-			rbuf := make([]float64, n)
-			send := c.PsendInit(0, 7, first, []int{0, 4, n})
-			recv := c.PrecvInit(0, 7, rbuf)
-			for i := range first {
-				first[i] = float64(i)
-			}
-			recv.Start()
-			send.Start()
-			send.PreadyAll()
-			send.Wait()
-			recv.Wait()
+		first := make([]float64, n)
+		rbuf := make([]float64, n)
+		send := s.PsendInit(r.Rank(), 7, first, []int{0, 4, n})
+		recv := r.PrecvInit(s.Rank(), 7, rbuf)
+		for i := range first {
+			first[i] = float64(i)
+		}
+		recv.Start()
+		send.Start()
+		send.PreadyAll()
+		send.Wait()
+		recv.Wait()
 
-			second := make([]float64, n)
-			for i := range second {
-				second[i] = float64(100 + i)
+		second := make([]float64, n)
+		for i := range second {
+			second[i] = float64(100 + i)
+		}
+		send.Rebind(second)
+		recv.Start()
+		send.Start()
+		send.Pready(1)
+		send.Pready(0)
+		send.Wait()
+		recv.Wait()
+		for i := range rbuf {
+			if want := float64(100 + i); rbuf[i] != want {
+				t.Fatalf("elem %d after Rebind: got %v want %v", i, rbuf[i], want)
 			}
-			send.Rebind(second)
-			recv.Start()
-			send.Start()
-			send.Pready(1)
-			send.Pready(0)
-			send.Wait()
-			recv.Wait()
-			for i := range rbuf {
-				if want := float64(100 + i); rbuf[i] != want {
-					t.Fatalf("elem %d after Rebind: got %v want %v", i, rbuf[i], want)
-				}
-			}
-		})
+		}
 	})
 }
 

@@ -74,7 +74,9 @@ import (
 // pushes them (shmem), and binds a receive side at its match. "Sent" is the
 // backend's: delivered into the receive buffer on chan, staged in the
 // segment on shmem, written to the stream on tcp — so a send's Wait returns
-// at delivery on chan and at once on the eager backends. A link never
+// at delivery on chan and at once on the eager backends. A channel from a
+// rank to itself takes chan's link on every backend, so its send's Wait
+// returns at delivery everywhere. A link never
 // changes a cycle's state but through land and sent, never copies into a
 // receive buffer itself, and reads a cycle's fields only under its lock.
 

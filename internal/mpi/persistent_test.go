@@ -104,49 +104,92 @@ func TestPersistentSelfPair(t *testing.T) {
 	})
 }
 
-// TestPersistentZeroAllocSteps asserts the steady-state Start/Wait cycle
-// performs zero heap allocations, plain and partitioned — a PreadyRange,
-// and a Preadyall over two partitioned sends — on every backend. A
-// self-pair runs the full protocol from one rank: on chan
-// single-threaded, on shmem through the segment's staging slots, on tcp
-// through the loopback stream and the node's reader goroutine, whose
-// decode and delivery count too.
-func TestPersistentZeroAllocSteps(t *testing.T) {
-	for _, tr := range []string{"chan", "shmem", "tcp"} {
-		w, err := NewWorldOn(tr, 1)
-		if err != nil {
-			t.Fatalf("NewWorldOn(%s): %v", tr, err)
-		}
-		w.Run(func(c *Comm) {
-			send := c.SendInit(0, 9, make([]float64, 512))
-			recv := c.RecvInit(0, 9, make([]float64, 512))
-			psend := c.PsendInit(0, 10, make([]float64, 512), []int{0, 200, 512})
-			precv := c.PrecvInit(0, 10, make([]float64, 512))
-			qsend := c.PsendInit(0, 11, make([]float64, 300), []int{0, 100, 300})
-			qrecv := c.PrecvInit(0, 11, make([]float64, 300))
-			plain := []*Request{recv, send}
-			part := []*Request{precv, psend}
-			both := []*Request{precv, qrecv, psend, qsend}
-			reqs, parts := []*Request{psend, qsend, psend, qsend}, []int{1, 0, 0, 1}
-			cycle := func() {
-				Startall(plain)
-				Waitall(plain)
-				Startall(part)
-				psend.PreadyRange(0, 2)
-				Waitall(part)
-				Startall(both)
-				Preadyall(reqs, parts)
-				Waitall(both)
-			}
-			cycle() // warm-up: pairing, stream dial, buffer growth
-			// Integer division over the runs: an occasional heartbeat frame
-			// of the tcp node stays below one allocation per cycle.
-			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-				t.Errorf("%s: persistent Start/Wait cycle allocates %v objects per step, want 0", tr, allocs)
+// forEachPair runs body once per backend and per channel kind, with s the
+// sending rank's Comm and r the receiving one's: "self" is a one-rank
+// world whose channels run from the rank to itself (in memory on every
+// backend), "wire" runs rank 0's channels to rank 1 of a two-rank world
+// over the backend's own link. Both ranks' calls run on one goroutine, so
+// a body reads as a single-threaded script of both sides.
+func forEachPair(t *testing.T, body func(t *testing.T, s, r *Comm)) {
+	t.Helper()
+	for _, name := range TransportNames() {
+		t.Run(name, func(t *testing.T) {
+			for _, kind := range []struct {
+				name string
+				size int
+			}{{"self", 1}, {"wire", 2}} {
+				t.Run(kind.name, func(t *testing.T) {
+					w, err := NewWorldOn(name, kind.size)
+					if err != nil {
+						t.Fatalf("NewWorldOn(%q, %d): %v", name, kind.size, err)
+					}
+					defer w.Close()
+					runPair(w, func(s, r *Comm) { body(t, s, r) })
+				})
 			}
 		})
-		w.Close()
 	}
+}
+
+// runPair runs f on w's rank 0 as the sender and w's last rank as the
+// receiver: the same Comm in a one-rank world. The receiving rank's
+// goroutine idles until f returns.
+func runPair(w *World, f func(s, r *Comm)) {
+	recv, done := make(chan *Comm, 1), make(chan struct{})
+	w.Run(func(c *Comm) {
+		switch {
+		case w.Size() == 1:
+			f(c, c)
+		case c.Rank() > 0:
+			recv <- c
+			<-done
+		default:
+			defer close(done)
+			f(c, <-recv)
+		}
+	})
+}
+
+// TestPersistentZeroAllocSteps asserts the steady-state Start/Wait cycle
+// performs zero heap allocations, plain and partitioned — a PreadyRange,
+// and a Preadyall over two partitioned sends — on every backend, over a
+// rank's channels to itself and over the backend's own link. On the wire,
+// shmem goes through the segment's staging slots and tcp through the
+// loopback stream and the receiving node's reader goroutine, whose decode
+// and delivery count too.
+func TestPersistentZeroAllocSteps(t *testing.T) {
+	forEachPair(t, func(t *testing.T, s, r *Comm) {
+		dst, src := r.Rank(), s.Rank()
+		send := s.SendInit(dst, 9, make([]float64, 512))
+		recv := r.RecvInit(src, 9, make([]float64, 512))
+		psend := s.PsendInit(dst, 10, make([]float64, 512), []int{0, 200, 512})
+		precv := r.PrecvInit(src, 10, make([]float64, 512))
+		qsend := s.PsendInit(dst, 11, make([]float64, 300), []int{0, 100, 300})
+		qrecv := r.PrecvInit(src, 11, make([]float64, 300))
+		plain := []*Request{recv, send}
+		part := []*Request{precv, psend}
+		both := []*Request{precv, qrecv, psend, qsend}
+		reqs, parts := []*Request{psend, qsend, psend, qsend}, []int{1, 0, 0, 1}
+		cycle := func() {
+			recv.Start()
+			send.Start()
+			Waitall(plain)
+			precv.Start()
+			psend.Start()
+			psend.PreadyRange(0, 2)
+			Waitall(part)
+			Startall(both[:2])
+			Startall(both[2:])
+			Preadyall(reqs, parts)
+			Waitall(both)
+		}
+		cycle() // warm-up: pairing, stream dial, buffer growth
+		// Integer division over the runs: an occasional heartbeat frame
+		// of the tcp node stays below one allocation per cycle.
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Errorf("persistent Start/Wait cycle allocates %v objects per step, want 0", allocs)
+		}
+	})
 }
 
 // TestPersistentTrafficCounters checks persistent traffic lands in the same
@@ -379,54 +422,60 @@ func TestPersistentInitFreeChurn(t *testing.T) {
 // TestPersistentStallListing pins the stall-listing rule on every backend:
 // a started persistent endpoint is listed exactly while its own Wait would
 // block. After PreadyAll with its receiver not started, a chan send still
-// waits for delivery and is listed; an eager backend's send is complete
-// and is not. A started receive whose sender has not started is listed and
-// blocks everywhere, and nothing is listed once every cycle completed.
+// waits for delivery and is listed; an eager backend's send to another
+// rank is complete and is not, and a send to the rank itself waits for its
+// receive and is listed on every backend. A started receive whose sender
+// has not started is listed and blocks everywhere, and nothing is listed
+// once every cycle completed.
 func TestPersistentStallListing(t *testing.T) {
-	forEachTransport(t, 1, func(t *testing.T, w *World) {
-		w.Run(func(c *Comm) {
-			listed := func(kind string, tag int) bool {
-				for _, op := range w.pairs.pendingOps(w) {
-					if op.Kind == kind && op.Tag == tag {
-						return true
-					}
+	forEachPair(t, func(t *testing.T, s, r *Comm) {
+		w := s.world
+		listed := func(kind string, tag int) bool {
+			for _, op := range w.pairs.pendingOps(w) {
+				if op.Kind == kind && op.Tag == tag {
+					return true
 				}
-				return false
 			}
-			blocks := func(r *Request) bool {
-				_, err := r.WaitTimeout(20 * time.Millisecond)
-				if err != nil && !errors.Is(err, ErrWaitTimeout) {
-					t.Fatalf("WaitTimeout: %v", err)
-				}
-				return err != nil
+			return false
+		}
+		blocks := func(r *Request) bool {
+			_, err := r.WaitTimeout(20 * time.Millisecond)
+			if err != nil && !errors.Is(err, ErrWaitTimeout) {
+				t.Fatalf("WaitTimeout: %v", err)
 			}
-			psend := c.PsendInit(0, 1, make([]float64, 6), []int{0, 2, 6})
-			precv := c.PrecvInit(0, 1, make([]float64, 6))
-			psend.Start()
-			psend.Pready(1)
-			if l, b := listed("psend-partial", 1), blocks(psend); !l || !b {
-				t.Errorf("send with a partition unready: listed %v, Wait blocks %v; want both", l, b)
-			}
-			psend.Pready(0)
-			if l, b := listed("psend-active", 1), blocks(psend); l != b {
-				t.Errorf("send after every Pready, receiver not started: listed %v, Wait blocks %v", l, b)
-			}
-			precv.Start()
-			psend.Wait()
-			precv.Wait()
+			return err != nil
+		}
+		dst, src := r.Rank(), s.Rank()
+		psend := s.PsendInit(dst, 1, make([]float64, 6), []int{0, 2, 6})
+		precv := r.PrecvInit(src, 1, make([]float64, 6))
+		psend.Start()
+		psend.Pready(1)
+		if l, b := listed("psend-partial", 1), blocks(psend); !l || !b {
+			t.Errorf("send with a partition unready: listed %v, Wait blocks %v; want both", l, b)
+		}
+		psend.Pready(0)
+		l, b := listed("psend-active", 1), blocks(psend)
+		if l != b {
+			t.Errorf("send after every Pready, receiver not started: listed %v, Wait blocks %v", l, b)
+		}
+		if s == r && !b {
+			t.Errorf("send to the rank itself after every Pready, receiver not started: Wait returned, want it to wait for the receive")
+		}
+		precv.Start()
+		psend.Wait()
+		precv.Wait()
 
-			recv := c.RecvInit(0, 2, make([]float64, 4))
-			send := c.SendInit(0, 2, make([]float64, 4))
-			recv.Start()
-			if l, b := listed("precv-active", 2), blocks(recv); !l || !b {
-				t.Errorf("receive with its sender not started: listed %v, Wait blocks %v; want both", l, b)
-			}
-			send.Start()
-			send.Wait()
-			recv.Wait()
-			if ops := w.pairs.pendingOps(w); len(ops) != 0 {
-				t.Errorf("listed after every cycle completed: %+v", ops)
-			}
-		})
+		recv := r.RecvInit(src, 2, make([]float64, 4))
+		send := s.SendInit(dst, 2, make([]float64, 4))
+		recv.Start()
+		if l, b := listed("precv-active", 2), blocks(recv); !l || !b {
+			t.Errorf("receive with its sender not started: listed %v, Wait blocks %v; want both", l, b)
+		}
+		send.Start()
+		send.Wait()
+		recv.Wait()
+		if ops := w.pairs.pendingOps(w); len(ops) != 0 {
+			t.Errorf("listed after every cycle completed: %+v", ops)
+		}
 	})
 }

@@ -249,9 +249,9 @@ type Options struct {
 	// killing the run on the first failure, the supervisor runs recovery
 	// rounds. On each round — triggered by a hard worker death, or by a
 	// published world abort with every live rank parked — it waits for
-	// quiescence and calls Recover with the 1-based round number, the
-	// first hard death of the round (nil for a soft abort), and the
-	// published abort message. A retry verdict names the checkpoint step
+	// quiescence and calls Recover with the first hard death of the round
+	// (nil for a soft abort; PublishedAbort reads the abort). A retry
+	// verdict names the checkpoint step
 	// to restore (-1 to restart from scratch): the supervisor quarantines
 	// the segment and respawns the dead ranks' processes. On give-up the
 	// parked survivors unwind through their envelopes and Run returns the
@@ -259,7 +259,7 @@ type Options struct {
 	// recovery. Workers must park at the cross-process recovery barrier
 	// when their world aborts (mpi.World.ParkForRecovery) for rounds
 	// to converge.
-	Recover func(attempt int, death *Death, abortMsg string) (restoreStep int, retry bool)
+	Recover func(death *Death) (restoreStep int, retry bool)
 	// ConvergeTimeout bounds how long a recovery round waits for every
 	// rank to park, exit, or die before the supervisor gives up and kills
 	// the remaining workers (default 2 minutes). A miss means a worker
@@ -593,8 +593,7 @@ func (s *supervisor) runSupervised() ([]Envelope, error) {
 		// alongside a round forces give-up.
 		retry, restoreStep := false, -1
 		if exited == 0 {
-			_, abortMsg, _ := s.w.PublishedAbort()
-			restoreStep, retry = s.opt.Recover(attempt, firstDeath, abortMsg)
+			restoreStep, retry = s.opt.Recover(firstDeath)
 		}
 		if !retry {
 			s.w.GiveUpRound()

@@ -106,7 +106,7 @@ func (w *World) RunRecoverable(body func(*Comm), onRecover func(ae *AbortError, 
 			defer exited[r].Store(true)
 			c := w.newComm(r)
 			for !w.runRank(c, epoch) {
-				if resume, _ := w.ParkForRecovery(r); !resume {
+				if !w.ParkForRecovery(r) {
 					return
 				}
 			}
@@ -155,11 +155,11 @@ func (w *World) RunRecoverable(body func(*Comm), onRecover func(ae *AbortError, 
 
 // ParkForRecovery parks the calling rank at the recovery barrier until the
 // supervisor rules on the abort. resume=true means the world was respawned:
-// the caller must re-enter its rank body, restoring from checkpoint step
-// restoreStep (-1 when no checkpoint exists and the epoch restarts from
-// scratch). resume=false means recovery was refused or the budget is
-// exhausted; the caller reports its failure and exits.
-func (w *World) ParkForRecovery(rank int) (resume bool, restoreStep int) {
+// the caller must re-enter its rank body, restoring from the checkpoint
+// step RestoreStep names (-1 when no checkpoint exists and the epoch
+// restarts from scratch). resume=false means recovery was refused or the
+// budget is exhausted; the caller reports its failure and exits.
+func (w *World) ParkForRecovery(rank int) (resume bool) {
 	// The generation is read before the mark is published: the supervisor
 	// releases only after seeing this rank parked, so the round it ends is
 	// never one this rank missed.
@@ -172,12 +172,12 @@ func (w *World) ParkForRecovery(rank int) (resume bool, restoreStep int) {
 	w.progressTick()
 	v, ok := w.tr.await(rank, gen)
 	if !ok || !v.resume {
-		return false, -1
+		return false
 	}
 	w.roundMu.Lock()
 	w.enterEpoch(v)
 	w.roundMu.Unlock()
-	return true, v.step
+	return true
 }
 
 // AwaitParked blocks until every rank in want is parked at the recovery

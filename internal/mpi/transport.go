@@ -29,7 +29,8 @@ type Transport interface {
 	// persistent.go registers it (matching is not the backend's: see the
 	// matching rule there). e.r.pend.peer, when set, is the matched endpoint
 	// of this process that registered first; a send side sets e.r.pend.link
-	// to the word its receive side binds to.
+	// to the word its receive side binds to. An endpoint whose peer is its
+	// own rank never gets here: it moves in memory (newCycle).
 	newLink(e *cycle) link
 	// retire records that one side of the persistent channel whose send
 	// side set link is done with it: the send endpoint was freed (send), or

@@ -103,13 +103,18 @@ func (t *chanTransport) close() error { return nil }
 // open, or a receive Start finding spans its open send cycle already put —
 // straight from the send buffer into the receive buffer, as a one-shot
 // message moves. A send cycle is therefore complete only once its
-// receiver has it.
+// receiver has it. It is every chan channel's link, and on every backend
+// the link of a channel from a rank to itself (newCycle).
 type chanLink struct {
 	mu         sync.Mutex
 	send, recv *cycle
 }
 
-func (t *chanTransport) newLink(e *cycle) link {
+func (t *chanTransport) newLink(e *cycle) link { return newChanLink(e) }
+
+// newChanLink builds endpoint e's side of an in-memory channel: a new link
+// when e registers first, else the one its matched endpoint built.
+func newChanLink(e *cycle) link {
 	l := &chanLink{}
 	if q := e.r.pend.peer; q != nil {
 		l = q.cycle().link.(*chanLink)

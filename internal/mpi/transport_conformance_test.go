@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/bricklab/brick/internal/fault"
+	"github.com/bricklab/brick/internal/metrics"
 )
 
 // The transport conformance suite: every registered backend is held to the
@@ -379,6 +381,118 @@ func TestConformancePartitioned(t *testing.T) {
 	})
 }
 
+// TestConformanceSelfChannelBypass: a rank's persistent channels to itself,
+// unpartitioned and partitioned, move in memory on every backend next to a
+// channel to another rank that keeps the backend's link. Every cycle lands
+// Float64bits-equal; on tcp the writes and the pdata/ppart frames count the
+// remote channel alone, and on shmem the self channels claim no entry of
+// the persistent table.
+func TestConformanceSelfChannelBypass(t *testing.T) {
+	forEachTransport(t, 2, func(t *testing.T, w *World) {
+		const cycles, n = 6, 24
+		reg := metrics.NewRegistry()
+		w.SetMetrics(reg)
+		entries := func() uint64 { return 0 }
+		if tr, ok := w.tr.(*shmemTransport); ok {
+			entries = func() uint64 { return atomic.LoadUint64(tr.w64(offPersCount)) }
+		}
+		writes := func() int64 { return reg.Counter(metrics.TransportWritesTotal, nil).Value() }
+		// fill writes cycle k's payload of channel ch: bit patterns a
+		// conversion would not keep (NaN payloads, -0, subnormals).
+		fill := func(buf []float64, ch, k int) {
+			for i := range buf {
+				buf[i] = math.Float64frombits(0x7ff0000000000001 | uint64(ch)<<48 | uint64(k)<<40 | uint64(i)<<3)
+			}
+			buf[0], buf[1] = math.Copysign(0, -1), math.Float64frombits(uint64(k+1))
+		}
+		check := func(rank, ch, k int, got []float64) {
+			want := make([]float64, len(got))
+			fill(want, ch, k)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Errorf("rank %d channel %d cycle %d elem %d: bits %#x, want %#x",
+						rank, ch, k, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					return
+				}
+			}
+		}
+		var before, after int64
+		var claimed uint64
+		w.Run(func(c *Comm) {
+			if c.Rank() == 1 { // receives only, so it writes nothing
+				rbuf := make([]float64, n)
+				r := c.RecvInit(0, 3, rbuf)
+				for k := 0; k < cycles; k++ {
+					r.Start()
+					r.Wait()
+					check(1, 3, k, rbuf)
+				}
+				r.Free()
+				return
+			}
+			before = writes()
+			e0 := entries()
+			bufs := make([][]float64, 5)
+			for i := range bufs {
+				bufs[i] = make([]float64, n)
+			}
+			ss, rs := c.SendInit(0, 1, bufs[0]), c.RecvInit(0, 1, bufs[1])
+			sp, rp := c.PsendInit(0, 2, bufs[2], []int{0, 5, 16, n}), c.PrecvInit(0, 2, bufs[3])
+			remote := c.SendInit(1, 3, bufs[4])
+			claimed = entries() - e0
+			for k := 0; k < cycles; k++ {
+				fill(bufs[0], 1, k)
+				fill(bufs[2], 2, k)
+				fill(bufs[4], 3, k)
+				if k%2 == 0 {
+					Startall([]*Request{rs, rp, ss, sp, remote})
+				} else { // sends first: each receive Start takes what waits for it
+					Startall([]*Request{ss, sp, remote})
+					sp.Pready(1)
+					Startall([]*Request{rs, rp})
+				}
+				sp.PreadyRange(2, 3)
+				if k%2 == 0 {
+					sp.Pready(1)
+				}
+				sp.Pready(0)
+				Waitall([]*Request{rs, rp, ss, sp, remote})
+				check(0, 1, k, bufs[1])
+				check(0, 2, k, bufs[3])
+			}
+			after = writes()
+			for _, r := range []*Request{ss, rs, sp, rp, remote} {
+				r.Free()
+			}
+		})
+		if ae := w.Aborted(); ae != nil {
+			t.Fatalf("world aborted: %v", ae)
+		}
+		switch w.Transport() {
+		case "tcp":
+			frames := func(kind string) int64 {
+				return reg.Counter(metrics.TransportFramesTotal, metrics.Labels{"kind": kind}).Value()
+			}
+			if got := after - before; got != cycles {
+				t.Errorf("transport_writes_total moved by %d over %d cycles, want %d: one per remote Start", got, cycles, cycles)
+			}
+			if got := frames("pdata"); got != cycles {
+				t.Errorf("pdata frames = %d, want %d (the remote channel's)", got, cycles)
+			}
+			if got := frames("ppart"); got != 0 {
+				t.Errorf("ppart frames = %d, want 0: the only partitioned channel is the rank's own", got)
+			}
+		case "shmem":
+			if claimed != 1 {
+				t.Errorf("three channels claimed %d persistent table entries, want 1 (the remote one)", claimed)
+			}
+		}
+		if un, live := w.PersistentPending(); un != 0 || live != 0 {
+			t.Errorf("after Free: PersistentPending = (%d unmatched, %d live), want (0, 0)", un, live)
+		}
+	})
+}
+
 // TestConformancePartitionedLateSender: plan skew across ranks lets a
 // receiver Start and Wait before the matched partitioned sender has
 // registered; the cycle must still complete once the sender arrives. Unlike
@@ -491,6 +605,36 @@ func TestConformanceWatchdogStallReport(t *testing.T) {
 			if op.Tag < AnyTag {
 				t.Errorf("report lists a collective message %+v:\n%v", op, rep)
 			}
+		}
+	})
+}
+
+// TestConformanceSelfSendWaitsForItsReceive pins the completion rule of a
+// rank's channel to itself on every backend: its send completes when its
+// receive takes the span, as on chan. A send Started and Waited before its
+// receive is Started can never complete, so the watchdog must end the run
+// with a stall report naming the channel — rank 0 to itself on tag 7 —
+// instead of hanging.
+func TestConformanceSelfSendWaitsForItsReceive(t *testing.T) {
+	forEachTransport(t, 1, func(t *testing.T, w *World) {
+		w.SetWatchdog(60*time.Millisecond, nil)
+		ae := expectAbortOn(t, w, func(c *Comm) {
+			s := c.SendInit(0, 7, make([]float64, 4))
+			r := c.RecvInit(0, 7, make([]float64, 4))
+			s.Start()
+			s.Wait() // its receive is Started only after this returns
+			r.Start()
+			r.Wait()
+		})
+		rep, ok := ae.Value.(*StallReport)
+		if !ok {
+			t.Fatalf("abort value %T (%v), want *StallReport", ae.Value, ae.Value)
+		}
+		if ae.Rank != WatchdogRank || rep.Transport != w.Transport() {
+			t.Errorf("abort by rank %d on %q, want the watchdog on %q", ae.Rank, rep.Transport, w.Transport())
+		}
+		if !findOp(rep, "psend-active", 0, 0, 7) || len(rep.Pending) != 1 {
+			t.Errorf("report does not name only the self send (0,0,7) as psend-active:\n%v", rep)
 		}
 	})
 }
