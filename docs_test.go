@@ -1,10 +1,14 @@
 package brick_test
 
 import (
+	"go/ast"
+	"go/token"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -38,6 +42,48 @@ func TestDocsListEveryCommand(t *testing.T) {
 		rows = append(rows, m[1])
 	}
 	check("DESIGN.md", rows)
+}
+
+// TestDocsListEveryEnvVar: every BRICK_* environment variable that non-test
+// code under cmd/ and internal/ names is mentioned in README.md, DESIGN.md
+// or docs/*.md, and every BRICK_* name those documents mention is one the
+// code names, so a setting cannot be undocumented and a deleted one cannot
+// stay documented.
+func TestDocsListEveryEnvVar(t *testing.T) {
+	envName := regexp.MustCompile(`BRICK_[A-Z0-9_]*[A-Z0-9]`)
+	envLit := regexp.MustCompile("^" + envName.String() + "$")
+	code := map[string]bool{}
+	for _, files := range parseNonTest(t, token.NewFileSet(), "cmd", "internal") {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil && envLit.MatchString(v) {
+						code[v] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	docs := map[string][]string{} // name -> documents mentioning it
+	paths, _ := filepath.Glob("docs/*.md")
+	for _, doc := range append([]string{"README.md", "DESIGN.md"}, paths...) {
+		for _, name := range envName.FindAllString(readFile(t, doc), -1) {
+			if !slices.Contains(docs[name], doc) {
+				docs[name] = append(docs[name], doc)
+			}
+		}
+	}
+	for name := range code {
+		if docs[name] == nil {
+			t.Errorf("%s is read by the code but no document mentions it", name)
+		}
+	}
+	for name, in := range docs {
+		if !code[name] {
+			t.Errorf("%s is mentioned in %v but no code reads it", name, in)
+		}
+	}
 }
 
 // readmeCommands returns the names in README.md's layout tree under its

@@ -156,7 +156,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	s := &Snapshot{Rank: h.Rank, Step: h.Step, Cur: h.Cur, Degraded: h.Degraded, Digest: h.Digest,
 		Bufs: make([][]float64, len(h.BufLens))}
 	for i, n := range h.BufLens {
-		if n < 0 || 8*n > len(rest) {
+		if n < 0 || n > len(rest)/8 {
 			return nil, fmt.Errorf("ckpt: payload %d truncated (%d floats, %d bytes left)", i, n, len(rest))
 		}
 		buf := make([]float64, n)

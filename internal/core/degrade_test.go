@@ -167,8 +167,8 @@ func TestExchangeMapFailureDegradesInsteadOfFailing(t *testing.T) {
 			return
 		}
 		defer ev.Close()
-		if !ev.Degraded() || ev.DegradedReason() != DegradeMapFailed {
-			t.Errorf("degraded=%v reason=%q, want map-failed fallback", ev.Degraded(), ev.DegradedReason())
+		if !ev.Degraded() || ev.Plan().Degraded != DegradeMapFailed {
+			t.Errorf("degraded=%v reason=%q, want map-failed fallback", ev.Degraded(), ev.Plan().Degraded)
 		}
 		ev.Exchange()
 	})

@@ -35,9 +35,6 @@ func NewExchanger(d *BrickDecomp, cart *mpi.Cart) *BrickExchanger {
 	return e
 }
 
-// Decomp returns the decomposition this exchanger serves.
-func (e *BrickExchanger) Decomp() *BrickDecomp { return e.d }
-
 // NeighborRank returns the rank in direction s, or -1 at an open boundary.
 func (e *BrickExchanger) NeighborRank(s layout.Set) int { return e.rank[s] }
 
@@ -74,8 +71,7 @@ func (e *BrickExchanger) spanWindows(msgs []MsgSpec, bs *BrickStorage) []Window 
 // to copy windows gathered before each send and Degraded() reports true.
 type ExchangeView struct {
 	*Engine
-	views    []*shmem.View // views[i] backs send window i (nil: a storage span or a heap copy)
-	degraded bool
+	views []*shmem.View // views[i] backs send window i (nil: a storage span or a heap copy)
 }
 
 // Degradation reasons recorded in ExchangePlan.Degraded and used as the
@@ -174,18 +170,13 @@ func spanWindow(bs *BrickStorage, peer, tag int, spans []Span) (w Window, view *
 
 // Degraded reports whether any send view is copy-based rather than aliasing
 // (platform without mmap support, unaligned chunks, a map failure, or a
-// mid-run Degrade).
-func (ev *ExchangeView) Degraded() bool { return ev.degraded }
-
-// DegradedReason returns why the exchanger degraded (one of the Degrade*
-// constants), or empty at full service.
-func (ev *ExchangeView) DegradedReason() string { return ev.Plan().Degraded }
+// mid-run Degrade); Plan().Degraded names the first reason.
+func (ev *ExchangeView) Degraded() bool { return ev.Plan().Degraded != "" }
 
 // degrade records the first reason and makes the copy windows current
 // before each send: an unpartitioned plan gathers them all as its fill
 // step, a partitioned one refreshes each partition's segment as it fires.
 func (ev *ExchangeView) degrade(reason string) {
-	ev.degraded = true
 	ev.markDegraded(reason)
 	if ev.ps == nil {
 		ev.fill = ev.gather
@@ -219,10 +210,6 @@ func (ev *ExchangeView) Degrade(reason string) error {
 	ev.degrade(reason)
 	return first
 }
-
-// NumMessages returns the messages per exchange this rank sends: at most one
-// per neighbor (26 in 3D), the paper's MemMap minimum.
-func (ev *ExchangeView) NumMessages() int { return len(ev.sendWins) }
 
 // Close frees the persistent endpoints, then unmaps the views.
 func (ev *ExchangeView) Close() error {

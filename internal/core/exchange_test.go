@@ -105,8 +105,8 @@ func verifyExchange(t *testing.T, procs [3]int, dom [3]int, ghost, fields int,
 				return
 			}
 			defer ev.Close()
-			if ev.NumMessages() > layout.NumNeighbors(3) {
-				t.Errorf("MemMap sends %d messages, more than %d neighbors", ev.NumMessages(), layout.NumNeighbors(3))
+			if n := len(ev.Plan().Sends); n > layout.NumNeighbors(3) {
+				t.Errorf("MemMap sends %d messages, more than %d neighbors", n, layout.NumNeighbors(3))
 			}
 			ev.Exchange()
 		}

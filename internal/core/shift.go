@@ -173,9 +173,6 @@ func (sv *ShiftView) slab(d *BrickDecomp, bs *BrickStorage, peer, tag int, coord
 // packing) rather than an aliasing mmap view.
 func (sv *ShiftView) Degraded() bool { return sv.plan.Degraded != "" }
 
-// NumMessages returns the messages per exchange: 2 per dimension = 6 in 3D.
-func (sv *ShiftView) NumMessages() int { return len(sv.plan.Sends) }
-
 // Exchange runs the three-phase shift exchange, returning the sends
 // posted. It is equivalent to Start (Complete is a no-op for Shift).
 func (sv *ShiftView) Exchange() int { return sv.Start() }

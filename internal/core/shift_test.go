@@ -53,7 +53,7 @@ func verifyShift(t *testing.T, procs [3]int, dom [3]int, ghost int, mapped bool)
 			return
 		}
 		defer sv.Close()
-		if got := sv.NumMessages(); got != 6 {
+		if got := len(sv.Plan().Sends); got != 6 {
 			t.Errorf("shift sends %d messages, want 6", got)
 		}
 		sv.Exchange()

@@ -112,9 +112,8 @@ type Config struct {
 	// implementation but Shift, overlaps the exchange with computation.
 	ExpandGhost bool
 	// Workers is the per-rank compute worker count for the stencil kernels
-	// (the rank's "OpenMP team" in the paper's experiments). 0 resolves
-	// from the BRICK_WORKERS environment variable, then GOMAXPROCS; 1
-	// disables intra-rank parallelism.
+	// (the rank's "OpenMP team" in the paper's experiments). 0 resolves to
+	// GOMAXPROCS; 1 disables intra-rank parallelism.
 	Workers int
 	// Fault is a fault-injection spec (see fault.Parse: delay, stall, panic,
 	// mapfail, allocfail clauses), seeded by FaultSeed. Empty (the default)

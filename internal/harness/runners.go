@@ -452,7 +452,7 @@ func (r *brickRank) step(abs, cur int, exchange bool, margin int) (time.Duration
 		}
 		r.fr.Phase(flight.PhaseSurface)
 		t0 = time.Now()
-		stencil.ApplyBricksTilesFlight(dst, src, dec, cfg.Stencil, 0, r.tiles, wk, onTile, r.fr)
+		stencil.ApplyBricksTiles(dst, src, dec, cfg.Stencil, 0, r.tiles, wk, onTile, r.fr)
 		calc += time.Since(t0)
 	} else {
 		if exchange {

@@ -63,13 +63,6 @@ func (r *SoakReport) String() string {
 	return b.String()
 }
 
-// Soak runs every CPU implementation twice on the base configuration —
-// once clean, once under the benign fault spec with the watchdog armed —
-// and verifies the final checksums are bit-identical. See SoakSet.
-func Soak(base Config, faultSpec string, seed int64, watchdog time.Duration) (*SoakReport, error) {
-	return SoakSet(base, SoakImpls, faultSpec, seed, watchdog)
-}
-
 // SoakSet runs each implementation in impls twice on the base
 // configuration — once clean (checkpointing off: the pure fault-free
 // baseline), once under the fault spec with the watchdog armed and base's

@@ -24,7 +24,7 @@ func soakConfig() Config {
 // bit-identical to the clean run. make soak executes this under -race.
 func TestSoakBenignFaultsBitIdentical(t *testing.T) {
 	spec := "delay:rank=*:mean=50us:jitter=0.5,stall:rank=1:nth=3:dur=20ms"
-	rep, err := Soak(soakConfig(), spec, 42, 30*time.Second)
+	rep, err := SoakSet(soakConfig(), SoakImpls, spec, 42, 30*time.Second)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, rep)
 	}
@@ -45,7 +45,7 @@ func TestSoakMemMapDegradation(t *testing.T) {
 	reg := metrics.NewRegistry()
 	base := soakConfig()
 	base.Metrics = reg
-	rep, err := Soak(base, "mapfail:rank=*", 7, 30*time.Second)
+	rep, err := SoakSet(base, SoakImpls, "mapfail:rank=*", 7, 30*time.Second)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, rep)
 	}

@@ -11,8 +11,7 @@ package layout
 // — walk the whole ring inside the −d slab, bridge through r_n, walk it
 // inside the +d slab, then lay down the remaining equatorial regions. The
 // construction achieves the Eq. 1 optimum for d ≤ 3 (2, 9, 42 messages) and
-// lands within ~2% of it for d = 4 and 5 (213 vs 209, 1064 vs 1042); pass
-// the result through Optimizer.Polish to close most of the remaining gap.
+// lands within ~2% of it for d = 4 and 5 (213 vs 209, 1064 vs 1042).
 func Construct(d int) []Set {
 	if d < 1 || d > MaxDims {
 		panic("layout: dimension out of range")
@@ -46,12 +45,4 @@ func Construct(d int) []Set {
 	out = append(out, pos)
 	out = append(out, ring[:n-1]...)
 	return out
-}
-
-// Polish improves an existing ordering in place with the optimizer's local
-// search and returns its message count. Useful to refine Construct results
-// for d ≥ 4.
-func (o Optimizer) Polish(order []Set) int {
-	localSearch(order, newRNG(o.Seed))
-	return MessageCount(order)
 }

@@ -45,27 +45,26 @@ func TestConstructPanics(t *testing.T) {
 }
 
 func TestPolishImprovesOrNeutral(t *testing.T) {
-	// Polishing must never make an ordering worse, and must preserve the
-	// permutation property.
+	// The optimizer's local search must never make an ordering worse, and
+	// must preserve the permutation property.
 	for d := 2; d <= 4; d++ {
 		order := append([]Set(nil), Regions(d)...) // lexicographic start
 		before := MessageCount(order)
-		after := Optimizer{Seed: 9}.Polish(order)
+		localSearch(order, newRNG(9))
+		after := MessageCount(order)
 		if after > before {
 			t.Errorf("D=%d: polish worsened %d -> %d", d, before, after)
 		}
 		if err := ValidateOrder(d, order); err != nil {
 			t.Errorf("D=%d: polish broke the permutation: %v", d, err)
 		}
-		if after != MessageCount(order) {
-			t.Errorf("D=%d: Polish return value inconsistent", d)
-		}
 	}
 }
 
 func TestPolishReachesOptimumFrom3DConstruction(t *testing.T) {
 	order := Construct(3)
-	if got := (Optimizer{}).Polish(order); got != 42 {
+	localSearch(order, newRNG(0))
+	if got := MessageCount(order); got != 42 {
 		t.Errorf("polished Construct(3) = %d", got)
 	}
 }

@@ -88,28 +88,6 @@ func (s Set) SubsetOf(t Set) bool { return s&t == s }
 // two valid sets is valid.
 func (s Set) Intersect(t Set) Set { return s & t }
 
-// Has reports whether the set contains the given paper-style signed 1-based
-// direction (e.g. -2 for A2-).
-func (s Set) Has(dir int) bool {
-	if dir == 0 {
-		return false
-	}
-	axis := dir
-	if axis < 0 {
-		axis = -axis
-	}
-	if axis > MaxDims {
-		return false
-	}
-	var bit Set
-	if dir < 0 {
-		bit = 1 << (2 * uint(axis-1))
-	} else {
-		bit = 1 << (2*uint(axis-1) + 1)
-	}
-	return s&bit != 0
-}
-
 // Dirs returns the paper-style signed 1-based directions of the set in
 // ascending axis order (negative before positive on the same axis).
 func (s Set) Dirs() []int {

@@ -40,9 +40,6 @@ func NewCart(c *Comm, dims []int, periods []bool) *Cart {
 // Comm returns the underlying communicator.
 func (ct *Cart) Comm() *Comm { return ct.comm }
 
-// Dims returns the grid extents.
-func (ct *Cart) Dims() []int { return append([]int(nil), ct.dims...) }
-
 // MyCoords returns this rank's grid coordinates.
 func (ct *Cart) MyCoords() []int { return append([]int(nil), ct.coords...) }
 

@@ -160,13 +160,3 @@ func (c *Comm) Gather(in []float64) [][]float64 {
 	}
 	return out
 }
-
-// Bcast distributes root's buffer contents to every rank's buf. All ranks
-// must pass buffers of the same length.
-func (c *Comm) Bcast(root int, buf []float64) {
-	if c.rank == root {
-		c.fanOut(buf)
-	} else {
-		c.crecv(root, buf)
-	}
-}

@@ -113,21 +113,6 @@ func TestGatherRepeated(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
-	const n = 6
-	w := NewWorld(n)
-	w.Run(func(c *Comm) {
-		buf := make([]float64, 3)
-		if c.Rank() == 2 {
-			copy(buf, []float64{7, 8, 9})
-		}
-		c.Bcast(2, buf)
-		if buf[0] != 7 || buf[2] != 9 {
-			t.Errorf("rank %d: bcast buf = %v", c.Rank(), buf)
-		}
-	})
-}
-
 func TestOpApplyUnknownPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

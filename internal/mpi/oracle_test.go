@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// The collective oracle: seeded SPMD programs of Barrier, Allreduce, Gather
-// and Bcast interleaved with batches of one-shot Isend/Irecv (duplicate
+// The collective oracle: seeded SPMD programs of Barrier, Allreduce and
+// Gather interleaved with batches of one-shot Isend/Irecv (duplicate
 // tags, AnyTag receives, receives posted before the collectives that
 // separate them from their waits), run on every transport and checked
 // against a sequential model. Every buffer a rank receives must be
@@ -30,7 +30,6 @@ const (
 	orBarrier = iota
 	orAllreduce
 	orGather
-	orBcast
 	orPost // post one batch's sends and receives
 	orWait // wait for one batch's requests
 )
@@ -58,8 +57,7 @@ type oracleBatch struct {
 type oracleOp struct {
 	kind  int
 	op    Op
-	root  int
-	in    [][]float64 // per-rank contributions (Allreduce, Gather, Bcast root)
+	in    [][]float64 // per-rank contributions (Allreduce, Gather)
 	batch int
 }
 
@@ -90,7 +88,7 @@ func genOracleProgram(seed int64, size int) *oracleProgram {
 	var open []int // posted batches not yet waited
 	nops := 4 + rng.Intn(20)
 	for len(p.ops) < nops || len(open) > 0 {
-		k := rng.Intn(6)
+		k := rng.Intn(5)
 		if len(p.ops) >= nops {
 			k = orWait
 		}
@@ -106,10 +104,6 @@ func genOracleProgram(seed int64, size int) *oracleProgram {
 			for r := 0; r < size; r++ {
 				op.in = append(op.in, oracleVec(rng, rng.Intn(5)))
 			}
-		case orBcast:
-			op.root = rng.Intn(size)
-			op.in = make([][]float64, size)
-			op.in[op.root] = oracleVec(rng, 1+rng.Intn(4))
 		case orPost:
 			op.batch = len(p.batches)
 			p.batches = append(p.batches, genOracleBatch(rng, size))
@@ -185,10 +179,6 @@ func (p *oracleProgram) model() [][][]float64 {
 			}
 		case orGather:
 			obs[0] = append(obs[0], op.in...)
-		case orBcast:
-			for r := range obs {
-				obs[r] = append(obs[r], op.in[op.root])
-			}
 		case orWait:
 			b := &p.batches[op.batch]
 			for r := range obs {
@@ -224,13 +214,6 @@ func (p *oracleProgram) exec(c *Comm) [][]float64 {
 				panic("Gather returned rows on a non-root rank")
 			}
 			obs = append(obs, rows...)
-		case orBcast:
-			buf := make([]float64, len(op.in[op.root]))
-			if me == op.root {
-				copy(buf, op.in[me])
-			}
-			c.Bcast(op.root, buf)
-			obs = append(obs, buf)
 		case orPost:
 			b := &p.batches[op.batch]
 			for _, q := range b.reqs[me] {

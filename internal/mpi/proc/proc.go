@@ -237,9 +237,6 @@ func (wk *Worker) Report(result any, runErr error) error {
 
 // Options configures the supervisor's spawn.
 type Options struct {
-	// Bin is the worker executable; empty resolves EnvBin, then the
-	// supervisor's own executable.
-	Bin string
 	// LogDir receives per-rank worker logs (rank<N>.log, combined
 	// stdout+stderr; a respawned incarnation appends to its rank's log);
 	// empty resolves EnvLogs, then a temp dir removed when every worker
@@ -260,12 +257,13 @@ type Options struct {
 	// when their world aborts (mpi.World.ParkForRecovery) for rounds
 	// to converge.
 	Recover func(death *Death) (restoreStep int, retry bool)
-	// ConvergeTimeout bounds how long a recovery round waits for every
-	// rank to park, exit, or die before the supervisor gives up and kills
-	// the remaining workers (default 2 minutes). A miss means a worker
-	// wedged so hard it cannot even reach the recovery barrier.
-	ConvergeTimeout time.Duration
 }
+
+// convergeTimeout bounds how long a recovery round waits for every rank to
+// park, exit, or die before the supervisor gives up and kills the remaining
+// workers. A miss means a worker wedged so hard it cannot even reach the
+// recovery barrier.
+const convergeTimeout = 2 * time.Minute
 
 // Run spawns one worker process per rank of w (a shmem world created by
 // the supervisor), passes each the spec bytes, and waits for all of them.
@@ -285,10 +283,7 @@ func Run(w *mpi.World, spec []byte, opt Options) ([]Envelope, error) {
 	if !w.CanSuperviseWorkers() {
 		return nil, fmt.Errorf("proc: transport %q cannot supervise worker processes", w.Transport())
 	}
-	bin := opt.Bin
-	if bin == "" {
-		bin = os.Getenv(EnvBin)
-	}
+	bin := os.Getenv(EnvBin)
 	if bin == "" {
 		exe, err := os.Executable()
 		if err != nil {
@@ -497,10 +492,6 @@ func (s *supervisor) runFailLoud() ([]Envelope, error) {
 // runSupervised is the recovery-armed outcome loop: hard deaths and soft
 // aborts trigger recovery rounds instead of ending the run.
 func (s *supervisor) runSupervised() ([]Envelope, error) {
-	convergeTimeout := s.opt.ConvergeTimeout
-	if convergeTimeout <= 0 {
-		convergeTimeout = 2 * time.Minute
-	}
 	attempt := 0
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()

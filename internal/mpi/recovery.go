@@ -208,6 +208,8 @@ func (w *World) AwaitParked(want []int, deadline time.Time) (missing []int) {
 // restoreStep (-1 for none), this world enters the new epoch, and every
 // parked rank is released into it. The caller (the supervisor, with
 // convergence established) then respawns the dead ranks' processes.
+// ResumeRound(nil, -1) re-arms a quiescent aborted world — every rank
+// goroutine and worker exited or parked, watchdog stopped — for a new epoch.
 func (w *World) ResumeRound(dead []int, restoreStep int) {
 	// The epoch is entered before the verdict is out, under roundMu so a
 	// late abort of the dead epoch can neither race the re-arm nor kill the
@@ -225,12 +227,6 @@ func (w *World) ResumeRound(dead []int, restoreStep int) {
 func (w *World) GiveUpRound() {
 	w.tr.release(w.tr.settle(false, nil, -1))
 }
-
-// Respawn re-arms an aborted world for a new epoch: a resume round with no
-// parked rank and no dead one, on every transport (a tcp world's from its
-// coordinator process). The caller must guarantee quiescence — every rank
-// goroutine and worker exited or parked, watchdog stopped.
-func (w *World) Respawn() { w.ResumeRound(nil, -1) }
 
 // enterEpoch moves this world into the epoch verdict v opens, once: the
 // supervisor enters before it releases the round, and its own parked ranks

@@ -232,8 +232,8 @@ func TestConformanceCollectives(t *testing.T) {
 }
 
 // TestConformanceCollectiveContext: collectives are a matching context of
-// their own. A wildcard receive posted before a Bcast must not take the
-// broadcast payload, and still gets the user message sent after it. The
+// their own. A wildcard receive posted before an Allreduce must not take
+// the reduction's payload, and still gets the user message sent after it. The
 // watchdog turns a receive that took the wrong message into an abort
 // rather than a hang.
 func TestConformanceCollectiveContext(t *testing.T) {
@@ -251,13 +251,12 @@ func TestConformanceCollectiveContext(t *testing.T) {
 				r = c.Irecv(AnySource, AnyTag, user)
 			}
 			c.Barrier()
-			b := make([]float64, 2)
+			in := make([]float64, 2)
 			if c.Rank() == 0 {
-				copy(b, []float64{7, 8})
+				copy(in, []float64{7, 8})
 			}
-			c.Bcast(0, b)
-			if b[0] != 7 || b[1] != 8 {
-				t.Errorf("rank %d Bcast payload = %v", c.Rank(), b)
+			if b := c.Allreduce(OpSum, in); b[0] != 7 || b[1] != 8 {
+				t.Errorf("rank %d Allreduce payload = %v", c.Rank(), b)
 			}
 			switch c.Rank() {
 			case 0:
@@ -716,7 +715,7 @@ func TestConformanceRespawnCycle(t *testing.T) {
 			if ae.Rank != 0 {
 				t.Fatalf("cycle %d: abort rank = %d, want 0", cycle, ae.Rank)
 			}
-			w.Respawn()
+			w.ResumeRound(nil, -1)
 			if n := len(w.oneShotOps()); n != 0 {
 				t.Fatalf("cycle %d: pending ops after Respawn = %d, want 0", cycle, n)
 			}

@@ -63,7 +63,7 @@ func TestShmemReset(t *testing.T) {
 		}
 		c.Barrier()
 	})
-	w.Respawn()
+	w.ResumeRound(nil, -1)
 	if n := len(w.oneShotOps()); n != 0 {
 		t.Fatalf("pending ops after Respawn = %d, want 0", n)
 	}
@@ -154,7 +154,7 @@ func TestShmemResetClearsReadyStamps(t *testing.T) {
 		r.Free()
 	}
 	w.Run(func(c *Comm) { epoch(c, nil) })
-	w.Respawn()
+	w.ResumeRound(nil, -1)
 	var early bool
 	w.Run(func(c *Comm) { epoch(c, &early) })
 	if ae := w.Aborted(); ae != nil {

@@ -155,62 +155,3 @@ func (m Machine) Cost(kind LinkKind, n int) time.Duration {
 		panic("netmodel: unknown link kind")
 	}
 }
-
-// PagePad rounds n up to the machine's page size, the granularity at which
-// MemMap views must be aligned. PagePadAt does the same for an explicit page
-// size (used by the Fig. 18 page-size sweep).
-func (m Machine) PagePad(n int) int { return PagePadAt(n, m.PageSize) }
-
-// PagePadAt rounds n up to a multiple of pageSize.
-func PagePadAt(n, pageSize int) int {
-	if pageSize <= 0 {
-		panic("netmodel: page size must be positive")
-	}
-	if n <= 0 {
-		return 0
-	}
-	return (n + pageSize - 1) / pageSize * pageSize
-}
-
-// Meter accumulates modeled communication time and traffic for one rank.
-// It is not safe for concurrent use; each rank owns its own meter.
-type Meter struct {
-	Machine  Machine
-	Messages int           // number of transfers charged
-	Bytes    int64         // payload bytes (including padding)
-	Elapsed  time.Duration // total modeled time
-}
-
-// NewMeter returns a meter charging costs against machine m.
-func NewMeter(m Machine) *Meter { return &Meter{Machine: m} }
-
-// Charge records one transfer of n bytes over the given link and returns its
-// modeled cost.
-func (mt *Meter) Charge(kind LinkKind, n int) time.Duration {
-	d := mt.Machine.Cost(kind, n)
-	mt.Messages++
-	mt.Bytes += int64(n)
-	mt.Elapsed += d
-	return d
-}
-
-// ChargeElems adds the datatype-engine per-element overhead for n elements.
-func (mt *Meter) ChargeElems(n int) time.Duration {
-	d := time.Duration(n) * mt.Machine.TypeElemCost
-	mt.Elapsed += d
-	return d
-}
-
-// Reset clears counters but keeps the machine profile.
-func (mt *Meter) Reset() {
-	mt.Messages, mt.Bytes, mt.Elapsed = 0, 0, 0
-}
-
-// Bandwidth returns the achieved modeled bandwidth in bytes/second
-// (bytes / elapsed), or 0 if nothing was charged.
-func (mt *Meter) Bandwidth() float64 {
-	if mt.Elapsed <= 0 {
-		return 0
-	}
-	return float64(mt.Bytes) / mt.Elapsed.Seconds()
-}

@@ -91,81 +91,6 @@ func TestLinkKindString(t *testing.T) {
 	}
 }
 
-func TestPagePad(t *testing.T) {
-	cases := []struct{ n, page, want int }{
-		{0, 4096, 0},
-		{1, 4096, 4096},
-		{4096, 4096, 4096},
-		{4097, 4096, 8192},
-		{100, 65536, 65536},
-		{-5, 4096, 0},
-	}
-	for _, c := range cases {
-		if got := PagePadAt(c.n, c.page); got != c.want {
-			t.Errorf("PagePadAt(%d,%d) = %d, want %d", c.n, c.page, got, c.want)
-		}
-	}
-	m := SummitV100()
-	if got := m.PagePad(100); got != 65536 {
-		t.Errorf("Summit PagePad(100) = %d", got)
-	}
-}
-
-func TestPagePadProperties(t *testing.T) {
-	f := func(n uint16, pshift uint8) bool {
-		page := 1 << (uint(pshift)%8 + 6) // 64..8192
-		p := PagePadAt(int(n), page)
-		return p >= int(n) && p%page == 0 && p < int(n)+page
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPagePadPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero page size did not panic")
-		}
-	}()
-	PagePadAt(10, 0)
-}
-
-func TestMeter(t *testing.T) {
-	mt := NewMeter(Local())
-	d1 := mt.Charge(Network, 1000)
-	d2 := mt.Charge(Network, 2000)
-	if mt.Messages != 2 || mt.Bytes != 3000 {
-		t.Errorf("meter counters: %+v", mt)
-	}
-	if mt.Elapsed != d1+d2 {
-		t.Errorf("elapsed %v != %v", mt.Elapsed, d1+d2)
-	}
-	if mt.Bandwidth() <= 0 {
-		t.Error("bandwidth not positive")
-	}
-	mt.Reset()
-	if mt.Messages != 0 || mt.Bytes != 0 || mt.Elapsed != 0 {
-		t.Error("reset incomplete")
-	}
-	if mt.Bandwidth() != 0 {
-		t.Error("empty meter bandwidth not 0")
-	}
-	if mt.Machine.Name != "local" {
-		t.Error("reset dropped machine")
-	}
-}
-
-func TestMeterChargeElems(t *testing.T) {
-	mt := NewMeter(Machine{TypeElemCost: 10 * time.Nanosecond})
-	if got := mt.ChargeElems(100); got != time.Microsecond {
-		t.Errorf("ChargeElems = %v, want 1µs", got)
-	}
-	if mt.Elapsed != time.Microsecond {
-		t.Error("elapsed not accumulated")
-	}
-}
-
 func TestMachineCostPanicsOnUnknownKind(t *testing.T) {
 	defer func() {
 		if recover() == nil {

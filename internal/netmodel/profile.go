@@ -2,7 +2,9 @@ package netmodel
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"time"
 )
@@ -90,26 +92,61 @@ func SaveFile(path string, m Machine, source string) error {
 }
 
 // LoadFile reads a brick-netmodel/v1 profile and returns its Machine. A
-// wrong schema (or a file that is not a profile at all) is an error, so
-// a stray path passed as -machine fails loud instead of silently
-// modeling with garbage.
+// wrong schema, a file that is not a profile at all, or a value no link can
+// have is an error, so a stray path passed as -machine fails loud instead
+// of silently modeling with garbage.
 func LoadFile(path string) (Machine, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return Machine{}, fmt.Errorf("netmodel: %w", err)
 	}
-	var p Profile
-	if err := json.Unmarshal(b, &p); err != nil {
+	m, err := parseProfile(b)
+	if err != nil {
 		return Machine{}, fmt.Errorf("netmodel: %s: %w", path, err)
 	}
+	return m, nil
+}
+
+// parseProfile decodes and checks the bytes of a profile: its schema, its
+// name, and every field finite and non-negative, and within time.Duration
+// range where it becomes one.
+func parseProfile(b []byte) (Machine, error) {
+	var p Profile
+	if err := json.Unmarshal(b, &p); err != nil {
+		return Machine{}, err
+	}
 	if p.Schema != ProfileSchema {
-		return Machine{}, fmt.Errorf("netmodel: %s: unexpected schema %q (want %q)", path, p.Schema, ProfileSchema)
+		return Machine{}, fmt.Errorf("unexpected schema %q (want %q)", p.Schema, ProfileSchema)
 	}
 	if p.Name == "" {
-		return Machine{}, fmt.Errorf("netmodel: %s: profile has no name", path)
+		return Machine{}, errors.New("profile has no name")
 	}
-	if p.Net.LatencyNs < 0 || p.Net.BandwidthBps < 0 {
-		return Machine{}, fmt.Errorf("netmodel: %s: negative net α/β", path)
+	if p.PageSizeBytes < 0 {
+		return Machine{}, fmt.Errorf("page_size_bytes %d is negative", p.PageSizeBytes)
+	}
+	links := []struct {
+		name string
+		lp   LinkProfile
+	}{{"net", p.Net}, {"host", p.Host}, {"direct", p.Direct}, {"fault", p.Fault}}
+	for _, l := range links {
+		if err := checkNs(l.name+".latency_ns", l.lp.LatencyNs); err != nil {
+			return Machine{}, err
+		}
+		if bw := l.lp.BandwidthBps; !(bw >= 0) || math.IsInf(bw, 1) {
+			return Machine{}, fmt.Errorf("%s.bandwidth_bps %v is not a finite non-negative rate", l.name, bw)
+		}
+	}
+	if err := checkNs("type_elem_cost_ns", p.TypeElemCostNs); err != nil {
+		return Machine{}, err
 	}
 	return p.Machine(), nil
+}
+
+// checkNs rejects a nanosecond count that is NaN, negative, or at least
+// 2^63, the first value a time.Duration cannot hold.
+func checkNs(field string, ns float64) error {
+	if !(ns >= 0 && ns < math.MaxInt64) {
+		return fmt.Errorf("%s %v is not a non-negative duration within time.Duration range", field, ns)
+	}
+	return nil
 }

@@ -71,3 +71,36 @@ func TestLoadFileRejects(t *testing.T) {
 		t.Errorf("nameless profile not rejected: %v", err)
 	}
 }
+
+// TestParseProfileChecksEveryField: every α, β and per-element cost of a
+// profile, not only the net link's, must be finite, non-negative and within
+// time.Duration range; a value a link cannot have is an error naming the
+// field.
+func TestParseProfileChecksEveryField(t *testing.T) {
+	const head = `{"schema":"brick-netmodel/v1","name":"x","net":{"latency_ns":1000,"bandwidth_bps":1e9}`
+	if _, err := parseProfile([]byte(head + `}`)); err != nil {
+		t.Fatalf("valid profile rejected: %v", err)
+	}
+	if m, err := parseProfile([]byte(head + `,"fault":{"latency_ns":9.2e18,"bandwidth_bps":0}}`)); err != nil || m.Fault.Latency != time.Duration(9.2e18) {
+		t.Fatalf("latency just inside time.Duration range: %v, %v", m.Fault.Latency, err)
+	}
+	for _, c := range []struct{ tail, field string }{
+		{`,"net":{"latency_ns":-1,"bandwidth_bps":1}}`, "net.latency_ns"},
+		{`,"net":{"latency_ns":1,"bandwidth_bps":-1}}`, "net.bandwidth_bps"},
+		{`,"host":{"latency_ns":-5,"bandwidth_bps":1e9}}`, "host.latency_ns"},
+		{`,"host":{"latency_ns":5,"bandwidth_bps":-1e9}}`, "host.bandwidth_bps"},
+		{`,"direct":{"latency_ns":-0.5,"bandwidth_bps":1}}`, "direct.latency_ns"},
+		{`,"direct":{"latency_ns":1,"bandwidth_bps":-2}}`, "direct.bandwidth_bps"},
+		{`,"fault":{"latency_ns":1e300,"bandwidth_bps":1}}`, "fault.latency_ns"},
+		{`,"fault":{"latency_ns":9223372036854775808,"bandwidth_bps":1}}`, "fault.latency_ns"},
+		{`,"fault":{"latency_ns":1,"bandwidth_bps":-1e-9}}`, "fault.bandwidth_bps"},
+		{`,"type_elem_cost_ns":-3}`, "type_elem_cost_ns"},
+		{`,"type_elem_cost_ns":1e19}`, "type_elem_cost_ns"},
+		{`,"page_size_bytes":-4096}`, "page_size_bytes"},
+	} {
+		_, err := parseProfile([]byte(head + c.tail))
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %v, want one naming %s", c.tail, err, c.field)
+		}
+	}
+}

@@ -82,9 +82,6 @@ func (v *View) Len() int { return len(v.data) }
 // Mapped reports whether this view aliases the arena.
 func (v *View) Mapped() bool { return v.mapped }
 
-// Segments returns the arena segments backing the view, in window order.
-func (v *View) Segments() []Segment { return append([]Segment(nil), v.segs...) }
-
 // Gather refreshes the window from the arena. It is a no-op for mapped
 // views; for fallback views it copies segment contents into the window
 // (equivalent to packing — the data movement MemMap exists to avoid).
@@ -95,18 +92,6 @@ func (v *View) Gather() {
 	off := 0
 	for _, s := range v.segs {
 		copy(v.data[off:off+s.Len], v.arena.data[s.Offset:s.Offset+s.Len])
-		off += s.Len
-	}
-}
-
-// Scatter pushes the window back into the arena. No-op for mapped views.
-func (v *View) Scatter() {
-	if v.mapped || v.closed {
-		return
-	}
-	off := 0
-	for _, s := range v.segs {
-		copy(v.arena.data[s.Offset:s.Offset+s.Len], v.data[off:off+s.Len])
 		off += s.Len
 	}
 }
@@ -130,7 +115,7 @@ func (a *Arena) validateSegments(segs []Segment) (total int, err error) {
 
 // MapVector creates a view in which the given segments appear consecutively.
 // In mapped mode the view aliases the arena with zero copies; otherwise it
-// is a buffer refreshed by Gather/Scatter.
+// is a buffer refreshed by Gather.
 func (a *Arena) MapVector(segs []Segment) (*View, error) {
 	if a.closed {
 		return nil, ErrClosed
@@ -145,11 +130,6 @@ func (a *Arena) MapVector(segs []Segment) (*View, error) {
 	}
 	a.views = append(a.views, v)
 	return v, nil
-}
-
-// MapRange is a convenience for a single-segment view.
-func (a *Arena) MapRange(offset, length int) (*View, error) {
-	return a.MapVector([]Segment{{Offset: offset, Len: length}})
 }
 
 // Close releases all views and the arena's backing storage.

@@ -97,17 +97,15 @@ func TestViewAliasing(t *testing.T) {
 	if got := v.Float64s()[0]; got != 42 {
 		t.Errorf("view read %v after arena write", got)
 	}
-	// Write through the view; read through the arena.
-	v.Float64s()[1] = 7
-	v.Scatter()
-	if got := a.Float64s()[ps/8+1]; got != 7 {
-		t.Errorf("arena read %v after view write", got)
-	}
 	if v.Mapped() != a.Mapped() {
 		t.Error("view/arena mapped flags disagree")
 	}
 	if a.Mapped() {
-		// In mapped mode aliasing must be immediate, without Gather/Scatter.
+		// In mapped mode aliasing must be immediate both ways, without Gather.
+		v.Float64s()[1] = 7
+		if got := a.Float64s()[ps/8+1]; got != 7 {
+			t.Errorf("arena read %v after view write", got)
+		}
 		a.Float64s()[ps/8+2] = 11
 		if v.Float64s()[2] != 11 {
 			t.Error("mapped view not aliasing arena")
@@ -142,26 +140,12 @@ func TestMapVectorValidation(t *testing.T) {
 	}
 }
 
-func TestMapRange(t *testing.T) {
-	a := newTestArena(t, 2*os.Getpagesize())
-	v, err := a.MapRange(0, a.PageSize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != a.PageSize() {
-		t.Errorf("len = %d", v.Len())
-	}
-	if got := v.Segments(); len(got) != 1 || got[0].Offset != 0 {
-		t.Errorf("segments = %v", got)
-	}
-}
-
 func TestArenaCloseIdempotentAndClosesViews(t *testing.T) {
 	a, err := NewArena(os.Getpagesize())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := a.MapRange(0, a.PageSize())
+	v, err := a.MapVector([]Segment{{Offset: 0, Len: a.PageSize()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +158,8 @@ func TestArenaCloseIdempotentAndClosesViews(t *testing.T) {
 	if err := v.Close(); err != nil {
 		t.Errorf("view close after arena close: %v", err)
 	}
-	if _, err := a.MapRange(0, 8); err != ErrClosed {
-		t.Errorf("MapRange after close: %v", err)
+	if _, err := a.MapVector([]Segment{{Offset: 0, Len: 8}}); err != ErrClosed {
+		t.Errorf("MapVector after close: %v", err)
 	}
 }
 
@@ -215,13 +199,11 @@ func TestViewGatherScatterRoundTripProperty(t *testing.T) {
 			return false
 		}
 		defer v.Close()
+		// Write the two pages through the arena; Gather must bring them
+		// into the window in segment order.
 		fv := v.Float64s()
-		n := len(vals)
-		if n > len(fv) {
-			n = len(fv)
-		}
-		copy(fv[:n], vals[:n])
-		v.Scatter()
+		n := min(len(vals), len(fv))
+		copy(a.Float64s()[p*ps/8:], vals[:n])
 		v.Gather()
 		for i := 0; i < n; i++ {
 			if fv[i] != vals[i] && !(vals[i] != vals[i]) { // ignore NaN

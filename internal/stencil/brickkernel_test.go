@@ -459,7 +459,7 @@ func applyZeroAllocs(t *testing.T) {
 			"ApplyBricksRangeWorkers":       func() { ApplyBricksRangeWorkers(dst, src, dec, st, 0, inter.Start, inter.End(), 1) },
 			"ApplyBricksRangeWorkers empty": func() { ApplyBricksRangeWorkers(dst, src, dec, st, 0, inter.Start, inter.Start, 1) },
 			"ApplyBricksSpans":              func() { ApplyBricksSpans(dst, src, dec, st, 0, spans, 1) },
-			"ApplyBricksTiles":              func() { ApplyBricksTiles(dst, src, dec, st, 0, spans, 1, onTile) },
+			"ApplyBricksTiles":              func() { ApplyBricksTiles(dst, src, dec, st, 0, spans, 1, onTile, nil) },
 			"ApplyGridWorkers":              func() { ApplyGridWorkers(gd, gs, st, 8-st.Radius, 1) },
 		}
 		for name, call := range calls {

@@ -9,8 +9,8 @@ import (
 // brick list is divided into contiguous runs executed by the worker pool
 // (the role of a rank's OpenMP team in the paper's experiments — bricks are
 // independent units of parallel work, so no synchronization is needed
-// within one application). workers <= 0 resolves via ResolveWorkers
-// (BRICK_WORKERS, then GOMAXPROCS); 1 runs serially.
+// within one application). workers <= 0 resolves to GOMAXPROCS; 1 runs
+// serially.
 func ApplyBricksParallel(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin, workers int) {
 	ApplyBricksRangeWorkers(dst, src, dec, st, margin, 0, dec.NumBricks(), workers)
 }
@@ -89,16 +89,12 @@ func (kr *brickKernel) applySpans(dst, src core.Brick, dec *core.BrickDecomp, ma
 // may be nil, in which case this degenerates to a fixed-tiling surface
 // pass. Bit-identity: bricks are independent, so any tiling of the same
 // index set produces Float64bits-identical results.
-func ApplyBricksTiles(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin int, tiles [][2]int, workers int, onTile func(tile int)) {
-	ApplyBricksTilesFlight(dst, src, dec, st, margin, tiles, workers, onTile, nil)
-}
-
-// ApplyBricksTilesFlight is ApplyBricksTiles with a flight ring attached:
-// each tile's start and completion is recorded on fl from the executing
+//
+// Each tile's start and completion is recorded on fl from the executing
 // worker, so a post-mortem ring shows which tile a rank was inside — and
 // which tile never finished — when the world died. A nil ring records
 // nothing.
-func ApplyBricksTilesFlight(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin int, tiles [][2]int, workers int, onTile func(tile int), fl *flight.Ring) {
+func ApplyBricksTiles(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin int, tiles [][2]int, workers int, onTile func(tile int), fl *flight.Ring) {
 	checkBrickApply(dec, st, margin)
 	for _, tl := range tiles {
 		if tl[0] < 0 || tl[1] > dec.NumBricks() || tl[0] > tl[1] {
@@ -108,7 +104,7 @@ func ApplyBricksTilesFlight(dst, src core.Brick, dec *core.BrickDecomp, st Stenc
 	kr := kernelFor(dec.Shape(), st)
 	p := DefaultPool()
 	if ResolveWorkers(workers) == 1 || len(tiles) == 1 {
-		// Serial: the same per-tile events and callbacks as ForTilesFlight,
+		// Serial: the same per-tile events and callbacks as ForTiles,
 		// without the closures it hands to pool workers, which escape and
 		// would allocate on every call.
 		for t, tl := range tiles {
@@ -123,7 +119,7 @@ func ApplyBricksTilesFlight(dst, src core.Brick, dec *core.BrickDecomp, st Stenc
 		}
 		return
 	}
-	p.ForTilesFlight(workers, tiles, func(lo, hi int) {
+	p.ForTiles(workers, tiles, func(lo, hi int) {
 		kr.applyRange(dst, src, dec, margin, lo, hi)
 	}, onTile, fl)
 }

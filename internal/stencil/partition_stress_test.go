@@ -71,9 +71,9 @@ func runPartitionedWorld(t *testing.T, st stencil.Stencil, steps, workers int) [
 			<-done
 			if s < steps-1 {
 				lx.StartSends()
-				stencil.ApplyBricksTiles(dst, src, dec, st, 0, tiles, workers, lx.ReadyTile)
+				stencil.ApplyBricksTiles(dst, src, dec, st, 0, tiles, workers, lx.ReadyTile, nil)
 			} else {
-				stencil.ApplyBricksTiles(dst, src, dec, st, 0, tiles, workers, nil)
+				stencil.ApplyBricksTiles(dst, src, dec, st, 0, tiles, workers, nil, nil)
 			}
 		}
 		if st := lx.Stats(); st.Starts != int64(steps) {

@@ -1,9 +1,7 @@
 package stencil
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,24 +17,14 @@ import (
 // experiments — without it, nothing would keep the cores busy while an
 // overlapped exchange is in flight.
 //
-// Worker-count resolution, in priority order: an explicit positive count,
-// the BRICK_WORKERS environment variable, then GOMAXPROCS. A resolved count
-// of 1 bypasses the pool entirely (zero overhead on single-core hosts).
-
-// WorkersEnv is the environment variable consulted when no explicit worker
-// count is given.
-const WorkersEnv = "BRICK_WORKERS"
+// A resolved worker count of 1 bypasses the pool entirely (zero overhead
+// on single-core hosts).
 
 // ResolveWorkers resolves a requested worker count: positive values are
-// taken as-is, otherwise BRICK_WORKERS, otherwise GOMAXPROCS.
+// taken as-is, otherwise GOMAXPROCS.
 func ResolveWorkers(requested int) int {
 	if requested > 0 {
 		return requested
-	}
-	if s := os.Getenv(WorkersEnv); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -215,17 +203,13 @@ func (p *Pool) ForRange(workers, n int, fn func(lo, hi int)) {
 // so abort propagation unwinds the rank body instead of crashing an
 // unguarded pool worker. The first panic wins; tiles already claimed by
 // other executors still run.
-func (p *Pool) ForTiles(workers int, tiles [][2]int, fn func(lo, hi int), onDone func(tile int)) {
-	p.ForTilesFlight(workers, tiles, fn, onDone, nil)
-}
-
-// ForTilesFlight is ForTiles with a flight ring: every tile records a
-// tile-start event before fn and a tile-done event after fn returns but
-// before onDone fires — so in a partitioned exchange the ring shows
-// tile-start → tile-done → pready in causal order, and a tile whose
-// tile-done never appears is the one that hung or panicked. A nil ring
-// records nothing.
-func (p *Pool) ForTilesFlight(workers int, tiles [][2]int, fn func(lo, hi int), onDone func(tile int), fl *flight.Ring) {
+//
+// Every tile records a tile-start event on fl before fn and a tile-done
+// event after fn returns but before onDone fires — so in a partitioned
+// exchange the ring shows tile-start → tile-done → pready in causal order,
+// and a tile whose tile-done never appears is the one that hung or
+// panicked. A nil ring records nothing.
+func (p *Pool) ForTiles(workers int, tiles [][2]int, fn func(lo, hi int), onDone func(tile int), fl *flight.Ring) {
 	if len(tiles) == 0 {
 		return
 	}

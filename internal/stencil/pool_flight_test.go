@@ -16,7 +16,7 @@ func TestForTilesFlightEventOrdering(t *testing.T) {
 	fl := flight.New(1, 64).Rank(0)
 	tiles := [][2]int{{0, 2}, {2, 5}, {5, 6}}
 	doneAt := map[int]uint64{} // ring total when tile t's onDone fired
-	NewPool(1).ForTilesFlight(1, tiles, func(lo, hi int) {}, func(tile int) {
+	NewPool(1).ForTiles(1, tiles, func(lo, hi int) {}, func(tile int) {
 		doneAt[tile] = fl.Total()
 	}, fl)
 	evs := fl.Events()
@@ -50,7 +50,7 @@ func TestForTilesFlightConcurrent(t *testing.T) {
 	covered := map[int]bool{}
 	p := NewPool(4)
 	defer p.Close()
-	p.ForTilesFlight(4, tiles, func(lo, hi int) {
+	p.ForTiles(4, tiles, func(lo, hi int) {
 		mu.Lock()
 		covered[lo] = true
 		mu.Unlock()
@@ -76,7 +76,7 @@ func TestForTilesFlightConcurrent(t *testing.T) {
 	}
 	// The nil-ring path (recorder off) must run identically.
 	var ran atomic.Int32
-	p.ForTilesFlight(2, tiles, func(lo, hi int) {}, func(tile int) { ran.Add(1) }, nil)
+	p.ForTiles(2, tiles, func(lo, hi int) {}, func(tile int) { ran.Add(1) }, nil)
 	if int(ran.Load()) != len(tiles) {
 		t.Fatalf("nil-ring run fired %d onDone callbacks, want %d", ran.Load(), len(tiles))
 	}

@@ -96,7 +96,7 @@ func TestForTilesCoverageAndCallbacks(t *testing.T) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
-		}, func(tile int) { atomic.AddInt32(&done[tile], 1) })
+		}, func(tile int) { atomic.AddInt32(&done[tile], 1) }, nil)
 		for _, tl := range tiles {
 			for i := tl[0]; i < tl[1]; i++ {
 				if hits[i] != 1 {
@@ -126,6 +126,6 @@ func TestForTilesPanicPropagation(t *testing.T) {
 		if tile == 2 {
 			panic("boom")
 		}
-	})
+	}, nil)
 	t.Error("ForTiles returned normally past a panicking callback")
 }

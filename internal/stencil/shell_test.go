@@ -26,8 +26,8 @@ func TestShellPlusInteriorEqualsFull(t *testing.T) {
 			lo[a] = ghost - margin + st.Radius
 			hi[a] = ghost + dom[a] + margin - st.Radius
 		}
-		ApplyGridRegion(split, src, st, lo, hi)
-		ApplyGridShell(split, src, st, margin, lo, hi)
+		ApplyGridRegionWorkers(split, src, st, lo, hi, 0)
+		ApplyGridShellWorkers(split, src, st, margin, lo, hi, 0)
 
 		for i := range full.Data {
 			if full.Data[i] != split.Data[i] {
@@ -46,7 +46,7 @@ func TestShellSkipBoxLargerThanRegion(t *testing.T) {
 	fillRandomish(src)
 	lo := [3]int{2, 2, 2}
 	hi := [3]int{10, 10, 10}
-	ApplyGridShell(dst, src, Star7(), 0, lo, hi) // inner == full region
+	ApplyGridShellWorkers(dst, src, Star7(), 0, lo, hi, 0) // inner == full region
 	for _, v := range dst.Data {
 		if v != 0 {
 			t.Fatal("empty shell wrote data")
@@ -70,7 +70,7 @@ func TestShellWritesDisjointBoxes(t *testing.T) {
 	st := Star7() // coefficients sum to 1: output is exactly 1 where written
 	lo := [3]int{ghost + 2, ghost + 2, ghost + 2}
 	hi := [3]int{ghost + dom[0] - 2, ghost + dom[1] - 2, ghost + dom[2] - 2}
-	ApplyGridShell(dst, src, st, 0, lo, hi)
+	ApplyGridShellWorkers(dst, src, st, 0, lo, hi, 0)
 	written, untouched := 0, 0
 	for k := 0; k < dst.Ext[2]; k++ {
 		for j := 0; j < dst.Ext[1]; j++ {
@@ -103,5 +103,5 @@ func TestShellPanicsOnExcessMargin(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	ApplyGridShell(dst, src, Star7(), 2, [3]int{4, 4, 4}, [3]int{8, 8, 8})
+	ApplyGridShellWorkers(dst, src, Star7(), 2, [3]int{4, 4, 4}, [3]int{8, 8, 8}, 0)
 }

@@ -129,7 +129,7 @@ func ApplyGrid(dst, src *grid.Grid, st Stencil, margin int) {
 }
 
 // ApplyGridWorkers is ApplyGrid with an explicit worker count (<= 0 resolves
-// via ResolveWorkers: BRICK_WORKERS, then GOMAXPROCS).
+// to GOMAXPROCS).
 func ApplyGridWorkers(dst, src *grid.Grid, st Stencil, margin, workers int) {
 	if dst.Ext != src.Ext || dst.Ghost != src.Ghost {
 		panic("stencil: grid shape mismatch")
@@ -145,15 +145,11 @@ func ApplyGridWorkers(dst, src *grid.Grid, st Stencil, margin, workers int) {
 	applyGridBox(dst, src, st, lo, hi, workers)
 }
 
-// ApplyGridRegion applies the stencil over an explicit extended-coordinate
-// box [lo, hi). The caller guarantees the stencil footprint stays inside the
+// ApplyGridRegionWorkers applies the stencil over an explicit extended-
+// coordinate box [lo, hi) with the given worker count (<= 0 resolves to
+// GOMAXPROCS). The caller guarantees the stencil footprint stays inside the
 // extended array. Used by the overlapped implementations to compute the
 // ghost-independent interior while communication is in flight.
-func ApplyGridRegion(dst, src *grid.Grid, st Stencil, lo, hi [3]int) {
-	applyGridBox(dst, src, st, lo, hi, 0)
-}
-
-// ApplyGridRegionWorkers is ApplyGridRegion with an explicit worker count.
 func ApplyGridRegionWorkers(dst, src *grid.Grid, st Stencil, lo, hi [3]int, workers int) {
 	applyGridBox(dst, src, st, lo, hi, workers)
 }
@@ -359,15 +355,11 @@ func tapRows(out []float64, ostride int, src []float64, at, sstride, rows int, t
 	tapRows8(out, ostride, src, -t.lo, sstride, rows, t.offs, t.cs[:len(t.offs)], lo, hi)
 }
 
-// ApplyGridShell applies the stencil over the margin region minus the inner
-// box [skipLo, skipHi) — the boundary completion pass of the overlapped
-// implementations after communication finishes.
-func ApplyGridShell(dst, src *grid.Grid, st Stencil, margin int, skipLo, skipHi [3]int) {
-	ApplyGridShellWorkers(dst, src, st, margin, skipLo, skipHi, 0)
-}
-
-// ApplyGridShellWorkers is ApplyGridShell with an explicit worker count;
-// each of the six shell slabs is tiled across the pool in turn.
+// ApplyGridShellWorkers applies the stencil over the margin region minus
+// the inner box [skipLo, skipHi) — the boundary completion pass of the
+// overlapped implementations after communication finishes. Each of the six
+// shell slabs is tiled across the pool in turn (workers <= 0 resolves to
+// GOMAXPROCS).
 func ApplyGridShellWorkers(dst, src *grid.Grid, st Stencil, margin int, skipLo, skipHi [3]int, workers int) {
 	if margin+st.Radius > src.Ghost {
 		panic("stencil: margin + radius exceeds ghost")

@@ -305,10 +305,10 @@ func gridKernelMatchesTable(t *testing.T) {
 			}
 		}
 		got, want := grid.New(dom, ghost), grid.New(dom, ghost)
-		ApplyGridRegion(got, src, st, rlo, rhi)
+		ApplyGridRegionWorkers(got, src, st, rlo, rhi, 0)
 		applyGridTable(want, src, st, rlo, rhi)
 		check("region", got, want)
-		ApplyGridShell(got, src, st, 0, rlo, rhi)
+		ApplyGridShellWorkers(got, src, st, 0, rlo, rhi, 0)
 		applyGridTable(want, src, st, [3]int{ghost, ghost, ghost}, [3]int{ghost + dom[0], ghost + dom[1], ghost + dom[2]})
 		check("region + shell", got, want)
 	}

@@ -17,9 +17,8 @@ type (
 type StencilPool = stencil.Pool
 
 // Re-exported stencil constructors and kernels. The Apply* kernels divide
-// their iteration space over the default worker pool: worker count resolves
-// from the BRICK_WORKERS environment variable, then GOMAXPROCS, and the
-// *Workers variants take an explicit count (1 = serial).
+// their iteration space over the default worker pool of GOMAXPROCS
+// workers, and the *Workers variants take an explicit count (1 = serial).
 var (
 	// Star7 is the paper's 7-point star (low arithmetic intensity).
 	Star7 = stencil.Star7
@@ -44,7 +43,7 @@ var (
 	// NewStencilPool builds a dedicated worker pool; most callers use the
 	// package default instead.
 	NewStencilPool = stencil.NewPool
-	// ResolveStencilWorkers resolves a worker count (explicit >
-	// BRICK_WORKERS > GOMAXPROCS).
+	// ResolveStencilWorkers resolves a worker count (explicit when
+	// positive, else GOMAXPROCS).
 	ResolveStencilWorkers = stencil.ResolveWorkers
 )
