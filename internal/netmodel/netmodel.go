@@ -9,6 +9,7 @@ package netmodel
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -48,14 +49,20 @@ type Link struct {
 	Bandwidth float64       // sustained bytes per second β
 }
 
-// Cost returns the modeled duration of moving n bytes across the link.
+// Cost returns the modeled duration of moving n bytes across the link. A
+// transfer longer than a time.Duration can hold — a bandwidth near zero —
+// costs the largest one.
 func (l Link) Cost(n int) time.Duration {
 	if n < 0 {
 		panic("netmodel: negative transfer size")
 	}
 	d := l.Latency
 	if l.Bandwidth > 0 {
-		d += time.Duration(float64(n) / l.Bandwidth * float64(time.Second))
+		t := float64(n) / l.Bandwidth * float64(time.Second)
+		if t >= float64(math.MaxInt64) || time.Duration(t) > math.MaxInt64-max(d, 0) {
+			return math.MaxInt64
+		}
+		d += time.Duration(t)
 	}
 	return d
 }

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -30,6 +31,31 @@ func TestLinkCostZeroBandwidth(t *testing.T) {
 	l := Link{Latency: time.Millisecond}
 	if got := l.Cost(1 << 20); got != time.Millisecond {
 		t.Errorf("zero-bandwidth link charged %v for payload", got)
+	}
+}
+
+// TestLinkCostSaturates: a transfer too long for a time.Duration — a
+// bandwidth a profile may carry, or a Link built in code, near zero —
+// costs the largest duration, never a wrapped negative one.
+func TestLinkCostSaturates(t *testing.T) {
+	m, err := parseProfile([]byte(`{"schema":"brick-netmodel/v1","name":"x","net":{"latency_ns":1000,"bandwidth_bps":1e-300}}`))
+	if err != nil {
+		t.Fatalf("profile rejected: %v", err)
+	}
+	if got := m.Cost(Network, 4096); got != math.MaxInt64 {
+		t.Errorf("1e-300 B/s profile: 4096 B cost %v, want the largest duration", got)
+	}
+	for _, l := range []Link{
+		{Latency: time.Microsecond, Bandwidth: 1e-300},
+		{Latency: math.MaxInt64 - 10, Bandwidth: 1},
+		{Latency: math.MaxInt64, Bandwidth: 1e9},
+	} {
+		if got := l.Cost(4096); got != math.MaxInt64 {
+			t.Errorf("%+v: 4096 B cost %v, want the largest duration", l, got)
+		}
+	}
+	if got := (Link{Latency: 5, Bandwidth: 1e-300}).Cost(0); got != 5 {
+		t.Errorf("empty transfer at 1e-300 B/s cost %v, want the latency", got)
 	}
 }
 

@@ -18,10 +18,12 @@ import (
 //   - star7: the point table is exactly centre, -i, +i, -j, +j, -k, +k, so
 //     each output row is one fused expression over five source rows (row7);
 //     on 8³ bricks and an AVX2 host one brick7Box call computes the box;
-//   - rows: any other table gathers the brick plus its radius-wide halo into
+//   - rows: any other table copies the brick plus its radius-wide halo into
 //     a dense scratch block and runs the tap rows over it, as on an array:
-//     on bricks eight wide and an AVX2 host four rows per tapRows call,
-//     elsewhere tapRow a row at a time;
+//     on bricks eight wide, radius at most 4 and an AVX2 host blockRows8
+//     fills a block of row stride 16 and rowsBlock runs four rows per
+//     tapRows call; elsewhere gather fills a block of row stride ext[0] and
+//     rows runs tapRow a row at a time;
 //   - run: the per-element table walk, the fallback when the box can reach a
 //     missing neighbor and the oracle the other two are tested against.
 //
@@ -39,7 +41,27 @@ type brickKernel struct {
 
 	ext  [3]int // brick extents plus the halo: sh + 2r
 	taps tapTab // the point table over the halo'd block
+
+	// The block fill's tables, built when blockShape holds: per block row,
+	// the sources blockRows8 copies, and the point table at row stride 16.
+	rowTab    []rowEnt
+	blockTaps tapTab
 }
+
+// rowEnt is one row of the 16-stride block: adj is the neighbor index
+// (core.Adj order) of the row's -i brick, off the row's element offset
+// within a brick. The row's own brick is adj+1 and its +i brick adj+2.
+type rowEnt struct {
+	adj, off int32
+}
+
+// blockStride is the row stride of the block blockRows8 fills: the -i
+// brick's lanes 4–7, the brick's own eight, the +i brick's lanes 0–3. Brick
+// element i sits at column blockCol+i.
+const (
+	blockStride = 16
+	blockCol    = 4
+)
 
 // path names the body one brick visit took.
 type path int
@@ -48,8 +70,8 @@ const (
 	pathFused path = iota
 	pathRows
 	pathFallback
-	pathVector     // fused7 through the AVX2 brick7Box
-	pathRowsVector // rows through the AVX2 tapRows8
+	pathVector // fused7 through the AVX2 brick7Box
+	pathBlock  // blockRows8 and rowsBlock
 )
 
 func newBrickKernel(sh core.Shape, st Stencil) *brickKernel {
@@ -81,7 +103,37 @@ func newBrickKernel(sh core.Shape, st Stencil) *brickKernel {
 		return k
 	}
 	k.taps = tapTable(nil, nil, k.pts, k.ext[0], k.ext[0]*k.ext[1])
+	if k.blockShape() {
+		k.blockTaps = tapTable(nil, nil, k.pts, blockStride, blockStride*k.ext[1])
+		k.rowTab = make([]rowEnt, 0, k.ext[1]*k.ext[2])
+		for z := 0; z < k.ext[2]; z++ {
+			for y := 0; y < k.ext[1]; y++ {
+				k.rowTab = append(k.rowTab, rowEnt{
+					adj: int32((int(k.step[2][z])+1)*9 + (int(k.step[1][y])+1)*3),
+					off: (k.loc[2][z]*int32(sh[1]) + k.loc[1][y]) * int32(sh[0]),
+				})
+			}
+		}
+	}
 	return k
+}
+
+// blockShape reports whether the block fill can serve this kernel: bricks
+// eight wide, whose -i and +i halves of a block row are four lanes, so a
+// radius of at most 4.
+func (kr *brickKernel) blockShape() bool {
+	return !kr.star7 && kr.sh[0] == 8 && kr.r <= blockCol
+}
+
+// haloLen is the scratch the rows body needs: the gathered block or, where
+// blockShape holds, the 16-stride one, which is at least as large (ext[0]
+// is 8+2r ≤ 16) and so serves either fill.
+func (kr *brickKernel) haloLen() int {
+	w := kr.ext[0]
+	if kr.blockShape() {
+		w = blockStride
+	}
+	return w * kr.ext[1] * kr.ext[2]
 }
 
 // kernels memoizes compiled kernels. A run uses one or two (shape, stencil)
@@ -133,10 +185,10 @@ func brickBox(dec *core.BrickDecomp, idx, margin int) (lo, hi [3]int, ok bool) {
 	return lo, hi, true
 }
 
-// haloStack is the scratch the rows body keeps on the goroutine stack: an 8³
-// brick with a radius-2 halo. Larger blocks are allocated per applyRange
-// call.
-const haloStack = 12 * 12 * 12
+// haloStack is the scratch the rows body keeps on the goroutine stack: the
+// 16-stride block of an 8³ brick with a radius-2 halo. Larger blocks are
+// allocated per applyRange call.
+const haloStack = blockStride * 12 * 12
 
 // applyRange applies the kernel to bricks with storage indices in
 // [loIdx, hiIdx). It keeps no state between bricks or calls, so any number
@@ -148,7 +200,7 @@ func (kr *brickKernel) applyRange(dst, src core.Brick, dec *core.BrickDecomp, ma
 	}
 	var stack [haloStack]float64
 	halo := stack[:]
-	if n := kr.ext[0] * kr.ext[1] * kr.ext[2]; n > len(halo) {
+	if n := kr.haloLen(); n > len(halo) {
 		halo = make([]float64, n)
 	}
 	kr.applyBricks(dst, src, dec, margin, loIdx, hiIdx, halo)
@@ -172,8 +224,14 @@ func (kr *brickKernel) apply(dst, src core.Brick, b int, lo, hi [3]int, halo []f
 	}
 	bases, ok := kr.loadBases(src, b, lo, hi)
 	if ok && !kr.star7 {
+		if kr.blockVector() {
+			kr.fillBlock(halo, src, bases, lo, hi)
+			kr.rowsBlock(dst, b, halo, lo, hi)
+			return pathBlock
+		}
 		kr.gather(halo, src, &bases, lo, hi)
-		return kr.rows(dst, b, halo, lo, hi)
+		kr.rows(dst, b, halo, lo, hi)
+		return pathRows
 	}
 	kr.run(dst, src, b, &bases, lo, hi)
 	return pathFallback
@@ -214,10 +272,10 @@ func (kr *brickKernel) vector() bool {
 	return useAVX2 && kr.sh == core.Shape{8, 8, 8}
 }
 
-// rowsVector reports whether the rows body runs the AVX2 tapRows8: it
-// computes rows of eight lanes.
-func (kr *brickKernel) rowsVector() bool {
-	return useAVX2 && kr.sh[0] == 8
+// blockVector reports whether a visit takes the AVX2 block fill,
+// blockRows8, and rowsBlock instead of gather and rows.
+func (kr *brickKernel) blockVector() bool {
+	return useAVX2 && kr.blockShape()
 }
 
 // fused7 is the 7-point body. Per (k, j) row it takes the centre, ±j and ±k
@@ -290,9 +348,10 @@ func (kr *brickKernel) fused7(dst, src core.Brick, b int, lo, hi [3]int) bool {
 	return true
 }
 
-// gather copies the part of brick b's neighborhood the box [lo, hi) reads —
-// [lo-r, hi+r) on every axis — into the dense halo'd block, resolving each
-// (k, j) row's brick once and splitting it along i into at most three
+// gather is the pure-Go fill and the block fill's oracle. It copies the
+// part of brick b's neighborhood the box [lo, hi) reads — [lo-r, hi+r) on
+// every axis — into the dense halo'd block of row stride ext[0], resolving
+// each (k, j) row's brick once and splitting it along i into at most three
 // constant-base runs. The edge runs are r elements at most, so they are
 // copied element by element, and the centre run of an 8-wide brick is one
 // array copied through a local, which the compiler does inline: neither
@@ -331,25 +390,61 @@ func (kr *brickKernel) gather(halo []float64, src core.Brick, bases *[core.NumAd
 	}
 }
 
+// fillBlock fills the rows of the 16-stride block that the box [lo, hi)
+// reads — block coordinates [lo, hi+2r) along j and k — with one
+// blockRows8 call per k-plane, each given only that plane's rows of blk
+// and rowTab.
+// Every row is copied whole, all sixteen columns, whatever the box's i
+// range: a column the box does not reach is read only by lanes rowsBlock
+// does not store.
+//
+// blockRows8 checks no bounds, so every base it can use is checked here
+// against a whole brick field. A missing neighbor's base — the poisoned one
+// loadBases returns — becomes the brick's own. That is safe because
+// loadBases returned ok: the box cannot reach that neighbor, so its rows
+// lie outside the planes and rows copied here or, along i, in columns only
+// discarded lanes read.
+func (kr *brickKernel) fillBlock(blk []float64, src core.Brick, bases [core.NumAdj]int64, lo, hi [3]int) {
+	s := src.Storage.Data
+	missing, last := int64(len(s)), int64(len(s)-kr.sh[0]*kr.sh[1]*kr.sh[2])
+	for a, o := range bases {
+		switch {
+		case o == missing:
+			bases[a] = bases[core.AdjSelf]
+		case o < 0 || o > last:
+			panic("stencil: neighbor brick outside its storage")
+		}
+	}
+	ey, y0, y1 := kr.ext[1], lo[1], hi[1]+2*kr.r
+	blk = blk[:len(kr.rowTab)*blockStride]
+	for z := lo[2]; z < hi[2]+2*kr.r; z++ {
+		row := z*ey + y0
+		blockRows8(blk[row*blockStride:(z*ey+y1)*blockStride], s, &bases, kr.rowTab[row:z*ey+y1])
+	}
+}
+
+// rowsBlock runs the point table over the 16-stride block fillBlock
+// filled for every row of the box, writing brick b of dst: up to four rows
+// of a plane per tapRows call, each computed on all eight lanes and stored
+// on the box's [lo0, hi0).
+func (kr *brickKernel) rowsBlock(dst core.Brick, b int, blk []float64, lo, hi [3]int) {
+	I, J, r := kr.sh[0], kr.sh[1], kr.r
+	d := dst.Storage.Data
+	dself := b*dst.Storage.Chunk() + dst.FieldBase()
+	for k := lo[2]; k < hi[2]; k++ {
+		for j := lo[1]; j < hi[1]; j += 4 {
+			at := ((k+r)*kr.ext[1]+j+r)*blockStride + blockCol
+			tapRows(d[dself+(k*J+j)*I:], I, blk, at, blockStride, min(4, hi[1]-j), &kr.blockTaps, lo[0], hi[0])
+		}
+	}
+}
+
 // rows runs the point table over the gathered block for every row of the
-// box, writing brick b of dst, and reports the body that did. On bricks
-// eight wide and an AVX2 host that is tapRows8, up to four rows of a plane
-// per call, each computed on all eight lanes and stored on the box's
-// [lo0, hi0): a lane outside it reads block elements the gather did not
-// fill for this box, which only that lane's discarded sum sees.
-func (kr *brickKernel) rows(dst core.Brick, b int, halo []float64, lo, hi [3]int) path {
+// box, writing brick b of dst, a row at a time through tapRow.
+func (kr *brickKernel) rows(dst core.Brick, b int, halo []float64, lo, hi [3]int) {
 	I, J := kr.sh[0], kr.sh[1]
 	d := dst.Storage.Data
 	dself := b*dst.Storage.Chunk() + dst.FieldBase()
-	if kr.rowsVector() {
-		for k := lo[2]; k < hi[2]; k++ {
-			for j := lo[1]; j < hi[1]; j += 4 {
-				at := ((k+kr.r)*kr.ext[1]+j+kr.r)*kr.ext[0] + kr.r
-				tapRows(d[dself+(k*J+j)*I:], I, halo, at, kr.ext[0], min(4, hi[1]-j), &kr.taps, lo[0], hi[0])
-			}
-		}
-		return pathRowsVector
-	}
 	for k := lo[2]; k < hi[2]; k++ {
 		for j := lo[1]; j < hi[1]; j++ {
 			out := d[dself+(k*J+j)*I:][lo[0]:hi[0]]
@@ -357,7 +452,6 @@ func (kr *brickKernel) rows(dst core.Brick, b int, halo []float64, lo, hi [3]int
 			tapRow(out, halo, at, &kr.taps)
 		}
 	}
-	return pathRows
 }
 
 // run applies the stencil to the box [lo, hi) of brick b one element at a

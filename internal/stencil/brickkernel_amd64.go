@@ -1,9 +1,10 @@
 package stencil
 
 // useAVX2 selects the vector bodies: brick7Box for the 7-point star on 8³
-// bricks, row7x4 for its array rows, and tapRows8 for every other point
-// table on bricks eight wide and on array rows. It is read on every visit, so tests can
-// flip it to run the pure-Go bodies on the same host.
+// bricks, row7x4 for its array rows, tapRows8 for every other point table
+// on bricks eight wide and on array rows, and blockRows8 to fill those
+// bricks' halo blocks at radius ≤ 4. It is read on every visit, so tests
+// can flip it to run the pure-Go bodies on the same host.
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reports whether the CPU has AVX and AVX2 and the OS saves the YMM
@@ -38,3 +39,13 @@ func row7x4(out, c, jm, jp, km, kp []float64, w *[7]float64)
 //
 //go:noescape
 func tapRows8(out []float64, ostride int, src []float64, base, sstride, rows int, offs []int, cs []float64, lo, hi int)
+
+// blockRows8 fills blk, row q at blk[16q:16q+16] for q < len(tab), from
+// src: with b = bases[tab[q].adj] and o = tab[q].off, columns 0–3 are
+// src[b+o+4 : b+o+8] (lanes 4–7 of the -i brick's row), columns 4–11 the
+// row of bases[adj+1], columns 12–15 lanes 0–3 of the row of bases[adj+2].
+// It checks no bounds: the caller, fillBlock, slices blk and tab to the
+// rows it fills and checks every base against a whole brick of src.
+//
+//go:noescape
+func blockRows8(blk, src []float64, bases *[27]int64, tab []rowEnt)

@@ -381,3 +381,45 @@ store:
 rowsdone:
 	VZEROUPPER
 	RET
+
+// func blockRows8(blk, src []float64, bases *[27]int64, tab []rowEnt)
+//
+// One block row per iteration: four unaligned YMM loads — lanes 4–7 of the
+// -i brick's row, the own brick's eight lanes, lanes 0–3 of the +i brick's
+// row — and four stores to the row's sixteen columns.
+//
+// Registers: DI the block row, SI the source, BX the 27 bases, CX the table
+// entry, DX the entries left, AX the entry's adj, R8 the address of its
+// offset in the source, R9–R11 the -i, own and +i bases.
+TEXT ·blockRows8(SB), NOSPLIT, $0-80
+	MOVQ blk_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ bases+48(FP), BX
+	MOVQ tab_base+56(FP), CX
+	MOVQ tab_len+64(FP), DX
+
+fill:
+	TESTQ   DX, DX
+	JEQ     filled
+	MOVLQSX 0(CX), AX
+	MOVLQSX 4(CX), R8
+	LEAQ    (SI)(R8*8), R8
+	MOVQ    0(BX)(AX*8), R9
+	MOVQ    8(BX)(AX*8), R10
+	MOVQ    16(BX)(AX*8), R11
+	VMOVUPD 32(R8)(R9*8), Y0
+	VMOVUPD (R8)(R10*8), Y1
+	VMOVUPD 32(R8)(R10*8), Y2
+	VMOVUPD (R8)(R11*8), Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $8, CX
+	ADDQ    $128, DI
+	DECQ    DX
+	JMP     fill
+
+filled:
+	VZEROUPPER
+	RET

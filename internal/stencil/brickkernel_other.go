@@ -16,3 +16,7 @@ func row7x4(out, c, jm, jp, km, kp []float64, w *[7]float64) {
 func tapRows8(out []float64, ostride int, src []float64, base, sstride, rows int, offs []int, cs []float64, lo, hi int) {
 	panic("stencil: no vector body on this architecture")
 }
+
+func blockRows8(blk, src []float64, bases *[27]int64, tab []rowEnt) {
+	panic("stencil: no vector body on this architecture")
+}

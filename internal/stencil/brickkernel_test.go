@@ -81,17 +81,18 @@ func fused7Path(sh core.Shape) path {
 	return pathFused
 }
 
-// rowsPath is the path a visit of any other table on shape sh must take
-// under the current useAVX2: the vector tap rows are eight lanes wide.
-func rowsPath(sh core.Shape) path {
-	if useAVX2 && sh[0] == 8 {
-		return pathRowsVector
+// rowsPath is the path a visit of any other table of radius r on shape sh
+// must take under the current useAVX2: the block fill is written for bricks
+// eight wide and radii up to four.
+func rowsPath(sh core.Shape, r int) path {
+	if useAVX2 && sh[0] == 8 && r <= 4 {
+		return pathBlock
 	}
 	return pathRows
 }
 
 // pathCounts is visits per path, indexed by path.
-type pathCounts [pathRowsVector + 1]int
+type pathCounts [pathBlock + 1]int
 
 // only reports whether every visit, and at least one, took path p.
 func (n pathCounts) only(p path) bool {
@@ -107,7 +108,7 @@ func (n pathCounts) only(p path) bool {
 // dropped there.
 func countPaths(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin int) (n pathCounts) {
 	kr := kernelFor(dec.Shape(), st)
-	halo := make([]float64, kr.ext[0]*kr.ext[1]*kr.ext[2])
+	halo := make([]float64, kr.haloLen())
 	for idx := 0; idx < dec.NumBricks(); idx++ {
 		if lo, hi, ok := brickBox(dec, idx, margin); ok {
 			n[kr.apply(dst, src, idx, lo, hi, halo)]++
@@ -146,12 +147,12 @@ func kernelMatchesReference(t *testing.T) {
 					}
 				}
 				n := countPaths(a, src, dec, st, margin)
-				want := rowsPath(sh)
+				want := rowsPath(sh, st.Radius)
 				if st.Name == "7pt" && sh[0] >= 2 { // the fused rows peel two ends
 					want = fused7Path(sh)
 				}
 				if !n.only(want) {
-					t.Errorf("%v %s margin %d: visits fused/rows/fallback/vector/rows-vector = %v, want all on path %d", sh, st.Name, margin, n, want)
+					t.Errorf("%v %s margin %d: visits fused/rows/fallback/vector/block = %v, want all on path %d", sh, st.Name, margin, n, want)
 				}
 			}
 		}
@@ -237,7 +238,7 @@ func kernelBodiesOnTorus(t *testing.T, stencils []Stencil, special bool) {
 			info, bs := torus(sh, special)
 			src, got, want := core.NewBrick(info, bs, 0), core.NewBrick(info, bs, 1), core.NewBrick(info, bs, 2)
 			kr := newBrickKernel(sh, st)
-			halo := make([]float64, kr.ext[0]*kr.ext[1]*kr.ext[2])
+			halo := make([]float64, kr.haloLen())
 			full := [3]int{sh[0], sh[1], sh[2]}
 			boxes := [][2][3]int{{{}, full}}
 			for a := 0; a < 3; a++ {
@@ -250,7 +251,7 @@ func kernelBodiesOnTorus(t *testing.T, stencils []Stencil, special bool) {
 			for _, box := range boxes {
 				lo, hi := box[0], box[1]
 				for b := 0; b < 27; b++ {
-					wantPath := rowsPath(sh)
+					wantPath := rowsPath(sh, st.Radius)
 					if kr.star7 {
 						wantPath = fused7Path(sh)
 					}
@@ -299,7 +300,7 @@ func TestKernelFallbackOnMissingNeighbor(t *testing.T) {
 		want path
 	}{{Star7(), pathFused}, {swappedStar7(), pathFallback}, {Star5(), pathFallback}} {
 		kr := newBrickKernel(sh, c.st)
-		halo := make([]float64, kr.ext[0]*kr.ext[1]*kr.ext[2])
+		halo := make([]float64, kr.haloLen())
 		if p := kr.apply(got, src, b, lo, hi, halo); p != c.want {
 			t.Errorf("%s: took path %d, want %d", c.st.Name, p, c.want)
 		}
@@ -342,7 +343,57 @@ func TestStar7BoxConfinement(t *testing.T) {
 // margins 6…0: the odd margins give i-boxes one to seven lanes wide, which
 // the vector body stores through masks.
 func TestCube125BoxConfinement(t *testing.T) {
-	eachBody(t, func(t *testing.T) { boxConfinement(t, Cube125(), rowsPath(core.Shape{8, 8, 8})) })
+	eachBody(t, func(t *testing.T) { boxConfinement(t, Cube125(), rowsPath(core.Shape{8, 8, 8}, 2)) })
+}
+
+// TestCube125BlockPathEveryBox: under AVX2, Cube125 on an 8³ brick takes the
+// block fill for every box a visit can have — each i-range [lo0, hi0) with
+// the full j and k extents, which moves the store mask over every lane, and
+// each pair of j- and k-ranges with the full i extent, which moves the rows
+// and planes fillBlock copies — and matches the table walk under sameBits
+// over the special-value torus.
+func TestCube125BlockPathEveryBox(t *testing.T) {
+	if !hostAVX2 {
+		t.Skip("no AVX2 body on this host")
+	}
+	sh := core.Shape{8, 8, 8}
+	info, bs := torus(sh, true)
+	src, got, want := core.NewBrick(info, bs, 0), core.NewBrick(info, bs, 1), core.NewBrick(info, bs, 2)
+	kr := newBrickKernel(sh, Cube125())
+	halo := make([]float64, kr.haloLen())
+	var ranges [][2]int
+	for lo := 0; lo < 8; lo++ {
+		for hi := lo + 1; hi <= 8; hi++ {
+			ranges = append(ranges, [2]int{lo, hi})
+		}
+	}
+	var boxes [][2][3]int
+	for _, x := range ranges {
+		boxes = append(boxes, [2][3]int{{x[0], 0, 0}, {x[1], 8, 8}})
+	}
+	for _, y := range ranges {
+		for _, z := range ranges {
+			boxes = append(boxes, [2][3]int{{0, y[0], z[0]}, {8, y[1], z[1]}})
+		}
+	}
+	const b = 13 // the torus centre
+	for _, box := range boxes {
+		lo, hi := box[0], box[1]
+		if p := kr.apply(got, src, b, lo, hi, halo); p != pathBlock {
+			t.Fatalf("box %v: took path %d, want the block fill (%d)", box, p, pathBlock)
+		}
+		bases, _ := kr.loadBases(src, b, lo, hi)
+		kr.run(want, src, b, &bases, lo, hi)
+		for k := lo[2]; k < hi[2]; k++ {
+			for j := lo[1]; j < hi[1]; j++ {
+				for i := lo[0]; i < hi[0]; i++ {
+					if g, w := got.At(b, i, j, k), want.At(b, i, j, k); !sameBits(g, w) {
+						t.Fatalf("box %v (%d,%d,%d): block %#x, table walk %#x", box, i, j, k, math.Float64bits(g), math.Float64bits(w))
+					}
+				}
+			}
+		}
+	}
 }
 
 func boxConfinement(t *testing.T, st Stencil, wantPath path) {
@@ -385,7 +436,7 @@ func confineMargin(t *testing.T, st Stencil, margin int, wantPath path) {
 	before := append([]float64(nil), bs.Data...)
 
 	if n := countPaths(dst, src, dec, st, margin); !n.only(wantPath) {
-		t.Fatalf("%s margin %d: visits fused/rows/fallback/vector/rows-vector = %v, want all on path %d", st.Name, margin, n, wantPath)
+		t.Fatalf("%s margin %d: visits fused/rows/fallback/vector/block = %v, want all on path %d", st.Name, margin, n, wantPath)
 	}
 
 	for p, v := range bs.Data {
@@ -419,7 +470,7 @@ func benchmarkShapesStayOffFallback(t *testing.T) {
 			want    path
 		}{
 			{Star7(), []int{7, 6, 5, 4, 3, 2, 1, 0}, fused7Path(core.Shape{8, 8, 8})},
-			{Cube125(), []int{6, 4, 2, 0}, rowsPath(core.Shape{8, 8, 8})},
+			{Cube125(), []int{6, 4, 2, 0}, rowsPath(core.Shape{8, 8, 8}, 2)},
 		} {
 			if dim == 64 && c.st.Name == "125pt" && testing.Short() {
 				continue
@@ -428,7 +479,7 @@ func benchmarkShapesStayOffFallback(t *testing.T) {
 			for _, margin := range c.margins {
 				n := countPaths(dst, src, dec, c.st, margin)
 				if !n.only(c.want) {
-					t.Errorf("%d³ %s margin %d: visits fused/rows/fallback/vector/rows-vector = %v, want all on path %d", dim, c.st.Name, margin, n, c.want)
+					t.Errorf("%d³ %s margin %d: visits fused/rows/fallback/vector/block = %v, want all on path %d", dim, c.st.Name, margin, n, c.want)
 				}
 			}
 		}
@@ -471,21 +522,57 @@ func applyZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestVectorBodiesStayVEX fails on a legacy-SSE MOVQ into an XMM register
-// in the AVX2 bodies: after their YMM writes it costs an AVX–SSE transition
-// per call, which measured ~200 ns (DESIGN.md §5.12). VMOVQ does the same
-// move without it.
+// TestVectorBodiesStayVEX fails on any legacy-SSE instruction in the AVX2
+// bodies — MOVQ into an XMM register, MOVUPD, MULPD, MOVSD and the like:
+// after their YMM writes each costs an AVX–SSE transition per call, which
+// measured ~200 ns (DESIGN.md §5.12). Every instruction that names an X or
+// Y register must be VEX-encoded, V-prefixed: VMOVQ, VMOVUPD, VMULPD.
 func TestVectorBodiesStayVEX(t *testing.T) {
+	for _, c := range []struct {
+		line   string
+		legacy bool
+	}{
+		{"MOVQ AX, X0", true}, {"\tMOVUPD (SI), X1", true}, {"MOVUPS X2, 32(DI)", true},
+		{"MOVAPD X1, X2", true}, {"MULPD X1, X2", true}, {"ADDPD X3, X4; \\", true},
+		{"MOVSD X0, (DI)", true}, {"VADDPD Y4, Y2, Y2; ADDPD X1, X2", true},
+		{"VMOVQ AX, X0", false}, {"VMOVUPD 32(R8)(R9*8), Y0", false}, {"MOVQ AX, R9", false},
+		{"// MOVUPD X1, X2", false}, {"LEAQ (SI)(R8*8), R8", false}, {"TAP(R9, Y0, Y1)", false},
+	} {
+		if got := legacySSE(c.line) != ""; got != c.legacy {
+			t.Fatalf("legacySSE(%q) flags it: %v, want %v", c.line, got, c.legacy)
+		}
+	}
 	src, err := os.ReadFile("brickkernel_amd64.s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := regexp.MustCompile(`^\s*MOVQ\s+[^,]+,\s*X\d+\s*$`)
 	for n, line := range strings.Split(string(src), "\n") {
-		if legacy.MatchString(line) {
-			t.Errorf("brickkernel_amd64.s:%d: %s: use VMOVQ", n+1, strings.TrimSpace(line))
+		if op := legacySSE(line); op != "" {
+			t.Errorf("brickkernel_amd64.s:%d: %s: use V%s", n+1, strings.TrimSpace(line), op)
 		}
 	}
+}
+
+var (
+	simdReg  = regexp.MustCompile(`\b[XY]\d+\b`)
+	mnemonic = regexp.MustCompile(`^\s*([A-Z][A-Z0-9]*)(\s|$)`)
+)
+
+// legacySSE returns the mnemonic of the first instruction on an assembly
+// line that names an X or Y register without a V prefix, or "". A line may
+// hold several instructions separated by ';', as a macro body does; a
+// macro's use, NAME(args), is checked where the macro is defined.
+func legacySSE(line string) string {
+	if i := strings.Index(line, "//"); i >= 0 {
+		line = line[:i]
+	}
+	for _, ins := range strings.Split(strings.TrimSuffix(strings.TrimSpace(line), "\\"), ";") {
+		m := mnemonic.FindStringSubmatch(ins)
+		if m != nil && !strings.HasPrefix(m[1], "V") && simdReg.MatchString(ins[len(m[0]):]) {
+			return m[1]
+		}
+	}
+	return ""
 }
 
 func TestKernelTables(t *testing.T) {
