@@ -103,6 +103,9 @@ race:
 # timing-dependent (tcp reader goroutines against a restore, coordinator
 # aborts against a recovery round, in-process ranks reading the restore
 # step the policy pins), so one pass proves little.
+# A MemMap degradation rebinds the mapped views of both time levels' storages
+# mid-run, and a restore re-enters both: the mid-run degrade and the
+# degraded checkpoint round trip repeat too.
 # The mpi tests take milliseconds each: the recovery round, the parked
 # listing and the respawn oracle, and the one-shot matcher's callers racing
 # one another — tcp readers and chan senders posting into it, the
@@ -111,6 +114,7 @@ race-recovery:
 	$(GO) test -race -count=20 -run 'TestTCPNetFaultRecovery$$' ./internal/harness
 	$(GO) test -race -count=5 -run 'TestSupervisedRecoveryAllImpls$$' ./internal/harness
 	$(GO) test -race -count=5 -run 'TestRecoveryPanicBitIdentical$$' ./internal/harness
+	$(GO) test -race -count=5 -run '^(TestRunMidRunDegradeBitIdentical|TestRecoveryDegradedCheckpointRoundTrip)$$' ./internal/harness
 	$(GO) test -race -count=20 -run '^(TestRecoveryRoundConformance|TestStallReportListsParkedWorkers|TestPersistentOracleRespawn|TestConformanceOneShot|TestConformanceRespawnCycle|TestCollectiveOracleAcrossWorkers)$$' ./internal/mpi
 
 # soak runs the fault-injection soak under the race detector: every CPU

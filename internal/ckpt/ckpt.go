@@ -5,14 +5,15 @@
 // to and restores from (see disk.go).
 //
 // A snapshot captures everything a rank needs to re-enter the step loop
-// deterministically after a respawn: the raw float64 storage (for bricks,
-// one buffer holding fields and ghosts; for grids, both double buffers),
-// the double-buffer cursor, the absolute step to resume at, the plan
-// digest (a restored rank must re-pair the identical persistent plan — a
-// digest mismatch after respawn means the world rebuilt a different
-// communication pattern and replay would silently diverge), and the
-// degraded-exchange reason so a rank that had fallen back from mapped
-// arenas to heap windows is restored into the same fallback.
+// deterministically after a respawn: the raw float64 storage of both
+// double buffers, ghosts included (bricks and grids alike keep one storage
+// per time level), the double-buffer cursor, the absolute step to resume
+// at, the plan digest (a restored rank must re-pair the identical
+// persistent plan — a digest mismatch after respawn means the world
+// rebuilt a different communication pattern and replay would silently
+// diverge), and the degraded-exchange reason so a rank that had fallen
+// back from mapped arenas to heap windows is restored into the same
+// fallback.
 package ckpt
 
 import (
@@ -58,6 +59,10 @@ type header struct {
 	Digest   string `json:"digest,omitempty"`
 	BufLens  []int  `json:"buf_lens"`
 }
+
+// encodeChunk is the payload bytes EncodeTo converts, checksums and writes
+// at a time.
+const encodeChunk = 32 << 10
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -105,14 +110,19 @@ func (s *Snapshot) EncodeTo(w io.Writer) error {
 	if _, err := w.Write(hj); err != nil {
 		return err
 	}
-	var fb [8]byte
+	chunk := make([]byte, 0, encodeChunk)
 	for _, buf := range s.Bufs {
-		for _, v := range buf {
-			binary.LittleEndian.PutUint64(fb[:], math.Float64bits(v))
-			crc = crc32.Update(crc, crcTable, fb[:])
-			if _, err := w.Write(fb[:]); err != nil {
+		for len(buf) > 0 {
+			n := min(len(buf), encodeChunk/8)
+			chunk = chunk[:8*n]
+			for i, v := range buf[:n] {
+				binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(v))
+			}
+			crc = crc32.Update(crc, crcTable, chunk)
+			if _, err := w.Write(chunk); err != nil {
 				return err
 			}
+			buf = buf[n:]
 		}
 	}
 	binary.LittleEndian.PutUint32(lenb[:], crc)

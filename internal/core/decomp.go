@@ -296,13 +296,23 @@ func (d *BrickDecomp) build() {
 	d.buildMessages()
 }
 
+// regionIndex maps each 3D direction set (six bits) to its position in
+// layout.Regions(3), or -1: built once, because every compiled exchange
+// makes a tag per message.
+var regionIndex = func() (t [64]int8) {
+	for i := range t {
+		t[i] = -1
+	}
+	for i, r := range layout.Regions(3) {
+		t[r] = int8(i)
+	}
+	return t
+}()
+
 // dirIndex returns a stable per-direction index used to build unique tags.
 func dirIndex(s layout.Set) int {
-	regs := layout.Regions(3)
-	for i, r := range regs {
-		if r == s {
-			return i
-		}
+	if s < layout.Set(len(regionIndex)) && regionIndex[s] >= 0 {
+		return int(regionIndex[s])
 	}
 	panic(fmt.Sprintf("core: %v is not a 3D direction", s))
 }

@@ -391,21 +391,24 @@ func describeMetrics(reg *metrics.Registry) {
 	reg.Describe(metrics.FlightEventsDroppedTotal, "Flight-recorder events lost to ring wraparound per rank.")
 }
 
-// recordPlan captures an exchanger's compiled plan into the result and
-// mirrors its reuse counters into the registry (nil registry records
-// nothing).
-func recordPlan(res *Result, reg *metrics.Registry, im Impl, rank int, tr string, ex core.Exchanger) {
-	sum := ex.Plan().Summary()
+// recordPlan captures a rank's compiled exchanges: the first one's plan
+// summary into the result (the time levels' plans are identical), and into
+// the registry every plan's reuse counters and, once per rank, a degraded
+// exchange (nil registry records nothing).
+func recordPlan(res *Result, reg *metrics.Registry, im Impl, rank int, tr string, exs []core.Exchanger) {
+	sum := exs[0].Plan().Summary()
 	res.Plan = &sum
 	if reg == nil {
 		return
 	}
-	st := ex.Stats()
 	lb := metrics.Labels{"impl": im.String(), "rank": strconv.Itoa(rank),
 		"variant": sum.Variant, "transport": tr}
-	reg.Counter(metrics.PlansBuiltTotal, lb).Add(1)
-	reg.Counter(metrics.PlanStartsTotal, lb).Add(st.Starts)
-	reg.Counter(metrics.PlanStartBytesTotal, lb).Add(st.StartBytes)
+	reg.Counter(metrics.PlansBuiltTotal, lb).Add(int64(len(exs)))
+	for _, ex := range exs {
+		st := ex.Stats()
+		reg.Counter(metrics.PlanStartsTotal, lb).Add(st.Starts)
+		reg.Counter(metrics.PlanStartBytesTotal, lb).Add(st.StartBytes)
+	}
 	if sum.Degraded != "" {
 		reg.Counter(metrics.ExchangeDegradedTotal, metrics.Labels{
 			"impl": im.String(), "rank": strconv.Itoa(rank), "reason": sum.Degraded}).Add(1)

@@ -68,10 +68,12 @@ func TestPipelineMatchesSerial(t *testing.T) {
 // layout step plus the loop's hooks and accounting — makes no heap
 // allocation. For bricks that is the pipelined step (receives started,
 // interior computed, exchange completed, next sends armed, surface tiles
-// firing Pready); for arrays the overlapped step at period 1 and the
-// exchange-then-compute step under ghost expansion. A single-rank periodic
-// world exchanges with itself over chan, so one goroutine drives the whole
-// step.
+// firing Pready), the exchange-then-compute step under ghost expansion, and
+// Shift's serialized slab phases; for arrays the overlapped step at period
+// 1 and the exchange-then-compute step under ghost expansion. Bricks keep
+// one exchange per time level, so consecutive steps alternate between two
+// compiled plans. A single-rank periodic world exchanges with itself over
+// chan, so one goroutine drives the whole step.
 func TestPipelinedStepZeroAllocs(t *testing.T) {
 	type cell struct {
 		im     Impl
@@ -80,7 +82,8 @@ func TestPipelinedStepZeroAllocs(t *testing.T) {
 	}
 	// 8³ bricks take the vector 7-point body on an AVX2 host.
 	cells := []cell{{Layout, 4, false}, {MemMap, 4, false}, {Layout, 8, false}, {MemMap, 8, false},
-		{YASK, 4, false}, {MPITypes, 4, false}, {YASK, 4, true}}
+		{YASK, 4, false}, {MPITypes, 4, false}, {YASK, 4, true},
+		{Layout, 8, true}, {MemMap, 8, true}, {Shift, 8, false}}
 	for _, c := range cells {
 		cfg := baseConfig(c.im)
 		cfg.Shape, cfg.Ghost = core.Shape{c.sh, c.sh, c.sh}, c.sh
@@ -98,9 +101,16 @@ func TestPipelinedStepZeroAllocs(t *testing.T) {
 				t.Errorf("%s: %v", name, err)
 				return
 			}
-			if br, ok := lp.lay.(*brickRank); ok && br.part == nil {
-				t.Errorf("%s: exchange every step did not select the pipeline", name)
-				return
+			if br, ok := lp.lay.(*brickRank); ok {
+				pipelined := !c.expand && c.im != Shift
+				if pipelined && (br.parts[0] == nil || br.parts[1] == nil) {
+					t.Errorf("%s: exchange every step did not select the pipeline", name)
+					return
+				}
+				if !pipelined && (br.parts[0] != nil || br.parts[1] != nil) {
+					t.Errorf("%s: the serial schedule compiled a pipeline", name)
+					return
+				}
 			}
 			abs := 0
 			allocs := testing.AllocsPerRun(50, func() {

@@ -79,12 +79,12 @@ func TestPlanGolden(t *testing.T) {
 		wire    int64
 		digest  string
 	}{
-		{Layout, "spans", 35, 458752, "b8b2dab3bb240eff"},
-		{MemMap, "memmap", 26, 458752, "1f138eb957a39776"},
+		{Layout, "spans", 35, 229376, "97b07b536cd3c9ed"},
+		{MemMap, "memmap", 26, 229376, "a51420e631712c46"},
 		{YASK, "pack", 26, 229376, "e0d6d23524ae6b72"},
 		{MPITypes, "types", 26, 229376, "7c288a19b8f3d7cc"},
-		{Basic, "spans", 56, 458752, "9207e52c8a7b5ff4"},
-		{Shift, "shift", 6, 458752, "9cb7e3a8de5e53ab"},
+		{Basic, "spans", 56, 229376, "abf0424984629a08"},
+		{Shift, "shift", 6, 229376, "89c1a4ef4c2f3663"},
 	}
 	for _, tc := range cases {
 		res, err := Run(Config{
@@ -116,8 +116,9 @@ func TestPlanGolden(t *testing.T) {
 	}
 }
 
-// TestPlanReuseMetrics checks the plan-reuse counter family: one plan per
-// rank (two for the double-buffered grid impls), started once per exchange.
+// TestPlanReuseMetrics checks the plan-reuse counter family: two plans per
+// rank, one per time level (bricks and grids alike), started once per
+// exchange between them.
 func TestPlanReuseMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := baseConfig(Layout)
@@ -139,8 +140,8 @@ func TestPlanReuseMetrics(t *testing.T) {
 	}
 	ranks := int64(cfg.ranks())
 	steps := int64(cfg.Steps + cfg.Warmup)
-	if built != ranks {
-		t.Errorf("plans built = %d, want %d (one per rank)", built, ranks)
+	if built != 2*ranks {
+		t.Errorf("plans built = %d, want %d (two per rank)", built, 2*ranks)
 	}
 	if starts != ranks*steps {
 		t.Errorf("plan starts = %d, want %d (one per rank per step)", starts, ranks*steps)

@@ -49,11 +49,11 @@ func sumDomain(cfg Config, at func(x, y, z int) float64) float64 {
 	return sum
 }
 
-// rankLayout is one rank's data layout: its double-buffered storage, its
-// compiled exchange, and the stencil schedule over them. brickRank
-// (Basic/Layout/MemMap/Shift) and gridRank (YASK/MPI_Types) implement it;
-// rankLoop drives either one through the same steps, checkpoints, and
-// accounting.
+// rankLayout is one rank's data layout: its double-buffered storage, the
+// compiled exchange of each buffer, and the stencil schedule over them.
+// brickRank (Basic/Layout/MemMap/Shift) and gridRank (YASK/MPI_Types)
+// implement it; rankLoop drives either one through the same steps,
+// checkpoints, and accounting.
 //
 // The schedule follows the exchange period, not the implementation: at
 // period 1 the exchange overlaps computation (the brick pipeline, or the
@@ -71,9 +71,10 @@ type rankLayout interface {
 	// bufs are the live storage buffers a checkpoint copies and a restore
 	// overwrites.
 	bufs() [][]float64
-	// resume readies the layout for its first step, after any restore.
-	// degraded is the restored snapshot's exchange mode ("" without one).
-	resume(degraded string) error
+	// resume readies the layout for its first step, from buffer cur, after
+	// any restore. degraded is the restored snapshot's exchange mode (""
+	// without one).
+	resume(cur int, degraded string) error
 	// checksum sums buffer cur over the owned elements.
 	checksum(cur int) float64
 	close()
@@ -117,12 +118,7 @@ func runRank(cfg Config, cart *mpi.Cart) (Result, error) {
 		}
 		lp.step(a)
 	}
-	// Every exchanger counts toward the plan-reuse metrics; the result keeps
-	// the first one's summary (double-buffer plans are identical).
-	exs := lp.lay.exchangers()
-	for i := len(exs) - 1; i >= 0; i-- {
-		recordPlan(&lp.res, cfg.Metrics, cfg.Impl, lp.rank, lp.comm.Transport(), exs[i])
-	}
+	recordPlan(&lp.res, cfg.Metrics, cfg.Impl, lp.rank, lp.comm.Transport(), lp.lay.exchangers())
 	lp.res.Checksum = lp.lay.checksum(lp.cur)
 	return lp.res, nil
 }
@@ -168,7 +164,7 @@ func newRankLoop(cfg Config, cart *mpi.Cart) (*rankLoop, error) {
 		}
 		degraded = snap.Degraded
 	}
-	if err := lp.lay.resume(degraded); err != nil {
+	if err := lp.lay.resume(lp.cur, degraded); err != nil {
 		return lp, err
 	}
 	if got := lp.degraded(); snap != nil && got != degraded {
@@ -264,36 +260,39 @@ func (lp *rankLoop) step(abs int) {
 	lp.po.observeStep(calc, tm.Pack, tm.Call, tm.Wait)
 }
 
-// brickRank is the brick layout of a Basic/Layout/MemMap/Shift run:
-// storage, the compiled exchange, and the brick schedule. At period 1
-// every exchange except Shift's runs the partitioned pipeline: the surface
-// pass fires Pready tile by tile into the next exchange while the interior
-// of the following step hides its wire time.
+// brickRank is the brick layout of a Basic/Layout/MemMap/Shift run. Each
+// time level is its own single-field storage with its own compiled
+// exchange, chosen by parity as the grid's exchangers are: step cur reads
+// bss[cur], whose ghosts exs[cur] refreshes, and writes bss[1-cur]. So an
+// exchange ships only the buffer the next step reads. At period 1 every
+// exchange except Shift's runs the partitioned pipeline: the surface pass
+// fires Pready tile by tile into the exchange of the buffer it writes,
+// while the interior of the following step hides its wire time.
 type brickRank struct {
 	cfg  Config
 	comm *mpi.Comm
 	rank int
 	dec  *core.BrickDecomp
 	info *core.BrickInfo
-	bs   *core.BrickStorage
-	ex   core.Exchanger
-	// mapped is set for MemMap and Shift, whose storage is a mapped arena.
+	bss  [2]*core.BrickStorage
+	exs  [2]core.Exchanger
+	// mapped is set for MemMap and Shift, whose storages are mapped arenas.
 	mapped bool
 	// degradable is set for MemMap, the one implementation whose mapped
 	// views can be rebuilt as copy windows mid-run (mapfail:step=S faults).
-	degradable *core.ExchangeView
-	// part is ex's engine when it runs the pipelined schedule, nil on the
-	// serial one. ready is its ReadyTile, hoisted so step never allocates
-	// the method value. tiles are the surface tiles: both the plan's
-	// partition alignment and the surface pass's execution tiling.
-	part  *core.Engine
-	ready func(int)
+	degradable [2]*core.ExchangeView
+	// parts are exs's engines when they run the pipelined schedule, nil on
+	// the serial one. ready are their ReadyTiles, hoisted so step never
+	// allocates the method values. tiles are the surface tiles: both the
+	// plans' partition alignment and the surface pass's execution tiling.
+	parts [2]*core.Engine
+	ready [2]func(int)
 	tiles [][2]int
 	fr    *flight.Ring
 }
 
-// newBrickRank builds one rank's brick storage and exchange, and fills the
-// result's byte and floor fields. It returns r even on error, so the
+// newBrickRank builds one rank's brick storages and exchanges, and fills
+// the result's byte and floor fields. It returns r even on error, so the
 // caller's close releases whatever was built.
 func newBrickRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayout, error) {
 	comm := cart.Comm()
@@ -310,25 +309,25 @@ func newBrickRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayo
 	case cfg.Impl == Basic:
 		opts = append(opts, core.WithPerRegionMessages())
 	}
-	dec, err := core.NewBrickDecomp(cfg.Shape, cfg.Dom, cfg.Ghost, 2, order, opts...)
+	dec, err := core.NewBrickDecomp(cfg.Shape, cfg.Dom, cfg.Ghost, 1, order, opts...)
 	if err != nil {
 		return r, err
 	}
 	r.dec = dec
-	if r.mapped {
-		alloc := dec.MmapAllocate
-		if cfg.inj.MapFailAtAlloc(r.rank) {
-			// Injected shm failure: allocate the deterministic unmapped
-			// arena, which the exchanger degrades to copy windows.
-			alloc = dec.MmapAllocateUnmapped
-		}
-		if r.bs, err = alloc(); err != nil {
+	alloc := func() (*core.BrickStorage, error) { return dec.Allocate(), nil }
+	switch {
+	case r.mapped && cfg.inj.MapFailAtAlloc(r.rank):
+		// Injected shm failure: allocate the deterministic unmapped arenas,
+		// which the exchangers degrade to copy windows.
+		alloc = dec.MmapAllocateUnmapped
+	case r.mapped:
+		alloc = dec.MmapAllocate
+	}
+	for i := range r.bss {
+		if r.bss[i], err = alloc(); err != nil {
 			return r, err
 		}
-	} else {
-		r.bs = dec.Allocate()
 	}
-	bs := r.bs
 	r.info = dec.BrickInfo()
 	bx := core.NewExchanger(dec, cart)
 	var popts []core.PlanOption
@@ -346,29 +345,34 @@ func newBrickRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayo
 			popts = append(popts, core.WithPartitions(r.tiles))
 		}
 	}
-	var eng *core.Engine // the engine a partitioned plan pipelines
-	switch cfg.Impl {
-	case MemMap:
-		ev, err := core.NewExchangeView(bx, bs, popts...)
-		if err != nil {
-			return r, err
+	// Construction order matters: every rank compiles exs[0] fully before
+	// exs[1], so the duplicate-key endpoints pair exchange-to-exchange
+	// across ranks (FIFO in registration order).
+	for i, bs := range r.bss {
+		var eng *core.Engine // the engine a partitioned plan pipelines
+		switch cfg.Impl {
+		case MemMap:
+			ev, err := core.NewExchangeView(bx, bs, popts...)
+			if err != nil {
+				return r, err
+			}
+			r.exs[i], r.degradable[i], eng = ev, ev, ev.Engine
+		case Shift:
+			sv, err := core.NewShiftView(bx, bs)
+			if err != nil {
+				return r, err
+			}
+			r.exs[i] = sv
+		default:
+			eng = core.NewLayoutExchange(bx, bs, popts...)
+			r.exs[i] = eng
 		}
-		r.ex, r.degradable, eng = ev, ev, ev.Engine
-	case Shift:
-		sv, err := core.NewShiftView(bx, bs)
-		if err != nil {
-			return r, err
+		if len(popts) > 0 {
+			r.parts[i], r.ready[i] = eng, eng.ReadyTile
+			eng.SetPartitionMetrics(cfg.Metrics)
 		}
-		r.ex = sv
-	default:
-		eng = core.NewLayoutExchange(bx, bs, popts...)
-		r.ex = eng
 	}
-	if len(popts) > 0 {
-		r.part, r.ready = eng, eng.ReadyTile
-		eng.SetPartitionMetrics(cfg.Metrics)
-	}
-	seedDomain(cfg, cart, func(x, y, z int, v float64) { dec.SetElem(bs, 0, x, y, z, v) })
+	seedDomain(cfg, cart, func(x, y, z int, v float64) { dec.SetElem(r.bss[0], 0, x, y, z, v) })
 
 	data, wire := dec.ExchangeBytes()
 	res.DataBytes, res.WireBytes = int64(data), int64(wire)
@@ -377,78 +381,86 @@ func newBrickRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayo
 	return r, nil
 }
 
-func (r *brickRank) exchangers() []core.Exchanger { return []core.Exchanger{r.ex} }
+func (r *brickRank) exchangers() []core.Exchanger { return r.exs[:] }
 
-func (r *brickRank) bufs() [][]float64 { return [][]float64{r.bs.Data} }
+func (r *brickRank) bufs() [][]float64 { return [][]float64{r.bss[0].Data, r.bss[1].Data} }
 
 func (r *brickRank) checksum(cur int) float64 {
-	return sumDomain(r.cfg, func(x, y, z int) float64 { return r.dec.Elem(r.bs, cur, x, y, z) })
+	return sumDomain(r.cfg, func(x, y, z int) float64 { return r.dec.Elem(r.bss[cur], 0, x, y, z) })
 }
 
 // resume re-enters a restored snapshot's degradation and arms the
-// pipeline's first exchange.
-func (r *brickRank) resume(degraded string) error {
-	if degraded != "" && r.degradable != nil && !r.degradable.Degraded() {
+// pipeline's first exchange, the one of buffer cur.
+func (r *brickRank) resume(cur int, degraded string) error {
+	if degraded != "" {
 		// The snapshot was taken after a mid-run degradation whose trigger
 		// step replay will not pass again; re-enter the same copy-window
 		// fallback before touching the wire.
-		if err := r.degradable.Degrade(degraded); err != nil {
-			return err
+		for _, ev := range r.degradable {
+			if ev != nil && !ev.Degraded() {
+				if err := ev.Degrade(degraded); err != nil {
+					return err
+				}
+			}
 		}
 	}
-	if r.part != nil {
+	if p := r.parts[cur]; p != nil {
 		// Prologue: arm the first exchange's sends with the current field
 		// contents — the initial values, or the restored snapshot — fully
-		// ready. From here every step's surface pass re-arms the next
-		// exchange tile by tile.
-		r.part.StartSends()
-		r.part.ReadyAll()
+		// ready. From here every step's surface pass re-arms the exchange
+		// of the buffer it writes, tile by tile.
+		p.StartSends()
+		p.ReadyAll()
 	}
 	return nil
 }
 
-// close releases the exchanger and a mapped arena, except on an abort
+// close releases the exchangers and mapped arenas, except on an abort
 // unwind: a surviving peer's unmatched one-shot message (or, without the Free
 // retraction, a persistent delivery) may still reference their pages and
 // endpoints, and copying from an unmapped page is a fatal SIGSEGV no
 // recover can catch. Respawn discards the stale references and the next
-// epoch maps a fresh arena; a fail-loud run is exiting anyway.
+// epoch maps fresh arenas; a fail-loud run is exiting anyway.
 func (r *brickRank) close() {
 	if r.comm.Aborting() {
 		return
 	}
-	if r.ex != nil {
-		r.ex.Close()
+	for _, ex := range r.exs {
+		if ex != nil {
+			ex.Close()
+		}
 	}
-	if r.bs != nil && r.mapped {
-		r.bs.Close()
+	for _, bs := range r.bss {
+		if bs != nil && r.mapped {
+			bs.Close()
+		}
 	}
 }
 
 func (r *brickRank) step(abs, cur int, exchange bool, margin int) (time.Duration, core.PhaseTimings) {
 	cfg, dec, wk := &r.cfg, r.dec, r.cfg.Workers
 	var calc time.Duration
-	src := core.NewBrick(r.info, r.bs, cur)
-	dst := core.NewBrick(r.info, r.bs, 1-cur)
-	if r.part != nil {
+	src := core.NewBrick(r.info, r.bss[cur], 0)
+	dst := core.NewBrick(r.info, r.bss[1-cur], 0)
+	if part := r.parts[cur]; part != nil {
 		// The sends of this step's exchange were armed, and released tile by
 		// tile, by the previous step's surface pass; only the receives start
 		// here. The interior reads no ghost brick, and in flight the
 		// exchange reads only surface bricks and writes only ghost bricks.
 		r.fr.Phase(flight.PhaseExchange)
-		r.part.StartRecvs()
+		part.StartRecvs()
 		r.fr.Phase(flight.PhaseInterior)
 		t0 := time.Now()
 		inter := dec.Interior()
 		stencil.ApplyBricksRangeWorkers(dst, src, dec, cfg.Stencil, 0, inter.Start, inter.End(), wk)
 		calc = time.Since(t0)
-		r.ex.Complete()
+		part.Complete()
 		r.degradeAt(abs)
-		onTile := r.ready
+		onTile := r.ready[1-cur]
 		if abs == cfg.Warmup+cfg.Steps-1 {
 			onTile = nil // last step: there is no next exchange to feed
 		} else {
-			r.part.StartSends()
+			r.parts[1-cur].StartSends()
 		}
 		r.fr.Phase(flight.PhaseSurface)
 		t0 = time.Now()
@@ -456,25 +468,41 @@ func (r *brickRank) step(abs, cur int, exchange bool, margin int) (time.Duration
 		calc += time.Since(t0)
 	} else {
 		if exchange {
-			r.ex.Start()
-			r.ex.Complete()
+			r.exs[cur].Start()
+			r.exs[cur].Complete()
 		}
 		r.degradeAt(abs)
 		t0 := time.Now()
 		stencil.ApplyBricksParallel(dst, src, dec, cfg.Stencil, margin, wk)
 		calc = time.Since(t0)
 	}
-	return calc, r.ex.Timings()
+	return calc, drainTimings(r.exs[:])
+}
+
+// drainTimings drains and sums the phase splits of exs.
+func drainTimings(exs []core.Exchanger) core.PhaseTimings {
+	var tm core.PhaseTimings
+	for _, ex := range exs {
+		t := ex.Timings()
+		tm.Pack += t.Pack
+		tm.Call += t.Call
+		tm.Wait += t.Wait
+	}
+	return tm
 }
 
 // degradeAt fires an injected mid-run mapfail. Both schedules call it after
-// Complete, where every transfer of the step is delivered and nothing is
-// armed, so the mapped views can be swapped for copy windows (Rebind on an
-// armed partitioned request would panic).
+// Complete, where every transfer of either exchange is delivered and
+// nothing is armed, so the mapped views of both storages can be swapped for
+// copy windows (Rebind on an armed partitioned request would panic).
 func (r *brickRank) degradeAt(abs int) {
-	if r.degradable != nil && r.cfg.inj.DegradeAtStep(r.rank, abs) {
-		if err := r.degradable.Degrade(core.DegradeForced); err != nil {
+	if r.degradable[0] == nil || !r.cfg.inj.DegradeAtStep(r.rank, abs) {
+		return
+	}
+	for _, ev := range r.degradable {
+		if err := ev.Degrade(core.DegradeForced); err != nil {
 			r.comm.Abort(err)
+			return
 		}
 	}
 }
@@ -528,7 +556,7 @@ func (g *gridRank) checksum(cur int) float64 { return sumDomain(g.cfg, g.gs[cur]
 
 // resume has nothing to re-enter: grid exchanges never degrade, which the
 // loop's degraded check enforces against the snapshot.
-func (g *gridRank) resume(string) error { return nil }
+func (g *gridRank) resume(int, string) error { return nil }
 
 func (g *gridRank) close() {
 	for _, ex := range g.exs {

@@ -49,7 +49,7 @@ import (
 const (
 	shmMagic       = 0x627269636b736831 // "bricksh1"
 	shmRingSlots   = 1024               // one-shot messages in flight per rank
-	shmMaxPers     = 1024               // persistent endpoint table capacity
+	shmMaxPers     = 4096               // persistent endpoint table capacity (channels, world-wide)
 	shmAbortMsgCap = 256                // abort cause rendering, truncated
 )
 
