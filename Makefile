@@ -199,16 +199,16 @@ benchmark-smoke:
 	cd benchmark && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # bench-allocs fails if the persistent per-step hot path regresses above
-# zero heap allocations (Start/Complete of every exchange variant: Layout
-# and MemMap — partitioned and not — MemMap over copy windows, Shift, YASK
-# pack and MPI_Types; the raw persistent-request Start/Wait cycle on chan,
-# shmem and tcp, and a whole pipelined brick step of the harness), if the
+# zero heap allocations (Start/Complete of every exchange variant: Layout,
+# MemMap, MemMap over copy windows, Shift, YASK pack and MPI_Types; the raw
+# persistent-request Start/Wait cycle on chan, shmem and tcp, and a whole
+# overlapped or exchange-then-compute step of the harness), if the
 # flight recorder's record path (enabled or disabled) starts allocating, or
 # if a serial stencil Apply (bricks or arrays, 7pt or 125pt) allocates at
 # all.
 bench-allocs:
 	$(GO) test -count=1 -run 'TestApplyZeroAllocs' ./internal/stencil/
-	$(GO) test -count=1 -run 'TestPersistentHotPathAllocs|TestPartitionedHotPathAllocs' ./internal/core/
+	$(GO) test -count=1 -run 'TestPersistentHotPathAllocs' ./internal/core/
 	$(GO) test -count=1 -run 'TestStagedHotPathAllocs' ./internal/grid/
 	$(GO) test -count=1 -run 'TestPersistentZeroAllocSteps' ./internal/mpi/
 	$(GO) test -count=1 -run 'TestPipelinedStepZeroAllocs' ./internal/harness/

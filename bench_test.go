@@ -300,7 +300,8 @@ func BenchmarkTable3_CostSummary(b *testing.B) {
 // BenchmarkAblation_ExchangeMethods compares all pack-free exchange methods
 // plus the baselines at one configuration: message count vs copies vs
 // phases (Shift trades 6 messages for 3 serialized phases). Layout-OL is
-// Layout exchanging every step, which pipelines the exchange.
+// Layout exchanging every step, which overlaps the exchange with the
+// interior sweep.
 func BenchmarkAblation_ExchangeMethods(b *testing.B) {
 	for _, im := range []harness.Impl{harness.YASK, harness.MPITypes, harness.Basic,
 		harness.Layout, harness.MemMap, harness.Shift} {
@@ -412,8 +413,8 @@ func BenchmarkAblation_MetricsOverhead(b *testing.B) {
 }
 
 // BenchmarkAblation_FlightOverhead measures the flight recorder's cost on
-// the pipelined Layout configuration — the event-densest path (send posts,
-// deliveries, per-partition Pready/Parrived, per-tile start/done). disabled
+// the overlapped Layout configuration — the event-densest path (send
+// posts, deliveries, waits and phase marks every step). disabled
 // (Config.Flight off — every hook is one nil check) vs enabled must stay
 // within noise on GStencil/s; enabled additionally reports the event volume.
 func BenchmarkAblation_FlightOverhead(b *testing.B) {

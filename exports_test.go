@@ -23,10 +23,6 @@ var exportAllowlist = map[string]string{
 
 	// The MPI-shaped surface documented in docs/robustness.md,
 	// docs/transports.md and DESIGN.md.
-	"Pready":         "partitioned MPI (MPI_Pready); the conformance and oracle tests drive it",
-	"Parrived":       "partitioned MPI (MPI_Parrived); the partitioned and oracle tests observe arrival with it",
-	"PreadyAll":      "partitioned MPI (MPI_Pready_range over all); the partitioned tests drive it",
-	"PrecvInit":      "partitioned MPI (MPI_Precv_init); the engine's receives are whole, the partitioned tests need it",
 	"WaitallTimeout": "deadline wait documented in docs/robustness.md; TestWaitallTimeoutPerRequestStatus",
 
 	// Tests need these to observe other behaviour.

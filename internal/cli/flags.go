@@ -67,7 +67,7 @@ func RegisterCommon(ghostDefault, brickDefault, itersDefault int) *Common {
 	flag.StringVar(&c.CheckpointDir, "ckpt-dir", "", "commit checkpoint epochs (brick-ckpt/v1 files) to this directory, keeping the newest after the run; empty uses a private temporary directory")
 	flag.IntVar(&c.MaxRecoveries, "max-recoveries", 3, "recovery budget under -ckpt before the run fails with the original abort")
 	flag.BoolVar(&c.VerifyCRC, "verify-crc", false, "verify payload CRCs at receive; detected corruption aborts (and recovers under -ckpt)")
-	flag.BoolVar(&c.Flight, "flight", false, "record per-rank flight-recorder rings (post/deliver/wait/Pready/tile events); on stall or abort — and on chan after weak finishes — a brick-flight/v1 artifact is written to -flight-out (inspect with flightreport)")
+	flag.BoolVar(&c.Flight, "flight", false, "record per-rank flight-recorder rings (post/deliver/wait/step/phase events); on stall or abort — and on chan after weak finishes — a brick-flight/v1 artifact is written to -flight-out (inspect with flightreport)")
 	flag.IntVar(&c.FlightDepth, "flight-depth", 0, "per-rank flight ring capacity in events (0 = default 1024)")
 	flag.StringVar(&c.FlightOut, "flight-out", "brick-flight.bin", "path of the brick-flight/v1 artifact a -flight run writes")
 	return c

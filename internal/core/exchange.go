@@ -43,9 +43,9 @@ func (e *BrickExchanger) NeighborRank(s layout.Set) int { return e.rank[s] }
 // window, sent straight out of storage and received straight into ghost
 // storage, with no on-node movement (98 and 42 messages per rank in 3D —
 // the plan size depends only on the decomposition's brick order).
-func NewLayoutExchange(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) *Engine {
+func NewLayoutExchange(e *BrickExchanger, bs *BrickStorage) *Engine {
 	return newEngine(nil, e.comm, "spans", e.spanWindows(e.d.recvMsgs, bs),
-		e.spanWindows(e.d.sendMsgs, bs), bs, resolveTiles(opts))
+		e.spanWindows(e.d.sendMsgs, bs), bs)
 }
 
 // spanWindows makes one storage window per message that has a neighbor.
@@ -97,7 +97,7 @@ const (
 // in view order — the same program order on every rank. Storage should come
 // from MmapAllocate for zero-copy views; heap storage yields a functional
 // but degraded (copying) view.
-func NewExchangeView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*ExchangeView, error) {
+func NewExchangeView(e *BrickExchanger, bs *BrickStorage) (*ExchangeView, error) {
 	ev := &ExchangeView{}
 	chunk := bs.Chunk()
 	// Group this rank's send runs by destination, in tag order (tag order
@@ -124,7 +124,7 @@ func NewExchangeView(e *BrickExchanger, bs *BrickStorage, opts ...PlanOption) (*
 		recvs = append(recvs, Window{Peer: peer, Tag: makeTag(u.Opposite(), 0),
 			Buf: bs.Data[grp.Start*chunk : grp.PaddedEnd()*chunk]})
 	}
-	ev.Engine = newEngine(nil, e.comm, "memmap", recvs, sends, bs, resolveTiles(opts))
+	ev.Engine = newEngine(nil, e.comm, "memmap", recvs, sends, bs)
 	if reason != "" {
 		ev.degrade(reason)
 	}
@@ -173,14 +173,11 @@ func spanWindow(bs *BrickStorage, peer, tag int, spans []Span) (w Window, view *
 // mid-run Degrade); Plan().Degraded names the first reason.
 func (ev *ExchangeView) Degraded() bool { return ev.Plan().Degraded != "" }
 
-// degrade records the first reason and makes the copy windows current
-// before each send: an unpartitioned plan gathers them all as its fill
-// step, a partitioned one refreshes each partition's segment as it fires.
+// degrade records the first reason and gathers the copy windows as the
+// fill step, so they are current before each send.
 func (ev *ExchangeView) degrade(reason string) {
 	ev.markDegraded(reason)
-	if ev.ps == nil {
-		ev.fill = ev.gather
-	}
+	ev.fill = ev.gather
 }
 
 // Degrade rebuilds every mapped send view as a copy-based window, mid-run:

@@ -59,14 +59,6 @@ type ExchangePlan struct {
 	// degraded plan moves the same bytes between the same peers, it just
 	// pays extra on-node copies.
 	Degraded string `json:"degraded,omitempty"`
-	// Partitions, when the plan was compiled with WithPartitions, holds the
-	// per-send partition count aligned with Sends (Partitions[i] partitions
-	// for Sends[i]). Nil for unpartitioned plans. Unlike Degraded it IS
-	// part of the Digest — partition boundaries change when
-	// messages fire, which is exactly what the digest section records — but
-	// only as an appended section, so a partitioned plan's digest differs
-	// from its unpartitioned twin solely in that section.
-	Partitions []int `json:"partitions,omitempty"`
 }
 
 // SendBytes totals the payload of one round of sends.
@@ -88,8 +80,8 @@ func (p *ExchangePlan) RecvBytes() int64 {
 }
 
 // Digest is a stable FNV-1a hash of the ordered message list (variant,
-// sends, recvs, partition counts). Two plans with the same digest move the
-// same bytes between the same peers with the same tags.
+// sends, recvs). Two plans with the same digest move the same bytes between
+// the same peers with the same tags.
 func (p *ExchangePlan) Digest() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s\n", p.Variant)
@@ -98,9 +90,6 @@ func (p *ExchangePlan) Digest() string {
 	}
 	for _, m := range p.Recvs {
 		fmt.Fprintf(h, "r %d %d %d\n", m.Peer, m.Tag, m.Bytes)
-	}
-	for i, n := range p.Partitions {
-		fmt.Fprintf(h, "p %d %d\n", i, n)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -114,27 +103,19 @@ type PlanSummary struct {
 	Recvs     int    `json:"recvs"`
 	SendBytes int64  `json:"send_bytes"`
 	RecvBytes int64  `json:"recv_bytes"`
-	// Partitions is the total partition count across all sends (zero for
-	// unpartitioned plans).
-	Partitions int    `json:"partitions,omitempty"`
-	Digest     string `json:"digest"`
+	Digest    string `json:"digest"`
 }
 
 // Summary computes the plan's summary.
 func (p *ExchangePlan) Summary() PlanSummary {
-	total := 0
-	for _, n := range p.Partitions {
-		total += n
-	}
 	return PlanSummary{
-		Variant:    p.Variant,
-		Degraded:   p.Degraded,
-		Sends:      len(p.Sends),
-		Recvs:      len(p.Recvs),
-		SendBytes:  p.SendBytes(),
-		RecvBytes:  p.RecvBytes(),
-		Partitions: total,
-		Digest:     p.Digest(),
+		Variant:   p.Variant,
+		Degraded:  p.Degraded,
+		Sends:     len(p.Sends),
+		Recvs:     len(p.Recvs),
+		SendBytes: p.SendBytes(),
+		RecvBytes: p.RecvBytes(),
+		Digest:    p.Digest(),
 	}
 }
 
@@ -155,33 +136,6 @@ type PhaseTimings struct {
 type PlanStats struct {
 	Starts     int64
 	StartBytes int64
-}
-
-// PlanOption configures plan compilation.
-type PlanOption func(*planOpts)
-
-type planOpts struct {
-	tiles [][2]int
-}
-
-// WithPartitions compiles the plan's persistent sends as partitioned
-// requests aligned with the given surface tiles (each tile a [lo, hi)
-// storage-brick range, as produced by stencil.TileSpans over the surface
-// spans). The resulting Engine runs the pipelined schedule; tile index t in
-// ReadyTile(t) refers to tiles[t]. An empty tile list is a no-op
-// (plan stays unpartitioned).
-func WithPartitions(tiles [][2]int) PlanOption {
-	return func(o *planOpts) { o.tiles = tiles }
-}
-
-// resolveTiles applies opts and returns the partition tile list (nil when
-// unpartitioned).
-func resolveTiles(opts []PlanOption) [][2]int {
-	var o planOpts
-	for _, f := range opts {
-		f(&o)
-	}
-	return o.tiles
 }
 
 // planBase carries the plan, timing, and reuse-stat state of an Exchanger.

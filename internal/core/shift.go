@@ -62,7 +62,7 @@ func NewShiftView(e *BrickExchanger, bs *BrickStorage) (*ShiftView, error) {
 		}
 	}
 	for axis := range sv.phases {
-		ph := newEngine(&sv.planBase, e.comm, "shift", recvs[axis], sends[axis], bs, nil)
+		ph := newEngine(&sv.planBase, e.comm, "shift", recvs[axis], sends[axis], bs)
 		if hasCopies(ph.sendWins) {
 			ph.fill = ph.gather
 		}

@@ -71,7 +71,7 @@ func terminalEvent(rings map[int][]Event, p PendingRef) (rank, idx int, ok bool)
 				return p.Dst, i, true
 			}
 		}
-	case PendSendUnmatched, PendPsendActive, PendPsendPartial, PendPsendUnpaired:
+	case PendSendUnmatched, PendPsendActive, PendPsendUnpaired:
 		evs := rings[p.Src]
 		for i := len(evs) - 1; i >= 0; i-- {
 			e := evs[i]
@@ -93,8 +93,7 @@ func walkBack(rings map[int][]Event, rank, idx int) []CausalLink {
 		e := rings[rank][idx]
 		rev = append(rev, CausalLink{Rank: rank, Event: e, Cross: cross})
 		cross = false
-		if (e.Kind == KindDeliver || e.Kind == KindParrived) &&
-			e.Seq > 0 && e.Peer >= 0 {
+		if e.Kind == KindDeliver && e.Seq > 0 && e.Peer >= 0 {
 			if j := findSendPost(rings[int(e.Peer)], rank, e.Tag, e.Seq); j >= 0 {
 				rank, idx, cross = int(e.Peer), j, true
 				continue
@@ -121,36 +120,9 @@ func findSendPost(evs []Event, dst int, tag int32, seq uint64) int {
 }
 
 // blameEdge names the causal edge that never fired, from ring evidence:
-// a partition whose Pready is missing (with the tile's start/done state), a
-// send never posted, or a posted send never delivered. Empty when the rings
-// hold no decisive evidence.
+// a send never posted, or a posted send never delivered. Empty when the
+// rings hold no decisive evidence.
 func blameEdge(rings map[int][]Event, p PendingRef) string {
-	if len(p.Unready) > 0 {
-		u := p.Unready[0]
-		src := rings[p.Src]
-		started, finished := false, false
-		for _, e := range src {
-			if e.Part == int32(u) {
-				if e.Kind == KindTileStart {
-					started = true
-				}
-				if e.Kind == KindTileDone {
-					finished = true
-				}
-			}
-		}
-		switch {
-		case started && !finished:
-			return fmt.Sprintf("rank %d tile %d started but never finished, so Pready for partition %d never fired, stalling rank %d's recv tag %d",
-				p.Src, u, u, p.Dst, p.Tag)
-		case !started:
-			return fmt.Sprintf("rank %d never started tile %d, so Pready for partition %d never fired, stalling rank %d's recv tag %d",
-				p.Src, u, u, p.Dst, p.Tag)
-		default:
-			return fmt.Sprintf("rank %d completed tile %d but never fired Pready for partition %d, stalling rank %d's recv tag %d",
-				p.Src, u, u, p.Dst, p.Tag)
-		}
-	}
 	switch p.Kind {
 	case PendRecvPosted, PendPrecvActive, PendPrecvUnpaired:
 		var lastSend *Event
@@ -172,7 +144,7 @@ func blameEdge(rings map[int][]Event, p PendingRef) string {
 		}
 		return fmt.Sprintf("rank %d posted send tag=%d seq=%d to rank %d but it was never delivered",
 			p.Src, p.Tag, lastSend.Seq, p.Dst)
-	case PendSendUnmatched, PendPsendActive, PendPsendPartial, PendPsendUnpaired:
+	case PendSendUnmatched, PendPsendActive, PendPsendUnpaired:
 		for _, e := range rings[p.Dst] {
 			if e.Kind == KindRecvPost &&
 				(e.Peer == int32(p.Src) || e.Peer < 0) &&

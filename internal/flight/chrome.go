@@ -16,11 +16,10 @@ type TraceKind string
 // Trace kinds that differ from the flight Kind they come from; every other
 // flight kind exports under its own name (Kind.String).
 const (
-	TraceSend    TraceKind = "send"
-	TraceRecv    TraceKind = "recv"
-	TraceWait    TraceKind = "wait"
-	TraceTile    TraceKind = "tile"
-	TraceDeliver TraceKind = "deliver"
+	TraceSend TraceKind = "send"
+	TraceRecv TraceKind = "recv"
+	TraceWait TraceKind = "wait"
+	TraceTile TraceKind = "tile"
 )
 
 // TraceEvent is one timed interval (or, with Dur 0, one marker) on a rank's
@@ -127,8 +126,6 @@ func pointKind(k Kind) TraceKind {
 		return TraceSend
 	case KindRecvPost:
 		return TraceRecv
-	case KindParrived:
-		return TraceDeliver
 	default:
 		return TraceKind(k.String())
 	}
@@ -142,10 +139,6 @@ func pointName(e Event) string {
 		return fmt.Sprintf("recv<-%d tag=%d", e.Peer, e.Tag)
 	case KindDeliver:
 		return fmt.Sprintf("deliver<-%d tag=%d seq=%d", e.Peer, e.Tag, e.Seq)
-	case KindPready:
-		return fmt.Sprintf("pready->%d tag=%d part=%d", e.Peer, e.Tag, e.Part)
-	case KindParrived:
-		return fmt.Sprintf("parrived<-%d tag=%d part=%d", e.Peer, e.Tag, e.Part)
 	case KindStep:
 		return fmt.Sprintf("step %d", e.Step)
 	case KindPhase:

@@ -30,7 +30,6 @@ const (
 	PendPsendUnpaired  = "psend-unpaired"  // a SendInit no RecvInit has matched
 	PendPrecvUnpaired  = "precv-unpaired"  // a RecvInit no SendInit has matched
 	PendPsendActive    = "psend-active"    // a started persistent send whose Wait would block
-	PendPsendPartial   = "psend-partial"   // a psend-active partitioned send with unready partitions
 	PendPrecvActive    = "precv-active"    // a started persistent receive whose Wait would block
 	PendRecoveryParked = "recovery-parked" // a rank parked at the recovery barrier
 )
@@ -44,10 +43,6 @@ type PendingRef struct {
 	Src  int    `json:"src"`
 	Dst  int    `json:"dst"`
 	Tag  int    `json:"tag"`
-	// Partitions and Unready mirror a partitioned send's progress: how
-	// many partitions the cycle has, and which were never marked ready.
-	Partitions int   `json:"partitions,omitempty"`
-	Unready    []int `json:"unready,omitempty"`
 }
 
 func (p PendingRef) String() string {

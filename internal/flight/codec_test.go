@@ -13,7 +13,7 @@ func sampleSnapshot() *Snapshot {
 		Detail: "mpi: watchdog: no exchange progress for 250ms",
 		Depth:  1024,
 		Pending: []PendingRef{
-			{Kind: "psend-partial", Src: 3, Dst: 5, Tag: 41, Partitions: 4, Unready: []int{2}},
+			{Kind: "psend-active", Src: 3, Dst: 5, Tag: 41},
 			{Kind: "recv-posted", Src: 1, Dst: 0, Tag: 17},
 		},
 		Ranks: []RankLog{
@@ -133,7 +133,7 @@ func TestSnapshotCapture(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r0.Record(KindStep, -1, -1, int32(i), 0, 0)
 	}
-	rec.Rank(1).Send(0, 9, -1, 128)
+	rec.Rank(1).Send(0, 9, 128)
 	s := rec.Snapshot("abort", "boom", []PendingRef{{Kind: "recv-posted", Src: 1, Dst: 0, Tag: 9}})
 	if s.Reason != "abort" || s.Detail != "boom" || s.Depth != 4 || len(s.Ranks) != 2 {
 		t.Fatalf("snapshot metadata = %+v", s)

@@ -1,8 +1,8 @@
 // Package flight is the always-on flight recorder: a per-rank,
 // fixed-capacity, overwrite-oldest ring of fixed-size binary event records
 // capturing the runtime's communication and compute milestones — sends
-// posted, receives posted, deliveries, waits, partition Pready/Parrived,
-// surface tiles, step/phase transitions, checkpoints, recoveries, aborts.
+// posted, receives posted, deliveries, waits, surface tiles, step/phase
+// transitions, checkpoints, recoveries, aborts.
 //
 // The recorder exists for post-mortem forensics: when the watchdog trips,
 // a rank aborts, or the recovery budget runs out, every rank's ring is
@@ -44,11 +44,11 @@ const (
 	KindDeliver        // payload delivered into this rank's buffer; Seq = sender's
 	KindWaitStart      // Request.Wait entered
 	KindWaitDone       // Request.Wait returned
-	KindPready         // sender marked partition Part ready; Seq = cycle's send
-	KindParrived       // partition Part delivered into this rank's buffer
+	_                  // 6: retired (a partition marked ready)
+	_                  // 7: retired (a partition delivered)
 	KindAbort          // this rank originated a world abort
 	KindTileStart      // surface tile Part began executing
-	KindTileDone       // surface tile Part finished (before its Pready fires)
+	KindTileDone       // surface tile Part finished
 	KindStep           // step-loop entered absolute step Step
 	KindPhase          // step-loop phase transition; Part is a Phase* code
 	KindCkpt           // checkpoint epoch spilled at step Step
@@ -71,10 +71,6 @@ func (k Kind) String() string {
 		return "wait-start"
 	case KindWaitDone:
 		return "wait-done"
-	case KindPready:
-		return "pready"
-	case KindParrived:
-		return "parrived"
 	case KindAbort:
 		return "abort"
 	case KindTileStart:
@@ -104,7 +100,7 @@ func (k Kind) String() string {
 const (
 	PhaseExchange int32 = iota // exchange posting/completion span
 	PhaseInterior              // interior compute (overlaps the wire)
-	PhaseSurface               // surface compute (feeds Pready on the pipelined schedule)
+	PhaseSurface               // surface compute (after the exchange completes)
 )
 
 func phaseName(code int32) string {
@@ -129,7 +125,7 @@ type Event struct {
 	Step  int32  // absolute step at record time; -1 before the first SetStep
 	Peer  int32  // peer rank; -1 when none (or a wildcard receive)
 	Tag   int32  // message tag; -1 when none (or a wildcard receive)
-	Part  int32  // partition index, tile index, or Phase* code; -1 when none
+	Part  int32  // tile index or Phase* code; -1 when none
 	Kind  Kind
 }
 
@@ -162,7 +158,7 @@ func (e Event) writeFields(b *strings.Builder) {
 		fmt.Fprintf(b, " tile=%d", e.Part)
 		return
 	case KindSendPost, KindRecvPost, KindDeliver, KindWaitStart, KindWaitDone,
-		KindPready, KindParrived, KindConnect, KindDisconnect, KindHeartbeatMiss:
+		KindConnect, KindDisconnect, KindHeartbeatMiss:
 		if e.Peer >= 0 {
 			fmt.Fprintf(b, " peer=%d", e.Peer)
 		} else {
@@ -173,9 +169,6 @@ func (e Event) writeFields(b *strings.Builder) {
 		} else {
 			b.WriteString(" tag=any")
 		}
-	}
-	if e.Part >= 0 && (e.Kind == KindPready || e.Kind == KindParrived || e.Kind == KindDeliver) {
-		fmt.Fprintf(b, " part=%d", e.Part)
 	}
 	if e.Seq > 0 {
 		fmt.Fprintf(b, " seq=%d", e.Seq)
@@ -247,7 +240,7 @@ func (g *Ring) Record(k Kind, peer, tag, part int32, bytes int64, seq uint64) {
 // the send-post event, and returns the stamp for the envelope to carry.
 // Allocation-free once a stream's counter exists (the first send of each
 // stream may grow the map).
-func (g *Ring) Send(peer, tag, part int32, bytes int64) uint64 {
+func (g *Ring) Send(peer, tag int32, bytes int64) uint64 {
 	if g == nil {
 		return 0
 	}
@@ -259,7 +252,7 @@ func (g *Ring) Send(peer, tag, part int32, bytes int64) uint64 {
 	g.seq[k] = s
 	g.buf[g.head%uint64(len(g.buf))] = Event{
 		Nanos: nanos, Seq: s, Bytes: bytes,
-		Step: step, Peer: peer, Tag: tag, Part: part, Kind: KindSendPost,
+		Step: step, Peer: peer, Tag: tag, Part: -1, Kind: KindSendPost,
 	}
 	g.head++
 	g.mu.Unlock()
@@ -273,8 +266,8 @@ func (g *Ring) RecvPost(peer, tag int32, bytes int64) {
 
 // Deliver records a delivery into this rank's buffer, carrying the
 // sender's sequence stamp.
-func (g *Ring) Deliver(peer, tag, part int32, bytes int64, seq uint64) {
-	g.Record(KindDeliver, peer, tag, part, bytes, seq)
+func (g *Ring) Deliver(peer, tag int32, bytes int64, seq uint64) {
+	g.Record(KindDeliver, peer, tag, -1, bytes, seq)
 }
 
 // StepMark advances the stamped step and records the step boundary.
@@ -366,7 +359,7 @@ func (g *Ring) Tail(n int) []Event {
 }
 
 // DefaultDepth is the per-rank ring capacity when none is configured:
-// enough for several steps of an 8-rank partitioned exchange while keeping
+// enough for several steps of an 8-rank exchange while keeping
 // a 1024-rank world's recorder under ~50 MB.
 const DefaultDepth = 1024
 

@@ -51,16 +51,16 @@ func TestRingTail(t *testing.T) {
 // sequence per (peer, tag) stream and records it on the event.
 func TestSendSequencing(t *testing.T) {
 	r := New(1, 64).Rank(0)
-	if s := r.Send(1, 7, -1, 8); s != 1 {
+	if s := r.Send(1, 7, 8); s != 1 {
 		t.Fatalf("first seq of (1,7) = %d, want 1", s)
 	}
-	if s := r.Send(1, 7, -1, 8); s != 2 {
+	if s := r.Send(1, 7, 8); s != 2 {
 		t.Fatalf("second seq of (1,7) = %d, want 2", s)
 	}
-	if s := r.Send(2, 7, -1, 8); s != 1 {
+	if s := r.Send(2, 7, 8); s != 1 {
 		t.Fatalf("first seq of (2,7) = %d, want 1 (streams are independent)", s)
 	}
-	if s := r.Send(1, 8, -1, 8); s != 1 {
+	if s := r.Send(1, 8, 8); s != 1 {
 		t.Fatalf("first seq of (1,8) = %d, want 1 (streams are independent)", s)
 	}
 	evs := r.Events()
@@ -100,8 +100,8 @@ func TestNilRingSafety(t *testing.T) {
 	g.Phase(PhaseInterior)
 	g.Record(KindAbort, -1, -1, -1, 0, 0)
 	g.RecvPost(0, 0, 8)
-	g.Deliver(0, 0, -1, 8, 1)
-	if s := g.Send(0, 0, -1, 8); s != 0 {
+	g.Deliver(0, 0, 8, 1)
+	if s := g.Send(0, 0, 8); s != 0 {
 		t.Fatalf("nil ring Send = %d, want 0", s)
 	}
 	if g.Total() != 0 || g.Dropped() != 0 || g.Events() != nil || len(g.Tail(4)) != 0 {
@@ -130,7 +130,7 @@ func TestConcurrentRecording(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				switch i % 3 {
 				case 0:
-					r.Send(int32(w), 5, -1, 64)
+					r.Send(int32(w), 5, 64)
 				case 1:
 					r.Record(KindTileStart, -1, -1, int32(i), 0, 0)
 				default:
@@ -162,8 +162,6 @@ func TestEventRendering(t *testing.T) {
 			"send-post step=2 peer=3 tag=41 seq=7 bytes=512"},
 		{Event{Kind: KindRecvPost, Step: 0, Peer: -1, Tag: -1, Part: -1},
 			"recv-post step=0 peer=any tag=any"},
-		{Event{Kind: KindPready, Step: 1, Peer: 5, Tag: 41, Part: 2, Seq: 3, Bytes: 64},
-			"pready step=1 peer=5 tag=41 part=2 seq=3 bytes=64"},
 		{Event{Kind: KindTileStart, Step: 4, Peer: -1, Tag: -1, Part: 7},
 			"tile-start step=4 tile=7"},
 		{Event{Kind: KindPhase, Step: 3, Peer: -1, Tag: -1, Part: PhaseSurface},
@@ -185,14 +183,14 @@ func TestEventRendering(t *testing.T) {
 // stream's counter exists — the property make bench-allocs gates.
 func TestRecordAllocs(t *testing.T) {
 	r := New(1, 64).Rank(0)
-	r.Send(1, 7, -1, 8) // create the stream counter outside the measured loop
+	r.Send(1, 7, 8) // create the stream counter outside the measured loop
 	if n := testing.AllocsPerRun(100, func() {
 		r.Record(KindTileStart, -1, -1, 3, 0, 0)
 	}); n != 0 {
 		t.Fatalf("Record allocates %.1f per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		r.Send(1, 7, -1, 8)
+		r.Send(1, 7, 8)
 	}); n != 0 {
 		t.Fatalf("Send allocates %.1f per op, want 0", n)
 	}
@@ -204,7 +202,7 @@ func TestRecordAllocs(t *testing.T) {
 	var nilRing *Ring
 	if n := testing.AllocsPerRun(100, func() {
 		nilRing.Record(KindTileStart, -1, -1, 3, 0, 0)
-		nilRing.Send(1, 7, -1, 8)
+		nilRing.Send(1, 7, 8)
 	}); n != 0 {
 		t.Fatalf("disabled path allocates %.1f per op, want 0", n)
 	}

@@ -10,13 +10,13 @@ import (
 // one causal chain per pending operation with its blamed edge:
 //
 //	flight artifact: reason=stall depth=1024 ranks=8
-//	rank 3: 240 events (0 dropped), last 4:
-//	  [   +1.204ms] tile-start step=2 tile=7
+//	rank 5: 240 events (0 dropped), last 4:
+//	  [   +1.204ms] wait-start step=2 peer=3 tag=41
 //	  ...
-//	pending psend-partial src=3 dst=5 tag=41:
-//	  rank 3  [   +1.102ms] send-post step=2 peer=5 tag=41 seq=3 ...
+//	pending precv-active src=3 dst=5 tag=41:
+//	  rank 5  [   +1.102ms] recv-post step=2 peer=3 tag=41 ...
 //	  ...
-//	  blamed: rank 3 tile 7 started but never finished, ...
+//	  blamed: rank 3 posted send tag=41 seq=3 to rank 5 but it was never delivered
 //
 // lastN bounds each rank's timeline (<= 0 shows every retained event).
 func WriteFlightReport(w io.Writer, s *Snapshot, lastN int) error {

@@ -125,11 +125,11 @@ func TestFlightRecorderPreservesChecksums(t *testing.T) {
 	}
 }
 
-// TestFlightPartitionedRecordsCausalEvents: a pipelined run (an exchange
-// every step, partitioned sends) records the full per-tile causal
-// vocabulary — tile start/done pairs, Pready, Parrived — in every rank's
-// ring.
-func TestFlightPartitionedRecordsCausalEvents(t *testing.T) {
+// TestFlightOverlapRecordsCausalEvents: an overlapped run (an exchange
+// every step) records its causal vocabulary — step marks, the exchange,
+// interior and surface phases, send and receive posts, deliveries — in
+// every rank's ring.
+func TestFlightOverlapRecordsCausalEvents(t *testing.T) {
 	rec := flight.New(8, 4096)
 	cfg := baseConfig(Layout)
 	cfg.FlightRec = rec
@@ -138,19 +138,24 @@ func TestFlightPartitionedRecordsCausalEvents(t *testing.T) {
 	}
 	for r := 0; r < 8; r++ {
 		counts := map[flight.Kind]int{}
+		phases := map[int32]int{}
 		for _, e := range rec.Rank(r).Events() {
 			counts[e.Kind]++
+			if e.Kind == flight.KindPhase {
+				phases[e.Part]++
+			}
 		}
 		for _, k := range []flight.Kind{flight.KindStep, flight.KindPhase,
-			flight.KindTileStart, flight.KindTileDone, flight.KindPready,
-			flight.KindParrived, flight.KindSendPost, flight.KindRecvPost} {
+			flight.KindSendPost, flight.KindRecvPost, flight.KindDeliver} {
 			if counts[k] == 0 {
 				t.Errorf("rank %d ring has no %v events (got %v)", r, k, counts)
 			}
 		}
-		if counts[flight.KindTileStart] != counts[flight.KindTileDone] {
-			t.Errorf("rank %d: %d tile-starts vs %d tile-dones",
-				r, counts[flight.KindTileStart], counts[flight.KindTileDone])
+		steps := counts[flight.KindStep]
+		for _, ph := range []int32{flight.PhaseExchange, flight.PhaseInterior, flight.PhaseSurface} {
+			if phases[ph] != steps {
+				t.Errorf("rank %d: %d marks of phase %d over %d steps, want one per step", r, phases[ph], ph, steps)
+			}
 		}
 	}
 }

@@ -160,7 +160,7 @@ type Config struct {
 	VerifyCRC bool
 
 	// Flight enables the always-on flight recorder: every rank records
-	// post/deliver/wait/Pready/Parrived/tile/step events into a fixed-depth
+	// post/deliver/wait/step/phase events into a fixed-depth
 	// ring (internal/flight), the watchdog embeds the stalling rank's tail
 	// into its StallReport, and a failed run — stall, abort, or exhausted
 	// recovery budget — snapshots every ring into a brick-flight/v1
@@ -382,8 +382,6 @@ func describeMetrics(reg *metrics.Registry) {
 	reg.Describe(metrics.PlanStartsTotal, "Times a compiled exchange plan was started.")
 	reg.Describe(metrics.PlanStartBytesTotal, "Payload bytes posted by plan starts.")
 	reg.Describe(metrics.ExchangeDegradedTotal, "Exchangers that fell back to copy-based windows (labels: impl, rank, reason).")
-	reg.Describe(metrics.ExchangePartitionsReadyTotal, "Send partitions marked ready (Pready fired by a completed surface tile).")
-	reg.Describe(metrics.PartitionReadyLagSeconds, "Delay from arming a partitioned send to each partition's Pready.")
 	reg.Describe(metrics.CkptBytesTotal, "Checkpoint snapshot payload bytes spilled (labels: impl, rank).")
 	reg.Describe(metrics.CkptEpochsTotal, "Committed world-wide checkpoint epochs (labels: impl).")
 	reg.Describe(metrics.RecoveryTotal, "Recovery verdicts (labels: rank, outcome=recovered|budget-exhausted).")
@@ -521,10 +519,7 @@ func flightDump(cfg Config, ae *mpi.AbortError, reason string) {
 			reason = "stall"
 		}
 		for _, op := range rep.Pending {
-			pending = append(pending, flight.PendingRef{
-				Kind: op.Kind, Src: op.Src, Dst: op.Dst, Tag: op.Tag,
-				Partitions: op.Partitions, Unready: op.Unready,
-			})
+			pending = append(pending, flight.PendingRef{Kind: op.Kind, Src: op.Src, Dst: op.Dst, Tag: op.Tag})
 		}
 	} else if reason == "" {
 		reason = "abort"

@@ -22,15 +22,18 @@ func rankOrigin(cfg Config, cart *mpi.Cart) [3]int {
 	return [3]int{co[2] * cfg.Dom[0], co[1] * cfg.Dom[1], co[0] * cfg.Dom[2]}
 }
 
-// seedDomain writes initValue over the rank's owned elements through set,
-// which takes extended (ghost-inclusive) coordinates.
-func seedDomain(cfg Config, cart *mpi.Cart, set func(x, y, z int, v float64)) {
+// seedDomain writes initValue over the rank's owned elements one x-row at
+// a time: row(y, z, vals) stores vals at extended coordinates Ghost,
+// Ghost+1, … of row (y, z). Rows go in the same z-then-y order as ever.
+func seedDomain(cfg Config, cart *mpi.Cart, row func(y, z int, vals []float64)) {
 	org := rankOrigin(cfg, cart)
+	vals := make([]float64, cfg.Dom[0])
 	for z := 0; z < cfg.Dom[2]; z++ {
 		for y := 0; y < cfg.Dom[1]; y++ {
-			for x := 0; x < cfg.Dom[0]; x++ {
-				set(x+cfg.Ghost, y+cfg.Ghost, z+cfg.Ghost, initValue(org[0]+x, org[1]+y, org[2]+z))
+			for x := range vals {
+				vals[x] = initValue(org[0]+x, org[1]+y, org[2]+z)
 			}
+			row(y+cfg.Ghost, z+cfg.Ghost, vals)
 		}
 	}
 }
@@ -56,10 +59,10 @@ func sumDomain(cfg Config, at func(x, y, z int) float64) float64 {
 // checkpoints, and accounting.
 //
 // The schedule follows the exchange period, not the implementation: at
-// period 1 the exchange overlaps computation (the brick pipeline, or the
-// grid's interior/shell split), and above it every exchange completes
-// before the step computes. Shift is the one exception: its slab phases
-// are serialized by corner forwarding, so it never overlaps.
+// period 1 the exchange overlaps the interior sweep and the boundary (brick
+// surface or grid shell) follows the wait, and above it every exchange
+// completes before the step computes. Shift is the one exception: its slab
+// phases are serialized by corner forwarding, so it never overlaps.
 type rankLayout interface {
 	// step advances the field from buffer cur to buffer 1-cur, refreshing
 	// the ghosts first when exchange is set, with the given ghost-expansion
@@ -71,10 +74,9 @@ type rankLayout interface {
 	// bufs are the live storage buffers a checkpoint copies and a restore
 	// overwrites.
 	bufs() [][]float64
-	// resume readies the layout for its first step, from buffer cur, after
-	// any restore. degraded is the restored snapshot's exchange mode (""
-	// without one).
-	resume(cur int, degraded string) error
+	// resume readies the layout for its first step after any restore.
+	// degraded is the restored snapshot's exchange mode ("" without one).
+	resume(degraded string) error
 	// checksum sums buffer cur over the owned elements.
 	checksum(cur int) float64
 	close()
@@ -164,7 +166,7 @@ func newRankLoop(cfg Config, cart *mpi.Cart) (*rankLoop, error) {
 		}
 		degraded = snap.Degraded
 	}
-	if err := lp.lay.resume(lp.cur, degraded); err != nil {
+	if err := lp.lay.resume(degraded); err != nil {
 		return lp, err
 	}
 	if got := lp.degraded(); snap != nil && got != degraded {
@@ -265,9 +267,9 @@ func (lp *rankLoop) step(abs int) {
 // exchange, chosen by parity as the grid's exchangers are: step cur reads
 // bss[cur], whose ghosts exs[cur] refreshes, and writes bss[1-cur]. So an
 // exchange ships only the buffer the next step reads. At period 1 every
-// exchange except Shift's runs the partitioned pipeline: the surface pass
-// fires Pready tile by tile into the exchange of the buffer it writes,
-// while the interior of the following step hides its wire time.
+// exchange except Shift's overlaps the interior sweep, as gridRank's does:
+// in flight it reads only surface bricks and writes only ghost bricks, and
+// the interior reads neither ghosts nor anything it writes.
 type brickRank struct {
 	cfg  Config
 	comm *mpi.Comm
@@ -281,14 +283,11 @@ type brickRank struct {
 	// degradable is set for MemMap, the one implementation whose mapped
 	// views can be rebuilt as copy windows mid-run (mapfail:step=S faults).
 	degradable [2]*core.ExchangeView
-	// parts are exs's engines when they run the pipelined schedule, nil on
-	// the serial one. ready are their ReadyTiles, hoisted so step never
-	// allocates the method values. tiles are the surface tiles: both the
-	// plans' partition alignment and the surface pass's execution tiling.
-	parts [2]*core.Engine
-	ready [2]func(int)
-	tiles [][2]int
-	fr    *flight.Ring
+	// overlap selects the overlapped schedule; surf are then the surface
+	// spans, computed once the exchange completes.
+	overlap bool
+	surf    [][2]int
+	fr      *flight.Ring
 }
 
 // newBrickRank builds one rank's brick storages and exchanges, and fills
@@ -297,7 +296,7 @@ type brickRank struct {
 func newBrickRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayout, error) {
 	comm := cart.Comm()
 	r := &brickRank{cfg: cfg, comm: comm, rank: comm.Rank(), mapped: cfg.Impl == MemMap || cfg.Impl == Shift,
-		fr: cfg.FlightRec.Rank(comm.Rank())}
+		overlap: period == 1 && cfg.Impl != Shift, fr: cfg.FlightRec.Rank(comm.Rank())}
 	order := layout.Surface3D()
 	if cfg.Impl == Basic {
 		order = layout.Lexicographic(3)
@@ -330,33 +329,24 @@ func newBrickRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayo
 	}
 	r.info = dec.BrickInfo()
 	bx := core.NewExchanger(dec, cart)
-	var popts []core.PlanOption
-	if period == 1 && cfg.Impl != Shift {
-		// Surface spans of the decomposition, computed after the exchange
-		// completes; the interior span is computed while it is in flight.
-		var surfSpans [][2]int
+	if r.overlap {
 		for _, reg := range dec.Order() {
 			if sp := dec.Surface(reg); sp.NBricks > 0 {
-				surfSpans = append(surfSpans, [2]int{sp.Start, sp.End()})
+				r.surf = append(r.surf, [2]int{sp.Start, sp.End()})
 			}
-		}
-		r.tiles = stencil.TileSpans(surfSpans, cfg.Workers)
-		if len(r.tiles) > 0 { // empty: no surface to exchange
-			popts = append(popts, core.WithPartitions(r.tiles))
 		}
 	}
 	// Construction order matters: every rank compiles exs[0] fully before
 	// exs[1], so the duplicate-key endpoints pair exchange-to-exchange
 	// across ranks (FIFO in registration order).
 	for i, bs := range r.bss {
-		var eng *core.Engine // the engine a partitioned plan pipelines
 		switch cfg.Impl {
 		case MemMap:
-			ev, err := core.NewExchangeView(bx, bs, popts...)
+			ev, err := core.NewExchangeView(bx, bs)
 			if err != nil {
 				return r, err
 			}
-			r.exs[i], r.degradable[i], eng = ev, ev, ev.Engine
+			r.exs[i], r.degradable[i] = ev, ev
 		case Shift:
 			sv, err := core.NewShiftView(bx, bs)
 			if err != nil {
@@ -364,15 +354,19 @@ func newBrickRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayo
 			}
 			r.exs[i] = sv
 		default:
-			eng = core.NewLayoutExchange(bx, bs, popts...)
-			r.exs[i] = eng
-		}
-		if len(popts) > 0 {
-			r.parts[i], r.ready[i] = eng, eng.ReadyTile
-			eng.SetPartitionMetrics(cfg.Metrics)
+			r.exs[i] = core.NewLayoutExchange(bx, bs)
 		}
 	}
-	seedDomain(cfg, cart, func(x, y, z int, v float64) { dec.SetElem(r.bss[0], 0, x, y, z, v) })
+	// Dom and Ghost are multiples of the brick extent, so an x-row of the
+	// domain is whole brick rows, each contiguous in storage: one element
+	// index per brick row rather than per element.
+	seed, s0 := r.bss[0], cfg.Shape[0]
+	seedDomain(cfg, cart, func(y, z int, vals []float64) {
+		for x := 0; x < len(vals); x += s0 {
+			b, off := dec.ElementIndex(x+cfg.Ghost, y, z)
+			copy(seed.Data[b*seed.Chunk()+off:], vals[x:x+s0])
+		}
+	})
 
 	data, wire := dec.ExchangeBytes()
 	res.DataBytes, res.WireBytes = int64(data), int64(wire)
@@ -389,28 +383,20 @@ func (r *brickRank) checksum(cur int) float64 {
 	return sumDomain(r.cfg, func(x, y, z int) float64 { return r.dec.Elem(r.bss[cur], 0, x, y, z) })
 }
 
-// resume re-enters a restored snapshot's degradation and arms the
-// pipeline's first exchange, the one of buffer cur.
-func (r *brickRank) resume(cur int, degraded string) error {
-	if degraded != "" {
-		// The snapshot was taken after a mid-run degradation whose trigger
-		// step replay will not pass again; re-enter the same copy-window
-		// fallback before touching the wire.
-		for _, ev := range r.degradable {
-			if ev != nil && !ev.Degraded() {
-				if err := ev.Degrade(degraded); err != nil {
-					return err
-				}
+// resume re-enters a restored snapshot's degradation.
+func (r *brickRank) resume(degraded string) error {
+	if degraded == "" {
+		return nil
+	}
+	// The snapshot was taken after a mid-run degradation whose trigger step
+	// replay will not pass again; re-enter the same copy-window fallback
+	// before touching the wire.
+	for _, ev := range r.degradable {
+		if ev != nil && !ev.Degraded() {
+			if err := ev.Degrade(degraded); err != nil {
+				return err
 			}
 		}
-	}
-	if p := r.parts[cur]; p != nil {
-		// Prologue: arm the first exchange's sends with the current field
-		// contents — the initial values, or the restored snapshot — fully
-		// ready. From here every step's surface pass re-arms the exchange
-		// of the buffer it writes, tile by tile.
-		p.StartSends()
-		p.ReadyAll()
 	}
 	return nil
 }
@@ -442,29 +428,19 @@ func (r *brickRank) step(abs, cur int, exchange bool, margin int) (time.Duration
 	var calc time.Duration
 	src := core.NewBrick(r.info, r.bss[cur], 0)
 	dst := core.NewBrick(r.info, r.bss[1-cur], 0)
-	if part := r.parts[cur]; part != nil {
-		// The sends of this step's exchange were armed, and released tile by
-		// tile, by the previous step's surface pass; only the receives start
-		// here. The interior reads no ghost brick, and in flight the
-		// exchange reads only surface bricks and writes only ghost bricks.
+	if r.overlap {
 		r.fr.Phase(flight.PhaseExchange)
-		part.StartRecvs()
+		r.exs[cur].Start()
 		r.fr.Phase(flight.PhaseInterior)
 		t0 := time.Now()
 		inter := dec.Interior()
 		stencil.ApplyBricksRangeWorkers(dst, src, dec, cfg.Stencil, 0, inter.Start, inter.End(), wk)
 		calc = time.Since(t0)
-		part.Complete()
+		r.exs[cur].Complete()
 		r.degradeAt(abs)
-		onTile := r.ready[1-cur]
-		if abs == cfg.Warmup+cfg.Steps-1 {
-			onTile = nil // last step: there is no next exchange to feed
-		} else {
-			r.parts[1-cur].StartSends()
-		}
 		r.fr.Phase(flight.PhaseSurface)
 		t0 = time.Now()
-		stencil.ApplyBricksTiles(dst, src, dec, cfg.Stencil, 0, r.tiles, wk, onTile, r.fr)
+		stencil.ApplyBricksSpans(dst, src, dec, cfg.Stencil, 0, r.surf, wk)
 		calc += time.Since(t0)
 	} else {
 		if exchange {
@@ -493,8 +469,8 @@ func drainTimings(exs []core.Exchanger) core.PhaseTimings {
 
 // degradeAt fires an injected mid-run mapfail. Both schedules call it after
 // Complete, where every transfer of either exchange is delivered and
-// nothing is armed, so the mapped views of both storages can be swapped for
-// copy windows (Rebind on an armed partitioned request would panic).
+// nothing is started, so the mapped views of both storages can be swapped
+// for copy windows (Rebind on a started request would panic).
 func (r *brickRank) degradeAt(abs int) {
 	if r.degradable[0] == nil || !r.cfg.inj.DegradeAtStep(r.rank, abs) {
 		return
@@ -525,7 +501,9 @@ type gridRank struct {
 func newGridRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayout, error) {
 	g := &gridRank{cfg: cfg, overlap: period == 1,
 		gs: [2]*grid.Grid{grid.New(cfg.Dom, cfg.Ghost), grid.New(cfg.Dom, cfg.Ghost)}}
-	seedDomain(cfg, cart, g.gs[0].Set)
+	seedDomain(cfg, cart, func(y, z int, vals []float64) {
+		copy(g.gs[0].Data[g.gs[0].Idx(cfg.Ghost, y, z):], vals)
+	})
 	for a := 0; a < 3; a++ {
 		g.lo[a], g.hi[a] = cfg.Ghost+cfg.Stencil.Radius, cfg.Ghost+cfg.Dom[a]-cfg.Stencil.Radius
 	}
@@ -556,7 +534,7 @@ func (g *gridRank) checksum(cur int) float64 { return sumDomain(g.cfg, g.gs[cur]
 
 // resume has nothing to re-enter: grid exchanges never degrade, which the
 // loop's degraded check enforces against the snapshot.
-func (g *gridRank) resume(int, string) error { return nil }
+func (g *gridRank) resume(string) error { return nil }
 
 func (g *gridRank) close() {
 	for _, ex := range g.exs {

@@ -73,13 +73,11 @@ func TestSupervisedParityAllImpls(t *testing.T) {
 	}
 }
 
-// TestSupervisedNoStall runs the shape that used to wedge at cycle one on
-// shmem — 2×1×1 ranks, 16³, the default pipelined schedule's partitioned
-// sends, a few hundred steps, watchdog armed — several times. A receiver
-// that reached its first Wait before the matched sender had published its
-// partitioning read a zero partition count and waited for an unpartitioned
-// publication that never comes, in roughly every other run. Each run must finish (a stall surfaces
-// as the watchdog's abort) with the in-process checksum.
+// TestSupervisedNoStall runs a shape that once wedged at cycle one on
+// shmem — 2×1×1 ranks, 16³, an exchange every step, a few hundred steps,
+// watchdog armed — several times, because a race at the first Wait showed
+// in roughly every other run. Each run must finish (a stall surfaces as
+// the watchdog's abort) with the in-process checksum.
 func TestSupervisedNoStall(t *testing.T) {
 	skipWithoutShmem(t)
 	for _, im := range []Impl{Layout, MemMap} {
@@ -97,9 +95,6 @@ func TestSupervisedNoStall(t *testing.T) {
 			got, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("%v shmem run %d: %v", im, i, err)
-			}
-			if got.Plan == nil || got.Plan.Partitions == 0 {
-				t.Fatalf("%v shmem run %d compiled no partitions", im, i)
 			}
 			if math.Float64bits(got.Checksum) != math.Float64bits(want.Checksum) {
 				t.Fatalf("%v shmem run %d: checksum %v, chan %v", im, i, got.Checksum, want.Checksum)

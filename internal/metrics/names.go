@@ -67,17 +67,6 @@ const (
 	// heap-storage|unmapped-arena|map-failed|forced).
 	ExchangeDegradedTotal = "exchange_degraded_total"
 
-	// Partitioned-exchange families (MPI 4.x Psend/Pready pipelining).
-	//
-	// ExchangePartitionsReadyTotal: counter of send partitions marked ready
-	// — one Pready per surface tile per armed send it feeds (labels: none;
-	// attached per rank via SetPartitionMetrics on a partitioned plan).
-	ExchangePartitionsReadyTotal = "exchange_partitions_ready_total"
-	// PartitionReadyLagSeconds: histogram of the delay from arming a
-	// partitioned send (StartSends) to each partition's Pready — the
-	// pipeline depth the surface pass actually achieves.
-	PartitionReadyLagSeconds = "partition_ready_lag_seconds"
-
 	// Checkpoint/recovery families of the internal/ckpt + harness recovery
 	// driver (PR 5).
 	//

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"math"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -116,82 +114,6 @@ func TestConcurrentTrafficSnapshot(t *testing.T) {
 		}
 		if tr := c.TrafficSnapshot(); tr != (Traffic{}) {
 			t.Errorf("counters not drained: %+v", tr)
-		}
-	})
-}
-
-// TestConcurrentSelfChannelPready readies the partitions of a rank's
-// channel to itself and of its channel to its peer from several goroutines
-// at once, while another goroutine polls Parrived on the self receive, on
-// every transport. A self channel's two endpoints share one lock on every
-// backend; run under -race this pins that lock against concurrent Pready,
-// Parrived and landing.
-func TestConcurrentSelfChannelPready(t *testing.T) {
-	const (
-		readiers = 4
-		perGo    = 3 // partitions each readier owns
-		parts    = readiers * perGo
-		width    = 8
-		cycles   = 10
-	)
-	bounds := make([]int, parts+1)
-	for i := range bounds {
-		bounds[i] = i * width
-	}
-	forEachTransport(t, 2, func(t *testing.T, w *World) {
-		w.Run(func(c *Comm) {
-			peer := 1 - c.Rank()
-			n := parts * width
-			selfOut, selfIn := make([]float64, n), make([]float64, n)
-			toPeer, fromPeer := make([]float64, n), make([]float64, n)
-			ss := c.PsendInit(c.Rank(), 1, selfOut, bounds)
-			rs := c.PrecvInit(c.Rank(), 1, selfIn)
-			sp := c.PsendInit(peer, 2, toPeer, bounds)
-			rp := c.PrecvInit(peer, 2, fromPeer)
-			for k := 0; k < cycles; k++ {
-				for i := range selfOut {
-					selfOut[i] = float64(c.Rank()*1e6 + k*1e3 + i)
-					toPeer[i] = -selfOut[i]
-				}
-				Startall([]*Request{rs, rp, ss, sp})
-				var wg sync.WaitGroup
-				for g := 0; g < readiers; g++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for j := 0; j < perGo; j++ {
-							p := g + readiers*j
-							Preadyall([]*Request{ss, sp}, []int{p, p})
-						}
-					}()
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for p := 0; p < parts; p++ {
-						for !rs.Parrived(p) {
-							runtime.Gosched()
-						}
-					}
-				}()
-				wg.Wait()
-				Waitall([]*Request{rs, rp, ss, sp})
-				for i := range selfOut {
-					if math.Float64bits(selfIn[i]) != math.Float64bits(selfOut[i]) {
-						t.Fatalf("rank %d cycle %d self elem %d: got %v want %v", c.Rank(), k, i, selfIn[i], selfOut[i])
-					}
-					if want := -float64(peer*1e6 + k*1e3 + i); fromPeer[i] != want {
-						t.Fatalf("rank %d cycle %d peer elem %d: got %v want %v", c.Rank(), k, i, fromPeer[i], want)
-					}
-				}
-				c.Barrier() // the peer has read this cycle before we overwrite its source
-			}
-			for _, r := range []*Request{ss, rs, sp, rp} {
-				r.Free()
-			}
-		})
-		if ae := w.Aborted(); ae != nil {
-			t.Fatalf("world aborted: %v", ae)
 		}
 	})
 }

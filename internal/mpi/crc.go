@@ -52,13 +52,13 @@ func crcFloats(data []float64) uint32 {
 	return crc
 }
 
-// applyFlips XORs the injected byte flips that fall in buf[lo:hi] (flip
-// offsets are bytes into the whole payload), simulating corruption between
-// the sender's memory and the receiver's.
-func applyFlips(buf []float64, lo, hi int, flips []fault.ByteFlip) {
+// applyFlips XORs the injected byte flips that fall in buf (flip offsets
+// are bytes into the whole payload), simulating corruption between the
+// sender's memory and the receiver's.
+func applyFlips(buf []float64, flips []fault.ByteFlip) {
 	for _, fl := range flips {
 		i := fl.Off / 8
-		if i < lo || i >= hi {
+		if i < 0 || i >= len(buf) {
 			continue
 		}
 		bits := math.Float64bits(buf[i])

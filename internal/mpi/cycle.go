@@ -10,33 +10,32 @@ import (
 	"github.com/bricklab/brick/internal/flight"
 )
 
-// The persistent cycle — Start, Pready, Parrived, Wait — written once for
-// every backend (the cycle rule is in persistent.go's header). A cycle is
-// one endpoint's state machine; a link is how its backend moves the bytes.
+// The persistent cycle — Start, Wait — written once for every backend (the
+// cycle rule is in persistent.go's header). A cycle is one endpoint's state
+// machine; a link is how its backend moves the bytes.
 
 // link is one endpoint's data path on its backend. The cycle calls it with
 // the endpoint's lock held (bind excepted) and the link calls back into
 // the cycle through land and sent.
 type link interface {
-	// put hands span part of the open send cycle off: -1 is the whole
-	// payload of an unpartitioned send, at Start; otherwise a partition, at
-	// its Pready. b is the batch of the call that put it, nil off tcp
-	// (tcp_node.go). The link calls e.sent once the span is on its way: at
-	// once, or, if it queued the span in b, when the call flushes b.
-	put(e *cycle, part int, b *batch)
+	// put hands the payload of the open send cycle off, at Start. b is the
+	// batch of the call that put it, nil off tcp (tcp_node.go). The link
+	// calls e.sent once the payload is on its way: at once, or, if it
+	// queued the payload in b, when the call flushes b.
+	put(e *cycle, b *batch)
 	// poll lands, through e.land, whatever has arrived for the open receive
-	// cycle e. The cycle calls it at receive Start and from Parrived, and,
-	// while it waits, again and again if the Start's poll reported that
-	// arrivals must be polled for (shmem); false means the link lands them
-	// as they come, and a wait blocks until the cycle completes.
+	// cycle e. The cycle calls it at receive Start and, while it waits,
+	// again and again if the Start's poll reported that arrivals must be
+	// polled for (shmem); false means the link lands them as they come, and
+	// a wait blocks until the cycle completes.
 	poll(e *cycle) bool
 	// bind attaches receive endpoint e to the data path of the send side s
-	// it matched (s.id, s.link, s.parts). Called once, at the match, with
-	// the matcher's lock held and e's lock not.
+	// it matched (s.id, s.link). Called once, at the match, with the
+	// matcher's lock held and e's lock not.
 	bind(e *cycle, s *pend)
 }
 
-// Cycle states. A Start opens a cycle; the last span landed (receive) or
+// Cycle states. A Start opens a cycle; the payload landed (receive) or
 // sent (send) makes it done; Wait returns it to idle.
 const (
 	cycIdle uint32 = iota // before the first Start, after Wait
@@ -47,22 +46,18 @@ const (
 // cycle is one persistent endpoint's cycle state machine and the reqOp of
 // its Request. mu guards every field but state, which completion publishes
 // to Wait and the stall listing; chan's two endpoints share their link's
-// lock, so a Pready there takes one lock.
+// lock.
 type cycle struct {
 	r    *Request
 	link link
 	mu   *sync.Mutex
 	own  sync.Mutex
 
-	buf    []float64
-	bounds []int // send: the partition bounds, nil when unpartitioned
-	parts  int   // partition count; a receive side adopts its sender's at the match
-	freed  bool  // Free ran: what still arrives is dropped
+	buf   []float64
+	freed bool // Free ran: what still arrives is dropped
 
 	state atomic.Uint32
 	n     uint64        // cycle number: the count of Starts
-	marks []uint64      // per partition: the cycle it was marked ready (send) or arrived in (receive)
-	spans int           // spans sent (send) or landed (receive) this cycle
 	elems int           // receive: elements landed this cycle
 	pull  bool          // receive: set by Start's poll, read by the Wait that follows it
 	done  chan struct{} // cap 1: a completion wakes a blocked Wait; a token nobody took stays
@@ -76,8 +71,7 @@ type cycle struct {
 // newCycle builds endpoint p's cycle, its Request and its link: the
 // backend's, or the in-memory chanLink when the peer is the rank itself.
 func newCycle(c *Comm, p *pend, buf []float64) *cycle {
-	e := &cycle{buf: buf, bounds: p.bounds, parts: p.parts, marks: make([]uint64, p.parts),
-		done: make(chan struct{}, 1)}
+	e := &cycle{buf: buf, done: make(chan struct{}, 1)}
 	e.mu = &e.own
 	peer := p.key.src
 	if p.psend {
@@ -102,26 +96,16 @@ func (e *cycle) side() string {
 	return "receive"
 }
 
-// span returns the element range of span part of a send cycle.
-func (e *cycle) span(part int) (lo, hi int) {
-	if part < 0 {
-		return 0, len(e.buf)
-	}
-	return e.bounds[part], e.bounds[part+1]
-}
-
 // Start activates a persistent request for one transfer. The request must
 // be inactive: starting again before Wait panics (as in MPI). Data becomes
-// visible in the receive buffer only after the receiver's Wait returns (or,
-// partition by partition, once Parrived reports it).
+// visible in the receive buffer only after the receiver's Wait returns.
 func (r *Request) Start() {
 	b := r.comm.batch()
 	defer b.flush()
 	r.start(b)
 }
 
-// start opens the request's next cycle, putting an unpartitioned send's
-// payload in b.
+// start opens the request's next cycle, putting a send's payload in b.
 func (r *Request) start(b *batch) {
 	e, ok := r.op.(*cycle)
 	if !ok {
@@ -145,7 +129,7 @@ func (r *Request) start(b *batch) {
 		if m := c.m; m != nil {
 			m.sendBytes.Observe(float64(8 * n))
 		}
-		seq = c.fl.Send(int32(r.peer), int32(r.tag), -1, int64(8*n))
+		seq = c.fl.Send(int32(r.peer), int32(r.tag), int64(8*n))
 	} else {
 		c.fl.RecvPost(int32(r.peer), int32(r.tag), int64(8*n))
 	}
@@ -155,23 +139,22 @@ func (r *Request) start(b *batch) {
 		panic(fmt.Sprintf("mpi: persistent %s started twice without Wait", e.side()))
 	}
 	e.n++
-	e.spans, e.elems = 0, 0
+	e.elems = 0
 	e.seq, e.flips, e.landVerdict = seq, flips, landVerdict{}
 	if r.send && c.m != nil {
 		e.at = time.Now()
 	}
 	e.state.Store(cycOpen)
-	switch {
-	case !r.send:
+	if r.send {
+		e.link.put(e, b)
+	} else {
 		e.pull = e.link.poll(e)
-	case e.parts == 0:
-		e.link.put(e, -1, b)
 	}
 }
 
 // Startall starts every request in the slice (MPI_Startall) as one call:
-// on tcp the payloads of its unpartitioned sends leave in one write per
-// destination. Nil entries are skipped.
+// on tcp the payloads of its sends leave in one write per destination. Nil
+// entries are skipped.
 func Startall(reqs []*Request) {
 	i := 0
 	for i < len(reqs) && reqs[i] == nil {
@@ -187,116 +170,6 @@ func Startall(reqs []*Request) {
 			r.start(b)
 		}
 	}
-}
-
-// Pready declares partition i of an active partitioned send ready for
-// transfer (MPI_Pready): its payload may move to the receiver immediately —
-// while sibling partitions are still being computed — and the sender must
-// not touch the partition's span again until Wait returns. Panics on a
-// non-partitioned request, before Start, or if the partition was already
-// marked ready this cycle. Safe to call concurrently from different
-// goroutines (worker tiles) on different partitions.
-func (r *Request) Pready(i int) { r.PreadyRange(i, i+1) }
-
-// PreadyRange marks partitions [lo, hi) ready (MPI_Pready_range).
-func (r *Request) PreadyRange(lo, hi int) {
-	b := r.comm.batch()
-	defer b.flush()
-	r.pready(lo, hi, b)
-}
-
-// Preadyall marks partition parts[i] of reqs[i] ready for every i, as one
-// call: the partitioned analogue of Startall. Each entry is a Pready —
-// same rules, same panics — and a request may appear once per partition.
-// The spans it puts leave together before it returns: on tcp in one write
-// per destination, however many partitions go there. Safe to call
-// concurrently from different goroutines on different partitions. Panics
-// if the slices differ in length.
-func Preadyall(reqs []*Request, parts []int) {
-	if len(reqs) != len(parts) {
-		panic(fmt.Sprintf("mpi: Preadyall with %d requests but %d partitions", len(reqs), len(parts)))
-	}
-	if len(reqs) == 0 {
-		return
-	}
-	b := reqs[0].comm.batch()
-	defer b.flush()
-	for i, r := range reqs {
-		r.pready(parts[i], parts[i]+1, b)
-	}
-}
-
-// pready marks partitions [lo, hi) of r ready, putting their spans in b.
-// Every check runs before the first mark, so a misuse panic leaves the
-// cycle as it was.
-func (r *Request) pready(lo, hi int, b *batch) {
-	e, ok := r.op.(*cycle)
-	if !ok || !r.send {
-		panic("mpi: Pready on a non-persistent or receive request")
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	switch {
-	case e.parts == 0:
-		panic("mpi: Pready on an unpartitioned persistent send")
-	case e.state.Load() == cycIdle:
-		panic("mpi: Pready before Start")
-	case lo < 0 || hi > e.parts || lo >= hi:
-		panic(fmt.Sprintf("mpi: Pready range [%d,%d) out of bounds for %d partitions", lo, hi, e.parts))
-	}
-	c := r.comm
-	k := e.n
-	for i := lo; i < hi; i++ {
-		if e.marks[i] == k {
-			panic(fmt.Sprintf("mpi: partition %d marked ready twice in one cycle", i))
-		}
-	}
-	for i := lo; i < hi; i++ {
-		e.marks[i] = k
-		c.fl.Record(flight.KindPready, int32(r.peer), int32(r.tag), int32(i),
-			int64(8*(e.bounds[i+1]-e.bounds[i])), e.seq)
-		e.link.put(e, i, b)
-	}
-	// Partitions advancing is progress: without this tick a long compute
-	// phase with an armed pipeline would read as a stall to the watchdog.
-	c.world.progressTick()
-}
-
-// PreadyAll marks every partition of the active cycle ready at once — the
-// prologue form for data that is already fully computed.
-func (r *Request) PreadyAll() {
-	if r.pend != nil && r.send && r.pend.parts > 0 {
-		r.PreadyRange(0, r.pend.parts)
-		return
-	}
-	panic("mpi: PreadyAll on a non-partitioned request")
-}
-
-// Parrived reports whether partition i of the receive cycle has been
-// delivered (MPI_Parrived). Once the endpoint has matched it is a
-// non-blocking poll: callers may consume the partition's span of the
-// receive buffer as soon as it returns true, but the request still
-// requires Wait to finish the cycle. It stays true from the partition's
-// arrival until the next Start. Panics on a send request or when the
-// matched sender is unpartitioned.
-func (r *Request) Parrived(i int) bool {
-	e, ok := r.op.(*cycle)
-	if !ok || r.send {
-		panic("mpi: Parrived on a non-persistent or send request")
-	}
-	switch parts := r.Partitions(); {
-	case parts == 0:
-		panic("mpi: Parrived with no partitioned sender matched")
-	case i < 0 || i >= parts:
-		panic(fmt.Sprintf("mpi: Parrived partition %d out of range (%d partitions)", i, parts))
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	k := e.n
-	if e.marks[i] != k && e.state.Load() == cycOpen {
-		e.link.poll(e)
-	}
-	return k > 0 && e.marks[i] == k
 }
 
 // Rebind swaps the buffer behind an inactive persistent request, keeping
@@ -321,50 +194,34 @@ func (r *Request) Rebind(buf []float64) {
 	r.comm.world.pairs.rebind(r.pend, len(buf))
 }
 
-// land lands span p of the open receive cycle in the receive buffer: part
-// is its partition (-1: an unpartitioned payload), lo its element offset,
-// its flips the cycle's injected corruption (absolute offsets; the span's
-// own apply) and fseq the sender's flight stamp. An overflow or a CRC
-// mismatch is raised at Wait. A span of a cycle that is not open, or of a
-// partition that already arrived, is dropped. Called by the link, e.mu
-// held.
-func (e *cycle) land(part, lo int, p payload, fseq uint64) {
-	if e.state.Load() != cycOpen || part >= e.parts || part >= 0 && e.marks[part] == e.n {
+// land lands payload p of the open receive cycle in the receive buffer:
+// its flips are the cycle's injected corruption and fseq the sender's
+// flight stamp. An overflow or a CRC mismatch is raised at Wait. A payload
+// of a cycle that is not open is dropped. Called by the link, e.mu held.
+func (e *cycle) land(p payload, fseq uint64) {
+	if e.state.Load() != cycOpen {
 		return
 	}
 	r := e.r
 	c := r.comm
 	n := p.elems()
-	if lo < 0 || lo+n > len(e.buf) {
+	if n > len(e.buf) {
 		e.overflow = fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
-			r.peer, c.rank, r.tag, lo+n, len(e.buf))
+			r.peer, c.rank, r.tag, n, len(e.buf))
 		e.complete()
 		return
 	}
-	if cr := p.land(e.buf, lo, c.world.verifyCRC && e.corrupt == nil, r.peer, c.rank, r.tag); cr != nil {
-		e.corrupt = cr
-	}
-	e.elems += n
-	e.spans++
-	if part >= 0 {
-		e.marks[part] = e.n
-		c.fl.Record(flight.KindParrived, int32(r.peer), int32(r.tag), int32(part), int64(8*n), fseq)
-	}
-	if e.spans == max(e.parts, 1) {
-		c.fl.Deliver(int32(r.peer), int32(r.tag), -1, int64(8*e.elems), fseq)
-		e.complete()
-	}
+	e.corrupt = p.land(e.buf, c.world.verifyCRC, r.peer, c.rank, r.tag)
+	e.elems = n
+	c.fl.Deliver(int32(r.peer), int32(r.tag), int64(8*n), fseq)
+	e.complete()
 }
 
-// sent records that the link sent one span of the open send cycle; the
-// last completes it. A span whose cycle was freed meanwhile no longer
+// sent records that the link sent the payload of the open send cycle,
+// completing it. A payload whose cycle was freed meanwhile no longer
 // counts. Called by the link, e.mu held.
 func (e *cycle) sent() {
-	if e.state.Load() != cycOpen {
-		return
-	}
-	e.spans++
-	if e.spans == max(e.parts, 1) {
+	if e.state.Load() == cycOpen {
 		e.complete()
 	}
 }
@@ -471,9 +328,7 @@ func (e *cycle) finish(r *Request) int {
 }
 
 // pending lists the endpoint for a StallReport while its Wait would block
-// (Kind and the partition fields; the caller fills in the endpoints and
-// size). A link may hold e.mu while it waits for its peer, and the
-// watchdog must still get in: then the partition detail is left out.
+// (Kind only; the caller fills in the endpoints and size).
 func (e *cycle) pending() (PendingOp, bool) {
 	if e.state.Load() != cycOpen {
 		return PendingOp{}, false
@@ -481,22 +336,7 @@ func (e *cycle) pending() (PendingOp, bool) {
 	if !e.r.send {
 		return PendingOp{Kind: flight.PendPrecvActive}, true
 	}
-	op := PendingOp{Kind: flight.PendPsendActive}
-	if e.parts > 0 && e.mu.TryLock() {
-		op.Partitions = e.parts
-		for i, k := range e.marks {
-			if k == e.n {
-				op.Ready++
-			} else {
-				op.Unready = append(op.Unready, i)
-			}
-		}
-		e.mu.Unlock()
-		if op.Ready < e.parts {
-			op.Kind = flight.PendPsendPartial
-		}
-	}
-	return op, true
+	return PendingOp{Kind: flight.PendPsendActive}, true
 }
 
 // free retracts this side's cycle and drops its buffer reference: a peer

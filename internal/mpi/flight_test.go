@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -70,16 +69,13 @@ func TestFlightOneShotExchange(t *testing.T) {
 	}
 }
 
-// TestFlightPartitionedConcurrent drives an 8-rank neighbour ring of
-// partitioned sends with Pready fired from concurrent worker goroutines —
-// the overlapped-surface shape — under -race, then checks every ring's
-// event accounting: one send-post per cycle with increasing seq, every
-// partition's pready on the sender and parrived on the receiver, and each
-// full cycle closing with one delivery carrying the cycle's stamp.
-func TestFlightPartitionedConcurrent(t *testing.T) {
+// TestFlightPersistentRing drives an 8-rank neighbour ring of persistent
+// channels and checks every ring's event accounting: one send-post per
+// cycle with increasing seq, and each cycle closing with one delivery
+// carrying its sender's stamp.
+func TestFlightPersistentRing(t *testing.T) {
 	const (
 		ranks  = 8
-		parts  = 4
 		cycles = 3
 		n      = 16
 	)
@@ -89,22 +85,11 @@ func TestFlightPartitionedConcurrent(t *testing.T) {
 	w.Run(func(c *Comm) {
 		dst := (c.Rank() + 1) % ranks
 		src := (c.Rank() + ranks - 1) % ranks
-		sbuf := make([]float64, n)
-		rbuf := make([]float64, n)
-		send := c.PsendInit(dst, 41, sbuf, []int{0, 4, 8, 12, n})
-		recv := c.PrecvInit(src, 41, rbuf)
+		send := c.SendInit(dst, 41, make([]float64, n))
+		recv := c.RecvInit(src, 41, make([]float64, n))
 		for cy := 0; cy < cycles; cy++ {
 			recv.Start()
 			send.Start()
-			var wg sync.WaitGroup
-			for p := 0; p < parts; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					send.Pready(p)
-				}(p)
-			}
-			wg.Wait()
 			send.Wait()
 			recv.Wait()
 			c.Barrier()
@@ -121,12 +106,6 @@ func TestFlightPartitionedConcurrent(t *testing.T) {
 				t.Fatalf("rank %d send-post %d seq = %d, want %d", r, i, e.Seq, i+1)
 			}
 		}
-		if got := len(ringEvents(g, flight.KindPready)); got != cycles*parts {
-			t.Fatalf("rank %d: %d pready events, want %d", r, got, cycles*parts)
-		}
-		if got := len(ringEvents(g, flight.KindParrived)); got != cycles*parts {
-			t.Fatalf("rank %d: %d parrived events, want %d", r, got, cycles*parts)
-		}
 		delivers := ringEvents(g, flight.KindDeliver)
 		if len(delivers) != cycles {
 			t.Fatalf("rank %d: %d cycle deliveries, want %d", r, len(delivers), cycles)
@@ -135,13 +114,6 @@ func TestFlightPartitionedConcurrent(t *testing.T) {
 			if e.Seq != uint64(i+1) || int(e.Peer) != (r+ranks-1)%ranks {
 				t.Fatalf("rank %d delivery %d = %+v, want seq=%d from rank %d",
 					r, i, e, i+1, (r+ranks-1)%ranks)
-			}
-		}
-		// Each parrived must carry the seq of its cycle's send (stamped by
-		// the sender when the cycle started).
-		for _, e := range ringEvents(g, flight.KindParrived) {
-			if e.Seq < 1 || e.Seq > cycles {
-				t.Fatalf("rank %d parrived seq = %d out of cycle range", r, e.Seq)
 			}
 		}
 	}

@@ -66,8 +66,8 @@ func TestWorldMetricsDisabled(t *testing.T) {
 	w2.Run(func(c *Comm) {})
 }
 
-// TestPersistentSendSeconds checks every persistent send cycle, plain and
-// partitioned, records one mpi_send_seconds sample on every backend.
+// TestPersistentSendSeconds checks every persistent send cycle records one
+// mpi_send_seconds sample on every backend.
 func TestPersistentSendSeconds(t *testing.T) {
 	forEachTransport(t, 2, func(t *testing.T, w *World) {
 		reg := metrics.NewRegistry()
@@ -77,12 +77,11 @@ func TestPersistentSendSeconds(t *testing.T) {
 			peer := 1 - c.Rank()
 			send := c.SendInit(peer, 1, make([]float64, 8))
 			recv := c.RecvInit(peer, 1, make([]float64, 8))
-			psend := c.PsendInit(peer, 2, make([]float64, 8), []int{0, 3, 8})
-			precv := c.PrecvInit(peer, 2, make([]float64, 8))
-			reqs := []*Request{recv, precv, send, psend}
+			send2 := c.SendInit(peer, 2, make([]float64, 8))
+			recv2 := c.RecvInit(peer, 2, make([]float64, 8))
+			reqs := []*Request{recv, recv2, send, send2}
 			for i := 0; i < cycles; i++ {
 				Startall(reqs)
-				psend.PreadyAll()
 				Waitall(reqs)
 			}
 		})

@@ -85,8 +85,8 @@ type World struct {
 }
 
 // SetFlight attaches a flight recorder sized for this world; every rank
-// records post/deliver/wait/Pready/Parrived/abort events into its ring,
-// and the watchdog embeds the stalling rank's tail into StallReports.
+// records post/deliver/wait/abort events into its ring, and the watchdog
+// embeds the stalling rank's tail into StallReports.
 // Call before Run. A nil recorder disables recording (the default) at the
 // cost of one nil check per operation.
 func (w *World) SetFlight(rec *flight.Recorder) { w.flight.Store(rec) }
@@ -116,7 +116,7 @@ func (w *World) SetMetrics(reg *metrics.Registry) {
 	reg.Describe(metrics.MPIWaitSeconds, "Time blocked in Request.Wait (seconds).")
 	reg.Describe(metrics.TransportReconnectsTotal, "Connection (re-)establishments per rank/peer pair on connection-oriented transports.")
 	reg.Describe(metrics.TransportHeartbeatMissesTotal, "Heartbeat intervals missed per rank/peer pair before a peer was declared dead.")
-	reg.Describe(metrics.TransportFramesTotal, "Transport frames by kind (data, pdata, ppart, hb, stale-drop, dup-drop, net-drop, net-dup).")
+	reg.Describe(metrics.TransportFramesTotal, "Transport frames by kind (data, pdata, hb, stale-drop, dup-drop, net-drop, net-dup).")
 	reg.Describe(metrics.TransportWritesTotal, "Vectored data writes on connection-oriented transports: one per destination per call, more when a fault or a redial splits one.")
 }
 
@@ -338,7 +338,7 @@ func (c *Comm) Isend(dst, tag int, buf []float64) *Request {
 	}
 	c.sentMsgs.Add(1)
 	c.sentBytes.Add(int64(8 * len(buf)))
-	seq := c.fl.Send(int32(dst), int32(tag), -1, int64(8*len(buf)))
+	seq := c.fl.Send(int32(dst), int32(tag), int64(8*len(buf)))
 	if c.m != nil {
 		c.m.sendBytes.Observe(float64(8 * len(buf)))
 	}

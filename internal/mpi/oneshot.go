@@ -40,7 +40,7 @@ type mailbox interface {
 	peek() []PendingOp
 }
 
-// payload is one span in flight: words (a send buffer, a shmem block or
+// payload is one message in flight: words (a send buffer, a shmem block or
 // staging slot) or wire bytes viewed in a tcp frame, the injected flips
 // (byte offsets into the whole message), and the CRC its sender stamped
 // when it carries one (a shmem one-shot block).
@@ -59,12 +59,12 @@ func (p *payload) elems() int {
 	return len(p.data)
 }
 
-// land copies the span into buf at element offset lo and lands its flips.
-// With verify set it returns the CRC verdict on what landed, for src →
-// dst on tag: checked against the sender's stamp, or without one against
-// the copy before the flips. nil means intact or unchecked.
-func (p *payload) land(buf []float64, lo int, verify bool, src, dst, tag int) *CorruptionError {
-	to := buf[lo : lo+p.elems()]
+// land copies the payload to the front of buf and lands its flips. With
+// verify set it returns the CRC verdict on what landed, for src → dst on
+// tag: checked against the sender's stamp, or without one against the copy
+// before the flips. nil means intact or unchecked.
+func (p *payload) land(buf []float64, verify bool, src, dst, tag int) *CorruptionError {
+	to := buf[:p.elems()]
 	if p.wire != nil {
 		copyWire(to, p.wire)
 	} else {
@@ -74,7 +74,7 @@ func (p *payload) land(buf []float64, lo int, verify bool, src, dst, tag int) *C
 	if verify && !p.stamped {
 		sum = crcFloats(to)
 	}
-	applyFlips(buf, lo, lo+len(to), p.flips)
+	applyFlips(to, p.flips)
 	if verify && crcFloats(to) != sum {
 		return &CorruptionError{Src: src, Dst: dst, Tag: tag}
 	}
@@ -209,7 +209,7 @@ func (o *oneshot) deliver(a arrival) {
 	if n > len(o.buf) {
 		o.overflow = fmt.Sprintf("mpi: message overflows receive buffer (src %d tag %d)", a.src, a.tag)
 	} else {
-		o.corrupt = a.land(o.buf, 0, c.world.verifyCRC, a.src, c.rank, a.tag)
+		o.corrupt = a.land(o.buf, c.world.verifyCRC, a.src, c.rank, a.tag)
 	}
 	if a.release != nil {
 		a.release()
@@ -218,7 +218,7 @@ func (o *oneshot) deliver(a arrival) {
 		m.recvMatchWait.Observe(time.Since(o.at).Seconds())
 		m.recvBytes.Observe(float64(8 * n))
 	}
-	c.fl.Deliver(int32(a.src), int32(a.tag), -1, int64(8*n), a.seq)
+	c.fl.Deliver(int32(a.src), int32(a.tag), int64(8*n), a.seq)
 	o.n = n
 	o.complete()
 }

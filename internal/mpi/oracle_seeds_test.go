@@ -129,15 +129,19 @@ func (p *oracleProgram) listing() string {
 }
 
 // listing renders the persistent program: channels, receive buffers' first
-// contents, each rank's steps, then every cycle's per-rank schedule.
+// contents, each rank's steps, then every cycle's per-rank schedule. The
+// empty bounds, pready and calls fields stay from the generator's
+// partitioned channels, so listings of committed seeds still compare byte
+// for byte.
 func (p *persProgram) listing() string {
 	var b strings.Builder
 	for i, c := range p.chans {
-		fmt.Fprintf(&b, "chan %d %+v init=%v\n", i, c, p.init[i])
+		fmt.Fprintf(&b, "chan %d %v init=%v\n", i, c, p.init[i])
 	}
 	for r, steps := range p.steps {
 		for i, s := range steps {
-			fmt.Fprintf(&b, "rank %d step %d %+v\n", r, i, s)
+			fmt.Fprintf(&b, "rank %d step %d {kind:%d ch:%d send:%v ghost:%v cycle:%d}\n",
+				r, i, s.kind, s.ch, s.send, s.ghost, s.cycle)
 		}
 	}
 	for i, c := range p.cycles {
@@ -146,9 +150,15 @@ func (p *persProgram) listing() string {
 			fmt.Fprintf(&b, "  coll %+v\n", *c.coll)
 		}
 		for r := range c.start {
-			fmt.Fprintf(&b, "  rank %d rebind=%+v start=%+v pready=%v calls=%v wait=%+v\n",
-				r, c.rebind[r], c.start[r], c.pready[r], c.calls[r], c.wait[r])
+			fmt.Fprintf(&b, "  rank %d rebind=%+v start=%+v pready=[] calls=[] wait=%+v\n",
+				r, c.rebind[r], c.start[r], c.wait[r])
 		}
 	}
 	return b.String()
+}
+
+// String renders a channel as the listing always has.
+func (ch persChan) String() string {
+	return fmt.Sprintf("{src:%d dst:%d tag:%d n:%d capacity:%d bounds:[] active:%v data:%v}",
+		ch.src, ch.dst, ch.tag, ch.n, ch.capacity, ch.active, ch.data)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,40 +310,38 @@ func FuzzCollectiveOracle(f *testing.F) {
 	})
 }
 
-// The persistent oracle: seeded programs of persistent and partitioned
-// channels, checked against the same kind of sequential model. A channel is
-// one SendInit/PsendInit on its source and one RecvInit/PrecvInit on its
-// destination. Channels share (src, dst, tag) keys freely, and FIFO pairing
-// makes the j-th channel of a key the j-th registration of that key on both
-// sides, so the model needs no matching at all: it only has to respect
-// registration order, which the generator keeps per key and per side.
+// The persistent oracle: seeded programs of persistent channels, checked
+// against the same kind of sequential model. A channel is one SendInit on
+// its source and one RecvInit on its destination. Channels share (src, dst,
+// tag) keys freely, and FIFO pairing makes the j-th channel of a key the
+// j-th registration of that key on both sides, so the model needs no
+// matching at all: it only has to respect registration order, which the
+// generator keeps per key and per side.
 //
 // Registrations fall into phases separated by barriers, so either side of
 // a channel may register first (late senders, late receivers). A ghost is
 // an endpoint registered and freed while no peer can have matched it; the
 // key it used goes on being registered afterwards. Then the program runs
 // several cycles: buffers are refilled and sometimes rebound, every rank
-// starts its endpoints, a collective may run before any Wait, partitions
-// are marked ready in a random order, and requests are waited in a random
-// order. Every receive buffer is observed after each cycle, with Parrived
-// of each partition of a partitioned receive (true until the next Start),
-// each receive side's Partitions once every registration is done, and rank
-// 0 checks that nothing persistent is left after every endpoint is freed.
+// starts its endpoints, a collective may run before any Wait, and requests
+// are waited in a random order. Every receive buffer is observed after each
+// cycle, each receive side's Wait before its first Start (it returns 0 once
+// the side has matched) after every registration is done, and rank 0
+// checks that nothing persistent is left after every endpoint is freed.
 
 // Persistent program step kinds.
 const (
-	psReg        = iota // register one side of a channel
-	psGhost             // register an endpoint and free it, unmatched
-	psBarrier           // end of a registration phase
-	psPartitions        // observe Partitions of every local receive side
-	psCycle             // one Start/Pready/Wait cycle
-	psFree              // free every endpoint, then check the leak counters
+	psReg     = iota // register one side of a channel
+	psGhost          // register an endpoint and free it, unmatched
+	psBarrier        // end of a registration phase
+	psMatched        // Wait on every local receive side before its first Start
+	psCycle          // one Start/Wait cycle
+	psFree           // free every endpoint, then check the leak counters
 )
 
 type persChan struct {
 	src, dst, tag int
 	n, capacity   int
-	bounds        []int       // nil: unpartitioned
 	active        []bool      // per cycle
 	data          [][]float64 // per cycle: the sender's payload
 }
@@ -361,9 +358,7 @@ type persStep struct {
 type persCycle struct {
 	rebind  [][]persRebind // per rank
 	start   [][]persEnd    // per rank, start order
-	coll    *oracleOp      // collective between the Starts and the Preadys
-	pready  [][][2]int     // per rank: (channel, partition) in ready order
-	calls   [][]int        // per rank: pready split into calls — one entry a Pready, more a Preadyall
+	coll    *oracleOp      // collective between the Starts and the Waits
 	wait    [][]persEnd    // per rank, wait order
 	recvBuf map[int][]float64
 }
@@ -391,9 +386,6 @@ type persProgram struct {
 // genPersProgram builds the persistent program for a seed.
 func genPersProgram(seed int64, size int) *persProgram {
 	rng := rand.New(rand.NewSource(seed))
-	// The split of each rank's Preadys into calls draws from its own
-	// stream, so adding it left every other draw of a seed unchanged.
-	split := rand.New(rand.NewSource(seed*31 + 17))
 	p := &persProgram{size: size, steps: make([][]persStep, size)}
 	ncycles := 1 + rng.Intn(4)
 	nphases := 1 + rng.Intn(3)
@@ -404,16 +396,9 @@ func genPersProgram(seed int64, size int) *persProgram {
 		ch := persChan{src: rng.Intn(size), dst: rng.Intn(size), tag: rng.Intn(2)}
 		ch.n = 1 + rng.Intn(6)
 		ch.capacity = ch.n + rng.Intn(2)
-		if rng.Intn(2) == 0 {
-			parts := 1 + rng.Intn(min(ch.n, 4))
-			cuts := rng.Perm(ch.n - 1)[:parts-1]
-			sort.Ints(cuts)
-			ch.bounds = []int{0}
-			for _, c := range cuts {
-				ch.bounds = append(ch.bounds, c+1)
-			}
-			ch.bounds = append(ch.bounds, ch.n)
-		}
+		// This draw once chose partitioned channels. It stays, so a seed
+		// whose channels drew none still replays the same program.
+		rng.Intn(2)
 		for c := 0; c < ncycles; c++ {
 			ch.active = append(ch.active, rng.Intn(4) != 0)
 			ch.data = append(ch.data, oracleVec(rng, ch.n))
@@ -499,13 +484,10 @@ func genPersProgram(seed int64, size int) *persProgram {
 		}
 	}
 	for r := 0; r < size; r++ {
-		p.steps[r] = append(p.steps[r], persStep{kind: psPartitions})
+		p.steps[r] = append(p.steps[r], persStep{kind: psMatched})
 	}
 	for c := 0; c < ncycles; c++ {
-		cy := persCycle{
-			rebind: make([][]persRebind, size), start: make([][]persEnd, size),
-			pready: make([][][2]int, size), calls: make([][]int, size), wait: make([][]persEnd, size),
-		}
+		cy := persCycle{rebind: make([][]persRebind, size), start: make([][]persEnd, size), wait: make([][]persEnd, size)}
 		for i, ch := range p.chans {
 			if rng.Intn(5) == 0 {
 				cy.rebind[ch.src] = append(cy.rebind[ch.src], persRebind{persEnd: persEnd{i, true}})
@@ -518,18 +500,9 @@ func genPersProgram(seed int64, size int) *persProgram {
 			}
 			cy.start[ch.src] = append(cy.start[ch.src], persEnd{i, true})
 			cy.start[ch.dst] = append(cy.start[ch.dst], persEnd{i, false})
-			for part := 0; part+1 < len(ch.bounds); part++ {
-				cy.pready[ch.src] = append(cy.pready[ch.src], [2]int{i, part})
-			}
 		}
 		for r := 0; r < size; r++ {
 			rng.Shuffle(len(cy.start[r]), func(a, b int) { cy.start[r][a], cy.start[r][b] = cy.start[r][b], cy.start[r][a] })
-			rng.Shuffle(len(cy.pready[r]), func(a, b int) { cy.pready[r][a], cy.pready[r][b] = cy.pready[r][b], cy.pready[r][a] })
-			for left := len(cy.pready[r]); left > 0; {
-				k := 1 + split.Intn(left)
-				cy.calls[r] = append(cy.calls[r], k)
-				left -= k
-			}
 			cy.wait[r] = append([]persEnd(nil), cy.start[r]...)
 			rng.Shuffle(len(cy.wait[r]), func(a, b int) { cy.wait[r][a], cy.wait[r][b] = cy.wait[r][b], cy.wait[r][a] })
 		}
@@ -554,20 +527,18 @@ func genPersProgram(seed int64, size int) *persProgram {
 	return p
 }
 
-// model returns every rank's observations: the partition count of each
-// local receive side, then per cycle the collective's result and each
-// active local receive's buffer, count and, when partitioned, Parrived of
-// every partition (in channel order), and on rank 0 the leak counters after
-// the final free.
+// model returns every rank's observations: the count of each local receive
+// side's Wait before its first Start (0), then per cycle the collective's
+// result and each active local receive's buffer and count (in channel
+// order), and on rank 0 the leak counters after the final free.
 func (p *persProgram) model() [][][]float64 {
 	obs := make([][][]float64, p.size)
 	bufs := make([][]float64, len(p.chans))
 	for i := range p.chans {
 		bufs[i] = append([]float64(nil), p.init[i]...)
 	}
-	for i, ch := range p.chans {
-		obs[ch.dst] = append(obs[ch.dst], []float64{float64(max(len(ch.bounds)-1, 0))})
-		_ = i
+	for _, ch := range p.chans {
+		obs[ch.dst] = append(obs[ch.dst], []float64{0})
 	}
 	for c, cy := range p.cycles {
 		for r := range obs {
@@ -592,13 +563,6 @@ func (p *persProgram) model() [][][]float64 {
 			if ch.active[c] {
 				copy(bufs[i], ch.data[c])
 				obs[ch.dst] = append(obs[ch.dst], append([]float64(nil), bufs[i]...), []float64{float64(ch.n)})
-				if parts := len(ch.bounds) - 1; parts > 0 {
-					arrived := make([]float64, parts)
-					for j := range arrived {
-						arrived[j] = 1
-					}
-					obs[ch.dst] = append(obs[ch.dst], arrived)
-				}
 			}
 		}
 	}
@@ -618,20 +582,12 @@ func (p *persProgram) exec(c *Comm, stop int) [][]float64 {
 		if e.send {
 			buf := make([]float64, ch.n)
 			bufs[e] = buf
-			if ch.bounds != nil {
-				reqs[e] = c.PsendInit(ch.dst, ch.tag, buf, ch.bounds)
-			} else {
-				reqs[e] = c.SendInit(ch.dst, ch.tag, buf)
-			}
+			reqs[e] = c.SendInit(ch.dst, ch.tag, buf)
 			return
 		}
 		buf := append([]float64(nil), p.init[e.ch]...)
 		bufs[e] = buf
-		if ch.bounds != nil {
-			reqs[e] = c.PrecvInit(ch.src, ch.tag, buf)
-		} else {
-			reqs[e] = c.RecvInit(ch.src, ch.tag, buf)
-		}
+		reqs[e] = c.RecvInit(ch.src, ch.tag, buf)
 	}
 	halt := func(i int) {
 		if i == stop {
@@ -656,10 +612,10 @@ func (p *persProgram) exec(c *Comm, stop int) [][]float64 {
 			}
 		case psBarrier:
 			c.Barrier()
-		case psPartitions:
+		case psMatched:
 			for i, ch := range p.chans {
 				if ch.dst == me {
-					obs = append(obs, []float64{float64(reqs[persEnd{i, false}].Partitions())})
+					obs = append(obs, []float64{float64(reqs[persEnd{i, false}].Wait())})
 				}
 			}
 		case psCycle:
@@ -687,20 +643,6 @@ func (p *persProgram) exec(c *Comm, stop int) [][]float64 {
 					obs = append(obs, c.Allreduce(cy.coll.op, cy.coll.in[me]))
 				}
 			}
-			ready := cy.pready[me]
-			for _, k := range cy.calls[me] {
-				if k == 1 {
-					reqs[persEnd{ready[0][0], true}].Pready(ready[0][1])
-				} else {
-					var rs []*Request
-					var parts []int
-					for _, pr := range ready[:k] {
-						rs, parts = append(rs, reqs[persEnd{pr[0], true}]), append(parts, pr[1])
-					}
-					Preadyall(rs, parts)
-				}
-				ready = ready[k:]
-			}
 			counts := map[persEnd]int{}
 			for _, e := range cy.wait[me] {
 				counts[e] = reqs[e].Wait()
@@ -708,15 +650,6 @@ func (p *persProgram) exec(c *Comm, stop int) [][]float64 {
 			for i, ch := range p.chans {
 				if e := (persEnd{i, false}); ch.dst == me && ch.active[st.cycle] {
 					obs = append(obs, append([]float64(nil), bufs[e]...), []float64{float64(counts[e])})
-					if parts := len(ch.bounds) - 1; parts > 0 {
-						arrived := make([]float64, parts)
-						for j := range arrived {
-							if reqs[e].Parrived(j) {
-								arrived[j] = 1
-							}
-						}
-						obs = append(obs, arrived)
-					}
 				}
 			}
 		case psFree:

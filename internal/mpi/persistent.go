@@ -30,13 +30,12 @@ import (
 // traffic never cross-match.
 //
 // Matching happens on the receiving rank. The sender names the channel with
-// a world-unique id at SendInit/PsendInit (ids are never reused) and copies
-// the partition bounds there; the receiving rank's matcher (pairing: one per
-// World, emptied whenever an epoch starts) pairs senders with its RecvInits
-// in registration order. The match is the one place that checks the payload
-// fits the receive buffer and the bounds cover it, hands the receive side
-// its sender's id and partition count, withdraws freed endpoints, and keeps
-// the unpaired PendingOps and PersistentPending. A backend only binds its
+// a world-unique id at SendInit (ids are never reused); the receiving
+// rank's matcher (pairing: one per World, emptied whenever an epoch starts)
+// pairs senders with its RecvInits in registration order. The match is the
+// one place that checks the payload fits the receive buffer, hands the
+// receive side its sender's id, withdraws freed endpoints, and keeps the
+// unpaired PendingOps and PersistentPending. A backend only binds its
 // data path: newLink builds each side's link, link.bind attaches a receive
 // side to the id of the sender it matched.
 //
@@ -48,7 +47,7 @@ import (
 // sender's sys Comm, so it touches no traffic counter, flight ring or fault
 // ordinal. A rank drains its descriptors only at its own persistent calls —
 // SendInit, RecvInit, Free, and a wait for a match — and a receive
-// endpoint's Wait, Partitions and Parrived block until its match completes.
+// endpoint's Wait blocks until its match completes.
 // A send endpoint never waits for its match: its side is complete at
 // registration, its cycles go out, and the receive side takes them once it
 // has matched, so the sender needs no word back. A withdrawal reaches the
@@ -57,26 +56,24 @@ import (
 //
 // Cycle rule, the same on every backend (cycle.go). Each endpoint runs its
 // own numbered cycles: Start opens cycle k, and the k-th send cycle of a
-// channel fills the k-th receive cycle. An unpartitioned send puts its
-// whole payload at Start; a partitioned one puts nothing until Pready puts
-// each partition. A receive cycle is complete once every span has landed
-// in its buffer, a send cycle once every span is sent; Wait blocks until
-// then, Parrived reports a partition from its arrival until the next Start,
-// and a span of a cycle not yet started waits for its Start. The cycle owns
-// the states and their misuse panics, the ready and arrived marks, the
-// flight records, the landing of a span (copy, injected flips, CRC verdict,
-// overflow check), completion, Wait, the counters and the stall listing:
-// an endpoint is listed while its own Wait would block.
+// channel fills the k-th receive cycle. A send puts its whole payload at
+// Start. A receive cycle is complete once the payload has landed in its
+// buffer, a send cycle once the payload is sent; Wait blocks until then,
+// and a payload of a cycle not yet started waits for its Start. The cycle
+// owns the states and their misuse panics, the flight records, the landing
+// of a payload (copy, injected flips, CRC verdict, overflow check),
+// completion, Wait, the counters and the stall listing: an endpoint is
+// listed while its own Wait would block.
 //
 // A link (one per endpoint, built by the backend's newLink) only moves
-// bytes: it sends the spans the cycle puts and reports each sent, lands the
-// spans that arrive through the cycle, polls for arrivals where nothing
-// pushes them (shmem), and binds a receive side at its match. "Sent" is the
-// backend's: delivered into the receive buffer on chan, staged in the
-// segment on shmem, written to the stream on tcp — so a send's Wait returns
-// at delivery on chan and at once on the eager backends. A channel from a
-// rank to itself takes chan's link on every backend, so its send's Wait
-// returns at delivery everywhere. A link never
+// bytes: it sends the payload the cycle puts and reports it sent, lands
+// the payloads that arrive through the cycle, polls for arrivals where
+// nothing pushes them (shmem), and binds a receive side at its match.
+// "Sent" is the backend's: delivered into the receive buffer on chan,
+// staged in the segment on shmem, written to the stream on tcp — so a
+// send's Wait returns at delivery on chan and at once on the eager
+// backends. A channel from a rank to itself takes chan's link on every
+// backend, so its send's Wait returns at delivery everywhere. A link never
 // changes a cycle's state but through land and sent, never copies into a
 // receive buffer itself, and reads a cycle's fields only under its lock.
 
@@ -90,27 +87,25 @@ type endpointKey struct {
 const pairTag = collTag - 1
 
 // Descriptor kinds. A descriptor is descLen words (Float64frombits): kind,
-// src, id, tag, elems, parts, link.
+// src, id, tag, elems, link.
 const (
 	descReg      = iota + 1 // a SendInit registered
 	descWithdraw            // that SendInit was freed unmatched, never started
-	descLen      = 7
+	descLen      = 6
 )
 
 // pend is one persistent endpoint as the matcher sees it: a SendInit or
 // RecvInit of this process (r != nil) or a remote sender's registration
 // (r == nil).
 type pend struct {
-	key    endpointKey
-	psend  bool
-	id     uint64 // channel id: the sender's, adopted by the receive side at match
-	elems  int    // buffer length: the payload (send) or the capacity (receive)
-	bounds []int  // send: the partition bounds, nil when unpartitioned
-	parts  int    // partition count: the sender's, adopted by the receive side at match
-	link   uint64 // the backend's data-path word: the sender's, adopted at match
-	r      *Request
-	peer   *pend         // the matched endpoint
-	done   chan struct{} // receive: closed at match
+	key   endpointKey
+	psend bool
+	id    uint64 // channel id: the sender's, adopted by the receive side at match
+	elems int    // buffer length: the payload (send) or the capacity (receive)
+	link  uint64 // the backend's data-path word: the sender's, adopted at match
+	r     *Request
+	peer  *pend         // the matched endpoint
+	done  chan struct{} // receive: closed at match
 
 	matched, freed bool
 	started        bool // send: Start was called
@@ -191,18 +186,12 @@ func drop(m map[endpointKey][]*pend, p *pend) {
 	}
 }
 
-// checkPair runs the plan-time size checks of a send side s against its
-// receive side q (nil when unknown): the payload must fit, and partition
-// bounds must cover the payload exactly.
+// checkPair runs the plan-time size check of a send side s against its
+// receive side q (nil when unknown): the payload must fit.
 func checkPair(s, q *pend) {
-	k := s.key
-	if q != nil && s.elems > q.elems {
+	if k := s.key; q != nil && s.elems > q.elems {
 		panic(fmt.Sprintf("mpi: persistent message (src %d dst %d tag %d) of %d elements overflows receive buffer of %d",
 			k.src, k.dst, k.tag, s.elems, q.elems))
-	}
-	if n := len(s.bounds); n > 0 && s.bounds[n-1] != s.elems {
-		panic(fmt.Sprintf("mpi: partitioned send (src %d dst %d tag %d) bounds cover %d elements but the buffer holds %d",
-			k.src, k.dst, k.tag, s.bounds[n-1], s.elems))
 	}
 }
 
@@ -248,13 +237,10 @@ func (pr *pairing) register(c *Comm, p *pend, buf []float64) {
 
 // match pairs send side s with receive side q; pr.mu held, sizes checked.
 func (pr *pairing) match(s, q *pend) {
-	q.id, q.parts, q.link = s.id, s.parts, s.link
+	q.id, q.link = s.id, s.link
 	s.peer, q.peer = q, s
 	s.matched, q.matched = true, true
 	e := q.cycle()
-	e.mu.Lock()
-	e.parts, e.marks = s.parts, make([]uint64, s.parts)
-	e.mu.Unlock()
 	e.link.bind(e, s)
 	close(q.done)
 }
@@ -356,7 +342,7 @@ func (pr *pairing) apply(c *Comm, d []float64) {
 		}
 		return // matched already: the channel's sender is gone
 	}
-	s := &pend{key: key, psend: true, id: id, elems: word(4), parts: word(5), link: math.Float64bits(d[6])}
+	s := &pend{key: key, psend: true, id: id, elems: word(4), link: math.Float64bits(d[5])}
 	if list := pr.queue(false)[key]; len(list) > 0 {
 		q := list[0]
 		checkPair(s, q)
@@ -371,7 +357,7 @@ func (pr *pairing) apply(c *Comm, d []float64) {
 func sendDesc(c *Comm, dst, kind int, p *pend) {
 	var d [descLen]float64
 	for i, v := range [descLen]uint64{uint64(kind), uint64(c.rank), p.id, uint64(p.key.tag),
-		uint64(p.elems), uint64(p.parts), p.link} {
+		uint64(p.elems), p.link} {
 		d[i] = math.Float64frombits(v)
 	}
 	c.sys.isend(dst, pairTag, d[:], nil, 0).Wait()
@@ -490,20 +476,13 @@ func (pr *pairing) rebind(p *pend, n int) {
 // above); per-step Start/Wait then bypass matching entirely. The returned
 // request is inactive until Start.
 func (c *Comm) SendInit(dst, tag int, buf []float64) *Request {
-	return c.sendInit(dst, tag, buf, nil)
-}
-
-func (c *Comm) sendInit(dst, tag int, buf []float64, bounds []int) *Request {
 	if dst < 0 || dst >= c.world.size {
 		panic(fmt.Sprintf("mpi: SendInit to invalid rank %d (size %d)", dst, c.world.size))
 	}
 	if tag < 0 {
 		panic("mpi: send tag must be non-negative")
 	}
-	p := &pend{key: endpointKey{src: c.rank, dst: dst, tag: tag}, psend: true, elems: len(buf), bounds: bounds}
-	if bounds != nil {
-		p.parts = len(bounds) - 1
-	}
+	p := &pend{key: endpointKey{src: c.rank, dst: dst, tag: tag}, psend: true, elems: len(buf)}
 	w := c.world
 	if err := w.pairs.drain(c, 0); err != nil {
 		panic(err)
@@ -532,58 +511,6 @@ func (c *Comm) RecvInit(src, tag int, buf []float64) *Request {
 	}
 	w.pairs.register(c, p, buf)
 	return p.r
-}
-
-// PsendInit creates a partitioned persistent send endpoint (the
-// MPI_Psend_init pattern): buf is divided into len(bounds)-1 contiguous
-// partitions at the given element offsets (bounds[0] must be 0, the offsets
-// strictly increasing, and the last offset len(buf)); the bounds are copied.
-// Matching follows the SendInit rules — the peer registers with RecvInit or
-// PrecvInit — but the per-cycle protocol changes: Start activates the
-// request WITHOUT making any data visible; each partition's payload moves
-// only after the sender declares it ready with Pready, so the wire leg of a
-// message can begin while the data of sibling partitions is still being
-// computed. Both sides' Wait complete only once every partition has been
-// delivered.
-func (c *Comm) PsendInit(dst, tag int, buf []float64, bounds []int) *Request {
-	if len(bounds) < 2 {
-		panic("mpi: PsendInit needs at least one partition (len(bounds) >= 2)")
-	}
-	if bounds[0] != 0 || bounds[len(bounds)-1] != len(buf) {
-		panic(fmt.Sprintf("mpi: PsendInit bounds must span the buffer exactly (got [%d..%d] over %d elements)",
-			bounds[0], bounds[len(bounds)-1], len(buf)))
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("mpi: PsendInit bounds must be strictly increasing (bounds[%d]=%d, bounds[%d]=%d)",
-				i-1, bounds[i-1], i, bounds[i]))
-		}
-	}
-	return c.sendInit(dst, tag, buf, append([]int(nil), bounds...))
-}
-
-// PrecvInit creates the partition-aware persistent receive endpoint paired
-// with a PsendInit. The receive side adopts the sender's partitioning at
-// the match: Parrived reports per-partition arrival as the sender's Pready
-// calls land, and Wait blocks until every partition has been delivered. It
-// is otherwise identical to RecvInit — a plain RecvInit paired with a
-// PsendInit behaves the same, this name documents the intent.
-func (c *Comm) PrecvInit(src, tag int, buf []float64) *Request {
-	return c.RecvInit(src, tag, buf)
-}
-
-// Partitions returns the partition count of the channel (0 for an
-// unpartitioned or one-shot request). A receive side learns it from the
-// sender it matched, so it blocks until the match completes.
-func (r *Request) Partitions() int {
-	p := r.pend
-	if p == nil {
-		return 0
-	}
-	if err := p.await(r.comm, forever); err != nil {
-		panic(err)
-	}
-	return p.parts
 }
 
 // Free tears down a persistent endpoint. An endpoint no peer has matched is

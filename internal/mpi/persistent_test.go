@@ -151,9 +151,9 @@ func runPair(w *World, f func(s, r *Comm)) {
 }
 
 // TestPersistentZeroAllocSteps asserts the steady-state Start/Wait cycle
-// performs zero heap allocations, plain and partitioned — a PreadyRange,
-// and a Preadyall over two partitioned sends — on every backend, over a
-// rank's channels to itself and over the backend's own link. On the wire,
+// performs zero heap allocations — one channel at a time, and a Startall
+// over two — on every backend, over a rank's channels to itself and over
+// the backend's own link. On the wire,
 // shmem goes through the segment's staging slots and tcp through the
 // loopback stream and the receiving node's reader goroutine, whose decode
 // and delivery count too.
@@ -162,25 +162,16 @@ func TestPersistentZeroAllocSteps(t *testing.T) {
 		dst, src := r.Rank(), s.Rank()
 		send := s.SendInit(dst, 9, make([]float64, 512))
 		recv := r.RecvInit(src, 9, make([]float64, 512))
-		psend := s.PsendInit(dst, 10, make([]float64, 512), []int{0, 200, 512})
-		precv := r.PrecvInit(src, 10, make([]float64, 512))
-		qsend := s.PsendInit(dst, 11, make([]float64, 300), []int{0, 100, 300})
-		qrecv := r.PrecvInit(src, 11, make([]float64, 300))
+		qsend := s.SendInit(dst, 11, make([]float64, 300))
+		qrecv := r.RecvInit(src, 11, make([]float64, 300))
 		plain := []*Request{recv, send}
-		part := []*Request{precv, psend}
-		both := []*Request{precv, qrecv, psend, qsend}
-		reqs, parts := []*Request{psend, qsend, psend, qsend}, []int{1, 0, 0, 1}
+		both := []*Request{recv, qrecv, send, qsend}
 		cycle := func() {
 			recv.Start()
 			send.Start()
 			Waitall(plain)
-			precv.Start()
-			psend.Start()
-			psend.PreadyRange(0, 2)
-			Waitall(part)
 			Startall(both[:2])
 			Startall(both[2:])
-			Preadyall(reqs, parts)
 			Waitall(both)
 		}
 		cycle() // warm-up: pairing, stream dial, buffer growth
@@ -344,12 +335,12 @@ func TestPersistentWaitTimeoutUnmatched(t *testing.T) {
 	})
 }
 
-// TestPersistentInitFreeChurn registers, cycles and frees persistent
-// channels 10⁴ times in one epoch, an unpartitioned one and a partitioned
-// one of 2 or 4 partitions per round, with one Rebind growth in the first.
-// Every backend must keep going; on shmem a freed channel's table entry is
-// reused with its staging, bounds and readyCycle words, so the segment heap
-// does not grow after the first round.
+// TestPersistentInitFreeChurn registers, cycles and frees two persistent
+// channels of 8 elements 10⁴ times in one epoch, with one Rebind growth of
+// the first in the first round. Every
+// backend must keep going; on shmem a freed channel's table entry is
+// reused with its staging, so the segment heap does not grow after the
+// first round.
 func TestPersistentInitFreeChurn(t *testing.T) {
 	forEachTransport(t, 2, func(t *testing.T, w *World) {
 		heap := func() uint64 { return 0 }
@@ -360,24 +351,20 @@ func TestPersistentInitFreeChurn(t *testing.T) {
 		var after1 uint64
 		w.Run(func(c *Comm) {
 			for round := 0; round < rounds; round++ {
-				n, parts := 8, 4-2*(round%2)
-				bounds := []int{0, 2, 4, 6, 8}
-				if parts == 2 {
-					bounds = []int{0, 3, 8}
-				}
+				n := 8
 				a, b := make([]float64, n), make([]float64, n)
 				var ra, rb *Request
 				if c.Rank() == 0 {
 					for i := range a {
 						a[i], b[i] = float64(round+i), float64(-round-i)
 					}
-					ra, rb = c.SendInit(1, 1, a), c.PsendInit(1, 2, b, bounds)
+					ra, rb = c.SendInit(1, 1, a), c.SendInit(1, 2, b)
 				} else {
-					ra, rb = c.RecvInit(0, 1, a), c.PrecvInit(0, 2, b)
+					ra, rb = c.RecvInit(0, 1, a), c.RecvInit(0, 2, b)
 				}
 				if round == 0 {
-					// Grow the unpartitioned channel: the receive side first,
-					// so the sender's rebind finds room.
+					// Grow the first channel: the receive side first, so the
+					// sender's rebind finds room.
 					a = append(a, make([]float64, n)...)
 					if c.Rank() == 1 {
 						ra.Rebind(a)
@@ -391,9 +378,6 @@ func TestPersistentInitFreeChurn(t *testing.T) {
 					}
 				}
 				Startall([]*Request{ra, rb})
-				if c.Rank() == 0 {
-					rb.PreadyAll()
-				}
 				ra.Wait()
 				rb.Wait()
 				if c.Rank() == 1 && (a[n-1] != float64(round+n-1) || b[1] != float64(-round-1)) {
@@ -421,10 +405,10 @@ func TestPersistentInitFreeChurn(t *testing.T) {
 
 // TestPersistentStallListing pins the stall-listing rule on every backend:
 // a started persistent endpoint is listed exactly while its own Wait would
-// block. After PreadyAll with its receiver not started, a chan send still
-// waits for delivery and is listed; an eager backend's send to another
-// rank is complete and is not, and a send to the rank itself waits for its
-// receive and is listed on every backend. A started receive whose sender
+// block. Started with its receiver not started, a chan send still waits
+// for delivery and is listed; an eager backend's send to another rank is
+// complete and is not, and a send to the rank itself waits for its receive
+// and is listed on every backend. A started receive whose sender
 // has not started is listed and blocks everywhere, and nothing is listed
 // once every cycle completed.
 func TestPersistentStallListing(t *testing.T) {
@@ -446,20 +430,15 @@ func TestPersistentStallListing(t *testing.T) {
 			return err != nil
 		}
 		dst, src := r.Rank(), s.Rank()
-		psend := s.PsendInit(dst, 1, make([]float64, 6), []int{0, 2, 6})
-		precv := r.PrecvInit(src, 1, make([]float64, 6))
+		psend := s.SendInit(dst, 1, make([]float64, 6))
+		precv := r.RecvInit(src, 1, make([]float64, 6))
 		psend.Start()
-		psend.Pready(1)
-		if l, b := listed("psend-partial", 1), blocks(psend); !l || !b {
-			t.Errorf("send with a partition unready: listed %v, Wait blocks %v; want both", l, b)
-		}
-		psend.Pready(0)
 		l, b := listed("psend-active", 1), blocks(psend)
 		if l != b {
-			t.Errorf("send after every Pready, receiver not started: listed %v, Wait blocks %v", l, b)
+			t.Errorf("send started, receiver not started: listed %v, Wait blocks %v", l, b)
 		}
 		if s == r && !b {
-			t.Errorf("send to the rank itself after every Pready, receiver not started: Wait returned, want it to wait for the receive")
+			t.Errorf("send to the rank itself started, receiver not started: Wait returned, want it to wait for the receive")
 		}
 		precv.Start()
 		psend.Wait()

@@ -26,10 +26,11 @@ import (
 // incarnation stamp on every frame lets a respawned rank's traffic be told
 // apart from its dead predecessor's.
 
-// Fixed binary header of tfData/tfPData/tfPPart payloads, little-endian:
-// src, dst, tag (u32 each), the persistent channel id (u64, 0 on one-shot
-// frames), epoch, incarnation, wireSeq, flight seq and cycle (u64 each),
-// then offE, partLo, partHi, nparts, elems and nflips (u32 each). After the
+// Fixed binary header of tfData/tfPData payloads, little-endian: src, dst,
+// tag (u32 each), the persistent channel id (u64, 0 on one-shot frames),
+// epoch, incarnation, wireSeq, flight seq and cycle (u64 each), then four
+// reserved words (u32 each; senders write zero, and the reader ignores
+// them), elems and nflips (u32 each). After the
 // header come elems float64 payload words (little-endian IEEE bits) and
 // nflips injected byte-flips (u32 offset, u8 mask, 3 zero pad bytes).
 // wireSeq is stamped at flush time under the stream lock.
@@ -44,7 +45,7 @@ type tcpHdr struct {
 	src, dst, tag                  int
 	id                             uint64
 	epoch, inc, wireSeq, fseq, cyc uint64
-	offE, partLo, partHi, nparts   int
+	rsv                            [4]uint32
 	elems, nflips                  int
 }
 
@@ -61,10 +62,9 @@ func appendDataHdr(dst []byte, h *tcpHdr, elems, nflips int) []byte {
 	dst = le.AppendUint64(dst, h.wireSeq)
 	dst = le.AppendUint64(dst, h.fseq)
 	dst = le.AppendUint64(dst, h.cyc)
-	dst = le.AppendUint32(dst, uint32(h.offE))
-	dst = le.AppendUint32(dst, uint32(h.partLo))
-	dst = le.AppendUint32(dst, uint32(h.partHi))
-	dst = le.AppendUint32(dst, uint32(h.nparts))
+	for _, w := range h.rsv {
+		dst = le.AppendUint32(dst, w)
+	}
 	dst = le.AppendUint32(dst, uint32(elems))
 	return le.AppendUint32(dst, uint32(nflips))
 }
@@ -92,8 +92,7 @@ func decodeDataFrame(b []byte, h *tcpHdr) ([]byte, []fault.ByteFlip, error) {
 		tag: int(int32(le.Uint32(b[8:]))), id: le.Uint64(b[12:]),
 		epoch: le.Uint64(b[20:]), inc: le.Uint64(b[28:]),
 		wireSeq: le.Uint64(b[36:]), fseq: le.Uint64(b[44:]), cyc: le.Uint64(b[52:]),
-		offE: int(int32(le.Uint32(b[60:]))), partLo: int(int32(le.Uint32(b[64:]))),
-		partHi: int(int32(le.Uint32(b[68:]))), nparts: int(int32(le.Uint32(b[72:]))),
+		rsv:   [4]uint32{le.Uint32(b[60:]), le.Uint32(b[64:]), le.Uint32(b[68:]), le.Uint32(b[72:])},
 		elems: int(le.Uint32(b[76:])), nflips: int(le.Uint32(b[80:])),
 	}
 	want := tcpHdrLen + 8*h.elems + 8*h.nflips
@@ -160,7 +159,7 @@ func decodeWords(dst []float64, wire []byte) {
 
 // tcpFrame is one data frame of a call's batch: its kind and header, its
 // payload viewed in place in the sender's buffer, its injected flips, and
-// the send cycle whose span it carries (nil for a one-shot message).
+// the send cycle whose payload it carries (nil for a one-shot message).
 type tcpFrame struct {
 	n     *tcpNode
 	kind  byte
@@ -237,7 +236,6 @@ type tcpNode struct {
 // the node's early queue until its receive side binds the channel id, or
 // on the endpoint until its receive cycle starts.
 type earlyPersFrame struct {
-	kind  byte
 	h     tcpHdr
 	wire  []byte
 	flips []fault.ByteFlip
@@ -405,7 +403,7 @@ func (n *tcpNode) serveAccepted(conn net.Conn) {
 		switch kind {
 		case tfHBData:
 			n.countFrame("hb")
-		case tfData, tfPData, tfPPart:
+		case tfData, tfPData:
 			n.handleData(kind, payload)
 		}
 	}
@@ -458,10 +456,7 @@ func (n *tcpNode) handleData(kind byte, frame []byte) {
 		n.w.arrive(n.rank, arrival{src: h.src, tag: h.tag, seq: h.fseq, payload: payload{wire: wire, flips: flips}})
 	case tfPData:
 		n.countFrame("pdata")
-		n.deliverPers(kind, &h, wire, flips)
-	case tfPPart:
-		n.countFrame("ppart")
-		n.deliverPers(kind, &h, wire, flips)
+		n.deliverPers(&h, wire, flips)
 	}
 	n.mu.Unlock()
 }
@@ -479,14 +474,13 @@ func (n *tcpNode) out(dst int) *tcpOut {
 	return o
 }
 
-// batch is the frames one API call sends on tcp — Start, Startall,
-// Pready, PreadyRange, Preadyall, a one-shot send. The tcp link queues a
-// span's frame in it at put, and the call flushes it before it returns, so
-// every span is on its way by the time the call is: Pready stays eager as
-// its caller sees it. chan and shmem move a span at put, so their calls
-// take no batch (nil). A batch belongs to its call, never to a node or an
-// endpoint: calls run concurrently on pool workers, and each takes its own
-// from its Comm's free list, which the flush refills.
+// batch is the frames one API call sends on tcp — Start, Startall, a
+// one-shot send. The tcp link queues a payload's frame in it at put, and
+// the call flushes it before it returns, so every payload is on its way by
+// the time the call is. chan and shmem move a payload at put, so their
+// calls take no batch (nil). A batch belongs to its call, never to a node
+// or an endpoint: calls on one rank may run concurrently, and each takes
+// its own from its Comm's free list, which the flush refills.
 type batch struct {
 	c   *Comm
 	tcp []tcpFrame
@@ -517,8 +511,8 @@ func (c *Comm) batch() *batch {
 }
 
 // flush writes what the call queued and returns the batch to its Comm. A
-// call defers it, so the spans it put before a misuse panic still go out,
-// as they do on the backends that move a span at put.
+// call defers it, so the payloads it put before a misuse panic still go
+// out, as they do on the backends that move a payload at put.
 func (b *batch) flush() {
 	if b == nil {
 		return
@@ -536,7 +530,7 @@ func (b *batch) flush() {
 
 // write writes a batch's frames: for each destination, in the order of
 // its first frame, one vectored write under the stream lock; then, its
-// write returned, each span's sent.
+// write returned, each payload's sent.
 func (b *batch) write() {
 	fs := b.tcp
 	for i := range fs {

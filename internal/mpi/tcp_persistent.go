@@ -4,26 +4,23 @@ import (
 	"github.com/bricklab/brick/internal/fault"
 )
 
-// Persistent and partitioned traffic over tcp. Every frame of a channel
-// carries the channel id persistent.go assigned at SendInit and the
-// sender's cycle number; a receive side takes the frames of the id it was
-// bound to at the match.
+// Persistent traffic over tcp. Every frame of a channel carries the
+// channel id persistent.go assigned at SendInit and the sender's cycle
+// number; a receive side takes the frames of the id it was bound to at the
+// match.
 //
-// Sends are eager like one-shot sends, and batched by call: each span the
-// cycle puts becomes one frame — the whole payload as tfPData at an
-// unpartitioned Start, each partition span as tfPPart at its Pready,
-// offset-addressed into the receive buffer — queued in the batch of the
-// API call that put it. The call flushes its batch before it returns: per
+// Sends are eager like one-shot sends, and batched by call: the payload a
+// Start puts becomes one tfPData frame, queued in the batch of the API call
+// that put it. The call flushes its batch before it returns: per
 // destination one vectored write of every frame's headers, its payload
-// bytes viewed in place in the send buffer, and its flips; each span is
-// sent once that write returned. So a Preadyall over a tile's partitions
-// costs one write per peer, not one per partition, and still nothing is
-// held back past the call that readied it. A frame lands — its bytes
-// copied once, straight into the receive buffer — if its cycle is the
-// open receive cycle, parks on the link if its cycle has not started (a
-// sender running ahead of the receiver's Start), and is dropped if its
-// cycle is over; frames for a channel no receive side has bound yet park
-// in the node's early queue until bind drains them.
+// bytes viewed in place in the send buffer, and its flips; each payload is
+// sent once that write returned. So a Startall over a plan's sends costs
+// one write per peer, not one per message. A frame lands — its bytes
+// copied once, straight into the receive buffer — if its cycle is the open
+// receive cycle, parks on the link if its cycle has not started (a sender
+// running ahead of the receiver's Start), and is dropped if its cycle is
+// over; frames for a channel no receive side has bound yet park in the
+// node's early queue until bind drains them.
 
 // tcpLink is one endpoint's data path. parked and spare are guarded by the
 // endpoint's lock.
@@ -52,26 +49,20 @@ func (l *tcpLink) bind(e *cycle, s *pend) {
 	defer n.mu.Unlock()
 	n.persRecv[s.id] = l
 	for _, f := range n.early[s.id] {
-		l.deliver(f.kind, &f.h, f.wire, f.flips)
+		l.deliver(&f.h, f.wire, f.flips)
 	}
 	delete(n.early, s.id)
 }
 
-// put queues one span as a frame in the call's batch; the flush writes it
-// and reports it sent.
-func (l *tcpLink) put(e *cycle, part int, b *batch) {
+// put queues the payload as a frame in the call's batch; the flush writes
+// it and reports it sent.
+func (l *tcpLink) put(e *cycle, b *batch) {
 	n, r := l.n, e.r
 	h := tcpHdr{
 		src: r.comm.rank, dst: r.peer, tag: r.tag, id: l.id,
 		epoch: n.epoch.Load(), inc: n.inc, fseq: e.seq, cyc: e.n,
 	}
-	kind, flips := byte(tfPData), e.flips
-	lo, hi := e.span(part)
-	if part >= 0 {
-		kind, flips = tfPPart, flipsInRange(flips, 8*lo, 8*hi)
-		h.offE, h.partLo, h.partHi, h.nparts = lo, part, part+1, e.parts
-	}
-	b.tcp = append(b.tcp, tcpFrame{n: n, kind: kind, h: h, data: e.buf[lo:hi], flips: flips, e: e})
+	b.tcp = append(b.tcp, tcpFrame{n: n, kind: tfPData, h: h, data: e.buf, flips: e.flips, e: e})
 }
 
 // poll lands the frames parked for the cycle that just opened, in arrival
@@ -87,7 +78,7 @@ func (l *tcpLink) poll(e *cycle) bool {
 			kept = append(kept, f)
 			continue
 		}
-		l.land(f.kind, &f.h, f.wire, f.flips)
+		l.e.land(payload{wire: f.wire, flips: f.flips}, f.h.fseq)
 		l.spare = append(l.spare, f.wire)
 	}
 	clear(l.parked[len(kept):])
@@ -97,20 +88,20 @@ func (l *tcpLink) poll(e *cycle) bool {
 
 // deliverPers routes an arrived persistent frame (n.mu held). wire views
 // the reader's frame buffer: whatever outlives this call is copied.
-func (n *tcpNode) deliverPers(kind byte, h *tcpHdr, wire []byte, flips []fault.ByteFlip) {
+func (n *tcpNode) deliverPers(h *tcpHdr, wire []byte, flips []fault.ByteFlip) {
 	l := n.persRecv[h.id]
 	if l == nil {
 		n.early[h.id] = append(n.early[h.id], &earlyPersFrame{
-			kind: kind, h: *h, wire: append([]byte(nil), wire...), flips: flips})
+			h: *h, wire: append([]byte(nil), wire...), flips: flips})
 		return
 	}
-	l.deliver(kind, h, wire, flips)
+	l.deliver(h, wire, flips)
 }
 
 // deliver takes one frame: it lands now if its cycle is the open one,
 // parks if its cycle has not started, and is dropped if its cycle is over
 // or the endpoint was freed.
-func (l *tcpLink) deliver(kind byte, h *tcpHdr, wire []byte, flips []fault.ByteFlip) {
+func (l *tcpLink) deliver(h *tcpHdr, wire []byte, flips []fault.ByteFlip) {
 	e := l.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -118,31 +109,12 @@ func (l *tcpLink) deliver(kind byte, h *tcpHdr, wire []byte, flips []fault.ByteF
 	case e.freed:
 		l.parked, l.spare = nil, nil
 	case h.cyc == k:
-		l.land(kind, h, wire, flips)
+		e.land(payload{wire: wire, flips: flips}, h.fseq)
 	case h.cyc > k:
 		var keep []byte
 		if i := len(l.spare); i > 0 {
 			keep, l.spare = l.spare[i-1], l.spare[:i-1]
 		}
-		l.parked = append(l.parked, earlyPersFrame{kind: kind, h: *h, wire: append(keep[:0], wire...), flips: flips})
+		l.parked = append(l.parked, earlyPersFrame{h: *h, wire: append(keep[:0], wire...), flips: flips})
 	}
-}
-
-// land hands one frame of the open cycle to the cycle. e.mu held.
-func (l *tcpLink) land(kind byte, h *tcpHdr, wire []byte, flips []fault.ByteFlip) {
-	part := -1
-	if kind == tfPPart {
-		part = h.partLo
-	}
-	l.e.land(part, h.offE, payload{wire: wire, flips: flips}, h.fseq)
-}
-
-func flipsInRange(flips []fault.ByteFlip, lo, hi int) []fault.ByteFlip {
-	var out []fault.ByteFlip
-	for _, f := range flips {
-		if f.Off >= lo && f.Off < hi {
-			out = append(out, f)
-		}
-	}
-	return out
 }

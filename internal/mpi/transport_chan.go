@@ -98,13 +98,13 @@ func (t *chanTransport) close() error { return nil }
 
 // chanLink is the data path of one persistent channel, shared by both of
 // its endpoints along with its lock: whichever side registers first builds
-// it, the other joins it at its match. A span moves on whichever side fires
-// second — a Pready or an unpartitioned Start finding the receive cycle
-// open, or a receive Start finding spans its open send cycle already put —
-// straight from the send buffer into the receive buffer, as a one-shot
-// message moves. A send cycle is therefore complete only once its
-// receiver has it. It is every chan channel's link, and on every backend
-// the link of a channel from a rank to itself (newCycle).
+// it, the other joins it at its match. The payload moves on whichever side
+// starts second — a send Start finding the receive cycle open, or a receive
+// Start finding its open send cycle already put — straight from the send
+// buffer into the receive buffer, as a one-shot message moves. A send cycle
+// is therefore complete only once its receiver has it. It is every chan
+// channel's link, and on every backend the link of a channel from a rank
+// to itself (newCycle).
 type chanLink struct {
 	mu         sync.Mutex
 	send, recv *cycle
@@ -136,37 +136,24 @@ func (t *chanTransport) retire(uint64, bool) {}
 // bind has nothing to do: the matched sides already share the link.
 func (l *chanLink) bind(*cycle, *pend) {}
 
-func (l *chanLink) put(_ *cycle, part int, _ *batch) {
+func (l *chanLink) put(*cycle, *batch) {
 	if rv := l.recv; rv != nil && rv.state.Load() == cycOpen {
-		l.move(part)
+		l.move()
 	}
 }
 
-// poll moves, when the receive cycle opens, every span the open send cycle
-// put before it: the whole payload, or each partition readied and not yet
-// arrived.
-func (l *chanLink) poll(e *cycle) bool {
-	s := l.send
-	if s == nil || s.state.Load() != cycOpen {
-		return false
-	}
-	if s.parts == 0 {
-		l.move(-1)
-		return false
-	}
-	sk, rk := s.n, e.n
-	for i := range s.marks {
-		if s.marks[i] == sk && e.marks[i] != rk {
-			l.move(i)
-		}
+// poll moves, when the receive cycle opens, the payload the open send
+// cycle put before it.
+func (l *chanLink) poll(*cycle) bool {
+	if s := l.send; s != nil && s.state.Load() == cycOpen {
+		l.move()
 	}
 	return false
 }
 
-// move lands span part of the open send cycle in the open receive cycle.
-func (l *chanLink) move(part int) {
+// move lands the payload of the open send cycle in the open receive cycle.
+func (l *chanLink) move() {
 	s := l.send
-	lo, hi := s.span(part)
-	l.recv.land(part, lo, payload{data: s.buf[lo:hi], flips: s.flips}, s.seq)
+	l.recv.land(payload{data: s.buf, flips: s.flips}, s.seq)
 	s.sent()
 }

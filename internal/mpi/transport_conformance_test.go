@@ -316,76 +316,11 @@ func TestConformancePersistent(t *testing.T) {
 	})
 }
 
-// TestConformancePartitioned drives a partitioned pipeline: partitions are
-// marked ready out of order, the receiver polls Parrived and consumes
-// early partitions before Wait, and the cycle repeats to cover staging
-// reuse.
-func TestConformancePartitioned(t *testing.T) {
-	forEachTransport(t, 2, func(t *testing.T, w *World) {
-		const cycles = 4
-		w.Run(func(c *Comm) {
-			bounds := []int{0, 4, 8, 16}
-			buf := make([]float64, 16)
-			if c.Rank() == 0 {
-				s := c.PsendInit(1, 5, buf, bounds)
-				if got := s.Partitions(); got != 3 {
-					t.Errorf("sender Partitions = %d, want 3", got)
-				}
-				c.Barrier() // both endpoints registered before the first poll
-				for k := 0; k < cycles; k++ {
-					s.Start()
-					for i := range buf {
-						buf[i] = float64(k*100 + i)
-					}
-					// Out-of-order readiness, including a range form.
-					s.Pready(2)
-					s.PreadyRange(0, 2)
-					s.Wait()
-					c.Barrier()
-				}
-				s.Free()
-			} else {
-				r := c.PrecvInit(0, 5, buf)
-				c.Barrier()
-				for k := 0; k < cycles; k++ {
-					r.Start()
-					// Poll one partition early; it must become consumable
-					// before full-cycle Wait.
-					deadline := time.Now().Add(15 * time.Second)
-					for !r.Parrived(2) {
-						if time.Now().After(deadline) {
-							t.Fatal("Parrived(2) never became true")
-						}
-						time.Sleep(50 * time.Microsecond)
-					}
-					if got := buf[8]; got != float64(k*100+8) {
-						t.Errorf("cycle %d early partition elem = %v, want %v", k, got, float64(k*100+8))
-					}
-					if got := r.Wait(); got != 16 {
-						t.Errorf("cycle %d recv Wait = %d, want 16", k, got)
-					}
-					for i := range buf {
-						if buf[i] != float64(k*100+i) {
-							t.Fatalf("cycle %d elem %d: got %v", k, i, buf[i])
-						}
-					}
-					c.Barrier()
-				}
-				r.Free()
-			}
-		})
-		if ae := w.Aborted(); ae != nil {
-			t.Fatalf("world aborted: %v", ae)
-		}
-	})
-}
-
-// TestConformanceSelfChannelBypass: a rank's persistent channels to itself,
-// unpartitioned and partitioned, move in memory on every backend next to a
-// channel to another rank that keeps the backend's link. Every cycle lands
-// Float64bits-equal; on tcp the writes and the pdata/ppart frames count the
-// remote channel alone, and on shmem the self channels claim no entry of
-// the persistent table.
+// TestConformanceSelfChannelBypass: a rank's persistent channels to itself
+// move in memory on every backend next to a channel to another rank that
+// keeps the backend's link. Every cycle lands Float64bits-equal; on tcp the
+// writes and the pdata frames count the remote channel alone, and on shmem
+// the self channels claim no entry of the persistent table.
 func TestConformanceSelfChannelBypass(t *testing.T) {
 	forEachTransport(t, 2, func(t *testing.T, w *World) {
 		const cycles, n = 6, 24
@@ -436,7 +371,7 @@ func TestConformanceSelfChannelBypass(t *testing.T) {
 				bufs[i] = make([]float64, n)
 			}
 			ss, rs := c.SendInit(0, 1, bufs[0]), c.RecvInit(0, 1, bufs[1])
-			sp, rp := c.PsendInit(0, 2, bufs[2], []int{0, 5, 16, n}), c.PrecvInit(0, 2, bufs[3])
+			sp, rp := c.SendInit(0, 2, bufs[2]), c.RecvInit(0, 2, bufs[3])
 			remote := c.SendInit(1, 3, bufs[4])
 			claimed = entries() - e0
 			for k := 0; k < cycles; k++ {
@@ -447,14 +382,8 @@ func TestConformanceSelfChannelBypass(t *testing.T) {
 					Startall([]*Request{rs, rp, ss, sp, remote})
 				} else { // sends first: each receive Start takes what waits for it
 					Startall([]*Request{ss, sp, remote})
-					sp.Pready(1)
 					Startall([]*Request{rs, rp})
 				}
-				sp.PreadyRange(2, 3)
-				if k%2 == 0 {
-					sp.Pready(1)
-				}
-				sp.Pready(0)
 				Waitall([]*Request{rs, rp, ss, sp, remote})
 				check(0, 1, k, bufs[1])
 				check(0, 2, k, bufs[3])
@@ -478,9 +407,6 @@ func TestConformanceSelfChannelBypass(t *testing.T) {
 			if got := frames("pdata"); got != cycles {
 				t.Errorf("pdata frames = %d, want %d (the remote channel's)", got, cycles)
 			}
-			if got := frames("ppart"); got != 0 {
-				t.Errorf("ppart frames = %d, want 0: the only partitioned channel is the rank's own", got)
-			}
 		case "shmem":
 			if claimed != 1 {
 				t.Errorf("three channels claimed %d persistent table entries, want 1 (the remote one)", claimed)
@@ -492,12 +418,11 @@ func TestConformanceSelfChannelBypass(t *testing.T) {
 	})
 }
 
-// TestConformancePartitionedLateSender: plan skew across ranks lets a
-// receiver Start and Wait before the matched partitioned sender has
-// registered; the cycle must still complete once the sender arrives. Unlike
-// TestConformancePartitioned, no barrier orders the two registrations. The
-// watchdog turns a wedged receiver into a loud abort.
-func TestConformancePartitionedLateSender(t *testing.T) {
+// TestConformanceLateSender: plan skew across ranks lets a receiver Start
+// and Wait before the matched sender has registered; the cycle must still
+// complete once the sender arrives. No barrier orders the two
+// registrations. The watchdog turns a wedged receiver into a loud abort.
+func TestConformanceLateSender(t *testing.T) {
 	forEachTransport(t, 2, func(t *testing.T, w *World) {
 		w.SetWatchdog(5*time.Second, nil)
 		defer func() {
@@ -516,14 +441,13 @@ func TestConformancePartitionedLateSender(t *testing.T) {
 				for i := range buf {
 					buf[i] = float64(i + 1)
 				}
-				s := c.PsendInit(1, 9, buf, []int{0, 4, 16})
+				s := c.SendInit(1, 9, buf)
 				s.Start()
-				s.PreadyAll()
 				s.Wait()
 				c.Barrier()
 				s.Free()
 			} else {
-				r := c.PrecvInit(0, 9, buf)
+				r := c.RecvInit(0, 9, buf)
 				r.Start()
 				close(started)
 				if got := r.Wait(); got != 16 {

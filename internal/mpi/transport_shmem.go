@@ -19,9 +19,9 @@ import (
 // The shmem backend moves the whole wire protocol onto one shared-memory
 // segment (internal/shmem arena), so the ranks of a world may live in
 // separate worker processes: the supervisor creates the segment, workers
-// inherit its fd and attach (AttachShmemWorld), and every message, staged
-// persistent cycle, and partitioned-readiness word lives in the segment
-// where all processes can reach it. Collectives are one-shot messages like
+// inherit its fd and attach (AttachShmemWorld), and every message and
+// staged persistent cycle lives in the segment where all processes can
+// reach it. Collectives are one-shot messages like
 // any other (see collectives.go).
 //
 // Layout (all offsets 8-aligned; fixed regions first, bump heap last):
@@ -98,11 +98,8 @@ const (
 	peFlipsCnt1
 	peSeqW0 // per-slot flight sequence stamp
 	peSeqW1
-	peSendSeq // last fully published send cycle (non-partitioned)
+	peSendSeq // last published send cycle
 	peDoneSeq // last cycle the receiver consumed
-	peBounds  // heap offset of the P+1 element bounds
-	peReady   // heap offset of P readyCycle words (value = cycle number)
-	peParts   // the partitions the bounds and readyCycle words have room for
 	peRetired // the sides done with the entry: 1 its sender, 2 its receive side
 	peWords
 )
@@ -704,17 +701,13 @@ func (t *shmemTransport) peek() []PendingOp {
 // ---- persistent channels ----
 //
 // A persistent channel is one entry of the shared table, appended by its
-// sender. An unpartitioned send stages its payload in slot k%2 at Start and
-// publishes peSendSeq; the receiver lands the slot once it sees cycle k
-// published and publishes peDoneSeq. A sender may run one full cycle ahead
-// (slot reuse waits for peDoneSeq >= k-2), which is the pipelining the
-// chan backend allows. A partitioned send stages each partition span at
-// its Pready and stamps the span's readyCycle word, so the receiver lands
-// partitions early; only one partitioned cycle is in flight (readyCycle
-// words hold one cycle number), so its first span waits for the receiver
-// to finish the previous cycle. A receive buffer is an ordinary slice in
-// its owner's process, so only the receive side can land: it polls, and
-// the cycle polls it whenever it waits or asks Parrived.
+// sender. A send stages its payload in slot k%2 at Start and publishes
+// peSendSeq; the receiver lands the slot once it sees cycle k published
+// and publishes peDoneSeq. A sender may run one full cycle ahead (slot
+// reuse waits for peDoneSeq >= k-2), which is the pipelining the chan
+// backend allows. A receive buffer is an ordinary slice in its owner's
+// process, so only the receive side can land: it polls, and the cycle
+// polls it whenever it waits.
 
 // persEntry returns the byte offset of table entry i.
 func (t *shmemTransport) persEntry(i int) int { return t.l.pers + i*peWords*8 }
@@ -727,12 +720,8 @@ func (t *shmemTransport) setPW(e, idx int, v uint64) { atomic.StoreUint64(t.w64(
 // shmLink is one side's process-local handle on a table entry; its fields
 // are guarded by the endpoint's lock.
 type shmLink struct {
-	t     *shmemTransport
-	ent   int // entry byte offset in the segment; 0 until a receive side binds
-	parts int
-	// heap offsets of the partition bounds (receive) and readyCycle words
-	boundsOff, readyOff int
-	armed               uint64 // send: the last cycle whose slot metadata is staged
+	t   *shmemTransport
+	ent int // entry byte offset in the segment; 0 until a receive side binds
 }
 
 // ensureStaging grows the entry's double-buffered staging slots to hold at
@@ -749,61 +738,36 @@ func (t *shmemTransport) ensureStaging(e, elems int) {
 }
 
 // newLink builds a receive side's unbound handle, or claims a send side's
-// entry: staging sized for its buffer and, when partitioned, its bounds and
-// readyCycle words, each kept from the entry's last channel when it fits.
+// entry with staging sized for its buffer, kept from the entry's last
+// channel when it fits.
 func (t *shmemTransport) newLink(e *cycle) link {
 	l := &shmLink{t: t}
 	if !e.r.send {
 		return l
 	}
-	p := e.r.pend
-	l.ent = t.claim(len(e.buf), p.parts)
+	l.ent = t.claim(len(e.buf))
 	t.ensureStaging(l.ent, len(e.buf))
-	if p.parts > 0 {
-		if int(t.pw(l.ent, peParts)) < p.parts {
-			t.setPW(l.ent, peBounds, uint64(t.alloc(8*(p.parts+1))))
-			t.setPW(l.ent, peReady, uint64(t.alloc(8*p.parts)))
-			t.setPW(l.ent, peParts, uint64(p.parts))
-		}
-		bounds := int(t.pw(l.ent, peBounds))
-		for i, b := range p.bounds {
-			atomic.StoreUint64(t.w64(bounds+8*i), uint64(b))
-		}
-		// readyCycle words, zero = never ready. Neither a reused entry's nor
-		// the heap's are: quarantine rewinds the bump pointer without
-		// clearing it, so a respawned epoch's words would inherit the dead
-		// epoch's stamps and a receiver would take cycle 1 as already arrived.
-		l.readyOff = int(t.pw(l.ent, peReady))
-		for i := 0; i < p.parts; i++ {
-			atomic.StoreUint64(t.w64(l.readyOff+8*i), 0)
-		}
-	}
-	p.link = uint64(l.ent)
+	e.r.pend.link = uint64(l.ent)
 	return l
 }
 
-// claim takes a table entry for a channel of elems elements and parts
-// partitions: the free entry that fits it best — the least heap to grow,
-// then the fewest partition words to spare, then the fewest staging
-// elements — or else a new one. A claimed entry's cycle words restart.
-func (t *shmemTransport) claim(elems, parts int) int {
+// claim takes a table entry for a channel of elems elements: the free
+// entry whose staging fits it best — the least heap to grow, then the
+// fewest staging elements to spare — or else a new one. A claimed entry's
+// cycle words restart.
+func (t *shmemTransport) claim(elems int) int {
 	for {
-		best, fit := -1, [3]int{}
+		best, fit := -1, [2]int{}
 		for i := range min(int(atomic.LoadUint64(t.w64(offPersCount))), shmMaxPers) {
 			e := t.persEntry(i)
 			if t.pw(e, peRetired) != peFree {
 				continue
 			}
-			var f [3]int // heap words to grow, partitions to spare, elements to spare
-			if c := int(t.pw(e, peParts)); c < parts {
-				f[0] += 2*parts + 1
-			} else {
-				f[1] = c - parts
-			}
+			var f [2]int // heap words to grow, elements to spare
 			if c := int(t.pw(e, peStageCap)); c < elems {
-				f[0] += 2 * elems
+				f[0] = 2 * elems
 			} else {
-				f[2] = c - elems
+				f[1] = c - elems
 			}
 			if best < 0 || slices.Compare(f[:], fit[:]) < 0 {
 				best, fit = e, f
@@ -841,13 +805,9 @@ func (t *shmemTransport) retire(link uint64, send bool) {
 
 // bind attaches a receive side to its sender's entry.
 func (l *shmLink) bind(e *cycle, s *pend) {
-	t := l.t
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	l.ent, l.parts = int(s.link), s.parts
-	if l.parts > 0 {
-		l.boundsOff, l.readyOff = int(t.pw(l.ent, peBounds)), int(t.pw(l.ent, peReady))
-	}
+	l.ent = int(s.link)
+	e.mu.Unlock()
 }
 
 // stageWait blocks until the receiver has consumed every cycle up to k-lag,
@@ -864,45 +824,36 @@ func (l *shmLink) stageWait(k, lag uint64) {
 	}
 }
 
-// put stages one span in slot k%2 and publishes it. The first span of a
-// cycle claims the slot and stages the cycle's metadata (length, flip list,
-// flight stamp) ahead of any publication, so a receiver that sees a span
-// published can trust them; a partitioned cycle, or a send buffer grown by
-// Rebind, first waits for the receiver to finish every earlier cycle.
-func (l *shmLink) put(e *cycle, part int, _ *batch) {
+// put stages the payload in slot k%2 with the cycle's metadata (length,
+// flip list, flight stamp) and publishes the cycle, so a receiver that sees
+// it published can trust them. A send buffer grown by Rebind first waits
+// for the receiver to finish every earlier cycle.
+func (l *shmLink) put(e *cycle, _ *batch) {
 	t, ent := l.t, l.ent
 	k := e.n
 	slot := int(k % 2)
-	if l.armed != k {
-		lag := uint64(2)
-		if part >= 0 || int(t.pw(ent, peStageCap)) < len(e.buf) {
-			lag = 1
-		}
-		l.stageWait(k, lag)
-		t.ensureStaging(ent, len(e.buf))
-		if len(e.flips) > 0 { // staged in the heap
-			fo := t.alloc(16 * len(e.flips))
-			t.writeFlips(fo, e.flips)
-			t.setPW(ent, peFlipsOff0+slot, uint64(fo))
-		}
-		t.setPW(ent, peFlipsCnt0+slot, uint64(len(e.flips)))
-		t.setPW(ent, peSeqW0+slot, e.seq)
-		t.setPW(ent, peElems0+slot, uint64(len(e.buf)))
-		l.armed = k
+	lag := uint64(2)
+	if int(t.pw(ent, peStageCap)) < len(e.buf) {
+		lag = 1
 	}
-	lo, hi := e.span(part)
-	copy(t.floats(int(t.pw(ent, peStage0+slot))+8*lo, hi-lo), e.buf[lo:hi])
-	if part < 0 {
-		atomic.StoreUint64(t.w64(ent+peSendSeq*8), k)
-	} else {
-		atomic.StoreUint64(t.w64(l.readyOff+8*part), k)
+	l.stageWait(k, lag)
+	t.ensureStaging(ent, len(e.buf))
+	if len(e.flips) > 0 { // staged in the heap
+		fo := t.alloc(16 * len(e.flips))
+		t.writeFlips(fo, e.flips)
+		t.setPW(ent, peFlipsOff0+slot, uint64(fo))
 	}
+	t.setPW(ent, peFlipsCnt0+slot, uint64(len(e.flips)))
+	t.setPW(ent, peSeqW0+slot, e.seq)
+	t.setPW(ent, peElems0+slot, uint64(len(e.buf)))
+	copy(t.floats(int(t.pw(ent, peStage0+slot)), len(e.buf)), e.buf)
+	atomic.StoreUint64(t.w64(ent+peSendSeq*8), k)
 	e.sent()
 }
 
 // poll adopts a peer process's abort (the cycle's wait watches only the
-// local abort channel) and lands every span published for the open
-// receive cycle; once the cycle is complete it hands the slot back.
+// local abort channel) and lands the payload once it is published for the
+// open receive cycle, then hands the slot back.
 func (l *shmLink) poll(e *cycle) bool {
 	t, ent := l.t, l.ent
 	t.checkAbort()
@@ -910,27 +861,13 @@ func (l *shmLink) poll(e *cycle) bool {
 		return true // not bound yet
 	}
 	k := e.n
+	if atomic.LoadUint64(t.w64(ent+peSendSeq*8)) < k {
+		return true
+	}
 	slot := int(k % 2)
-	flips := func() []fault.ByteFlip {
-		return t.readFlips(int(t.pw(ent, peFlipsOff0+slot)), int(t.pw(ent, peFlipsCnt0+slot)))
-	}
-	if l.parts == 0 {
-		if atomic.LoadUint64(t.w64(ent+peSendSeq*8)) < k {
-			return true
-		}
-		n := int(t.pw(ent, peElems0+slot))
-		e.land(-1, 0, payload{data: t.floats(int(t.pw(ent, peStage0+slot)), n), flips: flips()}, t.pw(ent, peSeqW0+slot))
-	} else {
-		for i := 0; i < l.parts; i++ {
-			if e.marks[i] == k || atomic.LoadUint64(t.w64(l.readyOff+8*i)) != k {
-				continue
-			}
-			lo := int(atomic.LoadUint64(t.w64(l.boundsOff + 8*i)))
-			hi := int(atomic.LoadUint64(t.w64(l.boundsOff + 8*(i+1))))
-			stage := int(t.pw(ent, peStage0+slot))
-			e.land(i, lo, payload{data: t.floats(stage+8*lo, hi-lo), flips: flips()}, t.pw(ent, peSeqW0+slot))
-		}
-	}
+	flips := t.readFlips(int(t.pw(ent, peFlipsOff0+slot)), int(t.pw(ent, peFlipsCnt0+slot)))
+	n := int(t.pw(ent, peElems0+slot))
+	e.land(payload{data: t.floats(int(t.pw(ent, peStage0+slot)), n), flips: flips}, t.pw(ent, peSeqW0+slot))
 	if e.state.Load() == cycDone {
 		atomic.StoreUint64(t.w64(ent+peDoneSeq*8), k)
 	}

@@ -119,52 +119,6 @@ func TestShmemIncarnationFiltersStaleSends(t *testing.T) {
 	}
 }
 
-// TestShmemResetClearsReadyStamps: a partitioned send's readyCycle words
-// come from the segment heap, which reset rewinds without clearing. The
-// re-paired endpoint of a respawned epoch must not see the dead epoch's
-// stamps: before the sender marks anything ready, Parrived is false.
-func TestShmemResetClearsReadyStamps(t *testing.T) {
-	w, err := NewWorldOn("shmem", 2)
-	if err != nil {
-		t.Fatalf("NewWorldOn(shmem): %v", err)
-	}
-	defer w.Close()
-	// One partitioned cycle per epoch. The receiver registers first, so the
-	// segment heap is carved in the same order in both epochs.
-	epoch := func(c *Comm, early *bool) {
-		buf := []float64{1, 2, 3, 4}
-		var r *Request
-		if c.Rank() == 1 {
-			r = c.PrecvInit(0, 5, make([]float64, 4))
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			r = c.PsendInit(1, 5, buf, []int{0, 2, 4})
-		}
-		r.Start()
-		c.Barrier()
-		if c.Rank() == 1 && early != nil {
-			*early = r.Parrived(0)
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			r.PreadyRange(0, 2)
-		}
-		r.Wait()
-		r.Free()
-	}
-	w.Run(func(c *Comm) { epoch(c, nil) })
-	w.ResumeRound(nil, -1)
-	var early bool
-	w.Run(func(c *Comm) { epoch(c, &early) })
-	if ae := w.Aborted(); ae != nil {
-		t.Fatalf("post-reset run aborted: %v", ae)
-	}
-	if early {
-		t.Fatal("partition 0 arrived before the sender marked it ready: the ready stamp survived reset")
-	}
-}
-
 // TestShmemOneShotRegionReclaims sends 10⁶ one-shot messages through a
 // 32 MiB segment — 184 MB of blocks, several times the segment — so the
 // run completes only if every consumed block is handed back to its

@@ -40,8 +40,8 @@ import (
 // small control server — rendezvous handshake, address lookup, abort
 // broadcast, recovery-round verdicts — and
 // every rank runs a node holding the data path: a listener plus one framed
-// stream per peer it talks to, carrying one-shot (collectives included),
-// persistent, and partitioned traffic directly rank-to-rank. In-process
+// stream per peer it talks to, carrying one-shot (collectives included)
+// and persistent traffic directly rank-to-rank. In-process
 // worlds attach one node per rank lazily (newComm); worker processes attach
 // their single rank from the BRICK_TCP_WORLD environment contract.
 
@@ -75,9 +75,8 @@ const (
 	tfJoinOK = 21 // data accept: welcome
 	tfJoinNo = 22 // data reject: stale epoch/incarnation or wrong world
 	tfData   = 23 // one-shot message
-	tfPData  = 24 // persistent (unpartitioned) cycle payload
-	tfPPart  = 25 // partitioned cycle partition span
-	tfHBData = 26 // data-connection heartbeat (empty payload)
+	tfPData  = 24 // persistent cycle payload
+	tfHBData = 26 // data-connection heartbeat (empty payload); 25 is retired
 )
 
 // ctlMsg is the single JSON envelope of every control frame; which fields

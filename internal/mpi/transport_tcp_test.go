@@ -81,10 +81,9 @@ func appendDataFrame(dst []byte, h *tcpHdr, data []float64, flips []fault.ByteFl
 	dst = le.AppendUint64(dst, h.wireSeq)
 	dst = le.AppendUint64(dst, h.fseq)
 	dst = le.AppendUint64(dst, h.cyc)
-	dst = le.AppendUint32(dst, uint32(h.offE))
-	dst = le.AppendUint32(dst, uint32(h.partLo))
-	dst = le.AppendUint32(dst, uint32(h.partHi))
-	dst = le.AppendUint32(dst, uint32(h.nparts))
+	for _, w := range h.rsv {
+		dst = le.AppendUint32(dst, w)
+	}
 	dst = le.AppendUint32(dst, uint32(len(data)))
 	dst = le.AppendUint32(dst, uint32(len(flips)))
 	for _, v := range data {
@@ -488,10 +487,10 @@ func TestTCPFrameLandsOnlyAfterStart(t *testing.T) {
 func FuzzDecodeDataFrame(f *testing.F) {
 	plain := tcpHdr{src: 1, dst: 2, tag: 7, epoch: 3, inc: 1, wireSeq: 9, fseq: 4}
 	f.Add(appendDataFrame(nil, &plain, []float64{1.5, -2, math.Inf(1)}, nil))
-	part := tcpHdr{src: 0, dst: 3, tag: 41, id: 1<<32 | 5, epoch: 1, wireSeq: 2, fseq: 7, cyc: 3,
-		offE: 16, partLo: 2, partHi: 3, nparts: 4}
-	f.Add(appendDataFrame(nil, &part, []float64{0.25, math.NaN()}, nil))
-	f.Add(appendDataFrame(nil, &part, []float64{1, 2, 3}, []fault.ByteFlip{{Off: 3, Mask: 0x80}, {Off: 17, Mask: 1}}))
+	pers := tcpHdr{src: 0, dst: 3, tag: 41, id: 1<<32 | 5, epoch: 1, wireSeq: 2, fseq: 7, cyc: 3,
+		rsv: [4]uint32{16, 2, 3, 4}}
+	f.Add(appendDataFrame(nil, &pers, []float64{0.25, math.NaN()}, nil))
+	f.Add(appendDataFrame(nil, &pers, []float64{1, 2, 3}, []fault.ByteFlip{{Off: 3, Mask: 0x80}, {Off: 17, Mask: 1}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var h tcpHdr
 		wire, flips, err := decodeDataFrame(b, &h)
@@ -507,8 +506,8 @@ func FuzzDecodeDataFrame(f *testing.F) {
 }
 
 // TestTCPBatchWireUnchanged captures what one flush writes to a loopback
-// stream — a partition span with flips, a whole payload listed twice by a
-// dup verdict, a one-shot message — and holds it to the reference
+// stream — a payload with flips, a payload listed twice by a dup verdict,
+// a one-shot message — and holds it to the reference
 // encoding: each frame exactly as tcpconn.AppendFrame(appendDataFrame(...))
 // lays it out, in order, from one vectored write.
 func TestTCPBatchWireUnchanged(t *testing.T) {
@@ -547,10 +546,9 @@ func TestTCPBatchWireUnchanged(t *testing.T) {
 
 	ep := n0.epoch.Load()
 	frames := []tcpFrame{
-		{n: n0, kind: tfPPart, data: []float64{1.5, -2, math.Inf(1)},
+		{n: n0, kind: tfPData, data: []float64{1.5, -2, math.Inf(1)},
 			flips: []fault.ByteFlip{{Off: 3, Mask: 0x80}, {Off: 17, Mask: 1}},
-			h: tcpHdr{src: 0, dst: 1, tag: 4, id: 1<<32 | 7, epoch: ep, fseq: 11, cyc: 2,
-				offE: 8, partLo: 1, partHi: 2, nparts: 3}},
+			h:     tcpHdr{src: 0, dst: 1, tag: 4, id: 1<<32 | 7, epoch: ep, fseq: 11, cyc: 2}},
 		{n: n0, kind: tfPData, data: []float64{math.NaN(), 0.25},
 			h: tcpHdr{src: 0, dst: 1, tag: 5, id: 1<<32 | 8, epoch: ep, fseq: 12, cyc: 2}},
 		{n: n0, kind: tfData, data: []float64{42},
@@ -586,40 +584,30 @@ func TestTCPBatchWireUnchanged(t *testing.T) {
 	}
 }
 
-// batchRun is one Preadyall scenario on a 3-rank tcp world: rank 0 holds
-// three partitioned sends — two to rank 1, one to rank 2, three partitions
-// each — and readies all nine partitions with one Preadyall.
-const batchParts = 3
+// batchDsts are the destinations of rank 0's four persistent sends in the
+// Startall scenario on a 3-rank tcp world: three to rank 1, so a frame
+// after a dropped second one shows the gap, and one to rank 2.
+var batchDsts = []int{1, 1, 1, 2}
 
-var batchDsts = []int{1, 1, 2}
-
-// preadyallBatch returns the scenario's rank body. Rank 0 stores in
-// writes the writes its Preadyall made; receivers check every element that
-// landed. Nothing else is sent, not even a barrier: a peer's write is
-// counted only after its syscall returns, so it could land inside rank 0's
-// window. Frames that beat a receiver's Start park until it.
-func preadyallBatch(t *testing.T, reg *metrics.Registry, writes *int64) func(*Comm) {
+// startallBatch returns the scenario's rank body. Rank 0 stores in writes
+// the writes its Startall made; receivers check every element that landed.
+// Nothing else is sent, not even a barrier: a peer's write is counted only
+// after its syscall returns, so it could land inside rank 0's window.
+// Frames that beat a receiver's Start park until it.
+func startallBatch(t *testing.T, reg *metrics.Registry, writes *int64) func(*Comm) {
 	return func(c *Comm) {
 		const n = 6
-		bounds := []int{0, 2, 4, n}
 		if c.Rank() == 0 {
-			var reqs []*Request
-			var parts []int
+			var sends []*Request
 			for i, dst := range batchDsts {
 				buf := make([]float64, n)
 				for j := range buf {
 					buf[j] = float64(100*i + j)
 				}
-				s := c.PsendInit(dst, i, buf, bounds)
-				for p := 0; p < batchParts; p++ {
-					reqs = append(reqs, s)
-					parts = append(parts, p)
-				}
+				sends = append(sends, c.SendInit(dst, i, buf))
 			}
-			sends := []*Request{reqs[0], reqs[batchParts], reqs[2*batchParts]}
-			Startall(sends)
 			before := reg.Counter(metrics.TransportWritesTotal, nil).Value()
-			Preadyall(reqs, parts)
+			Startall(sends)
 			*writes = reg.Counter(metrics.TransportWritesTotal, nil).Value() - before
 			Waitall(sends)
 			return
@@ -631,7 +619,7 @@ func preadyallBatch(t *testing.T, reg *metrics.Registry, writes *int64) func(*Co
 			if dst == c.Rank() {
 				buf := make([]float64, n)
 				bufs, ids = append(bufs, buf), append(ids, i)
-				recvs = append(recvs, c.PrecvInit(0, i, buf))
+				recvs = append(recvs, c.RecvInit(0, i, buf))
 			}
 		}
 		Startall(recvs)
@@ -661,35 +649,35 @@ func newBatchWorld(t *testing.T, f *fault.Injector) (*World, *metrics.Registry) 
 	return w, reg
 }
 
-// TestTCPPreadyallOneWritePerDestination: a Preadyall over the partitions
-// of three requests to two destinations makes exactly two writes, and the
-// receivers count every partition frame.
-func TestTCPPreadyallOneWritePerDestination(t *testing.T) {
+// TestTCPStartallOneWritePerDestination: a Startall over four persistent
+// sends to two destinations makes exactly two writes, and the receivers
+// count every frame.
+func TestTCPStartallOneWritePerDestination(t *testing.T) {
 	w, reg := newBatchWorld(t, nil)
 	var writes int64
-	w.Run(preadyallBatch(t, reg, &writes))
+	w.Run(startallBatch(t, reg, &writes))
 	if writes != 2 {
-		t.Errorf("Preadyall to two destinations made %d writes, want 2", writes)
+		t.Errorf("Startall to two destinations made %d writes, want 2", writes)
 	}
 	if ae := w.Aborted(); ae != nil {
 		t.Fatalf("run aborted: %v", ae)
 	}
-	want := int64(len(batchDsts) * batchParts)
-	if got := reg.Counter(metrics.TransportFramesTotal, metrics.Labels{"kind": "ppart"}).Value(); got != want {
-		t.Errorf("ppart frames = %d, want %d", got, want)
+	want := int64(len(batchDsts))
+	if got := reg.Counter(metrics.TransportFramesTotal, metrics.Labels{"kind": "pdata"}).Value(); got != want {
+		t.Errorf("pdata frames = %d, want %d", got, want)
 	}
 }
 
-// TestTCPPreadyallFaultsPerFrame: network faults still act on single frames
+// TestTCPStartallFaultsPerFrame: network faults still act on single frames
 // inside a batch. A drop of rank 0's second frame (mid-batch, to rank 1)
 // aborts with the lost-frame gap; a dup is filtered exactly once; a
 // partition before the second frame to rank 1 writes the first, severs,
 // redials, and every frame still arrives exactly once.
-func TestTCPPreadyallFaultsPerFrame(t *testing.T) {
+func TestTCPStartallFaultsPerFrame(t *testing.T) {
 	t.Run("drop", func(t *testing.T) {
 		w, reg := newBatchWorld(t, fault.New(1).WithNetDrop(0, 2))
 		var writes int64
-		ae := runWorldExpectAbort(t, w, 30*time.Second, preadyallBatch(t, reg, &writes))
+		ae := runWorldExpectAbort(t, w, 30*time.Second, startallBatch(t, reg, &writes))
 		if !strings.Contains(ae.Error(), "lost 1 frame(s) from rank 0") {
 			t.Fatalf("abort does not name the lost frame: %v", ae)
 		}
@@ -697,7 +685,7 @@ func TestTCPPreadyallFaultsPerFrame(t *testing.T) {
 	t.Run("dup", func(t *testing.T) {
 		w, reg := newBatchWorld(t, fault.New(1).WithNetDup(0, 2))
 		var writes int64
-		w.Run(preadyallBatch(t, reg, &writes))
+		w.Run(startallBatch(t, reg, &writes))
 		if ae := w.Aborted(); ae != nil {
 			t.Fatalf("run aborted: %v", ae)
 		}
@@ -708,16 +696,16 @@ func TestTCPPreadyallFaultsPerFrame(t *testing.T) {
 	t.Run("partition", func(t *testing.T) {
 		w, reg := newBatchWorld(t, fault.New(1).WithNetPartition(0, 1, 2, 30*time.Millisecond))
 		var writes int64
-		w.Run(preadyallBatch(t, reg, &writes))
+		w.Run(startallBatch(t, reg, &writes))
 		if ae := w.Aborted(); ae != nil {
 			t.Fatalf("run aborted: %v", ae)
 		}
 		if writes != 3 {
-			t.Errorf("Preadyall with a partition inside made %d writes, want 3 (before it, after the redial, rank 2)", writes)
+			t.Errorf("Startall with a partition inside made %d writes, want 3 (before it, after the redial, rank 2)", writes)
 		}
-		want := int64(len(batchDsts) * batchParts)
-		if got := reg.Counter(metrics.TransportFramesTotal, metrics.Labels{"kind": "ppart"}).Value(); got != want {
-			t.Errorf("ppart frames = %d, want %d", got, want)
+		want := int64(len(batchDsts))
+		if got := reg.Counter(metrics.TransportFramesTotal, metrics.Labels{"kind": "pdata"}).Value(); got != want {
+			t.Errorf("pdata frames = %d, want %d", got, want)
 		}
 		for _, kind := range []string{"dup-drop", "stale-drop"} {
 			if got := reg.Counter(metrics.TransportFramesTotal, metrics.Labels{"kind": kind}).Value(); got != 0 {

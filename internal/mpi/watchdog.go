@@ -153,13 +153,10 @@ type PendingOp struct {
 	//	precv-unpaired  a persistent receive endpoint whose SendInit never
 	//	                registered
 	//	psend-active    a started persistent send whose Wait would block:
-	//	                a span is not yet sent (on chan, delivered; on
-	//	                shmem and tcp, staged or written)
-	//	psend-partial   a psend-active partitioned send with partitions not
-	//	                yet marked ready (Unready names them) — the
-	//	                producing tiles never fired Pready
+	//	                its payload is not yet sent (on chan, delivered;
+	//	                on shmem and tcp, staged or written)
 	//	precv-active    a started persistent receive whose Wait would block:
-	//	                a span has not landed
+	//	                its payload has not landed
 	//
 	// The persistent kinds follow one rule on every backend: an endpoint
 	// is listed exactly while its own Wait would block.
@@ -172,12 +169,6 @@ type PendingOp struct {
 	Tag        int    `json:"tag"`
 	Bytes      int64  `json:"bytes"`
 	Persistent bool   `json:"persistent"`
-	// Partitions/Ready/Unready describe a partitioned persistent send:
-	// total partition count, how many are ready, and the indices still
-	// unready (psend-partial only).
-	Partitions int   `json:"partitions,omitempty"`
-	Ready      int   `json:"ready,omitempty"`
-	Unready    []int `json:"unready,omitempty"`
 }
 
 // StallReport is the structured dump the watchdog produces on a stall:
@@ -294,9 +285,6 @@ func (r *StallReport) String() string {
 			wildcard(op.Src), wildcard(op.Dst), wildcard(op.Tag), op.Bytes)
 		if op.Persistent {
 			b.WriteString(" persistent")
-		}
-		if op.Kind == flight.PendPsendPartial {
-			fmt.Fprintf(&b, " parts=%d/%d unready=%v", op.Ready, op.Partitions, op.Unready)
 		}
 		b.WriteByte('\n')
 	}

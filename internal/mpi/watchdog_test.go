@@ -143,47 +143,6 @@ func runWorldExpectAbort(t *testing.T, w *World, deadline time.Duration, body fu
 	}
 }
 
-// TestWatchdogReportsParkedPartition stalls a partitioned send with one
-// partition never marked ready: the report must show the psend-partial kind
-// naming exactly the unready partition indices, so an operator can tell a
-// wedged producer tile from a wedged wire.
-func TestWatchdogReportsParkedPartition(t *testing.T) {
-	w := NewWorld(2)
-	w.SetWatchdog(50*time.Millisecond, nil)
-	ae := runWorldExpectAbort(t, w, 10*time.Second, func(c *Comm) {
-		if c.Rank() == 0 {
-			r := c.PsendInit(1, 5, make([]float64, 12), []int{0, 4, 8, 12})
-			r.Start()
-			r.Pready(0)
-			r.Pready(2) // partition 1 parked forever
-			r.Wait()
-		} else {
-			r := c.PrecvInit(0, 5, make([]float64, 12))
-			r.Start()
-			r.Wait()
-		}
-	})
-	rep, ok := ae.Value.(*StallReport)
-	if !ok {
-		t.Fatalf("abort value %T, want *StallReport", ae.Value)
-	}
-	var found bool
-	for _, op := range rep.Pending {
-		if op.Kind == "psend-partial" && op.Src == 0 && op.Dst == 1 && op.Tag == 5 {
-			found = true
-			if op.Partitions != 3 || op.Ready != 2 {
-				t.Errorf("psend-partial parts=%d/%d, want 2/3", op.Ready, op.Partitions)
-			}
-			if len(op.Unready) != 1 || op.Unready[0] != 1 {
-				t.Errorf("psend-partial unready=%v, want [1]", op.Unready)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("report lacks psend-partial (0,1,5):\n%v", rep)
-	}
-}
-
 // TestStallReportGoldenFormat freezes StallReport.String: operational
 // tooling greps these lines, so layout changes must be deliberate
 // (go test ./internal/mpi/ -run Golden -update regenerates the file).
@@ -198,8 +157,6 @@ func TestStallReportGoldenFormat(t *testing.T) {
 		Pending: []PendingOp{
 			{Kind: "precv-unpaired", Src: 0, Dst: 1, Tag: 8, Bytes: 32, Persistent: true},
 			{Kind: "psend-active", Src: 4, Dst: 5, Tag: 2, Bytes: 4096, Persistent: true},
-			{Kind: "psend-partial", Src: 4, Dst: 6, Tag: 3, Bytes: 2048, Persistent: true,
-				Partitions: 4, Ready: 2, Unready: []int{1, 3}},
 			{Kind: "recovery-parked", Src: 6, Dst: -1, Tag: -1},
 			{Kind: "recv-posted", Src: -1, Dst: 2, Tag: -1, Bytes: 64},
 			{Kind: "send-unmatched", Src: 3, Dst: 2, Tag: 11, Bytes: 16},
@@ -231,7 +188,7 @@ func TestStallReportGoldenFormat(t *testing.T) {
 	}
 	// The error-message form is what log scrapers see after an abort.
 	ae := &AbortError{Rank: WatchdogRank, Value: rep}
-	if !strings.HasPrefix(ae.Error(), "mpi: watchdog abort: stall: 6 pending ops") {
+	if !strings.HasPrefix(ae.Error(), "mpi: watchdog abort: stall: 5 pending ops") {
 		t.Errorf("AbortError message %q", ae.Error())
 	}
 }

@@ -502,15 +502,12 @@ func applyZeroAllocs(t *testing.T) {
 		spans := [][2]int{{0, 3}, {5, 9}, {dec.NumBricks() - 2, dec.NumBricks()}}
 		gs, gd := grid.New([3]int{16, 16, 16}, 8), grid.New([3]int{16, 16, 16}, 8)
 		fillRandomish(gs)
-		tilesDone := 0
-		onTile := func(int) { tilesDone++ }
 		calls := map[string]func(){
 			"ApplyBricksParallel margin 0":  func() { ApplyBricksParallel(dst, src, dec, st, 0, 1) },
 			"ApplyBricksParallel margin 7":  func() { ApplyBricksParallel(dst, src, dec, st, 8-st.Radius, 1) },
 			"ApplyBricksRangeWorkers":       func() { ApplyBricksRangeWorkers(dst, src, dec, st, 0, inter.Start, inter.End(), 1) },
 			"ApplyBricksRangeWorkers empty": func() { ApplyBricksRangeWorkers(dst, src, dec, st, 0, inter.Start, inter.Start, 1) },
 			"ApplyBricksSpans":              func() { ApplyBricksSpans(dst, src, dec, st, 0, spans, 1) },
-			"ApplyBricksTiles":              func() { ApplyBricksTiles(dst, src, dec, st, 0, spans, 1, onTile, nil) },
 			"ApplyGridWorkers":              func() { ApplyGridWorkers(gd, gs, st, 8-st.Radius, 1) },
 		}
 		for name, call := range calls {

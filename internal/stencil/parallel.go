@@ -1,9 +1,6 @@
 package stencil
 
-import (
-	"github.com/bricklab/brick/internal/core"
-	"github.com/bricklab/brick/internal/flight"
-)
+import "github.com/bricklab/brick/internal/core"
 
 // ApplyBricksParallel is ApplyBricks with an explicit worker count: the
 // brick list is divided into contiguous runs executed by the worker pool
@@ -79,47 +76,4 @@ func (kr *brickKernel) applySpans(dst, src core.Brick, dec *core.BrickDecomp, ma
 		}
 		start += sp[1] - sp[0]
 	}
-}
-
-// ApplyBricksTiles applies the stencil over a precomputed tile list (each
-// tile a [lo, hi) storage-index range, as produced by TileSpans), invoking
-// onTile(t) from the executing worker the moment tile t's bricks are done.
-// The partitioned exchange uses this to fire Pready for exactly the spans a
-// finished tile produced while sibling tiles are still computing. onTile
-// may be nil, in which case this degenerates to a fixed-tiling surface
-// pass. Bit-identity: bricks are independent, so any tiling of the same
-// index set produces Float64bits-identical results.
-//
-// Each tile's start and completion is recorded on fl from the executing
-// worker, so a post-mortem ring shows which tile a rank was inside — and
-// which tile never finished — when the world died. A nil ring records
-// nothing.
-func ApplyBricksTiles(dst, src core.Brick, dec *core.BrickDecomp, st Stencil, margin int, tiles [][2]int, workers int, onTile func(tile int), fl *flight.Ring) {
-	checkBrickApply(dec, st, margin)
-	for _, tl := range tiles {
-		if tl[0] < 0 || tl[1] > dec.NumBricks() || tl[0] > tl[1] {
-			panic("stencil: brick tile out of bounds")
-		}
-	}
-	kr := kernelFor(dec.Shape(), st)
-	p := DefaultPool()
-	if ResolveWorkers(workers) == 1 || len(tiles) == 1 {
-		// Serial: the same per-tile events and callbacks as ForTiles,
-		// without the closures it hands to pool workers, which escape and
-		// would allocate on every call.
-		for t, tl := range tiles {
-			fl.Record(flight.KindTileStart, -1, -1, int32(t), 0, 0)
-			t0 := p.tileStart()
-			kr.applyRange(dst, src, dec, margin, tl[0], tl[1])
-			p.tileDone(t0)
-			fl.Record(flight.KindTileDone, -1, -1, int32(t), 0, 0)
-			if onTile != nil {
-				onTile(t)
-			}
-		}
-		return
-	}
-	p.ForTiles(workers, tiles, func(lo, hi int) {
-		kr.applyRange(dst, src, dec, margin, lo, hi)
-	}, onTile, fl)
 }

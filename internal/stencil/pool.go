@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/bricklab/brick/internal/flight"
 	"github.com/bricklab/brick/internal/metrics"
 )
 
@@ -187,119 +186,6 @@ func (p *Pool) ForRange(workers, n int, fn func(lo, hi int)) {
 	}
 	loop()
 	wg.Wait()
-}
-
-// ForTiles executes a precomputed tile list — each tile a half-open [lo,
-// hi) index range — with up to `workers` concurrent executors including the
-// caller, invoking onDone(t) on the executing worker as soon as tile t's fn
-// returns. Unlike ForRange, the tile boundaries are fixed by the caller, so
-// a plan compiled against them (partitioned exchange sends) knows exactly
-// which spans each completion callback covers. Tiles are handed out
-// dynamically through an atomic cursor; onDone may be nil and must be safe
-// to call concurrently for distinct tiles.
-//
-// A panic inside fn or onDone (a Pready firing into an aborted world, for
-// one) is re-raised on the calling goroutine after every executor drains,
-// so abort propagation unwinds the rank body instead of crashing an
-// unguarded pool worker. The first panic wins; tiles already claimed by
-// other executors still run.
-//
-// Every tile records a tile-start event on fl before fn and a tile-done
-// event after fn returns but before onDone fires — so in a partitioned
-// exchange the ring shows tile-start → tile-done → pready in causal order,
-// and a tile whose tile-done never appears is the one that hung or
-// panicked. A nil ring records nothing.
-func (p *Pool) ForTiles(workers int, tiles [][2]int, fn func(lo, hi int), onDone func(tile int), fl *flight.Ring) {
-	if len(tiles) == 0 {
-		return
-	}
-	w := ResolveWorkers(workers)
-	if w > len(tiles) {
-		w = len(tiles)
-	}
-	run := func(lo, hi int) {
-		t0 := p.tileStart()
-		fn(lo, hi)
-		p.tileDone(t0)
-	}
-	exec := func(t int) {
-		fl.Record(flight.KindTileStart, -1, -1, int32(t), 0, 0)
-		run(tiles[t][0], tiles[t][1])
-		fl.Record(flight.KindTileDone, -1, -1, int32(t), 0, 0)
-		if onDone != nil {
-			onDone(t)
-		}
-	}
-	if w <= 1 {
-		for t := range tiles {
-			exec(t)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var pan atomic.Pointer[any] // first panic from any executor
-	loop := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				v := r
-				pan.CompareAndSwap(nil, &v)
-			}
-		}()
-		for {
-			t := int(cursor.Add(1)) - 1
-			if t >= len(tiles) {
-				return
-			}
-			exec(t)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for i := 0; i < w-1; i++ {
-		p.submit(func() {
-			defer wg.Done()
-			loop()
-		})
-	}
-	loop()
-	wg.Wait()
-	if pp := pan.Load(); pp != nil {
-		panic(*pp)
-	}
-}
-
-// TileSpans chops the given [lo, hi) index spans into the pool's tile
-// granularity for the given worker count (the same grain rule ForRange
-// applies to a flattened space, but with tiles never crossing a span
-// boundary, so each tile is one contiguous index range). This is the
-// tiling contract between the partitioned exchange plan compiler and the
-// surface pass: compile partitions against TileSpans(spans, w) and execute
-// with ForTiles over the same list, and each onDone(t) covers exactly
-// tiles[t].
-func TileSpans(spans [][2]int, workers int) [][2]int {
-	w := ResolveWorkers(workers)
-	total := 0
-	for _, sp := range spans {
-		total += sp[1] - sp[0]
-	}
-	if total <= 0 {
-		return nil
-	}
-	grain := total / (w * tilesPerWorker)
-	if grain < 1 {
-		grain = 1
-	}
-	var tiles [][2]int
-	for _, sp := range spans {
-		for lo := sp[0]; lo < sp[1]; lo += grain {
-			hi := lo + grain
-			if hi > sp[1] {
-				hi = sp[1]
-			}
-			tiles = append(tiles, [2]int{lo, hi})
-		}
-	}
-	return tiles
 }
 
 var (

@@ -1,7 +1,6 @@
 package stencil
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"github.com/bricklab/brick/internal/metrics"
@@ -83,49 +82,4 @@ func TestPoolMetricsSingleWorkerPath(t *testing.T) {
 	if len(hs) != 1 || hs[0].Count != 1 {
 		t.Errorf("inline tile not recorded: %+v", hs)
 	}
-}
-
-// TestForTilesCoverageAndCallbacks checks every tile runs exactly once and
-// onDone fires per tile on both the inline (1 worker) and pooled paths.
-func TestForTilesCoverageAndCallbacks(t *testing.T) {
-	tiles := [][2]int{{0, 3}, {3, 7}, {10, 12}, {12, 20}}
-	for _, w := range []int{1, 3} {
-		var hits [20]int32
-		var done [4]int32
-		DefaultPool().ForTiles(w, tiles, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		}, func(tile int) { atomic.AddInt32(&done[tile], 1) }, nil)
-		for _, tl := range tiles {
-			for i := tl[0]; i < tl[1]; i++ {
-				if hits[i] != 1 {
-					t.Errorf("workers=%d: index %d executed %d times", w, i, hits[i])
-				}
-			}
-		}
-		for ti, n := range done {
-			if n != 1 {
-				t.Errorf("workers=%d: onDone(%d) fired %d times", w, ti, n)
-			}
-		}
-	}
-}
-
-// TestForTilesPanicPropagation checks a panic on a pool worker (an aborted
-// world's Pready, say) is re-raised on the calling goroutine rather than
-// crashing the unguarded worker.
-func TestForTilesPanicPropagation(t *testing.T) {
-	tiles := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Errorf("caller recovered %v, want \"boom\"", r)
-		}
-	}()
-	DefaultPool().ForTiles(3, tiles, func(lo, hi int) {}, func(tile int) {
-		if tile == 2 {
-			panic("boom")
-		}
-	}, nil)
-	t.Error("ForTiles returned normally past a panicking callback")
 }
