@@ -11,7 +11,7 @@
 //	flightreport -metrics m.json [brick-flight.bin]
 //
 // -chrome exports the rings as a Chrome trace (chrome://tracing, Perfetto)
-// with wait and tile intervals reconstructed from their start/done pairs.
+// with wait intervals reconstructed from their start/done pairs.
 //
 // -metrics prints the per-rank critical-path report of a metrics snapshot
 // (written by weak or soak with -metrics-out) instead of the forensic

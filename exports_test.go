@@ -30,7 +30,6 @@ var exportAllowlist = map[string]string{
 	"Dominant":          "critical-path phase shares: TestAnalyzeShares",
 	"DomainBricks":      "decomposition shape: TestDecompRegionSizes, TestDecompMessagePlan",
 	"PadBricks":         "page padding: TestPageAlignmentPadding, TestDecompInvariantsProperty",
-	"GridDim":           "brick grid extents: TestDecompPartition, TestDecompInvariantsProperty",
 	"FieldSlice":        "one field of brick storage: TestBrickAccessorMultiField and the stencil kernel tests",
 	"FromArray":         "loads reference arrays into bricks: TestElementRoundTrip, the brick-vs-grid stencil tests",
 	"ToArray":           "reads bricks back as arrays: the stencil parity and overlap stress tests",

@@ -73,7 +73,7 @@ func TestCausalChainCrossRankHop(t *testing.T) {
 		Pending: []PendingRef{{Kind: "recv-posted", Src: 0, Dst: 1, Tag: 99}},
 		Ranks: []RankLog{
 			{Rank: 0, Events: []Event{
-				{Nanos: 100, Kind: KindTileDone, Peer: -1, Tag: -1, Part: 4},
+				{Nanos: 100, Kind: KindPhase, Peer: -1, Tag: -1, Part: PhaseSurface},
 				{Nanos: 200, Kind: KindSendPost, Peer: 1, Tag: 17, Part: -1, Seq: 2, Bytes: 64},
 			}},
 			{Rank: 1, Events: []Event{
@@ -88,7 +88,7 @@ func TestCausalChainCrossRankHop(t *testing.T) {
 	}
 	links := chains[0].Links
 	if len(links) != 4 {
-		t.Fatalf("chain has %d links, want 4 (tile-done, send-post, deliver, recv-post): %+v", len(links), links)
+		t.Fatalf("chain has %d links, want 4 (phase, send-post, deliver, recv-post): %+v", len(links), links)
 	}
 	if links[0].Rank != 0 || links[1].Rank != 0 || links[2].Rank != 1 || links[3].Rank != 1 {
 		t.Fatalf("chain ranks = %+v, want [0 0 1 1]", links)

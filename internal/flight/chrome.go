@@ -19,7 +19,6 @@ const (
 	TraceSend TraceKind = "send"
 	TraceRecv TraceKind = "recv"
 	TraceWait TraceKind = "wait"
-	TraceTile TraceKind = "tile"
 )
 
 // TraceEvent is one timed interval (or, with Dur 0, one marker) on a rank's
@@ -37,47 +36,32 @@ type TraceEvent struct {
 // ToTrace converts a flight snapshot into timed trace events: the input of
 // the critical-path chain analysis and of the Chrome export
 // (chrome://tracing, Perfetto).
-// Start/Done pairs — waits keyed by (peer, tag), tiles keyed by tile index —
-// are fused into intervals; everything else becomes a zero-duration marker.
-// A Start whose Done never happened is emitted as a marker named
-// "...(unfinished)": in a stall artifact that marker is the smoking gun, so
-// it must survive conversion. Unfinished markers follow each rank's other
-// events, ordered by (Nanos, Kind, Peer, Tag, Part), so one snapshot always
-// exports to the same bytes.
+// Wait start/done pairs, keyed by (peer, tag), are fused into intervals;
+// everything else becomes a zero-duration marker. A start whose done never
+// happened is emitted as a marker named "...(unfinished)": in a stall
+// artifact that marker is the smoking gun, so it must survive conversion.
+// Unfinished markers follow each rank's other events, ordered by (Nanos,
+// Peer, Tag), so one snapshot always exports to the same bytes.
 func ToTrace(s *Snapshot) []TraceEvent {
 	if s == nil {
 		return nil
 	}
 	var out []TraceEvent
 	for _, rl := range s.Ranks {
-		type openKey struct {
-			kind Kind
-			a, b int32
-		}
+		type openKey struct{ peer, tag int32 }
 		open := map[openKey]Event{}
 		for _, e := range rl.Events {
 			switch e.Kind {
 			case KindWaitStart:
-				open[openKey{KindWaitStart, e.Peer, e.Tag}] = e
+				open[openKey{e.Peer, e.Tag}] = e
 			case KindWaitDone:
-				k := openKey{KindWaitStart, e.Peer, e.Tag}
+				k := openKey{e.Peer, e.Tag}
 				if s0, ok := open[k]; ok {
 					delete(open, k)
 					out = append(out, interval(rl.Rank, TraceWait,
 						fmt.Sprintf("wait peer=%d tag=%d", e.Peer, e.Tag), s0, e))
 				} else {
 					out = append(out, marker(rl.Rank, TraceWait, "wait-done", e))
-				}
-			case KindTileStart:
-				open[openKey{KindTileStart, e.Part, 0}] = e
-			case KindTileDone:
-				k := openKey{KindTileStart, e.Part, 0}
-				if s0, ok := open[k]; ok {
-					delete(open, k)
-					out = append(out, interval(rl.Rank, TraceTile,
-						fmt.Sprintf("tile %d", e.Part), s0, e))
-				} else {
-					out = append(out, marker(rl.Rank, TraceTile, fmt.Sprintf("tile %d done", e.Part), e))
 				}
 			default:
 				out = append(out, marker(rl.Rank, pointKind(e.Kind), pointName(e), e))
@@ -88,17 +72,10 @@ func ToTrace(s *Snapshot) []TraceEvent {
 			unfinished = append(unfinished, s0)
 		}
 		slices.SortFunc(unfinished, func(x, y Event) int {
-			return cmp.Or(cmp.Compare(x.Nanos, y.Nanos), cmp.Compare(x.Kind, y.Kind),
-				cmp.Compare(x.Peer, y.Peer), cmp.Compare(x.Tag, y.Tag), cmp.Compare(x.Part, y.Part))
+			return cmp.Or(cmp.Compare(x.Nanos, y.Nanos), cmp.Compare(x.Peer, y.Peer), cmp.Compare(x.Tag, y.Tag))
 		})
 		for _, s0 := range unfinished {
-			name := fmt.Sprintf("tile %d (unfinished)", s0.Part)
-			kind := TraceTile
-			if s0.Kind == KindWaitStart {
-				name = fmt.Sprintf("wait peer=%d tag=%d (unfinished)", s0.Peer, s0.Tag)
-				kind = TraceWait
-			}
-			out = append(out, marker(rl.Rank, kind, name, s0))
+			out = append(out, marker(rl.Rank, TraceWait, fmt.Sprintf("wait peer=%d tag=%d (unfinished)", s0.Peer, s0.Tag), s0))
 		}
 	}
 	return out

@@ -9,16 +9,17 @@ import (
 	"time"
 )
 
-// TestToTracePairsIntervals: wait start/done and tile start/done pairs
-// become intervals; a start with no done survives as an "(unfinished)"
+// TestToTracePairsIntervals: wait start/done pairs become intervals, keyed
+// by (peer, tag); a start with no done survives as an "(unfinished)"
 // marker — the smoking gun a stall export must keep visible.
 func TestToTracePairsIntervals(t *testing.T) {
 	s := &Snapshot{Ranks: []RankLog{{Rank: 2, Events: []Event{
 		{Nanos: 1000, Kind: KindWaitStart, Peer: 3, Tag: 41, Part: -1},
 		{Nanos: 5000, Kind: KindWaitDone, Peer: 3, Tag: 41, Part: -1},
-		{Nanos: 6000, Kind: KindTileStart, Peer: -1, Tag: -1, Part: 7},
-		{Nanos: 9000, Kind: KindTileDone, Peer: -1, Tag: -1, Part: 7},
-		{Nanos: 9500, Kind: KindTileStart, Peer: -1, Tag: -1, Part: 8},
+		{Nanos: 5500, Kind: KindPhase, Peer: -1, Tag: -1, Part: PhaseSurface},
+		{Nanos: 6000, Kind: KindWaitStart, Peer: 4, Tag: 7, Part: -1},
+		{Nanos: 9000, Kind: KindWaitDone, Peer: 4, Tag: 7, Part: -1},
+		{Nanos: 9500, Kind: KindWaitStart, Peer: 4, Tag: 8, Part: -1},
 		{Nanos: 9900, Kind: KindSendPost, Peer: 1, Tag: 17, Part: -1, Seq: 4, Bytes: 64},
 	}}}}
 	evs := ToTrace(s)
@@ -33,18 +34,15 @@ func TestToTracePairsIntervals(t *testing.T) {
 	if !ok || w.Kind != TraceWait || w.Dur != 4000 {
 		t.Fatalf("wait interval = %+v (present=%v)", w, ok)
 	}
-	tile, ok := byName["tile 7"]
-	if !ok || tile.Kind != TraceTile || tile.Dur != 3000 {
-		t.Fatalf("tile interval = %+v (present=%v)", tile, ok)
+	w, ok = byName["wait peer=4 tag=7"]
+	if !ok || w.Kind != TraceWait || w.Dur != 3000 {
+		t.Fatalf("second wait interval = %+v (present=%v)", w, ok)
 	}
-	found := false
-	for name := range byName {
-		if strings.Contains(name, "tile 8") && strings.Contains(name, "unfinished") {
-			found = true
-		}
+	if _, ok := byName["wait peer=4 tag=8 (unfinished)"]; !ok {
+		t.Fatalf("unfinished wait on tag 8 not exported; names = %v", names(evs))
 	}
-	if !found {
-		t.Fatalf("unfinished tile 8 not exported; names = %v", names(evs))
+	if ph, ok := byName["phase surface"]; !ok || ph.Kind != "phase" || ph.Dur != 0 {
+		t.Fatalf("phase marker = %+v (present=%v); names = %v", ph, ok, names(evs))
 	}
 	send, ok := byName["send->1 tag=17 seq=4"]
 	if !ok || send.Kind != TraceSend {
@@ -58,10 +56,11 @@ func TestToTracePairsIntervals(t *testing.T) {
 func TestToTraceDeterministic(t *testing.T) {
 	s := &Snapshot{Ranks: []RankLog{{Rank: 0, Events: []Event{
 		{Nanos: 3000, Kind: KindWaitStart, Peer: 5, Tag: 9, Part: -1},
-		{Nanos: 1000, Kind: KindTileStart, Peer: -1, Tag: -1, Part: 4},
+		{Nanos: 1000, Kind: KindWaitStart, Peer: 2, Tag: 4, Part: -1},
 		{Nanos: 2000, Kind: KindWaitStart, Peer: 1, Tag: 7, Part: -1},
 		{Nanos: 2000, Kind: KindWaitStart, Peer: 1, Tag: 3, Part: -1},
-		{Nanos: 2000, Kind: KindTileStart, Peer: -1, Tag: -1, Part: 2},
+		{Nanos: 2000, Kind: KindWaitStart, Peer: 2, Tag: 2, Part: -1},
+		{Nanos: 2500, Kind: KindPhase, Peer: -1, Tag: -1, Part: PhaseInterior},
 		{Nanos: 4000, Kind: KindStep, Step: 1, Peer: -1, Tag: -1, Part: -1},
 	}}}}
 	export := func() string {
@@ -84,10 +83,10 @@ func TestToTraceDeterministic(t *testing.T) {
 		}
 	}
 	order := []string{
-		"tile 4 (unfinished)",
+		"wait peer=2 tag=4 (unfinished)",
 		"wait peer=1 tag=3 (unfinished)",
 		"wait peer=1 tag=7 (unfinished)",
-		"tile 2 (unfinished)",
+		"wait peer=2 tag=2 (unfinished)",
 		"wait peer=5 tag=9 (unfinished)",
 	}
 	if strings.Join(got, "|") != strings.Join(order, "|") {
@@ -103,11 +102,11 @@ func names(evs []TraceEvent) []string {
 	return out
 }
 
-// sampleTrace is a send interval on rank 3 and a peerless tile interval on
+// sampleTrace is a send interval on rank 3 and a peerless step interval on
 // rank 0, in start order.
 func sampleTrace() []TraceEvent {
 	return []TraceEvent{
-		{Rank: 0, Kind: TraceTile, Name: "tile 4",
+		{Rank: 0, Kind: "step", Name: "step 4",
 			Start: 10 * time.Microsecond, Dur: 90 * time.Microsecond, Peer: -1},
 		{Rank: 3, Kind: TraceSend, Name: "send->0 tag=5",
 			Start: 100 * time.Microsecond, Dur: 50 * time.Microsecond, Bytes: 4096, Peer: 0},
@@ -126,7 +125,7 @@ func TestChromeTraceShape(t *testing.T) {
 	if len(parsed) != 2 {
 		t.Fatalf("entries = %d", len(parsed))
 	}
-	if parsed[0]["name"] != "tile 4" || parsed[0]["ph"] != "X" {
+	if parsed[0]["name"] != "step 4" || parsed[0]["ph"] != "X" {
 		t.Errorf("first entry = %v", parsed[0])
 	}
 	if parsed[1]["tid"].(float64) != 3 {
@@ -136,9 +135,9 @@ func TestChromeTraceShape(t *testing.T) {
 	if args["bytes"].(float64) != 4096 || args["peer"].(float64) != 0 {
 		t.Errorf("args = %v", args)
 	}
-	// The tile has no bytes and peer -1: args omitted.
+	// The step has no bytes and peer -1: args omitted.
 	if _, ok := parsed[0]["args"]; ok {
-		t.Error("tile event should omit args")
+		t.Error("step event should omit args")
 	}
 }
 

@@ -72,8 +72,9 @@ func TestAnalyzeShares(t *testing.T) {
 
 // TestAnalyzeChainFromTrace: with a flight artifact, the longest
 // back-to-back event chain wins over the fallback. Rank 0's ring holds an
-// isolated early receive post, then the real chain: a send post, a tile
-// overlapping the flight, a wait, and a surface tile.
+// isolated early receive post, then the real chain: a send post, a wait
+// overlapping the flight, the surface phase mark, a wait, the next step's
+// mark and a last wait.
 func TestAnalyzeChainFromTrace(t *testing.T) {
 	ms := int64(time.Millisecond)
 	ev := func(at int64, kind Kind, peer, tag, part int32) Event {
@@ -82,16 +83,18 @@ func TestAnalyzeChainFromTrace(t *testing.T) {
 	fs := &Snapshot{Ranks: []RankLog{{Rank: 0, Events: []Event{
 		ev(0, KindRecvPost, 1, 7, -1),
 		ev(10*ms, KindSendPost, 1, 7, -1),
-		ev(10*ms+50_000, KindTileStart, -1, -1, 3),
-		ev(20*ms, KindTileDone, -1, -1, 3),
+		ev(10*ms+50_000, KindWaitStart, 2, 8, -1),
+		ev(20*ms, KindWaitDone, 2, 8, -1),
+		ev(20*ms, KindPhase, -1, -1, PhaseSurface),
 		ev(20*ms, KindWaitStart, 1, 7, -1),
 		ev(25*ms, KindWaitDone, 1, 7, -1),
-		ev(25*ms, KindTileStart, -1, -1, 4),
-		ev(29*ms, KindTileDone, -1, -1, 4),
+		ev(25*ms, KindStep, -1, -1, -1),
+		ev(25*ms, KindWaitStart, 2, 9, -1),
+		ev(29*ms, KindWaitDone, 2, 9, -1),
 	}}}}
 	reports := Analyze(snapFor(t), fs)
 	r0 := find(t, reports, "0")
-	if got := strings.Join(r0.Chain, "→"); got != "send→tile→wait→tile" {
+	if got := strings.Join(r0.Chain, "→"); got != "send→wait→phase→wait→step→wait" {
 		t.Errorf("chain = %s", got)
 	}
 	if r0.ChainDur < 0.018 || r0.ChainDur > 0.020 {
@@ -119,13 +122,13 @@ func TestAnalyzeChainSkipsWarmup(t *testing.T) {
 		at := 40*ms + 5*ms*(k-2)
 		evs = append(evs,
 			Event{Nanos: at, Kind: KindStep, Step: int32(k)},
-			Event{Nanos: at + 50_000, Kind: KindTileStart, Step: int32(k), Part: 0},
-			Event{Nanos: at + 3*ms, Kind: KindTileDone, Step: int32(k), Part: 0})
+			Event{Nanos: at + 50_000, Kind: KindWaitStart, Step: int32(k), Peer: 1, Tag: 8},
+			Event{Nanos: at + 3*ms, Kind: KindWaitDone, Step: int32(k), Peer: 1, Tag: 8})
 	}
 	fs := &Snapshot{Ranks: []RankLog{{Rank: 0, Events: evs}}}
 	r0 := find(t, Analyze(snapFor(t), fs), "0")
-	if got := strings.Join(r0.Chain, "→"); got != "step→tile" {
-		t.Errorf("chain = %s, want step→tile from a timed step", got)
+	if got := strings.Join(r0.Chain, "→"); got != "step→wait" {
+		t.Errorf("chain = %s, want step→wait from a timed step", got)
 	}
 	if r0.ChainDur < 0.0029 || r0.ChainDur > 0.003 {
 		t.Errorf("chain duration = %v, want 2.95ms", r0.ChainDur)

@@ -1,8 +1,8 @@
 // Package flight is the always-on flight recorder: a per-rank,
 // fixed-capacity, overwrite-oldest ring of fixed-size binary event records
 // capturing the runtime's communication and compute milestones — sends
-// posted, receives posted, deliveries, waits, surface tiles, step/phase
-// transitions, checkpoints, recoveries, aborts.
+// posted, receives posted, deliveries, waits, step/phase transitions,
+// checkpoints, recoveries, aborts.
 //
 // The recorder exists for post-mortem forensics: when the watchdog trips,
 // a rank aborts, or the recovery budget runs out, every rank's ring is
@@ -47,8 +47,8 @@ const (
 	_                  // 6: retired (a partition marked ready)
 	_                  // 7: retired (a partition delivered)
 	KindAbort          // this rank originated a world abort
-	KindTileStart      // surface tile Part began executing
-	KindTileDone       // surface tile Part finished
+	_                  // 9: retired (a surface tile began)
+	_                  // 10: retired (a surface tile finished)
 	KindStep           // step-loop entered absolute step Step
 	KindPhase          // step-loop phase transition; Part is a Phase* code
 	KindCkpt           // checkpoint epoch spilled at step Step
@@ -73,10 +73,6 @@ func (k Kind) String() string {
 		return "wait-done"
 	case KindAbort:
 		return "abort"
-	case KindTileStart:
-		return "tile-start"
-	case KindTileDone:
-		return "tile-done"
 	case KindStep:
 		return "step"
 	case KindPhase:
@@ -125,7 +121,7 @@ type Event struct {
 	Step  int32  // absolute step at record time; -1 before the first SetStep
 	Peer  int32  // peer rank; -1 when none (or a wildcard receive)
 	Tag   int32  // message tag; -1 when none (or a wildcard receive)
-	Part  int32  // tile index or Phase* code; -1 when none
+	Part  int32  // Phase* code; -1 when none
 	Kind  Kind
 }
 
@@ -153,9 +149,6 @@ func (e Event) writeFields(b *strings.Builder) {
 	switch e.Kind {
 	case KindPhase:
 		fmt.Fprintf(b, " phase=%s", phaseName(e.Part))
-		return
-	case KindTileStart, KindTileDone:
-		fmt.Fprintf(b, " tile=%d", e.Part)
 		return
 	case KindSendPost, KindRecvPost, KindDeliver, KindWaitStart, KindWaitDone,
 		KindConnect, KindDisconnect, KindHeartbeatMiss:

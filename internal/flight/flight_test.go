@@ -132,7 +132,7 @@ func TestConcurrentRecording(t *testing.T) {
 				case 0:
 					r.Send(int32(w), 5, 64)
 				case 1:
-					r.Record(KindTileStart, -1, -1, int32(i), 0, 0)
+					r.Record(KindPhase, -1, -1, PhaseInterior, 0, 0)
 				default:
 					r.StepMark(i)
 				}
@@ -162,8 +162,8 @@ func TestEventRendering(t *testing.T) {
 			"send-post step=2 peer=3 tag=41 seq=7 bytes=512"},
 		{Event{Kind: KindRecvPost, Step: 0, Peer: -1, Tag: -1, Part: -1},
 			"recv-post step=0 peer=any tag=any"},
-		{Event{Kind: KindTileStart, Step: 4, Peer: -1, Tag: -1, Part: 7},
-			"tile-start step=4 tile=7"},
+		{Event{Kind: 9, Step: 4, Peer: -1, Tag: -1, Part: 7},
+			"kind(9) step=4"}, // a retired kind of an old artifact
 		{Event{Kind: KindPhase, Step: 3, Peer: -1, Tag: -1, Part: PhaseSurface},
 			"phase step=3 phase=surface"},
 		{Event{Kind: KindAbort, Step: -1, Peer: -1, Tag: -1, Part: -1},
@@ -185,7 +185,7 @@ func TestRecordAllocs(t *testing.T) {
 	r := New(1, 64).Rank(0)
 	r.Send(1, 7, 8) // create the stream counter outside the measured loop
 	if n := testing.AllocsPerRun(100, func() {
-		r.Record(KindTileStart, -1, -1, 3, 0, 0)
+		r.Record(KindPhase, -1, -1, PhaseSurface, 0, 0)
 	}); n != 0 {
 		t.Fatalf("Record allocates %.1f per op, want 0", n)
 	}
@@ -201,7 +201,7 @@ func TestRecordAllocs(t *testing.T) {
 	}
 	var nilRing *Ring
 	if n := testing.AllocsPerRun(100, func() {
-		nilRing.Record(KindTileStart, -1, -1, 3, 0, 0)
+		nilRing.Record(KindPhase, -1, -1, PhaseSurface, 0, 0)
 		nilRing.Send(1, 7, 8)
 	}); n != 0 {
 		t.Fatalf("disabled path allocates %.1f per op, want 0", n)

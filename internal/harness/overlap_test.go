@@ -48,8 +48,8 @@ func TestPipelineMatchesSerial(t *testing.T) {
 // layout step plus the loop's hooks and accounting — makes no heap
 // allocation. For bricks and arrays alike that is the overlapped step at
 // period 1 (exchange started, interior computed, exchange completed,
-// boundary computed) and the exchange-then-compute step under ghost
-// expansion; for Shift its serialized slab phases. Bricks keep one
+// boundary computed) and, under ghost expansion, the exchange followed by
+// paired sub-step sweeps; for Shift its serialized slab phases. Bricks keep one
 // exchange per time level, so consecutive steps alternate between two
 // compiled plans. A single-rank periodic world exchanges with itself over
 // chan, so one goroutine drives the whole step.
@@ -88,8 +88,7 @@ func TestPipelinedStepZeroAllocs(t *testing.T) {
 			}
 			abs := 0
 			allocs := testing.AllocsPerRun(50, func() {
-				lp.step(abs)
-				abs++
+				abs += lp.step(abs)
 			})
 			if allocs != 0 {
 				t.Errorf("%s: step allocates %v times, want 0", name, allocs)

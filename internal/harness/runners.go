@@ -53,7 +53,7 @@ func sumDomain(cfg Config, at func(x, y, z int) float64) float64 {
 }
 
 // rankLayout is one rank's data layout: its double-buffered storage, the
-// compiled exchange of each buffer, and the stencil schedule over them.
+// compiled exchange of each buffer, and the stencil sweeps over them.
 // brickRank (Basic/Layout/MemMap/Shift) and gridRank (YASK/MPI_Types)
 // implement it; rankLoop drives either one through the same steps,
 // checkpoints, and accounting.
@@ -61,15 +61,22 @@ func sumDomain(cfg Config, at func(x, y, z int) float64) float64 {
 // The schedule follows the exchange period, not the implementation: at
 // period 1 the exchange overlaps the interior sweep and the boundary (brick
 // surface or grid shell) follows the wait, and above it every exchange
-// completes before the step computes. Shift is the one exception: its slab
-// phases are serialized by corner forwarding, so it never overlaps.
+// completes before the step computes, and the sub-steps between two
+// exchanges sweep in pairs. Shift is the one exception: its slab phases are
+// serialized by corner forwarding, so it never overlaps.
 type rankLayout interface {
-	// step advances the field from buffer cur to buffer 1-cur, refreshing
-	// the ghosts first when exchange is set, with the given ghost-expansion
-	// margin. abs is the absolute step index (warmup included). It returns
-	// the measured compute time and the exchanger's drained phase split.
-	step(abs, cur int, exchange bool, margin int) (time.Duration, core.PhaseTimings)
-	// exchangers are the compiled exchanges, in plan-digest order.
+	// overlapStep runs step abs of the overlapped schedule from buffer cur
+	// to buffer 1-cur and returns its compute time.
+	overlapStep(abs, cur int) time.Duration
+	// degradeAt fires an injected mid-run mapfail due at step abs.
+	degradeAt(abs int)
+	// sweep advances the field by one sub-step per margin from buffer cur,
+	// with nothing in flight, and returns its compute time. One margin
+	// writes buffer 1-cur; a pair, margins m and m-R, is one wavefront
+	// over k whose second level writes buffer cur again.
+	sweep(cur int, margins []int) time.Duration
+	// exchangers are the compiled exchanges, in plan-digest order:
+	// exchangers()[i] refreshes the ghosts of buffer i.
 	exchangers() []core.Exchanger
 	// bufs are the live storage buffers a checkpoint copies and a restore
 	// overwrites.
@@ -97,6 +104,7 @@ type rankLoop struct {
 
 	period, cur, startAbs int
 	marg                  []int
+	overlap               bool    // the overlapped schedule: period 1, not Shift
 	net                   float64 // modeled network seconds per exchange
 }
 
@@ -114,11 +122,11 @@ func runRank(cfg Config, cart *mpi.Cart) (Result, error) {
 	// its snapshot step. Timing summaries of a recovered run cover only the
 	// steps since the restore; determinism (the checksums) is what replay
 	// guarantees, not re-measured timings.
-	for a := lp.startAbs; a < cfg.Warmup+cfg.Steps; a++ {
+	for a := lp.startAbs; a < cfg.Warmup+cfg.Steps; {
 		if ck := cfg.ck; ck != nil && a%ck.every == 0 {
 			ck.checkpoint(lp.comm, lp.rank, a, func() *ckpt.Snapshot { return lp.snapshot(a) })
 		}
-		lp.step(a)
+		a += lp.step(a)
 	}
 	recordPlan(&lp.res, cfg.Metrics, cfg.Impl, lp.rank, lp.comm.Transport(), lp.lay.exchangers())
 	lp.res.Checksum = lp.lay.checksum(lp.cur)
@@ -134,12 +142,13 @@ func newRankLoop(cfg Config, cart *mpi.Cart) (*rankLoop, error) {
 	lp := &rankLoop{cfg: cfg, comm: comm, rank: comm.Rank(), res: Result{Config: cfg},
 		po: newPhaseObs(cfg.Metrics, cfg.Impl, comm.Rank()), fr: cfg.FlightRec.Rank(comm.Rank()),
 		period: cfg.exchangePeriod(), marg: margins(cfg)}
+	lp.overlap = lp.period == 1 && cfg.Impl != Shift
 	newLayout := newGridRank
 	if cfg.Impl.Brick() {
 		newLayout = newBrickRank
 	}
 	var err error
-	if lp.lay, err = newLayout(cfg, cart, lp.period, &lp.res); err != nil {
+	if lp.lay, err = newLayout(cfg, cart, lp.overlap, &lp.res); err != nil {
 		return lp, err
 	}
 	// The compiled plan's sends are the messages of one exchange.
@@ -225,25 +234,72 @@ func (lp *rankLoop) restore(snap *ckpt.Snapshot) error {
 	return nil
 }
 
-// step runs absolute timestep abs: the fault and flight hooks, the layout's
-// step, and — past warmup — the accounting. Warmup steps count the exchange
-// cadence from 0, and so do timed steps.
-func (lp *rankLoop) step(abs int) {
+// step runs absolute timestep abs — or, where pairs allows, steps abs and
+// abs+1 as one paired sweep — with the fault and flight hooks of each step
+// and, past warmup, the accounting, and returns how many steps it ran.
+// Warmup steps count the exchange cadence from 0, and so do timed steps.
+func (lp *rankLoop) step(abs int) int {
 	cfg := &lp.cfg
 	s, timed := abs, abs >= cfg.Warmup
 	if timed {
 		s -= cfg.Warmup
 	}
+	q, n := s%lp.period, 1
+	if lp.pairs(abs, q) {
+		n = 2
+	}
 	lp.fr.StepMark(abs)
 	cfg.inj.StepPanic(lp.rank, abs)
-	q := s % lp.period
-	// The layout drains its exchanger's phase split even on untimed warmup
-	// steps, so warmup time never leaks into the first timed step.
-	calc, tm := lp.lay.step(abs, lp.cur, q == 0, lp.marg[q])
-	lp.cur = 1 - lp.cur
-	if !timed {
-		return
+	var calc time.Duration
+	if lp.overlap {
+		calc = lp.lay.overlapStep(abs, lp.cur)
+	} else {
+		if q == 0 {
+			ex := lp.lay.exchangers()[lp.cur]
+			ex.Start()
+			ex.Complete()
+		}
+		lp.lay.degradeAt(abs)
+		if n == 2 {
+			lp.fr.StepMark(abs + 1)
+			cfg.inj.StepPanic(lp.rank, abs+1)
+			lp.lay.degradeAt(abs + 1)
+		}
+		calc = lp.lay.sweep(lp.cur, lp.marg[q:q+n])
 	}
+	// The exchangers' phase split is drained even on untimed warmup steps,
+	// so warmup time never leaks into the first timed step.
+	tm := drainTimings(lp.lay.exchangers())
+	if n == 1 { // a pair's second level wrote buffer cur again
+		lp.cur = 1 - lp.cur
+	}
+	if !timed {
+		return n
+	}
+	// A pair's compute time is booked half to each step, and its exchange
+	// (if any) to the first, so every summary stays per step.
+	calc /= time.Duration(n)
+	for i := range n {
+		lp.account(calc, tm, q+i == 0)
+		tm = core.PhaseTimings{}
+	}
+	return n
+}
+
+// pairs reports whether step abs, at sub-step q of the exchange period,
+// runs paired with abs+1: q is even and q+1 still inside the period, and no
+// boundary falls between the two — not the warmup-to-timed one, not a
+// checkpoint, not the end of the run.
+func (lp *rankLoop) pairs(abs, q int) bool {
+	cfg, next := &lp.cfg, abs+1
+	return q%2 == 0 && q+1 < lp.period &&
+		next != cfg.Warmup && next < cfg.Warmup+cfg.Steps &&
+		(cfg.ck == nil || next%cfg.ck.every != 0)
+}
+
+// account books one timed step: its compute time, its exchanger phase
+// split, and the modeled network time when the step exchanged.
+func (lp *rankLoop) account(calc time.Duration, tm core.PhaseTimings, exchanged bool) {
 	res := &lp.res
 	res.Calc.AddDuration(calc)
 	res.Pack.AddDuration(tm.Pack)
@@ -251,7 +307,7 @@ func (lp *rankLoop) step(abs int) {
 	res.Wait.AddDuration(tm.Wait)
 	res.Comm.AddDuration(tm.Pack + tm.Call + tm.Wait)
 	net := 0.0
-	if q == 0 {
+	if exchanged {
 		net = lp.net
 	}
 	res.Network.Add(net)
@@ -284,19 +340,21 @@ type brickRank struct {
 	// views can be rebuilt as copy windows mid-run (mapfail:step=S faults).
 	degradable [2]*core.ExchangeView
 	// overlap selects the overlapped schedule; surf are then the surface
-	// spans, computed once the exchange completes.
+	// spans, computed once the exchange completes. Otherwise slabs are the
+	// storage spans of each k-slab of bricks, the unit of a paired sweep.
 	overlap bool
 	surf    [][2]int
+	slabs   [][][2]int
 	fr      *flight.Ring
 }
 
 // newBrickRank builds one rank's brick storages and exchanges, and fills
 // the result's byte and floor fields. It returns r even on error, so the
 // caller's close releases whatever was built.
-func newBrickRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayout, error) {
+func newBrickRank(cfg Config, cart *mpi.Cart, overlap bool, res *Result) (rankLayout, error) {
 	comm := cart.Comm()
 	r := &brickRank{cfg: cfg, comm: comm, rank: comm.Rank(), mapped: cfg.Impl == MemMap || cfg.Impl == Shift,
-		overlap: period == 1 && cfg.Impl != Shift, fr: cfg.FlightRec.Rank(comm.Rank())}
+		overlap: overlap, fr: cfg.FlightRec.Rank(comm.Rank())}
 	order := layout.Surface3D()
 	if cfg.Impl == Basic {
 		order = layout.Lexicographic(3)
@@ -335,6 +393,8 @@ func newBrickRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayo
 				r.surf = append(r.surf, [2]int{sp.Start, sp.End()})
 			}
 		}
+	} else {
+		r.slabs = slabSpans(dec)
 	}
 	// Construction order matters: every rank compiles exs[0] fully before
 	// exs[1], so the duplicate-key endpoints pair exchange-to-exchange
@@ -423,36 +483,69 @@ func (r *brickRank) close() {
 	}
 }
 
-func (r *brickRank) step(abs, cur int, exchange bool, margin int) (time.Duration, core.PhaseTimings) {
-	cfg, dec, wk := &r.cfg, r.dec, r.cfg.Workers
-	var calc time.Duration
+func (r *brickRank) overlapStep(abs, cur int) time.Duration {
+	dec, st, wk := r.dec, r.cfg.Stencil, r.cfg.Workers
 	src := core.NewBrick(r.info, r.bss[cur], 0)
 	dst := core.NewBrick(r.info, r.bss[1-cur], 0)
-	if r.overlap {
-		r.fr.Phase(flight.PhaseExchange)
-		r.exs[cur].Start()
-		r.fr.Phase(flight.PhaseInterior)
-		t0 := time.Now()
-		inter := dec.Interior()
-		stencil.ApplyBricksRangeWorkers(dst, src, dec, cfg.Stencil, 0, inter.Start, inter.End(), wk)
-		calc = time.Since(t0)
-		r.exs[cur].Complete()
-		r.degradeAt(abs)
-		r.fr.Phase(flight.PhaseSurface)
-		t0 = time.Now()
-		stencil.ApplyBricksSpans(dst, src, dec, cfg.Stencil, 0, r.surf, wk)
-		calc += time.Since(t0)
-	} else {
-		if exchange {
-			r.exs[cur].Start()
-			r.exs[cur].Complete()
-		}
-		r.degradeAt(abs)
-		t0 := time.Now()
-		stencil.ApplyBricksParallel(dst, src, dec, cfg.Stencil, margin, wk)
-		calc = time.Since(t0)
+	r.fr.Phase(flight.PhaseExchange)
+	r.exs[cur].Start()
+	r.fr.Phase(flight.PhaseInterior)
+	t0 := time.Now()
+	inter := dec.Interior()
+	stencil.ApplyBricksRangeWorkers(dst, src, dec, st, 0, inter.Start, inter.End(), wk)
+	calc := time.Since(t0)
+	r.exs[cur].Complete()
+	r.degradeAt(abs)
+	r.fr.Phase(flight.PhaseSurface)
+	t0 = time.Now()
+	stencil.ApplyBricksSpans(dst, src, dec, st, 0, r.surf, wk)
+	return calc + time.Since(t0)
+}
+
+// sweep runs a pair as a wavefront over the k-slabs of bricks: the first
+// level sweeps slab z, then the second sweeps slab z-1, whose reads of the
+// first level's output (slabs z-2 to z) are all written. The second level
+// overwrites buffer cur only in slabs the first has finished reading:
+// checkBrickApply keeps the radius within one brick, so slab z reads no
+// further than slabs z-1 and z+1.
+func (r *brickRank) sweep(cur int, margins []int) time.Duration {
+	dec, st, wk := r.dec, r.cfg.Stencil, r.cfg.Workers
+	a := core.NewBrick(r.info, r.bss[cur], 0)
+	b := core.NewBrick(r.info, r.bss[1-cur], 0)
+	t0 := time.Now()
+	if len(margins) == 1 {
+		stencil.ApplyBricksParallel(b, a, dec, st, margins[0], wk)
+		return time.Since(t0)
 	}
-	return calc, drainTimings(r.exs[:])
+	for z := range len(r.slabs) + 1 {
+		if z < len(r.slabs) {
+			stencil.ApplyBricksSpans(b, a, dec, st, margins[0], r.slabs[z], wk)
+		}
+		if z > 0 {
+			stencil.ApplyBricksSpans(a, b, dec, st, margins[1], r.slabs[z-1], wk)
+		}
+	}
+	return time.Since(t0)
+}
+
+// slabSpans returns, per brick k-coordinate of dec's grid, the runs of
+// consecutive storage indices holding that slab's bricks; padding slots
+// belong to none.
+func slabSpans(dec *core.BrickDecomp) [][][2]int {
+	slabs := make([][][2]int, dec.GridDim()[2])
+	for idx := range dec.NumBricks() {
+		c := dec.BrickCoord(idx)
+		if c[0] < 0 {
+			continue
+		}
+		runs := slabs[c[2]]
+		if n := len(runs); n > 0 && runs[n-1][1] == idx {
+			runs[n-1][1]++
+		} else {
+			slabs[c[2]] = append(runs, [2]int{idx, idx + 1})
+		}
+	}
+	return slabs
 }
 
 // drainTimings drains and sums the phase splits of exs.
@@ -489,18 +582,16 @@ func (r *brickRank) degradeAt(abs int) {
 // buffers, so the interior runs while the wire transfer does, and the
 // shell follows the wait.
 type gridRank struct {
-	cfg     Config
-	gs      [2]*grid.Grid
-	exs     [2]core.Exchanger
-	overlap bool
-	lo, hi  [3]int // the interior box, ghost-independent at period 1
+	cfg    Config
+	gs     [2]*grid.Grid
+	exs    [2]core.Exchanger
+	lo, hi [3]int // the interior box, ghost-independent at period 1
 }
 
 // newGridRank builds one rank's grids and exchangers, and fills the
 // result's byte and floor fields.
-func newGridRank(cfg Config, cart *mpi.Cart, period int, res *Result) (rankLayout, error) {
-	g := &gridRank{cfg: cfg, overlap: period == 1,
-		gs: [2]*grid.Grid{grid.New(cfg.Dom, cfg.Ghost), grid.New(cfg.Dom, cfg.Ghost)}}
+func newGridRank(cfg Config, cart *mpi.Cart, _ bool, res *Result) (rankLayout, error) {
+	g := &gridRank{cfg: cfg, gs: [2]*grid.Grid{grid.New(cfg.Dom, cfg.Ghost), grid.New(cfg.Dom, cfg.Ghost)}}
 	seedDomain(cfg, cart, func(y, z int, vals []float64) {
 		copy(g.gs[0].Data[g.gs[0].Idx(cfg.Ghost, y, z):], vals)
 	})
@@ -542,29 +633,49 @@ func (g *gridRank) close() {
 	}
 }
 
-func (g *gridRank) step(_, cur int, exchange bool, margin int) (time.Duration, core.PhaseTimings) {
+func (g *gridRank) overlapStep(_, cur int) time.Duration {
 	st, wk := g.cfg.Stencil, g.cfg.Workers
 	ex, src, dst := g.exs[cur], g.gs[cur], g.gs[1-cur]
-	var calc time.Duration
-	if g.overlap {
-		ex.Start()
-		t0 := time.Now()
-		stencil.ApplyGridRegionWorkers(dst, src, st, g.lo, g.hi, wk)
-		calc = time.Since(t0)
-		ex.Complete()
-		t0 = time.Now()
-		stencil.ApplyGridShellWorkers(dst, src, st, 0, g.lo, g.hi, wk)
-		calc += time.Since(t0)
-	} else {
-		if exchange {
-			ex.Start()
-			ex.Complete()
-		}
-		t0 := time.Now()
-		stencil.ApplyGridWorkers(dst, src, st, margin, wk)
-		calc = time.Since(t0)
+	ex.Start()
+	t0 := time.Now()
+	stencil.ApplyGridRegionWorkers(dst, src, st, g.lo, g.hi, wk)
+	calc := time.Since(t0)
+	ex.Complete()
+	t0 = time.Now()
+	stencil.ApplyGridShellWorkers(dst, src, st, 0, g.lo, g.hi, wk)
+	return calc + time.Since(t0)
+}
+
+// degradeAt has nothing to fire: grid exchanges never degrade.
+func (g *gridRank) degradeAt(int) {}
+
+// sweep runs a pair as a wavefront over k-planes, the second level R
+// planes behind the first: plane z of the second level reads the first's
+// planes z-R to z+R, all written, and overwrites buffer cur only below the
+// planes the first level has still to read.
+func (g *gridRank) sweep(cur int, margins []int) time.Duration {
+	st, wk, gh, r := g.cfg.Stencil, g.cfg.Workers, g.cfg.Ghost, g.cfg.Stencil.Radius
+	a, b := g.gs[cur], g.gs[1-cur]
+	t0 := time.Now()
+	if len(margins) == 1 {
+		stencil.ApplyGridWorkers(b, a, st, margins[0], wk)
+		return time.Since(t0)
 	}
-	return calc, ex.Timings()
+	var lo1, hi1, lo2, hi2 [3]int
+	for ax := 0; ax < 3; ax++ {
+		lo1[ax], hi1[ax] = gh-margins[0], gh+g.cfg.Dom[ax]+margins[0]
+		lo2[ax], hi2[ax] = gh-margins[1], gh+g.cfg.Dom[ax]+margins[1]
+	}
+	k0, k1, k2 := lo1[2], hi1[2], lo2[2]
+	for z := k0; z < k1; z++ {
+		lo1[2], hi1[2] = z, z+1
+		stencil.ApplyGridRegionWorkers(b, a, st, lo1, hi1, wk)
+		if z2 := z - r; z2 >= k2 {
+			lo2[2], hi2[2] = z2, z2+1
+			stencil.ApplyGridRegionWorkers(a, b, st, lo2, hi2, wk)
+		}
+	}
+	return time.Since(t0)
 }
 
 // runGPURank executes the V-experiment strategies with modeled timing.

@@ -41,8 +41,20 @@ func (w *World) SetVerifyCRC(on bool) { w.verifyCRC = on }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// crcFloats checksums a payload over its little-endian float64 bytes.
+// crcFloats checksums a payload over its little-endian float64 bytes: on
+// a little-endian host in one pass over the payload's own bytes, viewed in
+// place as the tcp sender writes them.
 func crcFloats(data []float64) uint32 {
+	if littleEndian {
+		wire, _ := wireBytes(data, nil)
+		return crc32.Update(0, crcTable, wire)
+	}
+	return crcWords(data)
+}
+
+// crcWords is crcFloats a word at a time, encoding each to little-endian
+// bytes first: the path of a big-endian host, and the tests' oracle.
+func crcWords(data []float64) uint32 {
 	var b [8]byte
 	crc := uint32(0)
 	for _, v := range data {

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/bricklab/brick/internal/fault"
@@ -157,5 +158,48 @@ func TestVerifyCRC_DetectsCorruptPersistent(t *testing.T) {
 	}
 	if ce.Src != 0 || ce.Dst != 1 || ce.Tag != 3 {
 		t.Errorf("CorruptionError = %+v, want src=0 dst=1 tag=3", ce)
+	}
+}
+
+// TestCRCFloatsMatchesWords: the one-pass CRC over a payload's bytes
+// equals the word-at-a-time oracle on random payloads of every length up
+// to 64 words, NaN bit patterns (quiet and signalling, either sign, random
+// payload) included.
+func TestCRCFloatsMatchesWords(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	for n := 0; n <= 64; n++ {
+		for rep := 0; rep < 8; rep++ {
+			data := make([]float64, n)
+			for i := range data {
+				bits := r.Uint64()
+				if r.IntN(3) == 0 {
+					bits |= 0x7ff << 52 // a NaN, or an Inf where the mantissa is zero
+				}
+				data[i] = math.Float64frombits(bits)
+			}
+			if got, want := crcFloats(data), crcWords(data); got != want {
+				t.Fatalf("%d words: crcFloats %#x, word-at-a-time %#x", n, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkCRCFloats times the CRC of a 64 KiB payload, the size of a
+// brick exchange message, through crcFloats and the word-at-a-time oracle.
+func BenchmarkCRCFloats(b *testing.B) {
+	data := make([]float64, 8192)
+	for i := range data {
+		data[i] = float64(i) * 1.5
+	}
+	for _, c := range []struct {
+		name string
+		crc  func([]float64) uint32
+	}{{"bytes", crcFloats}, {"words", crcWords}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(8 * len(data)))
+			for range b.N {
+				c.crc(data)
+			}
+		})
 	}
 }

@@ -190,10 +190,14 @@ type tcpOut struct {
 
 // tcpAccepted is one accepted peer stream, monitored for heartbeat
 // liveness: lastRecv is bumped by every frame, and the heartbeater
-// compares its age against the miss/dead thresholds.
+// compares its age against the miss/dead thresholds. epoch is the epoch it
+// joined in; carried, read only by its reader, is the highest wire
+// sequence of that epoch it has carried (0: none yet).
 type tcpAccepted struct {
 	conn     net.Conn
 	src      int
+	epoch    uint64
+	carried  uint64
 	lastRecv atomic.Int64 // UnixNano of the last frame
 	missAt   atomic.Int64 // UnixNano of the last recorded miss (rate limit)
 }
@@ -376,7 +380,7 @@ func (n *tcpNode) serveAccepted(conn net.Conn) {
 		return
 	}
 	n.peerInc[join.Rank] = join.Inc
-	a := &tcpAccepted{conn: conn, src: join.Rank}
+	a := &tcpAccepted{conn: conn, src: join.Rank, epoch: join.Epoch}
 	a.lastRecv.Store(time.Now().UnixNano())
 	n.accepted[a] = struct{}{}
 	n.mu.Unlock()
@@ -403,8 +407,9 @@ func (n *tcpNode) serveAccepted(conn net.Conn) {
 		switch kind {
 		case tfHBData:
 			n.countFrame("hb")
+			n.checkHeartbeat(a, payload)
 		case tfData, tfPData:
-			n.handleData(kind, payload)
+			a.carried = max(a.carried, n.handleData(kind, payload))
 		}
 	}
 }
@@ -422,31 +427,32 @@ func (n *tcpNode) dropAccepted(a *tcpAccepted) {
 // frame was lost in flight, which fails loud — the exactly-once story is
 // "deliver once or abort", never "maybe". A frame is handed on under the
 // lock its sequence was checked under: a redial can leave two readers of
-// one source, and the lock keeps frames k and k+1 in order across it.
-func (n *tcpNode) handleData(kind byte, frame []byte) {
+// one source, and the lock keeps frames k and k+1 in order across it. It
+// returns the frame's wire sequence if the frame is of this epoch and a
+// live incarnation, delivered or a duplicate, and 0 otherwise.
+func (n *tcpNode) handleData(kind byte, frame []byte) uint64 {
 	var h tcpHdr
 	wire, flips, err := decodeDataFrame(frame, &h)
 	if err != nil {
 		n.w.abort(n.rank, fmt.Errorf("tcp: rank %d: %w", n.rank, err))
-		return
+		return 0
 	}
 	n.mu.Lock()
 	if h.epoch != n.epoch.Load() || h.inc < n.peerInc[h.src] {
 		n.mu.Unlock()
 		n.countFrame("stale-drop")
-		return
+		return 0
 	}
 	last := n.lastSeq[h.src]
 	if h.wireSeq <= last {
 		n.mu.Unlock()
 		n.countFrame("dup-drop")
-		return
+		return h.wireSeq
 	}
 	if h.wireSeq != last+1 {
 		n.mu.Unlock()
-		n.w.abort(n.rank, fmt.Errorf("tcp: lost %d frame(s) from rank %d on rank %d (wire seq jumped %d -> %d)",
-			h.wireSeq-last-1, h.src, n.rank, last, h.wireSeq))
-		return
+		n.abortLost(h.src, h.wireSeq-last-1, fmt.Sprintf("wire seq jumped %d -> %d", last, h.wireSeq))
+		return 0
 	}
 	n.lastSeq[h.src] = h.wireSeq
 	switch kind {
@@ -459,6 +465,35 @@ func (n *tcpNode) handleData(kind byte, frame []byte) {
 		n.deliverPers(&h, wire, flips)
 	}
 	n.mu.Unlock()
+	return h.wireSeq
+}
+
+// checkHeartbeat judges a data-stream heartbeat of stream a. Its sender
+// stamps the sequence of the last frame stamped on the stream, dropped
+// ones included (a heartbeat without one is not judged). The reader has
+// handled every frame the stream carried before it, so a stamp above the
+// source's high-water means frames that never reached the wire: the same
+// loss handleData reports at the next frame's gap, reported here when no
+// next frame comes. Only a stream of this epoch that has itself carried a
+// frame is judged: a redialed stream's stamp can count frames still unread
+// on the stream it replaced, which that stream's own reader delivers.
+func (n *tcpNode) checkHeartbeat(a *tcpAccepted, payload []byte) {
+	if len(payload) != 8 || a.carried == 0 {
+		return
+	}
+	stamp := binary.LittleEndian.Uint64(payload)
+	n.mu.Lock()
+	last := n.lastSeq[a.src]
+	live := a.epoch == n.epoch.Load()
+	n.mu.Unlock()
+	if live && stamp > last {
+		n.abortLost(a.src, stamp-last, fmt.Sprintf("heartbeat seq %d, last frame %d", stamp, last))
+	}
+}
+
+// abortLost aborts the world for k frames from src lost in flight.
+func (n *tcpNode) abortLost(src int, k uint64, why string) {
+	n.w.abort(n.rank, fmt.Errorf("tcp: lost %d frame(s) from rank %d on rank %d (%s)", k, src, n.rank, why))
 }
 
 // ---- send path: frames, faults, reconnect ----
@@ -856,8 +891,9 @@ func (n *tcpNode) heartbeater() {
 				continue // a data send owns the stream; that frame is the heartbeat
 			}
 			if o.conn != nil {
+				stamp := binary.LittleEndian.AppendUint64(nil, o.seq)
 				if err := tcpconn.WithWriteDeadline(o.conn, n.writeTimeout, func() error {
-					return tcpconn.WriteFrame(o.conn, tfHBData, nil)
+					return tcpconn.WriteFrame(o.conn, tfHBData, stamp)
 				}); err != nil {
 					o.conn.Close()
 					o.conn = nil

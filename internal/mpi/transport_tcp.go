@@ -76,7 +76,7 @@ const (
 	tfJoinNo = 22 // data reject: stale epoch/incarnation or wrong world
 	tfData   = 23 // one-shot message
 	tfPData  = 24 // persistent cycle payload
-	tfHBData = 26 // data-connection heartbeat (empty payload); 25 is retired
+	tfHBData = 26 // data-connection heartbeat: the stream's last wire sequence (u64); 25 is retired
 )
 
 // ctlMsg is the single JSON envelope of every control frame; which fields

@@ -594,12 +594,12 @@ var batchDsts = []int{1, 1, 1, 2}
 // Nothing else is sent, not even a barrier: a peer's write is counted only
 // after its syscall returns, so it could land inside rank 0's window.
 // Frames that beat a receiver's Start park until it.
-func startallBatch(t *testing.T, reg *metrics.Registry, writes *int64) func(*Comm) {
+func startallBatch(t *testing.T, reg *metrics.Registry, writes *int64, dsts []int) func(*Comm) {
 	return func(c *Comm) {
 		const n = 6
 		if c.Rank() == 0 {
 			var sends []*Request
-			for i, dst := range batchDsts {
+			for i, dst := range dsts {
 				buf := make([]float64, n)
 				for j := range buf {
 					buf[j] = float64(100*i + j)
@@ -615,7 +615,7 @@ func startallBatch(t *testing.T, reg *metrics.Registry, writes *int64) func(*Com
 		var recvs []*Request
 		var bufs [][]float64
 		var ids []int
-		for i, dst := range batchDsts {
+		for i, dst := range dsts {
 			if dst == c.Rank() {
 				buf := make([]float64, n)
 				bufs, ids = append(bufs, buf), append(ids, i)
@@ -655,7 +655,7 @@ func newBatchWorld(t *testing.T, f *fault.Injector) (*World, *metrics.Registry) 
 func TestTCPStartallOneWritePerDestination(t *testing.T) {
 	w, reg := newBatchWorld(t, nil)
 	var writes int64
-	w.Run(startallBatch(t, reg, &writes))
+	w.Run(startallBatch(t, reg, &writes, batchDsts))
 	if writes != 2 {
 		t.Errorf("Startall to two destinations made %d writes, want 2", writes)
 	}
@@ -670,22 +670,38 @@ func TestTCPStartallOneWritePerDestination(t *testing.T) {
 
 // TestTCPStartallFaultsPerFrame: network faults still act on single frames
 // inside a batch. A drop of rank 0's second frame (mid-batch, to rank 1)
-// aborts with the lost-frame gap; a dup is filtered exactly once; a
+// aborts with the lost-frame gap, and so does the drop of rank 1's last; a dup is filtered exactly once; a
 // partition before the second frame to rank 1 writes the first, severs,
 // redials, and every frame still arrives exactly once.
 func TestTCPStartallFaultsPerFrame(t *testing.T) {
 	t.Run("drop", func(t *testing.T) {
 		w, reg := newBatchWorld(t, fault.New(1).WithNetDrop(0, 2))
 		var writes int64
-		ae := runWorldExpectAbort(t, w, 30*time.Second, startallBatch(t, reg, &writes))
+		ae := runWorldExpectAbort(t, w, 30*time.Second, startallBatch(t, reg, &writes, batchDsts))
 		if !strings.Contains(ae.Error(), "lost 1 frame(s) from rank 0") {
 			t.Fatalf("abort does not name the lost frame: %v", ae)
+		}
+	})
+	// Three sends, and the dropped second is rank 1's last frame: no later
+	// frame shows the gap, so the stream's heartbeat, stamped with the
+	// stream's last sequence, must — within a few heartbeat intervals, not
+	// at a watchdog.
+	t.Run("drop-last", func(t *testing.T) {
+		w, reg := newBatchWorld(t, fault.New(1).WithNetDrop(0, 2))
+		var writes int64
+		t0 := time.Now()
+		ae := runWorldExpectAbort(t, w, 30*time.Second, startallBatch(t, reg, &writes, []int{1, 1, 2}))
+		if !strings.Contains(ae.Error(), "lost 1 frame(s) from rank 0") {
+			t.Fatalf("abort does not name the lost frame: %v", ae)
+		}
+		if d := time.Since(t0); d > 10*tcpHBInterval {
+			t.Errorf("the lost last frame aborted after %v, want within a few heartbeat intervals (%v each)", d, tcpHBInterval)
 		}
 	})
 	t.Run("dup", func(t *testing.T) {
 		w, reg := newBatchWorld(t, fault.New(1).WithNetDup(0, 2))
 		var writes int64
-		w.Run(startallBatch(t, reg, &writes))
+		w.Run(startallBatch(t, reg, &writes, batchDsts))
 		if ae := w.Aborted(); ae != nil {
 			t.Fatalf("run aborted: %v", ae)
 		}
@@ -696,7 +712,7 @@ func TestTCPStartallFaultsPerFrame(t *testing.T) {
 	t.Run("partition", func(t *testing.T) {
 		w, reg := newBatchWorld(t, fault.New(1).WithNetPartition(0, 1, 2, 30*time.Millisecond))
 		var writes int64
-		w.Run(startallBatch(t, reg, &writes))
+		w.Run(startallBatch(t, reg, &writes, batchDsts))
 		if ae := w.Aborted(); ae != nil {
 			t.Fatalf("run aborted: %v", ae)
 		}

@@ -307,7 +307,13 @@ func (kr *brickKernel) fused7(dst, src core.Brick, b int, lo, hi [3]int) bool {
 		for f, o := range nb {
 			nbp[f] = (*[512]float64)(s[o:])
 		}
-		brick7Box((*[512]float64)(d[dself:]), (*[512]float64)(s[self:]), &nbp, &kr.w7, lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
+		// Direct calls: through a func value the arguments would escape.
+		dp, cp := (*[512]float64)(d[dself:]), (*[512]float64)(s[self:])
+		if useAVX512 {
+			brick7BoxZ(dp, cp, &nbp, &kr.w7, lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
+		} else {
+			brick7Box(dp, cp, &nbp, &kr.w7, lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
+		}
 		return true
 	}
 	i0, n := lo[0], hi[0]-lo[0]

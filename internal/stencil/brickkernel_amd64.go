@@ -7,9 +7,18 @@ package stencil
 // can flip it to run the pure-Go bodies on the same host.
 var useAVX2 = hasAVX2()
 
+// useAVX512 selects, where useAVX2 has picked a vector body, its AVX-512
+// twin: brick7BoxZ, row7x8Z or tapRows8Z. Bodies are chosen in that order —
+// AVX-512, then AVX2, then pure Go — and tests flip it as they flip useAVX2.
+var useAVX512 = useAVX2 && hasAVX512()
+
 // hasAVX2 reports whether the CPU has AVX and AVX2 and the OS saves the YMM
 // registers across context switches.
 func hasAVX2() bool
+
+// hasAVX512 reports whether the CPU has AVX-512F and the OS saves the
+// opmask and ZMM registers across context switches.
+func hasAVX512() bool
 
 // brick7Box computes the box [lo0,hi0)×[lo1,hi1)×[lo2,hi2) of one 8³ brick
 // of the 7-point star: d is the brick's destination field, c its source, nb
@@ -49,3 +58,19 @@ func tapRows8(out []float64, ostride int, src []float64, base, sstride, rows int
 //
 //go:noescape
 func blockRows8(blk, src []float64, bases *[27]int64, tab []rowEnt)
+
+// brick7BoxZ is brick7Box on AVX-512, one ZMM register per row.
+//
+//go:noescape
+func brick7BoxZ(d, c *[512]float64, nb *[6]*[512]float64, w *[7]float64, lo0, hi0, lo1, hi1, lo2, hi2 int)
+
+// row7x8Z is row7x4 on AVX-512 for any len(out): eight elements at a time,
+// the last len(out)%8 under a mask. c must hold len(out)+2 elements.
+//
+//go:noescape
+func row7x8Z(out, c, jm, jp, km, kp []float64, w *[7]float64)
+
+// tapRows8Z is tapRows8 on AVX-512, one ZMM register per row.
+//
+//go:noescape
+func tapRows8Z(out []float64, ostride int, src []float64, base, sstride, rows int, offs []int, cs []float64, lo, hi int)

@@ -3,6 +3,7 @@ package stencil
 import (
 	"math"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -56,20 +57,54 @@ func swappedStar7() Stencil {
 	return st
 }
 
-// hostAVX2 is the host's useAVX2, before any test flips it.
-var hostAVX2 = useAVX2
+// hostAVX2 and hostAVX512 are the host's useAVX2 and useAVX512, before
+// any test flips them.
+var hostAVX2, hostAVX512 = useAVX2, useAVX512
 
-// eachBody runs f as subtest (or sub-benchmark) "go" on the pure-Go bodies
-// and, on a host with AVX2, as "avx2" on the vector bodies, then restores
-// useAVX2.
-func eachBody[T interface{ Run(string, func(T)) bool }](t T, f func(T)) {
-	defer func() { useAVX2 = hostAVX2 }()
-	useAVX2 = false
+// eachBody runs f as subtest (or sub-benchmark) "go" on the pure-Go
+// bodies, on a host with AVX2 as "avx2" on its vector bodies, and on a host
+// with AVX-512 as "avx512" on their twins, then restores both switches. It
+// logs the bodies that ran: a host without AVX-512 runs two.
+func eachBody[T interface {
+	Run(string, func(T)) bool
+	Logf(string, ...any)
+}](t T, f func(T)) {
+	defer func() { useAVX2, useAVX512 = hostAVX2, hostAVX512 }()
+	ran := []string{"go"}
+	useAVX2, useAVX512 = false, false
 	t.Run("go", f)
 	if hostAVX2 {
 		useAVX2 = true
 		t.Run("avx2", f)
+		ran = append(ran, "avx2")
 	}
+	if hostAVX512 {
+		useAVX512 = true
+		t.Run("avx512", f)
+		ran = append(ran, "avx512")
+	}
+	t.Logf("bodies run: %v", ran)
+}
+
+// vectorBodies runs f once per vector body the host has — AVX2, then
+// AVX-512 — with useAVX2 set and useAVX512 as named, logs which ran, and
+// restores both switches. It reports whether any ran.
+func vectorBodies(t testing.TB, f func(name string)) bool {
+	t.Helper()
+	defer func() { useAVX2, useAVX512 = hostAVX2, hostAVX512 }()
+	var ran []string
+	for _, b := range []struct {
+		name    string
+		on, zmm bool
+	}{{"avx2", hostAVX2, false}, {"avx512", hostAVX512, true}} {
+		if b.on {
+			useAVX2, useAVX512 = true, b.zmm
+			f(b.name)
+			ran = append(ran, b.name)
+		}
+	}
+	t.Logf("vector bodies run: %v", ran)
+	return len(ran) > 0
 }
 
 // fused7Path is the path a 7-point visit on shape sh must take under the
@@ -519,11 +554,12 @@ func applyZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestVectorBodiesStayVEX fails on any legacy-SSE instruction in the AVX2
-// bodies — MOVQ into an XMM register, MOVUPD, MULPD, MOVSD and the like:
-// after their YMM writes each costs an AVX–SSE transition per call, which
-// measured ~200 ns (DESIGN.md §5.12). Every instruction that names an X or
-// Y register must be VEX-encoded, V-prefixed: VMOVQ, VMOVUPD, VMULPD.
+// TestVectorBodiesStayVEX fails on any legacy-SSE instruction in the
+// vector bodies, every *_amd64.s file — MOVQ into an XMM register, MOVUPD,
+// MULPD, MOVSD and the like: after their YMM or ZMM writes each costs an
+// AVX–SSE transition per call, which measured ~200 ns (DESIGN.md §5.12).
+// Every instruction that names an X, Y or Z register must be VEX- or
+// EVEX-encoded, V-prefixed: VMOVQ, VMOVUPD, VMULPD.
 func TestVectorBodiesStayVEX(t *testing.T) {
 	for _, c := range []struct {
 		line   string
@@ -534,29 +570,36 @@ func TestVectorBodiesStayVEX(t *testing.T) {
 		{"MOVSD X0, (DI)", true}, {"VADDPD Y4, Y2, Y2; ADDPD X1, X2", true},
 		{"VMOVQ AX, X0", false}, {"VMOVUPD 32(R8)(R9*8), Y0", false}, {"MOVQ AX, R9", false},
 		{"// MOVUPD X1, X2", false}, {"LEAQ (SI)(R8*8), R8", false}, {"TAP(R9, Y0, Y1)", false},
+		{"VALIGNQ $7, (R8), Z0, Z4", false}, {"KMOVW AX, K1", false}, {"MOVUPD Z1, (DI)", true},
 	} {
 		if got := legacySSE(c.line) != ""; got != c.legacy {
 			t.Fatalf("legacySSE(%q) flags it: %v, want %v", c.line, got, c.legacy)
 		}
 	}
-	src, err := os.ReadFile("brickkernel_amd64.s")
-	if err != nil {
-		t.Fatal(err)
+	files, err := filepath.Glob("*_amd64.s")
+	if err != nil || len(files) < 2 {
+		t.Fatalf("found the assembly files %v (%v), want the AVX2 and the AVX-512 bodies", files, err)
 	}
-	for n, line := range strings.Split(string(src), "\n") {
-		if op := legacySSE(line); op != "" {
-			t.Errorf("brickkernel_amd64.s:%d: %s: use V%s", n+1, strings.TrimSpace(line), op)
+	for _, name := range files {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(src), "\n") {
+			if op := legacySSE(line); op != "" {
+				t.Errorf("%s:%d: %s: use V%s", name, n+1, strings.TrimSpace(line), op)
+			}
 		}
 	}
 }
 
 var (
-	simdReg  = regexp.MustCompile(`\b[XY]\d+\b`)
+	simdReg  = regexp.MustCompile(`\b[XYZ]\d+\b`)
 	mnemonic = regexp.MustCompile(`^\s*([A-Z][A-Z0-9]*)(\s|$)`)
 )
 
 // legacySSE returns the mnemonic of the first instruction on an assembly
-// line that names an X or Y register without a V prefix, or "". A line may
+// line that names an X, Y or Z register without a V prefix, or "". A line may
 // hold several instructions separated by ';', as a macro body does; a
 // macro's use, NAME(args), is checked where the macro is defined.
 func legacySSE(line string) string {

@@ -179,7 +179,8 @@ func applyGridBox(dst, src *grid.Grid, st Stencil, lo, hi [3]int, workers int) {
 // applyGridRows computes rows [rlo, rhi) of the box [lo, hi), rows numbered
 // j-fastest. The canonical 7-point table takes the fused row7 expression,
 // on an AVX2 host after row7x4 has computed the row's first width &^ 3
-// elements four at a time; any other table is flattened to offsets (on
+// elements four at a time, and on an AVX-512 host row7x8Z computes the
+// whole row; any other table is flattened to offsets (on
 // this frame's stack, so a call allocates nothing) and run through
 // tapRows: on an AVX2 host up to four rows of one plane at once, eight
 // elements at a time, with tapRow finishing each row's width % 8 tail.
@@ -188,14 +189,23 @@ func applyGridRows(dst, src *grid.Grid, st Stencil, lo, hi [3]int, rlo, rhi int)
 	nj, width := hi[1]-lo[1], hi[0]-lo[0]
 	s := src.Data
 	if w, ok := star7Weights(st); ok {
-		n4 := 0 // elements per row row7x4 computes
+		n4 := 0 // elements per row the vector body computes
 		if useAVX2 {
 			n4 = width &^ 3
+			if useAVX512 {
+				n4 = width
+			}
 		}
 		for r := rlo; r < rhi; r++ {
 			at := src.Idx(lo[0], lo[1]+r%nj, lo[2]+r/nj)
 			if n4 > 0 {
-				row7x4(dst.Data[at:at+n4], s[at-1:at+n4+1], s[at-sj:][:n4], s[at+sj:][:n4], s[at-sk:][:n4], s[at+sk:][:n4], &w)
+				// Direct calls: through a func value the arguments would escape.
+				out, c, jm, jp, km, kp := dst.Data[at:at+n4], s[at-1:at+n4+1], s[at-sj:][:n4], s[at+sj:][:n4], s[at-sk:][:n4], s[at+sk:][:n4]
+				if useAVX512 {
+					row7x8Z(out, c, jm, jp, km, kp, &w)
+				} else {
+					row7x4(out, c, jm, jp, km, kp, &w)
+				}
 			}
 			x := at + n4
 			row7(dst.Data[x:at+width], s[x:], s[x-sj:], s[x+sj:], s[x-sk:], s[x+sk:], s[x-1], s[at+width], &w)
@@ -352,6 +362,10 @@ func tapRows(out []float64, ostride int, src []float64, at, sstride, rows int, t
 	}
 	out = out[:(rows-1)*ostride+8]
 	src = src[at+t.lo : at+(rows-1)*sstride+t.hi+8]
+	if useAVX512 {
+		tapRows8Z(out, ostride, src, -t.lo, sstride, rows, t.offs, t.cs[:len(t.offs)], lo, hi)
+		return
+	}
 	tapRows8(out, ostride, src, -t.lo, sstride, rows, t.offs, t.cs[:len(t.offs)], lo, hi)
 }
 

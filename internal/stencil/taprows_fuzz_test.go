@@ -41,27 +41,32 @@ func (g fuzzBits) next() float64 {
 // no body should write must keep exactly these bits.
 var fuzzSentinel = math.Float64frombits(0x7ff8_dead_beef_0001)
 
-// FuzzTapRows checks the AVX2 tap rows against the Go tapRow bit for bit on
-// random tables of 1–128 taps and random special-value bits (see
-// sameBits for the one exception):
+// FuzzTapRows checks the vector tap rows — AVX2, and AVX-512 where the
+// host has it — against the Go tapRow bit for bit on random tables of
+// 1–128 taps and random special-value bits (see sameBits for the one
+// exception):
 //
 //   - the brick path: tapRows over 1–4 rows of a 12³ block, stored through
 //     a random lane mask, against tapRow over the masked lanes; the lanes
 //     outside the mask keep their bits;
 //   - the array path: applyGridRows over rows 1–40 wide, 1–4 rows in each
-//     of one or two planes, on both bodies; every element of the
-//     destination grid compares.
+//     of one or two planes, on the Go and the vector body; every element
+//     of the destination grid compares.
+//
+// Each input runs once per vector body the host has, on the same bits.
 func FuzzTapRows(f *testing.F) {
 	if !hostAVX2 {
 		f.Skip("no AVX2 body on this host")
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, ntaps, nrows, nwidth, lo, span uint8) {
-		r := rand.New(rand.NewPCG(seed, seed^0x9E3779B97F4A7C15))
-		g := fuzzBits{r, 2 << r.IntN(10)}
-		taps, rows, width := 1+int(ntaps)%128, 1+int(nrows)%4, 1+int(nwidth)%40
-		lane0 := int(lo) % 8
-		fuzzBlockRows(t, g, taps, rows, lane0, lane0+1+int(span)%(8-lane0))
-		fuzzGridRows(t, g, taps, rows, width)
+		vectorBodies(t, func(string) {
+			r := rand.New(rand.NewPCG(seed, seed^0x9E3779B97F4A7C15))
+			g := fuzzBits{r, 2 << r.IntN(10)}
+			taps, rows, width := 1+int(ntaps)%128, 1+int(nrows)%4, 1+int(nwidth)%40
+			lane0 := int(lo) % 8
+			fuzzBlockRows(t, g, taps, rows, lane0, lane0+1+int(span)%(8-lane0))
+			fuzzGridRows(t, g, taps, rows, width)
+		})
 	})
 }
 
@@ -133,7 +138,8 @@ func fuzzGridRows(t *testing.T, g fuzzBits, taps, rows, width int) {
 	}
 	lo, hi := [3]int{2, 2, 2}, [3]int{2 + dom[0], 2 + dom[1], 2 + dom[2]}
 	var out [2]*grid.Grid
-	defer func() { useAVX2 = hostAVX2 }()
+	vector := useAVX2
+	defer func() { useAVX2 = vector }()
 	for b := range out {
 		useAVX2 = b == 1
 		out[b] = grid.New(dom, st.Radius)
