@@ -48,7 +48,7 @@ func runHarness(b *testing.B, cfg harness.Config) harness.Result {
 		}
 	}
 	b.ReportMetric(res.Calc.Mean()*1e3, "calc_ms/step")
-	b.ReportMetric(res.CommSynth.Mean()*1e3, "comm_ms/step")
+	b.ReportMetric(res.Comm.Mean()*1e3, "comm_ms/step")
 	b.ReportMetric(res.Pack.Mean()*1e3, "pack_ms/step")
 	b.ReportMetric(res.GStencils, "GStencil/s")
 	b.ReportMetric(float64(res.MsgsPerExchange), "msgs")
@@ -127,14 +127,13 @@ func BenchmarkFig08_K1Scaling(b *testing.B) {
 	}
 }
 
-// BenchmarkFig09_K1CommTime: Figure 9 — communication time with the modeled
-// Network floor.
+// BenchmarkFig09_K1CommTime: Figure 9 — measured communication time (the
+// modeled columns and the Network floor are `figures -id fig09`).
 func BenchmarkFig09_K1CommTime(b *testing.B) {
 	for _, dim := range dims(b) {
 		for _, im := range []harness.Impl{harness.MPITypes, harness.YASK, harness.Layout, harness.MemMap} {
 			b.Run(fmt.Sprintf("dim%d/%s", dim, im), func(b *testing.B) {
-				res := runHarness(b, benchConfig(im, dim, stencil.Star7(), netmodel.ThetaKNL()))
-				b.ReportMetric(res.NetworkFloor*1e3, "network_floor_ms")
+				runHarness(b, benchConfig(im, dim, stencil.Star7(), netmodel.ThetaKNL()))
 			})
 		}
 	}
@@ -206,8 +205,7 @@ func BenchmarkFig14_V1CommTime(b *testing.B) {
 	for _, dim := range dims(b) {
 		for _, im := range gpuImpls {
 			b.Run(fmt.Sprintf("dim%d/%s", dim, im), func(b *testing.B) {
-				res := runHarness(b, benchConfig(im, dim, stencil.Star7(), netmodel.SummitV100()))
-				b.ReportMetric(res.NetworkFloor*1e3, "networkCA_floor_ms")
+				runHarness(b, benchConfig(im, dim, stencil.Star7(), netmodel.SummitV100()))
 			})
 		}
 	}
@@ -277,7 +275,7 @@ func BenchmarkFig18_PageSize(b *testing.B) {
 		for _, page := range []int{4096, 16384, 65536} {
 			b.Run(fmt.Sprintf("dim%d/page%dKiB", dim, page/1024), func(b *testing.B) {
 				cfg := benchConfig(harness.MemMap, dim, stencil.Star7(), netmodel.ThetaKNL())
-				cfg.PageBytes = page
+				cfg.Machine.PageSize = page
 				res := runHarness(b, cfg)
 				b.ReportMetric(float64(res.WireBytes), "wire_bytes")
 			})

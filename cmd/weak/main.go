@@ -1,7 +1,8 @@
 // Command weak mirrors the paper artifact's experiment executables: it runs
 // one configuration on a periodic rank grid and prints the artifact's five
 // metrics — calc, pack, call, wait (seconds per timestep, as
-// [minimum, average, maximum] (σ)) and perf (overall GStencil/s).
+// [minimum, average, maximum] (σ)) and perf (overall GStencil/s) — plus
+// step, the wall-clock time per timestep that perf divides by.
 //
 // Example (the paper's K1 point at subdomain 32³ with the Layout method):
 //
@@ -55,9 +56,11 @@ func main() {
 		Dom:         [3]int{*dim, *dim, *dim},
 		Warmup:      *warmup,
 		ExpandGhost: *expand,
-		PageBytes:   *page,
 	}
 	common.Apply(&cfg, r)
+	if *page > 0 {
+		cfg.Machine.PageSize = *page
+	}
 	if common.Flight && common.Transport == mpi.DefaultTransport {
 		// On chan the rings live in this process, so a finished run can
 		// leave its artifact at -flight-out just as a failed one does.
@@ -95,6 +98,6 @@ func main() {
 	fmt.Printf("pack %s\n", res.Pack.String())
 	fmt.Printf("call %s\n", res.Call.String())
 	fmt.Printf("wait %s\n", res.Wait.String())
-	fmt.Printf("net  %s (modeled; floor %.3e)\n", res.Network.String(), res.NetworkFloor)
+	fmt.Printf("step %s\n", res.Step.String())
 	fmt.Printf("perf %.4f GStencil/s\n", res.GStencils)
 }

@@ -425,9 +425,6 @@ func (d *BrickDecomp) NumBricks() int { return d.nb }
 // alignment (0 without WithPageAlignment).
 func (d *BrickDecomp) PadBricks() int { return d.padBricks }
 
-// PageBytes returns the page size regions are aligned to (0 = unaligned).
-func (d *BrickDecomp) PageBytes() int { return d.pageBytes }
-
 // ExchangeBytes returns the bytes this rank sends per full exchange: data is
 // the payload and wire includes page-alignment padding. The overhead ratio
 // wire/data−1 is the paper's Table 2 "increased network transfer from

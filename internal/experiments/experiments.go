@@ -15,7 +15,9 @@ import (
 	"strings"
 
 	"github.com/bricklab/brick/internal/core"
+	"github.com/bricklab/brick/internal/gpu"
 	"github.com/bricklab/brick/internal/harness"
+	"github.com/bricklab/brick/internal/layout"
 	"github.com/bricklab/brick/internal/netmodel"
 	"github.com/bricklab/brick/internal/stencil"
 )
@@ -141,6 +143,37 @@ func (o Options) strongConfigs() [][2]int {
 }
 
 // ---------------------------------------------------------------------------
+// the wire model
+
+// modelComm prices a measured CPU run's exchange per timestep: wire is its
+// plan's messages at the machine's latency α each plus its bytes at the
+// bandwidth β, spread over the exchange period; comm adds the measured
+// packing. The CPU communication columns print it: measured call and wait
+// absorb co-scheduled ranks' work when ranks outnumber the host's cores.
+func modelComm(res harness.Result) (wire, comm float64) {
+	net, p := res.Config.Machine.Net, res.Plan
+	wire = float64(p.Sends) * net.Latency.Seconds()
+	if net.Bandwidth > 0 {
+		wire += float64(p.SendBytes) / net.Bandwidth
+	}
+	wire /= float64(res.Config.ExchangePeriod())
+	return wire, wire + res.Pack.Mean()
+}
+
+// networkFloor is the machine model's price, per timestep, of cfg's brick
+// exchange sent as one unpadded message per neighbor over link kind: the
+// paper's Network and NetworkCA reference lines. fields is the storage's
+// interleaved field count (the GPU simulator keeps both time levels in one
+// storage).
+func networkFloor(cfg harness.Config, fields int, kind netmodel.LinkKind) (float64, error) {
+	dec, err := core.NewBrickDecomp(cfg.Shape, cfg.Dom, cfg.Ghost, fields, layout.Surface3D())
+	if err != nil {
+		return 0, err
+	}
+	return gpu.NetworkFloor(dec, cfg.Machine, kind).Seconds() / float64(cfg.ExchangePeriod()), nil
+}
+
+// ---------------------------------------------------------------------------
 // formatting helpers
 
 type table struct {
@@ -209,6 +242,3 @@ func ms(sec float64) string { return fmt.Sprintf("%.4f", sec*1e3) }
 func gst(v float64) string  { return fmt.Sprintf("%.4f", v) }
 func pct(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func gbps(v float64) string { return fmt.Sprintf("%.2f", v/1e9) }
-func mustRun(cfg harness.Config) (harness.Result, error) {
-	return harness.Run(cfg)
-}

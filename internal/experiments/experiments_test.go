@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/bricklab/brick/internal/harness"
+	"github.com/bricklab/brick/internal/netmodel"
+	"github.com/bricklab/brick/internal/stencil"
 )
 
 func TestAllSpecsUniqueAndResolvable(t *testing.T) {
@@ -56,6 +60,44 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestModelCommAboveFloor checks the machine model's pricing: a run's
+// plan costs at least the Network floor of its decomposition, and MemMap's
+// page padding costs more wire time on larger pages.
+func TestModelCommAboveFloor(t *testing.T) {
+	o := Options{Quick: true, Steps: 4}
+	for _, im := range []harness.Impl{harness.MemMap, harness.Layout, harness.YASK} {
+		cfg := k1Config(im, 16, stencil.Star7(), o)
+		res, err := harness.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		floor, err := networkFloor(cfg, 1, netmodel.Network)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if floor <= 0 {
+			t.Errorf("%v: network floor %v not positive", im, floor)
+		}
+		if wire, _ := modelComm(res); wire < floor {
+			t.Errorf("%v: modelled wire %v below floor %v", im, wire, floor)
+		}
+	}
+	var last float64
+	for _, page := range []int{4096, 16384, 65536} {
+		cfg := k1Config(harness.MemMap, 16, stencil.Star7(), o)
+		cfg.Machine.PageSize = page
+		res, err := harness.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, _ := modelComm(res)
+		if wire <= last {
+			t.Errorf("MemMap wire %v at %d B pages, not above %v", wire, page, last)
+		}
+		last = wire
 	}
 }
 

@@ -6,26 +6,28 @@ import (
 
 	"github.com/bricklab/brick/internal/harness"
 	"github.com/bricklab/brick/internal/layout"
+	"github.com/bricklab/brick/internal/netmodel"
 	"github.com/bricklab/brick/internal/stencil"
 )
 
 // Fig01 reproduces Figure 1: per-timestep time decomposed into Compute, MPI
-// (call+wait) and Packing for the packing baseline (YASK role) versus the
-// proposed pack-free Layout, over shrinking subdomains on 8 ranks.
+// (the modeled wire time, see modelComm) and Packing for the packing
+// baseline (YASK role) versus the proposed pack-free Layout, over shrinking
+// subdomains on 8 ranks.
 func Fig01(o Options, w io.Writer) error {
 	t := &table{header: []string{"dim", "impl", "comp_ms", "mpi_ms", "pack_ms", "total_ms"}}
 	for _, dim := range o.cpuSweep() {
 		for _, im := range []harness.Impl{harness.YASK, harness.Layout} {
-			res, err := mustRun(k1Config(im, dim, stencil.Star7(), o))
+			res, err := harness.Run(k1Config(im, dim, stencil.Star7(), o))
 			if err != nil {
 				return err
 			}
-			total := res.Calc.Mean() + res.CommSynth.Mean()
+			wire, comm := modelComm(res)
 			t.add(fmt.Sprint(dim), im.String(),
 				ms(res.Calc.Mean()),
-				ms(res.Network.Mean()),
+				ms(wire),
 				ms(res.Pack.Mean()),
-				ms(total))
+				ms(res.Calc.Mean()+comm))
 		}
 	}
 	return t.emit(o, "fig01", w)
@@ -38,11 +40,12 @@ func Fig04(o Options, w io.Writer) error {
 	t := &table{header: []string{"dim", "impl", "msgs", "comm_ms"}}
 	for _, dim := range o.cpuSweep() {
 		for _, im := range []harness.Impl{harness.YASK, harness.Basic, harness.Layout} {
-			res, err := mustRun(k1Config(im, dim, stencil.Star7(), o))
+			res, err := harness.Run(k1Config(im, dim, stencil.Star7(), o))
 			if err != nil {
 				return err
 			}
-			t.add(fmt.Sprint(dim), im.String(), fmt.Sprint(res.MsgsPerExchange), ms(res.CommSynth.Mean()))
+			_, comm := modelComm(res)
+			t.add(fmt.Sprint(dim), im.String(), fmt.Sprint(res.MsgsPerExchange), ms(comm))
 		}
 	}
 	return t.emit(o, "fig04", w)
@@ -85,14 +88,15 @@ var k1Impls = []struct {
 }
 
 // Fig08 reproduces Figure 8 (K1): 7-point stencil throughput in GStencil/s
-// for the five implementations over shrinking subdomains.
+// for the five implementations over shrinking subdomains, over the measured
+// wall-clock step.
 func Fig08(o Options, w io.Writer) error {
 	t := &table{header: []string{"dim", "impl", "gstencil_per_s"}}
 	for _, dim := range o.cpuSweep() {
 		for _, k := range k1Impls {
 			cfg := k1Config(k.impl, dim, stencil.Star7(), o)
 			cfg.ExpandGhost = k.expand
-			res, err := mustRun(cfg)
+			res, err := harness.Run(cfg)
 			if err != nil {
 				return err
 			}
@@ -108,13 +112,19 @@ func Fig09(o Options, w io.Writer) error {
 	t := &table{header: []string{"dim", "impl", "comm_ms"}}
 	for _, dim := range o.cpuSweep() {
 		for _, im := range []harness.Impl{harness.MPITypes, harness.YASK, harness.Layout, harness.MemMap} {
-			res, err := mustRun(k1Config(im, dim, stencil.Star7(), o))
+			cfg := k1Config(im, dim, stencil.Star7(), o)
+			res, err := harness.Run(cfg)
 			if err != nil {
 				return err
 			}
-			t.add(fmt.Sprint(dim), im.String(), ms(res.CommSynth.Mean()))
+			_, comm := modelComm(res)
+			t.add(fmt.Sprint(dim), im.String(), ms(comm))
 			if im == harness.MemMap {
-				t.add(fmt.Sprint(dim), "Network", ms(res.NetworkFloor/float64(k1Config(im, dim, stencil.Star7(), o).Ghost/stencil.Star7().Radius)))
+				floor, err := networkFloor(cfg, 1, netmodel.Network)
+				if err != nil {
+					return err
+				}
+				t.add(fmt.Sprint(dim), "Network", ms(floor))
 				t.add(fmt.Sprint(dim), "Comp", ms(res.Calc.Mean()))
 			}
 		}
@@ -129,7 +139,7 @@ func Fig10(o Options, w io.Writer) error {
 	t := &table{header: []string{"dim", "impl", "comp_ms"}}
 	for _, dim := range o.cpuSweep() {
 		for _, im := range []harness.Impl{harness.MPITypes, harness.YASK, harness.Layout, harness.MemMap, harness.Basic} {
-			res, err := mustRun(k1Config(im, dim, stencil.Star7(), o))
+			res, err := harness.Run(k1Config(im, dim, stencil.Star7(), o))
 			if err != nil {
 				return err
 			}
@@ -144,7 +154,8 @@ func Fig10(o Options, w io.Writer) error {
 }
 
 // Fig11 reproduces Figure 11 (K2): strong scaling of a fixed global domain
-// with 7-point and 125-point stencils, MemMap vs YASK.
+// with 7-point and 125-point stencils, MemMap vs YASK: the KNL-scale
+// extrapolation, with modelComm in place of measured communication.
 func Fig11(o Options, w io.Writer) error {
 	t := &table{header: []string{"ranks", "stencil", "impl", "gstencil_per_s"}}
 	for _, pc := range o.strongConfigs() {
@@ -153,11 +164,13 @@ func Fig11(o Options, w io.Writer) error {
 			for _, im := range []harness.Impl{harness.MemMap, harness.YASK} {
 				cfg := k1Config(im, dim, st, o)
 				cfg.Procs = [3]int{procs, procs, procs}
-				res, err := mustRun(cfg)
+				res, err := harness.Run(cfg)
 				if err != nil {
 					return err
 				}
-				t.add(fmt.Sprint(procs*procs*procs), st.Name, im.String(), gst(res.GStencils))
+				points := float64(dim*dim*dim) * float64(procs*procs*procs)
+				_, comm := modelComm(res)
+				t.add(fmt.Sprint(procs*procs*procs), st.Name, im.String(), gst(points/(res.Calc.Mean()+comm)/1e9))
 			}
 		}
 	}
@@ -173,11 +186,12 @@ func Fig12(o Options, w io.Writer) error {
 		for _, im := range []harness.Impl{harness.YASK, harness.MemMap} {
 			cfg := k1Config(im, dim, stencil.Star7(), o)
 			cfg.Procs = [3]int{procs, procs, procs}
-			res, err := mustRun(cfg)
+			res, err := harness.Run(cfg)
 			if err != nil {
 				return err
 			}
-			t.add(fmt.Sprint(procs*procs*procs), im.String(), ms(res.CommSynth.Mean()), ms(res.Calc.Mean()))
+			_, comm := modelComm(res)
+			t.add(fmt.Sprint(procs*procs*procs), im.String(), ms(comm), ms(res.Calc.Mean()))
 		}
 	}
 	return t.emit(o, "fig12", w)
@@ -191,19 +205,21 @@ func Fig18(o Options, w io.Writer) error {
 	for _, dim := range o.cpuSweep() {
 		for _, page := range []int{4096, 16384, 65536} {
 			cfg := k1Config(harness.MemMap, dim, stencil.Star7(), o)
-			cfg.PageBytes = page
-			res, err := mustRun(cfg)
+			cfg.Machine.PageSize = page
+			res, err := harness.Run(cfg)
 			if err != nil {
 				return err
 			}
-			t.add(fmt.Sprint(dim), fmt.Sprintf("MemMap-%dKiB", page/1024), ms(res.CommSynth.Mean()), fmt.Sprint(res.WireBytes))
+			_, comm := modelComm(res)
+			t.add(fmt.Sprint(dim), fmt.Sprintf("MemMap-%dKiB", page/1024), ms(comm), fmt.Sprint(res.WireBytes))
 		}
 		for _, im := range []harness.Impl{harness.YASK, harness.MPITypes} {
-			res, err := mustRun(k1Config(im, dim, stencil.Star7(), o))
+			res, err := harness.Run(k1Config(im, dim, stencil.Star7(), o))
 			if err != nil {
 				return err
 			}
-			t.add(fmt.Sprint(dim), im.String()+"*", ms(res.CommSynth.Mean()), fmt.Sprint(res.WireBytes))
+			_, comm := modelComm(res)
+			t.add(fmt.Sprint(dim), im.String()+"*", ms(comm), fmt.Sprint(res.WireBytes))
 		}
 	}
 	return t.emit(o, "fig18", w)

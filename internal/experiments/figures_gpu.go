@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"github.com/bricklab/brick/internal/harness"
+	"github.com/bricklab/brick/internal/netmodel"
 	"github.com/bricklab/brick/internal/stencil"
 )
 
@@ -17,7 +18,7 @@ func Fig13(o Options, w io.Writer) error {
 	t := &table{header: []string{"dim", "impl", "gstencil_per_s"}}
 	for _, dim := range o.cpuSweep() {
 		for _, im := range v1Impls {
-			res, err := mustRun(v1Config(im, dim, stencil.Star7(), o))
+			res, err := harness.Run(v1Config(im, dim, stencil.Star7(), o))
 			if err != nil {
 				return err
 			}
@@ -33,14 +34,18 @@ func Fig14(o Options, w io.Writer) error {
 	t := &table{header: []string{"dim", "impl", "comm_ms"}}
 	for _, dim := range o.cpuSweep() {
 		for _, im := range v1Impls {
-			res, err := mustRun(v1Config(im, dim, stencil.Star7(), o))
+			cfg := v1Config(im, dim, stencil.Star7(), o)
+			res, err := harness.Run(cfg)
 			if err != nil {
 				return err
 			}
 			t.add(fmt.Sprint(dim), im.String(), ms(res.Comm.Mean()))
 			if im == harness.GPULayoutCA {
-				period := float64(8 / stencil.Star7().Radius)
-				t.add(fmt.Sprint(dim), "NetworkCA", ms(res.NetworkFloor/period))
+				floor, err := networkFloor(cfg, 2, netmodel.GPUDirect)
+				if err != nil {
+					return err
+				}
+				t.add(fmt.Sprint(dim), "NetworkCA", ms(floor))
 			}
 			if im == harness.GPUMemMapUM {
 				t.add(fmt.Sprint(dim), "Comp", ms(res.Calc.Mean()))
@@ -58,7 +63,7 @@ func Fig15(o Options, w io.Writer) error {
 	t := &table{header: []string{"dim", "impl", "comp_ms"}}
 	for _, dim := range o.cpuSweep() {
 		for _, im := range v1Impls {
-			res, err := mustRun(v1Config(im, dim, stencil.Star7(), o))
+			res, err := harness.Run(v1Config(im, dim, stencil.Star7(), o))
 			if err != nil {
 				return err
 			}
@@ -74,7 +79,7 @@ func Table2(o Options, w io.Writer) error {
 	t := &table{header: []string{"dim", "impl", "padding_overhead_pct", "achieved_GB_per_s"}}
 	for _, dim := range o.cpuSweep() {
 		for _, im := range []harness.Impl{harness.GPULayoutCA, harness.GPULayoutUM, harness.GPUMemMapUM} {
-			res, err := mustRun(v1Config(im, dim, stencil.Star7(), o))
+			res, err := harness.Run(v1Config(im, dim, stencil.Star7(), o))
 			if err != nil {
 				return err
 			}
@@ -85,8 +90,7 @@ func Table2(o Options, w io.Writer) error {
 			// Achieved bandwidth: wire bytes per exchange over the modeled
 			// comm time per exchange (comm is averaged per timestep; one
 			// exchange covers ghost/radius steps).
-			period := float64(8 / stencil.Star7().Radius)
-			commPerExchange := res.Comm.Mean() * period
+			commPerExchange := res.Comm.Mean() * float64(res.Config.ExchangePeriod())
 			bw := 0.0
 			if commPerExchange > 0 {
 				bw = float64(res.WireBytes) / commPerExchange
@@ -107,7 +111,7 @@ func Fig16(o Options, w io.Writer) error {
 			for _, im := range []harness.Impl{harness.GPULayoutCA, harness.GPUMemMapUM, harness.GPUTypesUM} {
 				cfg := v1Config(im, dim, st, o)
 				cfg.Procs = [3]int{procs, procs, procs}
-				res, err := mustRun(cfg)
+				res, err := harness.Run(cfg)
 				if err != nil {
 					return err
 				}
@@ -127,7 +131,7 @@ func Fig17(o Options, w io.Writer) error {
 		for _, im := range []harness.Impl{harness.GPUTypesUM, harness.GPUMemMapUM, harness.GPULayoutCA} {
 			cfg := v1Config(im, dim, stencil.Star7(), o)
 			cfg.Procs = [3]int{procs, procs, procs}
-			res, err := mustRun(cfg)
+			res, err := harness.Run(cfg)
 			if err != nil {
 				return err
 			}

@@ -132,9 +132,6 @@ func NewPageTable(dev *Device, sizeBytes int) *PageTable {
 // NumPages returns the number of pages covered.
 func (pt *PageTable) NumPages() int { return len(pt.res) }
 
-// PageBytes returns the page granularity.
-func (pt *PageTable) PageBytes() int { return pt.pageBytes }
-
 // access migrates the pages overlapping [off, off+n) bytes to the given
 // residency, charging a fault per moved page, and returns the total cost.
 func (pt *PageTable) access(off, n int, want Residency) time.Duration {

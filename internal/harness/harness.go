@@ -1,8 +1,8 @@
 // Package harness runs the paper's experiments: a periodic Cartesian grid
 // of ranks, each owning one subdomain, stepping a stencil with one of the
 // evaluated exchange implementations and reporting the artifact's metrics —
-// per-timestep calc/pack/call/wait times as [min, avg, max] (σ) summaries,
-// overall GStencil/s throughput, and a deterministic modeled network time.
+// per-timestep calc/pack/call/wait times as [min, avg, max] (σ) summaries
+// and overall GStencil/s throughput over the wall-clock step time.
 package harness
 
 import (
@@ -102,10 +102,10 @@ type Config struct {
 	Stencil   stencil.Stencil
 	Steps     int // timed timesteps
 	Warmup    int // untimed timesteps
-	Machine   netmodel.Machine
-	// PageBytes overrides the page size used for MemMap padding (Fig. 18
-	// page-size sweep); 0 uses the machine's page size.
-	PageBytes int
+	// Machine is the host profile: its PageSize is MemMap's padding
+	// granularity (the Fig. 18 sweep sets it) and, with its links, the
+	// GPU simulator's cost model.
+	Machine netmodel.Machine
 	// ExpandGhost amortizes exchanges over Ghost/Radius timesteps with
 	// redundant computation (ghost-cell expansion), each exchange completing
 	// before the step computes. Off, every step exchanges and, for every
@@ -201,15 +201,8 @@ func (c Config) transportName() string {
 // other than the in-process chan default).
 func (c Config) supervised() bool { return c.transportName() != mpi.DefaultTransport }
 
-func (c Config) pageBytes() int {
-	if c.PageBytes > 0 {
-		return c.PageBytes
-	}
-	return c.Machine.PageSize
-}
-
-// exchangePeriod returns how many timesteps one exchange covers.
-func (c Config) exchangePeriod() int {
+// ExchangePeriod returns how many timesteps one exchange covers.
+func (c Config) ExchangePeriod() int {
 	if !c.ExpandGhost {
 		return 1
 	}
@@ -226,20 +219,10 @@ type Result struct {
 	Call Summary // posting sends/receives
 	Wait Summary // completion waits
 	Comm Summary // Pack+Call+Wait per timestep
-
-	// Network is the deterministic modeled network time per timestep
-	// (per-message α + bytes/β over the machine profile); NetworkFloor is
-	// the same for the minimal one-message-per-neighbor plan — the paper's
-	// "Network" reference line.
-	Network      Summary
-	NetworkFloor float64
-
-	// CommSynth is the synthetic communication time per timestep: measured
-	// on-node data movement (Pack) plus modeled network time. On hosts with
-	// fewer cores than ranks, measured call/wait absorbs co-scheduled
-	// ranks' work; CommSynth is the oversubscription-robust comparison
-	// metric (real copies + deterministic wire model).
-	CommSynth Summary
+	// Step is the wall-clock time of each timed step, exchange and all
+	// (modeled calc+comm for GPU). A paired sweep's time is split evenly
+	// between its two steps.
+	Step Summary
 
 	// MsgsPerExchange is the number of messages each rank sends per
 	// exchange; DataBytes/WireBytes are per rank per exchange.
@@ -248,7 +231,7 @@ type Result struct {
 	WireBytes       int64
 
 	// GStencils is throughput in 1e9 stencil updates per second over the
-	// global domain (paper's GStencil/s).
+	// global domain (paper's GStencil/s): global points over Step's mean.
 	GStencils float64
 
 	// Plan summarizes rank 0's compiled exchange plan (nil for GPU
@@ -269,12 +252,6 @@ type Result struct {
 	// to prove an injected failure actually fired.
 	Recoveries int
 }
-
-// StepSeconds returns the average total time per timestep used for
-// throughput: measured computation plus CommSynth (measured on-node
-// movement + modeled wire time), which stays meaningful when ranks
-// oversubscribe the host's cores.
-func (r *Result) StepSeconds() float64 { return r.Calc.Mean() + r.CommSynth.Mean() }
 
 // Validate checks configuration consistency.
 func (c Config) Validate() error {
@@ -616,11 +593,10 @@ func aggregate(cfg Config, perRank []Result) Result {
 		out.Call.Merge(r.Call)
 		out.Wait.Merge(r.Wait)
 		out.Comm.Merge(r.Comm)
-		out.Network.Merge(r.Network)
-		out.CommSynth.Merge(r.CommSynth)
+		out.Step.Merge(r.Step)
 	}
 	globalPoints := float64(cfg.Dom[0]*cfg.Procs[0]) * float64(cfg.Dom[1]*cfg.Procs[1]) * float64(cfg.Dom[2]*cfg.Procs[2])
-	if step := out.StepSeconds(); step > 0 {
+	if step := out.Step.Mean(); step > 0 {
 		out.GStencils = globalPoints / step / 1e9
 	}
 	if reg := cfg.Metrics; reg != nil {
@@ -641,7 +617,7 @@ func initValue(gx, gy, gz int) float64 {
 // margins precomputes the ghost-expansion margin for each phase of the
 // exchange period.
 func margins(cfg Config) []int {
-	m := cfg.exchangePeriod()
+	m := cfg.ExchangePeriod()
 	if m == 1 {
 		return []int{0} // fresh ghosts every step: no redundant computation
 	}
@@ -650,14 +626,4 @@ func margins(cfg Config) []int {
 		out[q] = cfg.Ghost - (q+1)*cfg.Stencil.Radius
 	}
 	return out
-}
-
-// modeledNetwork returns the modeled network seconds of one exchange of a
-// compiled plan: each send priced by the machine profile.
-func modeledNetwork(mach netmodel.Machine, plan *core.ExchangePlan) float64 {
-	var total time.Duration
-	for _, m := range plan.Sends {
-		total += mach.Cost(netmodel.Network, int(m.Bytes))
-	}
-	return total.Seconds()
 }

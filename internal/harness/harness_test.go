@@ -213,11 +213,8 @@ func TestMetricsPopulated(t *testing.T) {
 	if res.GStencils <= 0 {
 		t.Error("throughput not positive")
 	}
-	if res.NetworkFloor <= 0 {
-		t.Error("network floor missing")
-	}
-	if res.Network.Mean() < res.NetworkFloor {
-		t.Errorf("modeled network %v below floor %v", res.Network.Mean(), res.NetworkFloor)
+	if res.Step.N() != res.Calc.N() || res.Step.Mean() < res.Calc.Mean() {
+		t.Errorf("step %d samples, mean %v; calc %d samples, mean %v", res.Step.N(), res.Step.Mean(), res.Calc.N(), res.Calc.Mean())
 	}
 	if res.DataBytes <= 0 || res.WireBytes < res.DataBytes {
 		t.Errorf("bytes: data %d wire %d", res.DataBytes, res.WireBytes)
@@ -273,9 +270,9 @@ func TestGPUResultsModeled(t *testing.T) {
 func TestPageBytesOverride(t *testing.T) {
 	// Fig 18: larger synthetic pages → more wire bytes for MemMap.
 	small := baseConfig(MemMap)
-	small.PageBytes = 4096
+	small.Machine.PageSize = 4096
 	big := baseConfig(MemMap)
-	big.PageBytes = 16384
+	big.Machine.PageSize = 16384
 	a, err := Run(small)
 	if err != nil {
 		t.Fatal(err)

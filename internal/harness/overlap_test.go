@@ -140,7 +140,9 @@ func runHaloWorld(t *testing.T, w *mpi.World, cfg Config, gate func(), body func
 // timed steps of the overlapped schedule, every rank's Calc + Pack + Call +
 // Wait is at most the wall time of its step loop, and at least 0.9 of it:
 // the phases are disjoint intervals of the step, and what they leave out is
-// the loop's bookkeeping. Layout and MemMap at 32³ on every transport.
+// the loop's bookkeeping. The booked Step times lie between the two: each
+// step's clock encloses its phases, and the loop encloses the steps.
+// Layout and MemMap at 32³ on every transport.
 func TestPhaseAccountAddsUp(t *testing.T) {
 	for _, tr := range mpi.TransportNames() {
 		for _, im := range []Impl{Layout, MemMap} {
@@ -156,9 +158,14 @@ func TestPhaseAccountAddsUp(t *testing.T) {
 				runHaloWorld(t, w, haloConfig(im, 5, 40), nil, func(lp *rankLoop, wall time.Duration) {
 					r := &lp.res
 					phases := r.Calc.Sum() + r.Pack.Sum() + r.Call.Sum() + r.Wait.Sum()
-					if s := wall.Seconds(); phases > s || phases < 0.9*s {
+					s := wall.Seconds()
+					if phases > s || phases < 0.9*s {
 						t.Errorf("rank %d: calc+pack+call+wait %.3f ms over a %.3f ms loop (%.2f), want within [0.9, 1]",
 							lp.rank, 1e3*phases, 1e3*s, phases/s)
+					}
+					if step := r.Step.Sum(); r.Step.N() != r.Calc.N() || phases > step || step > s {
+						t.Errorf("rank %d: %d steps booked %.3f ms, want %d steps between the phases' %.3f ms and the loop's %.3f ms",
+							lp.rank, r.Step.N(), 1e3*step, r.Calc.N(), 1e3*phases, 1e3*s)
 					}
 				})
 			})

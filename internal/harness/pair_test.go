@@ -16,7 +16,7 @@ import (
 // pairStarts lists the absolute steps the rank loop would start a pair at
 // over a whole run of cfg, stepping as runRank does.
 func pairStarts(cfg Config) []int {
-	lp := &rankLoop{cfg: cfg, period: cfg.exchangePeriod()}
+	lp := &rankLoop{cfg: cfg, period: cfg.ExchangePeriod()}
 	lp.overlap = lp.period == 1 && cfg.Impl != Shift
 	if cfg.Checkpoint {
 		lp.cfg.ck = &ckptState{every: cfg.CheckpointEvery}
@@ -101,7 +101,7 @@ func TestPairedSubstepsBitIdentical(t *testing.T) {
 						cfg.ExpandGhost = true
 						got, err := Run(cfg)
 						if err != nil {
-							t.Fatalf("period %d: %v", cfg.exchangePeriod(), err)
+							t.Fatalf("period %d: %v", cfg.ExchangePeriod(), err)
 						}
 						if math.Float64bits(got.Checksum) != math.Float64bits(want.Checksum) {
 							t.Errorf("paired checksum %v, period-1 %v", got.Checksum, want.Checksum)

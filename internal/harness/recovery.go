@@ -92,12 +92,10 @@ func (ck *ckptState) noteDigest(rank int, digest string) error {
 // manifest leaves a partial epoch that ckpt.ScanDir skips, and the previous
 // committed epoch is still on disk. The second barrier also keeps a rank
 // from racing ahead and mutating storage another rank is still encoding.
-// Across the barriers nothing is delivered into a rank's storage: delivery
-// needs the rank to start its receives, and every rank is here between
-// steps with its receives completed. The pipelined brick schedule does
-// have the next exchange's sends armed and released across them, but they
-// only read surface bricks, which capture copies unchanged, and a replay
-// re-arms them from the restored storage, so the bytes sent are the same.
+// Across the barriers no exchange is in flight: every schedule starts and
+// completes each exchange inside one step, and every rank is here between
+// steps, so no transfer reads or writes the storage a capture copies, and
+// a replay from the restored storage sends the same bytes.
 // Both barriers tick the watchdog progress counter, so a slow checkpoint
 // is progress, not a stall.
 func (ck *ckptState) checkpoint(comm *mpi.Comm, rank, step int, capture func() *ckpt.Snapshot) {

@@ -12,7 +12,6 @@ import (
 	"github.com/bricklab/brick/internal/grid"
 	"github.com/bricklab/brick/internal/layout"
 	"github.com/bricklab/brick/internal/mpi"
-	"github.com/bricklab/brick/internal/netmodel"
 	"github.com/bricklab/brick/internal/stencil"
 )
 
@@ -104,8 +103,7 @@ type rankLoop struct {
 
 	period, cur, startAbs int
 	marg                  []int
-	overlap               bool    // the overlapped schedule: period 1, not Shift
-	net                   float64 // modeled network seconds per exchange
+	overlap               bool // the overlapped schedule: period 1, not Shift
 }
 
 // runRank executes the measured CPU implementations.
@@ -141,7 +139,7 @@ func newRankLoop(cfg Config, cart *mpi.Cart) (*rankLoop, error) {
 	comm := cart.Comm()
 	lp := &rankLoop{cfg: cfg, comm: comm, rank: comm.Rank(), res: Result{Config: cfg},
 		po: newPhaseObs(cfg.Metrics, cfg.Impl, comm.Rank()), fr: cfg.FlightRec.Rank(comm.Rank()),
-		period: cfg.exchangePeriod(), marg: margins(cfg)}
+		period: cfg.ExchangePeriod(), marg: margins(cfg)}
 	lp.overlap = lp.period == 1 && cfg.Impl != Shift
 	newLayout := newGridRank
 	if cfg.Impl.Brick() {
@@ -152,9 +150,7 @@ func newRankLoop(cfg Config, cart *mpi.Cart) (*rankLoop, error) {
 		return lp, err
 	}
 	// The compiled plan's sends are the messages of one exchange.
-	plan := lp.lay.exchangers()[0].Plan()
-	lp.res.MsgsPerExchange = len(plan.Sends)
-	lp.net = modeledNetwork(cfg.Machine, plan)
+	lp.res.MsgsPerExchange = len(lp.lay.exchangers()[0].Plan().Sends)
 
 	// Under the recovery driver: pin the plan digest (a respawned rank must
 	// re-pair the identical plan) and, when a checkpoint epoch exists,
@@ -239,6 +235,7 @@ func (lp *rankLoop) restore(snap *ckpt.Snapshot) error {
 // and, past warmup, the accounting, and returns how many steps it ran.
 // Warmup steps count the exchange cadence from 0, and so do timed steps.
 func (lp *rankLoop) step(abs int) int {
+	t0 := time.Now()
 	cfg := &lp.cfg
 	s, timed := abs, abs >= cfg.Warmup
 	if timed {
@@ -276,11 +273,12 @@ func (lp *rankLoop) step(abs int) int {
 	if !timed {
 		return n
 	}
-	// A pair's compute time is booked half to each step, and its exchange
-	// (if any) to the first, so every summary stays per step.
+	// A pair's wall and compute time are booked half to each step, and its
+	// exchange (if any) to the first, so every summary stays per step.
+	wall := time.Since(t0) / time.Duration(n)
 	calc /= time.Duration(n)
-	for i := range n {
-		lp.account(calc, tm, q+i == 0)
+	for range n {
+		lp.account(wall, calc, tm)
 		tm = core.PhaseTimings{}
 	}
 	return n
@@ -297,24 +295,16 @@ func (lp *rankLoop) pairs(abs, q int) bool {
 		(cfg.ck == nil || next%cfg.ck.every != 0)
 }
 
-// account books one timed step: its compute time, its exchanger phase
-// split, and the modeled network time when the step exchanged.
-func (lp *rankLoop) account(calc time.Duration, tm core.PhaseTimings, exchanged bool) {
+// account books one timed step: its wall time, its compute time and its
+// exchanger phase split.
+func (lp *rankLoop) account(wall, calc time.Duration, tm core.PhaseTimings) {
 	res := &lp.res
+	res.Step.AddDuration(wall)
 	res.Calc.AddDuration(calc)
 	res.Pack.AddDuration(tm.Pack)
 	res.Call.AddDuration(tm.Call)
 	res.Wait.AddDuration(tm.Wait)
 	res.Comm.AddDuration(tm.Pack + tm.Call + tm.Wait)
-	net := 0.0
-	if exchanged {
-		net = lp.net
-	}
-	res.Network.Add(net)
-	// Pack is zero on the pack-free brick paths (the timer only runs when
-	// staging work exists, e.g. the shmem-degraded fallback), so CommSynth
-	// stays measured on-node movement + modeled wire time.
-	res.CommSynth.Add(tm.Pack.Seconds() + net)
 	lp.po.observeStep(calc, tm.Pack, tm.Call, tm.Wait)
 }
 
@@ -349,7 +339,7 @@ type brickRank struct {
 }
 
 // newBrickRank builds one rank's brick storages and exchanges, and fills
-// the result's byte and floor fields. It returns r even on error, so the
+// the result's byte fields. It returns r even on error, so the
 // caller's close releases whatever was built.
 func newBrickRank(cfg Config, cart *mpi.Cart, overlap bool, res *Result) (rankLayout, error) {
 	comm := cart.Comm()
@@ -362,7 +352,7 @@ func newBrickRank(cfg Config, cart *mpi.Cart, overlap bool, res *Result) (rankLa
 	var opts []core.Option
 	switch {
 	case r.mapped:
-		opts = append(opts, core.WithPageAlignment(cfg.pageBytes()))
+		opts = append(opts, core.WithPageAlignment(cfg.Machine.PageSize))
 	case cfg.Impl == Basic:
 		opts = append(opts, core.WithPerRegionMessages())
 	}
@@ -430,8 +420,6 @@ func newBrickRank(cfg Config, cart *mpi.Cart, overlap bool, res *Result) (rankLa
 
 	data, wire := dec.ExchangeBytes()
 	res.DataBytes, res.WireBytes = int64(data), int64(wire)
-	// The floor: unpadded payloads, one message per neighbor.
-	res.NetworkFloor = gpu.NetworkFloor(dec, cfg.Machine, netmodel.Network).Seconds()
 	return r, nil
 }
 
@@ -589,7 +577,7 @@ type gridRank struct {
 }
 
 // newGridRank builds one rank's grids and exchangers, and fills the
-// result's byte and floor fields.
+// result's byte fields.
 func newGridRank(cfg Config, cart *mpi.Cart, _ bool, res *Result) (rankLayout, error) {
 	g := &gridRank{cfg: cfg, gs: [2]*grid.Grid{grid.New(cfg.Dom, cfg.Ghost), grid.New(cfg.Dom, cfg.Ghost)}}
 	seedDomain(cfg, cart, func(y, z int, vals []float64) {
@@ -608,12 +596,9 @@ func newGridRank(cfg Config, cart *mpi.Cart, _ bool, res *Result) (rankLayout, e
 			g.exs[i] = grid.NewPackExchanger(gr, cart)
 		}
 	}
-	// One message per neighbor with exact region payloads: the plan is its
-	// own network floor.
-	plan := g.exs[0].Plan()
-	res.DataBytes = plan.SendBytes()
+	// One message per neighbor with exact region payloads: no padding.
+	res.DataBytes = g.exs[0].Plan().SendBytes()
 	res.WireBytes = res.DataBytes
-	res.NetworkFloor = modeledNetwork(cfg.Machine, plan)
 	return g, nil
 }
 
@@ -684,9 +669,7 @@ func runGPURank(cfg Config, cart *mpi.Cart) (Result, error) {
 	strat := map[Impl]gpu.Strategy{GPULayoutCA: gpu.LayoutCA, GPULayoutUM: gpu.LayoutUM,
 		GPUMemMapUM: gpu.MemMapUM, GPUTypesUM: gpu.TypesUM, GPUStaged: gpu.StagedArray}[cfg.Impl]
 	spec := gpu.V100()
-	if cfg.PageBytes > 0 {
-		spec.PageSize = cfg.PageBytes
-	} else if cfg.Machine.PageSize > 0 {
+	if cfg.Machine.PageSize > 0 {
 		spec.PageSize = cfg.Machine.PageSize
 	}
 	sim, err := gpu.NewSim(cart, gpu.Config{
@@ -714,49 +697,42 @@ func runGPURank(cfg Config, cart *mpi.Cart) (Result, error) {
 		return initValue(org[0]+x, org[1]+y, org[2]+z)
 	})
 
-	period := cfg.exchangePeriod()
+	period := cfg.ExchangePeriod()
 	marg := margins(cfg)
-	comm := cart.Comm()
-	po := newPhaseObs(cfg.Metrics, cfg.Impl, comm.Rank())
-	fr := cfg.FlightRec.Rank(comm.Rank()) // nil when the recorder is off
+	rank := cart.Comm().Rank()
+	po := newPhaseObs(cfg.Metrics, cfg.Impl, rank)
+	fr := cfg.FlightRec.Rank(rank) // nil when the recorder is off
 	// GPU runs have no snapshot hooks: recovery replays a modeled run from
 	// step zero (the sim is rebuilt each epoch; injected panics are
-	// one-shot, so replay runs clean).
-	step := func(abs, s int, timed bool) {
-		fr.StepMark(abs)
-		cfg.inj.StepPanic(comm.Rank(), abs)
+	// one-shot, so replay runs clean). Warmup and timed steps each count
+	// the exchange cadence from 0.
+	for a := 0; a < cfg.Warmup+cfg.Steps; a++ {
+		s, timed := a, a >= cfg.Warmup
+		if timed {
+			s -= cfg.Warmup
+		}
+		fr.StepMark(a)
+		cfg.inj.StepPanic(rank, a)
 		var cc gpu.CommCost
 		if s%period == 0 {
 			cc = sim.Exchange()
 		}
 		calc := sim.Compute(marg[s%period])
-		if timed {
-			po.observeStep(calc, cc.Fault+cc.Engine, 0, cc.Link)
-			res.Calc.AddDuration(calc)
-			res.Pack.AddDuration(cc.Fault + cc.Engine)
-			res.Call.Add(0)
-			res.Wait.AddDuration(cc.Link)
-			res.Comm.AddDuration(cc.Total())
-			res.CommSynth.AddDuration(cc.Total())
-			res.Network.AddDuration(cc.Link)
-			if s%period == 0 && res.MsgsPerExchange == 0 {
-				res.MsgsPerExchange = cc.Msgs
-				res.DataBytes = cc.Data
-				res.WireBytes = cc.Wire
-			}
+		if !timed {
+			continue
 		}
-	}
-	for a := 0; a < cfg.Warmup+cfg.Steps; a++ {
-		if a < cfg.Warmup {
-			step(a, a, false)
-		} else {
-			step(a, a-cfg.Warmup, true)
+		po.observeStep(calc, cc.Fault+cc.Engine, 0, cc.Link)
+		res.Calc.AddDuration(calc)
+		res.Pack.AddDuration(cc.Fault + cc.Engine)
+		res.Call.Add(0)
+		res.Wait.AddDuration(cc.Link)
+		res.Comm.AddDuration(cc.Total())
+		res.Step.AddDuration(calc + cc.Total())
+		if s%period == 0 && res.MsgsPerExchange == 0 {
+			res.MsgsPerExchange = cc.Msgs
+			res.DataBytes = cc.Data
+			res.WireBytes = cc.Wire
 		}
-	}
-	// Floor: minimal per-neighbor plan over GPUDirect (NetworkCA line).
-	dec, err := core.NewBrickDecomp(cfg.Shape, cfg.Dom, cfg.Ghost, 2, layout.Surface3D())
-	if err == nil {
-		res.NetworkFloor = gpu.NetworkFloor(dec, cfg.Machine, netmodel.GPUDirect).Seconds()
 	}
 	res.Checksum = sumDomain(cfg, sim.Elem)
 	return res, nil

@@ -316,9 +316,20 @@ func gridKernelMatchesTable(t *testing.T) {
 
 // benchBricks times one serial application over a dim³ domain of 8³ bricks
 // (ghost 8, the benchmark's decomposition) and reports ns per computed
-// element, so the brick and array kernels read off one scale.
+// element, so the brick and array kernels read off one scale. Source and
+// destination are single-field storages, one per time level, as the
+// harness's brick ranks keep them.
 func benchBricks(b *testing.B, st Stencil, dim, margin int) {
-	dec, _, src, dst, _ := kernelSetupShape(b, core.Shape{8, 8, 8}, [3]int{dim, dim, dim}, 8)
+	dec, err := core.NewBrickDecomp(core.Shape{8, 8, 8}, [3]int{dim, dim, dim}, 8, 1, layout.Surface3D())
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := dec.Allocate()
+	for i := range in.Data {
+		in.Data[i] = fillValue(i)
+	}
+	info := dec.BrickInfo()
+	src, dst := core.NewBrick(info, in, 0), core.NewBrick(info, dec.Allocate(), 0)
 	e := dim + 2*margin
 	b.SetBytes(int64(8 * e * e * e))
 	b.ResetTimer()
