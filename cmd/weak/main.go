@@ -2,7 +2,8 @@
 // one configuration on a periodic rank grid and prints the artifact's five
 // metrics — calc, pack, call, wait (seconds per timestep, as
 // [minimum, average, maximum] (σ)) and perf (overall GStencil/s) — plus
-// step, the wall-clock time per timestep that perf divides by.
+// step, the wall-clock time per timestep that perf divides by, with its
+// median, 90th and 99th percentiles.
 //
 // Example (the paper's K1 point at subdomain 32³ with the Layout method):
 //
@@ -85,8 +86,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "weak: flight artifact written to %s (inspect with flightreport)\n", common.FlightOut)
 	}
 
-	fmt.Printf("impl=%s dim=%d ranks=%v stencil=%s steps=%d msgs/exchange=%d wire=%dB",
-		im, *dim, procs, r.Stencil.Name, common.Iters, res.MsgsPerExchange, res.WireBytes)
+	fmt.Printf("impl=%s dim=%d ranks=%v workers=%d gomaxprocs=%d stencil=%s steps=%d msgs/exchange=%d wire=%dB",
+		im, *dim, procs, res.Config.Workers, res.MaxProcs, r.Stencil.Name, common.Iters, res.MsgsPerExchange, res.WireBytes)
 	if res.Modeled {
 		fmt.Print(" [modeled]")
 	}
@@ -98,6 +99,7 @@ func main() {
 	fmt.Printf("pack %s\n", res.Pack.String())
 	fmt.Printf("call %s\n", res.Call.String())
 	fmt.Printf("wait %s\n", res.Wait.String())
-	fmt.Printf("step %s\n", res.Step.String())
+	h := res.StepHist
+	fmt.Printf("step %s p50 %.3e p90 %.3e p99 %.3e\n", res.Step.String(), h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99))
 	fmt.Printf("perf %.4f GStencil/s\n", res.GStencils)
 }

@@ -56,7 +56,7 @@ func RegisterCommon(ghostDefault, brickDefault, itersDefault int) *Common {
 	flag.IntVar(&c.Ghost, "ghost", ghostDefault, "ghost width (elements)")
 	flag.IntVar(&c.Brick, "brick", brickDefault, "brick dimension")
 	flag.IntVar(&c.Iters, "I", itersDefault, "timed iterations (timesteps)")
-	flag.IntVar(&c.Workers, "workers", 0, "compute workers per rank (0 = GOMAXPROCS)")
+	flag.IntVar(&c.Workers, "workers", 0, "compute workers per rank (0 = GOMAXPROCS ÷ ranks, at least 1)")
 	flag.StringVar(&c.MetricsOut, "metrics-out", "", "write a metrics snapshot JSON (brick-metrics/v1) to this file")
 	flag.StringVar(&c.PprofAddr, "pprof-addr", "", "serve /metrics, /metrics.json, /debug/pprof on this address (e.g. localhost:6060)")
 	flag.StringVar(&c.Fault, "fault", "", "fault-injection spec, e.g. delay:rank=*:mean=200us or panic:rank=1:step=3 (see docs/robustness.md)")

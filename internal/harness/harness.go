@@ -8,6 +8,7 @@ package harness
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -113,7 +114,10 @@ type Config struct {
 	ExpandGhost bool
 	// Workers is the per-rank compute worker count for the stencil kernels
 	// (the rank's "OpenMP team" in the paper's experiments). 0 resolves to
-	// GOMAXPROCS; 1 disables intra-rank parallelism.
+	// the rank's share of the host, GOMAXPROCS ÷ ranks (at least 1), since
+	// every rank of a run shares this host; 1 disables intra-rank
+	// parallelism. A worker process's runtime is sized to it (see
+	// rankShare).
 	Workers int
 	// Fault is a fault-injection spec (see fault.Parse: delay, stall, panic,
 	// mapfail, allocfail clauses), seeded by FaultSeed. Empty (the default)
@@ -189,6 +193,22 @@ type Config struct {
 
 func (c Config) ranks() int { return c.Procs[0] * c.Procs[1] * c.Procs[2] }
 
+// rankShare is a rank's share of a host whose processes start with procs
+// GOMAXPROCS: its compute workers — Workers when positive, else
+// procs ÷ ranks and at least 1, for every transport runs all ranks on this
+// host — and the GOMAXPROCS a rank's own worker process runs at, its
+// workers but never more than procs. Sized so, a worker process's frame
+// reader, heartbeater and spinner share its rank's processors instead of
+// spinning on its peers'. Goroutine ranks share their process and keep its
+// GOMAXPROCS.
+func (c Config) rankShare(procs int) (workers, rankProcs int) {
+	workers = c.Workers
+	if workers <= 0 {
+		workers = max(1, procs/c.ranks())
+	}
+	return workers, min(workers, procs)
+}
+
 // transportName resolves the empty default to the mpi default backend.
 func (c Config) transportName() string {
 	if c.Transport == "" {
@@ -223,12 +243,20 @@ type Result struct {
 	// (modeled calc+comm for GPU). A paired sweep's time is split evenly
 	// between its two steps.
 	Step Summary
+	// StepHist holds the same step times in log₂ buckets, which merge
+	// exactly across ranks, for Step's percentiles.
+	StepHist *metrics.Histogram
 
 	// MsgsPerExchange is the number of messages each rank sends per
 	// exchange; DataBytes/WireBytes are per rank per exchange.
 	MsgsPerExchange int
 	DataBytes       int64
 	WireBytes       int64
+
+	// MaxProcs is the GOMAXPROCS the ranks ran at, the largest over ranks:
+	// the process's own for goroutine ranks, a worker process's as
+	// rankShare sized it.
+	MaxProcs int
 
 	// GStencils is throughput in 1e9 stencil updates per second over the
 	// global domain (paper's GStencil/s): global points over Step's mean.
@@ -251,6 +279,17 @@ type Result struct {
 	// rounds under shmem supervision. Zero on fault-free runs; tests use it
 	// to prove an injected failure actually fired.
 	Recoveries int
+}
+
+// newResult is a rank's empty result, ready to book steps.
+func newResult(cfg Config) Result {
+	return Result{Config: cfg, StepHist: metrics.NewHistogram()}
+}
+
+// addStep books one timed step's time.
+func (r *Result) addStep(d time.Duration) {
+	r.Step.AddDuration(d)
+	r.StepHist.Observe(d.Seconds())
 }
 
 // Validate checks configuration consistency.
@@ -407,6 +446,7 @@ func Run(cfg Config) (res Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
+	cfg.Workers, _ = cfg.rankShare(runtime.GOMAXPROCS(0))
 	inj, err := fault.Parse(cfg.Fault, cfg.FaultSeed)
 	if err != nil {
 		return Result{}, err
@@ -558,6 +598,7 @@ func rankBody(cfg Config, perRank []Result) func(*mpi.Comm) {
 		}
 		// Global checksum over ranks.
 		r.Checksum = c.Allreduce1(mpi.OpSum, r.Checksum)
+		r.MaxProcs = runtime.GOMAXPROCS(0)
 		if reg := cfg.Metrics; reg != nil {
 			// Mirror the drained traffic counters into the registry so the
 			// snapshot carries per-rank message/byte counts. Counters
@@ -587,6 +628,8 @@ func rankBody(cfg Config, perRank []Result) func(*mpi.Comm) {
 // aggregate merges the per-rank results into the run's Result.
 func aggregate(cfg Config, perRank []Result) Result {
 	out := perRank[0]
+	out.StepHist = metrics.NewHistogram()
+	out.StepHist.Merge(perRank[0].StepHist)
 	for _, r := range perRank[1:] {
 		out.Calc.Merge(r.Calc)
 		out.Pack.Merge(r.Pack)
@@ -594,6 +637,8 @@ func aggregate(cfg Config, perRank []Result) Result {
 		out.Wait.Merge(r.Wait)
 		out.Comm.Merge(r.Comm)
 		out.Step.Merge(r.Step)
+		out.StepHist.Merge(r.StepHist)
+		out.MaxProcs = max(out.MaxProcs, r.MaxProcs)
 	}
 	globalPoints := float64(cfg.Dom[0]*cfg.Procs[0]) * float64(cfg.Dom[1]*cfg.Procs[1]) * float64(cfg.Dom[2]*cfg.Procs[2])
 	if step := out.Step.Mean(); step > 0 {

@@ -300,3 +300,29 @@ func TestSingleRankRun(t *testing.T) {
 		t.Error("no throughput")
 	}
 }
+
+// TestRankShare: a rank's compute workers are Workers when positive, else
+// its share of the host's GOMAXPROCS (at least one), and the runtime of a
+// rank's worker process is as wide as its workers but never wider than the
+// process started.
+func TestRankShare(t *testing.T) {
+	for _, c := range []struct {
+		workers, ranks, procs int
+		want, wantProcs       int
+	}{
+		{workers: 3, ranks: 2, procs: 8, want: 3, wantProcs: 3},
+		{workers: 1, ranks: 8, procs: 2, want: 1, wantProcs: 1},
+		{workers: 0, ranks: 1, procs: 2, want: 2, wantProcs: 2},
+		{workers: 0, ranks: 2, procs: 2, want: 1, wantProcs: 1},
+		{workers: 0, ranks: 8, procs: 2, want: 1, wantProcs: 1},
+		{workers: -1, ranks: 2, procs: 8, want: 4, wantProcs: 4},
+		{workers: 4, ranks: 2, procs: 2, want: 4, wantProcs: 2},
+		{workers: 0, ranks: 1, procs: 1, want: 1, wantProcs: 1},
+	} {
+		cfg := Config{Workers: c.workers, Procs: [3]int{c.ranks, 1, 1}}
+		if got, procs := cfg.rankShare(c.procs); got != c.want || procs != c.wantProcs {
+			t.Errorf("Workers %d, %d ranks, GOMAXPROCS %d: %d workers at GOMAXPROCS %d, want %d at %d",
+				c.workers, c.ranks, c.procs, got, procs, c.want, c.wantProcs)
+		}
+	}
+}

@@ -141,7 +141,8 @@ func runHaloWorld(t *testing.T, w *mpi.World, cfg Config, gate func(), body func
 // Wait is at most the wall time of its step loop, and at least 0.9 of it:
 // the phases are disjoint intervals of the step, and what they leave out is
 // the loop's bookkeeping. The booked Step times lie between the two: each
-// step's clock encloses its phases, and the loop encloses the steps.
+// step's clock encloses its phases, and the loop encloses the steps. The
+// step histogram holds every booked step, its median inside Step's range.
 // Layout and MemMap at 32³ on every transport.
 func TestPhaseAccountAddsUp(t *testing.T) {
 	for _, tr := range mpi.TransportNames() {
@@ -166,6 +167,10 @@ func TestPhaseAccountAddsUp(t *testing.T) {
 					if step := r.Step.Sum(); r.Step.N() != r.Calc.N() || phases > step || step > s {
 						t.Errorf("rank %d: %d steps booked %.3f ms, want %d steps between the phases' %.3f ms and the loop's %.3f ms",
 							lp.rank, r.Step.N(), 1e3*step, r.Calc.N(), 1e3*phases, 1e3*s)
+					}
+					if h := r.StepHist; h.Count() != uint64(r.Step.N()) || h.Quantile(0.5) < r.Step.Min() || h.Quantile(0.5) > r.Step.Max() {
+						t.Errorf("rank %d: step histogram holds %d steps with p50 %.3g s, want %d steps and p50 within [%.3g, %.3g] s",
+							lp.rank, h.Count(), h.Quantile(0.5), r.Step.N(), r.Step.Min(), r.Step.Max())
 					}
 				})
 			})

@@ -137,7 +137,7 @@ func runRank(cfg Config, cart *mpi.Cart) (Result, error) {
 // whatever was built.
 func newRankLoop(cfg Config, cart *mpi.Cart) (*rankLoop, error) {
 	comm := cart.Comm()
-	lp := &rankLoop{cfg: cfg, comm: comm, rank: comm.Rank(), res: Result{Config: cfg},
+	lp := &rankLoop{cfg: cfg, comm: comm, rank: comm.Rank(), res: newResult(cfg),
 		po: newPhaseObs(cfg.Metrics, cfg.Impl, comm.Rank()), fr: cfg.FlightRec.Rank(comm.Rank()),
 		period: cfg.ExchangePeriod(), marg: margins(cfg)}
 	lp.overlap = lp.period == 1 && cfg.Impl != Shift
@@ -299,7 +299,7 @@ func (lp *rankLoop) pairs(abs, q int) bool {
 // exchanger phase split.
 func (lp *rankLoop) account(wall, calc time.Duration, tm core.PhaseTimings) {
 	res := &lp.res
-	res.Step.AddDuration(wall)
+	res.addStep(wall)
 	res.Calc.AddDuration(calc)
 	res.Pack.AddDuration(tm.Pack)
 	res.Call.AddDuration(tm.Call)
@@ -665,7 +665,8 @@ func (g *gridRank) sweep(cur int, margins []int) time.Duration {
 
 // runGPURank executes the V-experiment strategies with modeled timing.
 func runGPURank(cfg Config, cart *mpi.Cart) (Result, error) {
-	res := Result{Config: cfg, Modeled: true}
+	res := newResult(cfg)
+	res.Modeled = true
 	strat := map[Impl]gpu.Strategy{GPULayoutCA: gpu.LayoutCA, GPULayoutUM: gpu.LayoutUM,
 		GPUMemMapUM: gpu.MemMapUM, GPUTypesUM: gpu.TypesUM, GPUStaged: gpu.StagedArray}[cfg.Impl]
 	spec := gpu.V100()
@@ -727,7 +728,7 @@ func runGPURank(cfg Config, cart *mpi.Cart) (Result, error) {
 		res.Call.Add(0)
 		res.Wait.AddDuration(cc.Link)
 		res.Comm.AddDuration(cc.Total())
-		res.Step.AddDuration(calc + cc.Total())
+		res.addStep(calc + cc.Total())
 		if s%period == 0 && res.MsgsPerExchange == 0 {
 			res.MsgsPerExchange = cc.Msgs
 			res.DataBytes = cc.Data

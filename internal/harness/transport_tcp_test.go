@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -182,5 +183,27 @@ func TestNetFaultsNeedTCP(t *testing.T) {
 		if !strings.Contains(err.Error(), "tcp") {
 			t.Errorf("transport %q rejection does not point at tcp: %v", cfg.transportName(), err)
 		}
+	}
+}
+
+// TestTCPWorkerRuntimeSized: the worker processes of a 2-rank tcp run with
+// one compute worker each run their rank at GOMAXPROCS 1, while goroutine
+// ranks on chan keep this process's GOMAXPROCS.
+func TestTCPWorkerRuntimeSized(t *testing.T) {
+	cfg := tcpConfig(Layout)
+	cfg.Procs, cfg.Workers, cfg.ExpandGhost = [3]int{2, 1, 1}, 1, false
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MaxProcs != 1 {
+		t.Errorf("tcp workers ran at GOMAXPROCS %d, want 1", res.MaxProcs)
+	}
+	cfg.Transport = ""
+	if res, err = Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if procs := runtime.GOMAXPROCS(0); res.MaxProcs != procs {
+		t.Errorf("goroutine ranks ran at GOMAXPROCS %d, want the process's %d", res.MaxProcs, procs)
 	}
 }

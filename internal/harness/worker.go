@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/coverage"
 
 	"github.com/bricklab/brick/internal/fault"
@@ -62,19 +63,29 @@ func runSupervised(cfg Config) (Result, error) {
 	}
 	perRank := make([]Result, n)
 	for _, e := range envs {
-		if e.Err != "" {
-			return Result{}, fmt.Errorf("%w: rank %d worker: %s", mpi.ErrAborted, e.Rank, e.Err)
+		if perRank[e.Rank], err = rankResult(cfg, e); err != nil {
+			return Result{}, err
 		}
-		if err := json.Unmarshal(e.Result, &perRank[e.Rank]); err != nil {
-			return Result{}, fmt.Errorf("harness: decoding rank %d result: %w", e.Rank, err)
-		}
-		// The worker stripped its Config copy from the envelope; restore the
-		// supervisor's, as the in-process runners would have recorded it.
-		perRank[e.Rank].Config = cfg
 	}
 	res := aggregate(cfg, perRank)
 	res.Recoveries = pol.recovered
 	return res, nil
+}
+
+// rankResult decodes the rank result a worker's envelope carries, or the
+// failure it reports.
+func rankResult(cfg Config, e proc.Envelope) (Result, error) {
+	if e.Err != "" {
+		return Result{}, fmt.Errorf("%w: rank %d worker: %s", mpi.ErrAborted, e.Rank, e.Err)
+	}
+	var r Result
+	if err := json.Unmarshal(e.Result, &r); err != nil {
+		return Result{}, fmt.Errorf("harness: decoding rank %d result: %w", e.Rank, err)
+	}
+	// The worker stripped its Config copy from the envelope; restore the
+	// supervisor's, as the in-process runners would have recorded it.
+	r.Config = cfg
+	return r, nil
 }
 
 // coverFlush writes this worker process's coverage counters before exit.
@@ -97,7 +108,8 @@ func coverFlush() {
 // drivers, test binaries whose TestMain includes it — calls it first thing
 // in main: in a normal process it detects nothing and returns immediately;
 // in a spawned worker (proc.IsWorker) it attaches the inherited segment,
-// runs its one rank, reports the result envelope, and exits.
+// sizes its runtime to the rank (Config.rankShare), runs its one rank,
+// reports the result envelope, and exits.
 //
 // A worker that gets as far as running its rank always exits 0 and carries
 // failures (world aborts included) inside the envelope; only a broken
@@ -125,6 +137,10 @@ func WorkerMain() {
 		fmt.Fprintf(os.Stderr, "brick worker: decoding spec: %v\n", err)
 		os.Exit(1)
 	}
+	// Size the runtime to the rank before it runs.
+	var procs int
+	cfg.Workers, procs = cfg.rankShare(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(procs)
 	inj, err := fault.Parse(cfg.Fault, cfg.FaultSeed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "brick worker: %v\n", err)

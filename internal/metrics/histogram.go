@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -32,6 +35,10 @@ type Histogram struct {
 	minBits atomic.Uint64 // float64 bits; +Inf until first observation
 	maxBits atomic.Uint64 // float64 bits; -Inf until first observation
 }
+
+// NewHistogram returns a histogram outside any registry: a distribution
+// its owner keeps, merges and ships itself.
+func NewHistogram() *Histogram { return newHistogram("", nil) }
 
 func newHistogram(name string, labels Labels) *Histogram {
 	h := &Histogram{name: name, labels: labels}
@@ -78,31 +85,7 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[bucketIndex(v)].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, nw) {
-			break
-		}
-	}
-	for {
-		old := h.minBits.Load()
-		if math.Float64frombits(old) <= v {
-			break
-		}
-		if h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		old := h.maxBits.Load()
-		if math.Float64frombits(old) >= v {
-			break
-		}
-		if h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
+	h.add(v, v, v)
 }
 
 // Count returns the number of observations (0 on nil).
@@ -206,4 +189,112 @@ func (h *Histogram) buckets() [histBuckets]uint64 {
 		out[i] = h.counts[i].Load()
 	}
 	return out
+}
+
+// Merge folds o's observations into h, as if each had been observed by h:
+// the bucket counts, count, min and max exactly, the sum to rounding. A
+// nil h or o is a no-op.
+func (h *Histogram) Merge(o *Histogram) {
+	if h == nil || o == nil || o.Count() == 0 {
+		return
+	}
+	for i := range h.counts {
+		h.counts[i].Add(o.counts[i].Load())
+	}
+	h.count.Add(o.Count())
+	h.add(o.Sum(), o.Min(), o.Max())
+}
+
+// add folds a sum and an observed range into the streaming fields.
+func (h *Histogram) add(sum, lo, hi float64) {
+	for {
+		old := h.sumBits.Load()
+		nw := math.Float64bits(math.Float64frombits(old) + sum)
+		if h.sumBits.CompareAndSwap(old, nw) {
+			break
+		}
+	}
+	for {
+		old := h.minBits.Load()
+		if math.Float64frombits(old) <= lo {
+			break
+		}
+		if h.minBits.CompareAndSwap(old, math.Float64bits(lo)) {
+			break
+		}
+	}
+	for {
+		old := h.maxBits.Load()
+		if math.Float64frombits(old) >= hi {
+			break
+		}
+		if h.maxBits.CompareAndSwap(old, math.Float64bits(hi)) {
+			break
+		}
+	}
+}
+
+// histogramJSON is a histogram's wire form: its whole state, with the
+// non-empty buckets named by their upper bound as in a Snapshot, so a
+// decoded histogram merges and reports exactly like the original.
+type histogramJSON struct {
+	Count   uint64   `json:"count"`
+	Sum     float64  `json:"sum"`
+	Min     float64  `json:"min"`
+	Max     float64  `json:"max"`
+	Buckets []Bucket `json:"buckets,omitempty"`
+}
+
+// MarshalJSON encodes the histogram's state.
+func (h *Histogram) MarshalJSON() ([]byte, error) {
+	w := histogramJSON{Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max()}
+	for i, n := range h.buckets() {
+		if n != 0 {
+			w.Buckets = append(w.Buckets, Bucket{LE: formatLE(bucketUpper(i)), Count: n})
+		}
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON restores a histogram from its wire form. A bucket bound
+// that is not one of the layout's, or bucket counts that overflow or do
+// not add up to the count, is an error.
+func (h *Histogram) UnmarshalJSON(b []byte) error {
+	var w histogramJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	var counts [histBuckets]uint64
+	var total uint64
+	for _, bk := range w.Buckets {
+		i := histBuckets - 1
+		if bk.LE != "+Inf" {
+			v, err := strconv.ParseFloat(bk.LE, 64)
+			if err != nil {
+				return fmt.Errorf("metrics: histogram bucket bound %q: %w", bk.LE, err)
+			}
+			if i = bucketIndex(v); bucketUpper(i) != v {
+				return fmt.Errorf("metrics: histogram bucket bound %q is not a bucket's", bk.LE)
+			}
+		}
+		if total+bk.Count < total {
+			return fmt.Errorf("metrics: histogram bucket counts overflow")
+		}
+		counts[i] += bk.Count
+		total += bk.Count
+	}
+	if total != w.Count {
+		return fmt.Errorf("metrics: histogram buckets hold %d observations, count says %d", total, w.Count)
+	}
+	for i, n := range counts {
+		h.counts[i].Store(n)
+	}
+	h.count.Store(total)
+	h.sumBits.Store(0)
+	h.minBits.Store(math.Float64bits(math.Inf(1)))
+	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
+	if total > 0 {
+		h.add(w.Sum, w.Min, w.Max)
+	}
+	return nil
 }

@@ -270,3 +270,65 @@ func TestLoadSnapshotRejectsWrongSchema(t *testing.T) {
 		t.Error("want schema error")
 	}
 }
+
+// TestHistogramMergeAndJSON: merging two histograms gives the histogram of
+// all their observations — buckets, count, min, max and so every quantile
+// exactly — and a histogram survives its JSON wire form, empty or not, so
+// a decoded one merges like the original. Wire forms whose buckets are not
+// the layout's, or do not add up to the count, are refused.
+func TestHistogramMergeAndJSON(t *testing.T) {
+	a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
+	for i := 0; i < 500; i++ {
+		v := 1e-6 * float64(1+i*i%997)
+		if i%3 == 0 {
+			a.Observe(v)
+		} else {
+			b.Observe(v)
+		}
+		all.Observe(v)
+	}
+	b.Observe(0)
+	all.Observe(0)
+	same := func(how string, got, want *Histogram) {
+		t.Helper()
+		if got.buckets() != want.buckets() || got.Count() != want.Count() ||
+			got.Min() != want.Min() || got.Max() != want.Max() ||
+			math.Abs(got.Sum()-want.Sum()) > 1e-12*math.Abs(want.Sum()) {
+			t.Fatalf("%s: count %d sum %v [%v, %v], want count %d sum %v [%v, %v]", how,
+				got.Count(), got.Sum(), got.Min(), got.Max(), want.Count(), want.Sum(), want.Min(), want.Max())
+		}
+		for _, q := range []float64{0.5, 0.9, 0.99} {
+			if g, w := got.Quantile(q), want.Quantile(q); math.Abs(g-w) > 1e-12*w {
+				t.Fatalf("%s: p%v %v, want %v", how, 100*q, g, w)
+			}
+		}
+	}
+	var decoded []*Histogram
+	for _, h := range []*Histogram{a, b, NewHistogram()} {
+		js, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d *Histogram
+		if err := json.Unmarshal(js, &d); err != nil {
+			t.Fatalf("decoding %s: %v", js, err)
+		}
+		same("round trip", d, h)
+		decoded = append(decoded, d)
+	}
+	m := NewHistogram()
+	for _, d := range decoded {
+		m.Merge(d)
+	}
+	m.Merge(nil)
+	same("merge", m, all)
+	for _, bad := range []string{
+		`{"count":1,"buckets":[{"le":"3e-6","count":1}]}`,
+		`{"count":2,"buckets":[{"le":"+Inf","count":1}]}`,
+		`{"count":1,"buckets":[{"le":"x","count":1}]}`,
+	} {
+		if err := json.Unmarshal([]byte(bad), NewHistogram()); err == nil {
+			t.Errorf("decoded %s", bad)
+		}
+	}
+}

@@ -420,14 +420,25 @@ func (s *supervisor) collect() ([]Envelope, error) {
 			return nil, fmt.Errorf("proc: rank %d exited clean but left no envelope (%v); logs in %s\n%s",
 				r, err, s.logDir, logTail(filepath.Join(s.logDir, fmt.Sprintf("rank%d.log", r))))
 		}
-		if err := json.Unmarshal(b, &envs[r]); err != nil {
-			return nil, fmt.Errorf("proc: rank %d envelope: %w", r, err)
-		}
-		if envs[r].Rank != r {
-			return nil, fmt.Errorf("proc: rank %d envelope claims rank %d", r, envs[r].Rank)
+		if envs[r], err = DecodeEnvelope(b, r); err != nil {
+			return nil, err
 		}
 	}
 	return envs, nil
+}
+
+// DecodeEnvelope decodes the bytes of rank's result file as the supervisor
+// collects them: an envelope that does not parse, or that claims another
+// rank, is an error.
+func DecodeEnvelope(b []byte, rank int) (Envelope, error) {
+	var e Envelope
+	if err := json.Unmarshal(b, &e); err != nil {
+		return Envelope{}, fmt.Errorf("proc: rank %d envelope: %w", rank, err)
+	}
+	if e.Rank != rank {
+		return Envelope{}, fmt.Errorf("proc: rank %d envelope claims rank %d", rank, e.Rank)
+	}
+	return e, nil
 }
 
 // reap drains outcomes until no worker is running, killing the world once

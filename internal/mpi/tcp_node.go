@@ -275,14 +275,14 @@ func newTCPNode(t *tcpTransport, rank int) (*tcpNode, error) {
 		ln.Close()
 		return nil, fmt.Errorf("tcp: rank %d dial coordinator: %w", rank, err)
 	}
-	n.ctl = &ctlConn{c: conn}
+	n.ctl = &ctlConn{c: conn, fr: tcpconn.FrameReader{R: conn}}
 	if err := n.ctl.send(tfHello, &ctlMsg{Rank: rank, Addr: ln.Addr().String(), WorldID: t.worldID}); err != nil {
 		n.ctl.close()
 		ln.Close()
 		return nil, fmt.Errorf("tcp: rank %d hello: %w", rank, err)
 	}
 	conn.SetReadDeadline(time.Now().Add(n.hsTimeout))
-	kind, payload, err := tcpconn.ReadFrame(conn)
+	kind, payload, err := n.ctl.fr.Next()
 	if err != nil || kind != tfWelcome {
 		n.ctl.close()
 		ln.Close()
@@ -347,8 +347,12 @@ func (n *tcpNode) acceptLoop() {
 // the supervisor's (a reaped process).
 func (n *tcpNode) serveAccepted(conn net.Conn) {
 	defer n.wg.Done()
+	// One reader for the stream's life: the read that lands the JOIN may
+	// land the frames behind it too. Its buffer is reused frame to frame:
+	// every delivery copies out of it before the next read.
+	fr := tcpconn.FrameReader{R: conn}
 	conn.SetReadDeadline(time.Now().Add(n.hsTimeout))
-	kind, payload, err := tcpconn.ReadFrame(conn)
+	kind, payload, err := fr.Next()
 	if err != nil || kind != tfJoin {
 		conn.Close()
 		return
@@ -393,9 +397,6 @@ func (n *tcpNode) serveAccepted(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	n.fl().Record(flight.KindConnect, int32(join.Rank), -1, -1, 0, 0)
-	// The frame buffer is reused frame to frame: every delivery copies out
-	// of it before the next read.
-	fr := tcpconn.FrameReader{R: conn}
 	for {
 		kind, payload, err := fr.Next()
 		if err != nil {
@@ -815,7 +816,7 @@ func (n *tcpNode) ctlReader() {
 	defer n.wg.Done()
 	defer close(n.ctlDown)
 	for {
-		kind, payload, err := tcpconn.ReadFrame(n.ctl.c)
+		kind, payload, err := n.ctl.fr.Next()
 		if err != nil {
 			return
 		}

@@ -40,6 +40,9 @@ const (
 	// readAhead is the most a FrameReader's buffer grows past the bytes it
 	// has read, until it is as large as that.
 	readAhead = 1 << 20
+	// bulkAhead is the farthest a FrameReader's buffer reaches past the
+	// largest frame: the most one read lands beyond the frame it completes.
+	bulkAhead = 256 << 10
 )
 
 // ErrCorrupt reports a frame that failed its magic, reserved-byte, length,
@@ -98,72 +101,102 @@ func WriteFrame(w io.Writer, kind byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame. Truncation mid-frame returns
+// ReadFrame reads one frame and no byte past it, so the stream is left
+// at the next frame's header (a one-frame exchange such as a handshake
+// reply can be followed by any other reader). Truncation mid-frame returns
 // io.ErrUnexpectedEOF (io.EOF only on a clean boundary before any header
 // byte); a bad magic, nonzero reserved byte, oversized length, or CRC
 // mismatch returns an error wrapping ErrCorrupt.
 func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
-	fr := FrameReader{R: r}
+	fr := FrameReader{R: r, one: true}
 	return fr.Next()
 }
 
-// FrameReader reads the frames of one stream into a buffer it reuses, so
-// once the buffer has grown to the largest frame, reading costs no
-// allocation. The buffer grows with the payload bytes that arrive, not with
-// the length a header claims. The payload Next returns is valid until the
-// next call.
+// FrameReader reads the frames of one stream. Each read asks for as much
+// as its buffer has room for, so one read may land many frames, and Next
+// returns them one by one before it reads again; a frame cut by the end of
+// a read moves to the front of the buffer and the next read completes it.
+// The buffer is reused, so once it has grown, reading costs no allocation.
+// It grows with the bytes that arrive, never with the length a header
+// claims, and to at most twice the largest frame, or bulkAhead past it if
+// that is less. The payload Next returns is valid until the next call.
+//
+// A FrameReader owns its stream: bytes it has read ahead are in its buffer
+// and nowhere else, so every frame of the stream is read through it.
 type FrameReader struct {
-	R   io.Reader
-	buf []byte
+	R io.Reader
+
+	buf  []byte // buf[r:w] is read and not yet returned
+	r, w int
+	err  error // the error of the last read, held back until the whole frames before it are returned
+	one  bool  // read no byte past the current frame (ReadFrame)
 }
 
-// Next reads one frame, with ReadFrame's error contract.
+// Next returns the next frame, with ReadFrame's error contract. A read
+// that returns bytes together with an error has every whole frame in those
+// bytes returned before the error is.
 func (fr *FrameReader) Next() (kind byte, payload []byte, err error) {
-	if cap(fr.buf) < HeaderBytes {
-		fr.buf = make([]byte, HeaderBytes)
-	}
-	hdr := fr.buf[:HeaderBytes]
-	if _, err := io.ReadFull(fr.R, hdr); err != nil {
-		return 0, nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != frameMagic {
-		return 0, nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.LittleEndian.Uint32(hdr[0:4]))
-	}
-	kind = hdr[4]
-	if hdr[5] != 0 || hdr[6] != 0 || hdr[7] != 0 {
-		return 0, nil, fmt.Errorf("%w: nonzero reserved bytes", ErrCorrupt)
-	}
-	length := binary.LittleEndian.Uint32(hdr[8:12])
-	if length > MaxPayload {
-		return 0, nil, fmt.Errorf("%w: payload length %d exceeds the %d-byte cap", ErrCorrupt, length, MaxPayload)
-	}
-	want := binary.LittleEndian.Uint32(hdr[12:16])
-	// The length word is only a claim until its payload arrives: a buffer
-	// short of it grows as bytes come in, at most readAhead (or its own
-	// size) beyond what was read, so a damaged or hostile header costs a
-	// bounded allocation rather than the claimed gigabyte.
-	n := HeaderBytes + int(length)
-	buf := fr.buf[:HeaderBytes]
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(n-len(buf), max(readAhead, len(buf))))
+	need := HeaderBytes
+	for {
+		if avail := fr.w - fr.r; avail >= HeaderBytes {
+			hdr := fr.buf[fr.r : fr.r+HeaderBytes]
+			if binary.LittleEndian.Uint32(hdr[0:4]) != frameMagic {
+				return 0, nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.LittleEndian.Uint32(hdr[0:4]))
+			}
+			kind = hdr[4]
+			if hdr[5] != 0 || hdr[6] != 0 || hdr[7] != 0 {
+				return 0, nil, fmt.Errorf("%w: nonzero reserved bytes", ErrCorrupt)
+			}
+			length := binary.LittleEndian.Uint32(hdr[8:12])
+			if length > MaxPayload {
+				return 0, nil, fmt.Errorf("%w: payload length %d exceeds the %d-byte cap", ErrCorrupt, length, MaxPayload)
+			}
+			if need = HeaderBytes + int(length); avail >= need {
+				want := binary.LittleEndian.Uint32(hdr[12:16])
+				payload = fr.buf[fr.r+HeaderBytes : fr.r+need]
+				fr.r += need
+				if got := frameCRC(kind, payload); got != want {
+					return 0, nil, fmt.Errorf("%w: CRC mismatch on kind %d (payload damaged in flight)", ErrCorrupt, kind)
+				}
+				return kind, payload, nil
+			}
 		}
-		m, err := io.ReadFull(fr.R, buf[len(buf):min(n, cap(buf))])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			fr.buf = buf
-			if err == io.EOF {
+		if err := fr.err; err != nil {
+			fr.err = nil
+			if err == io.EOF && fr.w > fr.r {
 				err = io.ErrUnexpectedEOF
 			}
 			return 0, nil, err
 		}
+		fr.fill(need)
 	}
-	fr.buf = buf
-	payload = buf[HeaderBytes:n]
-	if got := frameCRC(kind, payload); got != want {
-		return 0, nil, fmt.Errorf("%w: CRC mismatch on kind %d (payload damaged in flight)", ErrCorrupt, kind)
+}
+
+// fill moves a partial frame to the front of the buffer, makes room for
+// the rest of it (need bytes in all) and reads once.
+func (fr *FrameReader) fill(need int) {
+	fr.w = copy(fr.buf[:cap(fr.buf)], fr.buf[fr.r:fr.w])
+	fr.r = 0
+	if need > cap(fr.buf) {
+		// The length word is only a claim until its payload arrives: a
+		// buffer short of it grows as bytes come in, at most readAhead (or
+		// its own size) beyond what was read, so a damaged or hostile
+		// header costs a bounded allocation rather than the claimed
+		// gigabyte. A stream's reader grows as far again past the frame,
+		// up to bulkAhead: the room its reads land the frames behind in.
+		grow := need - fr.w
+		if !fr.one {
+			grow += min(need, bulkAhead)
+		}
+		fr.buf = slices.Grow(fr.buf[:fr.w], min(grow, max(readAhead, fr.w)))
 	}
-	return kind, payload, nil
+	end := cap(fr.buf)
+	if fr.one {
+		end = min(end, need)
+	}
+	m, err := fr.R.Read(fr.buf[fr.w:end])
+	fr.w += m
+	fr.err = err
 }
 
 // DialPolicy is the retry/backoff/budget contract for dialing a peer and

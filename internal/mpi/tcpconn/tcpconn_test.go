@@ -8,6 +8,7 @@ import (
 	"net"
 	"runtime"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -250,4 +251,193 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", enc, b[:len(enc)])
 		}
 	})
+}
+
+// testFrame is one decoded frame, its payload copied out of the reader's
+// buffer.
+type testFrame struct {
+	kind    byte
+	payload []byte
+}
+
+// testStream encodes frames of the given payload sizes, each filled with a
+// pattern of its index, and returns the stream with the frames.
+func testStream(sizes ...int) ([]byte, []testFrame) {
+	var stream []byte
+	var frames []testFrame
+	for i, n := range sizes {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(i*131 + j*7)
+		}
+		stream = AppendFrame(stream, byte(i%200), p)
+		frames = append(frames, testFrame{byte(i % 200), p})
+	}
+	return stream, frames
+}
+
+// readAll reads frames through one FrameReader until it errors.
+func readAll(r io.Reader) ([]testFrame, error) {
+	fr := FrameReader{R: r}
+	var out []testFrame
+	for {
+		kind, payload, err := fr.Next()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, testFrame{kind, append([]byte{}, payload...)})
+	}
+}
+
+func sameFrames(t *testing.T, how string, got, want []testFrame) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d frames, want %d", how, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].kind != want[i].kind || !bytes.Equal(got[i].payload, want[i].payload) {
+			t.Fatalf("%s: frame %d differs (kind %d, %d bytes; want kind %d, %d bytes)",
+				how, i, got[i].kind, len(got[i].payload), want[i].kind, len(want[i].payload))
+		}
+	}
+}
+
+// TestFrameReaderReadSizes: the same stream decodes to the same frames
+// whether each Read returns one byte, half of what was asked, or as many
+// frames as the buffer holds.
+func TestFrameReaderReadSizes(t *testing.T) {
+	stream, want := testStream(0, 1, 80, 4096, 15, 70000, 3, 0, 300000, 12)
+	for _, c := range []struct {
+		name string
+		r    func() io.Reader
+	}{
+		{"one-byte", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(stream)) }},
+		{"half", func() io.Reader { return iotest.HalfReader(bytes.NewReader(stream)) }},
+		{"bulk", func() io.Reader { return bytes.NewReader(stream) }},
+	} {
+		got, err := readAll(c.r())
+		if err != io.EOF {
+			t.Fatalf("%s: stream ended with %v, want io.EOF", c.name, err)
+		}
+		sameFrames(t, c.name, got, want)
+	}
+}
+
+// cutReader records the stream offset at which each Read ended.
+type cutReader struct {
+	r    io.Reader
+	off  int
+	cuts []int
+}
+
+func (c *cutReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.off += n
+	c.cuts = append(c.cuts, c.off)
+	return n, err
+}
+
+// TestFrameReaderStraddle: a stream longer than the reader's buffer puts
+// frames across the end of a read; each moves to the front of the buffer,
+// the next read completes it, and every frame decodes intact. A read lands
+// many frames: the stream takes fewer reads than it has frames.
+func TestFrameReaderStraddle(t *testing.T) {
+	sizes := []int{60000}
+	for i := 0; i < 150; i++ {
+		sizes = append(sizes, 1000+37*i)
+	}
+	stream, want := testStream(sizes...)
+	if len(stream) < 2*bulkAhead {
+		t.Fatalf("stream of %d bytes does not outgrow the buffer", len(stream))
+	}
+	cr := &cutReader{r: bytes.NewReader(stream)}
+	got, err := readAll(cr)
+	if err != io.EOF {
+		t.Fatalf("stream ended with %v, want io.EOF", err)
+	}
+	sameFrames(t, "straddle", got, want)
+	bounds := map[int]bool{}
+	for off, i := 0, 0; i < len(want); i++ {
+		off += HeaderBytes + len(want[i].payload)
+		bounds[off] = true
+	}
+	straddled := 0
+	for _, c := range cr.cuts {
+		if c > 0 && c < len(stream) && !bounds[c] {
+			straddled++
+		}
+	}
+	if straddled == 0 {
+		t.Fatalf("no read ended inside a frame (reads ended at %v)", cr.cuts)
+	}
+	if len(cr.cuts) >= len(want) {
+		t.Errorf("%d reads for %d frames: the reader does not read ahead", len(cr.cuts), len(want))
+	}
+	t.Logf("%d frames in %d reads", len(want), len(cr.cuts))
+}
+
+// errAfterReader returns all its bytes in one Read, together with err.
+type errAfterReader struct {
+	b   []byte
+	err error
+}
+
+func (e *errAfterReader) Read(p []byte) (int, error) {
+	if len(e.b) == 0 {
+		return 0, e.err
+	}
+	n := copy(p, e.b)
+	e.b = e.b[n:]
+	if len(e.b) == 0 {
+		return n, e.err
+	}
+	return n, nil
+}
+
+// TestFrameReaderDataWithError: when a Read returns bytes together with an
+// error, every whole frame in those bytes comes out before the error does —
+// io.EOF on a frame boundary, io.ErrUnexpectedEOF inside a frame, any other
+// error as it was returned — both through iotest.DataErrReader and a
+// reader that returns everything in one Read.
+func TestFrameReaderDataWithError(t *testing.T) {
+	stream, want := testStream(5, 0, 700, 64)
+	lost := errors.New("connection reset")
+	for _, c := range []struct {
+		name string
+		r    io.Reader
+		n    int // whole frames before the error
+		err  error
+	}{
+		{"eof-at-boundary", iotest.DataErrReader(bytes.NewReader(stream)), 4, io.EOF},
+		{"eof-mid-frame", iotest.DataErrReader(bytes.NewReader(stream[:len(stream)-10])), 3, io.ErrUnexpectedEOF},
+		{"eof-mid-header", iotest.DataErrReader(bytes.NewReader(stream[:len(stream)-64-5])), 3, io.ErrUnexpectedEOF},
+		{"one-read-eof", &errAfterReader{stream, io.EOF}, 4, io.EOF},
+		{"one-read-error", &errAfterReader{stream[:len(stream)-1], lost}, 3, lost},
+	} {
+		got, err := readAll(c.r)
+		if err != c.err {
+			t.Fatalf("%s: ended with %v, want %v", c.name, err, c.err)
+		}
+		sameFrames(t, c.name, got, want[:c.n])
+	}
+}
+
+// TestReadFrameConsumesOneFrame: ReadFrame reads no byte past its frame, so
+// a second ReadFrame on the same stream reads the next frame, and a
+// FrameReader after them the rest.
+func TestReadFrameConsumesOneFrame(t *testing.T) {
+	stream, want := testStream(10, 2000, 0, 33)
+	rd := bytes.NewReader(stream)
+	for i := 0; i < 2; i++ {
+		kind, payload, err := ReadFrame(rd)
+		if err != nil {
+			t.Fatalf("ReadFrame %d: %v", i, err)
+		}
+		sameFrames(t, "ReadFrame", []testFrame{{kind, payload}}, want[i:i+1])
+	}
+	got, err := readAll(rd)
+	if err != io.EOF {
+		t.Fatalf("rest of the stream ended with %v, want io.EOF", err)
+	}
+	sameFrames(t, "rest", got, want[2:])
 }

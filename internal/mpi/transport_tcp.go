@@ -124,6 +124,9 @@ var tcpWorldSeq atomic.Uint64
 type ctlConn struct {
 	mu sync.Mutex
 	c  net.Conn
+	// fr reads the stream's frames for its whole life, handshake included;
+	// only its one reading goroutine touches it.
+	fr tcpconn.FrameReader
 }
 
 func (cc *ctlConn) send(kind byte, m *ctlMsg) error {
@@ -500,7 +503,7 @@ func (c *tcpCoord) acceptLoop() {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		cc := &ctlConn{c: conn}
+		cc := &ctlConn{c: conn, fr: tcpconn.FrameReader{R: conn}}
 		c.mu.Lock()
 		c.conns[cc] = true
 		c.mu.Unlock()
@@ -523,7 +526,7 @@ func (c *tcpCoord) serve(cc *ctlConn) {
 		c.mu.Unlock()
 	}()
 	for {
-		kind, payload, err := tcpconn.ReadFrame(cc.c)
+		kind, payload, err := cc.fr.Next()
 		if err != nil {
 			return
 		}

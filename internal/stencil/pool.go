@@ -20,7 +20,9 @@ import (
 // on single-core hosts).
 
 // ResolveWorkers resolves a requested worker count: positive values are
-// taken as-is, otherwise GOMAXPROCS.
+// taken as-is, otherwise GOMAXPROCS — the whole process for one caller.
+// The experiment harness resolves a rank's default itself, as its share
+// of the host (harness.Config.Workers), and passes it here explicitly.
 func ResolveWorkers(requested int) int {
 	if requested > 0 {
 		return requested
