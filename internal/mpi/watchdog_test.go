@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -191,4 +192,51 @@ func TestStallReportGoldenFormat(t *testing.T) {
 	if !strings.HasPrefix(ae.Error(), "mpi: watchdog abort: stall: 5 pending ops") {
 		t.Errorf("AbortError message %q", ae.Error())
 	}
+}
+
+// TestWorkerWatchdogSeesPeerProgress: a worker world's watchdog counts the
+// progress of ranks in other processes. Rank 0 arms a watchdog and waits in
+// a Recv from rank 1, which completes self-messages for three timeouts
+// before it sends. Rank 0 makes no progress of its own the whole time, so
+// only rank 1's completions, seen through the backend's shared counter
+// (shmem: a segment word; tcp: control heartbeats, hence the longer
+// timeout), keep its watchdog quiet.
+func TestWorkerWatchdogSeesPeerProgress(t *testing.T) {
+	forEachWorkerTransport(t, 2, func(t *testing.T, w *World) {
+		timeout := 150 * time.Millisecond
+		if w.Transport() == "tcp" {
+			timeout = time.Second
+		}
+		ws := workerWorlds(t, w)
+		ws[0].SetWatchdog(timeout, nil)
+		errs := make([]any, 2)
+		var wg sync.WaitGroup
+		for r, a := range ws {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { errs[r] = recover() }()
+				a.RunRank(r, func(c *Comm) {
+					buf := make([]float64, 1)
+					if r == 0 {
+						c.Recv(1, 1, buf)
+						return
+					}
+					for t0 := time.Now(); time.Since(t0) < 3*timeout; {
+						rq := c.Irecv(1, 2, buf)
+						c.Isend(1, 2, buf).Wait()
+						rq.Wait()
+						time.Sleep(time.Millisecond)
+					}
+					c.Send(0, 1, buf)
+				})
+			}()
+		}
+		wg.Wait()
+		for r, err := range errs {
+			if err != nil {
+				t.Errorf("rank %d aborted: %v", r, err)
+			}
+		}
+	})
 }
