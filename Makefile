@@ -110,12 +110,18 @@ race:
 # listing and the respawn oracle, and the one-shot matcher's callers racing
 # one another — tcp readers and chan senders posting into it, the
 # watchdog's listing and the epoch reset.
+# The supervisor's one outcome loop runs without a policy in proc's tests
+# (a hard death, a clean run), and a worker's watchdog reads the other
+# processes' progress from a tick every completion makes (about 3.5 s a
+# pass, so fewer passes).
 race-recovery:
 	$(GO) test -race -count=20 -run 'TestTCPNetFaultRecovery$$' ./internal/harness
 	$(GO) test -race -count=5 -run 'TestSupervisedRecoveryAllImpls$$' ./internal/harness
 	$(GO) test -race -count=5 -run 'TestRecoveryPanicBitIdentical$$' ./internal/harness
 	$(GO) test -race -count=5 -run '^(TestRunMidRunDegradeBitIdentical|TestRecoveryDegradedCheckpointRoundTrip)$$' ./internal/harness
 	$(GO) test -race -count=20 -run '^(TestRecoveryRoundConformance|TestStallReportListsParkedWorkers|TestPersistentOracleRespawn|TestConformanceOneShot|TestConformanceRespawnCycle|TestCollectiveOracleAcrossWorkers)$$' ./internal/mpi
+	$(GO) test -race -count=5 -run '^(TestRunHardDeathKillsWorld|TestRunDeathNamesSignalAndIncarnation|TestRunCollectsEnvelopes)$$' ./internal/mpi/proc
+	$(GO) test -race -count=3 -run '^TestWorkerWatchdogSeesPeerProgress$$' ./internal/mpi
 
 # soak runs the fault-injection soak under the race detector: every CPU
 # implementation on 8 ranks, once clean and once under benign faults

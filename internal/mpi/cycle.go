@@ -239,21 +239,42 @@ func (e *cycle) complete() {
 
 // wait blocks until the cycle completes, the world aborts or d expires
 // (forever: no bound), then raises what landing found: an overflow panics,
-// a corrupt payload aborts the world. An inactive request returns at once.
-func (e *cycle) wait(r *Request, d time.Duration) error {
+// a corrupt payload aborts the world. It returns a completed cycle to idle:
+// progress tick, and on the receive side the traffic counters, on the send
+// side its latency. An inactive request returns 0 at once.
+func (e *cycle) wait(r *Request, d time.Duration) (int, error) {
 	if e.state.Load() == cycOpen {
 		wait := e.sleep
 		if e.pull {
 			wait = e.spin
 		}
 		if err := wait(r, d); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	if e.state.Load() != cycDone {
-		return nil // inactive, or freed while waiting
+	if e.state.Load() == cycDone { // else inactive, or freed while waiting
+		if err := e.raise(r); err != nil {
+			return 0, err
+		}
 	}
-	return e.raise(r)
+	c := r.comm
+	c.world.progressTick()
+	n, at := e.elems, e.at
+	if !e.state.CompareAndSwap(cycDone, cycIdle) {
+		return 0, nil // Wait on an inactive request
+	}
+	if r.send {
+		if m := c.m; m != nil {
+			m.sendSeconds.Observe(time.Since(at).Seconds())
+		}
+		return 0, nil
+	}
+	c.recvMsgs.Add(1)
+	c.recvBytes.Add(int64(8 * n))
+	if m := c.m; m != nil {
+		m.recvBytes.Observe(float64(8 * n))
+	}
+	return n, nil
 }
 
 // sleep blocks on completion tokens while the cycle is open.
@@ -302,29 +323,6 @@ func (e *cycle) spin(r *Request, d time.Duration) error {
 		}
 		sp.spin()
 	}
-}
-
-// finish returns a completed cycle to idle: progress tick, and on the
-// receive side the traffic counters, on the send side its latency.
-func (e *cycle) finish(r *Request) int {
-	c := r.comm
-	c.world.progressTick()
-	n, at := e.elems, e.at
-	if !e.state.CompareAndSwap(cycDone, cycIdle) {
-		return 0 // Wait on an inactive request
-	}
-	if r.send {
-		if m := c.m; m != nil {
-			m.sendSeconds.Observe(time.Since(at).Seconds())
-		}
-		return 0
-	}
-	c.recvMsgs.Add(1)
-	c.recvBytes.Add(int64(8 * n))
-	if m := c.m; m != nil {
-		m.recvBytes.Observe(float64(8 * n))
-	}
-	return n
 }
 
 // pending lists the endpoint for a StallReport while its Wait would block

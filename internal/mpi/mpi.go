@@ -46,9 +46,6 @@ type World struct {
 	size    int
 	tr      Transport
 	backend string // tr's registered name
-	// sprog is tr's shared-progress view when the backend has one (shmem);
-	// cached at construction so the per-operation tick skips the assertion.
-	sprog sharedProgress
 
 	reg *metrics.Registry
 	// flight is atomic: a worker attaches its recorder after the transport's
@@ -376,11 +373,11 @@ func (r *Request) Wait() int {
 			panic(err)
 		}
 	}
-	if err := r.op.wait(r, forever); err != nil {
+	n, err := r.op.wait(r, forever)
+	if err != nil {
 		panic(err)
 	}
 	fl.Record(flight.KindWaitDone, int32(r.peer), int32(r.tag), -1, 0, 0)
-	n := r.op.finish(r)
 	if m != nil {
 		m.waitSeconds.Observe(time.Since(t0).Seconds())
 	}

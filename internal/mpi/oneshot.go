@@ -261,9 +261,10 @@ func (o *oneshot) awake() <-chan struct{} {
 }
 
 // wait blocks until the request completes, the world aborts or d expires
-// (forever: no bound), then raises what delivery found. A receive whose
-// mailbox must be polled drains it until then.
-func (o *oneshot) wait(r *Request, d time.Duration) error {
+// (forever: no bound), then raises what delivery found, ticks progress and,
+// for a receive, counts what arrived. A receive whose mailbox must be
+// polled drains it until then.
+func (o *oneshot) wait(r *Request, d time.Duration) (int, error) {
 	c := r.comm
 	w := c.world
 	var sp spinner
@@ -274,9 +275,9 @@ func (o *oneshot) wait(r *Request, d time.Duration) error {
 		}
 		switch {
 		case w.Aborted() != nil:
-			return w.Aborted()
+			return 0, w.Aborted()
 		case d >= 0 && time.Since(t0) > d:
-			return &TimeoutError{After: d, Op: r.opName()}
+			return 0, &TimeoutError{After: d, Op: r.opName()}
 		}
 		sp.spin()
 	}
@@ -290,24 +291,21 @@ func (o *oneshot) wait(r *Request, d time.Duration) error {
 		select {
 		case <-wake:
 		case <-w.abortCh:
-			return w.Aborted()
+			return 0, w.Aborted()
 		case <-expire:
-			return &TimeoutError{After: d, Op: r.opName()}
+			return 0, &TimeoutError{After: d, Op: r.opName()}
 		}
 	}
-	return o.raise(r)
-}
-
-// finish ticks progress and, for a receive, counts what arrived.
-func (o *oneshot) finish(r *Request) int {
-	c := r.comm
-	c.world.progressTick()
+	if err := o.raise(r); err != nil {
+		return 0, err
+	}
+	w.progressTick()
 	if r.send {
-		return 0
+		return 0, nil
 	}
 	c.recvMsgs.Add(1)
 	c.recvBytes.Add(int64(8 * o.n))
-	return o.n
+	return o.n, nil
 }
 
 // oneShotOps lists one-shot traffic for the watchdog: what the mailbox

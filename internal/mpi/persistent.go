@@ -199,6 +199,7 @@ func checkPair(s, q *pend) {
 // its key in this process, or queues it.
 func (pr *pairing) register(c *Comm, p *pend, buf []float64) {
 	w := c.world
+	inc := w.Incarnation(c.rank) // before pr.mu: enterEpoch takes pr.mu under roundMu
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	peers := pr.queue(!p.psend)
@@ -212,7 +213,7 @@ func (pr *pairing) register(c *Comm, p *pend, buf []float64) {
 			checkPair(p, q)
 		}
 		pr.seq++
-		p.id = w.tr.incarnation(c.rank)<<48 | uint64(c.rank)<<32 | pr.seq&(1<<32-1)
+		p.id = inc<<48 | uint64(c.rank)<<32 | pr.seq&(1<<32-1)
 	} else {
 		if q != nil {
 			checkPair(q, p)
@@ -309,13 +310,12 @@ func (pr *pairing) drain(c *Comm, d time.Duration) error {
 			pr.in = c.sys.irecv(AnySource, pairTag, pr.inBuf[:])
 		}
 		in := pr.in
-		if err := in.op.wait(in, d); err != nil {
+		if _, err := in.op.wait(in, d); err != nil {
 			if _, expired := err.(*TimeoutError); expired && !block {
 				return nil
 			}
 			return err
 		}
-		in.op.finish(in)
 		desc := pr.inBuf
 		pr.in = nil
 		pr.apply(c, desc[:])

@@ -256,6 +256,13 @@ type Options struct {
 	// recovery. Workers must park at the cross-process recovery barrier
 	// when their world aborts (mpi.World.ParkForRecovery) for rounds
 	// to converge.
+	//
+	// A nil Recover is the policy that always gives up, run through the
+	// same round: the first hard death kills the world so the survivors
+	// exit with the abort in their envelopes, and Run returns the death
+	// once every worker exited (a survivor that cannot exit is killed after
+	// the round's convergence timeout). Soft aborts ride the envelopes; the
+	// supervisor does not poll for them.
 	Recover func(death *Death) (restoreStep int, retry bool)
 }
 
@@ -272,10 +279,11 @@ const convergeTimeout = 2 * time.Minute
 // Failure handling is two-level. A worker that exits nonzero or vanishes
 // without an envelope died hard: without a recovery policy Run kills the
 // world — releasing the surviving workers' cross-process waits — waits for
-// the rest, and returns an error naming how the worker died (signal or
-// exit status, incarnation) with its log tail. Workers that report
-// protocol-level failures (world aborts) exit zero; those failures come
-// back inside the envelopes for the caller to interpret. With
+// the rest (up to the convergence timeout), and returns an error naming
+// how the worker died (signal or exit status, incarnation) with its log
+// tail. Workers that report protocol-level failures (world aborts) exit
+// zero; those failures come back inside the envelopes for the caller to
+// interpret. With
 // Options.Recover armed, failures first go through recovery rounds; only
 // a give-up verdict (or an unrecoverable state: a rank completed and
 // exited, a convergence timeout) surfaces them.
@@ -457,6 +465,10 @@ func (s *supervisor) reap(cause error) {
 	}
 }
 
+// run spawns every worker and runs the one outcome loop: a hard death, or
+// with a policy a soft abort, starts a recovery round. Without a policy
+// every round gives up, so the first hard death surfaces as the error and
+// soft aborts ride the envelopes.
 func (s *supervisor) run() ([]Envelope, error) {
 	for r := 0; r < s.size; r++ {
 		if err := s.spawn(r); err != nil {
@@ -466,46 +478,15 @@ func (s *supervisor) run() ([]Envelope, error) {
 			return nil, err
 		}
 	}
-	if s.opt.Recover == nil {
-		return s.runFailLoud()
-	}
-	return s.runSupervised()
-}
-
-// runFailLoud is the policy-free outcome loop: the first hard death kills
-// the world and surfaces as the error once every worker exited.
-func (s *supervisor) runFailLoud() ([]Envelope, error) {
-	var first *Death
-	for s.running > 0 {
-		oc := <-s.done
-		s.running--
-		if oc.err == nil {
-			s.state[oc.rank] = wsExited
-			continue
-		}
-		s.state[oc.rank] = wsDead
-		d := deathOf(oc.rank, s.w.Incarnation(oc.rank), oc.err)
-		if first == nil {
-			// First hard death: surviving workers may be blocked on the
-			// dead peer forever. Kill the world so their polling waits
-			// unwind; they then exit cleanly with the abort in their
-			// envelopes.
-			first = d
-			s.w.Kill(fmt.Errorf("proc: %v", d))
-		}
-	}
-	if first != nil {
-		return nil, s.deathError(first)
-	}
-	return s.collect()
-}
-
-// runSupervised is the recovery-armed outcome loop: hard deaths and soft
-// aborts trigger recovery rounds instead of ending the run.
-func (s *supervisor) runSupervised() ([]Envelope, error) {
 	attempt := 0
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
+	// Only a policy polls for soft aborts: a run without one must not wake
+	// its supervisor every 2 ms.
+	var soft <-chan time.Time
+	if s.opt.Recover != nil {
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		soft = tick.C
+	}
 	for {
 		if s.running == 0 {
 			// All exited cleanly — no round pending (deaths are handled the
@@ -522,7 +503,7 @@ func (s *supervisor) runSupervised() ([]Envelope, error) {
 			}
 			s.state[oc.rank] = wsDead
 			dead = append(dead, deathOf(oc.rank, s.w.Incarnation(oc.rank), oc.err))
-		case <-tick.C:
+		case <-soft:
 			// Soft-abort round: some rank published a world abort (injected
 			// panic, CRC corruption, watchdog stall) and no process died.
 			// The round begins once the abort is visible; convergence below
@@ -535,7 +516,9 @@ func (s *supervisor) runSupervised() ([]Envelope, error) {
 		// --- recovery round ---
 		attempt++
 		if len(dead) > 0 {
-			// Ensure the abort is world-wide so survivors unwind and park.
+			// Ensure the abort is world-wide so survivors unwind and park
+			// (or, without a policy, exit with the abort in their
+			// envelopes) instead of blocking on the dead peer forever.
 			s.w.Kill(fmt.Errorf("proc: %v", dead[0]))
 		}
 
@@ -592,9 +575,9 @@ func (s *supervisor) runSupervised() ([]Envelope, error) {
 
 		// Verdict. A completed rank's process already exited and cannot be
 		// replayed (mirror of the in-process rule), so any clean exit
-		// alongside a round forces give-up.
+		// alongside a round forces give-up, as does a missing policy.
 		retry, restoreStep := false, -1
-		if exited == 0 {
+		if exited == 0 && s.opt.Recover != nil {
 			restoreStep, retry = s.opt.Recover(firstDeath)
 		}
 		if !retry {

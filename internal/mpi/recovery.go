@@ -26,24 +26,25 @@ import (
 //     so any completion forces give-up; otherwise the policy decides.
 //  5. It releases the parked ranks with a verdict. On resume the shared
 //     wire state is re-seeded (dead ranks' incarnations bump, the restore
-//     step is pinned) and each world enters the new epoch exactly once:
-//     its wire state resets (Transport.newEpoch), its one-shot and pairing
-//     matchers empty and its abort machinery re-arms. On give-up the abort
-//     stays published and the parked ranks exit.
+//     step is pinned), the backend moves its wire state onto the new epoch
+//     (tcp cuts every stream of the process as the round settles or the
+//     verdict reaches a worker; chan and shmem keep none), and each world
+//     enters the new epoch exactly once: its one-shot and pairing matchers
+//     empty and its abort machinery re-arms. On give-up the abort stays
+//     published and the parked ranks exit.
 //
 // A backend supplies only the round cell: where the parked marks, the
 // generation and the verdict live, and how a parked rank waits for the
 // generation to move (chan: memory; shmem: segment words; tcp: the
 // coordinator's parked set and tfPark/tfVerdict frames).
 type roundCell interface {
-	// park marks rank parked at the recovery barrier.
-	park(rank int)
 	// parked lists the parked ranks, ascending (nil where the world cannot
 	// see them: a tcp worker).
 	parked() []int
-	// await blocks rank until the generation moves past gen and returns the
-	// verdict published with it; ok is false when no verdict can arrive
-	// (a tcp worker's control link is gone).
+	// await marks rank parked at the recovery barrier, blocks it until the
+	// generation moves past gen and returns the verdict published with it;
+	// ok is false when no verdict can arrive (a tcp worker's control link
+	// is gone).
 	await(rank int, gen uint64) (v verdict, ok bool)
 	// settle clears the parked marks and, on resume, re-seeds the shared
 	// round state — dead ranks' incarnations bump, the restore step is
@@ -52,20 +53,19 @@ type roundCell interface {
 	settle(resume bool, dead []int, step int) verdict
 	// release publishes v: parked ranks wake.
 	release(v verdict)
-	// incarnation reads rank's life number: 0 first spawn, bumped per
-	// crash-respawn round.
-	incarnation(rank int) uint64
 	// publishedAbort reads the world-wide abort, adopting a peer
 	// process's into this world first (nil while none).
 	publishedAbort() *AbortError
 }
 
 // verdict is a released round: its generation, whether the world resumes,
-// and the checkpoint step the resumed epoch restores from (-1 for none).
+// the checkpoint step the resumed epoch restores from (-1 for none), and
+// every rank's incarnation in it (nil: all 0).
 type verdict struct {
 	gen    uint64
 	resume bool
 	step   int
+	incs   []uint64
 }
 
 // RunRecoverable is Run with a recovery policy. body runs once per rank per
@@ -166,7 +166,6 @@ func (w *World) ParkForRecovery(rank int) (resume bool) {
 	w.roundMu.Lock()
 	gen := w.epoch.gen
 	w.roundMu.Unlock()
-	w.tr.park(rank)
 	// The park is progress, not a stall: without this tick a slow peer's
 	// unwind could push the quiet period past the watchdog timeout.
 	w.progressTick()
@@ -230,17 +229,15 @@ func (w *World) GiveUpRound() {
 
 // enterEpoch moves this world into the epoch verdict v opens, once: the
 // supervisor enters before it releases the round, and its own parked ranks
-// then find the epoch entered. The transport drops its wire state, the
-// one-shot matchers and the persistent-endpoint matcher empty (the epoch
-// re-pairs from scratch),
-// and the abort machinery re-arms so the epoch fails loud on its own terms.
-// The caller holds roundMu.
+// then find the epoch entered. The one-shot matchers and the
+// persistent-endpoint matcher empty (the epoch re-pairs from scratch), and
+// the abort machinery re-arms so the epoch fails loud on its own terms. The
+// caller holds roundMu.
 func (w *World) enterEpoch(v verdict) {
 	if v.gen <= w.epoch.gen {
 		return
 	}
 	w.epoch = v
-	w.tr.newEpoch(v.gen)
 	w.resetMatchers()
 	w.pairs.reset()
 	w.abortVal.Store(nil)
@@ -258,9 +255,16 @@ func (w *World) RestoreStep() int {
 	return w.epoch.step
 }
 
-// Incarnation reads rank's incarnation: 0 for a first life, bumped once
-// per crash-respawn round.
-func (w *World) Incarnation(rank int) uint64 { return w.tr.incarnation(rank) }
+// Incarnation reads rank's incarnation in the epoch this world is in: 0
+// for a first life, bumped once per crash-respawn round.
+func (w *World) Incarnation(rank int) uint64 {
+	w.roundMu.Lock()
+	defer w.roundMu.Unlock()
+	if w.epoch.incs == nil {
+		return 0
+	}
+	return w.epoch.incs[rank]
+}
 
 // PublishedAbort reads the world-wide abort: the supervisor uses it to
 // report why a worker-process world died even when the local process never

@@ -28,9 +28,8 @@ import (
 
 // Fixed binary header of tfData/tfPData payloads, little-endian: src, dst,
 // tag (u32 each), the persistent channel id (u64, 0 on one-shot frames),
-// epoch, incarnation, wireSeq, flight seq and cycle (u64 each), then four
-// reserved words (u32 each; senders write zero, and the reader ignores
-// them), elems and nflips (u32 each). After the
+// epoch, incarnation, wireSeq, flight seq and cycle (u64 each), elems and
+// nflips (u32 each). After the
 // header come elems float64 payload words (little-endian IEEE bits) and
 // nflips injected byte-flips (u32 offset, u8 mask, 3 zero pad bytes).
 // wireSeq is stamped at flush time under the stream lock.
@@ -39,13 +38,12 @@ import (
 // buffer's own bytes, and a receiver copies the frame's bytes straight into
 // the receive buffer (wireBytes, copyWire). Only a big-endian host, whose
 // memory order is not the wire's, converts word by word.
-const tcpHdrLen = 84
+const tcpHdrLen = 68
 
 type tcpHdr struct {
 	src, dst, tag                  int
 	id                             uint64
 	epoch, inc, wireSeq, fseq, cyc uint64
-	rsv                            [4]uint32
 	elems, nflips                  int
 }
 
@@ -62,9 +60,6 @@ func appendDataHdr(dst []byte, h *tcpHdr, elems, nflips int) []byte {
 	dst = le.AppendUint64(dst, h.wireSeq)
 	dst = le.AppendUint64(dst, h.fseq)
 	dst = le.AppendUint64(dst, h.cyc)
-	for _, w := range h.rsv {
-		dst = le.AppendUint32(dst, w)
-	}
 	dst = le.AppendUint32(dst, uint32(elems))
 	return le.AppendUint32(dst, uint32(nflips))
 }
@@ -92,8 +87,7 @@ func decodeDataFrame(b []byte, h *tcpHdr) ([]byte, []fault.ByteFlip, error) {
 		tag: int(int32(le.Uint32(b[8:]))), id: le.Uint64(b[12:]),
 		epoch: le.Uint64(b[20:]), inc: le.Uint64(b[28:]),
 		wireSeq: le.Uint64(b[36:]), fseq: le.Uint64(b[44:]), cyc: le.Uint64(b[52:]),
-		rsv:   [4]uint32{le.Uint32(b[60:]), le.Uint32(b[64:]), le.Uint32(b[68:]), le.Uint32(b[72:])},
-		elems: int(le.Uint32(b[76:])), nflips: int(le.Uint32(b[80:])),
+		elems: int(le.Uint32(b[60:])), nflips: int(le.Uint32(b[64:])),
 	}
 	want := tcpHdrLen + 8*h.elems + 8*h.nflips
 	if len(b) != want {
@@ -211,8 +205,7 @@ type tcpNode struct {
 	ctl  *ctlConn
 	dial tcpconn.DialPolicy
 
-	epoch          atomic.Uint64
-	othersProgress atomic.Int64
+	epoch atomic.Uint64
 
 	hbInterval, hbMiss, hbDead time.Duration
 	writeTimeout, hsTimeout    time.Duration
@@ -851,7 +844,7 @@ func (n *tcpNode) ctlReader() {
 			default:
 			}
 		case tfHBAck:
-			n.othersProgress.Store(m.Progress)
+			n.t.othersProgress.Store(m.Progress)
 		}
 	}
 }

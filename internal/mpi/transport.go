@@ -8,12 +8,15 @@ import (
 )
 
 // Transport is the wire seam of the runtime. A backend supplies a mailbox
-// that carries one-shot messages (oneshot.go), the link that moves each
-// persistent endpoint's bytes (cycle.go) and its cell of the recovery round
-// (recovery.go). Every protocol — one-shot matching, collectives, pairing,
-// the cycle, the recovery round — and validation, fault injection,
-// counters, flight recording, metrics, aborts and the watchdog belong to
-// World/Comm, written once. A backend registers a factory under a name
+// that carries one-shot messages (oneshot.go: send, drain, peek), the link
+// that moves each persistent endpoint's bytes (cycle.go: newLink and retire
+// here, put, poll and bind on the link), its cell of the recovery round
+// (recovery.go: parked, await, settle, release, publishedAbort), and
+// abortAll, progress and close: 13 methods, 16 with the link's. Every
+// protocol — one-shot matching, collectives, pairing, the cycle, the
+// recovery round — and validation, fault injection, counters, flight
+// recording, metrics, aborts and the watchdog belong to World/Comm,
+// written once. A backend registers a factory under a name
 // (RegisterTransport) and worlds are built on it with NewWorldOn: "chan"
 // runs every rank in this process, "shmem" over a shared-memory segment
 // that also works across processes, "tcp" over framed streams.
@@ -44,10 +47,13 @@ type Transport interface {
 	// channel.
 	abortAll(ae *AbortError)
 
-	// newEpoch drops this process's wire state as the world enters epoch
-	// gen of a recovery round (the world is quiescent): tcp cuts every
-	// stream and moves its nodes onto the epoch; chan and shmem keep none.
-	newEpoch(gen uint64)
+	// progress adds add to this process's completed operations and returns
+	// the world-wide count as this process sees it, for the watchdog: chan
+	// keeps none (0: its watchdog counts every rank), shmem one segment
+	// word every process adds to, tcp its own count plus what the control
+	// heartbeats reported of the other processes. The per-completion tick
+	// (add 1) must stay lock-free and allocation-free.
+	progress(add int64) int64
 
 	// roundCell is the backend's share of the recovery round.
 	roundCell
@@ -62,13 +68,12 @@ type Transport interface {
 // trace/flight/metrics stamping — lives on Request itself.
 type reqOp interface {
 	// wait parks until the transfer completed, the world aborts or d
-	// expires (forever: no bound): nil on completion, the *AbortError on
-	// abort, a *TimeoutError on expiry (the operation is still in flight
-	// and may be waited again).
-	wait(r *Request, d time.Duration) error
-	// finish performs post-completion bookkeeping (progress tick, receive
-	// accounting) and returns the received element count (0 for sends).
-	finish(r *Request) int
+	// expires (forever: no bound). On completion it does the bookkeeping
+	// (progress tick, receive accounting) and returns the received element
+	// count (0 for sends); otherwise the *AbortError on abort, a
+	// *TimeoutError on expiry (the operation is still in flight and may be
+	// waited again).
+	wait(r *Request, d time.Duration) (n int, err error)
 }
 
 // TransportFactory builds a backend for a world under construction. The
@@ -151,7 +156,6 @@ func NewWorldOn(name string, size int) (*World, error) {
 // once the world's size is final.
 func (w *World) setTransport(name string, tr Transport) {
 	w.tr, w.backend = tr, name
-	w.sprog, _ = tr.(sharedProgress)
 	w.matchers = make([]matcher, w.size)
 }
 

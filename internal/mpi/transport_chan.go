@@ -41,13 +41,9 @@ func (t *chanTransport) peek() []PendingOp { return nil }
 // waits watch the world's abort channel.
 func (t *chanTransport) abortAll(*AbortError) {}
 
-func (t *chanTransport) newEpoch(uint64) {}
-
-func (t *chanTransport) park(rank int) {
-	t.cellMu.Lock()
-	t.marks[rank] = true
-	t.cellMu.Unlock()
-}
+// progress keeps no world-wide count: every rank is in this process, and
+// its watchdog counts their ticks.
+func (t *chanTransport) progress(int64) int64 { return 0 }
 
 func (t *chanTransport) parked() (out []int) {
 	t.cellMu.Lock()
@@ -60,18 +56,21 @@ func (t *chanTransport) parked() (out []int) {
 	return out
 }
 
-func (t *chanTransport) await(_ int, gen uint64) (verdict, bool) {
-	for {
-		t.cellMu.Lock()
-		v, moved := t.v, t.moved
+func (t *chanTransport) await(rank int, gen uint64) (verdict, bool) {
+	t.cellMu.Lock()
+	defer t.cellMu.Unlock()
+	t.marks[rank] = true
+	for t.v.gen <= gen {
+		moved := t.moved
 		t.cellMu.Unlock()
-		if v.gen > gen {
-			return v, true
-		}
 		<-moved
+		t.cellMu.Lock()
 	}
+	return t.v, true
 }
 
+// settle's verdict carries no incarnations (all 0): no rank of an
+// in-process world dies alone.
 func (t *chanTransport) settle(resume bool, _ []int, step int) verdict {
 	t.cellMu.Lock()
 	defer t.cellMu.Unlock()
@@ -86,9 +85,6 @@ func (t *chanTransport) release(v verdict) {
 	t.moved = make(chan struct{})
 	t.cellMu.Unlock()
 }
-
-// incarnation is always 0: no rank of an in-process world dies alone.
-func (t *chanTransport) incarnation(int) uint64 { return 0 }
 
 func (t *chanTransport) publishedAbort() *AbortError { return t.w.Aborted() }
 

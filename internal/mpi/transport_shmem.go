@@ -355,19 +355,15 @@ func AttachShmemWorld(f *os.File) (*World, error) {
 		return nil, fmt.Errorf("mpi: attaching shmem world: %w", err)
 	}
 	w.setTransport("shmem", t)
-	w.epoch = verdict{gen: atomic.LoadUint64(t.w64(offRecGen)), step: t.restoreStep()}
+	w.epoch = t.verdictAt(atomic.LoadUint64(t.w64(offRecGen)), false)
 	return w, nil
 }
 
-// progressTickShared / progressShared are the sharedProgress hook: one
-// monotonic counter in the segment header that every attached process
-// ticks, so each process's watchdog sees world-wide progress.
-func (t *shmemTransport) progressTickShared() {
-	atomic.AddUint64(t.w64(offProgress), 1)
-}
-
-func (t *shmemTransport) progressShared() int64 {
-	return int64(atomic.LoadUint64(t.w64(offProgress)))
+// progress adds to one monotonic counter in the segment header that every
+// attached process ticks, so each process's watchdog sees world-wide
+// progress.
+func (t *shmemTransport) progress(add int64) int64 {
+	return int64(atomic.AddUint64(t.w64(offProgress), uint64(add)))
 }
 
 // incarnation reads rank's incarnation word: bumped by quarantine for
@@ -376,10 +372,6 @@ func (t *shmemTransport) progressShared() int64 {
 func (t *shmemTransport) incarnation(rank int) uint64 {
 	return atomic.LoadUint64(t.w64(t.l.incs + rank*8))
 }
-
-// newEpoch has nothing to drop: the round's quarantine re-seeded the
-// segment.
-func (t *shmemTransport) newEpoch(uint64) {}
 
 // quarantine re-seeds the segment's shared wire state for a new epoch. The
 // caller must guarantee quiescence: every rank parked, exited, or dead —
@@ -427,8 +419,6 @@ func (t *shmemTransport) quarantine(dead []int, restoreStep int) {
 
 // ---- the recovery round's cell: segment words ----
 
-func (t *shmemTransport) park(rank int) { atomic.StoreUint64(t.w64(t.l.parked+rank*8), 1) }
-
 func (t *shmemTransport) parked() (out []int) {
 	for r := 0; r < t.l.size; r++ {
 		if atomic.LoadUint64(t.w64(t.l.parked+r*8)) != 0 {
@@ -438,16 +428,13 @@ func (t *shmemTransport) parked() (out []int) {
 	return out
 }
 
-func (t *shmemTransport) await(_ int, gen uint64) (verdict, bool) {
+func (t *shmemTransport) await(rank int, gen uint64) (verdict, bool) {
+	atomic.StoreUint64(t.w64(t.l.parked+rank*8), 1)
 	var sp spinner
 	for atomic.LoadUint64(t.w64(offRecGen)) <= gen {
 		sp.spin()
 	}
-	return verdict{
-		gen:    atomic.LoadUint64(t.w64(offRecGen)),
-		resume: atomic.LoadUint64(t.w64(offRecVerdict)) == 1,
-		step:   t.restoreStep(),
-	}, true
+	return t.verdictAt(atomic.LoadUint64(t.w64(offRecGen)), atomic.LoadUint64(t.w64(offRecVerdict)) == 1), true
 }
 
 // settle publishes the verdict word ahead of the generation, so a rank that
@@ -462,14 +449,20 @@ func (t *shmemTransport) settle(resume bool, dead []int, step int) verdict {
 		atomic.StoreUint64(t.w64(t.l.parked+r*8), 0)
 	}
 	atomic.StoreUint64(t.w64(offRecVerdict), word)
-	return verdict{gen: atomic.LoadUint64(t.w64(offRecGen)) + 1, resume: resume, step: t.restoreStep()}
+	return t.verdictAt(atomic.LoadUint64(t.w64(offRecGen))+1, resume)
 }
 
 func (t *shmemTransport) release(v verdict) { atomic.StoreUint64(t.w64(offRecGen), v.gen) }
 
-// restoreStep reads the checkpoint step the segment's epoch restores from.
-func (t *shmemTransport) restoreStep() int {
-	return int(atomic.LoadUint64(t.w64(offRecStep))) - 1
+// verdictAt reads round gen's verdict from the segment: the checkpoint
+// step its epoch restores from and every rank's incarnation.
+func (t *shmemTransport) verdictAt(gen uint64, resume bool) verdict {
+	v := verdict{gen: gen, resume: resume, step: int(atomic.LoadUint64(t.w64(offRecStep))) - 1,
+		incs: make([]uint64, t.l.size)}
+	for r := range v.incs {
+		v.incs[r] = t.incarnation(r)
+	}
+	return v
 }
 
 func (t *shmemTransport) close() error {

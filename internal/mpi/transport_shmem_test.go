@@ -114,7 +114,7 @@ func TestShmemIncarnationFiltersStaleSends(t *testing.T) {
 	if n := len(w.matchers[1].unexpected); n != 0 {
 		t.Fatalf("stale-incarnation message queued for matching (unmatched = %d, want 0)", n)
 	}
-	if got := w.Incarnation(0); got != 1 {
+	if got := tr.incarnation(0); got != 1 {
 		t.Fatalf("incarnation = %d, want 1", got)
 	}
 }

@@ -158,13 +158,16 @@ type tcpTransport struct {
 
 	// localProgress is this process's share of the world-wide watchdog
 	// counter; workers exchange it with the coordinator over heartbeats.
-	localProgress atomic.Int64
+	// othersProgress is the other processes' share: on a worker, what the
+	// coordinator's last heartbeat ack reported; on the coordinator, the
+	// running sum of what the workers reported.
+	localProgress, othersProgress atomic.Int64
 }
 
 func newTCPWorldTransport(w *World) (Transport, error) {
 	t := &tcpTransport{w: w, nodes: map[int]*tcpNode{}}
 	t.worldID = uint64(os.Getpid())<<20 | (tcpWorldSeq.Add(1) & (1<<20 - 1))
-	coord, err := newTCPCoord(w, t.worldID, w.size)
+	coord, err := newTCPCoord(w, t.worldID, w.size, &t.othersProgress)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +201,7 @@ func AttachTCPWorld(rank int) (*World, error) {
 	}
 	n := t.node(rank)
 	n.mu.Lock()
-	w.epoch = verdict{gen: n.last.Epoch, step: n.last.Restore}
+	w.epoch = verdict{gen: n.last.Epoch, step: n.last.Restore, incs: n.last.Incs}
 	n.mu.Unlock()
 	return w, nil
 }
@@ -311,20 +314,12 @@ func (t *tcpTransport) abortAll(ae *AbortError) {
 	}
 }
 
-// newEpoch moves every node of this process onto the epoch: the round's
-// generation, which the coordinator's epoch follows.
-func (t *tcpTransport) newEpoch(gen uint64) {
-	for _, n := range t.snapshotNodes() {
-		n.resetForEpoch(gen)
-	}
-}
-
 // ---- the recovery round's cell: the coordinator's parked set, tfPark and
 // tfVerdict frames. Ranks park and wait through their node's control link,
 // in the coordinator's process too; settling and releasing is the
-// coordinator's, whose epoch is the round generation. ----
-
-func (t *tcpTransport) park(rank int) { t.node(rank).ctl.send(tfPark, &ctlMsg{Rank: rank}) }
+// coordinator's, whose epoch is the round generation. A node's wire state
+// moves onto a resumed epoch once: in the coordinator's process as the
+// round settles, in a worker as the verdict arrives. ----
 
 func (t *tcpTransport) parked() (out []int) {
 	if c := t.coord; c != nil {
@@ -340,12 +335,19 @@ func (t *tcpTransport) parked() (out []int) {
 
 func (t *tcpTransport) await(rank int, gen uint64) (verdict, bool) {
 	n := t.node(rank)
+	n.ctl.send(tfPark, &ctlMsg{Rank: rank})
 	for {
 		n.mu.Lock()
 		m := n.last
 		n.mu.Unlock()
 		if m.Epoch > gen {
-			return verdict{gen: m.Epoch, resume: m.Resume, step: m.Restore}, true
+			// The node's own epoch guards the move: settle already moved a
+			// node of the coordinator's process, and resetting it again
+			// would cut streams the new epoch has opened.
+			if m.Resume && n.epoch.Load() < m.Epoch {
+				n.resetForEpoch(m.Epoch)
+			}
+			return verdict{gen: m.Epoch, resume: m.Resume, step: m.Restore, incs: m.Incs}, true
 		}
 		select {
 		case <-n.verdictCh:
@@ -357,17 +359,16 @@ func (t *tcpTransport) await(rank int, gen uint64) (verdict, bool) {
 
 // settle bumps the epoch. On resume, dead ranks' incarnations bump and
 // their addresses are forgotten (lookups for them park until the respawned
-// process says HELLO), and the restore step is pinned. The epoch bumps
-// before the verdict goes out and before any dead rank respawns, so a
-// respawned worker's WELCOME already carries the new epoch and stale frames
-// of the old one never match.
+// process says HELLO), the restore step is pinned, and this process's nodes
+// move onto the new epoch. The epoch bumps before the verdict goes out and
+// before any dead rank respawns, so a respawned worker's WELCOME already
+// carries the new epoch and stale frames of the old one never match.
 func (t *tcpTransport) settle(resume bool, dead []int, step int) verdict {
 	c := t.coord
 	if c == nil {
 		panic("mpi: a tcp world's recovery rounds are settled by its coordinator process")
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.epoch++
 	c.parked = map[int]bool{}
 	if resume {
@@ -379,30 +380,18 @@ func (t *tcpTransport) settle(resume bool, dead []int, step int) verdict {
 		}
 		c.waiters = map[int][]*ctlConn{}
 	}
-	return verdict{gen: c.epoch, resume: resume, step: c.restore}
+	v := verdict{gen: c.epoch, resume: resume, step: c.restore, incs: slices.Clone(c.incs)}
+	c.mu.Unlock()
+	if resume {
+		for _, n := range t.snapshotNodes() {
+			n.resetForEpoch(v.gen)
+		}
+	}
+	return v
 }
 
 func (t *tcpTransport) release(v verdict) {
-	c := t.coord
-	c.mu.Lock()
-	m := &ctlMsg{Resume: v.resume, Restore: v.step, Epoch: v.gen, Incs: slices.Clone(c.incs)}
-	c.mu.Unlock()
-	c.broadcast(tfVerdict, m)
-}
-
-func (t *tcpTransport) incarnation(rank int) uint64 {
-	if c := t.coord; c != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.incs[rank]
-	}
-	var inc uint64
-	for _, n := range t.snapshotNodes() { // a worker's only node
-		n.mu.Lock()
-		inc = n.last.Incs[rank]
-		n.mu.Unlock()
-	}
-	return inc
+	t.coord.broadcast(tfVerdict, &ctlMsg{Resume: v.resume, Restore: v.step, Epoch: v.gen, Incs: v.incs})
 }
 
 // publishedAbort is the world's own: the coordinator adopts every live
@@ -430,20 +419,11 @@ func (t *tcpTransport) close() error {
 	return nil
 }
 
-// sharedProgress: workers learn the other processes' progress through
-// control heartbeats; the coordinator sums what workers reported.
-func (t *tcpTransport) progressTickShared() { t.localProgress.Add(1) }
-
-func (t *tcpTransport) progressShared() int64 {
-	sum := t.localProgress.Load()
-	if t.coord != nil {
-		sum += t.coord.progressSum(-1)
-		return sum
-	}
-	for _, n := range t.snapshotNodes() {
-		sum += n.othersProgress.Load()
-	}
-	return sum
+// progress: workers learn the other processes' progress through control
+// heartbeats; the coordinator sums what workers reported as it handles
+// them.
+func (t *tcpTransport) progress(add int64) int64 {
+	return t.localProgress.Add(add) + t.othersProgress.Load()
 }
 
 // ---- coordinator ----
@@ -469,9 +449,13 @@ type tcpCoord struct {
 	conns    map[*ctlConn]bool
 	parked   map[int]bool
 	progress []int64
+	// reported is the transport's othersProgress: the sum of progress,
+	// updated as heartbeats land so the per-completion tick reads it
+	// without c.mu.
+	reported *atomic.Int64
 }
 
-func newTCPCoord(w *World, worldID uint64, size int) (*tcpCoord, error) {
+func newTCPCoord(w *World, worldID uint64, size int, reported *atomic.Int64) (*tcpCoord, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("tcp: coordinator listen: %w", err)
@@ -487,6 +471,7 @@ func newTCPCoord(w *World, worldID uint64, size int) (*tcpCoord, error) {
 		conns:    map[*ctlConn]bool{},
 		parked:   map[int]bool{},
 		progress: make([]int64, size),
+		reported: reported,
 	}
 	c.wg.Add(1)
 	go c.acceptLoop()
@@ -589,6 +574,7 @@ func (c *tcpCoord) handle(cc *ctlConn, kind byte, m *ctlMsg) {
 	case tfHB:
 		c.mu.Lock()
 		if m.Rank >= 0 && m.Rank < c.size && m.Progress > c.progress[m.Rank] {
+			c.reported.Add(m.Progress - c.progress[m.Rank])
 			c.progress[m.Rank] = m.Progress
 		}
 		others := int64(0)
@@ -613,20 +599,6 @@ func (c *tcpCoord) broadcast(kind byte, m *ctlMsg) {
 	for _, cc := range conns {
 		cc.send(kind, m)
 	}
-}
-
-// progressSum returns the sum of the progress the workers reported,
-// excluding rank `excl` (-1 for none).
-func (c *tcpCoord) progressSum(excl int) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sum int64
-	for r, p := range c.progress {
-		if r != excl {
-			sum += p
-		}
-	}
-	return sum
 }
 
 func (c *tcpCoord) close() {

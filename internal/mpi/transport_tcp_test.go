@@ -81,9 +81,6 @@ func appendDataFrame(dst []byte, h *tcpHdr, data []float64, flips []fault.ByteFl
 	dst = le.AppendUint64(dst, h.wireSeq)
 	dst = le.AppendUint64(dst, h.fseq)
 	dst = le.AppendUint64(dst, h.cyc)
-	for _, w := range h.rsv {
-		dst = le.AppendUint32(dst, w)
-	}
 	dst = le.AppendUint32(dst, uint32(len(data)))
 	dst = le.AppendUint32(dst, uint32(len(flips)))
 	for _, v := range data {
@@ -487,8 +484,7 @@ func TestTCPFrameLandsOnlyAfterStart(t *testing.T) {
 func FuzzDecodeDataFrame(f *testing.F) {
 	plain := tcpHdr{src: 1, dst: 2, tag: 7, epoch: 3, inc: 1, wireSeq: 9, fseq: 4}
 	f.Add(appendDataFrame(nil, &plain, []float64{1.5, -2, math.Inf(1)}, nil))
-	pers := tcpHdr{src: 0, dst: 3, tag: 41, id: 1<<32 | 5, epoch: 1, wireSeq: 2, fseq: 7, cyc: 3,
-		rsv: [4]uint32{16, 2, 3, 4}}
+	pers := tcpHdr{src: 0, dst: 3, tag: 41, id: 1<<32 | 5, epoch: 1, wireSeq: 2, fseq: 7, cyc: 3}
 	f.Add(appendDataFrame(nil, &pers, []float64{0.25, math.NaN()}, nil))
 	f.Add(appendDataFrame(nil, &pers, []float64{1, 2, 3}, []fault.ByteFlip{{Off: 3, Mask: 0x80}, {Off: 17, Mask: 1}}))
 	f.Fuzz(func(t *testing.T, b []byte) {

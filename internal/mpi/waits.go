@@ -44,10 +44,7 @@ func (r *Request) WaitTimeout(d time.Duration) (int, error) {
 		}
 		d = max(d-time.Since(t0), 0)
 	}
-	if err := r.op.wait(r, d); err != nil {
-		return 0, err
-	}
-	return r.op.finish(r), nil
+	return r.op.wait(r, d)
 }
 
 // WaitallTimeout waits for every request under ONE shared deadline (d

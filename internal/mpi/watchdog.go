@@ -45,37 +45,24 @@ func (w *World) SetWatchdog(timeout time.Duration, onStall func(*StallReport)) {
 	w.wdog = &watchdog{timeout: timeout, onStall: onStall}
 }
 
-// sharedProgress is implemented by transports whose pending-op view spans
-// other processes (shmem): peek there reports messages whose owning ranks
-// live in peer processes, so the stall predicate must also see those
-// peers' progress. The transport keeps one world-wide counter in shared
-// memory; every process ticks it and every process's watchdog samples it.
-type sharedProgress interface {
-	progressTickShared()
-	progressShared() int64
-}
-
 // progressTick records one completed operation for stall detection. The
-// shared tick is unconditional: this process may run without a watchdog
-// while a peer process's watchdog depends on seeing our progress.
+// transport's tick is unconditional: a world's pending operations can
+// belong to ranks of other processes (shmem's peek lists every ring), so
+// its stall predicate must see their progress, and this process may run
+// without a watchdog while a peer process's watchdog depends on seeing
+// ours.
 func (w *World) progressTick() {
 	if wd := w.wdog; wd != nil {
 		wd.progress.Add(1)
 	}
-	if sp := w.sprog; sp != nil {
-		sp.progressTickShared()
-	}
+	w.tr.progress(1)
 }
 
 // progressNow samples the stall-detection counter: local ticks plus the
-// transport's shared counter when one exists. Both are monotonic, so the
-// sum changes exactly when any attached process completes an operation.
+// transport's world-wide count. Both are monotonic, so the sum changes
+// exactly when any attached process completes an operation.
 func (w *World) progressNow(wd *watchdog) int64 {
-	p := wd.progress.Load()
-	if sp := w.sprog; sp != nil {
-		p += sp.progressShared()
-	}
-	return p
+	return wd.progress.Load() + w.tr.progress(0)
 }
 
 // startWatchdog launches the monitor goroutine; the returned func stops it
